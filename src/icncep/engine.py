@@ -8,7 +8,6 @@ are driven by reply hooks keyed on the Interest name plus scheduled timeouts.
 Name conventions produced locally:
   /node/<id>/delay            advertised processing + queueing delay
   /node/<id>/deploy/<blob>    operator deployment order (base64url JSON)
-  /state/<qhash>/<idx>        persisted window state (content store)
   /state/<qhash>/<idx>/out    intermediate result stream between brokers
   /ce/<qhash>/<ts>            consumer notification
   /nack/<nonce>               rejection of a malformed query
@@ -23,11 +22,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
 from .operators import (
+    Condition,
     EmptyWindow,
     OutOfOrderTuple,
     PredictState,
     WindowState,
     aggregate_eval,
+    compile_condition,
+    compile_join,
     filter_eval,
     heatmap_eval,
     join_eval,
@@ -140,6 +142,7 @@ class OpInstance:
     parent_host: Optional[str]
     win_state: Optional[WindowState] = None
     predict_state: Optional[PredictState] = None
+    cond: Optional[Condition] = None  # FILTER and JOIN, compiled at install
     left_rows: Optional[list] = None
     left_wm: int = -1
     right_rows: Optional[list] = None
@@ -634,6 +637,10 @@ class Engine:
                     self._stream_feeds.setdefault(binding.name.to_uri(), []).append(
                         (salted, idx)
                     )
+            elif node.kind == "FILTER":
+                inst.cond = compile_condition(node.params[0], node.left.ctx)
+            elif node.kind == "JOIN":
+                inst.cond = compile_join(node.params[0], node.left.ctx, node.right.ctx)
             elif node.kind == "PREDICT":
                 inst.predict_state = PredictState()
             self.instances[(salted, idx)] = inst
@@ -688,13 +695,7 @@ class Engine:
             self._bump("out_of_order")
             return
         rows = list(inst.win_state.buffer)
-        wm = rows[-1].ts
-        self.cs.insert(
-            "/state/%s/%d" % (inst.salted, inst.node.index),
-            json.dumps([list(r.values) for r in rows]).encode("utf-8"),
-            wm,
-        )
-        self._emit(inst, rows, wm)
+        self._emit(inst, rows, rows[-1].ts)
 
     def _decode_snapshot(self, t: Tuple) -> tuple[list[Tuple], int, str]:
         doc = json.loads(t.values[1])
@@ -742,20 +743,18 @@ class Engine:
             if inst.left_rows is None or inst.right_rows is None:
                 return
             out_wm = min(inst.left_wm, inst.right_wm)
+            if out_wm <= inst.last_emit:
+                return  # _emit would drop the result
             if node.kind == "JOIN":
                 out = join_eval(
-                    inst.left_rows,
-                    inst.right_rows,
-                    node.params[0],
-                    node.left.ctx,
-                    node.right.ctx,
+                    inst.left_rows, inst.right_rows, inst.cond, node.left.ctx, node.right.ctx
                 )
             else:
                 out = [sequence_eval(inst.left_rows, inst.right_rows)]
             self._emit(inst, out, out_wm)
             return
         if node.kind == "FILTER":
-            out = filter_eval(rows, node.params[0], node.left.ctx)
+            out = filter_eval(rows, inst.cond, node.left.ctx)
             self._emit(inst, out, wm)
             return
         if node.kind in ("SUM", "MIN", "MAX", "AVG", "COUNT"):

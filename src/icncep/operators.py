@@ -2,16 +2,18 @@
 
 Every function here is pure: it takes explicit state plus input and returns
 new state plus output, which is what makes node-local evaluation replayable.
-The engine owns the state objects and persists window buffers in its content
-store between evaluations.
+The engine owns the state objects, holds them in its operator instances
+between evaluations, and compiles each FILTER and JOIN condition once when
+it installs the operator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .packet import Tuple
 from .query import (
@@ -36,6 +38,9 @@ __all__ = [
     "HeatGrid",
     "PredictionTuple",
     "PredictState",
+    "Condition",
+    "compile_condition",
+    "compile_join",
     "window_insert",
     "filter_eval",
     "join_eval",
@@ -67,7 +72,7 @@ class DegenerateBounds(OperatorError):
 
 
 # ---------------------------------------------------------------------------
-# boolean expression evaluation over positional rows
+# conditions, compiled once against a schema context
 
 
 def _time_ms(text: str) -> int:
@@ -76,45 +81,115 @@ def _time_ms(text: str) -> int:
     return ((int(hh) * 60 + int(mm)) * 60 + int(ss)) * 1000 + int(mmm)
 
 
-def _operand(ref, values, ctx: SchemaCtx):
+_COMPARE = {"=": operator.eq, "<": operator.lt, ">": operator.gt, "<=": operator.le}
+
+RowTest = Callable[[tuple], bool]
+
+
+def _operand(ref, ctx: SchemaCtx) -> tuple[Optional[int], object]:
+    """(column index, None) for an attribute, (None, value) for a literal."""
     if isinstance(ref, AttrRef):
         try:
-            return values[ctx.resolve(ref)]
+            return ctx.resolve(ref), None
         except SemanticError as err:
             raise UnknownAttribute(str(err)) from err
     if isinstance(ref, NumberLit):
-        return ref.value
+        return None, ref.value
     if isinstance(ref, TimeLit):
-        return _time_ms(ref.text)
+        return None, _time_ms(ref.text)
     raise UnknownAttribute("unsupported operand %r" % (ref,))
 
 
-def _compare(lhs, op: str, rhs) -> bool:
-    # text never orders against numbers; keep the evaluator total
-    if isinstance(lhs, str) != isinstance(rhs, str):
-        return False
-    if op == "=":
-        return lhs == rhs
-    if op == "<":
-        return lhs < rhs
-    if op == ">":
-        return lhs > rhs
-    if op == "<=":
-        return lhs <= rhs
-    return lhs >= rhs
-
-
-def eval_bool(expr: BoolExpr, values, ctx: SchemaCtx) -> bool:
-    """Evaluate a validated condition against one positional value row."""
+def _compile(expr: BoolExpr, ctx: SchemaCtx) -> RowTest:
     if isinstance(expr, Comparison):
-        return _compare(
-            _operand(expr.left, values, ctx), expr.op, _operand(expr.right, values, ctx)
-        )
+        (i, a), (j, b) = _operand(expr.left, ctx), _operand(expr.right, ctx)
+        cmp = _COMPARE.get(expr.op, operator.ge)
+        # text never orders against numbers; keep the evaluator total
+        if i is not None and j is not None:
+            return lambda v: isinstance(v[i], str) == isinstance(v[j], str) and cmp(v[i], v[j])
+        if i is not None:
+            b_text = isinstance(b, str)
+            return lambda v: isinstance(v[i], str) == b_text and cmp(v[i], b)
+        if j is not None:
+            a_text = isinstance(a, str)
+            return lambda v: a_text == isinstance(v[j], str) and cmp(a, v[j])
+        const = isinstance(a, str) == isinstance(b, str) and cmp(a, b)
+        return lambda v: const
     if isinstance(expr, BoolOp):
-        left = eval_bool(expr.left, values, ctx)
-        right = eval_bool(expr.right, values, ctx)
-        return (left and right) if expr.op == "&" else (left or right)
+        left, right = _compile(expr.left, ctx), _compile(expr.right, ctx)
+        # no short-circuit: a malformed row raises whichever side it trips
+        if expr.op == "&":
+            return lambda v: left(v) & right(v)
+        return lambda v: left(v) | right(v)
     raise UnknownAttribute("unsupported expression %r" % (expr,))
+
+
+def _conjuncts(expr: BoolExpr):
+    """The terms of a top-level `&` chain, left to right."""
+    if isinstance(expr, BoolOp) and expr.op == "&":
+        yield from _conjuncts(expr.left)
+        yield from _conjuncts(expr.right)
+    else:
+        yield expr
+
+
+@dataclass(frozen=True)
+class Condition:
+    """A FILTER or JOIN condition compiled once against its schema context.
+
+    `test` takes one positional value row. A reference that does not resolve
+    compiles to a `test` that raises UnknownAttribute, so the error still
+    surfaces when a row is evaluated, not when the operator is installed.
+
+    For a join, `ctx` is the concatenated context and `split` the width of
+    the left input. `key` is (left column, right column) of the first `=`
+    conjunct whose attributes fall on opposite inputs, or None; `residual`
+    is the test still due on rows whose keys match (None when the condition
+    is that comparison alone).
+    """
+
+    ctx: SchemaCtx
+    test: RowTest
+    split: int = 0
+    key: Optional[tuple[int, int]] = None
+    residual: Optional[RowTest] = None
+
+
+def _failing(message: str) -> RowTest:
+    def fail(values) -> bool:
+        raise UnknownAttribute(message)
+
+    return fail
+
+
+def compile_condition(expr: BoolExpr, ctx: SchemaCtx) -> Condition:
+    """Resolve every column of `expr` against `ctx` once, for row tests."""
+    try:
+        return Condition(ctx, _compile(expr, ctx))
+    except UnknownAttribute as err:
+        return Condition(ctx, _failing(str(err)))
+
+
+def compile_join(cond: BoolExpr, left_ctx: SchemaCtx, right_ctx: SchemaCtx) -> Condition:
+    """Compile a join condition and pick its hash-join key, if it has one."""
+    ctx, split = left_ctx.join(right_ctx), left_ctx.width
+    try:
+        test = _compile(cond, ctx)
+    except UnknownAttribute as err:
+        return Condition(ctx, _failing(str(err)))
+    for term in _conjuncts(cond):
+        if not (
+            isinstance(term, Comparison)
+            and term.op == "="
+            and isinstance(term.left, AttrRef)
+            and isinstance(term.right, AttrRef)
+        ):
+            continue
+        lcol, rcol = sorted((ctx.resolve(term.left), ctx.resolve(term.right)))
+        if lcol < split <= rcol:
+            residual = None if term is cond else test
+            return Condition(ctx, test, split, (lcol, rcol - split), residual)
+    return Condition(ctx, test)
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +226,66 @@ def window_insert(state: WindowState, t: Tuple) -> tuple[WindowState, list[Tuple
 # filter / join
 
 
-def filter_eval(tuples, expr: BoolExpr, ctx: SchemaCtx) -> list[Tuple]:
-    return [t for t in tuples if eval_bool(expr, t.values, ctx)]
+def filter_eval(tuples, expr: Union[BoolExpr, Condition], ctx: SchemaCtx) -> list[Tuple]:
+    """Rows that satisfy `expr`, in input order.
+
+    `expr` is a condition or its `compile_condition(expr, ctx)` form.
+    """
+    if not isinstance(expr, Condition):
+        expr = compile_condition(expr, ctx)
+    test = expr.test
+    return [t for t in tuples if test(t.values)]
 
 
-def join_eval(left, right, cond: BoolExpr, left_ctx: SchemaCtx, right_ctx: SchemaCtx) -> list[Tuple]:
+def _widths_are(rows, width: int) -> bool:
+    return all(len(t.values) == width for t in rows)
+
+
+def join_eval(
+    left, right, cond: Union[BoolExpr, Condition], left_ctx: SchemaCtx, right_ctx: SchemaCtx
+) -> list[Tuple]:
     """Concatenating join; output rows ordered by (left index, right index).
+
+    `cond` is a condition or its `compile_join(cond, left_ctx, right_ctx)`
+    form. With a hash-join key (an `=` between an attribute of each input,
+    alone or as a conjunct of an `&` chain), the right rows are bucketed by
+    their key column in order, and each left row in order probes its bucket;
+    only the matches are tested against the rest of the condition. NaN keys
+    never match, and text keys never equal numbers. Every other condition,
+    and inputs whose rows do not have their schema's width, run the nested
+    loop over all pairs.
 
     The joined tuple keeps the left timestamp, which equals the matched
     timestamp under the usual timestamp-equality conditions.
     """
-    joined = left_ctx.join(right_ctx)
+    if not isinstance(cond, Condition):
+        cond = compile_join(cond, left_ctx, right_ctx)
+    schema_id = cond.ctx.schema_id
     out = []
+    if (
+        cond.key is None
+        or not _widths_are(left, cond.split)
+        or not _widths_are(right, cond.ctx.width - cond.split)
+    ):
+        test = cond.test
+        for l in left:
+            for r in right:
+                row = l.values + r.values
+                if test(row):
+                    out.append(Tuple(ts=l.ts, schema_id=schema_id, values=row))
+        return out
+    lcol, rcol = cond.key
+    buckets: dict[object, list[Tuple]] = {}
+    for r in right:
+        key = r.values[rcol]
+        if key == key:  # NaN equals nothing, not even itself
+            buckets.setdefault(key, []).append(r)
+    residual = cond.residual
     for l in left:
-        for r in right:
+        for r in buckets.get(l.values[lcol], ()):
             row = l.values + r.values
-            if eval_bool(cond, row, joined):
-                out.append(Tuple(ts=l.ts, schema_id=joined.schema_id, values=row))
+            if residual is None or residual(row):
+                out.append(Tuple(ts=l.ts, schema_id=schema_id, values=row))
     return out
 
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from icncep import engine, sim
 from icncep.engine import (
     APP_FACE,
     Engine,
@@ -21,7 +22,7 @@ from icncep.packet import (
     RemoveQueryInterest,
     Tuple,
 )
-from icncep.query import default_streams
+from icncep.query import canonical_text, create_operator_graph, default_streams
 
 Q1 = "WINDOW(GPS_S1, 4s)"
 Q2 = "FILTER(WINDOW(GPS_S1, 4s),'latitude'<50)"
@@ -246,6 +247,62 @@ def test_delay_service_answers():
     out = sent_to(svc, 1, Data)
     assert len(out) == 1
     assert float(out[0].payload) == 3.5
+
+
+# ---------------------------------------------------------------------------
+# join evaluation and operator state
+
+
+QJ = "JOIN(WINDOW(GPS_S1, 4s), WINDOW(GPS_S2, 4s), GPS_S1.'ts' = GPS_S2.'ts')"
+
+
+def gps2_packet(ts):
+    t = Tuple.from_values("gps", (ts, 2.0, 49.6, 8.66, 120.0, 5.0, 0.0, 10.0))
+    return DataStream(stream_name=Name.from_uri("/node/p2/gps"), tuple=t)
+
+
+def test_join_behind_a_stale_side_is_charged_but_not_evaluated(monkeypatch):
+    eng, svc = single_broker()
+    calls = []
+    real = engine.join_eval
+    monkeypatch.setattr(engine, "join_eval", lambda *args: calls.append(args) or real(*args))
+    eng.handle_packet(AddQueryInterest(query=QJ, nonce="n1"), in_face=1)
+    eng.handle_packet(gps_packet(1000), in_face=2)
+    eng.handle_packet(gps2_packet(1000), in_face=2)
+    assert len(calls) == 1
+    # the right side stays at 1000, which the join already emitted
+    eng.handle_packet(gps_packet(2000), in_face=2)
+    eng.handle_packet(gps_packet(3000), in_face=2)
+    assert len(calls) == 1
+    eng.handle_packet(gps2_packet(3000), in_face=2)
+    assert len(calls) == 2
+    got = [json.loads(p.payload) for p in notifications(svc, 1)]
+    assert [(n["ts"], [r[0] for r in n["rows"]]) for n in got] == [(1000, [1000]), (3000, [1000, 3000])]
+    # every feed of the join is charged, evaluated or not
+    assert [ms for _, ms in svc.charges].count(EVAL_COST_MS["JOIN"]) == 5
+
+
+def test_distributed_run_caches_results_but_no_window_state(monkeypatch):
+    made = []
+
+    class Recording(sim.Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(sim, "Simulator", Recording)
+    spec = sim.load_scenario(str(sim.data_path("q3.scn")))
+    metrics = sim.run_scenario(spec)
+    engines = made[0].engines.values()
+    assert [e.node_id for e in engines if "/state/" in e.cs.dump()] == []
+    key = canonical_text(create_operator_graph(spec.queries[0].text, spec.bindings()))
+    cached = [e.cs.lookup(key) for e in engines if e.cs.lookup(key) is not None]
+    delivered = [
+        p for _, p in metrics.app_deliveries["c1"]
+        if isinstance(p, Data) and p.name.components[0] == "ce"
+    ]
+    assert len(cached) == 1 and delivered
+    assert (cached[0].logical_ts, cached[0].payload) == (delivered[-1].ts, delivered[-1].payload)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from icncep.operators import (
     UnknownAttribute,
     WindowState,
     aggregate_eval,
+    compile_condition,
+    compile_join,
     filter_eval,
     heatmap_eval,
     join_eval,
@@ -34,8 +36,13 @@ from icncep.packet import Schema, Tuple
 from icncep.query import (
     GPS_SCHEMA,
     PLUG_SCHEMA,
+    AttrRef,
+    BoolOp,
+    Comparison,
     Duration,
+    NumberLit,
     SchemaCtx,
+    SemanticError,
     parse_query,
 )
 
@@ -248,6 +255,156 @@ def test_join_unknown_alias():
     cond = Comparison(AttrRef("ts", alias="NOPE"), "=", AttrRef("ts", alias="GPS_S2"))
     with pytest.raises(UnknownAttribute):
         join_eval([gps(1000)], [gps(1000)], cond, GPS_CTX, GPS2_CTX)
+
+
+# ---------------------------------------------------------------------------
+# compiled conditions and the hash join, against a frozen row-by-row oracle
+
+
+def oracle_eval(expr, values, ctx):
+    """Frozen row-by-row evaluator: resolves every reference on every row."""
+    if isinstance(expr, BoolOp):
+        left = oracle_eval(expr.left, values, ctx)
+        right = oracle_eval(expr.right, values, ctx)
+        return (left and right) if expr.op == "&" else (left or right)
+    sides = []
+    for ref in (expr.left, expr.right):
+        if isinstance(ref, AttrRef):
+            try:
+                sides.append(values[ctx.resolve(ref)])
+            except SemanticError as err:
+                raise UnknownAttribute(str(err)) from err
+        else:
+            sides.append(ref.value)
+    lhs, rhs = sides
+    if isinstance(lhs, str) != isinstance(rhs, str):
+        return False
+    return {
+        "=": lhs == rhs, "<": lhs < rhs, ">": lhs > rhs, "<=": lhs <= rhs, ">=": lhs >= rhs,
+    }[expr.op]
+
+
+def oracle_join(left, right, cond, left_ctx, right_ctx):
+    joined = left_ctx.join(right_ctx)
+    return [
+        (l.ts, joined.schema_id, l.values + r.values)
+        for l in left
+        for r in right
+        if oracle_eval(cond, l.values + r.values, joined)
+    ]
+
+
+def as_rows(tuples):
+    return [(t.ts, t.schema_id, t.values) for t in tuples]
+
+
+L_CTX = SchemaCtx.single("L", Schema("l", ("ts", "k", "x")))
+R_CTX = SchemaCtx.single("R", Schema("r", ("ts", "k", "y")))
+NAN = math.nan
+EQUI = Comparison(AttrRef("k", "L"), "=", AttrRef("k", "R"))
+TAUTOLOGY = Comparison(AttrRef("ts"), "=", AttrRef("ts"))
+TERMS = [
+    EQUI,
+    Comparison(AttrRef("k", "R"), "=", AttrRef("k", "L")),  # reversed operands
+    Comparison(AttrRef("ts", "L"), "=", AttrRef("ts", "R")),
+    Comparison(AttrRef("x"), "=", AttrRef("y")),  # unqualified, one per side
+    Comparison(AttrRef("x", "L"), "<", AttrRef("y", "R")),
+    Comparison(AttrRef("k", "L"), ">=", NumberLit(1.0)),
+    TAUTOLOGY,  # both sides resolve into the left segment
+]
+# ints against int-valued floats, text against numbers, shared and fresh NaNs
+KEYS = st.one_of(
+    st.integers(min_value=-1, max_value=2),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, NAN, "1", "a", True]),
+    st.floats(allow_infinity=False),
+)
+VALUES = st.one_of(st.integers(min_value=0, max_value=3), st.floats(0, 3), st.just("t"))
+CONDS = st.recursive(
+    st.sampled_from(TERMS),
+    lambda inner: st.builds(BoolOp, st.sampled_from("&|"), inner, inner),
+    max_leaves=4,
+)
+
+
+def side(schema_id):
+    return st.lists(
+        st.builds(
+            lambda ts, k, v: Tuple.from_values(schema_id, (ts * 1000, k, v)),
+            st.integers(min_value=1, max_value=3),
+            KEYS,
+            VALUES,
+        ),
+        max_size=6,
+    )
+
+
+@given(left=side("l"), right=side("r"), cond=CONDS)
+@settings(max_examples=400, deadline=None)
+def test_join_matches_row_by_row_oracle(left, right, cond):
+    want = oracle_join(left, right, cond, L_CTX, R_CTX)
+    assert as_rows(join_eval(left, right, cond, L_CTX, R_CTX)) == want
+    compiled = compile_join(cond, L_CTX, R_CTX)
+    assert as_rows(join_eval(left, right, compiled, L_CTX, R_CTX)) == want
+
+
+@given(rows=side("l"), cond=CONDS)
+@settings(max_examples=200, deadline=None)
+def test_filter_matches_row_by_row_oracle(rows, cond):
+    ctx = L_CTX.join(R_CTX)
+    wide = [Tuple(ts=t.ts, schema_id="w", values=t.values + t.values) for t in rows]
+    want = [t for t in wide if oracle_eval(cond, t.values, ctx)]
+    assert filter_eval(wide, cond, ctx) == want
+    assert filter_eval(wide, compile_condition(cond, ctx), ctx) == want
+
+
+@given(left=side("l"), right=side("r"), cond=CONDS)
+@settings(max_examples=100, deadline=None)
+def test_join_unknown_alias_raises_on_nonempty_inputs(left, right, cond):
+    bad = BoolOp("&", cond, Comparison(AttrRef("k", "NOPE"), "=", AttrRef("k", "R")))
+    if left and right:
+        with pytest.raises(UnknownAttribute):
+            join_eval(left, right, bad, L_CTX, R_CTX)
+    else:
+        assert join_eval(left, right, bad, L_CTX, R_CTX) == []
+
+
+@pytest.mark.parametrize(
+    "cond, key",
+    [
+        (EQUI, (1, 1)),
+        (TERMS[1], (1, 1)),
+        (TERMS[3], (2, 2)),
+        (BoolOp("&", TERMS[4], BoolOp("&", TAUTOLOGY, EQUI)), (1, 1)),
+        (BoolOp("|", EQUI, TERMS[4]), None),
+        (TAUTOLOGY, None),
+        (TERMS[4], None),
+    ],
+)
+def test_join_key_is_an_equality_across_the_inputs(cond, key):
+    assert compile_join(cond, L_CTX, R_CTX).key == key
+
+
+def test_hash_join_key_equality():
+    keys = [1, 1.0, "1", NAN, float("nan"), -0.0]
+    left = [Tuple.from_values("l", (1000, k, 0)) for k in keys]
+    right = [Tuple.from_values("r", (1000, k, 0)) for k in keys]
+    pairs = [(l.values[1], r.values[1]) for l in left for r in right]
+    out = join_eval(left, right, EQUI, L_CTX, R_CTX)
+    got = [(t.values[1], t.values[4]) for t in out]
+    # numbers match equal numbers, text never matches a number, and no NaN
+    # matches, not even the same object
+    assert got == [(a, b) for a, b in pairs if a == b and isinstance(a, str) == isinstance(b, str)]
+    assert ("1", 1) not in got and (NAN, NAN) not in got
+    assert (1, 1.0) in got and (1.0, 1) in got
+
+
+def test_join_rows_off_their_schema_width_take_the_nested_loop():
+    # a longer left row shifts where the right columns sit in the joined row
+    left = [Tuple.from_values("l", (1000, 1000, 0, 2000))]
+    right = [Tuple.from_values("r", (k, 1, 0)) for k in (1000, 2000)]
+    want = oracle_join(left, right, EQUI, L_CTX, R_CTX)
+    assert [row[2][4] for row in want] == [1000]
+    assert as_rows(join_eval(left, right, EQUI, L_CTX, R_CTX)) == want
 
 
 # ---------------------------------------------------------------------------
