@@ -14,7 +14,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from .placement import NoPath, assign_operators, build_path, discover_delays, plan_dump
+from .placement import NoPath, plan_dump, plan_query
 from .query import (
     LexError,
     OperatorNode,
@@ -76,9 +76,7 @@ def _cmd_parse(args) -> int:
 
 
 def _coordinator_for(spec, consumer: str) -> str:
-    brokers = set(spec.topology.broker_ids())
-    attached = [p for p in spec.topology.neighbors(consumer) if p in brokers]
-    return attached[0] if attached else sorted(brokers)[0]
+    return spec.topology.ingress_broker(consumer) or spec.topology.broker_ids()[0]
 
 
 def _cmd_explain(args) -> int:
@@ -96,22 +94,7 @@ def _cmd_explain(args) -> int:
     tree = create_operator_graph(q.text, bindings or None)
     coordinator = _coordinator_for(spec, q.consumer)
     try:
-        if q.mode == "centralized":
-            plan = assign_operators(tree, [coordinator], "centralized")
-        else:
-            topo = spec.topology
-            dm = discover_delays(coordinator, topo)
-            brokers = set(topo.broker_ids())
-            ingress = {}
-            producers = []
-            for alias in sorted(tree.stream_aliases()):
-                producer = bindings[alias].name.components[1]
-                producers.append(producer)
-                adj = [p for p in topo.neighbors(producer) if p in brokers]
-                if adj:
-                    ingress[alias] = adj[0]
-            path = build_path(dm, producers or [coordinator], coordinator)
-            plan = assign_operators(tree, path, "distributed", ingress=ingress)
+        plan = plan_query(tree, coordinator, q.mode, spec.topology, bindings)
     except NoPath as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_SEMANTIC

@@ -47,7 +47,7 @@ from .packet import (
     RemoveQueryInterest,
     Tuple,
 )
-from .placement import DelayEntry, DelayMap, NoPath, assign_operators, build_path
+from .placement import NoPath, plan_query
 from .query import (
     OperatorNode,
     QueryError,
@@ -60,7 +60,6 @@ from .tables import ContentStore, ForwardingInformationBase, PendingInterestTabl
 
 __all__ = [
     "APP_FACE",
-    "Face",
     "FaceDef",
     "NodeConfig",
     "Services",
@@ -94,14 +93,6 @@ EVAL_COST_MS = {
 class FaceDef:
     face_id: int
     peer: str
-    outstanding_cap: int = 64
-
-
-@dataclass
-class Face:
-    face_id: int
-    peer: str
-    outstanding_cap: int = 64
 
 
 @dataclass
@@ -155,7 +146,6 @@ class _PendingPlan:
     token: int
     nonce: str
     key: str
-    canonical: str
     tree: OperatorNode
     unsalted: str
     salted: str
@@ -181,12 +171,10 @@ class Engine:
         self.cs = ContentStore()
         self.pit = PendingInterestTable()
         self.fib = ForwardingInformationBase()
-        self.faces: dict[int, Face] = {
-            APP_FACE: Face(APP_FACE, "app", outstanding_cap=2 ** 30)
-        }
+        self.faces: dict[int, FaceDef] = {APP_FACE: FaceDef(APP_FACE, "app")}
         self._face_of_peer: dict[str, int] = {}
         for fd in config.faces:
-            self.faces[fd.face_id] = Face(fd.face_id, fd.peer, fd.outstanding_cap)
+            self.faces[fd.face_id] = fd
             self._face_of_peer[fd.peer] = fd.face_id
         for prefix, face_id in config.fib_routes:
             self.fib.add_route(Name.from_uri(prefix), face_id)
@@ -330,7 +318,6 @@ class Engine:
             token=token,
             nonce=nonce,
             key=key,
-            canonical=key,
             tree=tree,
             unsalted=unsalted,
             salted=salted,
@@ -396,50 +383,19 @@ class Engine:
 
         return fire
 
-    def _ingress_broker(self, producer: str) -> Optional[str]:
-        topo = self.config.topology
-        if topo is None:
-            return self.node_id
-        brokers = set(topo.broker_ids())
-        if producer in brokers:
-            return producer
-        best = None
-        for a, b, _ in topo.links():
-            if a == producer and b in brokers:
-                best = b if best is None else min(best, b)
-            elif b == producer and a in brokers:
-                best = a if best is None else min(best, a)
-        return best
-
     def _plan_and_deploy(self, pending: _PendingPlan, delays: Optional[dict]) -> None:
         pending.stage = "deploy"
-        tree = pending.tree
         started = time.perf_counter()
         try:
-            if pending.mode == "centralized" or delays is None:
-                plan = assign_operators(tree, [self.node_id], "centralized")
-                ingress = {}
-            else:
-                topo = self.config.topology
-                dm = DelayMap(
-                    nodes={b: DelayEntry(d, self._now()) for b, d in delays.items()},
-                    links={
-                        tuple(sorted((a, b))): float(d) for a, b, d in topo.links()
-                    },
-                )
-                producers = []
-                ingress = {}
-                for alias in sorted(tree.stream_aliases()):
-                    binding = self.config.streams.get(alias)
-                    if binding is None:
-                        continue
-                    producer = binding.name.components[1]
-                    producers.append(producer)
-                    home = self._ingress_broker(producer)
-                    if home is not None:
-                        ingress[alias] = home
-                path = build_path(dm, producers or [self.node_id], self.node_id)
-                plan = assign_operators(tree, path, "distributed", ingress=ingress)
+            plan = plan_query(
+                pending.tree,
+                self.node_id,
+                pending.mode if delays is not None else "centralized",
+                self.config.topology,
+                self.config.streams,
+                probe=None if delays is None else delays.__getitem__,
+                now=self._now(),
+            )
         except NoPath as err:
             self._pending.pop(pending.token, None)
             self._event("plan_failed", nonce=pending.nonce, reason=str(err))
@@ -451,12 +407,11 @@ class Engine:
         pending.path = list(plan.path)
         pending.pinned = sorted(plan.pinned)
 
-        orders = self._deployment_orders(pending, plan, ingress)
+        orders = self._deployment_orders(pending, plan)
         self._install_assignment(
             pending.salted,
             pending.unsalted,
             pending.key,
-            pending.canonical,
             plan.assignments,
             orders.pop(self.node_id, {}).get("routes", []),
         )
@@ -472,14 +427,15 @@ class Engine:
             self._originate_interest(name, self._deploy_ack(pending.token))
         self.services.schedule(DEPLOY_TIMEOUT_MS, self._deploy_timeout(pending.token))
 
-    def _deployment_orders(self, pending, plan, ingress) -> dict[str, dict]:
+    def _deployment_orders(self, pending, plan) -> dict[str, dict]:
         """Per-node deployment documents: assigned indices plus hop routes."""
         tree = pending.tree
         assign = plan.assignments
         routes: dict[str, list[tuple[str, str]]] = {}
 
         def add_route_path(src: str, dst: str, prefix: str) -> None:
-            for a, b in zip(self._hops(src, dst), self._hops(src, dst)[1:]):
+            hops = self.config.topology.hop_path(src, dst)
+            for a, b in zip(hops, hops[1:]):
                 routes.setdefault(a, []).append((prefix, b))
 
         for node in tree.walk():
@@ -488,7 +444,7 @@ class Engine:
                 binding = self.config.streams.get(node.stream_alias)
                 if binding is None:
                     continue
-                home = ingress.get(node.stream_alias) if ingress else None
+                home = plan.ingress.get(node.stream_alias)
                 if home and home != host:
                     add_route_path(home, host, binding.name.to_uri())
             for child in node.children:
@@ -504,7 +460,7 @@ class Engine:
             if target != self.node_id and not mine and target not in routes:
                 continue
             orders[target] = {
-                "q": pending.canonical,
+                "q": pending.key,
                 "salted": pending.salted,
                 "unsalted": pending.unsalted,
                 "assign": {str(i): h for i, h in assign.items()},
@@ -512,30 +468,6 @@ class Engine:
                 "routes": sorted(set(routes.get(target, []))),
             }
         return orders
-
-    def _hops(self, src: str, dst: str) -> list[str]:
-        """Fewest-hop node path over the static topology, smallest ids first."""
-        if src == dst:
-            return [src]
-        topo = self.config.topology
-        adj: dict[str, list[str]] = {}
-        for a, b, _ in topo.links():
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        seen = {src}
-        frontier = [[src]]
-        while frontier:
-            nxt = []
-            for path in frontier:
-                for peer in sorted(adj.get(path[-1], [])):
-                    if peer in seen:
-                        continue
-                    if peer == dst:
-                        return path + [peer]
-                    seen.add(peer)
-                    nxt.append(path + [peer])
-            frontier = nxt
-        raise NoPath("%s cannot reach %s" % (src, dst))
 
     def _deploy_ack(self, token: int) -> Callable[[Data], None]:
         def on_ack(data: Data) -> None:
@@ -590,7 +522,6 @@ class Engine:
             doc["salted"],
             doc["unsalted"],
             doc["q"],
-            doc["q"],
             assignments,
             [tuple(r) for r in doc.get("routes", [])],
         )
@@ -600,7 +531,6 @@ class Engine:
         salted: str,
         unsalted: str,
         key: str,
-        canonical: str,
         assignments: dict[int, str],
         routes: list[tuple[str, str]],
     ) -> None:
@@ -610,7 +540,7 @@ class Engine:
                 self.fib.add_route(Name.from_uri(prefix), face)
         tree = self._trees.get(salted)
         if tree is None:
-            tree = create_operator_graph(canonical, self.config.streams or None)
+            tree = create_operator_graph(key, self.config.streams or None)
             self._trees[salted] = tree
         parent_of: dict[int, Optional[int]] = {tree.index: None}
         for node in tree.walk():

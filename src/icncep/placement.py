@@ -14,19 +14,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .query import OperatorNode, to_nfn_expression
+from .query import OperatorNode, StreamBinding, to_nfn_expression
 
 __all__ = [
     "PlacementError",
     "UnreachableNode",
     "NoPath",
-    "DeployTimeout",
     "DelayEntry",
     "DelayMap",
     "PlacementPlan",
     "discover_delays",
     "build_path",
     "assign_operators",
+    "plan_query",
     "plan_dump",
 ]
 
@@ -40,10 +40,6 @@ class UnreachableNode(PlacementError):
 
 
 class NoPath(PlacementError):
-    pass
-
-
-class DeployTimeout(PlacementError):
     pass
 
 
@@ -142,18 +138,6 @@ def build_path(delays: DelayMap, producers, consumer: str) -> list[str]:
     raise NoPath("producers and consumer are not connected through brokers")
 
 
-def _depths(tree: OperatorNode) -> dict[int, int]:
-    out = {}
-
-    def walk(node, d):
-        out[node.index] = d
-        for child in node.children:
-            walk(child, d + 1)
-
-    walk(tree, 0)
-    return out
-
-
 @dataclass
 class PlacementPlan:
     assignments: dict[int, str]
@@ -161,6 +145,7 @@ class PlacementPlan:
     coordinator: str
     mode: str
     pinned: frozenset = field(default_factory=frozenset)
+    ingress: dict[str, str] = field(default_factory=dict)  # stream alias -> broker
 
 
 def assign_operators(
@@ -189,7 +174,7 @@ def assign_operators(
         for node in ops:
             assignments[node.index] = coordinator
     elif mode == "distributed":
-        depth = _depths(tree)
+        depth = tree.depth_map()
         ordered = sorted(ops, key=lambda n: (-depth[n.index], n.index))
         k, l = len(ordered), len(path)
         if k >= l:
@@ -221,7 +206,43 @@ def assign_operators(
         coordinator=coordinator,
         mode=mode,
         pinned=frozenset(pinned),
+        ingress=dict(ingress or {}),
     )
+
+
+def plan_query(
+    tree: OperatorNode,
+    coordinator: str,
+    mode: str,
+    topology,
+    streams: dict[str, StreamBinding],
+    probe: Optional[Callable[[str], float]] = None,
+    now: int = 0,
+) -> PlacementPlan:
+    """Plan `tree` for the broker `coordinator`; the engine and `explain` share it.
+
+    Centralized mode keeps the whole tree on the coordinator. Otherwise each
+    bound stream's producer enters at `topology.ingress_broker`, delays come
+    from `discover_delays` (`probe` answers per broker, else the configured
+    delays), and the tree is spread along the cheapest broker path from the
+    producers to the coordinator.
+    """
+    if mode == "centralized":
+        return assign_operators(tree, [coordinator], mode)
+    producers = []
+    ingress = {}
+    for alias in sorted(tree.stream_aliases()):
+        binding = streams.get(alias)
+        if binding is None:
+            continue
+        producer = binding.name.components[1]
+        producers.append(producer)
+        home = topology.ingress_broker(producer)
+        if home is not None:
+            ingress[alias] = home
+    delays = discover_delays(coordinator, topology, probe, now)
+    path = build_path(delays, producers or [coordinator], coordinator)
+    return assign_operators(tree, path, mode, ingress=ingress)
 
 
 def plan_dump(plan: PlacementPlan, tree: OperatorNode) -> str:

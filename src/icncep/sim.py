@@ -35,6 +35,7 @@ from .packet import (
     RemoveQueryInterest,
     Tuple,
 )
+from .placement import NoPath
 from .query import (
     GPS_SCHEMA,
     PLUG_SCHEMA,
@@ -104,12 +105,44 @@ class TopoLink:
 
 @dataclass
 class TopologyConfig:
+    """The overlay graph and every fact derived from it.
+
+    `__post_init__` builds, once, the sorted adjacency, the link of each
+    ordered node pair (the last of duplicate links wins), the sorted broker
+    list and one breadth-first parent map per source that visits neighbours
+    in sorted order, so fewest-hop ties go to the smallest ids. Forwarding
+    routes, deployment routes and the connectivity check all read these, so
+    `nodes` and `link_list` must not change after construction.
+    """
+
     name: str
     nodes: dict[str, TopoNode]
     link_list: list[TopoLink]
 
+    def __post_init__(self):
+        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
+        self.link_by_pair: dict[tuple[str, str], TopoLink] = {}
+        for l in self.link_list:
+            adj.setdefault(l.a, set()).add(l.b)
+            adj.setdefault(l.b, set()).add(l.a)
+            self.link_by_pair[(l.a, l.b)] = l
+            self.link_by_pair[(l.b, l.a)] = l
+        self._adj = {n: sorted(peers) for n, peers in adj.items()}
+        self._brokers = sorted(n.node_id for n in self.nodes.values() if n.role == "broker")
+        self._parents = {src: self._bfs(src) for src in self._adj}
+
+    def _bfs(self, src: str) -> dict[str, Optional[str]]:
+        parents: dict[str, Optional[str]] = {src: None}
+        order = [src]
+        for n in order:  # grows while it is walked: a FIFO queue
+            for peer in self._adj[n]:
+                if peer not in parents:
+                    parents[peer] = n
+                    order.append(peer)
+        return parents
+
     def broker_ids(self) -> list[str]:
-        return sorted(n.node_id for n in self.nodes.values() if n.role == "broker")
+        return list(self._brokers)
 
     def node_delay(self, node_id: str) -> float:
         return self.nodes[node_id].proc_delay_ms
@@ -118,13 +151,39 @@ class TopologyConfig:
         return [(l.a, l.b, l.delay_ms) for l in self.link_list]
 
     def neighbors(self, node_id: str) -> list[str]:
-        out = set()
-        for l in self.link_list:
-            if l.a == node_id:
-                out.add(l.b)
-            elif l.b == node_id:
-                out.add(l.a)
-        return sorted(out)
+        return list(self._adj.get(node_id, ()))
+
+    def next_hop(self, src: str, dst: str) -> Optional[str]:
+        """First node after `src` on its fewest-hop path to `dst`, if any."""
+        parents = self._parents.get(src, {})
+        if src == dst or dst not in parents:
+            return None
+        node = dst
+        while parents[node] != src:
+            node = parents[node]
+        return node
+
+    def hop_path(self, src: str, dst: str) -> list[str]:
+        """Fewest-hop node path from `src` to `dst`, both ends included."""
+        if src == dst:
+            return [src]
+        parents = self._parents.get(src, {})
+        if dst not in parents:
+            raise NoPath("%s cannot reach %s" % (src, dst))
+        path = [dst]
+        while path[-1] != src:
+            path.append(parents[path[-1]])
+        path.reverse()
+        return path
+
+    def ingress_broker(self, node_id: str) -> Optional[str]:
+        """`node_id` if it is a broker, else its smallest broker neighbour."""
+        node = self.nodes.get(node_id)
+        if node is not None and node.role == "broker":
+            return node_id
+        return next(
+            (p for p in self._adj.get(node_id, ()) if self.nodes[p].role == "broker"), None
+        )
 
 
 def data_path(filename: str) -> Path:
@@ -203,18 +262,8 @@ def load_topology(path: str) -> TopologyConfig:
 
 def _check_connected(topo: TopologyConfig, origin: str) -> None:
     ids = sorted(topo.nodes)
-    seen = {ids[0]}
-    frontier = [ids[0]]
-    while frontier:
-        nxt = []
-        for n in frontier:
-            for peer in topo.neighbors(n):
-                if peer not in seen:
-                    seen.add(peer)
-                    nxt.append(peer)
-        frontier = nxt
-    if seen != set(ids):
-        missing = sorted(set(ids) - seen)
+    missing = [n for n in ids[1:] if topo.next_hop(ids[0], n) is None]
+    if missing:
         raise ConfigError("%s: disconnected nodes %s" % (origin, ",".join(missing)))
 
 
@@ -569,10 +618,6 @@ class Simulator:
         # directed link -> list of live packet uids awaiting delivery
         self._in_flight: dict[tuple[str, str], list[tuple[int, Packet]]] = {}
         self._dead: set[int] = set()
-        self._link_by_pair: dict[tuple[str, str], TopoLink] = {}
-        for l in self.topo.link_list:
-            self._link_by_pair[(l.a, l.b)] = l
-            self._link_by_pair[(l.b, l.a)] = l
 
         mode = spec.queries[0].mode if spec.queries else "centralized"
         bindings = spec.bindings()
@@ -599,41 +644,16 @@ class Simulator:
         face_of = {f.peer: f.face_id for f in faces}
         routes = []
         for target in sorted(self.topo.nodes):
-            if target == nid:
-                continue
-            hop = self._next_hop(nid, target)
+            hop = self.topo.next_hop(nid, target)
             if hop is not None:
                 routes.append(("/node/%s" % target, face_of[hop]))
         if self.topo.nodes[nid].role == "producer":
-            brokers = [
-                p for p in self.topo.neighbors(nid)
-                if self.topo.nodes[p].role == "broker"
-            ]
-            if brokers:
+            broker = self.topo.ingress_broker(nid)
+            if broker is not None:
                 for s in self.spec.streams:
                     if Name.from_uri(s.uri).components[1] == nid:
-                        routes.append((s.uri, face_of[brokers[0]]))
+                        routes.append((s.uri, face_of[broker]))
         return routes
-
-    def _next_hop(self, src: str, dst: str) -> Optional[str]:
-        if src == dst:
-            return None
-        parents: dict[str, Optional[str]] = {src: None}
-        order = [src]
-        i = 0
-        while i < len(order):
-            n = order[i]
-            i += 1
-            for peer in self.topo.neighbors(n):
-                if peer not in parents:
-                    parents[peer] = n
-                    order.append(peer)
-                    if peer == dst:
-                        node = peer
-                        while parents[node] != src:
-                            node = parents[node]
-                        return node
-        return None
 
     # -- Services protocol ---------------------------------------------------
 
@@ -696,7 +716,7 @@ class Simulator:
             ck = (node, packet.query)
             self.control_sends[ck] = self.control_sends.get(ck, 0) + 1
         peer = self.engines[node].faces[face_id].peer
-        link = self._link_by_pair[(node, peer)]
+        link = self.topo.link_by_pair[(node, peer)]
         key = (node, peer)
         flight = self._in_flight.setdefault(key, [])
         self._seq += 1
@@ -739,9 +759,7 @@ class Simulator:
             flight.remove(entry)
         src, dst = key
         self._trace("%s recv uid=%d %s <- %s" % (dst, uid, _summary(packet), src))
-        face = next(
-            f.face_id for f in self.engines[dst].faces.values() if f.peer == src
-        )
+        face = self.engines[dst]._face_of_peer[src]
         self._exec(dst, lambda: self.engines[dst].handle_packet(packet, face))
 
     def inject(self, t: float, node: str, packet: Packet) -> None:

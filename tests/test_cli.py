@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from icncep.cli import main
-from icncep.sim import data_path, generate_gps_csv, load_scenario
+from icncep.sim import data_path, generate_gps_csv, load_scenario, run_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 QUERY_IDS = ["q1", "q2", "q3", "q4", "q5", "q6"]
@@ -94,6 +94,22 @@ def test_explain_centralized_puts_everything_on_one_broker(tmp_path, capsys):
     assert plan["mode"] == "centralized"
     nodes = {op["node"] for op in plan["operators"]}
     assert nodes == {plan["coordinator"]}
+
+
+@pytest.mark.parametrize("qid", QUERY_IDS)
+def test_explain_prints_the_plan_the_engine_deploys(qid, capsys):
+    scn = str(data_path(qid + ".scn"))
+    assert main(["explain", scn, qid]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    metrics = run_scenario(load_scenario(scn), collect_trace=False)
+    deployed = [
+        p for _, kind, p in metrics.events
+        if kind == "query_deployed" and p["nonce"] == "%s:1" % qid
+    ]
+    assert len(deployed) == 1
+    assert plan["path"] == deployed[0]["path"]
+    assert {str(op["index"]): op["node"] for op in plan["operators"]} == deployed[0]["assignments"]
+    assert sorted(op["index"] for op in plan["operators"] if op["pinned"]) == deployed[0]["pinned"]
 
 
 def test_explain_unknown_query_exits_2(capsys):

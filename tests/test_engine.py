@@ -422,30 +422,17 @@ def test_out_of_order_tuple_counted():
 # distributed coordination on a broker line
 
 
-class StubTopo:
-    def __init__(self):
-        self._nodes = {
-            "p1": ("producer", 1.0),
-            "b1": ("broker", 1.0),
-            "b2": ("broker", 1.0),
-            "b3": ("broker", 1.0),
-            "c1": ("consumer", 1.0),
-        }
-        self._links = [
-            ("p1", "b1", 1.0),
-            ("b1", "b2", 1.0),
-            ("b2", "b3", 1.0),
-            ("b3", "c1", 1.0),
-        ]
-
-    def broker_ids(self):
-        return [n for n, (r, _) in sorted(self._nodes.items()) if r == "broker"]
-
-    def node_delay(self, node_id):
-        return self._nodes[node_id][1]
-
-    def links(self):
-        return list(self._links)
+def line_topology():
+    """p1 - b1 - b2 - b3 - c1, every node and link 1 ms."""
+    roles = {"p1": "producer", "b1": "broker", "b2": "broker", "b3": "broker", "c1": "consumer"}
+    return sim.TopologyConfig(
+        name="line",
+        nodes={n: sim.TopoNode(n, role, 1.0) for n, role in roles.items()},
+        link_list=[
+            sim.TopoLink(a, b, 1.0)
+            for a, b in (("p1", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", "c1"))
+        ],
+    )
 
 
 def coordinator_b3():
@@ -457,7 +444,7 @@ def coordinator_b3():
         streams=default_streams(),
         fib_routes=[("/node/b1", 1), ("/node/b2", 1), ("/node/p1", 1)],
         mode="distributed",
-        topology=StubTopo(),
+        topology=line_topology(),
     )
     return Engine(cfg, svc), svc
 

@@ -1,10 +1,15 @@
 """Harness behavior: config parsing, replay, determinism, conservation."""
 
 import json
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icncep.packet import Data, DataStream
+from icncep.placement import NoPath
 from icncep.sim import (
     ConfigError,
     Metrics,
@@ -12,7 +17,11 @@ from icncep.sim import (
     QueryMetrics,
     ScenarioSpec,
     SchemaMismatch,
+    Simulator,
     StreamDef,
+    TopoLink,
+    TopoNode,
+    TopologyConfig,
     data_path,
     emit_metrics,
     generate_gps_csv,
@@ -69,6 +78,145 @@ def test_topology_errors_carry_diagnostics(tmp_path, body, fragment):
 def test_missing_topology_file():
     with pytest.raises(ConfigError):
         load_topology("/no/such/file.topo")
+
+
+# ---------------------------------------------------------------------------
+# graph queries against a frozen oracle: the searches TopologyConfig replaced,
+# kept verbatim apart from taking the topology as an argument
+
+
+def oracle_neighbors(topo, node_id):
+    out = set()
+    for l in topo.link_list:
+        if l.a == node_id:
+            out.add(l.b)
+        elif l.b == node_id:
+            out.add(l.a)
+    return sorted(out)
+
+
+def oracle_next_hop(topo, src, dst):
+    if src == dst:
+        return None
+    parents = {src: None}
+    order = [src]
+    i = 0
+    while i < len(order):
+        n = order[i]
+        i += 1
+        for peer in oracle_neighbors(topo, n):
+            if peer not in parents:
+                parents[peer] = n
+                order.append(peer)
+                if peer == dst:
+                    node = peer
+                    while parents[node] != src:
+                        node = parents[node]
+                    return node
+    return None
+
+
+def oracle_hops(topo, src, dst):
+    """Fewest-hop node path over the static topology, smallest ids first."""
+    if src == dst:
+        return [src]
+    adj = {}
+    for a, b, _ in topo.links():
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    seen = {src}
+    frontier = [[src]]
+    while frontier:
+        nxt = []
+        for path in frontier:
+            for peer in sorted(adj.get(path[-1], [])):
+                if peer in seen:
+                    continue
+                if peer == dst:
+                    return path + [peer]
+                seen.add(peer)
+                nxt.append(path + [peer])
+        frontier = nxt
+    raise NoPath("%s cannot reach %s" % (src, dst))
+
+
+def oracle_ingress_broker(topo, producer):
+    brokers = set(topo.broker_ids())
+    if producer in brokers:
+        return producer
+    best = None
+    for a, b, _ in topo.links():
+        if a == producer and b in brokers:
+            best = b if best is None else min(best, b)
+        elif b == producer and a in brokers:
+            best = a if best is None else min(best, a)
+    return best
+
+
+def assert_graph_matches_oracle(topo):
+    for src in topo.nodes:
+        assert topo.neighbors(src) == oracle_neighbors(topo, src)
+        assert topo.ingress_broker(src) == oracle_ingress_broker(topo, src)
+        for dst in topo.nodes:
+            assert topo.next_hop(src, dst) == oracle_next_hop(topo, src, dst)
+            assert topo.hop_path(src, dst) == oracle_hops(topo, src, dst)
+
+
+@st.composite
+def connected_topologies(draw):
+    """A spanning tree plus extra links that may repeat, close cycles or loop."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    # shuffled ids, so that id order and attachment order disagree
+    ids = draw(st.permutations(["n%02d" % i for i in range(n)]))
+    roles = draw(st.lists(st.sampled_from(["broker", "producer", "consumer"]), min_size=n, max_size=n))
+    pairs = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=2 * n))
+    pairs = draw(st.permutations(pairs))
+    delays = draw(st.lists(st.integers(1, 3), min_size=len(pairs), max_size=len(pairs)))
+    return TopologyConfig(
+        name="drawn",
+        nodes={nid: TopoNode(nid, role, 1.0) for nid, role in zip(ids, roles)},
+        link_list=[TopoLink(a, b, float(d)) for (a, b), d in zip(pairs, delays)],
+    )
+
+
+@given(topo=connected_topologies())
+@settings(max_examples=150, deadline=None)
+def test_graph_queries_match_oracle_on_drawn_topologies(topo):
+    assert_graph_matches_oracle(topo)
+
+
+@pytest.mark.parametrize("preset", ["centralized", "distributed"])
+def test_graph_queries_match_oracle_on_presets(preset):
+    assert_graph_matches_oracle(load_topology(preset))
+
+
+def test_hop_path_raises_and_next_hop_is_none_when_unreachable():
+    topo = TopologyConfig(
+        name="split",
+        nodes={n: TopoNode(n, "broker", 1.0) for n in ("a", "b", "c")},
+        link_list=[TopoLink("a", "b", 1.0)],
+    )
+    assert topo.next_hop("a", "c") is None
+    with pytest.raises(NoPath):
+        topo.hop_path("a", "c")
+
+
+def test_setup_of_200_brokers_is_fast(tmp_path):
+    rng = random.Random(200)
+    ids = ["b%03d" % i for i in range(200)]
+    edges = {tuple(sorted((ids[i], rng.choice(ids[:i])))) for i in range(1, 200)}
+    while len(edges) < 199 + 100:
+        edges.add(tuple(sorted(rng.sample(ids, 2))))
+    lines = ["node %s broker 1" % b for b in ids]
+    lines += ["link %s %s %d" % (a, b, rng.randint(1, 3)) for a, b in sorted(edges)]
+    path = tmp_path / "n200.topo"
+    path.write_text("\n".join(lines) + "\n")
+
+    started = time.perf_counter()
+    topo = load_topology(str(path))
+    Simulator(ScenarioSpec(topology=topo, streams=[], queries=[]))
+    assert time.perf_counter() - started < 2.0
 
 
 # ---------------------------------------------------------------------------
