@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .placement import NoPath, plan_dump, plan_query
 from .query import (
+    STREAM_SCHEMAS,
     LexError,
     OperatorNode,
     ParseError,
@@ -23,6 +24,7 @@ from .query import (
     _render_param,
     canonical_text,
     create_operator_graph,
+    to_nfn_expression,
 )
 from .sim import (
     ConfigError,
@@ -71,7 +73,7 @@ def _cmd_parse(args) -> int:
     print("canonical: %s" % canonical_text(tree))
     for line in _tree_lines(tree):
         print(line)
-    print("nfn: %s" % tree.nfn)
+    print("nfn: %s" % to_nfn_expression(tree))
     return EXIT_OK
 
 
@@ -210,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_parse)
 
     p = sub.add_parser("explain", help="show the placement plan for a scenario query")
-    p.add_argument("--placement", action="store_true", help="accepted for symmetry; plans are always shown")
     p.add_argument("scenario")
     p.add_argument("query_id")
     p.set_defaults(fn=_cmd_explain)
@@ -226,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="print the packet schedule for a dataset")
     p.add_argument("csv")
-    p.add_argument("--schema", required=True, choices=("gps", "plug"))
+    p.add_argument("--schema", required=True, choices=sorted(STREAM_SCHEMAS))
     p.add_argument("--uri", default="/node/p1/gps")
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--limit", type=int, default=None)

@@ -47,7 +47,7 @@ from .packet import (
     RemoveQueryInterest,
     Tuple,
 )
-from .placement import NoPath, plan_query
+from .placement import NoPath, PlacementPlan, plan_query
 from .query import (
     OperatorNode,
     QueryError,
@@ -102,7 +102,6 @@ class NodeConfig:
     faces: list[FaceDef] = field(default_factory=list)
     streams: dict[str, StreamBinding] = field(default_factory=dict)
     fib_routes: list[tuple[str, int]] = field(default_factory=list)
-    proc_delay_ms: float = 1.0
     mode: str = "centralized"
     topology: object = None  # handle for planning; brokers only
 
@@ -156,9 +155,7 @@ class _PendingPlan:
     awaiting: dict[str, str] = field(default_factory=dict)  # uri -> broker id
     delays: dict[str, float] = field(default_factory=dict)
     plan_real_ms: float = 0.0
-    assignments: dict[int, str] = field(default_factory=dict)
-    path: list[str] = field(default_factory=list)
-    pinned: list[int] = field(default_factory=list)
+    plan: Optional[PlacementPlan] = None
 
 
 class Engine:
@@ -340,7 +337,6 @@ class Engine:
             self._plan_and_deploy(pending, delays=None)
             return
         # probe every other broker's advertised delay
-        pending.stage = "probe"
         for broker in self.config.topology.broker_ids():
             if broker == self.node_id:
                 pending.delays[broker] = self.services.local_delay_ms(self.node_id)
@@ -394,7 +390,6 @@ class Engine:
                 self.config.topology,
                 self.config.streams,
                 probe=None if delays is None else delays.__getitem__,
-                now=self._now(),
             )
         except NoPath as err:
             self._pending.pop(pending.token, None)
@@ -403,9 +398,7 @@ class Engine:
         pending.plan_real_ms = (time.perf_counter() - started) * 1000.0
         if pending.mode == "centralized":
             pending.plan_real_ms = 0.0
-        pending.assignments = dict(plan.assignments)
-        pending.path = list(plan.path)
-        pending.pinned = sorted(plan.pinned)
+        pending.plan = plan
 
         orders = self._deployment_orders(pending, plan)
         self._install_assignment(
@@ -496,8 +489,8 @@ class Engine:
 
     def _finish_deploy(self, pending: _PendingPlan) -> None:
         self._pending.pop(pending.token, None)
-        pending.stage = "done"
         t1 = self._now()
+        plan = pending.plan
         self._event(
             "query_deployed",
             nonce=pending.nonce,
@@ -508,9 +501,9 @@ class Engine:
             plan_real_ms=pending.plan_real_ms,
             graph_real_ms=pending.graph_real_ms,
             mode=pending.mode,
-            assignments={str(i): h for i, h in sorted(pending.assignments.items())},
-            path=pending.path,
-            pinned=pending.pinned,
+            assignments={str(i): h for i, h in sorted(plan.assignments.items())},
+            path=list(plan.path),
+            pinned=sorted(plan.pinned),
         )
 
     # -- deployment intake ---------------------------------------------------
@@ -561,7 +554,7 @@ class Engine:
                 parent_host=assignments[pidx] if pidx is not None else None,
             )
             if node.kind == "WINDOW":
-                inst.win_state = WindowState(salted, idx, (), node.params[1])
+                inst.win_state = WindowState((), node.params[1])
                 binding = self.config.streams.get(node.stream_alias)
                 if binding is not None:
                     self._stream_feeds.setdefault(binding.name.to_uri(), []).append(
@@ -603,7 +596,7 @@ class Engine:
             if parent_key is not None:
                 parent = self.instances.get(parent_key)
                 if parent is not None:
-                    rows, wm, schema = self._decode_snapshot(p.tuple)
+                    rows, wm = self._decode_snapshot(p.tuple)
                     self._feed_child_output(parent, int(comps[2]), rows, wm)
                     consumed = True
 
@@ -627,13 +620,13 @@ class Engine:
         rows = list(inst.win_state.buffer)
         self._emit(inst, rows, rows[-1].ts)
 
-    def _decode_snapshot(self, t: Tuple) -> tuple[list[Tuple], int, str]:
+    def _decode_snapshot(self, t: Tuple) -> tuple[list[Tuple], int]:
         doc = json.loads(t.values[1])
         schema = doc.get("schema", "snapshot")
         rows = [
             Tuple(ts=int(r[0]), schema_id=schema, values=tuple(r)) for r in doc["rows"]
         ]
-        return rows, int(doc["wm"]), schema
+        return rows, int(doc["wm"])
 
     def _encode_snapshot(self, rows: list[Tuple], wm: int, schema: str) -> Tuple:
         doc = {"schema": schema, "wm": wm, "rows": [list(r.values) for r in rows]}
@@ -651,7 +644,7 @@ class Engine:
             if parent is not None:
                 self._feed_child_output(parent, inst.node.index, rows, wm)
             return
-        schema = rows[0].schema_id if rows else "snapshot"
+        schema = rows[0].schema_id
         name = Name(("state", inst.salted, str(inst.node.index), "out"))
         packet = DataStream(stream_name=name, tuple=self._encode_snapshot(rows, wm, schema))
         faces = self._fib_faces(name)

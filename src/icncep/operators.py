@@ -198,8 +198,6 @@ def compile_join(cond: BoolExpr, left_ctx: SchemaCtx, right_ctx: SchemaCtx) -> C
 
 @dataclass(frozen=True)
 class WindowState:
-    query_hash: str
-    operator_index: int
     buffer: tuple[Tuple, ...]
     extent: Union[Duration, int]
 
@@ -218,7 +216,7 @@ def window_insert(state: WindowState, t: Tuple) -> tuple[WindowState, list[Tuple
     else:
         keep = buffered[-state.extent :] if state.extent > 0 else ()
         evicted = list(buffered[: len(buffered) - len(keep)])
-    new_state = WindowState(state.query_hash, state.operator_index, keep, state.extent)
+    new_state = WindowState(keep, state.extent)
     return new_state, evicted
 
 

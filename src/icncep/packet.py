@@ -1,9 +1,17 @@
 """Names, tuples, and the five packet kinds with their wire encoding.
 
 Everything here is an immutable value; packets can be shared freely between
-nodes without copying. The wire format is a length-prefixed tagged layout
-(one type-tag byte per packet kind, big-endian integers, UTF-8 text) and is
-documented byte by byte in docs/protocol.md.
+nodes without copying. An encoded packet is one type-tag byte, then its
+fields in order and nothing after them; integers are unsigned big-endian:
+
+  1 Interest: name
+  2 Data: name, u64 ts, u32 payload length, payload
+  3 DataStream: name, tuple
+  4 AddQueryInterest, 5 RemoveQueryInterest: u64 nonce, text32 query
+  name: u16 component count (at least 1), one text16 per component
+  tuple: u64 ts, text16 schema id, u16 value count, then per value
+         b"F" and an IEEE-754 f64, or b"T" and a text32
+  text16, text32: u16 or u32 byte length, then the UTF-8 bytes
 """
 
 from __future__ import annotations

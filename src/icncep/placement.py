@@ -18,7 +18,6 @@ from .query import OperatorNode, StreamBinding, to_nfn_expression
 
 __all__ = [
     "PlacementError",
-    "UnreachableNode",
     "NoPath",
     "DelayEntry",
     "DelayMap",
@@ -35,10 +34,6 @@ class PlacementError(Exception):
     pass
 
 
-class UnreachableNode(PlacementError):
-    pass
-
-
 class NoPath(PlacementError):
     pass
 
@@ -46,7 +41,6 @@ class NoPath(PlacementError):
 @dataclass(frozen=True)
 class DelayEntry:
     delay_ms: float
-    measured_ts: int = 0
 
     def __post_init__(self):
         if not (self.delay_ms >= 0 or math.isinf(self.delay_ms)):
@@ -64,25 +58,16 @@ def _link_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def discover_delays(
-    coordinator: str,
-    topology,
-    probe: Optional[Callable[[str], float]] = None,
-    now: int = 0,
-) -> DelayMap:
-    """Collect one delay entry per broker; unreachable brokers become infinite.
+def discover_delays(topology, probe: Optional[Callable[[str], float]] = None) -> DelayMap:
+    """Collect one delay entry per broker.
 
-    `probe` fetches a node's advertised delay (the engine answers it over an
-    Interest round-trip); the default reads the topology's configured value.
+    `probe` gives a broker's advertised delay (the engine's answers came over
+    Interest round-trips, and a broker that never answered reads infinite);
+    the default reads the topology's configured value.
     """
     if probe is None:
         probe = topology.node_delay
-    nodes = {}
-    for node_id in topology.broker_ids():
-        try:
-            nodes[node_id] = DelayEntry(float(probe(node_id)), now)
-        except UnreachableNode:
-            nodes[node_id] = DelayEntry(float("inf"), now)
+    nodes = {node_id: DelayEntry(float(probe(node_id))) for node_id in topology.broker_ids()}
     links = {}
     for a, b, delay in topology.links():
         links[_link_key(a, b)] = float(delay)
@@ -154,7 +139,7 @@ def assign_operators(
     mode: str,
     ingress: Optional[dict[str, str]] = None,
 ) -> PlacementPlan:
-    """Map every operator to a path node and rewrite its lambda expression.
+    """Map every operator to a path node.
 
     Centralized mode parks the whole tree on the coordinator. Distributed
     mode orders operators deepest-first and splits them contiguously along
@@ -196,10 +181,6 @@ def assign_operators(
         raise PlacementError("unknown mode %r" % mode)
 
     assert assignments[tree.index] == coordinator, "root operator must sit on the coordinator"
-    for node in ops:
-        node.assigned_node = assignments[node.index]
-    for node in ops:
-        node.nfn = to_nfn_expression(node)
     return PlacementPlan(
         assignments=assignments,
         path=path,
@@ -217,7 +198,6 @@ def plan_query(
     topology,
     streams: dict[str, StreamBinding],
     probe: Optional[Callable[[str], float]] = None,
-    now: int = 0,
 ) -> PlacementPlan:
     """Plan `tree` for the broker `coordinator`; the engine and `explain` share it.
 
@@ -240,7 +220,7 @@ def plan_query(
         home = topology.ingress_broker(producer)
         if home is not None:
             ingress[alias] = home
-    delays = discover_delays(coordinator, topology, probe, now)
+    delays = discover_delays(topology, probe)
     path = build_path(delays, producers or [coordinator], coordinator)
     return assign_operators(tree, path, mode, ingress=ingress)
 
@@ -253,7 +233,7 @@ def plan_dump(plan: PlacementPlan, tree: OperatorNode) -> str:
             "kind": node.kind,
             "node": plan.assignments[node.index],
             "pinned": node.index in plan.pinned,
-            "nfn": node.nfn,
+            "nfn": to_nfn_expression(node, plan.assignments),
         }
         for node in tree.walk()
     ]

@@ -6,7 +6,8 @@ and translation to named-function call expressions.
 
 The operator vocabulary is an extensible registry: a new operator kind
 registers its keyword, argument slots, and a semantic validator, and the
-parser picks it up without modification.
+parser, validator and renderers pick it up. The engine evaluates only the
+built-in kinds; it passes the input of any other kind through unchanged.
 
 Concrete syntax notes, where the abstract grammar leaves room:
 - operator keywords are case-insensitive; stream and attribute names are not
@@ -61,6 +62,7 @@ __all__ = [
     "GPS_SCHEMA",
     "PLUG_SCHEMA",
     "PREDICTION_SCHEMA",
+    "STREAM_SCHEMAS",
 ]
 
 
@@ -101,6 +103,9 @@ PREDICTION_SCHEMA = Schema(
 AGG_SCHEMA = Schema("agg", ("ts", "value"))
 BOOL_SCHEMA = Schema("bool", ("ts", "matched"))
 GRID_SCHEMA = Schema("grid", ("ts", "grid"))
+
+# the producer stream schemas a scenario or dataset may name
+STREAM_SCHEMAS = {s.schema_id: s for s in (GPS_SCHEMA, PLUG_SCHEMA)}
 
 
 @dataclass(frozen=True)
@@ -376,8 +381,6 @@ class OperatorNode:
     right: Optional["OperatorNode"] = None
     fmt: str = "DataStream"
     index: int = field(default=-1, compare=False)
-    assigned_node: Optional[str] = field(default=None, compare=False)
-    nfn: Optional[str] = field(default=None, compare=False)
     ctx: Optional[SchemaCtx] = field(default=None, compare=False)
 
     @property
@@ -435,10 +438,6 @@ class OperatorDef:
     child_kind: Optional[str] = None  # required kind of every child, if any
     # returns the output SchemaCtx; raises SemanticError on bad params
     semantics: Callable[["OperatorNode", list[SchemaCtx], StreamRegistry], SchemaCtx] = None  # type: ignore[assignment]
-
-    @property
-    def child_count(self) -> int:
-        return sum(1 for s in self.slots if s == "expr")
 
 
 _REGISTRY: dict[str, OperatorDef] = {}
@@ -755,14 +754,8 @@ def parse_query(query: str, streams: Optional[StreamRegistry] = None) -> Operato
 
 
 def _render_param(p) -> str:
-    if isinstance(p, Duration):
-        return str(p)
     if isinstance(p, float):
         return _fmt_number(p)
-    if isinstance(p, int):
-        return str(p)
-    if isinstance(p, (AttrRef, NumberLit, TimeLit, Comparison, BoolOp)):
-        return str(p)
     return str(p)
 
 
@@ -801,16 +794,17 @@ def query_hash(canonical: str, salt: str = "") -> str:
     return digest[:12]
 
 
-def to_nfn_expression(node: OperatorNode) -> str:
+def to_nfn_expression(node: OperatorNode, hosts: Optional[dict[int, str]] = None) -> str:
     """Nested (call ...) text for the subtree rooted at node.
 
     The call arity is one for the service name plus one per child plus one
-    per literal parameter. Unplaced operators carry the nodeQuery
-    placeholder; assignment rewrites it to the hosting node id.
+    per literal parameter. `hosts` maps operator index to the id of the
+    node that runs it, as in `PlacementPlan.assignments`; an operator
+    without an entry carries the nodeQuery placeholder.
     """
     op = _REGISTRY[node.kind]
-    host = node.assigned_node or "nodeQuery"
-    args = [to_nfn_expression(c) for c in node.children]
+    host = (hosts or {}).get(node.index, "nodeQuery")
+    args = [to_nfn_expression(c, hosts) for c in node.children]
     args += [_render_param(p) for p in node.params]
     n = 1 + len(node.params) + len(node.children)
     return "(call %d /node/%s/nfn_service_%s %s)" % (n, host, op.nfn_name, " ".join(args))
@@ -819,10 +813,8 @@ def to_nfn_expression(node: OperatorNode) -> str:
 def create_operator_graph(
     query: str, streams: Optional[StreamRegistry] = None
 ) -> OperatorNode:
-    """Parse plus plan-node bookkeeping: pre-order indices and lambda text."""
+    """Parse plus plan-node bookkeeping: pre-order operator indices."""
     tree = parse_query(query, streams)
     for i, node in enumerate(tree.walk()):
         node.index = i
-    for node in tree.walk():
-        node.nfn = to_nfn_expression(node)
     return tree

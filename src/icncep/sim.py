@@ -37,16 +37,13 @@ from .packet import (
 )
 from .placement import NoPath
 from .query import (
-    GPS_SCHEMA,
-    PLUG_SCHEMA,
+    STREAM_SCHEMAS,
     Name,
     StreamBinding,
     canonical_text,
     create_operator_graph,
     query_hash,
 )
-
-_SCHEMA_BY_NAME = {"gps": GPS_SCHEMA, "plug": PLUG_SCHEMA}
 
 __all__ = [
     "ConfigError",
@@ -69,11 +66,6 @@ __all__ = [
 ]
 
 DEFAULT_LINK_CAPACITY = 64
-
-SCHEMA_COLUMNS = {
-    "gps": ["ts", "s_id", "latitude", "longitude", "altitude", "accuracy", "distance", "speed"],
-    "plug": ["ts", "id", "value", "property", "plug_id", "household_id", "house_id"],
-}
 
 
 class ConfigError(Exception):
@@ -300,7 +292,7 @@ class ScenarioSpec:
 
     def bindings(self) -> dict[str, StreamBinding]:
         return {
-            s.alias: StreamBinding(s.alias, Name.from_uri(s.uri), _SCHEMA_BY_NAME[s.schema])
+            s.alias: StreamBinding(s.alias, Name.from_uri(s.uri), STREAM_SCHEMAS[s.schema])
             for s in self.streams
         }
 
@@ -341,7 +333,7 @@ def load_scenario(path: str) -> ScenarioSpec:
                     "line %d: stream takes <alias> <uri> <schema> <csv> <rate>" % lineno
                 )
             _, alias, uri, schema, csv_path, rate = parts
-            if schema not in SCHEMA_COLUMNS:
+            if schema not in STREAM_SCHEMAS:
                 raise ConfigError("line %d: unknown schema %r" % (lineno, schema))
             if any(s.alias == alias for s in streams):
                 raise ConfigError("line %d: duplicate stream alias %r" % (lineno, alias))
@@ -441,9 +433,9 @@ def replay_dataset(stream: StreamDef) -> tuple[list[tuple[float, DataStream]], i
     Rows that arrive with a timestamp below their predecessor are sorted back
     into place and counted as reorder warnings rather than rejected.
     """
-    columns = SCHEMA_COLUMNS.get(stream.schema)
-    if columns is None:
+    if stream.schema not in STREAM_SCHEMAS:
         raise SchemaMismatch("unknown schema %r" % stream.schema)
+    columns = list(STREAM_SCHEMAS[stream.schema].attribute_names)
     path = Path(stream.csv_path)
     if not path.exists():
         raise SchemaMismatch("dataset not found: %s" % stream.csv_path)
@@ -492,7 +484,7 @@ def generate_gps_csv(
     rng = random.Random("gps:%d:%d" % (seed, s_id))
     lat, lon = 49.87 + 0.02 * rng.random(), 8.63 + 0.02 * rng.random()
     distance = 0.0
-    lines = [",".join(SCHEMA_COLUMNS["gps"])]
+    lines = [",".join(STREAM_SCHEMAS["gps"].attribute_names)]
     for k in range(rows):
         ts = start_ts + k * step_ms
         lat = min(49.9199, max(49.8601, lat + rng.uniform(-8e-4, 8e-4)))
@@ -514,7 +506,7 @@ def generate_plug_csv(
 ) -> None:
     """Seeded load trace that ramps upward so forecasts cross round thresholds."""
     rng = random.Random("plug:%d:%d" % (seed, plug_id))
-    lines = [",".join(SCHEMA_COLUMNS["plug"])]
+    lines = [",".join(STREAM_SCHEMAS["plug"].attribute_names)]
     for k in range(rows):
         ts = start_ts + k * step_ms
         ramp = 10.0 + 20.0 * k / max(rows - 1, 1)
@@ -632,7 +624,6 @@ class Simulator:
                 faces=faces,
                 streams=bindings,
                 fib_routes=self._routes_for(nid, faces),
-                proc_delay_ms=tnode.proc_delay_ms,
                 mode=mode,
                 topology=self.topo if tnode.role == "broker" else None,
             )
@@ -675,14 +666,13 @@ class Simulator:
 
     def event(self, node_id: str, kind: str, payload: dict) -> None:
         self.events.append((node_id, kind, payload))
-        clean = {k: v for k, v in payload.items() if not k.endswith("_real_ms")}
-        self._trace("%s event %s %s" % (node_id, kind, json.dumps(clean, sort_keys=True)))
+        if self.collect_trace:
+            clean = {k: v for k, v in payload.items() if not k.endswith("_real_ms")}
+            self.trace.append(
+                "%.3f %s event %s %s" % (self.t, node_id, kind, json.dumps(clean, sort_keys=True))
+            )
 
     # -- internals -------------------------------------------------------------
-
-    def _trace(self, text: str) -> None:
-        if self.collect_trace:
-            self.trace.append("%.3f %s" % (self.t, text))
 
     def _at(self, t: float, fn: Callable[[], None]) -> None:
         self._seq += 1
@@ -698,7 +688,8 @@ class Simulator:
             thunk()
         except Exception as err:  # keep the run alive, surface in the trace
             self.engines[node]._bump("errors")
-            self._trace("%s error %s: %s" % (node, type(err).__name__, err))
+            if self.collect_trace:
+                self.trace.append("%.3f %s error %s: %s" % (self.t, node, type(err).__name__, err))
         out = self._ctx_out
         end = self.t + self.topo.node_delay(node) + self._ctx_charges
         self.busy_until[node] = end
@@ -758,7 +749,8 @@ class Simulator:
         if entry is not None:
             flight.remove(entry)
         src, dst = key
-        self._trace("%s recv uid=%d %s <- %s" % (dst, uid, _summary(packet), src))
+        if self.collect_trace:
+            self.trace.append("%.3f %s recv uid=%d %s <- %s" % (self.t, dst, uid, _summary(packet), src))
         face = self.engines[dst]._face_of_peer[src]
         self._exec(dst, lambda: self.engines[dst].handle_packet(packet, face))
 
@@ -766,7 +758,8 @@ class Simulator:
         """Schedule an application-originated packet at `node`."""
 
         def fire() -> None:
-            self._trace("%s recv uid=0 %s <- app" % (node, _summary(packet)))
+            if self.collect_trace:
+                self.trace.append("%.3f %s recv uid=0 %s <- app" % (self.t, node, _summary(packet)))
             self._exec(node, lambda: self.engines[node].handle_packet(packet, APP_FACE))
 
         self._at(t, fire)
@@ -820,18 +813,22 @@ def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:
     )
     metrics.trace_hash = hashlib.sha256("\n".join(sim.trace).encode("utf-8")).hexdigest()
 
+    # first acceptance and deployment per query id; nonces are "<query id>:<k>"
+    first: dict[tuple[str, str], dict] = {}
+    for _node, kind, payload in sim.events:
+        if kind in ("query_accepted", "query_deployed"):
+            qid = str(payload["nonce"]).rpartition(":")[0]
+            first.setdefault((qid, kind), payload)
     for q in spec.queries:
         qm = QueryMetrics(query_id=q.query_id, mode=q.mode, issued_t=float(q.start_ms))
         unsalted = query_hash(canon[q.query_id])
-        prefix = "%s:" % q.query_id
-        for node, kind, payload in sim.events:
-            if not str(payload.get("nonce", "")).startswith(prefix):
-                continue
-            if kind == "query_accepted" and qm.graph_ms == 0.0:
-                qm.graph_ms = payload["graph_real_ms"]
-            elif kind == "query_deployed" and qm.deployed_t == 0.0:
-                qm.deployed_t = float(payload["t1"])
-                qm.placement_ms = payload["placement_sim_ms"] + payload["plan_real_ms"]
+        accepted = first.get((q.query_id, "query_accepted"))
+        if accepted is not None:
+            qm.graph_ms = accepted["graph_real_ms"]
+        deployed = first.get((q.query_id, "query_deployed"))
+        if deployed is not None:
+            qm.deployed_t = float(deployed["t1"])
+            qm.placement_ms = deployed["placement_sim_ms"] + deployed["plan_real_ms"]
         for at, packet in sim.app.get(q.consumer, []):
             if isinstance(packet, Data) and packet.name.components[:2] == ("ce", unsalted):
                 qm.notifications += 1

@@ -74,7 +74,7 @@ def cond_of(query_text):
 
 
 def test_window_insert_into_empty():
-    st0 = WindowState("h", 0, (), Duration(4, "s"))
+    st0 = WindowState((), Duration(4, "s"))
     st1, evicted = window_insert(st0, gps(1000))
     assert [t.ts for t in st1.buffer] == [1000]
     assert evicted == []
@@ -82,20 +82,20 @@ def test_window_insert_into_empty():
 
 def test_window_eviction_rule():
     # rule: keep exactly the tuples with newest.ts - ts < extent
-    st0 = WindowState("h", 0, (gps(1000), gps(2000)), Duration(4, "s"))
+    st0 = WindowState((gps(1000), gps(2000)), Duration(4, "s"))
     st1, evicted = window_insert(st0, gps(5000))
     assert [t.ts for t in evicted] == [1000]  # 5000-1000 >= 4000
     assert [t.ts for t in st1.buffer] == [2000, 5000]
 
     st2, evicted2 = window_insert(
-        WindowState("h", 0, (gps(1000), gps(2000)), Duration(4, "s")), gps(4999)
+        WindowState((gps(1000), gps(2000)), Duration(4, "s")), gps(4999)
     )
     assert evicted2 == []
     assert [t.ts for t in st2.buffer] == [1000, 2000, 4999]
 
 
 def test_window_out_of_order_rejected():
-    st0 = WindowState("h", 0, (gps(2000),), Duration(4, "s"))
+    st0 = WindowState((gps(2000),), Duration(4, "s"))
     with pytest.raises(OutOfOrderTuple):
         window_insert(st0, gps(1999))
     # equal timestamps are in order
@@ -104,7 +104,7 @@ def test_window_out_of_order_rejected():
 
 
 def test_count_window_keeps_last_n():
-    st0 = WindowState("h", 0, (), 3)
+    st0 = WindowState((), 3)
     for ts in (1, 2, 3, 4, 5):
         st0, evicted = window_insert(st0, gps(ts * 1000))
     assert [t.ts for t in st0.buffer] == [3000, 4000, 5000]
@@ -116,7 +116,7 @@ def test_count_window_keeps_last_n():
 )
 @settings(max_examples=120, deadline=None)
 def test_window_conservation(steps):
-    state = WindowState("h", 0, (), Duration(4, "s"))
+    state = WindowState((), Duration(4, "s"))
     inserted, out = [], []
     ts = 0
     for step in steps:

@@ -14,13 +14,14 @@ from icncep.placement import (
     DelayMap,
     NoPath,
     PlacementPlan,
-    UnreachableNode,
     assign_operators,
     build_path,
     discover_delays,
     plan_dump,
+    plan_query,
 )
-from icncep.query import create_operator_graph
+from icncep.query import create_operator_graph, to_nfn_expression
+from icncep.sim import data_path, load_scenario
 
 
 class Topo:
@@ -60,9 +61,9 @@ def line_topo():
 
 def test_discover_covers_every_broker():
     topo = line_topo()
-    dm = discover_delays("b3", topo, now=42)
+    dm = discover_delays(topo)
     assert sorted(dm.nodes) == ["b1", "b2", "b3"]
-    assert all(e.delay_ms == 1.0 and e.measured_ts == 42 for e in dm.nodes.values())
+    assert all(e.delay_ms == 1.0 for e in dm.nodes.values())
 
 
 def test_discover_single_broker():
@@ -70,7 +71,7 @@ def test_discover_single_broker():
         {"p1": ("producer", 1.0), "b1": ("broker", 2.0), "c1": ("consumer", 1.0)},
         [("p1", "b1", 1.0), ("b1", "c1", 1.0)],
     )
-    dm = discover_delays("b1", topo)
+    dm = discover_delays(topo)
     assert list(dm.nodes) == ["b1"]
     assert dm.nodes["b1"].delay_ms == 2.0
 
@@ -79,11 +80,12 @@ def test_discover_unreachable_marked_infinite():
     topo = line_topo()
 
     def probe(node_id):
+        # the engine's answer for a broker whose delay probe timed out
         if node_id == "b2":
-            raise UnreachableNode(node_id)
+            return float("inf")
         return topo.node_delay(node_id)
 
-    dm = discover_delays("b3", topo, probe=probe)
+    dm = discover_delays(topo, probe=probe)
     assert dm.nodes["b2"].delay_ms == float("inf")
     # partitioned broker is excluded from paths
     with pytest.raises(NoPath):
@@ -95,7 +97,7 @@ def test_discover_unreachable_marked_infinite():
 
 
 def test_build_path_line():
-    dm = discover_delays("b3", line_topo())
+    dm = discover_delays(line_topo())
     assert build_path(dm, ["p1"], "c1") == ["b1", "b2", "b3"]
 
 
@@ -118,7 +120,7 @@ def test_build_path_tie_breaks_on_smaller_id():
             ("b4", "c1", 1.0),
         ],
     )
-    dm = discover_delays("b4", topo)
+    dm = discover_delays(topo)
     assert build_path(dm, ["p1"], "c1") == ["b1", "b2", "b4"]
 
 
@@ -141,12 +143,12 @@ def test_build_path_prefers_cheap_detour():
             ("b4", "c1", 1.0),
         ],
     )
-    dm = discover_delays("b4", topo)
+    dm = discover_delays(topo)
     assert build_path(dm, ["p1"], "c1") == ["b1", "b3", "b4"]
 
 
 def test_build_path_consumer_at_broker():
-    dm = discover_delays("b3", line_topo())
+    dm = discover_delays(line_topo())
     assert build_path(dm, ["p1"], "b3") == ["b1", "b2", "b3"]
     assert build_path(dm, ["b1"], "b1") == ["b1"]
 
@@ -161,7 +163,7 @@ def test_build_path_no_route():
         },
         [("p1", "b1", 1.0), ("b2", "c1", 1.0)],
     )
-    dm = discover_delays("b2", topo)
+    dm = discover_delays(topo)
     with pytest.raises(NoPath):
         build_path(dm, ["p1"], "c1")
 
@@ -219,7 +221,7 @@ def test_build_path_matches_bruteforce_oracle():
         links.append(("p1", rng.choice(ids), 1.0))
         links.append(("c1", rng.choice(ids), 1.0))
         topo = Topo(nodes, links)
-        dm = discover_delays("b1", topo)
+        dm = discover_delays(topo)
         try:
             expected_cost, expected_path = _oracle_best_path(dm, ["p1"], "c1")
         except NoPath:
@@ -253,7 +255,7 @@ def test_assign_centralized_puts_everything_on_coordinator():
     assert set(plan.assignments.values()) == {"b1"}
     assert plan.coordinator == "b1"
     for node in tree.walk():
-        assert node.assigned_node == "b1"
+        assert plan.assignments[node.index] == "b1"
 
 
 def test_assign_spec_shape_on_three_brokers():
@@ -261,13 +263,13 @@ def test_assign_spec_shape_on_three_brokers():
     plan = assign_operators(tree, ["b1", "b2", "b3"], "distributed")
     by_kind = {}
     for node in tree.walk():
-        by_kind.setdefault(node.kind, []).append(node.assigned_node)
+        by_kind.setdefault(node.kind, []).append(plan.assignments[node.index])
     assert sorted(by_kind["WINDOW"]) == ["b1", "b1"]
     assert sorted(by_kind["FILTER"]) == ["b2", "b2"]
     assert by_kind["JOIN"] == ["b3"]
     assert plan.coordinator == "b3"
     assert plan.assignments[0] == "b3"  # root operator on the coordinator
-    assert "/node/b3/nfn_service_Join" in tree.nfn
+    assert "/node/b3/nfn_service_Join" in to_nfn_expression(tree, plan.assignments)
 
 
 def test_assign_root_stays_on_coordinator_for_small_trees():
@@ -330,3 +332,15 @@ def test_plan_dump_is_json_with_operator_rows():
     for row in doc["operators"]:
         assert row["node"] in {"b1", "b2", "b3"}
         assert row["kind"] in {"JOIN", "FILTER", "WINDOW"}
+
+
+@pytest.mark.parametrize("mode", ["centralized", "distributed"])
+def test_plan_query_leaves_the_parse_tree_unchanged(mode):
+    # engines cache their parse trees and plan the same tree more than once
+    spec = load_scenario(str(data_path("q3.scn")))
+    bindings = spec.bindings()
+    tree = create_operator_graph(spec.queries[0].text, bindings)
+    before = [dict(vars(node)) for node in tree.walk()]
+    plan = plan_query(tree, "b6", mode, spec.topology, bindings)
+    assert [dict(vars(node)) for node in tree.walk()] == before
+    assert len(set(plan.assignments.values())) == (1 if mode == "centralized" else 4)

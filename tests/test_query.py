@@ -298,16 +298,24 @@ def test_join_lambda_spine():
 
 
 def test_assigned_node_replaces_placeholder():
-    tree = parse_query(Q1)
-    tree.assigned_node = "nodeA"
-    assert to_nfn_expression(tree) == "(call 3 /node/nodeA/nfn_service_Window GPS_S1 4s)"
+    tree = create_operator_graph(Q1)
+    assert to_nfn_expression(tree, {0: "nodeA"}) == (
+        "(call 3 /node/nodeA/nfn_service_Window GPS_S1 4s)"
+    )
+    # hosts are looked up per operator index; unassigned ones keep the placeholder
+    text = to_nfn_expression(create_operator_graph(Q3), {0: "b3", 2: "b1"})
+    assert re.findall(r"/node/(\w+)/nfn_service_(\w+)", text) == [
+        ("b3", "Join"), ("nodeQuery", "Filter"), ("b1", "Window"),
+        ("nodeQuery", "Filter"), ("nodeQuery", "Window"),
+    ]
 
 
-def test_graph_nodes_carry_their_lambda():
+def test_every_graph_node_renders_its_lambda():
     tree = create_operator_graph(Q3)
+    whole = to_nfn_expression(tree)
     for node in tree.walk():
-        assert node.nfn is not None and node.nfn.startswith("(call ")
-    assert tree.nfn == to_nfn_expression(tree)
+        text = to_nfn_expression(node)
+        assert text.startswith("(call ") and text in whole
 
 
 def test_preorder_indices_match_textual_keyword_order():

@@ -400,6 +400,51 @@ def test_distributed_mode_reports_placement_time(tmp_path):
     assert q.notifications == 10
 
 
+def test_query_metrics_come_from_the_exact_query_id(tmp_path):
+    # "a:b" deploys first; its nonces "a:b:<k>" also start with "a:"
+    csv = tmp_path / "gps.csv"
+    generate_gps_csv(str(csv), rows=20)
+    spec = ScenarioSpec(
+        topology=load_topology("distributed"),
+        streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
+        queries=[
+            QueryDef("a:b", "c1", 50, 25000, "distributed", "WINDOW(GPS_S1, 4s)"),
+            QueryDef("a", "c1", 5000, 25000, "distributed",
+                     "FILTER(WINDOW(GPS_S1, 4s), 'latitude' < 50)"),
+        ],
+    )
+    m = run_scenario(spec, collect_trace=False)
+    deployed = {p["nonce"]: p for _, kind, p in m.events if kind == "query_deployed"}
+    accepted = {p["nonce"]: p for _, kind, p in m.events if kind == "query_accepted"}
+    for qid in ("a:b", "a"):
+        q, dep = m.queries[qid], deployed[qid + ":1"]
+        assert q.deployed_t == float(dep["t1"])
+        assert q.placement_ms == dep["placement_sim_ms"] + dep["plan_real_ms"]
+        assert q.graph_ms == accepted[qid + ":1"]["graph_real_ms"]
+    assert m.queries["a"].deployed_t > 5000
+
+
+def test_untraced_run_matches_the_traced_one_without_a_trace():
+    spec = load_scenario(str(data_path("q3.scn")))
+    traced = run_scenario(spec)
+    untraced = run_scenario(spec, collect_trace=False)
+
+    def events(m):
+        return [
+            (node, kind, {k: v for k, v in p.items() if not k.endswith("_real_ms")})
+            for node, kind, p in m.events
+        ]
+
+    assert traced.trace and untraced.trace == []
+    assert events(untraced) == events(traced)
+    assert untraced.app_deliveries == traced.app_deliveries
+    assert untraced.nodes == traced.nodes
+    assert untraced.link_drops == traced.link_drops
+    notified = {qid: q.notifications for qid, q in traced.queries.items()}
+    assert {qid: q.notifications for qid, q in untraced.queries.items()} == notified
+    assert notified["q3"] > 0
+
+
 def test_flow_control_sheds_oldest_stream_packets(tmp_path):
     topo = tmp_path / "t.topo"
     topo.write_text(
