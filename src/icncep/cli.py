@@ -131,6 +131,8 @@ def _cmd_run_sim(args) -> int:
         )
     drops = sum(metrics.link_drops.values())
     print("trace_hash=%s events=%d drops=%d" % (metrics.trace_hash, len(metrics.trace), drops))
+    if metrics.reorder_warnings:
+        print("reordered rows: %d" % metrics.reorder_warnings, file=sys.stderr)
     return EXIT_OK
 
 

@@ -11,6 +11,20 @@ Name conventions produced locally:
   /state/<qhash>/<idx>/out    intermediate result stream between brokers
   /ce/<qhash>/<ts>            consumer notification
   /nack/<nonce>               rejection of a malformed query
+
+An operator whose parent runs on another broker ships its whole current
+output on /state/<qhash>/<idx>/out, once per new result: one snapshot tuple
+(wm, text), where text is the JSON document
+{"schema": <schema id>, "wm": <watermark>, "rows": [[value, ...], ...]}.
+Consecutive snapshots of a feed share most of their rows, so rows keep their
+identity across snapshots and each snapshot costs work only for its new rows:
+the sender keeps the JSON text of every row it last shipped, keyed by the row
+object; the receiver reuses the row object it last decoded from the same feed
+for a row of exactly the same value (same element types, equal values, no
+zero, which could be -0.0); and a hash join reuses the joined row it last
+built for the same pair of row objects. Every row object has passed `Tuple`
+validation once, and the bytes on the wire are those of `json.dumps` on the
+whole document.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ from typing import Callable, Optional, Protocol
 from .operators import (
     Condition,
     EmptyWindow,
+    JoinMemo,
     OutOfOrderTuple,
     PredictState,
     WindowState,
@@ -72,6 +87,9 @@ __all__ = [
 APP_FACE = 0
 PROBE_TIMEOUT_MS = 200.0
 DEPLOY_TIMEOUT_MS = 400.0
+
+# json.dumps with its default settings, without its per-call set-up
+_encode_json = json.JSONEncoder().encode
 
 # simulated per-evaluation compute charge, by operator kind
 EVAL_COST_MS = {
@@ -138,6 +156,14 @@ class OpInstance:
     right_rows: Optional[list] = None
     right_wm: int = -1
     last_emit: int = -1
+    join_memo: Optional[JoinMemo] = None  # JOIN, made at install
+    # the last snapshot shipped or notification sent: its rows, which keep
+    # their ids valid, and the JSON text of each of those rows by id
+    sent_rows: list = field(default_factory=list)
+    sent_text: dict[int, str] = field(default_factory=dict)
+    # the last snapshot received from each remote child, by child index:
+    # its rows by value tuple
+    received: dict[int, dict[tuple, Tuple]] = field(default_factory=dict)
 
 
 @dataclass
@@ -564,6 +590,7 @@ class Engine:
                 inst.cond = compile_condition(node.params[0], node.left.ctx)
             elif node.kind == "JOIN":
                 inst.cond = compile_join(node.params[0], node.left.ctx, node.right.ctx)
+                inst.join_memo = JoinMemo()
             elif node.kind == "PREDICT":
                 inst.predict_state = PredictState()
             self.instances[(salted, idx)] = inst
@@ -596,7 +623,7 @@ class Engine:
             if parent_key is not None:
                 parent = self.instances.get(parent_key)
                 if parent is not None:
-                    rows, wm = self._decode_snapshot(p.tuple)
+                    rows, wm = self._decode_snapshot(p.tuple, parent, int(comps[2]))
                     self._feed_child_output(parent, int(comps[2]), rows, wm)
                     consumed = True
 
@@ -620,17 +647,63 @@ class Engine:
         rows = list(inst.win_state.buffer)
         self._emit(inst, rows, rows[-1].ts)
 
-    def _decode_snapshot(self, t: Tuple) -> tuple[list[Tuple], int]:
+    def _decode_snapshot(
+        self, t: Tuple, inst: OpInstance, child_idx: int
+    ) -> tuple[list[Tuple], int]:
+        """Rows and watermark of a snapshot from child `child_idx` of `inst`.
+
+        A row of exactly the same value as one in that feed's previous
+        snapshot reuses its row object; every other row is built anew.
+        """
         doc = json.loads(t.values[1])
         schema = doc.get("schema", "snapshot")
-        rows = [
-            Tuple(ts=int(r[0]), schema_id=schema, values=tuple(r)) for r in doc["rows"]
-        ]
+        last = inst.received.get(child_idx, {})
+        rows = []
+        for r in doc["rows"]:
+            values = tuple(r)
+            try:
+                row = last.get(values)
+            except TypeError:  # a list or object value, which Tuple rejects
+                row = None
+            # == holds across 1, 1.0 and True, and between 0.0 and -0.0
+            if (
+                row is None
+                or row.schema_id != schema
+                or 0 in values
+                or list(map(type, values)) != list(map(type, row.values))
+            ):
+                row = Tuple(ts=int(r[0]), schema_id=schema, values=values)
+            rows.append(row)
+        inst.received[child_idx] = {row.values: row for row in rows}
         return rows, int(doc["wm"])
 
-    def _encode_snapshot(self, rows: list[Tuple], wm: int, schema: str) -> Tuple:
-        doc = {"schema": schema, "wm": wm, "rows": [list(r.values) for r in rows]}
-        return Tuple(ts=wm, schema_id="snapshot", values=(wm, json.dumps(doc)))
+    def _rows_json(self, inst: OpInstance, rows: list[Tuple]) -> str:
+        """json.dumps([list(r.values) for r in rows]), encoding new rows only.
+
+        Replaces the instance's row texts with those of `rows`.
+        """
+        last = inst.sent_text
+        text: dict[int, str] = {}
+        parts = []
+        for r in rows:
+            key = id(r)
+            part = text.get(key)
+            if part is None:
+                part = text[key] = last.get(key) or _encode_json(r.values)
+            parts.append(part)
+        inst.sent_rows, inst.sent_text = rows, text
+        return "[%s]" % ", ".join(parts)
+
+    def _encode_snapshot(
+        self, inst: OpInstance, rows: list[Tuple], wm: int, schema: str
+    ) -> Tuple:
+        """The snapshot tuple of json.dumps({"schema", "wm", "rows"})."""
+        doc = '{"schema": %s, "wm": %d, "rows": %s}' % (
+            _encode_json(schema),
+            wm,
+            self._rows_json(inst, rows),
+        )
+        return Tuple(ts=wm, schema_id="snapshot", values=(wm, doc))
 
     def _emit(self, inst: OpInstance, rows: list[Tuple], wm: int) -> None:
         if not rows or wm <= inst.last_emit:
@@ -646,7 +719,9 @@ class Engine:
             return
         schema = rows[0].schema_id
         name = Name(("state", inst.salted, str(inst.node.index), "out"))
-        packet = DataStream(stream_name=name, tuple=self._encode_snapshot(rows, wm, schema))
+        packet = DataStream(
+            stream_name=name, tuple=self._encode_snapshot(inst, rows, wm, schema)
+        )
         faces = self._fib_faces(name)
         for f in faces:
             self._send(f, packet)
@@ -670,7 +745,12 @@ class Engine:
                 return  # _emit would drop the result
             if node.kind == "JOIN":
                 out = join_eval(
-                    inst.left_rows, inst.right_rows, inst.cond, node.left.ctx, node.right.ctx
+                    inst.left_rows,
+                    inst.right_rows,
+                    inst.cond,
+                    node.left.ctx,
+                    node.right.ctx,
+                    inst.join_memo,
                 )
             else:
                 out = [sequence_eval(inst.left_rows, inst.right_rows)]
@@ -720,13 +800,15 @@ class Engine:
             return
         if wm <= entry.last_result_ts:
             return
-        payload = json.dumps(
-            {
-                "hash": inst.unsalted,
-                "ts": wm,
-                "schema": rows[0].schema_id,
-                "rows": [list(r.values) for r in rows],
-            }
+        # json.dumps({"hash": ..., "ts": ..., "schema": ..., "rows": ...})
+        payload = (
+            '{"hash": %s, "ts": %d, "schema": %s, "rows": %s}'
+            % (
+                _encode_json(inst.unsalted),
+                wm,
+                _encode_json(rows[0].schema_id),
+                self._rows_json(inst, rows),
+            )
         ).encode("utf-8")
         packet = Data(name=Name(("ce", inst.unsalted, str(wm))), payload=payload, ts=wm)
         for f in sorted(entry.faces):

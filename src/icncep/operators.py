@@ -39,6 +39,7 @@ __all__ = [
     "PredictionTuple",
     "PredictState",
     "Condition",
+    "JoinMemo",
     "compile_condition",
     "compile_join",
     "window_insert",
@@ -239,8 +240,34 @@ def _widths_are(rows, width: int) -> bool:
     return all(len(t.values) == width for t in rows)
 
 
+class JoinMemo:
+    """What the last hash-join evaluation made of each (left row, right row) pair.
+
+    `pairs` maps the ids of the two rows to the joined row, or to None when
+    the rest of the condition rejected the pair; `rows` holds both inputs of
+    that evaluation, so their ids stay valid. The next evaluation reuses the
+    entry of every pair it sees again and then replaces both, so the memo
+    never holds more than one evaluation. A memo belongs to one compiled
+    condition.
+    """
+
+    __slots__ = ("rows", "pairs")
+
+    def __init__(self) -> None:
+        self.rows: tuple = ((), ())
+        self.pairs: dict[tuple[int, int], Optional[Tuple]] = {}
+
+
+_UNSEEN = object()
+
+
 def join_eval(
-    left, right, cond: Union[BoolExpr, Condition], left_ctx: SchemaCtx, right_ctx: SchemaCtx
+    left,
+    right,
+    cond: Union[BoolExpr, Condition],
+    left_ctx: SchemaCtx,
+    right_ctx: SchemaCtx,
+    memo: Optional[JoinMemo] = None,
 ) -> list[Tuple]:
     """Concatenating join; output rows ordered by (left index, right index).
 
@@ -252,6 +279,11 @@ def join_eval(
     never match, and text keys never equal numbers. Every other condition,
     and inputs whose rows do not have their schema's width, run the nested
     loop over all pairs.
+
+    On the hash-join path, `memo` carries the pairs of the previous
+    evaluation by row identity (see JoinMemo): a pair of the same two row
+    objects reuses its joined row and its verdict, and the memo is replaced
+    by this evaluation's pairs. The output is the same with or without it.
 
     The joined tuple keeps the left timestamp, which equals the matched
     timestamp under the usual timestamp-equality conditions.
@@ -279,11 +311,22 @@ def join_eval(
         if key == key:  # NaN equals nothing, not even itself
             buckets.setdefault(key, []).append(r)
     residual = cond.residual
+    seen = memo.pairs if memo is not None else {}
+    pairs: dict[tuple[int, int], Optional[Tuple]] = {}
     for l in left:
+        lid = id(l)
         for r in buckets.get(l.values[lcol], ()):
-            row = l.values + r.values
-            if residual is None or residual(row):
-                out.append(Tuple(ts=l.ts, schema_id=schema_id, values=row))
+            pair = (lid, id(r))
+            t = seen.get(pair, _UNSEEN)
+            if t is _UNSEEN:
+                row = l.values + r.values
+                passed = residual is None or residual(row)
+                t = Tuple(ts=l.ts, schema_id=schema_id, values=row) if passed else None
+            pairs[pair] = t
+            if t is not None:
+                out.append(t)
+    if memo is not None:
+        memo.rows, memo.pairs = (left, right), pairs
     return out
 
 

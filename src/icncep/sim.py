@@ -549,7 +549,6 @@ class Metrics:
     app_deliveries: dict[str, list[tuple[float, Packet]]] = field(default_factory=dict)
     trace: list[str] = field(default_factory=list)
     trace_hash: str = ""
-    end_time: float = 0.0
 
 
 def emit_metrics(metrics: Metrics, path: str) -> None:
@@ -809,7 +808,6 @@ def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:
         events=sim.events,
         app_deliveries=sim.app,
         trace=sim.trace,
-        end_time=sim.t,
     )
     metrics.trace_hash = hashlib.sha256("\n".join(sim.trace).encode("utf-8")).hexdigest()
 

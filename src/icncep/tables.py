@@ -172,7 +172,10 @@ class ForwardingInformationBase:
     def add_route(self, prefix: Name, face_id: int) -> None:
         node = self._root
         for comp in prefix.components:
-            node = node.children.setdefault(comp, _TrieNode())
+            child = node.children.get(comp)
+            if child is None:
+                child = node.children[comp] = _TrieNode()
+            node = child
         if node.entry is None:
             node.entry = FibEntry(prefix=prefix, faces=set())
             self._count += 1

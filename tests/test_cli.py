@@ -162,6 +162,22 @@ def test_run_sim_seed_override_keeps_simulated_outcome(tmp_path, capsys):
     assert first[1].startswith("trace_hash=")
 
 
+def test_run_sim_reports_reordered_rows_on_stderr(tmp_path, capsys):
+    scn = scenario_file(tmp_path, rows=6)
+    csv = tmp_path / "feed.csv"
+    assert main(["run-sim", scn]) == 0
+    in_order = capsys.readouterr()
+    assert in_order.err == ""
+    header, *rows = csv.read_text().splitlines()
+    rows[1:4] = reversed(rows[1:4])  # two rows now arrive below their predecessor
+    csv.write_text("\n".join([header] + rows) + "\n")
+    assert main(["run-sim", scn]) == 0
+    swapped = capsys.readouterr()
+    assert swapped.err.splitlines() == ["reordered rows: 2"]
+    # the rows are sorted back into place, so the simulated run is unchanged
+    assert swapped.out.splitlines()[-1] == in_order.out.splitlines()[-1]
+
+
 def test_run_sim_missing_scenario_exits_3(capsys):
     assert main(["run-sim", "/no/such/file.scn"]) == 3
 

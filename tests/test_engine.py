@@ -2,8 +2,12 @@
 
 import base64
 import json
+import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icncep import engine, sim
 from icncep.engine import (
@@ -12,6 +16,7 @@ from icncep.engine import (
     EVAL_COST_MS,
     FaceDef,
     NodeConfig,
+    OpInstance,
 )
 from icncep.packet import (
     AddQueryInterest,
@@ -303,6 +308,217 @@ def test_distributed_run_caches_results_but_no_window_state(monkeypatch):
     ]
     assert len(cached) == 1 and delivered
     assert (cached[0].logical_ts, cached[0].payload) == (delivered[-1].ts, delivered[-1].payload)
+
+
+# ---------------------------------------------------------------------------
+# snapshots on /state/<q>/<i>/out: rows keep their identity across snapshots
+
+# equal values that print differently (1, 1.0, True; 0, 0.0, -0.0, False),
+# values that equal nothing or print specially, and text that JSON escapes
+SNAP_VALUES = st.one_of(
+    st.sampled_from([0, 1, 1.0, True, False, 0.0, -0.0, 2.5, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.sampled_from(['"', "\\", "é", 'a"\\\u20ac\n', "", "1"]),
+)
+SNAP_TS = st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True, 2000, 2000.0])
+SNAP_ROW = st.tuples(SNAP_TS, st.lists(SNAP_VALUES, max_size=3)).map(lambda p: (p[0], *p[1]))
+TWINS = [(0, 0.0, -0.0, False), (1, 1.0, True), (2000, 2000.0)]  # equal, printed apart
+# how a snapshot row relates to the previous snapshot of the feed: the same
+# row object; a new row equal to one of them but for one value, which may
+# be an equal value printed differently; or a new row
+SNAP_PICK = st.one_of(
+    st.tuples(st.just("keep"), st.integers(0, 5)),
+    st.tuples(st.just("vary"), st.integers(0, 5), st.integers(0, 3), SNAP_VALUES),
+    st.tuples(st.just("twin"), st.integers(0, 5), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("new"), SNAP_ROW),
+)
+
+
+def fresh_decode(text):
+    """Every row built and validated from its JSON text, as a first decode does."""
+    doc = json.loads(text)
+    return [Tuple(ts=int(r[0]), schema_id=doc["schema"], values=tuple(r)) for r in doc["rows"]]
+
+
+def typed(rows):
+    """What a row shows downstream: ts, schema, value types and JSON text."""
+    return [
+        (t.ts, t.schema_id, [type(v) for v in t.values], json.dumps(list(t.values)))
+        for t in rows
+    ]
+
+
+def bare_instance():
+    return OpInstance("s", "u", "k", node=None, parent_idx=None, parent_host=None)
+
+
+def snapshot_rows(picks, last, schema):
+    rows = []
+    for kind, *how in picks:
+        if kind == "new":
+            values = how[0]
+        elif not last:
+            continue
+        elif kind == "keep":
+            rows.append(last[how[0] % len(last)])
+            continue
+        else:
+            values = list(last[how[0] % len(last)].values)
+            if kind == "twin":
+                at = how[1] % len(values)
+                family = next((f for f in TWINS if values[at] in f), (values[at],))
+                values[at] = family[how[2] % len(family)]
+            elif len(values) > 1:  # the first value is the timestamp
+                values[1 + how[1] % (len(values) - 1)] = how[2]
+        rows.append(Tuple(ts=int(values[0]), schema_id=schema, values=tuple(values)))
+    return rows
+
+
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.sampled_from(["gps", 'a"\\é']),
+            st.lists(SNAP_PICK, max_size=6),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(steps):
+    eng, _ = single_broker()
+    sender, receiver = bare_instance(), bare_instance()
+    last = []
+    for wm, schema, picks in steps:
+        rows = snapshot_rows(picks, last, schema)
+        text = json.dumps({"schema": schema, "wm": wm, "rows": [list(r.values) for r in rows]})
+        snap = eng._encode_snapshot(sender, rows, wm, schema)
+        assert snap == Tuple(ts=wm, schema_id="snapshot", values=(wm, text))
+        got, got_wm = eng._decode_snapshot(snap, receiver, 7)
+        assert got_wm == wm
+        assert typed(got) == typed(fresh_decode(text))
+        # each cache holds the latest snapshot's rows and nothing older
+        assert sender.sent_rows is rows
+        assert set(sender.sent_text) == {id(r) for r in rows}
+        assert {id(t) for t in receiver.received[7].values()} <= {id(t) for t in got}
+        last = rows  # older rows are freed, so their ids can come back
+
+
+@pytest.mark.parametrize("bad", [[1000, [1]], [1000, {"a": 1}], [1000, None]])
+def test_snapshot_row_of_unsupported_values_fails_tuple_validation(bad):
+    eng, _ = single_broker()
+    text = json.dumps({"schema": "gps", "wm": 1000, "rows": [[1000, 1.0], bad]})
+    snap = Tuple(ts=1000, schema_id="snapshot", values=(1000, text))
+    with pytest.raises(ValueError, match="text or numbers"):
+        eng._decode_snapshot(snap, bare_instance(), 7)
+
+
+JOIN_HOST_QUERY = (
+    "HEATMAP(0.01, 49.86, 49.92, 8.61, 8.69, "
+    "JOIN(WINDOW(GPS_S1, 3), WINDOW(GPS_S2, 3), %s))"
+)
+EQUI_JOIN = "GPS_S1.'s_id' = GPS_S2.'s_id'"
+RESIDUAL_JOIN = EQUI_JOIN + " & GPS_S1.'speed' < GPS_S2.'speed'"
+
+
+def join_host(cond):
+    """b2 running only the JOIN (index 1); its windows and its parent are remote."""
+    cfg = NodeConfig(
+        node_id="b2",
+        role="broker",
+        faces=[FaceDef(1, "b1"), FaceDef(2, "b3")],
+        streams=default_streams(),
+        mode="distributed",
+    )
+    svc = FakeServices()
+    eng = Engine(cfg, svc)
+    key = canonical_text(create_operator_graph(JOIN_HOST_QUERY % cond, default_streams()))
+    hosts = {0: "b3", 1: "b2", 2: "b1", 3: "b1"}
+    eng._install_assignment("s", "u", key, hosts, [("/state/s/1", "b3")])
+    return eng, svc, eng.instances[("s", 1)]
+
+
+def oracle_join_rows(left, right, with_speed):
+    """Frozen nested loop: text never equals or orders against a number."""
+
+    def holds(a, b, cmp):
+        return isinstance(a, str) == isinstance(b, str) and cmp(a, b)
+
+    return [
+        Tuple(ts=l.ts, schema_id="join(gps,gps)", values=l.values + r.values)
+        for l in left
+        for r in right
+        if holds(l.values[1], r.values[1], lambda a, b: a == b)
+        and (not with_speed or holds(l.values[7], r.values[7], lambda a, b: a < b))
+    ]
+
+
+@given(
+    cond=st.sampled_from([EQUI_JOIN, RESIDUAL_JOIN]),
+    # one stream of gps-width rows per side; a window of each slides over it
+    sides=st.tuples(
+        *[
+            st.tuples(
+                st.integers(1, 4),
+                st.lists(
+                    st.tuples(
+                        SNAP_TS,
+                        st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, math.nan, "1", "a"]),
+                        st.lists(SNAP_VALUES, min_size=5, max_size=5),
+                        st.sampled_from([0.0, -0.0, 1, 1.5, math.nan, math.inf, "x"]),
+                    ).map(lambda p: (p[0], p[1], *p[2], p[3])),
+                    min_size=1,
+                    max_size=8,
+                ),
+            )
+            for _ in range(2)
+        ]
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, sides):
+    eng, svc, inst = join_host(cond)
+    evaluations = []
+    real = engine.join_eval
+
+    def recording(*args):
+        out = real(*args)
+        evaluations.append((args, out))
+        return out
+
+    fresh = {}
+    with mock.patch.object(engine, "join_eval", recording):
+        for step in range(max(len(rows) for _, rows in sides)):
+            for child, (width, rows) in zip((2, 3), sides):
+                window = [list(r) for r in rows[max(0, step - width + 1) : step + 1]]
+                text = json.dumps({"schema": "gps", "wm": step + 1, "rows": window})
+                fresh[child] = fresh_decode(text)
+                snap = Tuple(ts=step + 1, schema_id="snapshot", values=(step + 1, text))
+                name = Name(("state", "s", str(child), "out"))
+                evaluations.clear()
+                eng.handle_packet(DataStream(stream_name=name, tuple=snap), in_face=1)
+
+                for (left, right, compiled, left_ctx, right_ctx, memo), out in evaluations:
+                    assert left is inst.left_rows and right is inst.right_rows
+                    assert memo is inst.join_memo
+                    unmemoized = real(left, right, compiled, left_ctx, right_ctx)
+                    want = oracle_join_rows(fresh[2], fresh[3], cond == RESIDUAL_JOIN)
+                    assert typed(out) == typed(unmemoized) == typed(want)
+                    if out:
+                        wm = min(inst.left_wm, inst.right_wm)
+                        doc = {"schema": "join(gps,gps)", "wm": wm, "rows": [list(t.values) for t in out]}
+                        assert svc.sent[-1][2].tuple.values[1] == json.dumps(doc)
+                        assert inst.sent_rows is out
+                # each cache holds the latest snapshot's rows and nothing older
+                for idx, rows_now in ((2, inst.left_rows), (3, inst.right_rows)):
+                    if idx in inst.received:
+                        kept = {id(t) for t in inst.received[idx].values()}
+                        assert kept <= {id(t) for t in rows_now}
+                memo = inst.join_memo
+                ids = {id(t) for t in memo.rows[0]} | {id(t) for t in memo.rows[1]}
+                assert {i for pair in memo.pairs for i in pair} <= ids
+                assert set(inst.sent_text) == {id(t) for t in inst.sent_rows}
 
 
 # ---------------------------------------------------------------------------
