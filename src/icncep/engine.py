@@ -12,25 +12,33 @@ Name conventions produced locally:
   /ce/<qhash>/<ts>            consumer notification
   /nack/<nonce>               rejection of a malformed query
 
-An operator whose parent runs on another broker ships its whole current
-output on /state/<qhash>/<idx>/out, once per new result: one snapshot tuple
-(wm, text), where text is the JSON document
-{"schema": <schema id>, "wm": <watermark>, "rows": [[value, ...], ...]}.
-Consecutive snapshots of a feed share most of their rows, so rows keep their
-identity across snapshots and each snapshot costs work only for its new rows:
-the sender keeps the JSON text of every row it last shipped, keyed by the row
-object; the receiver reuses the row object it last decoded from the same feed
-for a row of exactly the same value (same element types, equal values, no
-zero, which could be -0.0); and a hash join reuses the joined row it last
-built for the same pair of row objects. Every row object has passed `Tuple`
-validation once, and the bytes on the wire are those of `json.dumps` on the
-whole document.
+An operator whose parent runs on another broker ships its output on
+/state/<qhash>/<idx>/out, once per new result, as a row delta (the
+ISTREAM/DSTREAM split of CQL): one tuple (wm, text), where text is
+json.dumps of
+{"schema": <schema id>, "wm": <watermark>, "first": <index>, "end": <index>,
+ "rows": [[value, ...], ...]}.
+Every row of a feed has a running index. The output is the rows with indices
+first .. end-1; "rows" carries only those the receiver has not had, which
+are the last len(rows) of them. The sender compares the new output with the
+one it last shipped by row identity: if it is a tail of that output followed
+by new rows (a window slide, and what FILTER and a memoized join make of
+one), only the new rows ship; otherwise every row ships under fresh indices,
+a keyframe. The receiver keeps a mirror of each remote child's output:
+it drops the rows before `first`, appends the new rows, each built once
+through `Tuple` validation, and evaluates only when the mirror holds exactly
+first .. end-1. A /state packet lost at link capacity leaves a gap: the
+receiver skips evaluation (counter `state_gaps`) until `first` passes the
+missing rows or a keyframe arrives. Row objects so keep their identity from
+sender to receiver, and a hash join reuses the joined row it last built for
+the same pair of row objects.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
@@ -107,6 +115,19 @@ EVAL_COST_MS = {
 }
 
 
+def _shared_rows(sent: list, rows: list) -> int:
+    """How many leading rows of `rows` are, by identity, a tail of `sent` (else 0)."""
+    if rows:
+        head = rows[0]
+        for k, r in enumerate(sent):
+            if r is head:
+                tail = sent[k:]
+                if len(tail) <= len(rows) and all(map(operator.is_, tail, rows)):
+                    return len(tail)
+                break
+    return 0
+
+
 @dataclass(frozen=True)
 class FaceDef:
     face_id: int
@@ -141,6 +162,14 @@ class Services(Protocol):
 
 
 @dataclass
+class Mirror:
+    """A receiver's copy of a remote child's output: rows[i] has index base + i."""
+
+    base: int = 0
+    rows: list = field(default_factory=list)
+
+
+@dataclass
 class OpInstance:
     salted: str
     unsalted: str
@@ -157,13 +186,14 @@ class OpInstance:
     right_wm: int = -1
     last_emit: int = -1
     join_memo: Optional[JoinMemo] = None  # JOIN, made at install
-    # the last snapshot shipped or notification sent: its rows, which keep
-    # their ids valid, and the JSON text of each of those rows by id
+    # the last output shipped or notification sent: its rows, which keep
+    # their ids valid; one past the index of its last row (shipping
+    # instances); and the JSON text of each of its rows by id (the root)
     sent_rows: list = field(default_factory=list)
+    sent_end: int = 0
     sent_text: dict[int, str] = field(default_factory=dict)
-    # the last snapshot received from each remote child, by child index:
-    # its rows by value tuple
-    received: dict[int, dict[tuple, Tuple]] = field(default_factory=dict)
+    # the mirror of each remote child's output, by child index
+    received: dict[int, Mirror] = field(default_factory=dict)
 
 
 @dataclass
@@ -229,9 +259,12 @@ class Engine:
     def _now(self) -> int:
         return self.services.now()
 
-    def _fib_faces(self, name: Name, exclude: Optional[int] = None) -> list[int]:
+    def _fib_faces(
+        self, name: Name, exclude: Optional[int] = None, min_len: int = 0
+    ) -> list[int]:
+        """Faces of the longest route for `name` that has `min_len` components or more."""
         entry = self.fib.longest_prefix(name)
-        if entry is None:
+        if entry is None or len(entry.prefix.components) < min_len:
             return []
         return sorted(f for f in entry.faces if f != exclude and f != APP_FACE)
 
@@ -603,7 +636,8 @@ class Engine:
         uri = p.stream_name.to_uri()
         comps = p.stream_name.components
         consumed = False
-        if uri in self._known_streams:
+        produced = uri in self._known_streams
+        if produced:
             self.high_water[uri] = max(self.high_water.get(uri, 0), p.tuple.ts)
 
         feeds = self._stream_feeds.get(uri, ())
@@ -623,11 +657,16 @@ class Engine:
             if parent_key is not None:
                 parent = self.instances.get(parent_key)
                 if parent is not None:
-                    rows, wm = self._decode_snapshot(p.tuple, parent, int(comps[2]))
-                    self._feed_child_output(parent, int(comps[2]), rows, wm)
+                    fed = self._decode_snapshot(p.tuple, parent, int(comps[2]))
+                    if fed is not None:
+                        self._feed_child_output(parent, int(comps[2]), *fed)
                     consumed = True
 
-        out_faces = self._fib_faces(p.stream_name, exclude=in_face)
+        # a producer stream follows only the routes its deployments installed,
+        # never a shorter /node/<producer> route, which can send it round a cycle
+        out_faces = self._fib_faces(
+            p.stream_name, exclude=in_face, min_len=len(comps) if produced else 0
+        )
         for f in out_faces:
             self._send(f, p)
         if out_faces:
@@ -649,33 +688,41 @@ class Engine:
 
     def _decode_snapshot(
         self, t: Tuple, inst: OpInstance, child_idx: int
-    ) -> tuple[list[Tuple], int]:
-        """Rows and watermark of a snapshot from child `child_idx` of `inst`.
+    ) -> Optional[tuple[list[Tuple], int]]:
+        """Apply a /state delta from child `child_idx` of `inst` to its mirror.
 
-        A row of exactly the same value as one in that feed's previous
-        snapshot reuses its row object; every other row is built anew.
+        Returns a fresh list of the child's output rows and the watermark, or
+        None while a lost packet leaves the mirror short of first .. end-1.
+        A malformed document raises ValueError and leaves the mirror as it was.
         """
-        doc = json.loads(t.values[1])
-        schema = doc.get("schema", "snapshot")
-        last = inst.received.get(child_idx, {})
-        rows = []
-        for r in doc["rows"]:
-            values = tuple(r)
-            try:
-                row = last.get(values)
-            except TypeError:  # a list or object value, which Tuple rejects
-                row = None
-            # == holds across 1, 1.0 and True, and between 0.0 and -0.0
-            if (
-                row is None
-                or row.schema_id != schema
-                or 0 in values
-                or list(map(type, values)) != list(map(type, row.values))
+        try:
+            doc = json.loads(t.values[1])
+            schema, wm = doc["schema"], int(doc["wm"])
+            first, end, raw = doc["first"], doc["end"], doc["rows"]
+            if not (
+                type(first) is int
+                and type(end) is int
+                and type(raw) is list
+                and len(raw) <= end - first
             ):
-                row = Tuple(ts=int(r[0]), schema_id=schema, values=values)
-            rows.append(row)
-        inst.received[child_idx] = {row.values: row for row in rows}
-        return rows, int(doc["wm"])
+                raise ValueError("delta rows do not fit [first, end)")
+            new = [Tuple(ts=int(r[0]), schema_id=schema, values=tuple(r)) for r in raw]
+        except (KeyError, IndexError, TypeError, OverflowError) as err:
+            raise ValueError("malformed /state delta: %r" % (err,)) from err
+        mirror = inst.received.setdefault(child_idx, Mirror())
+        start = end - len(new)
+        if mirror.base + len(mirror.rows) == start:
+            mirror.rows += new
+        else:  # rows went missing: keep only what this packet brings
+            mirror.base, mirror.rows = start, new
+        if first > mirror.base:
+            del mirror.rows[: first - mirror.base]
+            mirror.base = first
+        if mirror.base != first:
+            self._bump("state_gaps")
+            return None
+        # a copy: row ids held downstream stay valid only while the rows live
+        return list(mirror.rows), wm
 
     def _rows_json(self, inst: OpInstance, rows: list[Tuple]) -> str:
         """json.dumps([list(r.values) for r in rows]), encoding new rows only.
@@ -697,12 +744,19 @@ class Engine:
     def _encode_snapshot(
         self, inst: OpInstance, rows: list[Tuple], wm: int, schema: str
     ) -> Tuple:
-        """The snapshot tuple of json.dumps({"schema", "wm", "rows"})."""
-        doc = '{"schema": %s, "wm": %d, "rows": %s}' % (
-            _encode_json(schema),
-            wm,
-            self._rows_json(inst, rows),
+        """The /state delta that turns the output `inst` last shipped into `rows`."""
+        kept = _shared_rows(inst.sent_rows, rows)
+        end = inst.sent_end + len(rows) - kept
+        doc = _encode_json(
+            {
+                "schema": schema,
+                "wm": wm,
+                "first": end - len(rows),
+                "end": end,
+                "rows": [r.values for r in rows[kept:]],
+            }
         )
+        inst.sent_rows, inst.sent_end = rows, end
         return Tuple(ts=wm, schema_id="snapshot", values=(wm, doc))
 
     def _emit(self, inst: OpInstance, rows: list[Tuple], wm: int) -> None:

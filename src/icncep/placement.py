@@ -201,14 +201,14 @@ def plan_query(
 ) -> PlacementPlan:
     """Plan `tree` for the broker `coordinator`; the engine and `explain` share it.
 
-    Centralized mode keeps the whole tree on the coordinator. Otherwise each
-    bound stream's producer enters at `topology.ingress_broker`, delays come
-    from `discover_delays` (`probe` answers per broker, else the configured
-    delays), and the tree is spread along the cheapest broker path from the
-    producers to the coordinator.
+    In both modes each bound stream's producer enters at
+    `topology.ingress_broker` (nowhere without a topology), and the plan's
+    `ingress` lets deployment route the stream to the host of its window.
+    Centralized mode keeps the whole tree on the coordinator. Otherwise
+    delays come from `discover_delays` (`probe` answers per broker, else the
+    configured delays), and the tree is spread along the cheapest broker path
+    from the producers to the coordinator.
     """
-    if mode == "centralized":
-        return assign_operators(tree, [coordinator], mode)
     producers = []
     ingress = {}
     for alias in sorted(tree.stream_aliases()):
@@ -217,9 +217,11 @@ def plan_query(
             continue
         producer = binding.name.components[1]
         producers.append(producer)
-        home = topology.ingress_broker(producer)
+        home = topology.ingress_broker(producer) if topology is not None else None
         if home is not None:
             ingress[alias] = home
+    if mode == "centralized":
+        return assign_operators(tree, [coordinator], mode, ingress=ingress)
     delays = discover_delays(topology, probe)
     path = build_path(delays, producers or [coordinator], coordinator)
     return assign_operators(tree, path, mode, ingress=ingress)

@@ -20,6 +20,7 @@ import hashlib
 import heapq
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -606,8 +607,8 @@ class Simulator:
         self._ctx_out: list[tuple[int, Packet]] = []
         # (node, query text) -> query-interest packets sent on network faces
         self.control_sends: dict[tuple[str, str], int] = {}
-        # directed link -> list of live packet uids awaiting delivery
-        self._in_flight: dict[tuple[str, str], list[tuple[int, Packet]]] = {}
+        # directed link -> live (uid, packet) awaiting delivery, oldest first
+        self._in_flight: dict[tuple[str, str], deque[tuple[int, Packet]]] = {}
         self._dead: set[int] = set()
 
         mode = spec.queries[0].mode if spec.queries else "centralized"
@@ -708,7 +709,7 @@ class Simulator:
         peer = self.engines[node].faces[face_id].peer
         link = self.topo.link_by_pair[(node, peer)]
         key = (node, peer)
-        flight = self._in_flight.setdefault(key, [])
+        flight = self._in_flight.setdefault(key, deque())
         self._seq += 1
         uid = self._seq
         if len(flight) >= link.capacity:
@@ -743,10 +744,8 @@ class Simulator:
         if uid in self._dead:
             self._dead.discard(uid)
             return
-        flight = self._in_flight.get(key, [])
-        entry = next((e for e in flight if e[0] == uid), None)
-        if entry is not None:
-            flight.remove(entry)
+        # a link delivers in the order it sends, and shed packets are dead
+        self._in_flight[key].popleft()
         src, dst = key
         if self.collect_trace:
             self.trace.append("%.3f %s recv uid=%d %s <- %s" % (self.t, dst, uid, _summary(packet), src))

@@ -333,6 +333,18 @@ def test_c5_mode_equivalence(shipped_runs):
             assert central == spread, qid
 
 
+@pytest.mark.parametrize("qid", QUERY_IDS)
+def test_c5_modes_agree_on_the_distributed_preset(shipped_runs, qid):
+    """Centralized mode on the distributed topology, whose coordinator is not
+    the ingress broker, notifies exactly what distributed mode does there."""
+    spec = override_scenario(load_scenario(str(data_path(qid + ".scn"))), mode="centralized")
+    central = run_scenario(spec, collect_trace=False)
+    assert not any(n.get("errors") for n in central.nodes.values())
+    values = _notification_values(central)
+    assert values, qid
+    assert values == _notification_values(shipped_runs[(qid, "distributed")]), qid
+
+
 def test_c6_operator_correctness():
     with verdict(6, "operators agree with independent arithmetic"):
         rng = random.Random(6)

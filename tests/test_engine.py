@@ -3,6 +3,7 @@
 import base64
 import json
 import math
+import operator
 from unittest import mock
 
 import pytest
@@ -311,19 +312,19 @@ def test_distributed_run_caches_results_but_no_window_state(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# snapshots on /state/<q>/<i>/out: rows keep their identity across snapshots
+# row deltas on /state/<q>/<i>/out
 
 # equal values that print differently (1, 1.0, True; 0, 0.0, -0.0, False),
 # values that equal nothing or print specially, and text that JSON escapes
 SNAP_VALUES = st.one_of(
     st.sampled_from([0, 1, 1.0, True, False, 0.0, -0.0, 2.5, math.nan, math.inf, -math.inf]),
     st.floats(),
-    st.sampled_from(['"', "\\", "é", 'a"\\\u20ac\n', "", "1"]),
+    st.sampled_from(['"', "\\", "é", 'a"\\€\n', "", "1"]),
 )
 SNAP_TS = st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True, 2000, 2000.0])
 SNAP_ROW = st.tuples(SNAP_TS, st.lists(SNAP_VALUES, max_size=3)).map(lambda p: (p[0], *p[1]))
 TWINS = [(0, 0.0, -0.0, False), (1, 1.0, True), (2000, 2000.0)]  # equal, printed apart
-# how a snapshot row relates to the previous snapshot of the feed: the same
+# how a row of an arbitrary output relates to the previous output: the same
 # row object; a new row equal to one of them but for one value, which may
 # be an equal value printed differently; or a new row
 SNAP_PICK = st.one_of(
@@ -332,12 +333,14 @@ SNAP_PICK = st.one_of(
     st.tuples(st.just("twin"), st.integers(0, 5), st.integers(0, 3), st.integers(0, 3)),
     st.tuples(st.just("new"), SNAP_ROW),
 )
-
-
-def fresh_decode(text):
-    """Every row built and validated from its JSON text, as a first decode does."""
-    doc = json.loads(text)
-    return [Tuple(ts=int(r[0]), schema_id=doc["schema"], values=tuple(r)) for r in doc["rows"]]
+# how an output follows the previous one: a window slide (drop rows from the
+# front, append new rows), an arbitrary replacement, empty, or one row
+SNAP_STEP = st.one_of(
+    st.tuples(st.just("slide"), st.integers(0, 4), st.lists(SNAP_ROW, max_size=3)),
+    st.tuples(st.just("replace"), st.lists(SNAP_PICK, max_size=6)),
+    st.tuples(st.just("empty")),
+    st.tuples(st.just("one"), SNAP_PICK),
+)
 
 
 def typed(rows):
@@ -352,7 +355,11 @@ def bare_instance():
     return OpInstance("s", "u", "k", node=None, parent_idx=None, parent_host=None)
 
 
-def snapshot_rows(picks, last, schema):
+def row_of(values, schema):
+    return Tuple(ts=int(values[0]), schema_id=schema, values=tuple(values))
+
+
+def picked_rows(picks, last, schema):
     rows = []
     for kind, *how in picks:
         if kind == "new":
@@ -370,48 +377,128 @@ def snapshot_rows(picks, last, schema):
                 values[at] = family[how[2] % len(family)]
             elif len(values) > 1:  # the first value is the timestamp
                 values[1 + how[1] % (len(values) - 1)] = how[2]
-        rows.append(Tuple(ts=int(values[0]), schema_id=schema, values=tuple(values)))
+        rows.append(row_of(values, schema))
     return rows
 
 
+def next_output(step, last, schema):
+    kind, *how = step
+    if kind == "slide":
+        return last[how[0] :] + [row_of(v, schema) for v in how[1]]
+    if kind == "replace":
+        return picked_rows(how[0], last, schema)
+    if kind == "one":
+        return picked_rows([how[0]], last, schema)[:1]
+    return []
+
+
+def delta(**changes):
+    """A delta document for row 1 at wm 2000, changed as given (None drops a key)."""
+    doc = {"schema": "gps", "wm": 2000, "first": 1, "end": 2, "rows": [[2000, 2.0]]}
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+def carried(doc):
+    """The /state tuple that carries `doc`, or text standing for one."""
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    return Tuple(ts=1, schema_id="snapshot", values=(1, text))
+
+
 @given(
+    schema=st.sampled_from(["gps", 'a"\\é']),
     steps=st.lists(
-        st.tuples(
-            st.integers(0, 10**6),
-            st.sampled_from(["gps", 'a"\\é']),
-            st.lists(SNAP_PICK, max_size=6),
-        ),
-        min_size=1,
-        max_size=8,
-    )
+        st.tuples(st.integers(0, 10**6), SNAP_STEP, st.booleans()), min_size=1, max_size=10
+    ),
 )
 @settings(max_examples=300, deadline=None)
-def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(steps):
+def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(schema, steps):
+    """Deltas round-trip; a lost one stops evaluation until its rows slide out."""
     eng, _ = single_broker()
     sender, receiver = bare_instance(), bare_instance()
-    last = []
-    for wm, schema, picks in steps:
-        rows = snapshot_rows(picks, last, schema)
-        text = json.dumps({"schema": schema, "wm": wm, "rows": [list(r.values) for r in rows]})
+    last, mirrored = [], []
+    lost_end = 0  # rows below this index may have been lost; an empty delta loses none
+    gaps = 0
+    for wm, step, lost in steps:
+        rows = next_output(step, last, schema)
         snap = eng._encode_snapshot(sender, rows, wm, schema)
-        assert snap == Tuple(ts=wm, schema_id="snapshot", values=(wm, text))
-        got, got_wm = eng._decode_snapshot(snap, receiver, 7)
-        assert got_wm == wm
-        assert typed(got) == typed(fresh_decode(text))
-        # each cache holds the latest snapshot's rows and nothing older
+        doc = json.loads(snap.values[1])
+        assert snap == Tuple(ts=wm, schema_id="snapshot", values=(wm, json.dumps(doc)))
+        assert list(doc) == ["schema", "wm", "first", "end", "rows"]
+        assert (doc["schema"], doc["wm"], doc["end"] - doc["first"]) == (schema, wm, len(rows))
+        shipped = [row_of(r, schema) for r in doc["rows"]]
+        assert typed(shipped) == typed(rows[len(rows) - len(shipped) :])
+        if step[0] == "slide" and len(set(map(id, last))) == len(last):
+            assert len(shipped) == len(step[2])  # a slide ships its new rows only
         assert sender.sent_rows is rows
-        assert set(sender.sent_text) == {id(r) for r in rows}
-        assert {id(t) for t in receiver.received[7].values()} <= {id(t) for t in got}
+        if lost:
+            if doc["rows"]:
+                lost_end = doc["end"]
+        else:
+            got = eng._decode_snapshot(snap, receiver, 7)
+            assert (got is None) == (doc["first"] < lost_end)
+            if got is not None:
+                assert got[1] == wm
+                assert typed(got[0]) == typed(rows)
+                assert got[0] is not receiver.received[7].rows
+                # the rows the receiver already had keep their identity
+                kept = len(rows) - len(shipped)
+                if kept and mirrored:
+                    assert all(map(operator.is_, got[0][:kept], mirrored[-kept:]))
+                mirrored = got[0]
+            else:
+                mirrored = []
+            gaps += got is None
         last = rows  # older rows are freed, so their ids can come back
+    assert eng.counters.get("state_gaps", 0) == gaps
 
 
-@pytest.mark.parametrize("bad", [[1000, [1]], [1000, {"a": 1}], [1000, None]])
+@pytest.mark.parametrize("bad", [[2000, [1]], [2000, {"a": 1}], [2000, None]])
 def test_snapshot_row_of_unsupported_values_fails_tuple_validation(bad):
     eng, _ = single_broker()
-    text = json.dumps({"schema": "gps", "wm": 1000, "rows": [[1000, 1.0], bad]})
-    snap = Tuple(ts=1000, schema_id="snapshot", values=(1000, text))
+    snap = carried(delta(first=0, rows=[[2000, 1.0], bad]))
     with pytest.raises(ValueError, match="text or numbers"):
         eng._decode_snapshot(snap, bare_instance(), 7)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(doc)
+        for doc in [
+            delta(first=3, end=2, rows=[]),  # end before first
+            delta(first=1, end=2, rows=[[2000, 1.0], [2000, 2.0]]),  # more rows than fit
+            delta(rows=[[2000, [1]]]),  # unhashable values, which Tuple rejects
+            delta(rows=[[2000, {"a": 1}]]),
+            delta(first="1"),
+            delta(end=2.0),
+            delta(rows={"a": [2000]}),
+            delta(rows=[[]]),
+            delta(rows=[5]),
+            delta(rows=[[math.inf]]),
+            delta(rows=[["x"]]),
+            delta(wm="x"),
+            delta(wm=[]),
+        ]
+        + [delta(**{key: None}) for key in ("schema", "wm", "first", "end", "rows")]
+    ]
+    + ["not json", "[1, 2]", '"doc"', "null"],
+)
+def test_malformed_delta_is_rejected_without_touching_the_mirror(text):
+    eng, _ = single_broker()
+    inst = bare_instance()
+    good = eng._decode_snapshot(carried(delta(first=0, end=1, rows=[[1000, 1.0]])), inst, 7)
+    mirror = inst.received[7]
+    rows = mirror.rows
+    for idx in (7, 8):
+        with pytest.raises(ValueError):
+            eng._decode_snapshot(carried(text), inst, idx)
+    assert 8 not in inst.received
+    assert inst.received[7] is mirror and mirror.rows is rows
+    assert (mirror.base, mirror.rows) == (0, good[0])
+    assert eng.counters.get("state_gaps", 0) == 0
+    # the delta it stands for, well formed, still applies
+    assert eng._decode_snapshot(carried(delta()), inst, 7) is not None
 
 
 JOIN_HOST_QUERY = (
@@ -487,38 +574,48 @@ def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, si
         evaluations.append((args, out))
         return out
 
-    fresh = {}
+    # each window's host ships deltas of its window; the parent mirrors the join's
+    senders = {2: bare_instance(), 3: bare_instance()}
+    streams = {
+        child: [row_of(r, "gps") for r in rows] for child, (_, rows) in zip((2, 3), sides)
+    }
+    windows = {}
+    parent = bare_instance()
     with mock.patch.object(engine, "join_eval", recording):
         for step in range(max(len(rows) for _, rows in sides)):
-            for child, (width, rows) in zip((2, 3), sides):
-                window = [list(r) for r in rows[max(0, step - width + 1) : step + 1]]
-                text = json.dumps({"schema": "gps", "wm": step + 1, "rows": window})
-                fresh[child] = fresh_decode(text)
-                snap = Tuple(ts=step + 1, schema_id="snapshot", values=(step + 1, text))
+            for child, (width, _) in zip((2, 3), sides):
+                windows[child] = streams[child][max(0, step - width + 1) : step + 1]
+                snap = eng._encode_snapshot(senders[child], windows[child], step + 1, "gps")
                 name = Name(("state", "s", str(child), "out"))
                 evaluations.clear()
+                shipped = len(svc.sent)
                 eng.handle_packet(DataStream(stream_name=name, tuple=snap), in_face=1)
 
                 for (left, right, compiled, left_ctx, right_ctx, memo), out in evaluations:
                     assert left is inst.left_rows and right is inst.right_rows
                     assert memo is inst.join_memo
                     unmemoized = real(left, right, compiled, left_ctx, right_ctx)
-                    want = oracle_join_rows(fresh[2], fresh[3], cond == RESIDUAL_JOIN)
+                    want = oracle_join_rows(windows[2], windows[3], cond == RESIDUAL_JOIN)
                     assert typed(out) == typed(unmemoized) == typed(want)
                     if out:
-                        wm = min(inst.left_wm, inst.right_wm)
-                        doc = {"schema": "join(gps,gps)", "wm": wm, "rows": [list(t.values) for t in out]}
-                        assert svc.sent[-1][2].tuple.values[1] == json.dumps(doc)
                         assert inst.sent_rows is out
-                # each cache holds the latest snapshot's rows and nothing older
+                        delta = svc.sent[-1][2].tuple
+                        assert json.loads(delta.values[1])["schema"] == "join(gps,gps)"
+                        got = eng._decode_snapshot(delta, parent, 1)
+                        assert got[1] == min(inst.left_wm, inst.right_wm)
+                        assert typed(got[0]) == typed(out)
+                assert len(svc.sent) - shipped <= 1
+                # each mirror holds its window's rows, the objects the join saw
                 for idx, rows_now in ((2, inst.left_rows), (3, inst.right_rows)):
                     if idx in inst.received:
-                        kept = {id(t) for t in inst.received[idx].values()}
-                        assert kept <= {id(t) for t in rows_now}
+                        mirror = inst.received[idx].rows
+                        assert rows_now is not mirror
+                        assert len(mirror) == len(rows_now) == len(windows[idx])
+                        assert all(map(operator.is_, mirror, rows_now))
                 memo = inst.join_memo
                 ids = {id(t) for t in memo.rows[0]} | {id(t) for t in memo.rows[1]}
                 assert {i for pair in memo.pairs for i in pair} <= ids
-                assert set(inst.sent_text) == {id(t) for t in inst.sent_rows}
+    assert eng.counters.get("state_gaps", 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +810,7 @@ def test_distributed_result_flows_to_consumer():
     salted = [p for n, k, p in svc.events if k == "query_accepted"][0]["salted"]
 
     rows = [[1000, 1.0, 49.5, 8.65, 120.0, 5.0, 0.0, 10.0]]
-    snap = json.dumps({"schema": "gps", "wm": 1000, "rows": rows})
+    snap = json.dumps({"schema": "gps", "wm": 1000, "first": 0, "end": 1, "rows": rows})
     packet = DataStream(
         stream_name=Name(("state", salted, "1", "out")),
         tuple=Tuple(ts=1000, schema_id="snapshot", values=(1000, snap)),

@@ -467,6 +467,135 @@ def test_flow_control_sheds_oldest_stream_packets(tmp_path):
     assert any("drop" in line and "reason=capacity" in line for line in m.trace)
 
 
+def test_links_deliver_in_the_order_they_send(tmp_path, monkeypatch):
+    """`_deliver` takes the head of the link's queue; that must be its packet."""
+    delivered = []
+    original = Simulator._deliver
+
+    def deliver(self, key, uid, packet):
+        if uid not in self._dead:
+            assert self._in_flight[key][0][0] == uid
+            delivered.append(uid)
+        original(self, key, uid, packet)
+
+    monkeypatch.setattr(Simulator, "_deliver", deliver)
+    m = run_scenario(load_scenario(str(data_path("q3.scn"))))
+    assert delivered and m.queries["q3"].notifications
+    delivered.clear()
+    shed = run_scenario(burst_spec(tmp_path))
+    assert delivered and sum(shed.link_drops.values()) > 0
+
+
+def burst_spec(tmp_path):
+    """A burst of tuples, then calm, over a slow and shallow broker link."""
+    topo = tmp_path / "t.topo"
+    topo.write_text(
+        "node p1 producer 1\n"
+        "node b1 broker 1\n"
+        "node b2 broker 1\n"
+        "node c1 consumer 1\n"
+        "link p1 b1 1\n"
+        "link b1 b2 40 2\n"  # the window on b1 ships to the filter on b2 here
+        "link b2 c1 1\n"
+    )
+    burst, calm = tmp_path / "burst.csv", tmp_path / "calm.csv"
+    generate_gps_csv(str(burst), seed=5, rows=20, start_ts=1000, step_ms=5)
+    generate_gps_csv(str(calm), seed=6, rows=10, start_ts=2000, step_ms=1000)
+    csv = tmp_path / "gps.csv"
+    csv.write_text(burst.read_text() + calm.read_text().split("\n", 1)[1])
+    return ScenarioSpec(
+        topology=load_topology(str(topo)),
+        streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
+        queries=[
+            QueryDef("q", "c1", 10, 20000, "distributed", "FILTER(WINDOW(GPS_S1, 3), 'speed' < 20)")
+        ],
+    )
+
+
+def test_lost_state_deltas_never_evaluate_a_partial_mirror(tmp_path):
+    """The broker link sheds /state deltas during the burst.
+
+    The receiver must not evaluate while its mirror misses rows; every result
+    it emits equals the filter over the full window, and results resume once
+    the lost rows have slid out of the window.
+    """
+    spec = burst_spec(tmp_path)
+    m = run_scenario(spec)
+    assert any("drop" in line and "/state/" in line for line in m.trace)
+    assert m.nodes["b2"]["state_gaps"] > 0
+    assert not any(n.get("errors") for n in m.nodes.values())
+
+    # the oracle: the last three tuples up to the result's timestamp, filtered
+    lines = [l.split(",") for l in (tmp_path / "gps.csv").read_text().splitlines()[1:]]
+    stream = [[int(r[0])] + [float(v) for v in r[1:]] for r in lines]
+
+    def oracle(ts):
+        window = [r for r in stream if r[0] <= ts][-3:]
+        return [r for r in window if r[7] < 20]
+
+    results = [
+        json.loads(p.payload)
+        for _, p in m.app_deliveries["c1"]
+        if isinstance(p, Data) and p.name.components[0] == "ce"
+    ]
+    assert results
+    for doc in results:
+        assert json.dumps(doc["rows"]) == json.dumps(oracle(doc["ts"]))
+    calm_ts = [r[0] for r in stream if r[0] >= 2000]
+    resumed = [ts for ts in calm_ts[2:] if oracle(ts)]
+    assert resumed and set(resumed) <= {doc["ts"] for doc in results}
+    assert len(results) < len([r for r in stream if oracle(r[0])])  # some were lost
+
+
+LOOP_LINKS = (
+    ("b1", "b2"), ("b1", "b3"), ("b1", "b5"), ("b2", "b3"), ("b2", "b5"), ("b2", "b6"),
+    ("b3", "b4"), ("b3", "b5"), ("b4", "b8"), ("b5", "b7"), ("b6", "b8"),
+)
+
+
+class EventBudgetExhausted(BaseException):
+    """Not an Exception, so the simulator's per-handler catch cannot swallow it."""
+
+
+def test_stream_never_loops_round_a_cyclic_mesh(tmp_path, monkeypatch):
+    """Bare-WINDOW roots on a cyclic 8-broker mesh: the run ends.
+
+    A broker without a route for the stream name once fell back to the
+    /node/<producer> route and sent each tuple round a cycle for ever.
+    """
+    topo = tmp_path / "loop.topo"
+    nodes = ["node b%d broker 1" % k for k in range(1, 9)]
+    nodes += ["node p1 producer 1", "node c1 consumer 1", "node c2 consumer 1", "node c3 consumer 1"]
+    links = ["link %s %s 1" % ab for ab in LOOP_LINKS]
+    links += ["link p1 b1 1", "link c1 b8 1", "link c2 b6 1", "link c3 b2 1"]
+    topo.write_text("\n".join(nodes + links) + "\n")
+    csv = tmp_path / "loop.csv"
+    generate_gps_csv(str(csv), seed=1, s_id=1, rows=60)
+    queries = [
+        QueryDef("w%d" % k, "c%d" % k, 100 * k, None, "distributed", "WINDOW(GPS_S1, %ds)" % (k + 3))
+        for k in (1, 2, 3)
+    ]
+    spec = ScenarioSpec(
+        topology=load_topology(str(topo)),
+        streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
+        queries=queries,
+        seed=1,
+    )
+    events = [0]
+    original = Simulator._at
+
+    def budgeted(self, t, fn):
+        events[0] += 1
+        if events[0] > 20000:
+            raise EventBudgetExhausted()
+        original(self, t, fn)
+
+    monkeypatch.setattr(Simulator, "_at", budgeted)
+    m = run_scenario(spec)
+    assert {qid: q.notifications for qid, q in m.queries.items()} == {"w1": 60, "w2": 60, "w3": 60}
+    assert not any(n.get("errors") for n in m.nodes.values())
+
+
 def test_engine_errors_surface_in_trace_without_abort(tmp_path):
     spec = small_spec(tmp_path, rows=5)
     sim_metrics = run_scenario(spec)
