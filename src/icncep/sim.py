@@ -2,26 +2,31 @@
 
 Builds a broker overlay from a line-oriented topology file, wires one engine
 per node, replays CSV datasets as timed DataStream injections, and drives
-everything from a single (time, seq) event heap. Every packet send, receive,
-drop, and engine event lands in an ordered trace whose hash is the
-determinism contract: same scenario, same trace bytes.
+everything from a (time, seq) event heap. Every packet send, receive, drop,
+and engine event lands in an ordered trace whose hash is the determinism
+contract: same scenario, same trace bytes.
 
 Times are logical milliseconds. Node handlers run serially per node: a
 packet's processing starts when the node is idle, and its outputs leave at
 start + processing delay + any compute charged during evaluation. Real
 (wall-clock) parse and planning times are kept out of the trace and surface
 only in the metrics, marked as real in the CSV header.
+
+Handlers that find their node busy wait in per-node batches, one heap entry
+per batch rather than per handler. Events still run in the order, and take
+the seqs (so the trace uids), that one heap push per wait would give them.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import heapq
 import json
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -587,8 +592,21 @@ def _summary(p: Packet) -> str:
     return type(p).__name__
 
 
+# A node's waiting handlers: (time, seqs, handlers). `time` is the node's
+# busy_until when the batch opened; seqs[k] is the seq handlers[k] would have
+# taken as a heap entry of its own, ascending.
+Batch = tuple[float, list[int], list[Callable[[], None]]]
+
+
 class Simulator:
-    """Event loop, links, and per-node serial processing around the engines."""
+    """Event loop, links, and per-node serial processing around the engines.
+
+    Heap entries are (time, seq, node, payload). With `node` None the payload
+    is a callable. Otherwise it is a `Batch` of handlers for `node`: either a
+    timer, or the handlers that found `node` busy until `time` (`_wait`),
+    served by `_wake` in the order and with the seqs of one heap entry per
+    wait. Trace uids are heap seqs, so they do not depend on the batching.
+    """
 
     def __init__(self, spec: ScenarioSpec, collect_trace: bool = True):
         self.spec = spec
@@ -596,7 +614,8 @@ class Simulator:
         self.collect_trace = collect_trace
         self.t = 0.0
         self._seq = 0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Optional[str], object]] = []
+        self._waiting: dict[str, Batch] = {}  # each node's latest batch from `_wait`
         self.trace: list[str] = []
         self.events: list[tuple[str, str, dict]] = []
         self.app: dict[str, list[tuple[float, Packet]]] = {}
@@ -655,8 +674,9 @@ class Simulator:
         return int(self.t)
 
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> None:
-        node = self._ctx_node
-        self._at(self.t + delay_ms, lambda: self._exec(node, fn))
+        self._seq += 1
+        t = max(self.t + delay_ms, self.t)
+        heappush(self._heap, (t, self._seq, self._ctx_node, (t, [self._seq], [fn])))
 
     def local_delay_ms(self, node_id: str) -> float:
         return self.topo.node_delay(node_id)
@@ -676,13 +696,60 @@ class Simulator:
 
     def _at(self, t: float, fn: Callable[[], None]) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (max(t, self.t), self._seq, fn))
+        heappush(self._heap, (max(t, self.t), self._seq, None, fn))
 
     def _exec(self, node: str, thunk: Callable[[], None]) -> None:
-        """Run a handler in a serial processing slot on `node`."""
+        """Run a handler on `node` now, or queue it until the node is idle."""
         if self.busy_until[node] > self.t:
-            self._at(self.busy_until[node], lambda: self._exec(node, thunk))
-            return
+            self._wait(node, [thunk])
+        else:
+            self._run(node, thunk)
+
+    def _wait(self, node: str, fns: list[Callable[[], None]]) -> None:
+        """Queue `fns`, in order, until busy `node` is idle.
+
+        Each takes the next seq, as a heap push of its own would. They join
+        the node's open batch if it waits for the same busy_until, else open
+        a new one with a single heap entry.
+        """
+        until = self.busy_until[node]
+        first = self._seq + 1
+        self._seq += len(fns)
+        batch = self._waiting.get(node)
+        if batch is not None and batch[0] == until:
+            batch[1].extend(range(first, self._seq + 1))
+            batch[2].extend(fns)
+        else:
+            batch = self._waiting[node] = (until, list(range(first, self._seq + 1)), fns)
+            heappush(self._heap, (until, first, node, batch))
+
+    def _wake(self, node: str, batch: Batch) -> None:
+        """Serve a batch whose time has come, as if each handler were popped alone.
+
+        Handlers run while the node is idle. Once it is busy, every handler
+        up to the next heap event at this time moves to the node's next
+        batch in one step. If such an event falls between two handlers, the
+        rest of the batch goes back on the heap at the seq of its head.
+        """
+        t, seqs, fns = batch
+        heap = self._heap
+        i, n = 0, len(seqs)
+        while i < n:
+            j = n
+            if heap and heap[0][0] == t:  # heap times never fall below t
+                j = bisect_left(seqs, heap[0][1], i, n)
+                if j == i:
+                    heappush(heap, (t, seqs[i], node, (t, seqs[i:], fns[i:])))
+                    return
+            if self.busy_until[node] > t:
+                self._wait(node, fns[i:j])
+            else:
+                self._run(node, fns[i])
+                j = i + 1
+            i = j
+
+    def _run(self, node: str, thunk: Callable[[], None]) -> None:
+        """Run a handler in a serial processing slot on idle `node`."""
         self._ctx_node, self._ctx_charges, self._ctx_out = node, 0.0, []
         try:
             thunk()
@@ -763,10 +830,14 @@ class Simulator:
         self._at(t, fire)
 
     def run(self) -> None:
-        while self._heap:
-            t, _, fn = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            t, _, node, payload = heappop(heap)
             self.t = t
-            fn()
+            if node is None:
+                payload()
+            else:
+                self._wake(node, payload)
 
 
 def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:

@@ -1,5 +1,6 @@
 """Harness behavior: config parsing, replay, determinism, conservation."""
 
+import heapq
 import json
 import random
 import time
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icncep import sim
 from icncep.packet import Data, DataStream
 from icncep.placement import NoPath
 from icncep.sim import (
@@ -594,6 +596,174 @@ def test_stream_never_loops_round_a_cyclic_mesh(tmp_path, monkeypatch):
     m = run_scenario(spec)
     assert {qid: q.notifications for qid, q in m.queries.items()} == {"w1": 60, "w2": 60, "w3": 60}
     assert not any(n.get("errors") for n in m.nodes.values())
+
+
+# ---------------------------------------------------------------------------
+# waiting batches against one heap entry per wait
+
+
+class RequeueSimulator(Simulator):
+    """The oracle: each wait is a heap entry of its own, re-pushed while busy."""
+
+    def schedule(self, delay_ms, fn):
+        node = self._ctx_node
+        self._at(self.t + delay_ms, lambda: self._exec(node, fn))
+
+    def _exec(self, node, thunk):
+        if self.busy_until[node] > self.t:
+            self._at(self.busy_until[node], lambda: self._exec(node, thunk))
+        else:
+            self._run(node, thunk)
+
+    def run(self):
+        while self._heap:
+            t, _, _, fn = heapq.heappop(self._heap)
+            self.t = t
+            fn()
+
+
+def path_recorder(paths):
+    """The simulator as shipped, adding to `paths` the waiting-batch paths it takes."""
+
+    class PathRecorder(Simulator):
+        def _exec(self, node, thunk):
+            batch = self._waiting.get(node)
+            if (
+                self.busy_until[node] == self.t
+                and batch is not None
+                and batch[0] == self.t
+                and any(entry[3] is batch for entry in self._heap)
+            ):
+                paths.add("arrival at busy_until runs ahead of the waiters")
+            super()._exec(node, thunk)
+
+        def _wait(self, node, fns):
+            if len(fns) > 1:
+                paths.add("bulk move")
+            super()._wait(node, fns)
+
+        def _wake(self, node, batch):
+            t, seqs, _ = batch
+            top = self._heap[0] if self._heap else None
+            if top is not None and top[0] == t and top[1] < seqs[-1]:
+                paths.add("same-time event between waiters")
+            super()._wake(node, batch)
+
+    return PathRecorder
+
+
+def run_with(simulator, spec):
+    """`run_scenario` with another `Simulator` class in its place."""
+    shipped = sim.Simulator
+    sim.Simulator = simulator
+    try:
+        return run_scenario(spec)
+    finally:
+        sim.Simulator = shipped
+
+
+BUSY_QUERIES = (
+    "WINDOW(GPS_S1, 3)",
+    "FILTER(WINDOW(GPS_S1, 4), 'speed' < 20)",
+    "AVG('speed', WINDOW(GPS_S2, 2s))",
+    "JOIN(WINDOW(GPS_S1, 2s), WINDOW(GPS_S2, 2s), GPS_S1.'ts' = GPS_S2.'ts')",
+)
+
+
+@st.composite
+def busy_scenarios(draw):
+    """A broker ring with a chord, integer delays and streams a few ms apart.
+
+    Arrivals then often land exactly on a node's busy_until, and several
+    events share one time, which is where waiting batches must yield.
+    """
+    ms = st.integers(0, 3)
+    k = draw(st.integers(3, 5))
+    brokers = ["b%d" % i for i in range(1, k + 1)]
+    lines = ["node %s broker %d" % (b, draw(st.integers(0, 4))) for b in brokers]
+    lines += ["node p1 producer 1", "node p2 producer 1", "node c1 consumer 1", "node c2 consumer 1"]
+    lines += ["link %s %s %d" % (brokers[i], brokers[(i + 1) % k], draw(ms)) for i in range(k)]
+    lines.append("link b1 b%d %d" % (draw(st.integers(3, k)), draw(ms)))
+    for end in ("p1", "p2", "c1", "c2"):
+        lines.append("link %s %s %d" % (end, draw(st.sampled_from(brokers)), draw(ms)))
+    streams = [(k, draw(st.integers(10, 25)), draw(st.sampled_from([1, 2, 3, 5]))) for k in (1, 2)]
+    queries = [
+        (
+            "c%d" % draw(st.integers(1, 2)),
+            draw(st.integers(0, 900)),
+            draw(st.sampled_from([None, 1040, 1200])),
+            draw(st.sampled_from([None, 10, 25])),
+            text,
+        )
+        for text in draw(st.lists(st.sampled_from(BUSY_QUERIES), min_size=1, max_size=3, unique=True))
+    ]
+    mode = draw(st.sampled_from(["centralized", "distributed"]))
+    return lines, streams, queries, mode
+
+
+def busy_spec(tmp_path, drawn):
+    lines, streams, queries, mode = drawn
+    topo = tmp_path / "busy.topo"
+    topo.write_text("\n".join(lines) + "\n")
+    defs = []
+    for k, rows, step in streams:
+        csv = tmp_path / ("gps_%d_%d_%d.csv" % (k, rows, step))
+        if not csv.exists():
+            generate_gps_csv(str(csv), seed=k, s_id=k, rows=rows, step_ms=step)
+        defs.append(StreamDef("GPS_S%d" % k, "/node/p%d/gps" % k, "gps", str(csv), 1.0))
+    qdefs = [
+        QueryDef("q%d" % i, consumer, start, stop, mode, text, poll if stop else None)
+        for i, (consumer, start, stop, poll, text) in enumerate(queries)
+    ]
+    return ScenarioSpec(topology=load_topology(str(topo)), streams=defs, queries=qdefs, seed=1)
+
+
+def test_waiting_batches_keep_the_trace_of_one_heap_entry_per_wait(tmp_path):
+    paths = set()
+    recorder = path_recorder(paths)
+
+    @given(drawn=busy_scenarios())
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def check(drawn):
+        spec = busy_spec(tmp_path, drawn)
+        assert run_with(recorder, spec).trace == run_with(RequeueSimulator, spec).trace
+
+    check()
+    assert paths == {
+        "bulk move",
+        "same-time event between waiters",
+        "arrival at busy_until runs ahead of the waiters",
+    }
+
+
+def test_a_burst_into_a_busy_broker_costs_linear_heap_pushes(tmp_path, monkeypatch):
+    """300 stream packets queue at a slow broker; waiting must not re-push them."""
+    topo = tmp_path / "burst.topo"
+    topo.write_text(
+        "node p1 producer 0\n"
+        "node b1 broker 5\n"
+        "node c1 consumer 0\n"
+        "link p1 b1 1 1000\n"
+        "link b1 c1 1 1000\n"
+    )
+    csv = tmp_path / "gps.csv"
+    generate_gps_csv(str(csv), rows=300, step_ms=1)
+    spec = ScenarioSpec(
+        topology=load_topology(str(topo)),
+        streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
+        queries=[QueryDef("q", "c1", 10, None, "centralized", "WINDOW(GPS_S1, 3)")],
+    )
+    pushes = [0]
+
+    def counting(heap, entry):
+        pushes[0] += 1
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(sim, "heappush", counting)
+    m = run_scenario(spec, collect_trace=False)
+    handled = sum(c.get("received", 0) for c in m.nodes.values())
+    assert m.nodes["b1"]["received"] >= 300 and m.queries["q"].notifications == 300
+    assert pushes[0] < 3 * handled
 
 
 def test_engine_errors_surface_in_trace_without_abort(tmp_path):
