@@ -12,6 +12,14 @@ Name conventions produced locally:
   /ce/<qhash>/<ts>            consumer notification
   /nack/<nonce>               rejection of a malformed query
 
+The FIB holds only installed routes: those that deployments install for
+stream names and /state/<qhash>/<idx> prefixes, and each producer's route
+for its own streams. An Interest for /node/<id>/... that no route matches
+goes to the face of the topology's fewest-hop next hop toward <id>, so no
+engine keeps a route per node. Streams follow installed routes only, never
+a next hop toward their producer. Engines built without a topology route
+from their static `fib_routes` alone.
+
 An operator whose parent runs on another broker ships its output on
 /state/<qhash>/<idx>/out, once per new result, as a row delta (the
 ISTREAM/DSTREAM split of CQL): one tuple (wm, text), where text is
@@ -41,7 +49,7 @@ import json
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterable, Optional, Protocol
 
 from .operators import (
     Condition,
@@ -142,7 +150,7 @@ class NodeConfig:
     streams: dict[str, StreamBinding] = field(default_factory=dict)
     fib_routes: list[tuple[str, int]] = field(default_factory=list)
     mode: str = "centralized"
-    topology: object = None  # handle for planning; brokers only
+    topology: object = None  # every node's: brokers plan on it, all route /node/<id> by it
 
 
 class Services(Protocol):
@@ -239,7 +247,8 @@ class Engine:
         self._trees: dict[str, OperatorNode] = {}  # salted hash -> local parse
         self.qmap: dict[str, set[str]] = {}  # unsalted hash -> PIT keys
         self.high_water: dict[str, int] = {}  # stream uri -> newest tuple ts
-        self._reply_hooks: dict[str, Callable[[Data], None]] = {}
+        # Interest uri -> plan token -> what to call with the reply
+        self._reply_hooks: dict[str, dict[int, Callable[[int, Data], None]]] = {}
         self._pending: dict[int, _PendingPlan] = {}
         self._next_token = 1
         self.counters: dict[str, int] = {}
@@ -260,13 +269,18 @@ class Engine:
         return self.services.now()
 
     def _fib_faces(
-        self, name: Name, exclude: Optional[int] = None, min_len: int = 0
+        self, name: Name, exclude: Optional[int] = None, interest: bool = False
     ) -> list[int]:
-        """Faces of the longest route for `name` that has `min_len` components or more."""
+        """Faces of the longest route for `name`, minus `exclude`.
+
+        With no route, an `interest` for /node/<id>/... goes to the next hop toward <id>.
+        """
         entry = self.fib.longest_prefix(name)
-        if entry is None or len(entry.prefix.components) < min_len:
-            return []
-        return sorted(f for f in entry.faces if f != exclude and f != APP_FACE)
+        faces = () if entry is None else entry.faces
+        comps, topo = name.components, self.config.topology
+        if entry is None and interest and topo and comps[0] == "node" and len(comps) > 1:
+            faces = [self._face_of_peer.get(topo.next_hop(self.node_id, comps[1]))]
+        return sorted(f for f in faces if f not in (exclude, APP_FACE, None))
 
     def _flood_faces(self, exclude: int) -> list[int]:
         return sorted(
@@ -402,37 +416,33 @@ class Engine:
                 continue
             name = Name(("node", broker, "delay"))
             pending.awaiting[name.to_uri()] = broker
-            self._originate_interest(name, self._probe_reply(token))
+            self._originate_interest(name, token, self._probe_reply)
         if not pending.awaiting:
             self._plan_and_deploy(pending, delays=pending.delays)
         else:
             self.services.schedule(PROBE_TIMEOUT_MS, self._probe_timeout(token))
 
-    def _probe_reply(self, token: int) -> Callable[[Data], None]:
-        def on_reply(data: Data) -> None:
-            pending = self._pending.get(token)
-            if pending is None or pending.stage != "probe":
-                return
-            uri = data.name.to_uri()
-            broker = pending.awaiting.pop(uri, None)
-            if broker is not None:
-                try:
-                    pending.delays[broker] = float(data.payload.decode("utf-8"))
-                except ValueError:
-                    pending.delays[broker] = float("inf")
-            if not pending.awaiting:
-                self._plan_and_deploy(pending, delays=pending.delays)
-
-        return on_reply
+    def _probe_reply(self, token: int, data: Data) -> None:
+        pending = self._pending.get(token)
+        if pending is None or pending.stage != "probe":
+            return
+        broker = pending.awaiting.pop(data.name.to_uri(), None)
+        if broker is not None:
+            try:
+                pending.delays[broker] = float(data.payload.decode("utf-8"))
+            except ValueError:
+                pending.delays[broker] = float("inf")
+        if not pending.awaiting:
+            self._plan_and_deploy(pending, delays=pending.delays)
 
     def _probe_timeout(self, token: int) -> Callable[[], None]:
         def fire() -> None:
             pending = self._pending.get(token)
             if pending is None or pending.stage != "probe":
                 return
-            for uri, broker in pending.awaiting.items():
+            for broker in pending.awaiting.values():
                 pending.delays[broker] = float("inf")
-                self._reply_hooks.pop(uri, None)
+            self._drop_hooks(token, pending.awaiting)
             pending.awaiting.clear()
             self._plan_and_deploy(pending, delays=pending.delays)
 
@@ -476,7 +486,7 @@ class Engine:
             ).decode("ascii")
             name = Name(("node", target, "deploy", blob))
             pending.awaiting[name.to_uri()] = target
-            self._originate_interest(name, self._deploy_ack(pending.token))
+            self._originate_interest(name, pending.token, self._deploy_ack)
         self.services.schedule(DEPLOY_TIMEOUT_MS, self._deploy_timeout(pending.token))
 
     def _deployment_orders(self, pending, plan) -> dict[str, dict]:
@@ -521,16 +531,13 @@ class Engine:
             }
         return orders
 
-    def _deploy_ack(self, token: int) -> Callable[[Data], None]:
-        def on_ack(data: Data) -> None:
-            pending = self._pending.get(token)
-            if pending is None or pending.stage != "deploy":
-                return
-            pending.awaiting.pop(data.name.to_uri(), None)
-            if not pending.awaiting:
-                self._finish_deploy(pending)
-
-        return on_ack
+    def _deploy_ack(self, token: int, data: Data) -> None:
+        pending = self._pending.get(token)
+        if pending is None or pending.stage != "deploy":
+            return
+        pending.awaiting.pop(data.name.to_uri(), None)
+        if not pending.awaiting:
+            self._finish_deploy(pending)
 
     def _deploy_timeout(self, token: int) -> Callable[[], None]:
         def fire() -> None:
@@ -538,6 +545,7 @@ class Engine:
             if pending is None or pending.stage != "deploy":
                 return
             self._pending.pop(token, None)
+            self._drop_hooks(token, pending.awaiting)
             self._event(
                 "deploy_timeout",
                 nonce=pending.nonce,
@@ -636,8 +644,7 @@ class Engine:
         uri = p.stream_name.to_uri()
         comps = p.stream_name.components
         consumed = False
-        produced = uri in self._known_streams
-        if produced:
+        if uri in self._known_streams:
             self.high_water[uri] = max(self.high_water.get(uri, 0), p.tuple.ts)
 
         feeds = self._stream_feeds.get(uri, ())
@@ -662,11 +669,7 @@ class Engine:
                         self._feed_child_output(parent, int(comps[2]), *fed)
                     consumed = True
 
-        # a producer stream follows only the routes its deployments installed,
-        # never a shorter /node/<producer> route, which can send it round a cycle
-        out_faces = self._fib_faces(
-            p.stream_name, exclude=in_face, min_len=len(comps) if produced else 0
-        )
+        out_faces = self._fib_faces(p.stream_name, exclude=in_face)
         for f in out_faces:
             self._send(f, p)
         if out_faces:
@@ -875,11 +878,25 @@ class Engine:
 
     # -- classic interests and data -----------------------------------------
 
-    def _originate_interest(self, name: Name, on_reply: Callable[[Data], None]) -> None:
-        self._reply_hooks[name.to_uri()] = on_reply
-        self.pit.add_face(name, APP_FACE, self._now())
-        for f in self._fib_faces(name):
-            self._send(f, Interest(name=name))
+    def _originate_interest(
+        self, name: Name, token: int, on_reply: Callable[[int, Data], None]
+    ) -> None:
+        """Ask for `name` for plan `token`; while `name` is pending, share its Interest."""
+        hooks = self._reply_hooks.setdefault(name.to_uri(), {})
+        hooks[token] = on_reply
+        if len(hooks) == 1:
+            self.pit.add_face(name, APP_FACE, self._now())
+            for f in self._fib_faces(name, interest=True):
+                self._send(f, Interest(name=name))
+
+    def _drop_hooks(self, token: int, uris: Iterable[str]) -> None:
+        """Stop plan `token` waiting on `uris`; a name left unwaited leaves the PIT."""
+        for uri in uris:
+            hooks = self._reply_hooks.get(uri, {})
+            hooks.pop(token, None)
+            if not hooks:
+                self._reply_hooks.pop(uri, None)
+                self.pit.remove_face(Name.from_uri(uri), APP_FACE)
 
     def handle_interest(self, p: Interest, in_face: int) -> None:
         comps = p.name.components
@@ -905,7 +922,7 @@ class Engine:
             self.pit.add_face(p.name, in_face, self._now())
             self._bump("consumed")
             return
-        out_faces = self._fib_faces(p.name, exclude=in_face)
+        out_faces = self._fib_faces(p.name, exclude=in_face, interest=True)
         if not out_faces:
             self._bump("dropped")
             return
@@ -916,12 +933,13 @@ class Engine:
 
     def handle_data(self, p: Data, in_face: int) -> None:
         uri = p.name.to_uri()
-        hook = self._reply_hooks.pop(uri, None)
-        if hook is not None:
+        hooks = self._reply_hooks.pop(uri, None)
+        if hooks is not None:
             self.pit.remove(p.name)
             self.cs.insert(p.name, p.payload, p.ts)
             self._bump("consumed")
-            hook(p)
+            for token, on_reply in hooks.items():
+                on_reply(token, p)
             return
         comps = p.name.components
         if comps and comps[0] == "ce" and len(comps) >= 2:

@@ -40,6 +40,7 @@ from .packet import (
     Packet,
     RemoveQueryInterest,
     Tuple,
+    is_prefix_of,
 )
 from .placement import NoPath
 from .query import (
@@ -106,11 +107,13 @@ class TopologyConfig:
     """The overlay graph and every fact derived from it.
 
     `__post_init__` builds, once, the sorted adjacency, the link of each
-    ordered node pair (the last of duplicate links wins), the sorted broker
-    list and one breadth-first parent map per source that visits neighbours
-    in sorted order, so fewest-hop ties go to the smallest ids. Forwarding
-    routes, deployment routes and the connectivity check all read these, so
-    `nodes` and `link_list` must not change after construction.
+    ordered node pair (the last of duplicate links wins) and the sorted broker
+    list. A source's breadth-first parent map, which visits neighbours in
+    sorted order so that fewest-hop ties go to the smallest ids, is built on
+    the first `next_hop` or `hop_path` from that source and kept. Interest
+    forwarding toward /node/<id> names, deployment routes and the
+    connectivity check all read these, so `nodes` and `link_list` must not
+    change after construction.
     """
 
     name: str
@@ -127,17 +130,19 @@ class TopologyConfig:
             self.link_by_pair[(l.b, l.a)] = l
         self._adj = {n: sorted(peers) for n, peers in adj.items()}
         self._brokers = sorted(n.node_id for n in self.nodes.values() if n.role == "broker")
-        self._parents = {src: self._bfs(src) for src in self._adj}
+        self._parents: dict[str, dict[str, Optional[str]]] = {}  # by source, on demand
 
     def _bfs(self, src: str) -> dict[str, Optional[str]]:
-        parents: dict[str, Optional[str]] = {src: None}
-        order = [src]
-        for n in order:  # grows while it is walked: a FIFO queue
-            for peer in self._adj[n]:
-                if peer not in parents:
-                    parents[peer] = n
-                    order.append(peer)
-        return parents
+        parents = self._parents.get(src)
+        if parents is None and src in self._adj:
+            parents = self._parents[src] = {src: None}
+            order = [src]
+            for n in order:  # grows while it is walked: a FIFO queue
+                for peer in self._adj[n]:
+                    if peer not in parents:
+                        parents[peer] = n
+                        order.append(peer)
+        return parents or {}
 
     def broker_ids(self) -> list[str]:
         return list(self._brokers)
@@ -153,7 +158,7 @@ class TopologyConfig:
 
     def next_hop(self, src: str, dst: str) -> Optional[str]:
         """First node after `src` on its fewest-hop path to `dst`, if any."""
-        parents = self._parents.get(src, {})
+        parents = self._bfs(src)
         if src == dst or dst not in parents:
             return None
         node = dst
@@ -165,7 +170,7 @@ class TopologyConfig:
         """Fewest-hop node path from `src` to `dst`, both ends included."""
         if src == dst:
             return [src]
-        parents = self._parents.get(src, {})
+        parents = self._bfs(src)
         if dst not in parents:
             raise NoPath("%s cannot reach %s" % (src, dst))
         path = [dst]
@@ -416,6 +421,11 @@ def _validate_scenario(spec: ScenarioSpec, origin: str) -> None:
         producer = Name.from_uri(s.uri).components[1]
         if producer not in spec.topology.nodes:
             raise ConfigError("%s: stream %s names unknown producer %s" % (origin, s.alias, producer))
+    # a nested stream would follow the routes its enclosing stream's deployments install
+    names = sorted((Name.from_uri(s.uri) for s in spec.streams), key=lambda n: n.components)
+    for outer, inner in zip(names, names[1:]):
+        if len(outer.components) < len(inner.components) and is_prefix_of(outer, inner):
+            raise ConfigError("%s: stream %s nests inside stream %s" % (origin, inner, outer))
 
 
 def override_scenario(
@@ -644,26 +654,18 @@ class Simulator:
                 streams=bindings,
                 fib_routes=self._routes_for(nid, faces),
                 mode=mode,
-                topology=self.topo if tnode.role == "broker" else None,
+                topology=self.topo,
             )
             self.engines[nid] = Engine(cfg, self)
 
-    # routing: fewest-hop next-hop toward every other node, plus each
-    # producer pushing its own stream toward its lowest-id broker neighbor
+    # each producer pushes its own streams toward its lowest-id broker neighbour
     def _routes_for(self, nid: str, faces: list[FaceDef]) -> list[tuple[str, int]]:
-        face_of = {f.peer: f.face_id for f in faces}
-        routes = []
-        for target in sorted(self.topo.nodes):
-            hop = self.topo.next_hop(nid, target)
-            if hop is not None:
-                routes.append(("/node/%s" % target, face_of[hop]))
-        if self.topo.nodes[nid].role == "producer":
-            broker = self.topo.ingress_broker(nid)
-            if broker is not None:
-                for s in self.spec.streams:
-                    if Name.from_uri(s.uri).components[1] == nid:
-                        routes.append((s.uri, face_of[broker]))
-        return routes
+        broker = self.topo.ingress_broker(nid)
+        if self.topo.nodes[nid].role != "producer" or broker is None:
+            return []
+        face = next(f.face_id for f in faces if f.peer == broker)
+        mine = [s.uri for s in self.spec.streams if Name.from_uri(s.uri).components[1] == nid]
+        return [(uri, face) for uri in mine]
 
     # -- Services protocol ---------------------------------------------------
 

@@ -4,7 +4,10 @@ The content store gates lookups by logical timestamp so a cached result can
 never be served once the caller knows of newer input (the stale-cache
 problem of plain pull caching). Pending query interests live in the PIT
 until explicitly removed; Data arrival never consumes them. The FIB is a
-component trie supporting longest-prefix match.
+component trie supporting longest-prefix match. It holds installed routes
+only, and so do its dumps: an engine routes /node/<id> Interests that no
+route matches from the topology's next hop, and those implicit routes are
+not listed.
 
 All three tables are owned by a single node engine and are only mutated
 from that engine's event loop; they expose no locking.

@@ -846,3 +846,46 @@ def test_probe_timeout_marks_unreachable_and_proceeds():
     kinds = [k for n, k, p in svc.events]
     assert deploys == []
     assert "plan_failed" in kinds
+    # b2's late reply finds no pending Interest, so the app never sees it
+    b2_probe = [p for p in probes if p.name.components[1] == "b2"][0]
+    eng.handle_packet(Data(name=b2_probe.name, payload=b"1.0", ts=1), in_face=1)
+    assert sent_to(svc, APP_FACE) == []
+    assert eng.pit.lookup(b2_probe.name) is None
+
+
+Q3 = "FILTER(WINDOW(GPS_S1, 6s), 'latitude' < 48)"
+
+
+def test_concurrent_plans_share_one_probe_per_broker():
+    eng, svc = coordinator_b3()
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q3, nonce="n2"), in_face=9)
+    probes = [p for p in sent_to(svc, 1, Interest) if p.name.components[-1] == "delay"]
+    assert sorted(p.name.to_uri() for p in probes) == ["/node/b1/delay", "/node/b2/delay"]
+    for p in probes:
+        eng.handle_packet(Data(name=p.name, payload=b"1.0", ts=1), in_face=1)
+    assert eng.counters.get("dropped", 0) == 0
+    deploys = [p for p in sent_to(svc, 1, Interest) if len(p.name.components) == 4]
+    assert len({p.name.components[3] for p in deploys}) == 4  # b1 and b2, for each plan
+    for p in deploys:
+        eng.handle_packet(Data(name=p.name, payload=b"ok", ts=2), in_face=1)
+    svc.fire_timers()
+    kinds = [(p["nonce"], k) for n, k, p in svc.events]
+    assert ("n1", "query_deployed") in kinds and ("n2", "query_deployed") in kinds
+    assert not any(k in ("plan_failed", "deploy_timeout") for _, k in kinds)
+    assert sent_to(svc, APP_FACE) == []
+
+
+def test_a_probe_timeout_drops_only_its_own_wait():
+    eng, svc = coordinator_b3()
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    svc.clock = 100
+    eng.handle_packet(AddQueryInterest(query=Q3, nonce="n2"), in_face=9)
+    first_timeout = svc.timers.pop(0)[1]
+    first_timeout()  # n1 gives up on both brokers; n2 still waits
+    for uri in ("/node/b1/delay", "/node/b2/delay"):
+        eng.handle_packet(Data(name=Name.from_uri(uri), payload=b"1.0", ts=1), in_face=1)
+    kinds = [(p["nonce"], k) for n, k, p in svc.events]
+    assert ("n1", "plan_failed") in kinds
+    deploys = [p for p in sent_to(svc, 1, Interest) if len(p.name.components) == 4]
+    assert {p.name.components[1] for p in deploys} == {"b1", "b2"}  # n2 planned

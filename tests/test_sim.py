@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icncep import sim
-from icncep.packet import Data, DataStream
+from icncep.engine import APP_FACE
+from icncep.packet import Data, DataStream, Interest, Name
 from icncep.placement import NoPath
 from icncep.sim import (
     ConfigError,
@@ -155,13 +156,27 @@ def oracle_ingress_broker(topo, producer):
     return best
 
 
+def interest_peers(simulator, src, uri):
+    """The peers that `src`'s engine forwards a locally asked Interest for `uri` to."""
+    engine = simulator.engines[src]
+    simulator._ctx_out = []
+    engine.handle_interest(Interest(name=Name.from_uri(uri)), APP_FACE)
+    return [engine.faces[face].peer for face, _packet in simulator._ctx_out]
+
+
 def assert_graph_matches_oracle(topo):
+    simulator = Simulator(ScenarioSpec(topology=topo, streams=[], queries=[]))
     for src in topo.nodes:
         assert topo.neighbors(src) == oracle_neighbors(topo, src)
         assert topo.ingress_broker(src) == oracle_ingress_broker(topo, src)
         for dst in topo.nodes:
-            assert topo.next_hop(src, dst) == oracle_next_hop(topo, src, dst)
+            hop = oracle_next_hop(topo, src, dst)
+            assert topo.next_hop(src, dst) == hop
             assert topo.hop_path(src, dst) == oracle_hops(topo, src, dst)
+            if hop is not None:
+                assert interest_peers(simulator, src, "/node/%s/delay" % dst) == [hop]
+        assert interest_peers(simulator, src, "/node/%s/x" % src) == []
+        assert interest_peers(simulator, src, "/node/no-such-node/x") == []
 
 
 @st.composite
@@ -221,6 +236,30 @@ def test_setup_of_200_brokers_is_fast(tmp_path):
     assert time.perf_counter() - started < 2.0
 
 
+def test_setup_of_1000_brokers_installs_only_stream_routes_and_one_bfs(tmp_path):
+    ids = ["b%04d" % i for i in range(1000)]
+    lines = ["node %s broker 1" % b for b in ids] + ["node p1 producer 1", "node c1 consumer 1"]
+    lines += ["link %s %s 1" % (b, ids[(i + 1) % 1000]) for i, b in enumerate(ids)]  # ring
+    lines += ["link %s %s 2" % (b, ids[(i + 37) % 1000]) for i, b in enumerate(ids[::10])]
+    lines += ["link p1 b0000 1", "link c1 b0500 1"]
+    path = tmp_path / "n1000.topo"
+    path.write_text("\n".join(lines) + "\n")
+    streams = [
+        StreamDef("GPS_S1", "/node/p1/gps", "gps", "unused.csv"),
+        StreamDef("GPS_S2", "/node/p1/gps2", "gps", "unused.csv"),
+    ]
+
+    topo = load_topology(str(path))
+    simulator = Simulator(ScenarioSpec(topology=topo, streams=streams, queries=[]))
+    routes = {
+        (nid, e.prefix.to_uri(), tuple(sorted(e.faces)))
+        for nid, engine in simulator.engines.items()
+        for e in engine.fib.entries()
+    }
+    assert routes == {("p1", "/node/p1/gps", (1,)), ("p1", "/node/p1/gps2", (1,))}
+    assert len(topo._parents) <= 1
+
+
 # ---------------------------------------------------------------------------
 # scenario loading
 
@@ -268,6 +307,30 @@ def test_scenario_rejects_unknown_consumer(tmp_path):
     )
     with pytest.raises(ConfigError):
         load_scenario(str(p))
+
+
+def streams_scenario(tmp_path, uris):
+    generate_gps_csv(str(tmp_path / "g.csv"), rows=3)
+    lines = ["topology centralized"]
+    lines += ["stream GPS_S%d %s gps g.csv 1.0" % (k, uri) for k, uri in enumerate(uris, 1)]
+    lines.append("query a c1 0 1000 centralized WINDOW(GPS_S1, 4s)")
+    p = tmp_path / "s.scn"
+    p.write_text("\n".join(lines) + "\n")
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "outer,inner", [("/node/p1/gps", "/node/p1/gps/raw"), ("/node/p1", "/node/p1/gps")]
+)
+def test_scenario_rejects_a_stream_nested_in_another(tmp_path, outer, inner):
+    with pytest.raises(ConfigError) as err:
+        load_scenario(streams_scenario(tmp_path, [inner, "/node/p1/gpsx", outer]))
+    assert "%s nests inside stream %s" % (inner, outer) in str(err.value)
+
+
+def test_scenario_accepts_streams_that_share_only_leading_text(tmp_path):
+    uris = ["/node/p1/gps", "/node/p1/gpsx", "/node/p1/gps2/raw"]
+    assert len(load_scenario(streams_scenario(tmp_path, uris)).streams) == 3
 
 
 def test_scenario_rejects_bad_query_text(tmp_path):
