@@ -9,6 +9,8 @@ Name conventions produced locally:
   /node/<id>/delay            advertised processing + queueing delay
   /node/<id>/deploy/<blob>    operator deployment order (base64url JSON)
   /state/<qhash>/<idx>/out    intermediate result stream between brokers
+  /state/<qhash>/<idx>/prune/<wm>
+                              asks the upstream hop to stop that stream
   /ce/<qhash>/<ts>            consumer notification
   /nack/<nonce>               rejection of a malformed query
 
@@ -40,6 +42,31 @@ receiver skips evaluation (counter `state_gaps`) until `first` passes the
 missing rows or a keyframe arrives. Row objects so keep their identity from
 sender to receiver, and a hash join reuses the joined row it last built for
 the same pair of row objects.
+
+Query lifecycle. A RemoveQueryInterest only drops a PIT face; the work is
+released where its data next arrives unwanted, as in the prune of
+dense-mode multicast:
+  - Release at the root. When the root operator, which sits on the
+    coordinator, has a result and finds no PIT entry for its query, the
+    engine releases every instance of that salted query on this node, with
+    its stream and child feeds and its tree.
+  - Prune hop by hop. A /state/<q>/<i>/out delta that a node neither
+    consumes nor forwards is answered with an Interest
+    /state/<q>/<i>/prune/<wm> on its in-face, where <wm> is the delta's
+    watermark. The receiver drops that face from its route for
+    /state/<q>/<i> and, once the route has no face left, releases every
+    instance of q it hosts (each takes its own /state route along). The
+    next delta then dead-ends one hop further upstream, so the teardown
+    walks down to the ingress windows.
+  - Stale prunes. Each node fences each feed it ships or forwards at the
+    watermark of its first delta sent DEPLOY_TIMEOUT_MS or more after its
+    latest deploy order for the query. A prune below the fence, or before
+    it is set, is ignored (counter `stale_prunes`): it answers a delta of an
+    older deployment, or one that reached a hop whose deploy order was
+    still on its way. A re-deployed instance ships a keyframe next, so a
+    re-created parent's fresh mirror is not left with a gap.
+A query whose data stops flowing is not released. Counters `prunes_sent` and
+`released` (instances) count the work.
 """
 
 from __future__ import annotations
@@ -249,6 +276,8 @@ class Engine:
         self.high_water: dict[str, int] = {}  # stream uri -> newest tuple ts
         # Interest uri -> plan token -> what to call with the reply
         self._reply_hooks: dict[str, dict[int, Callable[[int, Data], None]]] = {}
+        self._deployed: dict[str, int] = {}  # salted hash -> time of its latest deploy here
+        self._fences: dict[tuple[str, int], int] = {}  # /state feed sent or forwarded -> fence wm
         self._pending: dict[int, _PendingPlan] = {}
         self._next_token = 1
         self.counters: dict[str, int] = {}
@@ -602,13 +631,19 @@ class Engine:
         if tree is None:
             tree = create_operator_graph(key, self.config.streams or None)
             self._trees[salted] = tree
+        self._deployed[salted] = self._now()
         parent_of: dict[int, Optional[int]] = {tree.index: None}
         for node in tree.walk():
+            self._fences.pop((salted, node.index), None)
             for child in node.children:
                 parent_of[child.index] = node.index
         by_index = {node.index: node for node in tree.walk()}
         for idx, host in assignments.items():
-            if host != self.node_id or (salted, idx) in self.instances:
+            if host != self.node_id:
+                continue
+            existing = self.instances.get((salted, idx))
+            if existing is not None:
+                existing.sent_rows = []  # its parent may be new: ship a keyframe next
                 continue
             node = by_index[idx]
             pidx = parent_of[idx]
@@ -644,6 +679,7 @@ class Engine:
         uri = p.stream_name.to_uri()
         comps = p.stream_name.components
         consumed = False
+        feed = None  # (salted hash, index) of a /state delta
         if uri in self._known_streams:
             self.high_water[uri] = max(self.high_water.get(uri, 0), p.tuple.ts)
 
@@ -660,13 +696,14 @@ class Engine:
                 self._feed_window(inst, p.tuple)
             consumed = True
         elif len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
-            parent_key = self._child_feeds.get((comps[1], int(comps[2])))
+            feed = (comps[1], int(comps[2]))
+            parent_key = self._child_feeds.get(feed)
             if parent_key is not None:
                 parent = self.instances.get(parent_key)
                 if parent is not None:
-                    fed = self._decode_snapshot(p.tuple, parent, int(comps[2]))
+                    fed = self._decode_snapshot(p.tuple, parent, feed[1])
                     if fed is not None:
-                        self._feed_child_output(parent, int(comps[2]), *fed)
+                        self._feed_child_output(parent, feed[1], *fed)
                     consumed = True
 
         out_faces = self._fib_faces(p.stream_name, exclude=in_face)
@@ -674,10 +711,16 @@ class Engine:
             self._send(f, p)
         if out_faces:
             self._bump("forwarded")
+            if feed is not None:
+                self._fence(feed, p.tuple.ts)
         elif consumed:
             self._bump("consumed")
         else:
             self._bump("dropped")
+            if feed is not None:  # nobody here wants this feed: prune it upstream
+                self._bump("prunes_sent")
+                prune = Name(("state", comps[1], comps[2], "prune", str(p.tuple.ts)))
+                self._send(in_face, Interest(name=prune))
 
     def _feed_window(self, inst: OpInstance, t: Tuple) -> None:
         self.services.charge(self.node_id, EVAL_COST_MS["WINDOW"])
@@ -784,6 +827,7 @@ class Engine:
             self._send(f, packet)
         if faces:
             self._bump("results_shipped")
+            self._fence((inst.salted, inst.node.index), wm)
 
     def _feed_child_output(
         self, inst: OpInstance, child_idx: int, rows: list[Tuple], wm: int
@@ -854,6 +898,7 @@ class Engine:
     def _notify(self, inst: OpInstance, rows: list[Tuple], wm: int) -> None:
         entry = self.pit.lookup(inst.key)
         if entry is None or not entry.faces:
+            self._release(inst.salted)  # the query was removed: its work here ends
             return
         if wm <= entry.last_result_ts:
             return
@@ -875,6 +920,62 @@ class Engine:
         self._event(
             "notification", salted=inst.salted, unsalted=inst.unsalted, ts=wm, rows=len(rows)
         )
+
+    # -- teardown ------------------------------------------------------------
+
+    def _fence(self, feed: tuple[str, int], wm: int) -> None:
+        """Note a delta sent or forwarded on `feed`.
+
+        The first one sent DEPLOY_TIMEOUT_MS or more after this node's latest
+        deploy order for its query sets the feed's fence: a prune answering an
+        older delta is stale.
+        """
+        if feed not in self._fences:
+            since = self._deployed.get(feed[0])
+            if since is None or self._now() >= since + DEPLOY_TIMEOUT_MS:
+                self._fences[feed] = wm
+
+    def _handle_prune(self, feed: tuple[str, int], wm: int, in_face: int) -> None:
+        """Stop sending `feed` on `in_face`; with no face left, release its query here."""
+        fence = self._fences.get(feed)
+        if fence is None or wm < fence:
+            self._bump("stale_prunes")
+            return
+        prefix = Name(("state", feed[0], str(feed[1])))
+        self.fib.remove_route(prefix, in_face)
+        if self._fib_faces(prefix):
+            return
+        del self._fences[feed]
+        self._release(feed[0])
+
+    def _release(self, salted: str) -> None:
+        """Drop every instance of query `salted` on this node, its feeds and its tree.
+
+        An instance that ships to a remote parent takes its /state route along.
+        """
+        tree = self._trees.pop(salted, None)
+        self._deployed.pop(salted, None)
+        if tree is None:
+            return
+        for node in tree.walk():
+            key = (salted, node.index)
+            self._child_feeds.pop(key, None)
+            inst = self.instances.pop(key, None)
+            if inst is None:
+                continue
+            self._bump("released")
+            binding = self.config.streams.get(node.stream_alias) if node.kind == "WINDOW" else None
+            if binding is not None:
+                uri = binding.name.to_uri()
+                feeds = self._stream_feeds[uri]
+                feeds.remove(key)
+                if not feeds:
+                    del self._stream_feeds[uri]
+            if inst.parent_host not in (None, self.node_id):
+                self._fences.pop(key, None)
+                prefix = Name(("state", salted, str(node.index)))
+                for f in self._fib_faces(prefix):
+                    self.fib.remove_route(prefix, f)
 
     # -- classic interests and data -----------------------------------------
 
@@ -900,6 +1001,10 @@ class Engine:
 
     def handle_interest(self, p: Interest, in_face: int) -> None:
         comps = p.name.components
+        if len(comps) == 5 and comps[0] == "state" and comps[3] == "prune":
+            self._bump("consumed")
+            self._handle_prune((comps[1], int(comps[2])), int(comps[4]), in_face)
+            return
         if len(comps) == 3 and comps[:2] == ("node", self.node_id) and comps[2] == "delay":
             delay = self.services.local_delay_ms(self.node_id)
             self._bump("consumed")
@@ -931,12 +1036,27 @@ class Engine:
         for f in out_faces:
             self._send(f, p)
 
+    def _cache(self, p: Data) -> None:
+        """Keep `p` in the content store unless it acks a deploy order.
+
+        A deploy order is a command: a re-deploy of the same query repeats its
+        name, and must reach its target rather than a cached ack.
+        """
+        comps = p.name.components
+        if not (len(comps) == 4 and comps[0] == "node" and comps[2] == "deploy"):
+            self.cs.insert(p.name, p.payload, p.ts)
+
     def handle_data(self, p: Data, in_face: int) -> None:
         uri = p.name.to_uri()
         hooks = self._reply_hooks.pop(uri, None)
         if hooks is not None:
+            # other nodes' Interests aggregated on this node's own get the Data too
+            entry = self.pit.lookup(p.name)
+            for f in sorted(entry.faces) if entry is not None else ():
+                if f not in (APP_FACE, in_face):
+                    self._send(f, p)
             self.pit.remove(p.name)
-            self.cs.insert(p.name, p.payload, p.ts)
+            self._cache(p)
             self._bump("consumed")
             for token, on_reply in hooks.items():
                 on_reply(token, p)
@@ -970,7 +1090,7 @@ class Engine:
             return
         faces = sorted(entry.faces)
         self.pit.remove(p.name)
-        self.cs.insert(p.name, p.payload, p.ts)
+        self._cache(p)
         for f in faces:
             if f != in_face:
                 self._send(f, p)

@@ -418,7 +418,10 @@ def _validate_scenario(spec: ScenarioSpec, origin: str) -> None:
     if len(modes) > 1:
         raise ConfigError("%s: queries mix deployment modes %s" % (origin, sorted(modes)))
     for s in spec.streams:
-        producer = Name.from_uri(s.uri).components[1]
+        comps = Name.from_uri(s.uri).components
+        if len(comps) < 2:
+            raise ConfigError("%s: stream %s URI %s names no producer" % (origin, s.alias, s.uri))
+        producer = comps[1]
         if producer not in spec.topology.nodes:
             raise ConfigError("%s: stream %s names unknown producer %s" % (origin, s.alias, producer))
     # a nested stream would follow the routes its enclosing stream's deployments install
@@ -841,6 +844,17 @@ class Simulator:
             else:
                 self._wake(node, payload)
 
+    def detach(self) -> None:
+        """Drop the engines' and the waiting handlers' references to this simulator.
+
+        Engines hold it as their services, and waiting handlers close over
+        it, so without this a finished run lives on until the cyclic garbage
+        collector finds it. The engines stay readable; they can no longer run.
+        """
+        for eng in self.engines.values():
+            eng.services = None
+        self._waiting.clear()
+
 
 def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:
     sim = Simulator(spec, collect_trace=collect_trace)
@@ -881,6 +895,7 @@ def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:
         app_deliveries=sim.app,
         trace=sim.trace,
     )
+    sim.detach()
     metrics.trace_hash = hashlib.sha256("\n".join(sim.trace).encode("utf-8")).hexdigest()
 
     # first acceptance and deployment per query id; nonces are "<query id>:<k>"

@@ -5,9 +5,9 @@ never be served once the caller knows of newer input (the stale-cache
 problem of plain pull caching). Pending query interests live in the PIT
 until explicitly removed; Data arrival never consumes them. The FIB is a
 component trie supporting longest-prefix match. It holds installed routes
-only, and so do its dumps: an engine routes /node/<id> Interests that no
-route matches from the topology's next hop, and those implicit routes are
-not listed.
+only (deployments add them, and a prune removes them face by face), and so do
+its dumps: an engine routes /node/<id> Interests that no route matches from
+the topology's next hop, and those implicit routes are not listed.
 
 All three tables are owned by a single node engine and are only mutated
 from that engine's event loop; they expose no locking.
@@ -183,6 +183,32 @@ class ForwardingInformationBase:
             node.entry = FibEntry(prefix=prefix, faces=set())
             self._count += 1
         node.entry.faces.add(face_id)
+
+    def remove_route(self, prefix: Name, face_id: int) -> bool:
+        """Drop one face of the route for exactly `prefix`; False if it had none.
+
+        A route left with no face goes, and so do the trie nodes that then
+        lead nowhere.
+        """
+        path = [self._root]
+        for comp in prefix.components:
+            node = path[-1].children.get(comp)
+            if node is None:
+                return False
+            path.append(node)
+        entry = path[-1].entry
+        if entry is None or face_id not in entry.faces:
+            return False
+        entry.faces.discard(face_id)
+        if not entry.faces:
+            path[-1].entry = None
+            self._count -= 1
+            comps = prefix.components
+            for k in range(len(comps), 0, -1):
+                if path[k].entry is not None or path[k].children:
+                    break
+                del path[k - 1].children[comps[k - 1]]
+        return True
 
     def longest_prefix(self, name: Name) -> Optional[FibEntry]:
         node = self._root

@@ -889,3 +889,77 @@ def test_a_probe_timeout_drops_only_its_own_wait():
     assert ("n1", "plan_failed") in kinds
     deploys = [p for p in sent_to(svc, 1, Interest) if len(p.name.components) == 4]
     assert {p.name.components[1] for p in deploys} == {"b1", "b2"}  # n2 planned
+
+
+class RecordingNet(Net):
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def event(self, node_id, kind, payload):
+        self.events.append((node_id, kind, payload))
+
+
+def wired_line():
+    """Engines on p1 - b1 - b2 - b3 - c1, delivering through a RecordingNet."""
+    net = RecordingNet()
+    topo = line_topology()
+    peers = {"p1": ["b1"], "b1": ["p1", "b2"], "b2": ["b1", "b3"], "b3": ["b2", "c1"], "c1": ["b3"]}
+    for node, near in peers.items():
+        faces = [FaceDef(k, peer) for k, peer in enumerate(near, 1)]
+        cfg = NodeConfig(
+            node,
+            topo.nodes[node].role,
+            faces=faces,
+            streams=default_streams(),
+            mode="distributed",
+            topology=topo,
+        )
+        net.engines[node] = Engine(cfg, net)
+        for k, peer in enumerate(near, 1):
+            net.links[(node, k)] = (peer, peers[peer].index(node) + 1)
+    return net
+
+
+def test_a_reply_reaches_interests_aggregated_on_the_nodes_own():
+    net = wired_line()
+    b2, b3 = net.engines["b2"], net.engines["b3"]
+    b2.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), APP_FACE)  # b2 probes b1
+    b3.handle_packet(AddQueryInterest(query=Q3, nonce="n3"), in_face=2)  # so does b3, via b2
+    net.run()
+    # b3's probe for /node/b1/delay waited on b2's pending one, and got its reply
+    assert b2.counters["consumed"] >= 1 and b2.pit.lookup(Name.from_uri("/node/b1/delay")) is None
+    deployed = [(n, p["nonce"]) for n, k, p in net.events if k == "query_deployed"]
+    assert ("b2", "n2") in deployed and ("b3", "n3") in deployed
+    assert net.timers and not any(k == "plan_failed" for _, k, _ in net.events)
+
+
+def test_a_re_deployed_window_ships_a_keyframe_next():
+    """Its parent may have been released and deployed afresh, with an empty mirror."""
+    coordinator, svc = coordinator_b3()
+    coordinator.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    for p in [p for p in sent_to(svc, 1, Interest) if p.name.components[-1] == "delay"]:
+        coordinator.handle_packet(Data(name=p.name, payload=b"1.0", ts=1), in_face=1)
+    order = next(p for p in sent_to(svc, 1, Interest) if p.name.components[:3] == ("node", "b1", "deploy"))
+    b1_svc = FakeServices()
+    cfg = NodeConfig(
+        "b1",
+        "broker",
+        faces=[FaceDef(1, "p1"), FaceDef(2, "b2")],
+        streams=default_streams(),
+        mode="distributed",
+        topology=line_topology(),
+    )
+    b1 = Engine(cfg, b1_svc)
+
+    def last_delta():
+        return json.loads(sent_to(b1_svc, 2, DataStream)[-1].tuple.values[1])
+
+    b1.handle_packet(order, in_face=2)
+    for ts in (1000, 2000, 3000):
+        b1.handle_packet(gps_packet(ts), in_face=1)
+    assert len(last_delta()["rows"]) == 1  # the window grew by one row
+    b1.handle_packet(order, in_face=2)  # the same query, deployed again
+    b1.handle_packet(gps_packet(4000), in_face=1)
+    doc = last_delta()
+    assert len(doc["rows"]) == doc["end"] - doc["first"] > 1

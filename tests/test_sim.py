@@ -1,9 +1,11 @@
 """Harness behavior: config parsing, replay, determinism, conservation."""
 
+import gc
 import heapq
 import json
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -331,6 +333,12 @@ def test_scenario_rejects_a_stream_nested_in_another(tmp_path, outer, inner):
 def test_scenario_accepts_streams_that_share_only_leading_text(tmp_path):
     uris = ["/node/p1/gps", "/node/p1/gpsx", "/node/p1/gps2/raw"]
     assert len(load_scenario(streams_scenario(tmp_path, uris)).streams) == 3
+
+
+def test_scenario_rejects_a_stream_uri_without_a_producer(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        load_scenario(streams_scenario(tmp_path, ["/gps"]))
+    assert "stream GPS_S1 URI /gps names no producer" in str(err.value)
 
 
 def test_scenario_rejects_bad_query_text(tmp_path):
@@ -827,6 +835,25 @@ def test_a_burst_into_a_busy_broker_costs_linear_heap_pushes(tmp_path, monkeypat
     handled = sum(c.get("received", 0) for c in m.nodes.values())
     assert m.nodes["b1"]["received"] >= 300 and m.queries["q"].notifications == 300
     assert pushes[0] < 3 * handled
+
+
+def test_a_finished_run_is_freed_by_refcount(tmp_path, monkeypatch):
+    runs = []
+    run = Simulator.run
+
+    def keep_a_weakref(self):
+        runs.append(weakref.ref(self))
+        run(self)
+
+    monkeypatch.setattr(Simulator, "run", keep_a_weakref)
+    spec = small_spec(tmp_path, rows=10, mode="distributed", topology="distributed")
+    gc.disable()
+    try:
+        metrics = run_scenario(spec)
+        assert runs[0]() is None
+    finally:
+        gc.enable()
+    assert metrics.queries["q"].notifications == 10
 
 
 def test_engine_errors_surface_in_trace_without_abort(tmp_path):

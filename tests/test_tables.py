@@ -158,6 +158,27 @@ def test_fib_multiple_faces_per_prefix():
     assert len(fib) == 1
 
 
+def test_fib_remove_route_drops_one_face_then_the_route():
+    fib = _fib_of([("/state/q/1", 1), ("/state/q/1", 2), ("/state/r/1", 3)])
+    assert fib.remove_route(Name.from_uri("/state/q/1"), 1)
+    assert fib.longest_prefix(Name.from_uri("/state/q/1/out")).faces == {2}
+    assert not fib.remove_route(Name.from_uri("/state/q/1"), 1)  # face already gone
+    assert not fib.remove_route(Name.from_uri("/state/q"), 2)  # no route for exactly /state/q
+    assert fib.remove_route(Name.from_uri("/state/q/1"), 2)
+    assert fib.longest_prefix(Name.from_uri("/state/q/1/out")) is None
+    assert len(fib) == 1
+    assert [e.prefix.to_uri() for e in fib.entries()] == ["/state/r/1"]
+    assert "q" not in fib._root.children["state"].children  # no trie branch left behind
+
+
+def test_fib_remove_route_keeps_routes_above_and_below():
+    fib = _fib_of([("/a", 1), ("/a/b", 2), ("/a/b/c", 3)])
+    assert fib.remove_route(Name.from_uri("/a/b"), 2)
+    assert fib.longest_prefix(Name.from_uri("/a/b/x")).prefix.to_uri() == "/a"
+    assert fib.longest_prefix(Name.from_uri("/a/b/c/x")).prefix.to_uri() == "/a/b/c"
+    assert len(fib) == 2
+
+
 def _brute_force_longest(entries, name):
     """Independent oracle: scan all prefixes, keep the longest match."""
     best = None
