@@ -22,6 +22,17 @@ engine keeps a route per node. Streams follow installed routes only, never
 a next hop toward their producer. Engines built without a topology route
 from their static `fib_routes` alone.
 
+Each engine parses each query text once per run, as NFN resolves a name
+once. `_parse` keeps every text that parsed, whether it came in an Add, a
+Remove or as a deploy order's canonical key, with its operator tree,
+canonical key and real parse time; a poll's Remove+Add pair and every later
+deploy of the same query are lookups. A text that fails to parse is parsed
+again each time and nacked each time. Memoized trees are shared with
+`_trees`, pending plans and operator instances, so nothing changes a tree
+after `create_operator_graph` returns. `graph_real_ms` is the time of the
+parse that built the entry, on a hit too. The memo holds one entry per
+distinct text and lives as long as the run: `Simulator.detach` clears it.
+
 An operator whose parent runs on another broker ships its output on
 /state/<qhash>/<idx>/out, once per new result, as a row delta (the
 ISTREAM/DSTREAM split of CQL): one tuple (wm, text), where text is
@@ -272,6 +283,8 @@ class Engine:
         self._stream_feeds: dict[str, list[tuple[str, int]]] = {}
         self._child_feeds: dict[tuple[str, int], tuple[str, int]] = {}
         self._trees: dict[str, OperatorNode] = {}  # salted hash -> local parse
+        # query text -> (tree, canonical key, real parse ms); see _parse
+        self._parsed: dict[str, tuple[OperatorNode, str, float]] = {}
         self.qmap: dict[str, set[str]] = {}  # unsalted hash -> PIT keys
         self.high_water: dict[str, int] = {}  # stream uri -> newest tuple ts
         # Interest uri -> plan token -> what to call with the reply
@@ -316,6 +329,20 @@ class Engine:
             f for f in self.faces if f not in (APP_FACE, exclude)
         )
 
+    def _parse(self, text: str) -> tuple[OperatorNode, str, float]:
+        """`text`'s operator tree, canonical key and real parse ms, parsed once.
+
+        The tree is shared by every user of `text` and must not change. A
+        text that does not parse raises QueryError each time and is not kept.
+        """
+        parsed = self._parsed.get(text)
+        if parsed is None:
+            started = time.perf_counter()
+            tree = create_operator_graph(text, self.config.streams or None)
+            parse_ms = (time.perf_counter() - started) * 1000.0
+            parsed = self._parsed[text] = (tree, canonical_text(tree), parse_ms)
+        return parsed
+
     # -- dispatch -----------------------------------------------------------
 
     def handle_packet(self, packet: Packet, in_face: int) -> None:
@@ -336,9 +363,8 @@ class Engine:
     # -- query interests ----------------------------------------------------
 
     def handle_add_query_interest(self, p: AddQueryInterest, in_face: int) -> None:
-        started = time.perf_counter()
         try:
-            tree = create_operator_graph(p.query, self.config.streams or None)
+            tree, key, graph_real_ms = self._parse(p.query)
         except QueryError as err:
             nack = Data(
                 name=Name(("nack", p.nonce)),
@@ -349,8 +375,6 @@ class Engine:
             self._bump("consumed")
             self._send(in_face, nack)
             return
-        graph_real_ms = (time.perf_counter() - started) * 1000.0
-        key = canonical_text(tree)
         unsalted = query_hash(key)
         self.qmap.setdefault(unsalted, set()).add(key)
 
@@ -391,7 +415,7 @@ class Engine:
 
     def handle_remove_query_interest(self, p: RemoveQueryInterest, in_face: int) -> None:
         try:
-            key = canonical_text(create_operator_graph(p.query, self.config.streams or None))
+            key = self._parse(p.query)[1]
         except QueryError:
             self._bump("dropped")
             return
@@ -629,8 +653,7 @@ class Engine:
                 self.fib.add_route(Name.from_uri(prefix), face)
         tree = self._trees.get(salted)
         if tree is None:
-            tree = create_operator_graph(key, self.config.streams or None)
-            self._trees[salted] = tree
+            tree = self._trees[salted] = self._parse(key)[0]
         self._deployed[salted] = self._now()
         parent_of: dict[int, Optional[int]] = {tree.index: None}
         for node in tree.walk():

@@ -544,7 +544,10 @@ def generate_plug_csv(
 class QueryMetrics:
     query_id: str
     mode: str
-    graph_ms: float = 0.0        # real (wall-clock) parse time
+    # real (wall-clock) time of the coordinator's parse of the text; an
+    # engine parses a text once per run, so a text it had seen before
+    # reports that earlier parse
+    graph_ms: float = 0.0
     placement_ms: float = 0.0    # simulated coordination + real planning
     communication_ms: float = 0.0  # simulated delivery of the first result
     notifications: int = 0
@@ -574,7 +577,8 @@ def emit_metrics(metrics: Metrics, path: str) -> None:
     """Write the per-query delay breakdown; totals equal the summed parts."""
     lines = [
         "# total_ms = graph_ms + placement_ms + communication_ms",
-        "# graph_ms is real parse time; placement_ms mixes simulated coordination"
+        "# graph_ms is the real time of the coordinator's one parse of the text;"
+        " placement_ms mixes simulated coordination"
         " with real planning; communication_ms is simulated delivery",
         "query,total_ms,graph_ms,placement_ms,communication_ms",
     ]
@@ -639,8 +643,9 @@ class Simulator:
         self._ctx_out: list[tuple[int, Packet]] = []
         # (node, query text) -> query-interest packets sent on network faces
         self.control_sends: dict[tuple[str, str], int] = {}
-        # directed link -> live (uid, packet) awaiting delivery, oldest first
-        self._in_flight: dict[tuple[str, str], deque[tuple[int, Packet]]] = {}
+        # directed link -> live (uid, packet, its trace summary or None)
+        # awaiting delivery, oldest first
+        self._in_flight: dict[tuple[str, str], deque[tuple[int, Packet, Optional[str]]]] = {}
         self._dead: set[int] = set()
 
         mode = spec.queries[0].mode if spec.queries else "centralized"
@@ -784,6 +789,7 @@ class Simulator:
         flight = self._in_flight.setdefault(key, deque())
         self._seq += 1
         uid = self._seq
+        summary = _summary(packet) if self.collect_trace else None
         if len(flight) >= link.capacity:
             tag = "%s->%s" % (node, peer)
             victim = next((e for e in flight if isinstance(e[1], DataStream)), None)
@@ -794,7 +800,7 @@ class Simulator:
                 if self.collect_trace:
                     self.trace.append(
                         "%.3f %s drop uid=%d %s link=%s reason=capacity"
-                        % (at, node, victim[0], _summary(victim[1]), tag)
+                        % (at, node, victim[0], victim[2], tag)
                     )
             elif isinstance(packet, DataStream):
                 # nothing older to shed: the overflowing stream packet is lost
@@ -802,14 +808,12 @@ class Simulator:
                 if self.collect_trace:
                     self.trace.append(
                         "%.3f %s drop uid=%d %s link=%s reason=capacity"
-                        % (at, node, uid, _summary(packet), tag)
+                        % (at, node, uid, summary, tag)
                     )
                 return
-        flight.append((uid, packet))
+        flight.append((uid, packet, summary))
         if self.collect_trace:
-            self.trace.append(
-                "%.3f %s send uid=%d %s -> %s" % (at, node, uid, _summary(packet), peer)
-            )
+            self.trace.append("%.3f %s send uid=%d %s -> %s" % (at, node, uid, summary, peer))
         self._at(at + link.delay_ms, lambda: self._deliver(key, uid, packet))
 
     def _deliver(self, key: tuple[str, str], uid: int, packet: Packet) -> None:
@@ -817,10 +821,10 @@ class Simulator:
             self._dead.discard(uid)
             return
         # a link delivers in the order it sends, and shed packets are dead
-        self._in_flight[key].popleft()
+        summary = self._in_flight[key].popleft()[2]
         src, dst = key
         if self.collect_trace:
-            self.trace.append("%.3f %s recv uid=%d %s <- %s" % (self.t, dst, uid, _summary(packet), src))
+            self.trace.append("%.3f %s recv uid=%d %s <- %s" % (self.t, dst, uid, summary, src))
         face = self.engines[dst]._face_of_peer[src]
         self._exec(dst, lambda: self.engines[dst].handle_packet(packet, face))
 
@@ -853,7 +857,22 @@ class Simulator:
         """
         for eng in self.engines.values():
             eng.services = None
+            eng._parsed.clear()
         self._waiting.clear()
+
+
+def _trace_hash(lines: list[str]) -> str:
+    """sha256 of the lines joined by newlines, hashed 4,096 lines at a time.
+
+    The whole joined text, once as str and once as UTF-8 bytes, would be a
+    traced run's peak: about 35 MB on a 100-broker mesh with 205,000 lines.
+    """
+    digest = hashlib.sha256()
+    for i in range(0, len(lines), 4096):
+        if i:
+            digest.update(b"\n")
+        digest.update("\n".join(lines[i : i + 4096]).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:
@@ -896,7 +915,7 @@ def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:
         trace=sim.trace,
     )
     sim.detach()
-    metrics.trace_hash = hashlib.sha256("\n".join(sim.trace).encode("utf-8")).hexdigest()
+    metrics.trace_hash = _trace_hash(sim.trace)
 
     # first acceptance and deployment per query id; nonces are "<query id>:<k>"
     first: dict[tuple[str, str], dict] = {}

@@ -4,6 +4,7 @@ import base64
 import json
 import math
 import operator
+import time
 from unittest import mock
 
 import pytest
@@ -235,6 +236,37 @@ def test_malformed_query_nacked():
     assert out[0].name.components[1] == "n9"
     assert out[0].payload  # carries the parser diagnostic
     assert eng.instances == {}
+
+
+def test_malformed_queries_are_nacked_every_time_and_never_memoized():
+    eng, svc = single_broker()
+    texts = ["FILTER(WINDOW(GPS_S1, %ds), 'latitude' <" % k for k in range(1, 21)]
+    with mock.patch.object(engine, "create_operator_graph", wraps=create_operator_graph) as parse:
+        for nonce in ("a", "b"):
+            for k, text in enumerate(texts):
+                eng.handle_packet(AddQueryInterest(query=text, nonce="%s%d" % (nonce, k)), in_face=1)
+    nacks = [p.name.components for p in sent_to(svc, 1, Data)]
+    assert nacks == [("nack", "%s%d" % (n, k)) for n in "ab" for k in range(20)]
+    assert parse.call_count == 40
+    assert eng._parsed == {}
+
+
+def test_a_re_add_reports_the_parse_that_built_its_memo_entry():
+    """A text is parsed once per engine; each accept carries that parse's time."""
+    eng, svc = single_broker()
+
+    def slow(text, streams=None):
+        time.sleep(0.01)
+        return create_operator_graph(text, streams)
+
+    with mock.patch.object(engine, "create_operator_graph", side_effect=slow) as parse:
+        for k in range(3):
+            eng.handle_packet(RemoveQueryInterest(query=Q2, nonce="r%d" % k), in_face=1)
+            eng.handle_packet(AddQueryInterest(query=Q2, nonce="n%d" % k), in_face=1)
+    accepted = [p["graph_real_ms"] for n, k, p in svc.events if k == "query_accepted"]
+    assert parse.call_count == 1 and len(accepted) == 3
+    assert accepted[0] >= 10.0 and accepted == [accepted[0]] * 3
+    assert list(eng._parsed) == [Q2]
 
 
 def test_evaluation_charges_compute_cost():

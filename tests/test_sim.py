@@ -1,6 +1,7 @@
 """Harness behavior: config parsing, replay, determinism, conservation."""
 
 import gc
+import hashlib
 import heapq
 import json
 import random
@@ -941,3 +942,10 @@ def test_shipped_datasets_match_their_schemas():
         )
         assert warnings == 0
         assert len(schedule) >= 300
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+def test_trace_hash_equals_the_hash_of_the_joined_lines(n):
+    lines = ["%d é" % i if i % 3 else "" for i in range(n)]
+    joined = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert sim._trace_hash(lines) == joined
