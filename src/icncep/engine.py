@@ -2,8 +2,13 @@
 
 A node runs one logical event loop. Every packet enters through
 `handle_packet(packet, in_face)`; handlers run to completion and never block
-on remote responses. Remote round-trips (delay probes, operator deployment)
-are driven by reply hooks keyed on the Interest name plus scheduled timeouts.
+on remote responses. A coordinator plans a query in one request/reply loop
+of two stages: while the plan is unmade it probes every other broker's
+delay, then it sends each host its deploy order. A stage ends with its last
+reply (a reply hook keyed on the Interest name) or at its timeout: a silent
+broker's delay reads infinite, and a deploy order unacked gives the plan up.
+A plan that fails (NoPath) leaves no state, not even its PIT entry, so a
+later Add of the query is planned afresh.
 
 Name conventions produced locally:
   /node/<id>/delay            advertised processing + queueing delay
@@ -232,12 +237,10 @@ class OpInstance:
     right_wm: int = -1
     last_emit: int = -1
     join_memo: Optional[JoinMemo] = None  # JOIN, made at install
-    # the last output shipped or notification sent: its rows, which keep
-    # their ids valid; one past the index of its last row (shipping
-    # instances); and the JSON text of each of its rows by id (the root)
+    # shipping instances: the last output shipped, whose rows keep their ids
+    # valid, and one past the index of its last row
     sent_rows: list = field(default_factory=list)
     sent_end: int = 0
-    sent_text: dict[int, str] = field(default_factory=dict)
     # the mirror of each remote child's output, by child index
     received: dict[int, Mirror] = field(default_factory=dict)
 
@@ -253,8 +256,7 @@ class _PendingPlan:
     mode: str
     t0: int
     graph_real_ms: float
-    stage: str = "probe"
-    awaiting: dict[str, str] = field(default_factory=dict)  # uri -> broker id
+    awaiting: dict[str, str] = field(default_factory=dict)  # uri -> probed or ordered node
     delays: dict[str, float] = field(default_factory=dict)
     plan_real_ms: float = 0.0
     plan: Optional[PlacementPlan] = None
@@ -287,8 +289,8 @@ class Engine:
         self._parsed: dict[str, tuple[OperatorNode, str, float]] = {}
         self.qmap: dict[str, set[str]] = {}  # unsalted hash -> PIT keys
         self.high_water: dict[str, int] = {}  # stream uri -> newest tuple ts
-        # Interest uri -> plan token -> what to call with the reply
-        self._reply_hooks: dict[str, dict[int, Callable[[int, Data], None]]] = {}
+        # Interest uri -> tokens of the plans waiting on its reply, in order
+        self._reply_hooks: dict[str, list[int]] = {}
         self._deployed: dict[str, int] = {}  # salted hash -> time of its latest deploy here
         self._fences: dict[tuple[str, int], int] = {}  # /state feed sent or forwarded -> fence wm
         self._pending: dict[int, _PendingPlan] = {}
@@ -434,7 +436,6 @@ class Engine:
         self, nonce: str, key: str, tree: OperatorNode, unsalted: str, graph_real_ms: float
     ) -> None:
         salted = query_hash(key, salt=self.node_id)
-        self._trees.setdefault(salted, tree)
         token = self._next_token
         self._next_token += 1
         pending = _PendingPlan(
@@ -459,62 +460,93 @@ class Engine:
             graph_real_ms=graph_real_ms,
             mode=pending.mode,
         )
-        if pending.mode == "centralized" or self.config.topology is None:
-            self._plan_and_deploy(pending, delays=None)
-            return
-        # probe every other broker's advertised delay
-        for broker in self.config.topology.broker_ids():
-            if broker == self.node_id:
-                pending.delays[broker] = self.services.local_delay_ms(self.node_id)
-                continue
-            name = Name(("node", broker, "delay"))
-            pending.awaiting[name.to_uri()] = broker
-            self._originate_interest(name, token, self._probe_reply)
-        if not pending.awaiting:
-            self._plan_and_deploy(pending, delays=pending.delays)
-        else:
-            self.services.schedule(PROBE_TIMEOUT_MS, self._probe_timeout(token))
+        # a distributed plan probes every other broker's delay; others are planned at once
+        probes = {}
+        if pending.mode != "centralized" and self.config.topology is not None:
+            pending.delays[self.node_id] = self.services.local_delay_ms(self.node_id)
+            brokers = self.config.topology.broker_ids()
+            probes = {Name(("node", b, "delay")): b for b in brokers if b != self.node_id}
+        self._request(pending, probes, PROBE_TIMEOUT_MS)
 
-    def _probe_reply(self, token: int, data: Data) -> None:
-        pending = self._pending.get(token)
-        if pending is None or pending.stage != "probe":
+    def _request(self, pending: _PendingPlan, names: dict[Name, str], timeout_ms: float) -> None:
+        """Ask `names` for `pending`'s stage; it ends with its last reply or at `timeout_ms`."""
+        for name, node in names.items():
+            pending.awaiting[name.to_uri()] = node
+            self._originate_interest(name, pending.token)
+        if not pending.awaiting:
+            self._next_stage(pending)
             return
-        broker = pending.awaiting.pop(data.name.to_uri(), None)
-        if broker is not None:
+        token, plan = pending.token, pending.plan
+        self.services.schedule(timeout_ms, lambda: self._timeout(token, plan))
+
+    def _reply(self, token: int, data: Data) -> None:
+        """Record plan `token`'s reply `data`; the stage's last reply ends it."""
+        pending = self._pending[token]
+        node = pending.awaiting.pop(data.name.to_uri())
+        if pending.plan is None:  # a probe's reply: the node's advertised delay
             try:
-                pending.delays[broker] = float(data.payload.decode("utf-8"))
+                pending.delays[node] = float(data.payload.decode("utf-8"))
             except ValueError:
-                pending.delays[broker] = float("inf")
+                pending.delays[node] = float("inf")
         if not pending.awaiting:
-            self._plan_and_deploy(pending, delays=pending.delays)
+            self._next_stage(pending)
 
-    def _probe_timeout(self, token: int) -> Callable[[], None]:
-        def fire() -> None:
-            pending = self._pending.get(token)
-            if pending is None or pending.stage != "probe":
-                return
+    def _timeout(self, token: int, plan: Optional[PlacementPlan]) -> None:
+        """Stop plan `token`'s stage begun with `plan` from waiting, unless it is over."""
+        pending = self._pending.get(token)
+        if pending is None or pending.plan is not plan:
+            return
+        self._drop_hooks(token, pending.awaiting)
+        if plan is None:
             for broker in pending.awaiting.values():
                 pending.delays[broker] = float("inf")
-            self._drop_hooks(token, pending.awaiting)
             pending.awaiting.clear()
-            self._plan_and_deploy(pending, delays=pending.delays)
+            self._plan_and_deploy(pending)
+            return
+        del self._pending[token]
+        self._event(
+            "deploy_timeout", nonce=pending.nonce, missing=sorted(pending.awaiting.values())
+        )
 
-        return fire
+    def _next_stage(self, pending: _PendingPlan) -> None:
+        """Plan `pending` once probed; once its deploy orders are acked, report it deployed."""
+        if pending.plan is None:
+            self._plan_and_deploy(pending)
+            return
+        del self._pending[pending.token]
+        t1 = self._now()
+        plan = pending.plan
+        self._event(
+            "query_deployed",
+            nonce=pending.nonce,
+            salted=pending.salted,
+            unsalted=pending.unsalted,
+            t1=t1,
+            placement_sim_ms=float(t1 - pending.t0),
+            plan_real_ms=pending.plan_real_ms,
+            graph_real_ms=pending.graph_real_ms,
+            mode=pending.mode,
+            assignments={str(i): h for i, h in sorted(plan.assignments.items())},
+            path=list(plan.path),
+            pinned=sorted(plan.pinned),
+        )
 
-    def _plan_and_deploy(self, pending: _PendingPlan, delays: Optional[dict]) -> None:
-        pending.stage = "deploy"
+    def _plan_and_deploy(self, pending: _PendingPlan) -> None:
+        delays = pending.delays  # empty unless the brokers were probed
         started = time.perf_counter()
         try:
             plan = plan_query(
                 pending.tree,
                 self.node_id,
-                pending.mode if delays is not None else "centralized",
+                pending.mode if delays else "centralized",
                 self.config.topology,
                 self.config.streams,
-                probe=None if delays is None else delays.__getitem__,
+                probe=delays.__getitem__ if delays else None,
             )
         except NoPath as err:
-            self._pending.pop(pending.token, None)
+            # nothing was installed: a later Add of the query is planned afresh
+            del self._pending[pending.token]
+            self.pit.remove(pending.key)
             self._event("plan_failed", nonce=pending.nonce, reason=str(err))
             return
         pending.plan_real_ms = (time.perf_counter() - started) * 1000.0
@@ -523,6 +555,7 @@ class Engine:
         pending.plan = plan
 
         orders = self._deployment_orders(pending, plan)
+        self._trees.setdefault(pending.salted, pending.tree)
         self._install_assignment(
             pending.salted,
             pending.unsalted,
@@ -530,17 +563,13 @@ class Engine:
             plan.assignments,
             orders.pop(self.node_id, {}).get("routes", []),
         )
-        if not orders:
-            self._finish_deploy(pending)
-            return
+        deploys = {}
         for target, doc in sorted(orders.items()):
             blob = base64.urlsafe_b64encode(
                 json.dumps(doc, sort_keys=True).encode("utf-8")
             ).decode("ascii")
-            name = Name(("node", target, "deploy", blob))
-            pending.awaiting[name.to_uri()] = target
-            self._originate_interest(name, pending.token, self._deploy_ack)
-        self.services.schedule(DEPLOY_TIMEOUT_MS, self._deploy_timeout(pending.token))
+            deploys[Name(("node", target, "deploy", blob))] = target
+        self._request(pending, deploys, DEPLOY_TIMEOUT_MS)
 
     def _deployment_orders(self, pending, plan) -> dict[str, dict]:
         """Per-node deployment documents: assigned indices plus hop routes."""
@@ -572,8 +601,6 @@ class Engine:
         orders: dict[str, dict] = {}
         for target in targets:
             mine = sorted(i for i, h in assign.items() if h == target)
-            if target != self.node_id and not mine and target not in routes:
-                continue
             orders[target] = {
                 "q": pending.key,
                 "salted": pending.salted,
@@ -583,48 +610,6 @@ class Engine:
                 "routes": sorted(set(routes.get(target, []))),
             }
         return orders
-
-    def _deploy_ack(self, token: int, data: Data) -> None:
-        pending = self._pending.get(token)
-        if pending is None or pending.stage != "deploy":
-            return
-        pending.awaiting.pop(data.name.to_uri(), None)
-        if not pending.awaiting:
-            self._finish_deploy(pending)
-
-    def _deploy_timeout(self, token: int) -> Callable[[], None]:
-        def fire() -> None:
-            pending = self._pending.get(token)
-            if pending is None or pending.stage != "deploy":
-                return
-            self._pending.pop(token, None)
-            self._drop_hooks(token, pending.awaiting)
-            self._event(
-                "deploy_timeout",
-                nonce=pending.nonce,
-                missing=sorted(pending.awaiting.values()),
-            )
-
-        return fire
-
-    def _finish_deploy(self, pending: _PendingPlan) -> None:
-        self._pending.pop(pending.token, None)
-        t1 = self._now()
-        plan = pending.plan
-        self._event(
-            "query_deployed",
-            nonce=pending.nonce,
-            salted=pending.salted,
-            unsalted=pending.unsalted,
-            t1=t1,
-            placement_sim_ms=float(t1 - pending.t0),
-            plan_real_ms=pending.plan_real_ms,
-            graph_real_ms=pending.graph_real_ms,
-            mode=pending.mode,
-            assignments={str(i): h for i, h in sorted(plan.assignments.items())},
-            path=list(plan.path),
-            pinned=sorted(plan.pinned),
-        )
 
     # -- deployment intake ---------------------------------------------------
 
@@ -710,7 +695,7 @@ class Engine:
         if feeds:
             for inst_key in list(feeds):
                 inst = self.instances.get(inst_key)
-                if inst is None:
+                if inst is None:  # released by a result this tuple gave a self-join
                     continue
                 entry = self.pit.lookup(inst.key)
                 if entry is not None and p.tuple.ts <= entry.last_result_ts:
@@ -792,23 +777,6 @@ class Engine:
             return None
         # a copy: row ids held downstream stay valid only while the rows live
         return list(mirror.rows), wm
-
-    def _rows_json(self, inst: OpInstance, rows: list[Tuple]) -> str:
-        """json.dumps([list(r.values) for r in rows]), encoding new rows only.
-
-        Replaces the instance's row texts with those of `rows`.
-        """
-        last = inst.sent_text
-        text: dict[int, str] = {}
-        parts = []
-        for r in rows:
-            key = id(r)
-            part = text.get(key)
-            if part is None:
-                part = text[key] = last.get(key) or _encode_json(r.values)
-            parts.append(part)
-        inst.sent_rows, inst.sent_text = rows, text
-        return "[%s]" % ", ".join(parts)
 
     def _encode_snapshot(
         self, inst: OpInstance, rows: list[Tuple], wm: int, schema: str
@@ -925,15 +893,13 @@ class Engine:
             return
         if wm <= entry.last_result_ts:
             return
-        # json.dumps({"hash": ..., "ts": ..., "schema": ..., "rows": ...})
-        payload = (
-            '{"hash": %s, "ts": %d, "schema": %s, "rows": %s}'
-            % (
-                _encode_json(inst.unsalted),
-                wm,
-                _encode_json(rows[0].schema_id),
-                self._rows_json(inst, rows),
-            )
+        payload = _encode_json(
+            {
+                "hash": inst.unsalted,
+                "ts": wm,
+                "schema": rows[0].schema_id,
+                "rows": [r.values for r in rows],
+            }
         ).encode("utf-8")
         packet = Data(name=Name(("ce", inst.unsalted, str(wm))), payload=payload, ts=wm)
         for f in sorted(entry.faces):
@@ -1002,13 +968,11 @@ class Engine:
 
     # -- classic interests and data -----------------------------------------
 
-    def _originate_interest(
-        self, name: Name, token: int, on_reply: Callable[[int, Data], None]
-    ) -> None:
+    def _originate_interest(self, name: Name, token: int) -> None:
         """Ask for `name` for plan `token`; while `name` is pending, share its Interest."""
-        hooks = self._reply_hooks.setdefault(name.to_uri(), {})
-        hooks[token] = on_reply
-        if len(hooks) == 1:
+        tokens = self._reply_hooks.setdefault(name.to_uri(), [])
+        tokens.append(token)
+        if len(tokens) == 1:
             self.pit.add_face(name, APP_FACE, self._now())
             for f in self._fib_faces(name, interest=True):
                 self._send(f, Interest(name=name))
@@ -1016,9 +980,10 @@ class Engine:
     def _drop_hooks(self, token: int, uris: Iterable[str]) -> None:
         """Stop plan `token` waiting on `uris`; a name left unwaited leaves the PIT."""
         for uri in uris:
-            hooks = self._reply_hooks.get(uri, {})
-            hooks.pop(token, None)
-            if not hooks:
+            tokens = self._reply_hooks.get(uri, [])
+            if token in tokens:
+                tokens.remove(token)
+            if not tokens:
                 self._reply_hooks.pop(uri, None)
                 self.pit.remove_face(Name.from_uri(uri), APP_FACE)
 
@@ -1071,8 +1036,8 @@ class Engine:
 
     def handle_data(self, p: Data, in_face: int) -> None:
         uri = p.name.to_uri()
-        hooks = self._reply_hooks.pop(uri, None)
-        if hooks is not None:
+        tokens = self._reply_hooks.pop(uri, None)
+        if tokens is not None:
             # other nodes' Interests aggregated on this node's own get the Data too
             entry = self.pit.lookup(p.name)
             for f in sorted(entry.faces) if entry is not None else ():
@@ -1081,8 +1046,8 @@ class Engine:
             self.pit.remove(p.name)
             self._cache(p)
             self._bump("consumed")
-            for token, on_reply in hooks.items():
-                on_reply(token, p)
+            for token in tokens:
+                self._reply(token, p)
             return
         comps = p.name.components
         if comps and comps[0] == "ce" and len(comps) >= 2:

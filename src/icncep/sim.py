@@ -790,28 +790,22 @@ class Simulator:
         self._seq += 1
         uid = self._seq
         summary = _summary(packet) if self.collect_trace else None
-        if len(flight) >= link.capacity:
-            tag = "%s->%s" % (node, peer)
+        flight.append((uid, packet, summary))
+        if len(flight) > link.capacity:
+            # shed the oldest stream packet; control packets are never shed
             victim = next((e for e in flight if isinstance(e[1], DataStream)), None)
             if victim is not None:
                 flight.remove(victim)
-                self._dead.add(victim[0])
+                tag = "%s->%s" % (node, peer)
                 self.link_drops[tag] = self.link_drops.get(tag, 0) + 1
                 if self.collect_trace:
                     self.trace.append(
                         "%.3f %s drop uid=%d %s link=%s reason=capacity"
                         % (at, node, victim[0], victim[2], tag)
                     )
-            elif isinstance(packet, DataStream):
-                # nothing older to shed: the overflowing stream packet is lost
-                self.link_drops[tag] = self.link_drops.get(tag, 0) + 1
-                if self.collect_trace:
-                    self.trace.append(
-                        "%.3f %s drop uid=%d %s link=%s reason=capacity"
-                        % (at, node, uid, summary, tag)
-                    )
-                return
-        flight.append((uid, packet, summary))
+                if victim[0] == uid:
+                    return  # nothing older to shed: the new packet is lost
+                self._dead.add(victim[0])
         if self.collect_trace:
             self.trace.append("%.3f %s send uid=%d %s -> %s" % (at, node, uid, summary, peer))
         self._at(at + link.delay_ms, lambda: self._deliver(key, uid, packet))

@@ -763,6 +763,22 @@ def test_out_of_order_tuple_counted():
     assert eng.counters.get("out_of_order", 0) == 1
 
 
+def test_a_release_while_feeding_a_stream_skips_the_released_windows():
+    """Both windows of a self-join read GPS_S1. The join found no match at
+    1000, so after a Remove the first window's row at 2000 gives the root a
+    result at 1000, and the root releases the second window before the row
+    gets to it."""
+    q = "JOIN(WINDOW(GPS_S1, 2), WINDOW(GPS_S1, 3), GPS_S1.'latitude' > 49)"
+    eng, svc = single_broker()
+    eng.handle_packet(AddQueryInterest(query=q, nonce="n1"), in_face=1)
+    eng.handle_packet(gps_packet(1000, lat=48.0), in_face=2)
+    eng.handle_packet(RemoveQueryInterest(query=q, nonce="n2"), in_face=1)
+    eng.handle_packet(gps_packet(2000, lat=50.0), in_face=2)
+    assert eng.counters["released"] == 3
+    assert eng.instances == {} and eng._stream_feeds == {}
+    assert notifications(svc, 1) == []
+
+
 # ---------------------------------------------------------------------------
 # distributed coordination on a broker line
 
@@ -883,6 +899,46 @@ def test_probe_timeout_marks_unreachable_and_proceeds():
     eng.handle_packet(Data(name=b2_probe.name, payload=b"1.0", ts=1), in_face=1)
     assert sent_to(svc, APP_FACE) == []
     assert eng.pit.lookup(b2_probe.name) is None
+
+
+def test_a_failed_plan_leaves_nothing_behind_and_a_later_add_plans_again():
+    eng, svc = coordinator_b3()
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    b1_probe = Name.from_uri("/node/b1/delay")
+    eng.handle_packet(Data(name=b1_probe, payload=b"1.0", ts=1), in_face=1)
+    svc.fire_timers()  # b2 stays silent: no broker path b1..b3
+    assert [k for n, k, p in svc.events] == ["query_accepted", "plan_failed"]
+    assert eng._trees == {} and eng.instances == {} and eng._pending == {}
+    assert eng._reply_hooks == {} and len(eng.pit) == 0
+
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=9)
+    accepted = [p["nonce"] for n, k, p in svc.events if k == "query_accepted"]
+    assert accepted == ["n1", "n2"]
+    for uri in ("/node/b1/delay", "/node/b2/delay"):
+        eng.handle_packet(Data(name=Name.from_uri(uri), payload=b"1.0", ts=2), in_face=1)
+    deploys = [p for p in sent_to(svc, 1, Interest) if len(p.name.components) == 4]
+    for p in deploys:
+        eng.handle_packet(Data(name=p.name, payload=b"ok", ts=3), in_face=1)
+    deployed = [p["nonce"] for n, k, p in svc.events if k == "query_deployed"]
+    assert deployed == ["n2"]
+
+
+def test_late_deploy_acks_are_dropped_as_unsolicited():
+    eng, svc = coordinator_b3()
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    for uri in ("/node/b1/delay", "/node/b2/delay"):
+        eng.handle_packet(Data(name=Name.from_uri(uri), payload=b"1.0", ts=1), in_face=1)
+    deploys = [p for p in sent_to(svc, 1, Interest) if len(p.name.components) == 4]
+    assert len(deploys) == 2
+    svc.fire_timers()  # the probe timeout finds probing over; the deploy timeout fires
+    assert [k for n, k, p in svc.events] == ["query_accepted", "deploy_timeout"]
+    dropped = eng.counters.get("dropped", 0)
+    for p in deploys:
+        eng.handle_packet(Data(name=p.name, payload=b"ok", ts=2), in_face=1)
+    assert eng.counters.get("dropped", 0) == dropped + len(deploys)
+    assert "query_deployed" not in [k for n, k, p in svc.events]
+    assert eng._reply_hooks == {} and eng._pending == {}
+    assert all(eng.pit.lookup(p.name) is None for p in deploys)
 
 
 Q3 = "FILTER(WINDOW(GPS_S1, 6s), 'latitude' < 48)"

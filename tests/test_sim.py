@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from icncep import sim
 from icncep.engine import APP_FACE
-from icncep.packet import Data, DataStream, Interest, Name
+from icncep.packet import Data, DataStream, Interest, Name, Tuple
 from icncep.placement import NoPath
 from icncep.sim import (
     ConfigError,
@@ -619,6 +619,55 @@ def test_lost_state_deltas_never_evaluate_a_partial_mirror(tmp_path):
     resumed = [ts for ts in calm_ts[2:] if oracle(ts)]
     assert resumed and set(resumed) <= {doc["ts"] for doc in results}
     assert len(results) < len([r for r in stream if oracle(r[0])])  # some were lost
+
+
+def capacity_one_link():
+    """Brokers b1 and b2 on a link that holds one packet in flight."""
+    topo = TopologyConfig(
+        name="pair",
+        nodes={n: TopoNode(n, "broker", 1.0) for n in ("b1", "b2")},
+        link_list=[TopoLink("b1", "b2", 5.0, 1)],
+    )
+    return Simulator(ScenarioSpec(topology=topo, streams=[], queries=[]))
+
+
+def stream_packet(ts):
+    t = Tuple.from_values("gps", (ts, 1.0, 49.5, 8.65, 120.0, 5.0, 0.0, 10.0))
+    return DataStream(stream_name=Name.from_uri("/node/p1/gps"), tuple=t)
+
+
+def assert_shed_and_kept(simulator, shed, kept):
+    """`shed` and `kept` are trace summaries of the two packets."""
+    lines = simulator.trace
+    drops = [l for l in lines if " drop " in l]
+    assert len(drops) == 1 and drops[0].endswith(" %s link=b1->b2 reason=capacity" % shed)
+    uid = drops[0].split(" ")[3]
+    assert not any(" recv %s " % uid in l for l in lines)
+    assert any(" recv " in l and kept in l for l in lines)
+    assert simulator.link_drops == {"b1->b2": 1}
+    assert simulator.engines["b2"].counters["received"] == 1
+    return uid
+
+
+STREAM = "DataStream /node/p1/gps ts=1000"
+CONTROL = "Interest /x/y"
+
+
+def test_a_control_packet_sheds_an_older_stream_packet_at_a_full_link():
+    simulator = capacity_one_link()
+    simulator._dispatch("b1", 1, stream_packet(1000), 0.0)
+    simulator._dispatch("b1", 1, Interest(name=Name.from_uri("/x/y")), 0.0)
+    simulator.run()
+    assert_shed_and_kept(simulator, shed=STREAM, kept=CONTROL)
+
+
+def test_a_stream_packet_is_lost_at_a_link_full_of_control_packets():
+    simulator = capacity_one_link()
+    simulator._dispatch("b1", 1, Interest(name=Name.from_uri("/x/y")), 0.0)
+    simulator._dispatch("b1", 1, stream_packet(1000), 0.0)
+    simulator.run()
+    uid = assert_shed_and_kept(simulator, shed=STREAM, kept=CONTROL)
+    assert not any(" send %s " % uid in l for l in simulator.trace)
 
 
 LOOP_LINKS = (
