@@ -223,8 +223,7 @@ class Mirror:
 @dataclass
 class OpInstance:
     salted: str
-    unsalted: str
-    key: str  # canonical query text, the PIT/CS key
+    unsalted: str  # the hash its /ce names carry, its PIT and CS key
     node: OperatorNode
     parent_idx: Optional[int]
     parent_host: Optional[str]
@@ -287,7 +286,6 @@ class Engine:
         self._trees: dict[str, OperatorNode] = {}  # salted hash -> local parse
         # query text -> (tree, canonical key, real parse ms); see _parse
         self._parsed: dict[str, tuple[OperatorNode, str, float]] = {}
-        self.qmap: dict[str, set[str]] = {}  # unsalted hash -> PIT keys
         self.high_water: dict[str, int] = {}  # stream uri -> newest tuple ts
         # Interest uri -> tokens of the plans waiting on its reply, in order
         self._reply_hooks: dict[str, list[int]] = {}
@@ -378,7 +376,6 @@ class Engine:
             self._send(in_face, nack)
             return
         unsalted = query_hash(key)
-        self.qmap.setdefault(unsalted, set()).add(key)
 
         # (a) fresh content store hit answers immediately, no state change
         min_ts = 0
@@ -386,7 +383,7 @@ class Engine:
             binding = self.config.streams.get(alias)
             if binding is not None:
                 min_ts = max(min_ts, self.high_water.get(binding.name.to_uri(), 0))
-        hit = self.cs.lookup(key, min_ts=min_ts)
+        hit = self.cs.lookup(unsalted, min_ts=min_ts)
         if hit is not None:
             reply = Data(
                 name=Name(("ce", unsalted, str(hit.logical_ts))),
@@ -399,13 +396,13 @@ class Engine:
             return
 
         # (b) already pending: record the extra face and stop
-        if self.pit.lookup(key) is not None:
-            self.pit.add_face(key, in_face, self._now())
+        if self.pit.lookup(unsalted) is not None:
+            self.pit.add_face(unsalted, in_face, self._now())
             self._bump("consumed")
             return
 
         # (c) take the query: brokers coordinate it, endpoints forward it
-        self.pit.add_face(key, in_face, self._now())
+        self.pit.add_face(unsalted, in_face, self._now())
         if self.role == "broker":
             self._bump("consumed")
             self._coordinate(p.nonce, key, tree, unsalted, graph_real_ms)
@@ -417,14 +414,14 @@ class Engine:
 
     def handle_remove_query_interest(self, p: RemoveQueryInterest, in_face: int) -> None:
         try:
-            key = self._parse(p.query)[1]
+            unsalted = query_hash(self._parse(p.query)[1])
         except QueryError:
             self._bump("dropped")
             return
-        if self.pit.lookup(key) is None:
+        if self.pit.lookup(unsalted) is None:
             self._bump("dropped")
             return
-        self.pit.remove_face(key, in_face)
+        self.pit.remove_face(unsalted, in_face)
         flood = self._flood_faces(exclude=in_face)
         for f in flood:
             self._send(f, p)
@@ -546,7 +543,7 @@ class Engine:
         except NoPath as err:
             # nothing was installed: a later Add of the query is planned afresh
             del self._pending[pending.token]
-            self.pit.remove(pending.key)
+            self.pit.remove(pending.unsalted)
             self._event("plan_failed", nonce=pending.nonce, reason=str(err))
             return
         pending.plan_real_ms = (time.perf_counter() - started) * 1000.0
@@ -658,7 +655,6 @@ class Engine:
             inst = OpInstance(
                 salted=salted,
                 unsalted=unsalted,
-                key=key,
                 node=node,
                 parent_idx=pidx,
                 parent_host=assignments[pidx] if pidx is not None else None,
@@ -697,7 +693,7 @@ class Engine:
                 inst = self.instances.get(inst_key)
                 if inst is None:  # released by a result this tuple gave a self-join
                     continue
-                entry = self.pit.lookup(inst.key)
+                entry = self.pit.lookup(inst.unsalted)
                 if entry is not None and p.tuple.ts <= entry.last_result_ts:
                     self._bump("out_of_order")
                     continue  # already folded into a delivered result
@@ -887,7 +883,7 @@ class Engine:
         self._emit(inst, rows, wm)
 
     def _notify(self, inst: OpInstance, rows: list[Tuple], wm: int) -> None:
-        entry = self.pit.lookup(inst.key)
+        entry = self.pit.lookup(inst.unsalted)
         if entry is None or not entry.faces:
             self._release(inst.salted)  # the query was removed: its work here ends
             return
@@ -905,7 +901,7 @@ class Engine:
         for f in sorted(entry.faces):
             self._send(f, packet)
         entry.last_result_ts = wm
-        self.cs.insert(inst.key, payload, wm)
+        self.cs.insert(inst.unsalted, payload, wm)
         self._event(
             "notification", salted=inst.salted, unsalted=inst.unsalted, ts=wm, rows=len(rows)
         )
@@ -1051,21 +1047,13 @@ class Engine:
             return
         comps = p.name.components
         if comps and comps[0] == "ce" and len(comps) >= 2:
-            delivered = False
-            for key in sorted(self.qmap.get(comps[1], ())):
-                entry = self.pit.lookup(key)
-                if entry is None:
-                    continue
-                for f in sorted(entry.faces):
-                    if f != in_face:
-                        self._send(f, p)
-                        delivered = True
-                if entry.faces:
-                    entry.last_result_ts = max(entry.last_result_ts, p.ts)
-            if delivered:
-                self._bump("forwarded")
-            else:
-                self._bump("dropped")
+            entry = self.pit.lookup(comps[1])
+            faces = [] if entry is None else [f for f in sorted(entry.faces) if f != in_face]
+            for f in faces:
+                self._send(f, p)
+            if entry is not None:
+                entry.last_result_ts = max(entry.last_result_ts, p.ts)
+            self._bump("forwarded" if faces else "dropped")
             return
         if comps and comps[0] == "nack":
             # surface rejections to the local application

@@ -1,7 +1,7 @@
 """Query language front end.
 
 Tokenizer, recursive-descent parser, semantic validation against stream
-schemas, canonical rendering (used as the table key for standing queries),
+schemas, canonical rendering (whose hash keys standing queries),
 and translation to named-function call expressions.
 
 The operator vocabulary is an extensible registry: a new operator kind
@@ -15,6 +15,9 @@ Concrete syntax notes, where the abstract grammar leaves room:
   is allowed and defaults to DataStream
 - identifiers may contain underscores (stream aliases like GPS_S1 need them)
 - numbers may be decimal (heat-map cell sizes) and may carry a leading minus
+- identifiers, numbers and durations are ASCII; a whole number or duration
+  that runs into a letter, digit or underscore is an identifier (4sx, 1_000),
+  while a decimal or negative number ends at its last digit (1.5s, -5s)
 - the two children of SEQUENCE are separated by "->" (the unicode arrow is
   accepted as an alias)
 - "&" and "|" in boolean expressions share one precedence level and associate
@@ -143,95 +146,55 @@ class Token:
     value: object = None
 
 
-_TIME_RE = re.compile(r"\d{2}:\d{2}:\d{2}\.\d{3}")
-_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
-_NUM_RE = re.compile(r"\d+(\.\d+)?")
+# One alternative per token kind, tried in order, each after optional white
+# space. A whole number or duration running into a letter, digit or underscore
+# is left to WORD, a digit-led identifier; BAD takes any other character.
+# tokenize() stops the scan before trailing white space: there every
+# alternative fails and `\s*` would backtrack through the run, once per start.
+_TOKEN_RE = re.compile(
+    r"""\s*(?:
+      (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<DOT>\.) | (?P<AMP>&) | (?P<PIPE>\|)
+    | (?P<ATTR>'[^']*')
+    | (?P<TIME>[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3})
+    | (?P<NUMBER>-?[0-9]+\.[0-9]+|-[0-9]+|[0-9]+(?![A-Za-z0-9_]))
+    | (?P<DURATION>[0-9]+[sm](?![A-Za-z0-9_]))
+    | (?P<WORD>[0-9][A-Za-z0-9_]*)
+    | (?P<CMP>[<>]=?|=)
+    | (?P<ARROW>->|→)
+    | (?P<BAD>\S)
+    )""",
+    re.VERBOSE,
+)
+_PLAIN = frozenset(("LPAREN", "RPAREN", "COMMA", "DOT", "AMP", "PIPE", "CMP"))
+_BAD = {"'": "unterminated quote", "-": "stray '-'"}
 
 
 def tokenize(text: str) -> list[Token]:
     """Split query text into tokens; offsets are kept for diagnostics."""
     toks: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "(":
-            toks.append(Token("LPAREN", c, i))
-            i += 1
-        elif c == ")":
-            toks.append(Token("RPAREN", c, i))
-            i += 1
-        elif c == ",":
-            toks.append(Token("COMMA", c, i))
-            i += 1
-        elif c == ".":
-            toks.append(Token("DOT", c, i))
-            i += 1
-        elif c == "&":
-            toks.append(Token("AMP", c, i))
-            i += 1
-        elif c == "|":
-            toks.append(Token("PIPE", c, i))
-            i += 1
-        elif c == "→":
-            toks.append(Token("ARROW", "->", i))
-            i += 1
-        elif c == "-":
-            if text.startswith("->", i):
-                toks.append(Token("ARROW", "->", i))
-                i += 2
-            elif i + 1 < n and text[i + 1].isdigit():
-                m = _NUM_RE.match(text, i + 1)
-                lit = "-" + m.group(0)
-                toks.append(Token("NUMBER", lit, i, float(lit)))
-                i += len(lit)
-            else:
-                raise LexError("stray '-'", i)
-        elif c in "<>=":
-            if text.startswith("<=", i) or text.startswith(">=", i):
-                toks.append(Token("CMP", text[i : i + 2], i))
-                i += 2
-            else:
-                toks.append(Token("CMP", c, i))
-                i += 1
-        elif c == "'":
-            end = text.find("'", i + 1)
-            if end < 0:
-                raise LexError("unterminated quote", i)
-            toks.append(Token("ATTR", text[i + 1 : end], i, text[i + 1 : end]))
-            i = end + 1
-        elif c.isdigit():
-            m = _TIME_RE.match(text, i)
-            if m:
-                toks.append(Token("TIME", m.group(0), i, m.group(0)))
-                i = m.end()
-                continue
-            w = _WORD_RE.match(text, i).group(0)
-            if re.fullmatch(r"\d+[sm]", w):
-                if int(w[:-1]) < 1:
-                    raise LexError("duration must be at least 1 unit", i)
-                toks.append(Token("DURATION", w, i, Duration(int(w[:-1]), w[-1])))
-            else:
-                m2 = _NUM_RE.match(text, i)
-                # decimal forms like 0.25: the word regex stops at the dot
-                if m2 and m2.end() - i > len(w):
-                    toks.append(Token("NUMBER", m2.group(0), i, float(m2.group(0))))
-                    i = m2.end()
-                    continue
-                if _NUM_RE.fullmatch(w):
-                    toks.append(Token("NUMBER", w, i, float(w)))
-                else:
-                    toks.append(Token("IDENT", w, i, w))
-            i += len(w)
-        elif c.isalpha() or c == "_":
-            w = _WORD_RE.match(text, i).group(0)
-            toks.append(Token("IDENT", w, i, w))
-            i += len(w)
+    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
+        kind = m.lastgroup
+        s = m[kind]
+        pos = m.start(kind)
+        if kind == "IDENT" or kind == "WORD":
+            toks.append(Token("IDENT", s, pos, s))
+        elif kind in _PLAIN:
+            toks.append(Token(kind, s, pos))
+        elif kind == "NUMBER":
+            toks.append(Token(kind, s, pos, float(s)))
+        elif kind == "DURATION":
+            if int(s[:-1]) < 1:
+                raise LexError("duration must be at least 1 unit", pos)
+            toks.append(Token(kind, s, pos, Duration(int(s[:-1]), s[-1])))
+        elif kind == "ATTR":
+            toks.append(Token(kind, s[1:-1], pos, s[1:-1]))
+        elif kind == "TIME":
+            toks.append(Token(kind, s, pos, s))
+        elif kind == "ARROW":
+            toks.append(Token(kind, "->", pos))
         else:
-            raise LexError("illegal character %r" % c, i)
+            raise LexError(_BAD.get(s, "illegal character %r" % s), pos)
     return toks
 
 
@@ -762,8 +725,8 @@ def _render_param(p) -> str:
 def canonical_text(node: OperatorNode) -> str:
     """Whitespace-free rendering; re-parsing it yields an equal tree.
 
-    Standing queries are keyed by this form, so formatting differences in
-    consumer-supplied text cannot create duplicate table entries.
+    Standing queries are keyed by this form's hash, so formatting differences
+    in consumer-supplied text cannot create duplicate table entries.
     """
     op = _REGISTRY[node.kind]
     parts: list[str] = []

@@ -44,7 +44,7 @@ class CsEntry:
 
 
 class ContentStore:
-    """Cache keyed by name or query text, newest logical timestamp wins."""
+    """Cache keyed by name or query hash, newest logical timestamp wins."""
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
@@ -95,7 +95,9 @@ class PitEntry:
 class PendingInterestTable:
     """Pending classic interests plus standing query interests.
 
-    Query entries are keyed by query text and survive Data arrival; only
+    Query entries are keyed by the unsalted query hash, the 48-bit prefix
+    that /ce/<hash>/<ts> result names carry; two texts whose hashes collide
+    are taken for the same query. Entries survive Data arrival; only
     remove()/remove_face() can delete them.
     """
 

@@ -544,7 +544,8 @@ def test_c9_malformed_input_safety():
             load_scenario(str(data_path(qid + ".scn"))).queries[0].text
             for qid in QUERY_IDS
         ]
-        glyphs = "()',.<>=&|0123456789 ABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+        # non-ASCII letters and digits are illegal characters, not crashes
+        glyphs = "()',.<>=&|0123456789 ABCDEFGHIJKLMNOPQRSTUVWXYZ_éß٣²→"
         parsed = 0
         for _ in range(1000):
             text = list(rng.choice(bases))

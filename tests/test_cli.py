@@ -32,9 +32,16 @@ def test_parse_output_is_stable_across_runs(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_parse_syntax_error_exits_1(capsys):
-    assert main(["parse", "WINDOW(GPS_S1, 4s"]) == 1
-    assert "syntax error" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("WINDOW(GPS_S1, 4s", "syntax error"),
+        ("WINDOW(GPSé, 4s)", "syntax error: illegal character 'é' (at offset 10)"),
+    ],
+)
+def test_parse_syntax_error_exits_1(capsys, text, message):
+    assert main(["parse", text]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_parse_semantic_error_exits_2(capsys):

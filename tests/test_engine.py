@@ -29,7 +29,7 @@ from icncep.packet import (
     RemoveQueryInterest,
     Tuple,
 )
-from icncep.query import canonical_text, create_operator_graph, default_streams
+from icncep.query import canonical_text, create_operator_graph, default_streams, query_hash
 
 Q1 = "WINDOW(GPS_S1, 4s)"
 Q2 = "FILTER(WINDOW(GPS_S1, 4s),'latitude'<50)"
@@ -227,15 +227,16 @@ def test_remove_unknown_query_is_dropped():
     assert eng.counters.get("dropped", 0) == 1
 
 
-def test_malformed_query_nacked():
+@pytest.mark.parametrize("text", ["WINDOW(", "WINDOW(GPSé, 4s)"])
+def test_malformed_query_nacked(text):
     eng, svc = single_broker()
-    eng.handle_packet(AddQueryInterest(query="WINDOW(", nonce="n9"), in_face=1)
+    eng.handle_packet(AddQueryInterest(query=text, nonce="n9"), in_face=1)
     out = sent_to(svc, 1, Data)
     assert len(out) == 1
     assert out[0].name.components[0] == "nack"
     assert out[0].name.components[1] == "n9"
     assert out[0].payload  # carries the parser diagnostic
-    assert eng.instances == {}
+    assert eng.instances == {} and eng._parsed == {}
 
 
 def test_malformed_queries_are_nacked_every_time_and_never_memoized():
@@ -333,7 +334,7 @@ def test_distributed_run_caches_results_but_no_window_state(monkeypatch):
     metrics = sim.run_scenario(spec)
     engines = made[0].engines.values()
     assert [e.node_id for e in engines if "/state/" in e.cs.dump()] == []
-    key = canonical_text(create_operator_graph(spec.queries[0].text, spec.bindings()))
+    key = query_hash(canonical_text(create_operator_graph(spec.queries[0].text, spec.bindings())))
     cached = [e.cs.lookup(key) for e in engines if e.cs.lookup(key) is not None]
     delivered = [
         p for _, p in metrics.app_deliveries["c1"]
@@ -384,7 +385,7 @@ def typed(rows):
 
 
 def bare_instance():
-    return OpInstance("s", "u", "k", node=None, parent_idx=None, parent_host=None)
+    return OpInstance("s", "u", node=None, parent_idx=None, parent_host=None)
 
 
 def row_of(values, schema):

@@ -143,8 +143,8 @@ def retained_kib(spec, captured):
     """KiB a finished run still holds once its outputs and caches are dropped.
 
     The trace, events and deliveries grow with the number of queries by
-    design, and so do the content stores and qmaps; what is left is the
-    engines and their tables.
+    design, and so do the content stores; what is left is the engines and
+    their tables.
     """
     gc.collect()
     tracemalloc.start()
@@ -156,7 +156,6 @@ def retained_kib(spec, captured):
         done.control_sends.clear()
         for engine in done.engines.values():
             engine.cs = ContentStore()
-            engine.qmap.clear()
         gc.collect()
         return tracemalloc.get_traced_memory()[0] / 1024
     finally:

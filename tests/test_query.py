@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -96,9 +97,63 @@ def test_tokenize_arrow_forms():
     assert [t.kind for t in tokenize("a → b")] == ["IDENT", "ARROW", "IDENT"]
 
 
-def test_tokenize_illegal_character():
-    with pytest.raises(LexError):
-        tokenize("WINDOW(GPS_S1; 4s)")
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("4sx", [("IDENT", "4sx", 0)]),
+        ("12ab", [("IDENT", "12ab", 0)]),
+        ("1_000", [("IDENT", "1_000", 0)]),
+        ("1.5s", [("NUMBER", "1.5", 0), ("IDENT", "s", 3)]),
+        ("-5s", [("NUMBER", "-5", 0), ("IDENT", "s", 2)]),
+        ("12.", [("NUMBER", "12", 0), ("DOT", ".", 2)]),
+        ("12a.5", [("IDENT", "12a", 0), ("DOT", ".", 3), ("NUMBER", "5", 4)]),
+        ("12.5.3", [("NUMBER", "12.5", 0), ("DOT", ".", 4), ("NUMBER", "3", 5)]),
+        ("->5", [("ARROW", "->", 0), ("NUMBER", "5", 2)]),
+        ("=>", [("CMP", "=", 0), ("CMP", ">", 1)]),
+        (" \t x \n", [("IDENT", "x", 3)]),
+        ("0s", "duration must be at least 1 unit (at offset 0)"),
+        ("- 1", "stray '-' (at offset 0)"),
+    ],
+)
+def test_tokenize_where_the_alternatives_meet(text, tokens):
+    """Which token kind wins where a digit, '-' or '=' could start several."""
+    if isinstance(tokens, str):  # the LexError it raises
+        with pytest.raises(LexError) as err:
+            tokenize(text)
+        assert str(err.value) == tokens
+    else:
+        assert [(t.kind, t.text, t.pos) for t in tokenize(text)] == tokens
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [("a" + " " * 60_000, [("IDENT", "a", 0)]), (" \t\n" * 20_000, [])],
+)
+def test_tokenize_trailing_white_space_is_linear(text, tokens):
+    """A long white-space tail (an Add carries up to 64 KiB of text) lexes at once.
+
+    Scanning into the tail backtracks through it once per start position, which
+    takes minutes at this length.
+    """
+    start = time.perf_counter()
+    assert [(t.kind, t.text, t.pos) for t in tokenize(text)] == tokens
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("WINDOW(GPS_S1; 4s)", "illegal character ';' (at offset 13)"),
+        ("WINDOW(GPSé, 4s)", "illegal character 'é' (at offset 10)"),
+        ("FILTER(WINDOW(GPS_S1, 4s), 'latitude' < ٣)", "illegal character '٣' (at offset 40)"),
+        ("1٣", "illegal character '٣' (at offset 1)"),
+    ],
+)
+def test_tokenize_illegal_character(text, message):
+    """Identifiers, numbers and durations are ASCII; other letters and digits are illegal."""
+    with pytest.raises(LexError) as err:
+        tokenize(text)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
