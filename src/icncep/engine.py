@@ -4,11 +4,13 @@ A node runs one logical event loop. Every packet enters through
 `handle_packet(packet, in_face)`; handlers run to completion and never block
 on remote responses. A coordinator plans a query in one request/reply loop
 of two stages: while the plan is unmade it probes every other broker's
-delay, then it sends each host its deploy order. A stage ends with its last
-reply (a reply hook keyed on the Interest name) or at its timeout: a silent
-broker's delay reads infinite, and a deploy order unacked gives the plan up.
-A plan that fails (NoPath) leaves no state, not even its PIT entry, so a
-later Add of the query is planned afresh.
+delay, then it sends each host its deploy order. Each plan waits on the PIT
+entries of the Interests it sent, and a Data that answers one is handed to
+the plans waiting there. A stage ends with its last reply or at its timeout:
+a silent broker's delay reads infinite, and a deploy order unacked gives the
+plan up. A plan that fails (NoPath) sends /nack/<nonce> with the reason on
+every face of its query's PIT entry and leaves no state, not even that
+entry, so a later Add of the query is planned afresh.
 
 Name conventions produced locally:
   /node/<id>/delay            advertised processing + queueing delay
@@ -17,7 +19,7 @@ Name conventions produced locally:
   /state/<qhash>/<idx>/prune/<wm>
                               asks the upstream hop to stop that stream
   /ce/<qhash>/<ts>            consumer notification
-  /nack/<nonce>               rejection of a malformed query
+  /nack/<nonce>               rejection of a malformed or unplaceable query
 
 The FIB holds only installed routes: those that deployments install for
 stream names and /state/<qhash>/<idx> prefixes, and each producer's route
@@ -92,7 +94,7 @@ import json
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Optional, Protocol
 
 from .operators import (
     Condition,
@@ -246,16 +248,14 @@ class OpInstance:
 
 @dataclass
 class _PendingPlan:
-    token: int
     nonce: str
     key: str
     tree: OperatorNode
     unsalted: str
     salted: str
-    mode: str
     t0: int
     graph_real_ms: float
-    awaiting: dict[str, str] = field(default_factory=dict)  # uri -> probed or ordered node
+    awaiting: set[Name] = field(default_factory=set)  # /node/<id>/... not yet answered
     delays: dict[str, float] = field(default_factory=dict)
     plan_real_ms: float = 0.0
     plan: Optional[PlacementPlan] = None
@@ -287,12 +287,8 @@ class Engine:
         # query text -> (tree, canonical key, real parse ms); see _parse
         self._parsed: dict[str, tuple[OperatorNode, str, float]] = {}
         self.high_water: dict[str, int] = {}  # stream uri -> newest tuple ts
-        # Interest uri -> tokens of the plans waiting on its reply, in order
-        self._reply_hooks: dict[str, list[int]] = {}
         self._deployed: dict[str, int] = {}  # salted hash -> time of its latest deploy here
         self._fences: dict[tuple[str, int], int] = {}  # /state feed sent or forwarded -> fence wm
-        self._pending: dict[int, _PendingPlan] = {}
-        self._next_token = 1
         self.counters: dict[str, int] = {}
 
     # -- small helpers ------------------------------------------------------
@@ -303,6 +299,12 @@ class Engine:
     def _send(self, face_id: int, packet: Packet) -> None:
         self._bump("sent")
         self.services.send(self.node_id, face_id, packet)
+
+    def _nack(self, faces, nonce: str, reason: str) -> None:
+        """Reject query `nonce` for `reason` on each of `faces`."""
+        nack = Data(name=Name(("nack", nonce)), payload=reason.encode("utf-8"), ts=self._now())
+        for f in faces:
+            self._send(f, nack)
 
     def _event(self, kind: str, **payload) -> None:
         self.services.event(self.node_id, kind, payload)
@@ -366,14 +368,9 @@ class Engine:
         try:
             tree, key, graph_real_ms = self._parse(p.query)
         except QueryError as err:
-            nack = Data(
-                name=Name(("nack", p.nonce)),
-                payload=str(err).encode("utf-8"),
-                ts=self._now(),
-            )
             self._bump("nacks")
             self._bump("consumed")
-            self._send(in_face, nack)
+            self._nack([in_face], p.nonce, str(err))
             return
         unsalted = query_hash(key)
 
@@ -433,20 +430,15 @@ class Engine:
         self, nonce: str, key: str, tree: OperatorNode, unsalted: str, graph_real_ms: float
     ) -> None:
         salted = query_hash(key, salt=self.node_id)
-        token = self._next_token
-        self._next_token += 1
         pending = _PendingPlan(
-            token=token,
             nonce=nonce,
             key=key,
             tree=tree,
             unsalted=unsalted,
             salted=salted,
-            mode=self.config.mode,
             t0=self._now(),
             graph_real_ms=graph_real_ms,
         )
-        self._pending[token] = pending
         self._event(
             "query_accepted",
             nonce=nonce,
@@ -455,32 +447,32 @@ class Engine:
             salted=salted,
             t0=pending.t0,
             graph_real_ms=graph_real_ms,
-            mode=pending.mode,
+            mode=self.config.mode,
         )
         # a distributed plan probes every other broker's delay; others are planned at once
-        probes = {}
-        if pending.mode != "centralized" and self.config.topology is not None:
+        probes = []
+        if self.config.mode != "centralized" and self.config.topology is not None:
             pending.delays[self.node_id] = self.services.local_delay_ms(self.node_id)
             brokers = self.config.topology.broker_ids()
-            probes = {Name(("node", b, "delay")): b for b in brokers if b != self.node_id}
+            probes = [Name(("node", b, "delay")) for b in brokers if b != self.node_id]
         self._request(pending, probes, PROBE_TIMEOUT_MS)
 
-    def _request(self, pending: _PendingPlan, names: dict[Name, str], timeout_ms: float) -> None:
+    def _request(self, pending: _PendingPlan, names: list[Name], timeout_ms: float) -> None:
         """Ask `names` for `pending`'s stage; it ends with its last reply or at `timeout_ms`."""
-        for name, node in names.items():
-            pending.awaiting[name.to_uri()] = node
-            self._originate_interest(name, pending.token)
+        for name in names:
+            pending.awaiting.add(name)
+            self._originate_interest(name, pending)
         if not pending.awaiting:
             self._next_stage(pending)
             return
-        token, plan = pending.token, pending.plan
-        self.services.schedule(timeout_ms, lambda: self._timeout(token, plan))
+        plan = pending.plan
+        self.services.schedule(timeout_ms, lambda: self._timeout(pending, plan))
 
-    def _reply(self, token: int, data: Data) -> None:
-        """Record plan `token`'s reply `data`; the stage's last reply ends it."""
-        pending = self._pending[token]
-        node = pending.awaiting.pop(data.name.to_uri())
+    def _reply(self, pending: _PendingPlan, data: Data) -> None:
+        """Record `pending`'s reply `data`; the stage's last reply ends it."""
+        pending.awaiting.remove(data.name)
         if pending.plan is None:  # a probe's reply: the node's advertised delay
+            node = data.name.components[1]
             try:
                 pending.delays[node] = float(data.payload.decode("utf-8"))
             except ValueError:
@@ -488,29 +480,25 @@ class Engine:
         if not pending.awaiting:
             self._next_stage(pending)
 
-    def _timeout(self, token: int, plan: Optional[PlacementPlan]) -> None:
-        """Stop plan `token`'s stage begun with `plan` from waiting, unless it is over."""
-        pending = self._pending.get(token)
-        if pending is None or pending.plan is not plan:
+    def _timeout(self, pending: _PendingPlan, plan: Optional[PlacementPlan]) -> None:
+        """Stop `pending`'s stage begun with `plan` from waiting, unless it is over."""
+        if pending.plan is not plan or not pending.awaiting:
             return
-        self._drop_hooks(token, pending.awaiting)
+        self._drop_waits(pending)
         if plan is None:
-            for broker in pending.awaiting.values():
-                pending.delays[broker] = float("inf")
+            for name in pending.awaiting:
+                pending.delays[name.components[1]] = float("inf")
             pending.awaiting.clear()
             self._plan_and_deploy(pending)
             return
-        del self._pending[token]
-        self._event(
-            "deploy_timeout", nonce=pending.nonce, missing=sorted(pending.awaiting.values())
-        )
+        missing = sorted(name.components[1] for name in pending.awaiting)
+        self._event("deploy_timeout", nonce=pending.nonce, missing=missing)
 
     def _next_stage(self, pending: _PendingPlan) -> None:
         """Plan `pending` once probed; once its deploy orders are acked, report it deployed."""
         if pending.plan is None:
             self._plan_and_deploy(pending)
             return
-        del self._pending[pending.token]
         t1 = self._now()
         plan = pending.plan
         self._event(
@@ -522,7 +510,7 @@ class Engine:
             placement_sim_ms=float(t1 - pending.t0),
             plan_real_ms=pending.plan_real_ms,
             graph_real_ms=pending.graph_real_ms,
-            mode=pending.mode,
+            mode=self.config.mode,
             assignments={str(i): h for i, h in sorted(plan.assignments.items())},
             path=list(plan.path),
             pinned=sorted(plan.pinned),
@@ -535,37 +523,38 @@ class Engine:
             plan = plan_query(
                 pending.tree,
                 self.node_id,
-                pending.mode if delays else "centralized",
+                self.config.mode if delays else "centralized",
                 self.config.topology,
                 self.config.streams,
                 probe=delays.__getitem__ if delays else None,
             )
         except NoPath as err:
             # nothing was installed: a later Add of the query is planned afresh
-            del self._pending[pending.token]
+            entry = self.pit.lookup(pending.unsalted)
             self.pit.remove(pending.unsalted)
             self._event("plan_failed", nonce=pending.nonce, reason=str(err))
+            self._nack(sorted(entry.faces) if entry is not None else (), pending.nonce, str(err))
             return
         pending.plan_real_ms = (time.perf_counter() - started) * 1000.0
-        if pending.mode == "centralized":
+        if self.config.mode == "centralized":
             pending.plan_real_ms = 0.0
         pending.plan = plan
 
         orders = self._deployment_orders(pending, plan)
-        self._trees.setdefault(pending.salted, pending.tree)
+        routes = orders.pop(self.node_id, {}).get("routes", [])
         self._install_assignment(
             pending.salted,
             pending.unsalted,
-            pending.key,
+            pending.tree,
             plan.assignments,
-            orders.pop(self.node_id, {}).get("routes", []),
+            [(Name.from_uri(prefix), self._face_of_peer.get(hop)) for prefix, hop in routes],
         )
-        deploys = {}
+        deploys = []
         for target, doc in sorted(orders.items()):
             blob = base64.urlsafe_b64encode(
                 json.dumps(doc, sort_keys=True).encode("utf-8")
             ).decode("ascii")
-            deploys[Name(("node", target, "deploy", blob))] = target
+            deploys.append(Name(("node", target, "deploy", blob)))
         self._request(pending, deploys, DEPLOY_TIMEOUT_MS)
 
     def _deployment_orders(self, pending, plan) -> dict[str, dict]:
@@ -610,32 +599,44 @@ class Engine:
 
     # -- deployment intake ---------------------------------------------------
 
-    def _install_deploy_blob(self, blob: str) -> None:
-        doc = json.loads(base64.urlsafe_b64decode(blob.encode("ascii")))
-        assignments = {int(i): h for i, h in doc["assign"].items()}
-        self._install_assignment(
-            doc["salted"],
-            doc["unsalted"],
-            doc["q"],
-            assignments,
-            [tuple(r) for r in doc.get("routes", [])],
-        )
+    def _read_deploy_order(self, blob: str) -> tuple:
+        """`_install_assignment`'s arguments for deploy order `blob`.
+
+        Raises ValueError if the order is malformed, before anything is
+        installed: it must be base64url JSON of an object whose assignment
+        covers exactly the operators of its query's tree.
+        """
+        try:
+            doc = json.loads(base64.urlsafe_b64decode(blob.encode("ascii")))
+            salted, unsalted, key = doc["salted"], doc["unsalted"], doc["q"]
+            assignments = {int(i): h for i, h in doc["assign"].items()}
+            routes = [
+                (Name.from_uri(prefix), self._face_of_peer.get(hop))
+                for prefix, hop in doc.get("routes", [])
+            ]
+            if not all(isinstance(s, str) for s in (salted, unsalted, key)):
+                raise TypeError("query names must be strings")
+            tree = self._trees.get(salted)
+            if tree is None:
+                tree = self._parse(key)[0]
+        except (KeyError, TypeError, AttributeError, RecursionError) as err:
+            raise ValueError("malformed deploy order: %r" % (err,)) from err
+        if set(assignments) != {node.index for node in tree.walk()}:
+            raise ValueError("deploy order does not assign its query's operators")
+        return salted, unsalted, tree, assignments, routes
 
     def _install_assignment(
         self,
         salted: str,
         unsalted: str,
-        key: str,
+        tree: OperatorNode,
         assignments: dict[int, str],
-        routes: list[tuple[str, str]],
+        routes: list[tuple[Name, Optional[int]]],  # prefix, face to its next hop
     ) -> None:
-        for prefix, next_hop in routes:
-            face = self._face_of_peer.get(next_hop)
+        for prefix, face in routes:
             if face is not None:
-                self.fib.add_route(Name.from_uri(prefix), face)
-        tree = self._trees.get(salted)
-        if tree is None:
-            tree = self._trees[salted] = self._parse(key)[0]
+                self.fib.add_route(prefix, face)
+        tree = self._trees.setdefault(salted, tree)
         self._deployed[salted] = self._now()
         parent_of: dict[int, Optional[int]] = {tree.index: None}
         for node in tree.walk():
@@ -700,15 +701,16 @@ class Engine:
                 self._feed_window(inst, p.tuple)
             consumed = True
         elif len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
-            feed = (comps[1], int(comps[2]))
-            parent_key = self._child_feeds.get(feed)
-            if parent_key is not None:
-                parent = self.instances.get(parent_key)
-                if parent is not None:
-                    fed = self._decode_snapshot(p.tuple, parent, feed[1])
-                    if fed is not None:
-                        self._feed_child_output(parent, feed[1], *fed)
-                    consumed = True
+            try:
+                feed = (comps[1], int(comps[2]))
+                parent = self.instances.get(self._child_feeds.get(feed))
+                fed = None if parent is None else self._decode_snapshot(p.tuple, parent, feed[1])
+            except ValueError:
+                self._bump("malformed")
+                return
+            if fed is not None:
+                self._feed_child_output(parent, feed[1], *fed)
+            consumed = parent is not None
 
         out_faces = self._fib_faces(p.stream_name, exclude=in_face)
         for f in out_faces:
@@ -757,7 +759,7 @@ class Engine:
             ):
                 raise ValueError("delta rows do not fit [first, end)")
             new = [Tuple(ts=int(r[0]), schema_id=schema, values=tuple(r)) for r in raw]
-        except (KeyError, IndexError, TypeError, OverflowError) as err:
+        except (KeyError, IndexError, TypeError, OverflowError, RecursionError) as err:
             raise ValueError("malformed /state delta: %r" % (err,)) from err
         mirror = inst.received.setdefault(child_idx, Mirror())
         start = end - len(new)
@@ -964,30 +966,33 @@ class Engine:
 
     # -- classic interests and data -----------------------------------------
 
-    def _originate_interest(self, name: Name, token: int) -> None:
-        """Ask for `name` for plan `token`; while `name` is pending, share its Interest."""
-        tokens = self._reply_hooks.setdefault(name.to_uri(), [])
-        tokens.append(token)
-        if len(tokens) == 1:
-            self.pit.add_face(name, APP_FACE, self._now())
+    def _originate_interest(self, name: Name, pending: _PendingPlan) -> None:
+        """Ask for `name` for `pending`; plans asking while `name` is pending share its Interest."""
+        self.pit.add_face(name, APP_FACE, self._now())
+        entry = self.pit.lookup(name)
+        if not entry.waiting:
             for f in self._fib_faces(name, interest=True):
                 self._send(f, Interest(name=name))
+        entry.waiting += (pending,)
 
-    def _drop_hooks(self, token: int, uris: Iterable[str]) -> None:
-        """Stop plan `token` waiting on `uris`; a name left unwaited leaves the PIT."""
-        for uri in uris:
-            tokens = self._reply_hooks.get(uri, [])
-            if token in tokens:
-                tokens.remove(token)
-            if not tokens:
-                self._reply_hooks.pop(uri, None)
-                self.pit.remove_face(Name.from_uri(uri), APP_FACE)
+    def _drop_waits(self, pending: _PendingPlan) -> None:
+        """Stop `pending` waiting; a name no plan waits on any more loses APP_FACE."""
+        for name in pending.awaiting:
+            entry = self.pit.lookup(name)
+            entry.waiting = tuple(w for w in entry.waiting if w is not pending)
+            if not entry.waiting:
+                self.pit.remove_face(name, APP_FACE)
 
     def handle_interest(self, p: Interest, in_face: int) -> None:
         comps = p.name.components
         if len(comps) == 5 and comps[0] == "state" and comps[3] == "prune":
+            try:
+                feed, wm = (comps[1], int(comps[2])), int(comps[4])
+            except ValueError:
+                self._bump("malformed")
+                return
             self._bump("consumed")
-            self._handle_prune((comps[1], int(comps[2])), int(comps[4]), in_face)
+            self._handle_prune(feed, wm, in_face)
             return
         if len(comps) == 3 and comps[:2] == ("node", self.node_id) and comps[2] == "delay":
             delay = self.services.local_delay_ms(self.node_id)
@@ -998,7 +1003,12 @@ class Engine:
             )
             return
         if len(comps) == 4 and comps[:2] == ("node", self.node_id) and comps[2] == "deploy":
-            self._install_deploy_blob(comps[3])
+            try:
+                order = self._read_deploy_order(comps[3])
+            except ValueError:
+                self._bump("malformed")
+                return
+            self._install_assignment(*order)
             self._bump("consumed")
             self._send(in_face, Data(name=p.name, payload=b"ok", ts=self._now()))
             return
@@ -1031,22 +1041,8 @@ class Engine:
             self.cs.insert(p.name, p.payload, p.ts)
 
     def handle_data(self, p: Data, in_face: int) -> None:
-        uri = p.name.to_uri()
-        tokens = self._reply_hooks.pop(uri, None)
-        if tokens is not None:
-            # other nodes' Interests aggregated on this node's own get the Data too
-            entry = self.pit.lookup(p.name)
-            for f in sorted(entry.faces) if entry is not None else ():
-                if f not in (APP_FACE, in_face):
-                    self._send(f, p)
-            self.pit.remove(p.name)
-            self._cache(p)
-            self._bump("consumed")
-            for token in tokens:
-                self._reply(token, p)
-            return
         comps = p.name.components
-        if comps and comps[0] == "ce" and len(comps) >= 2:
+        if comps[0] == "ce" and len(comps) >= 2:
             entry = self.pit.lookup(comps[1])
             faces = [] if entry is None else [f for f in sorted(entry.faces) if f != in_face]
             for f in faces:
@@ -1055,7 +1051,7 @@ class Engine:
                 entry.last_result_ts = max(entry.last_result_ts, p.ts)
             self._bump("forwarded" if faces else "dropped")
             return
-        if comps and comps[0] == "nack":
+        if comps[0] == "nack":
             # surface rejections to the local application
             self._bump("consumed")
             self._send(APP_FACE, p)
@@ -1064,10 +1060,12 @@ class Engine:
         if entry is None:
             self._bump("dropped")  # unsolicited
             return
-        faces = sorted(entry.faces)
         self.pit.remove(p.name)
         self._cache(p)
-        for f in faces:
-            if f != in_face:
+        waiting = entry.waiting  # while plans wait, APP_FACE stands for them
+        for f in sorted(entry.faces):
+            if f != in_face and not (waiting and f == APP_FACE):
                 self._send(f, p)
-        self._bump("forwarded")
+        self._bump("consumed" if waiting else "forwarded")
+        for pending in waiting:
+            self._reply(pending, p)

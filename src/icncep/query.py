@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .packet import Name, Schema
 
@@ -138,8 +138,7 @@ def default_streams() -> StreamRegistry:
 # tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT NUMBER DURATION ATTR TIME LPAREN RPAREN COMMA DOT CMP AMP PIPE ARROW
     text: str
     pos: int

@@ -90,6 +90,7 @@ class PitEntry:
     created_ts: int = 0
     # newest tuple timestamp already folded into this query's result
     last_result_ts: int = -1
+    waiting: tuple = ()  # this node's own plans waiting on the Data, in order
 
 
 class PendingInterestTable:
@@ -98,7 +99,8 @@ class PendingInterestTable:
     Query entries are keyed by the unsalted query hash, the 48-bit prefix
     that /ce/<hash>/<ts> result names carry; two texts whose hashes collide
     are taken for the same query. Entries survive Data arrival; only
-    remove()/remove_face() can delete them.
+    remove()/remove_face() can delete them. An entry for a name this node
+    asked for itself carries the plans waiting on its Data.
     """
 
     def __init__(self) -> None:

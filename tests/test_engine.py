@@ -534,6 +534,82 @@ def test_malformed_delta_is_rejected_without_touching_the_mirror(text):
     assert eng._decode_snapshot(carried(delta()), inst, 7) is not None
 
 
+def deploy_order(doc):
+    blob = base64.urlsafe_b64encode(json.dumps(doc).encode("utf-8")).decode("ascii")
+    return Interest(name=Name(("node", "b2", "deploy", blob)))
+
+
+def filter_host():
+    """b2 hosting Q2's FILTER (index 0) for query "s"; its WINDOW (index 1) ships from b1."""
+    svc = FakeServices()
+    cfg = NodeConfig(
+        "b2",
+        "broker",
+        faces=[FaceDef(1, "b1"), FaceDef(2, "b3")],
+        streams=default_streams(),
+        mode="distributed",
+    )
+    eng = Engine(cfg, svc)
+    key = canonical_text(create_operator_graph(Q2, default_streams()))
+    doc = {"q": key, "salted": "s", "unsalted": "u", "assign": {"0": "b2", "1": "b1"}}
+    eng.handle_packet(deploy_order(doc), in_face=1)
+    assert [p.payload for p in sent_to(svc, 1)] == [b"ok"]
+    svc.sent.clear()
+    return eng, svc, doc
+
+
+def unplaceable_order(doc):
+    """Query "s2", whose assignment gives b2 operator 7, which Q2's tree lacks."""
+    doc = dict(doc, salted="s2", assign={"0": "b2", "1": "b1", "7": "b2"})
+    return deploy_order(dict(doc, routes=[["/state/s2/1", "b3"]]))
+
+
+@pytest.mark.parametrize(
+    "packet",
+    [
+        lambda doc: DataStream(Name.from_uri("/state/s/x/out"), carried(delta())),
+        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), carried("not json")),
+        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), carried(delta(first="1"))),
+        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), carried("[" * 5000)),
+        lambda doc: Interest(name=Name.from_uri("/state/s/x/prune/5")),
+        lambda doc: Interest(name=Name.from_uri("/state/s/1/prune/zz")),
+        lambda doc: Interest(name=Name.from_uri("/node/b2/deploy/abcde")),
+        lambda doc: deploy_order([1, 2]),
+        lambda doc: deploy_order("doc"),
+        lambda doc: deploy_order(dict(doc, assign=[["0", "b2"]])),
+        lambda doc: Interest(name=Name(("node", "b2", "deploy", "W1tb" * 2000))),  # "[[[" * 2000
+        unplaceable_order,
+    ],
+    ids=[
+        "stream-index",
+        "delta-not-json",
+        "delta-fields",
+        "delta-nested",
+        "prune-index",
+        "prune-watermark",
+        "deploy-not-base64",
+        "deploy-list",
+        "deploy-string",
+        "deploy-assign-list",
+        "deploy-nested",
+        "deploy-unknown-operator",
+    ],
+)
+def test_a_malformed_packet_is_dropped_and_counted(packet):
+    eng, svc, doc = filter_host()
+
+    def held():
+        mirrors = {i: (m.base, list(m.rows)) for i, m in eng.instances[("s", 0)].received.items()}
+        state = (eng._trees, eng._deployed, eng._fences, eng._child_feeds, eng.instances)
+        return eng.fib.dump(), [dict(d) for d in state], mirrors
+
+    before = held()
+    eng.handle_packet(packet(doc), in_face=1)
+    assert eng.counters["malformed"] == 1
+    assert svc.sent == []  # nothing forwarded, acked or pruned
+    assert held() == before  # and nothing installed
+
+
 JOIN_HOST_QUERY = (
     "HEATMAP(0.01, 49.86, 49.92, 8.61, 8.69, "
     "JOIN(WINDOW(GPS_S1, 3), WINDOW(GPS_S2, 3), %s))"
@@ -555,7 +631,8 @@ def join_host(cond):
     eng = Engine(cfg, svc)
     key = canonical_text(create_operator_graph(JOIN_HOST_QUERY % cond, default_streams()))
     hosts = {0: "b3", 1: "b2", 2: "b1", 3: "b1"}
-    eng._install_assignment("s", "u", key, hosts, [("/state/s/1", "b3")])
+    routes = [(Name.from_uri("/state/s/1"), 2)]  # the face to b3
+    eng._install_assignment("s", "u", eng._parse(key)[0], hosts, routes)
     return eng, svc, eng.instances[("s", 1)]
 
 
@@ -909,8 +986,10 @@ def test_a_failed_plan_leaves_nothing_behind_and_a_later_add_plans_again():
     eng.handle_packet(Data(name=b1_probe, payload=b"1.0", ts=1), in_face=1)
     svc.fire_timers()  # b2 stays silent: no broker path b1..b3
     assert [k for n, k, p in svc.events] == ["query_accepted", "plan_failed"]
-    assert eng._trees == {} and eng.instances == {} and eng._pending == {}
-    assert eng._reply_hooks == {} and len(eng.pit) == 0
+    reason = svc.events[-1][2]["reason"]
+    nacks = [(p.name.components, p.payload) for p in sent_to(svc, 9)]
+    assert nacks == [(("nack", "n1"), reason.encode("utf-8"))]  # the consumer is told
+    assert eng._trees == {} and eng.instances == {} and len(eng.pit) == 0
 
     eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=9)
     accepted = [p["nonce"] for n, k, p in svc.events if k == "query_accepted"]
@@ -938,8 +1017,8 @@ def test_late_deploy_acks_are_dropped_as_unsolicited():
         eng.handle_packet(Data(name=p.name, payload=b"ok", ts=2), in_face=1)
     assert eng.counters.get("dropped", 0) == dropped + len(deploys)
     assert "query_deployed" not in [k for n, k, p in svc.events]
-    assert eng._reply_hooks == {} and eng._pending == {}
     assert all(eng.pit.lookup(p.name) is None for p in deploys)
+    assert len(eng.pit) == 1  # only the query's own entry: no Interest is pending
 
 
 Q3 = "FILTER(WINDOW(GPS_S1, 6s), 'latitude' < 48)"

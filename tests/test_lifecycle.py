@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from icncep import sim
+from icncep.engine import Engine
 from icncep.sim import (
     QueryDef,
     ScenarioSpec,
@@ -217,3 +218,33 @@ def test_a_re_add_during_a_prune_notifies_after_its_re_deploy(tmp_path):
         assert totals(metrics, "errors") == 0
         ignored += totals(metrics, "stale_prunes")
     assert ignored >= 1  # some prune reached b2 after its re-deploy, and was ignored
+
+
+def test_no_plan_waits_in_any_pit_after_a_run_of_re_added_queries(tmp_path, captured, monkeypatch):
+    """Every plan's wait on a probe or deploy Interest ends with its stage.
+
+    A broker b9 on a 150 ms link answers each probe after the 200 ms probe
+    timeout, so every distributed plan drops its wait for b9 at the timeout.
+    """
+    dropped = []
+    drop_waits = Engine._drop_waits
+    monkeypatch.setattr(
+        Engine, "_drop_waits", lambda eng, pending: dropped.append(1) or drop_waits(eng, pending)
+    )
+    spec = cycles_spec(tmp_path, 20)
+    topo = spec.topology
+    slow = TopologyConfig(
+        "slow",
+        dict(topo.nodes, b9=TopoNode("b9", "broker", 1.0)),
+        topo.link_list + [TopoLink("b9", "b5", 150.0)],
+    )
+    again = [
+        replace(q, query_id=q.query_id + "again", start_ms=q.start_ms + 9000, stop_ms=q.stop_ms + 9000)
+        for q in spec.queries[2:8]
+    ]
+    metrics = run_scenario(replace(spec, topology=slow, queries=spec.queries + again))
+    assert all(q.notifications > 0 for q in metrics.queries.values())
+    assert dropped and totals(metrics, "errors") == 0
+    for engine in captured[0].engines.values():
+        waits = [e.key for e in engine.pit._entries.values() if e.waiting]
+        assert waits == [], engine.node_id
