@@ -118,7 +118,8 @@ def _cmd_run_sim(args) -> int:
     if args.metrics:
         emit_metrics(metrics, args.metrics)
     if args.trace:
-        Path(args.trace).write_text("\n".join(metrics.trace) + "\n")
+        with Path(args.trace).open("w") as fh:
+            metrics.trace.write(fh)
     for qid in sorted(metrics.queries):
         q = metrics.queries[qid]
         print(

@@ -40,7 +40,7 @@ class MalformedPacket(ValueError):
     """Raised when a byte string cannot be decoded into a packet."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name:
     """Hierarchical content name, e.g. /node/nodeA/temperature."""
 
@@ -76,7 +76,7 @@ def is_prefix_of(prefix: Name, name: Name) -> bool:
     return name.components[: len(prefix.components)] == prefix.components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Schema:
     """Named attribute layout for stream tuples; first attribute is ts."""
 
@@ -96,7 +96,7 @@ class Schema:
             raise KeyError(attr) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tuple:
     """Timestamped attribute record <ts, a1, .., am>.
 
@@ -129,31 +129,31 @@ class Tuple:
         return cls(ts=int(vals[0]), schema_id=schema_id, values=vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interest:
     name: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Data:
     name: Name
     payload: bytes
     ts: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataStream:
     stream_name: Name
     tuple: Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddQueryInterest:
     query: str
     nonce: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoveQueryInterest:
     query: str
     nonce: int

@@ -520,6 +520,11 @@ _register_builtins()
 # ---------------------------------------------------------------------------
 # parser
 
+# Operators a query may nest, root included. The shipped and benchmark
+# queries nest at most four; the parser and every walk of the tree recurse
+# once per level, so a deeper text is a ParseError, not a RecursionError.
+MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, toks: list[Token], streams: StreamRegistry) -> None:
@@ -552,12 +557,16 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self) -> OperatorNode:
+    def parse_expr(self, depth: int = 1) -> OperatorNode:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of query")
         if tok.kind != "IDENT":
             raise ParseError("expected operator at offset %d, found %r" % (tok.pos, tok.text))
+        if depth > MAX_NESTING:
+            raise ParseError(
+                "operators nest deeper than %d at offset %d" % (MAX_NESTING, tok.pos)
+            )
         keyword = tok.text.upper()
         op = _REGISTRY.get(keyword)
         if op is None:
@@ -590,7 +599,7 @@ class _Parser:
                         )
                     self.expect("COMMA")
             if slot == "expr":
-                children.append(self.parse_expr())
+                children.append(self.parse_expr(depth + 1))
             elif slot == "boolexp":
                 params.append(self.parse_boolexpr())
             elif slot == "attr":

@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import random
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -61,6 +62,7 @@ __all__ = [
     "QueryDef",
     "QueryMetrics",
     "Metrics",
+    "Trace",
     "load_topology",
     "load_scenario",
     "override_scenario",
@@ -73,6 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_LINK_CAPACITY = 64
+SEAL_LINES = 4096  # open trace lines at which the event loop seals a chunk
 
 
 class ConfigError(Exception):
@@ -537,6 +540,72 @@ def generate_plug_csv(
 
 
 # ---------------------------------------------------------------------------
+# the event trace
+
+
+class Trace:
+    """The lines of an event trace, kept as sealed chunks and hashed as they seal.
+
+    `append` is the bound `append` of the list of open lines, so recording a
+    line costs no Python call. `seal` joins the open lines with newlines into
+    one str, keeps their lengths in an `array('I')` and feeds the text's
+    UTF-8 bytes, after a newline if a chunk came before, to a running sha256.
+    A 76-character line then costs about 81 bytes, not the 133 of a `str` of
+    its own in a list. Iteration gives back exactly the lines appended, in
+    order, lines holding newlines included; `hexdigest` is the sha256 of all
+    of them joined by newlines.
+    """
+
+    __slots__ = ("append", "open_lines", "_chunks", "_sha")
+
+    def __init__(self) -> None:
+        self.open_lines: list[str] = []
+        self.append = self.open_lines.append
+        self._chunks: list[tuple[str, array]] = []  # (joined text, line lengths)
+        self._sha = hashlib.sha256()
+
+    def seal(self) -> None:
+        lines = self.open_lines
+        if not lines:
+            return
+        text = "\n".join(lines)
+        if self._chunks:
+            self._sha.update(b"\n")
+        self._sha.update(text.encode("utf-8"))
+        self._chunks.append((text, array("I", map(len, lines))))
+        lines.clear()
+
+    def hexdigest(self) -> str:
+        self.seal()
+        return self._sha.hexdigest()
+
+    def write(self, fh) -> None:
+        """Write the lines joined by newlines, and a final newline, chunk by chunk."""
+        self.seal()
+        for i, (text, _) in enumerate(self._chunks):
+            if i:
+                fh.write("\n")
+            fh.write(text)
+        fh.write("\n")
+
+    def __iter__(self):
+        for text, lengths in self._chunks:
+            start = 0
+            for n in lengths:
+                yield text[start : start + n]
+                start += n + 1
+        yield from self.open_lines
+
+    def __len__(self) -> int:
+        return sum(len(lengths) for _, lengths in self._chunks) + len(self.open_lines)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Trace, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+# ---------------------------------------------------------------------------
 # metrics
 
 
@@ -569,7 +638,7 @@ class Metrics:
     reorder_warnings: int = 0
     events: list[tuple[str, str, dict]] = field(default_factory=list)
     app_deliveries: dict[str, list[tuple[float, Packet]]] = field(default_factory=dict)
-    trace: list[str] = field(default_factory=list)
+    trace: Trace = field(default_factory=Trace)
     trace_hash: str = ""
 
 
@@ -633,7 +702,7 @@ class Simulator:
         self._seq = 0
         self._heap: list[tuple[float, int, Optional[str], object]] = []
         self._waiting: dict[str, Batch] = {}  # each node's latest batch from `_wait`
-        self.trace: list[str] = []
+        self.trace = Trace()
         self.events: list[tuple[str, str, dict]] = []
         self.app: dict[str, list[tuple[float, Packet]]] = {}
         self.link_drops: dict[str, int] = {}
@@ -786,7 +855,9 @@ class Simulator:
         peer = self.engines[node].faces[face_id].peer
         link = self.topo.link_by_pair[(node, peer)]
         key = (node, peer)
-        flight = self._in_flight.setdefault(key, deque())
+        flight = self._in_flight.get(key)
+        if flight is None:
+            flight = self._in_flight[key] = deque()
         self._seq += 1
         uid = self._seq
         summary = _summary(packet) if self.collect_trace else None
@@ -834,6 +905,7 @@ class Simulator:
 
     def run(self) -> None:
         heap = self._heap
+        trace, open_lines = self.trace, self.trace.open_lines
         while heap:
             t, _, node, payload = heappop(heap)
             self.t = t
@@ -841,6 +913,8 @@ class Simulator:
                 payload()
             else:
                 self._wake(node, payload)
+            if len(open_lines) >= SEAL_LINES:
+                trace.seal()
 
     def detach(self) -> None:
         """Drop the engines' and the waiting handlers' references to this simulator.
@@ -853,20 +927,6 @@ class Simulator:
             eng.services = None
             eng._parsed.clear()
         self._waiting.clear()
-
-
-def _trace_hash(lines: list[str]) -> str:
-    """sha256 of the lines joined by newlines, hashed 4,096 lines at a time.
-
-    The whole joined text, once as str and once as UTF-8 bytes, would be a
-    traced run's peak: about 35 MB on a 100-broker mesh with 205,000 lines.
-    """
-    digest = hashlib.sha256()
-    for i in range(0, len(lines), 4096):
-        if i:
-            digest.update(b"\n")
-        digest.update("\n".join(lines[i : i + 4096]).encode("utf-8"))
-    return digest.hexdigest()
 
 
 def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:
@@ -909,7 +969,7 @@ def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:
         trace=sim.trace,
     )
     sim.detach()
-    metrics.trace_hash = _trace_hash(sim.trace)
+    metrics.trace_hash = sim.trace.hexdigest()
 
     # first acceptance and deployment per query id; nonces are "<query id>:<k>"
     first: dict[tuple[str, str], dict] = {}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from icncep.cli import main
+from icncep.cli import EXIT_SYNTAX, main
 from icncep.sim import data_path, generate_gps_csv, load_scenario, run_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -37,10 +37,15 @@ def test_parse_output_is_stable_across_runs(capsys):
     [
         ("WINDOW(GPS_S1, 4s", "syntax error"),
         ("WINDOW(GPSé, 4s)", "syntax error: illegal character 'é' (at offset 10)"),
+        pytest.param(
+            "FILTER(" * 3000 + "WINDOW(GPS_S1, 4s)" + ", 'speed' > 1)" * 3000,
+            "syntax error: operators nest deeper than 64",
+            id="nested-too-deep",
+        ),
     ],
 )
 def test_parse_syntax_error_exits_1(capsys, text, message):
-    assert main(["parse", text]) == 1
+    assert main(["parse", text]) == EXIT_SYNTAX
     assert message in capsys.readouterr().err
 
 
@@ -141,6 +146,15 @@ def test_run_sim_writes_metrics_and_trace(tmp_path, capsys):
     assert lines[2] == "query,total_ms,graph_ms,placement_ms,communication_ms"
     assert lines[3].startswith("q1,")
     assert len(tr.read_text().splitlines()) > 50
+
+
+def test_run_sim_trace_file_holds_the_trace_lines(tmp_path, capsys):
+    scn = str(data_path("q3.scn"))
+    tr = tmp_path / "t.ndev"
+    assert main(["run-sim", scn, "--trace", str(tr)]) == 0
+    lines = list(run_scenario(load_scenario(scn)).trace)
+    assert len(lines) > 4096  # more than one sealed chunk
+    assert tr.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_run_sim_mode_and_topology_override(tmp_path, capsys):

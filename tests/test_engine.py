@@ -227,7 +227,12 @@ def test_remove_unknown_query_is_dropped():
     assert eng.counters.get("dropped", 0) == 1
 
 
-@pytest.mark.parametrize("text", ["WINDOW(", "WINDOW(GPSé, 4s)"])
+NESTED_TOO_DEEP = "FILTER(" * 3000 + "WINDOW(GPS_S1, 4s)" + ", 'speed' > 1)" * 3000
+
+
+@pytest.mark.parametrize(
+    "text", ["WINDOW(", "WINDOW(GPSé, 4s)", pytest.param(NESTED_TOO_DEEP, id="nested-too-deep")]
+)
 def test_malformed_query_nacked(text):
     eng, svc = single_broker()
     eng.handle_packet(AddQueryInterest(query=text, nonce="n9"), in_face=1)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icncep.query import (
+    MAX_NESTING,
     AttrRef,
     BoolOp,
     Comparison,
@@ -297,6 +298,22 @@ def test_degenerate_heatmap_bounds_rejected():
 def test_predict_needs_plug_layout():
     with pytest.raises(SemanticError):
         parse_query("PREDICT(5m, WINDOW(GPS_S1, 1m))")
+
+
+def nested_filters(depth):
+    """A FILTER chain over one WINDOW: `depth` operators, root included."""
+    return "FILTER(" * (depth - 1) + "WINDOW(GPS_S1, 4s)" + ", 'speed' > 1)" * (depth - 1)
+
+
+def test_nesting_up_to_the_limit_parses():
+    tree = create_operator_graph(nested_filters(MAX_NESTING))
+    assert len(list(tree.walk())) == MAX_NESTING
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3001])
+def test_nesting_past_the_limit_is_parse_error(depth):
+    with pytest.raises(ParseError, match="nest deeper than %d" % MAX_NESTING):
+        create_operator_graph(nested_filters(depth))
 
 
 def test_empty_query_is_parse_error():

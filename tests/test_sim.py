@@ -3,8 +3,10 @@
 import gc
 import hashlib
 import heapq
+import io
 import json
 import random
+import sys
 import time
 import weakref
 
@@ -28,6 +30,7 @@ from icncep.sim import (
     TopoLink,
     TopoNode,
     TopologyConfig,
+    Trace,
     data_path,
     emit_metrics,
     generate_gps_csv,
@@ -995,6 +998,44 @@ def test_shipped_datasets_match_their_schemas():
 
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
 def test_trace_hash_equals_the_hash_of_the_joined_lines(n):
-    lines = ["%d é" % i if i % 3 else "" for i in range(n)]
+    """A `Trace` gives back the lines appended, and hashes and writes them joined.
+
+    Among the lines are empty ones, non-ASCII ones and ones holding newlines.
+    """
+    lines = [
+        "" if i % 3 == 0 else "%d é\n%d" % (i, i) if i % 7 == 0 else "%d é" % i for i in range(n)
+    ]
+    trace = Trace()
+    for line in lines:
+        trace.append(line)
+        if len(trace.open_lines) >= sim.SEAL_LINES:
+            trace.seal()
+    assert len(trace) == n and bool(trace) == (n > 0)
+    assert list(trace) == lines and trace == lines
     joined = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    assert sim._trace_hash(lines) == joined
+    assert trace.hexdigest() == joined
+    assert list(trace) == lines and len(trace) == n  # hashing seals; the lines stay
+    out = io.StringIO()
+    trace.write(out)
+    assert out.getvalue() == "\n".join(lines) + "\n"
+
+
+def held_bytes(obj, seen):
+    """`sys.getsizeof` of `obj` and of the lists, tuples and slots it holds."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (list, tuple)):
+        size += sum(held_bytes(x, seen) for x in obj)
+    else:
+        slots = getattr(type(obj), "__slots__", ())
+        size += sum(held_bytes(getattr(obj, a), seen) for a in slots if hasattr(obj, a))
+    return size
+
+
+def test_a_trace_holds_little_more_than_its_characters():
+    trace = run_scenario(load_scenario(str(data_path("q3.scn")))).trace
+    chars = sum(len(line) for line in trace)
+    assert chars > 100_000
+    assert held_bytes(trace, set()) <= 1.25 * chars
