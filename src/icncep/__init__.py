@@ -8,7 +8,7 @@ The package is organised by plane:
 - operators: evaluation semantics of the operator library
 - placement: delay discovery, path building, operator assignment
 - sim: deterministic discrete-event harness, topology presets, datasets
-- cli: operator-facing commands (parse, explain, run-sim, replay, inspect, metrics)
+- cli: operator-facing commands (parse, explain, run-sim, replay, metrics)
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Command-line front end: parse, explain, run-sim, replay, inspect, metrics.
+"""Command-line front end: parse, explain, run-sim, replay, metrics.
 
 Exit codes: 0 success, 1 syntax error in a query, 2 semantic rejection,
 3 configuration or I/O failure. Commands validate their inputs fully before
@@ -109,8 +109,6 @@ def _cmd_run_sim(args) -> int:
         spec = load_scenario(args.scenario)
         if args.topology or args.mode:
             spec = override_scenario(spec, topology=args.topology, mode=args.mode)
-        if args.seed is not None:
-            spec.seed = args.seed
         metrics = run_scenario(spec)
     except (ConfigError, SchemaMismatch) as err:
         print("error: %s" % err, file=sys.stderr)
@@ -152,28 +150,6 @@ def _cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _cmd_inspect(args) -> int:
-    path = Path(args.dump)
-    if not path.is_file():
-        print("error: no dump file %s" % args.dump, file=sys.stderr)
-        return EXIT_CONFIG
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    if not lines:
-        print("(empty)")
-        return EXIT_OK
-    # keys may contain commas; only the header is comma-clean, so split
-    # data rows from the right with the header's column count
-    ncols = len(lines[0].split(","))
-    rows = [lines[0].split(",")] + [line.rsplit(",", ncols - 1) for line in lines[1:]]
-    widths = [0] * max(len(r) for r in rows)
-    for r in rows:
-        for i, cell in enumerate(r):
-            widths[i] = max(widths[i], len(cell))
-    for r in rows:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip())
-    return EXIT_OK
-
-
 def _cmd_metrics(args) -> int:
     path = Path(args.csv)
     if not path.is_file():
@@ -189,6 +165,8 @@ def _cmd_metrics(args) -> int:
     for line in lines[1:]:
         cells = line.split(",")
         try:
+            if len(cells) != len(header):
+                raise ValueError
             groups.setdefault(cells[0], []).append([float(v) for v in cells[1:]])
         except ValueError:
             print("error: bad row %r" % line, file=sys.stderr)
@@ -221,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-sim", help="execute a scenario file")
     p.add_argument("scenario")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--metrics", help="write the per-query delay CSV here")
     p.add_argument("--trace", help="write the event trace here")
     p.add_argument("--topology", help="re-target onto another topology preset")
@@ -235,10 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--limit", type=int, default=None)
     p.set_defaults(fn=_cmd_replay)
-
-    p = sub.add_parser("inspect", help="pretty-print a node table dump")
-    p.add_argument("dump")
-    p.set_defaults(fn=_cmd_inspect)
 
     p = sub.add_parser("metrics", help="summarize metric CSV rows per query")
     p.add_argument("csv")

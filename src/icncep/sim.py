@@ -373,6 +373,8 @@ def load_scenario(path: str) -> ScenarioSpec:
                     poll = int(rest[0][5:])
                 except ValueError:
                     raise ConfigError("line %d: bad poll interval" % lineno)
+                if poll <= 0:
+                    raise ConfigError("line %d: poll interval must be positive" % lineno)
                 rest = rest[1:]
             if not rest:
                 raise ConfigError("line %d: query text missing" % lineno)

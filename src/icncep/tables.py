@@ -3,11 +3,13 @@
 The content store gates lookups by logical timestamp so a cached result can
 never be served once the caller knows of newer input (the stale-cache
 problem of plain pull caching). Pending query interests live in the PIT
-until explicitly removed; Data arrival never consumes them. The FIB is a
-component trie supporting longest-prefix match. It holds installed routes
-only (deployments add them, and a prune removes them face by face), and so do
-its dumps: an engine routes /node/<id> Interests that no route matches from
-the topology's next hop, and those implicit routes are not listed.
+until explicitly removed; Data arrival never consumes them. The FIB is one
+dict keyed by prefix components; a longest-prefix match probes the name's
+prefixes from the longest down, as hash-table NDN FIBs do. It holds
+installed routes only (deployments add them, and a prune removes them face
+by face), and so do its dumps: an engine routes /node/<id> Interests that
+no route matches from the topology's next hop, and those implicit routes
+are not listed.
 
 All three tables are owned by a single node engine and are only mutated
 from that engine's event loop; they expose no locking.
@@ -38,7 +40,6 @@ def _key_str(key: TableKey) -> str:
 
 @dataclass
 class CsEntry:
-    key: TableKey
     payload: bytes
     logical_ts: int
 
@@ -46,11 +47,8 @@ class CsEntry:
 class ContentStore:
     """Cache keyed by name or query hash, newest logical timestamp wins."""
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive")
+    def __init__(self) -> None:
         self._entries: dict[TableKey, CsEntry] = {}
-        self.capacity = capacity
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -60,12 +58,7 @@ class ContentStore:
         existing = self._entries.get(key)
         if existing is not None and existing.logical_ts >= logical_ts:
             return
-        self._entries[key] = CsEntry(key=key, payload=payload, logical_ts=logical_ts)
-        if self.capacity is not None and len(self._entries) > self.capacity:
-            oldest = min(
-                self._entries.values(), key=lambda e: (e.logical_ts, _key_str(e.key))
-            )
-            del self._entries[oldest.key]
+        self._entries[key] = CsEntry(payload=payload, logical_ts=logical_ts)
 
     def lookup(self, key: TableKey, min_ts: int = 0) -> Optional[CsEntry]:
         """Return the entry iff present and at least as new as min_ts."""
@@ -75,7 +68,7 @@ class ContentStore:
         return entry
 
     def dump(self) -> str:
-        """CSV rendering for the inspect command."""
+        """CSV rendering, one row per key in key order."""
         lines = ["key,logical_ts,payload_bytes"]
         for key in sorted(self._entries, key=_key_str):
             e = self._entries[key]
@@ -158,84 +151,42 @@ class FibEntry:
     faces: set[int]
 
 
-class _TrieNode:
-    __slots__ = ("children", "entry")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _TrieNode] = {}
-        self.entry: Optional[FibEntry] = None
-
-
 class ForwardingInformationBase:
     """Prefix-to-faces routing table with longest-prefix match."""
 
     def __init__(self) -> None:
-        self._root = _TrieNode()
-        self._count = 0
+        self._routes: dict[tuple[str, ...], FibEntry] = {}
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._routes)
 
     def add_route(self, prefix: Name, face_id: int) -> None:
-        node = self._root
-        for comp in prefix.components:
-            child = node.children.get(comp)
-            if child is None:
-                child = node.children[comp] = _TrieNode()
-            node = child
-        if node.entry is None:
-            node.entry = FibEntry(prefix=prefix, faces=set())
-            self._count += 1
-        node.entry.faces.add(face_id)
+        entry = self._routes.get(prefix.components)
+        if entry is None:
+            entry = self._routes[prefix.components] = FibEntry(prefix=prefix, faces=set())
+        entry.faces.add(face_id)
 
     def remove_route(self, prefix: Name, face_id: int) -> bool:
-        """Drop one face of the route for exactly `prefix`; False if it had none.
-
-        A route left with no face goes, and so do the trie nodes that then
-        lead nowhere.
-        """
-        path = [self._root]
-        for comp in prefix.components:
-            node = path[-1].children.get(comp)
-            if node is None:
-                return False
-            path.append(node)
-        entry = path[-1].entry
+        """Drop one face of the route for exactly `prefix`; False if it had none."""
+        entry = self._routes.get(prefix.components)
         if entry is None or face_id not in entry.faces:
             return False
         entry.faces.discard(face_id)
         if not entry.faces:
-            path[-1].entry = None
-            self._count -= 1
-            comps = prefix.components
-            for k in range(len(comps), 0, -1):
-                if path[k].entry is not None or path[k].children:
-                    break
-                del path[k - 1].children[comps[k - 1]]
+            del self._routes[prefix.components]
         return True
 
     def longest_prefix(self, name: Name) -> Optional[FibEntry]:
-        node = self._root
-        best: Optional[FibEntry] = None
-        for comp in name.components:
-            node = node.children.get(comp)
-            if node is None:
-                break
-            if node.entry is not None:
-                best = node.entry
-        return best
+        comps, routes = name.components, self._routes
+        for k in range(len(comps), 0, -1):
+            entry = routes.get(comps[:k])
+            if entry is not None:
+                return entry
+        return None
 
     def entries(self) -> list[FibEntry]:
-        out: list[FibEntry] = []
-
-        def walk(node: _TrieNode) -> None:
-            if node.entry is not None:
-                out.append(node.entry)
-            for comp in sorted(node.children):
-                walk(node.children[comp])
-
-        walk(self._root)
-        return out
+        """Routes in component order: each prefix before the longer ones under it."""
+        return [self._routes[k] for k in sorted(self._routes)]
 
     def dump(self) -> str:
         lines = ["prefix,faces"]

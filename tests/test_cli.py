@@ -1,11 +1,12 @@
 """Command-line behavior: output shapes, exit codes, golden parse renderings."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from icncep.cli import EXIT_SYNTAX, main
+from icncep.cli import EXIT_SYNTAX, _build_parser, main
 from icncep.sim import data_path, generate_gps_csv, load_scenario, run_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -166,7 +167,7 @@ def test_run_sim_mode_and_topology_override(tmp_path, capsys):
     assert "notifications=20" in out
 
 
-def test_run_sim_seed_override_keeps_simulated_outcome(tmp_path, capsys):
+def test_run_sim_twice_gives_the_same_simulated_outcome(tmp_path, capsys):
     # replayed CSVs are deterministic; only real parse/plan timings jitter
     def sim_fields(out):
         head, tail = out.splitlines()
@@ -178,7 +179,7 @@ def test_run_sim_seed_override_keeps_simulated_outcome(tmp_path, capsys):
     scn = scenario_file(tmp_path)
     main(["run-sim", scn])
     first = sim_fields(capsys.readouterr().out)
-    main(["run-sim", scn, "--seed", "99"])
+    main(["run-sim", scn])
     assert sim_fields(capsys.readouterr().out) == first
     assert first[1].startswith("trace_hash=")
 
@@ -245,32 +246,6 @@ def test_replay_wrong_schema_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_inspect_aligns_columns_and_keeps_comma_keys(tmp_path, capsys):
-    from icncep.tables import PendingInterestTable
-
-    pit = PendingInterestTable()
-    pit.add_face("WINDOW(GPS_S1,4s)", 1)
-    pit.add_face("WINDOW(GPS_S1,4s)", 2)
-    dump = tmp_path / "pit.dump"
-    dump.write_text(pit.dump())
-    assert main(["inspect", str(dump)]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].split() == ["key", "faces", "created_ts", "last_result_ts"]
-    assert "WINDOW(GPS_S1,4s)" in out[1]
-    assert "1;2" in out[1]
-
-
-def test_inspect_empty_dump(tmp_path, capsys):
-    dump = tmp_path / "empty.dump"
-    dump.write_text("")
-    assert main(["inspect", str(dump)]) == 0
-    assert capsys.readouterr().out.strip() == "(empty)"
-
-
-def test_inspect_missing_file_exits_3(capsys):
-    assert main(["inspect", "/no/such.dump"]) == 3
-
-
 def test_metrics_summarizes_mean_and_interval(tmp_path, capsys):
     csv = tmp_path / "m.csv"
     csv.write_text(
@@ -295,7 +270,19 @@ def test_metrics_missing_file_exits_3(capsys):
     assert main(["metrics", "/no/such.csv"]) == 3
 
 
-def test_metrics_bad_row_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "row", ["q1,abc,2.0", "q1,1.0", "q1,1.0,2.0,3.0"], ids=["not-a-number", "short", "long"]
+)
+def test_metrics_bad_row_exits_3(tmp_path, capsys, row):
     csv = tmp_path / "m.csv"
-    csv.write_text("query,total_ms\nq1,abc\n")
+    csv.write_text("query,total_ms,graph_ms\n%s\n" % row)
     assert main(["metrics", str(csv)]) == 3
+    assert "bad row %r" % row in capsys.readouterr().err
+
+
+def test_readme_cli_block_names_exactly_the_registered_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("icncep ")}
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented == set(sub.choices)

@@ -345,6 +345,19 @@ def test_scenario_rejects_a_stream_uri_without_a_producer(tmp_path):
     assert "stream GPS_S1 URI /gps names no producer" in str(err.value)
 
 
+@pytest.mark.parametrize("poll", [0, -5])
+def test_scenario_rejects_a_poll_interval_that_is_not_positive(tmp_path, poll):
+    # only load the spec: run, a negative interval would inject polls forever
+    p = tmp_path / "s.scn"
+    p.write_text(
+        "topology centralized\n"
+        "query a c1 0 1000 centralized poll=%d WINDOW(GPS_S1, 4s)\n" % poll
+    )
+    with pytest.raises(ConfigError) as err:
+        load_scenario(str(p))
+    assert "poll interval must be positive" in str(err.value)
+
+
 def test_scenario_rejects_bad_query_text(tmp_path):
     p = tmp_path / "s.scn"
     p.write_text("topology centralized\nquery a c1 0 1000 centralized WINDOW(\n")
