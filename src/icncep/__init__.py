@@ -6,7 +6,7 @@ The package is organised by plane:
 - engine: the per-node data plane (packet handlers, operator runtime)
 - query: query language front end (lexer, parser, lambda translation)
 - operators: evaluation semantics of the operator library
-- placement: delay discovery, path building, operator assignment
+- placement: path building over a delay map, operator assignment
 - sim: deterministic discrete-event harness, topology presets, datasets
 - cli: operator-facing commands (parse, explain, run-sim, replay, metrics)
 """

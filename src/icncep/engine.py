@@ -7,8 +7,8 @@ of two stages: while the plan is unmade it probes every other broker's
 delay, then it sends each host its deploy order. Each plan waits on the PIT
 entries of the Interests it sent, and a Data that answers one is handed to
 the plans waiting there. A stage ends with its last reply or at its timeout:
-a silent broker's delay reads infinite, and a deploy order unacked gives the
-plan up. A plan that fails (NoPath) sends /nack/<nonce> with the reason on
+a silent broker's delay reads infinite, as does a reply that is not a
+number >= 0, and a deploy order unacked gives the plan up. A plan that fails (NoPath) sends /nack/<nonce> with the reason on
 every face of its query's PIT entry and leaves no state, not even that
 entry, so a later Add of the query is planned afresh.
 
@@ -91,6 +91,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -280,7 +281,10 @@ class Engine:
             self.fib.add_route(Name.from_uri(prefix), face_id)
 
         self.instances: dict[tuple[str, int], OpInstance] = {}
-        self._known_streams = {b.name.to_uri() for b in config.streams.values()}
+        # producer stream uri -> width of its schema, whose values are all numbers
+        self._stream_widths = {
+            b.name.to_uri(): len(b.schema.attribute_names) for b in config.streams.values()
+        }
         self._stream_feeds: dict[str, list[tuple[str, int]]] = {}
         self._child_feeds: dict[tuple[str, int], tuple[str, int]] = {}
         self._trees: dict[str, OperatorNode] = {}  # salted hash -> local parse
@@ -472,11 +476,12 @@ class Engine:
         """Record `pending`'s reply `data`; the stage's last reply ends it."""
         pending.awaiting.remove(data.name)
         if pending.plan is None:  # a probe's reply: the node's advertised delay
-            node = data.name.components[1]
             try:
-                pending.delays[node] = float(data.payload.decode("utf-8"))
+                delay = float(data.payload.decode("utf-8"))
             except ValueError:
-                pending.delays[node] = float("inf")
+                delay = math.inf
+            # anything but a number >= 0 reads like a broker that never answered
+            pending.delays[data.name.components[1]] = delay if delay >= 0 else math.inf
         if not pending.awaiting:
             self._next_stage(pending)
 
@@ -517,16 +522,16 @@ class Engine:
         )
 
     def _plan_and_deploy(self, pending: _PendingPlan) -> None:
-        delays = pending.delays  # empty unless the brokers were probed
         started = time.perf_counter()
         try:
             plan = plan_query(
                 pending.tree,
                 self.node_id,
-                self.config.mode if delays else "centralized",
+                # the delays are empty unless the brokers were probed
+                self.config.mode if pending.delays else "centralized",
                 self.config.topology,
                 self.config.streams,
-                probe=delays.__getitem__ if delays else None,
+                pending.delays,
             )
         except NoPath as err:
             # nothing was installed: a later Add of the query is planned afresh
@@ -685,7 +690,12 @@ class Engine:
         comps = p.stream_name.components
         consumed = False
         feed = None  # (salted hash, index) of a /state delta
-        if uri in self._known_streams:
+        width = self._stream_widths.get(uri)
+        if width is not None:
+            values = p.tuple.values
+            if len(values) != width or any(isinstance(v, str) for v in values):
+                self._bump("malformed")
+                return
             self.high_water[uri] = max(self.high_water.get(uri, 0), p.tuple.ts)
 
         feeds = self._stream_feeds.get(uri, ())
@@ -704,7 +714,11 @@ class Engine:
             try:
                 feed = (comps[1], int(comps[2]))
                 parent = self.instances.get(self._child_feeds.get(feed))
-                fed = None if parent is None else self._decode_snapshot(p.tuple, parent, feed[1])
+                if parent is None:
+                    fed = None
+                else:
+                    child = next(c for c in parent.node.children if c.index == feed[1])
+                    fed = self._decode_snapshot(p.tuple, parent, feed[1], child.ctx.width)
             except ValueError:
                 self._bump("malformed")
                 return
@@ -739,13 +753,14 @@ class Engine:
         self._emit(inst, rows, rows[-1].ts)
 
     def _decode_snapshot(
-        self, t: Tuple, inst: OpInstance, child_idx: int
+        self, t: Tuple, inst: OpInstance, child_idx: int, width: int = 1
     ) -> Optional[tuple[list[Tuple], int]]:
         """Apply a /state delta from child `child_idx` of `inst` to its mirror.
 
         Returns a fresh list of the child's output rows and the watermark, or
         None while a lost packet leaves the mirror short of first .. end-1.
-        A malformed document raises ValueError and leaves the mirror as it was.
+        A malformed document, or a row with fewer than `width` values (the
+        child's output width), raises ValueError and leaves the mirror as it was.
         """
         try:
             doc = json.loads(t.values[1])
@@ -759,6 +774,8 @@ class Engine:
             ):
                 raise ValueError("delta rows do not fit [first, end)")
             new = [Tuple(ts=int(r[0]), schema_id=schema, values=tuple(r)) for r in raw]
+            if any(len(r) < width for r in raw):
+                raise ValueError("delta rows are narrower than %d values" % width)
         except (KeyError, IndexError, TypeError, OverflowError, RecursionError) as err:
             raise ValueError("malformed /state delta: %r" % (err,)) from err
         mirror = inst.received.setdefault(child_idx, Mirror())

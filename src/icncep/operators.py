@@ -210,15 +210,15 @@ def window_insert(state: WindowState, t: Tuple) -> tuple[WindowState, list[Tuple
             "tuple ts %d precedes buffered ts %d" % (t.ts, state.buffer[-1].ts)
         )
     buffered = state.buffer + (t,)
+    # timestamps never decrease along the buffer, so the rows that left are a prefix
     if isinstance(state.extent, Duration):
         horizon = state.extent.ms
-        keep = tuple(x for x in buffered if t.ts - x.ts < horizon)
-        evicted = [x for x in buffered if t.ts - x.ts >= horizon]
+        cut = next(
+            (i for i, x in enumerate(buffered) if t.ts - x.ts < horizon), len(buffered)
+        )
     else:
-        keep = buffered[-state.extent :] if state.extent > 0 else ()
-        evicted = list(buffered[: len(buffered) - len(keep)])
-    new_state = WindowState(keep, state.extent)
-    return new_state, evicted
+        cut = max(len(buffered) - max(state.extent, 0), 0)
+    return WindowState(buffered[cut:], state.extent), list(buffered[:cut])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Delay discovery and operator placement.
+"""Operator placement.
 
-The first broker that receives a query coordinates it: it probes the other
-brokers' advertised delays, builds the cheapest broker path from the stream
+The first broker that receives a query coordinates it: from the other
+brokers' advertised delays it builds the cheapest broker path from the stream
 ingress points to itself, and spreads the operator tree along that path with
 the deepest operators closest to the producers and the root on itself.
 """
@@ -12,17 +12,14 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .query import OperatorNode, StreamBinding, to_nfn_expression
 
 __all__ = [
     "PlacementError",
     "NoPath",
-    "DelayEntry",
-    "DelayMap",
     "PlacementPlan",
-    "discover_delays",
     "build_path",
     "assign_operators",
     "plan_query",
@@ -38,88 +35,42 @@ class NoPath(PlacementError):
     pass
 
 
-@dataclass(frozen=True)
-class DelayEntry:
-    delay_ms: float
-
-    def __post_init__(self):
-        if not (self.delay_ms >= 0 or math.isinf(self.delay_ms)):
-            raise ValueError("negative delay")
-
-
-@dataclass
-class DelayMap:
-    # broker id -> advertised processing delay; link -> configured delay
-    nodes: dict[str, DelayEntry]
-    links: dict[tuple[str, str], float]
-
-
-def _link_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
-def discover_delays(topology, probe: Optional[Callable[[str], float]] = None) -> DelayMap:
-    """Collect one delay entry per broker.
-
-    `probe` gives a broker's advertised delay (the engine's answers came over
-    Interest round-trips, and a broker that never answered reads infinite);
-    the default reads the topology's configured value.
-    """
-    if probe is None:
-        probe = topology.node_delay
-    nodes = {node_id: DelayEntry(float(probe(node_id))) for node_id in topology.broker_ids()}
-    links = {}
-    for a, b, delay in topology.links():
-        links[_link_key(a, b)] = float(delay)
-    return DelayMap(nodes=nodes, links=links)
-
-
-def _adjacency(delays: DelayMap) -> dict[str, list[tuple[str, float]]]:
-    adj: dict[str, list[tuple[str, float]]] = {}
-    for (a, b), d in delays.links.items():
-        adj.setdefault(a, []).append((b, d))
-        adj.setdefault(b, []).append((a, d))
-    return adj
-
-
-def _endpoint_brokers(node_id, brokers, adj) -> set:
-    if node_id in brokers:
-        return {node_id}
-    return {b for b, _ in adj.get(node_id, []) if b in brokers}
-
-
-def build_path(delays: DelayMap, producers, consumer: str) -> list[str]:
+def build_path(topology, delays: dict[str, float], producers, consumer: str) -> list[str]:
     """Cheapest broker path (summed link + node delay) from ingress to egress.
 
-    Ties break toward the lexicographically smallest node-id sequence, which
-    makes planning deterministic across runs.
+    `delays` gives each broker's delay; a broker without a finite one is left
+    out. Where two links join the same brokers, the last one counts. Ties
+    break toward the lexicographically smallest node-id sequence, which makes
+    planning deterministic across runs.
     """
-    brokers = {
-        n for n, e in delays.nodes.items() if not math.isinf(e.delay_ms)
-    }
-    adj = _adjacency(delays)
+    brokers = {n for n, d in delays.items() if math.isfinite(d)}
+    adj: dict[str, dict[str, float]] = {}
+    for a, b, d in topology.links():
+        adj.setdefault(a, {})[b] = d
+        adj.setdefault(b, {})[a] = d
+
+    def attached(node_id) -> set:
+        if node_id in brokers:
+            return {node_id}
+        return {b for b in adj.get(node_id, ()) if b in brokers}
+
     starts: set = set()
     for p in producers:
-        starts |= _endpoint_brokers(p, brokers, adj)
-    goals = _endpoint_brokers(consumer, brokers, adj)
+        starts |= attached(p)
+    goals = attached(consumer)
     if not starts or not goals:
         raise NoPath("no broker adjacent to producers or consumer")
 
-    heap = [
-        (delays.nodes[s].delay_ms, (s,)) for s in sorted(starts)
-    ]
+    heap = [(delays[s], (s,)) for s in sorted(starts)]
     heapq.heapify(heap)
     while heap:
         cost, path = heapq.heappop(heap)
         here = path[-1]
         if here in goals:
             return list(path)
-        for nxt, link_delay in adj.get(here, []):
+        for nxt, link_delay in adj.get(here, {}).items():
             if nxt in brokers and nxt not in path:
-                heapq.heappush(
-                    heap,
-                    (cost + link_delay + delays.nodes[nxt].delay_ms, path + (nxt,)),
-                )
+                heapq.heappush(heap, (cost + link_delay + delays[nxt], path + (nxt,)))
     raise NoPath("producers and consumer are not connected through brokers")
 
 
@@ -197,17 +148,17 @@ def plan_query(
     mode: str,
     topology,
     streams: dict[str, StreamBinding],
-    probe: Optional[Callable[[str], float]] = None,
+    delays: Optional[dict[str, float]] = None,
 ) -> PlacementPlan:
     """Plan `tree` for the broker `coordinator`; the engine and `explain` share it.
 
     In both modes each bound stream's producer enters at
     `topology.ingress_broker` (nowhere without a topology), and the plan's
     `ingress` lets deployment route the stream to the host of its window.
-    Centralized mode keeps the whole tree on the coordinator. Otherwise
-    delays come from `discover_delays` (`probe` answers per broker, else the
-    configured delays), and the tree is spread along the cheapest broker path
-    from the producers to the coordinator.
+    Centralized mode keeps the whole tree on the coordinator. Otherwise the
+    tree is spread along the cheapest broker path from the producers to the
+    coordinator, priced by `delays` (each broker's delay, the configured ones
+    when None).
     """
     producers = []
     ingress = {}
@@ -222,8 +173,9 @@ def plan_query(
             ingress[alias] = home
     if mode == "centralized":
         return assign_operators(tree, [coordinator], mode, ingress=ingress)
-    delays = discover_delays(topology, probe)
-    path = build_path(delays, producers or [coordinator], coordinator)
+    if delays is None:
+        delays = {b: topology.node_delay(b) for b in topology.broker_ids()}
+    path = build_path(topology, delays, producers or [coordinator], coordinator)
     return assign_operators(tree, path, mode, ingress=ingress)
 
 

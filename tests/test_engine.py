@@ -544,6 +544,30 @@ def deploy_order(doc):
     return Interest(name=Name(("node", "b2", "deploy", blob)))
 
 
+def stream_row(values):
+    """A GPS_S1 packet carrying `values`."""
+    return DataStream(Name.from_uri("/node/p1/gps"), Tuple.from_values("gps", values))
+
+
+@pytest.mark.parametrize("query", [Q2, "AVG('speed', WINDOW(GPS_S1, 4s))"])
+@pytest.mark.parametrize(
+    "values",
+    [(2000, 1.0, 49.5), (2000, 1.0, 49.5, 8.65, 120.0, 5.0, 0.0, "fast")],
+    ids=["narrow", "text"],
+)
+def test_a_stream_row_off_its_schema_never_reaches_the_window(query, values):
+    eng, svc = single_broker()
+    eng.handle_packet(AddQueryInterest(query=query, nonce="n1"), in_face=1)
+    eng.handle_packet(gps_packet(1000), in_face=2)
+    buffers = [inst.win_state for inst in eng.instances.values() if inst.win_state]
+    sent = len(svc.sent)
+    eng.handle_packet(stream_row(values), in_face=2)
+    assert eng.counters["malformed"] == 1
+    assert len(svc.sent) == sent
+    assert [inst.win_state for inst in eng.instances.values() if inst.win_state] == buffers
+    assert eng.high_water == {"/node/p1/gps": 1000}
+
+
 def filter_host():
     """b2 hosting Q2's FILTER (index 0) for query "s"; its WINDOW (index 1) ships from b1."""
     svc = FakeServices()
@@ -584,6 +608,9 @@ def unplaceable_order(doc):
         lambda doc: deploy_order(dict(doc, assign=[["0", "b2"]])),
         lambda doc: Interest(name=Name(("node", "b2", "deploy", "W1tb" * 2000))),  # "[[[" * 2000
         unplaceable_order,
+        lambda doc: stream_row((1000, 1.0, 49.5)),
+        lambda doc: stream_row((1000, "1", 49.5, 8.65, 120.0, 5.0, 0.0, 10.0)),
+        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), carried(delta())),
     ],
     ids=[
         "stream-index",
@@ -598,6 +625,9 @@ def unplaceable_order(doc):
         "deploy-assign-list",
         "deploy-nested",
         "deploy-unknown-operator",
+        "stream-row-width",
+        "stream-row-text",
+        "delta-rows-narrower-than-the-window",
     ],
 )
 def test_a_malformed_packet_is_dropped_and_counted(packet):
@@ -982,6 +1012,20 @@ def test_probe_timeout_marks_unreachable_and_proceeds():
     eng.handle_packet(Data(name=b2_probe.name, payload=b"1.0", ts=1), in_face=1)
     assert sent_to(svc, APP_FACE) == []
     assert eng.pit.lookup(b2_probe.name) is None
+
+
+@pytest.mark.parametrize("reply", [b"-1", b"nan", b"-inf", b"abc", b"\xff"])
+def test_a_probe_reply_that_is_no_delay_reads_like_a_silent_broker(reply):
+    eng, svc = coordinator_b3()
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    eng.handle_packet(Data(name=Name.from_uri("/node/b1/delay"), payload=b"1.0", ts=1), in_face=1)
+    eng.handle_packet(Data(name=Name.from_uri("/node/b2/delay"), payload=reply, ts=1), in_face=1)
+    # without b2 no broker path joins b1 to b3
+    assert [k for n, k, p in svc.events] == ["query_accepted", "plan_failed"]
+    assert [p.name.components for p in sent_to(svc, 9)] == [("nack", "n1")]
+    assert eng._trees == {} and len(eng.pit) == 0
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=9)
+    assert [p["nonce"] for n, k, p in svc.events if k == "query_accepted"] == ["n1", "n2"]
 
 
 def test_a_failed_plan_leaves_nothing_behind_and_a_later_add_plans_again():

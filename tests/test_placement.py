@@ -1,4 +1,4 @@
-"""Delay discovery, min-delay path construction, operator assignment.
+"""Planning from broker delays, min-delay path construction, operator assignment.
 
 The path oracle below enumerates every simple path via DFS and minimizes
 (cost, path) directly; it was written before build_path and stays frozen.
@@ -11,16 +11,14 @@ import random
 import pytest
 
 from icncep.placement import (
-    DelayMap,
     NoPath,
     PlacementPlan,
     assign_operators,
     build_path,
-    discover_delays,
     plan_dump,
     plan_query,
 )
-from icncep.query import create_operator_graph, to_nfn_expression
+from icncep.query import create_operator_graph, default_streams, to_nfn_expression
 from icncep.sim import data_path, load_scenario
 
 
@@ -41,6 +39,14 @@ class Topo:
     def links(self):
         return list(self._links)
 
+    def ingress_broker(self, node_id):
+        return None  # nothing is pinned: these tests look at the path
+
+
+def configured(topo):
+    """Every broker's configured delay."""
+    return {b: topo.node_delay(b) for b in topo.broker_ids()}
+
 
 def line_topo():
     return Topo(
@@ -56,40 +62,59 @@ def line_topo():
 
 
 # ---------------------------------------------------------------------------
-# delay discovery
+# planning from broker delays
 
 
-def test_discover_covers_every_broker():
-    topo = line_topo()
-    dm = discover_delays(topo)
-    assert sorted(dm.nodes) == ["b1", "b2", "b3"]
-    assert all(e.delay_ms == 1.0 for e in dm.nodes.values())
+def plan_to_b3(topo, delays=None):
+    tree = create_operator_graph("FILTER(WINDOW(GPS_S1, 4s),'latitude'<50)")
+    return plan_query(tree, "b3", "distributed", topo, default_streams(), delays)
 
 
-def test_discover_single_broker():
-    topo = Topo(
-        {"p1": ("producer", 1.0), "b1": ("broker", 2.0), "c1": ("consumer", 1.0)},
-        [("p1", "b1", 1.0), ("b1", "c1", 1.0)],
+def detour_topo(b1_b2_delay, b2_delay=1.0):
+    return Topo(
+        {
+            "p1": ("producer", 1.0),
+            "b1": ("broker", 1.0),
+            "b2": ("broker", b2_delay),
+            "b3": ("broker", 1.0),
+            "b4": ("broker", 1.0),
+            "c1": ("consumer", 1.0),
+        },
+        [
+            ("p1", "b1", 1.0),
+            ("b1", "b2", b1_b2_delay),
+            ("b1", "b4", 1.5),
+            ("b2", "b3", 1.0),
+            ("b4", "b3", 1.0),
+            ("b3", "c1", 1.0),
+        ],
     )
-    dm = discover_delays(topo)
-    assert list(dm.nodes) == ["b1"]
-    assert dm.nodes["b1"].delay_ms == 2.0
 
 
-def test_discover_unreachable_marked_infinite():
+@pytest.mark.parametrize(
+    "topo, path",
+    [
+        (line_topo(), ["b1", "b2", "b3"]),  # every broker is eligible
+        (detour_topo(1.0), ["b1", "b2", "b3"]),
+        (detour_topo(10.0), ["b1", "b4", "b3"]),
+        (detour_topo(1.0, b2_delay=2.0), ["b1", "b4", "b3"]),
+    ],
+)
+def test_plan_query_defaults_to_every_brokers_configured_delay(topo, path):
+    plan = plan_to_b3(topo)
+    assert plan == plan_to_b3(topo, configured(topo))
+    assert plan.path == path
+
+
+def test_plan_query_leaves_out_a_broker_at_infinity():
     topo = line_topo()
-
-    def probe(node_id):
-        # the engine's answer for a broker whose delay probe timed out
-        if node_id == "b2":
-            return float("inf")
-        return topo.node_delay(node_id)
-
-    dm = discover_delays(topo, probe=probe)
-    assert dm.nodes["b2"].delay_ms == float("inf")
-    # partitioned broker is excluded from paths
+    # the engine's answer for a broker whose delay probe timed out
+    delays = dict(configured(topo), b2=float("inf"))
     with pytest.raises(NoPath):
-        build_path(dm, ["p1"], "c1")
+        plan_to_b3(topo, delays)
+    # around the detour's b2 there is another way
+    topo = detour_topo(1.0)
+    assert plan_to_b3(topo, dict(configured(topo), b2=float("inf"))).path == ["b1", "b4", "b3"]
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +122,8 @@ def test_discover_unreachable_marked_infinite():
 
 
 def test_build_path_line():
-    dm = discover_delays(line_topo())
-    assert build_path(dm, ["p1"], "c1") == ["b1", "b2", "b3"]
+    topo = line_topo()
+    assert build_path(topo, configured(topo), ["p1"], "c1") == ["b1", "b2", "b3"]
 
 
 def test_build_path_tie_breaks_on_smaller_id():
@@ -120,8 +145,7 @@ def test_build_path_tie_breaks_on_smaller_id():
             ("b4", "c1", 1.0),
         ],
     )
-    dm = discover_delays(topo)
-    assert build_path(dm, ["p1"], "c1") == ["b1", "b2", "b4"]
+    assert build_path(topo, configured(topo), ["p1"], "c1") == ["b1", "b2", "b4"]
 
 
 def test_build_path_prefers_cheap_detour():
@@ -143,14 +167,28 @@ def test_build_path_prefers_cheap_detour():
             ("b4", "c1", 1.0),
         ],
     )
-    dm = discover_delays(topo)
-    assert build_path(dm, ["p1"], "c1") == ["b1", "b3", "b4"]
+    assert build_path(topo, configured(topo), ["p1"], "c1") == ["b1", "b3", "b4"]
 
 
 def test_build_path_consumer_at_broker():
-    dm = discover_delays(line_topo())
-    assert build_path(dm, ["p1"], "b3") == ["b1", "b2", "b3"]
-    assert build_path(dm, ["b1"], "b1") == ["b1"]
+    topo = line_topo()
+    assert build_path(topo, configured(topo), ["p1"], "b3") == ["b1", "b2", "b3"]
+    assert build_path(topo, configured(topo), ["b1"], "b1") == ["b1"]
+
+
+@pytest.mark.parametrize(
+    "first, last, path",
+    [
+        (1.0, ("b1", "b2", 10.0), ["b1", "b4", "b3"]),
+        (1.0, ("b2", "b1", 10.0), ["b1", "b4", "b3"]),
+        (10.0, ("b1", "b2", 1.0), ["b1", "b2", "b3"]),
+    ],
+)
+def test_build_path_prices_the_last_of_two_links_between_the_same_brokers(first, last, path):
+    # via b2 the path costs 4 plus the b1-b2 link, via b4 it costs 5.5
+    topo = detour_topo(first)
+    topo._links.append(last)
+    assert build_path(topo, configured(topo), ["p1"], "c1") == path
 
 
 def test_build_path_no_route():
@@ -163,16 +201,15 @@ def test_build_path_no_route():
         },
         [("p1", "b1", 1.0), ("b2", "c1", 1.0)],
     )
-    dm = discover_delays(topo)
     with pytest.raises(NoPath):
-        build_path(dm, ["p1"], "c1")
+        build_path(topo, configured(topo), ["p1"], "c1")
 
 
-def _oracle_best_path(dm, producers, consumer):
+def _oracle_best_path(topo, delays, producers, consumer):
     """Frozen oracle: enumerate all simple broker paths, minimize (cost, path)."""
-    brokers = {n for n, e in dm.nodes.items() if e.delay_ms != float("inf")}
+    brokers = {n for n, e in delays.items() if e != float("inf")}
     adj = {}
-    for (a, b), d in dm.links.items():
+    for a, b, d in topo.links():
         adj.setdefault(a, []).append((b, d))
         adj.setdefault(b, []).append((a, d))
 
@@ -196,10 +233,10 @@ def _oracle_best_path(dm, producers, consumer):
                 best = cand
         for nxt, d in adj.get(here, []):
             if nxt in brokers and nxt not in path:
-                walk(path + [nxt], cost + d + dm.nodes[nxt].delay_ms)
+                walk(path + [nxt], cost + d + delays[nxt])
 
     for s in sorted(starts):
-        walk([s], dm.nodes[s].delay_ms)
+        walk([s], delays[s])
     if best is None:
         raise NoPath("oracle found none")
     return best
@@ -221,18 +258,19 @@ def test_build_path_matches_bruteforce_oracle():
         links.append(("p1", rng.choice(ids), 1.0))
         links.append(("c1", rng.choice(ids), 1.0))
         topo = Topo(nodes, links)
-        dm = discover_delays(topo)
+        delays = configured(topo)
         try:
-            expected_cost, expected_path = _oracle_best_path(dm, ["p1"], "c1")
+            expected_cost, expected_path = _oracle_best_path(topo, delays, ["p1"], "c1")
         except NoPath:
             with pytest.raises(NoPath):
-                build_path(dm, ["p1"], "c1")
+                build_path(topo, delays, ["p1"], "c1")
             continue
-        got = build_path(dm, ["p1"], "c1")
-        got_cost = dm.nodes[got[0]].delay_ms
+        got = build_path(topo, delays, ["p1"], "c1")
+        link_delay = {tuple(sorted((a, b))): d for a, b, d in links}
+        got_cost = delays[got[0]]
         for a, b in zip(got, got[1:]):
             key = tuple(sorted((a, b)))
-            got_cost += dm.links[key] + dm.nodes[b].delay_ms
+            got_cost += link_delay[key] + delays[b]
         assert got_cost == expected_cost
         assert tuple(got) == expected_path
         checked += 1
