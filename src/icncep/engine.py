@@ -34,11 +34,13 @@ once. `_parse` keeps every text that parsed, whether it came in an Add, a
 Remove or as a deploy order's canonical key, with its operator tree,
 canonical key and real parse time; a poll's Remove+Add pair and every later
 deploy of the same query are lookups. A text that fails to parse is parsed
-again each time and nacked each time. Memoized trees are shared with
-`_trees`, pending plans and operator instances, so nothing changes a tree
-after `create_operator_graph` returns. `graph_real_ms` is the time of the
-parse that built the entry, on a hit too. The memo holds one entry per
-distinct text and lives as long as the run: `Simulator.detach` clears it.
+again each time and nacked each time. All texts of one canonical key share
+one tree, and the key's own entry is made by the first of them to parse.
+Memoized trees are shared with `_trees`, pending plans and operator
+instances, so nothing changes a tree after `create_operator_graph` returns.
+`graph_real_ms` is the time of the parse that built the entry, on a hit too.
+The memo holds one entry per distinct text and canonical key and lives as
+long as the run: `Simulator.detach` clears it.
 
 An operator whose parent runs on another broker ships its output on
 /state/<qhash>/<idx>/out, once per new result, as a row delta (the
@@ -101,6 +103,7 @@ from .operators import (
     Condition,
     EmptyWindow,
     JoinMemo,
+    OperatorError,
     OutOfOrderTuple,
     PredictState,
     WindowState,
@@ -338,15 +341,20 @@ class Engine:
     def _parse(self, text: str) -> tuple[OperatorNode, str, float]:
         """`text`'s operator tree, canonical key and real parse ms, parsed once.
 
-        The tree is shared by every user of `text` and must not change. A
-        text that does not parse raises QueryError each time and is not kept.
+        Every text with the same canonical key shares one tree, which must not
+        change; the entry is kept under the key too, so the key's deploy
+        orders are lookups. A text that does not parse raises QueryError each
+        time and is not kept.
         """
         parsed = self._parsed.get(text)
         if parsed is None:
             started = time.perf_counter()
             tree = create_operator_graph(text, self.config.streams or None)
             parse_ms = (time.perf_counter() - started) * 1000.0
-            parsed = self._parsed[text] = (tree, canonical_text(tree), parse_ms)
+            key = canonical_text(tree)
+            tree = self._parsed.get(key, (tree,))[0]
+            parsed = self._parsed[text] = (tree, key, parse_ms)
+            self._parsed.setdefault(key, parsed)
         return parsed
 
     # -- dispatch -----------------------------------------------------------
@@ -838,10 +846,16 @@ class Engine:
     def _feed_child_output(
         self, inst: OpInstance, child_idx: int, rows: list[Tuple], wm: int
     ) -> None:
+        """Evaluate `inst` on `rows`, the new output of its child `child_idx`.
+
+        Rows from a remote child may carry text where an aggregate, HEATMAP or
+        PREDICT reads a number: that evaluation raises UnknownAttribute and is
+        skipped and counted `malformed`. An empty MIN, MAX or AVG emits nothing.
+        """
         node = inst.node
         self.services.charge(self.node_id, EVAL_COST_MS.get(node.kind, 0.1))
         if node.kind in ("JOIN", "SEQUENCE"):
-            if node.left is not None and child_idx == node.left.index:
+            if child_idx == node.left.index:
                 inst.left_rows, inst.left_wm = rows, wm
             else:
                 inst.right_rows, inst.right_wm = rows, wm
@@ -851,55 +865,37 @@ class Engine:
             if out_wm <= inst.last_emit:
                 return  # _emit would drop the result
             if node.kind == "JOIN":
-                out = join_eval(
-                    inst.left_rows,
-                    inst.right_rows,
-                    inst.cond,
-                    node.left.ctx,
-                    node.right.ctx,
-                    inst.join_memo,
-                )
+                out = join_eval(inst.left_rows, inst.right_rows, inst.cond, inst.join_memo)
             else:
                 out = [sequence_eval(inst.left_rows, inst.right_rows)]
             self._emit(inst, out, out_wm)
             return
         if node.kind == "FILTER":
-            out = filter_eval(rows, inst.cond, node.left.ctx)
-            self._emit(inst, out, wm)
+            self._emit(inst, filter_eval(rows, inst.cond), wm)
             return
-        if node.kind in ("SUM", "MIN", "MAX", "AVG", "COUNT"):
-            try:
+        try:
+            if node.kind in ("SUM", "MIN", "MAX", "AVG", "COUNT"):
                 out = [aggregate_eval(node.kind, node.params[0], rows, node.left.ctx)]
-            except EmptyWindow:
-                return
-            self._emit(inst, out, wm)
-            return
-        if node.kind == "HEATMAP":
-            cell, lat_min, lat_max, long_min, long_max = node.params[:5]
-            grid = heatmap_eval(
-                rows, cell, (lat_min, lat_max, long_min, long_max), node.left.ctx
-            )
-            payload = json.dumps({"grid": grid.grid, "skipped": grid.skipped})
-            out = [Tuple(ts=wm, schema_id="grid", values=(wm, payload))]
-            self._emit(inst, out, wm)
-            return
-        if node.kind == "PREDICT":
-            slot = node.left.params[1] if node.left is not None else None
-            inst.predict_state, pred = predict_eval(
-                rows, node.params[0], inst.predict_state, slot
-            )
-            if pred is None:
-                return
-            out = [
-                Tuple.from_values(
-                    "prediction",
-                    (pred.ts, pred.plug_id, pred.household_id, pred.house_id, pred.predicted_load),
+            elif node.kind == "HEATMAP":  # params: cell size, then the four bounds
+                cell, bounds = node.params[0], node.params[1:5]
+                grid, skipped = heatmap_eval(rows, cell, bounds, node.left.ctx)
+                payload = json.dumps({"grid": grid, "skipped": skipped})
+                out = [Tuple(ts=wm, schema_id="grid", values=(wm, payload))]
+            elif node.kind == "PREDICT":
+                inst.predict_state, pred = predict_eval(
+                    rows, node.params[0], inst.predict_state, node.left.params[1]
                 )
-            ]
-            self._emit(inst, out, pred.ts)
+                if pred is None:
+                    return
+                out, wm = [pred], pred.ts
+            else:
+                out = rows  # unknown kinds pass their input through unchanged
+        except EmptyWindow:
             return
-        # unknown kinds pass their input through unchanged
-        self._emit(inst, rows, wm)
+        except OperatorError:
+            self._bump("malformed")
+            return
+        self._emit(inst, out, wm)
 
     def _notify(self, inst: OpInstance, rows: list[Tuple], wm: int) -> None:
         entry = self.pit.lookup(inst.unsalted)

@@ -2,9 +2,16 @@
 
 Every function here is pure: it takes explicit state plus input and returns
 new state plus output, which is what makes node-local evaluation replayable.
-The engine owns the state objects, holds them in its operator instances
-between evaluations, and compiles each FILTER and JOIN condition once when
-it installs the operator.
+The engine owns the state objects and holds them in its operator instances
+between evaluations.
+
+The operators see only trees the parser validated. The engine compiles each
+FILTER and JOIN condition once when it installs the operator, and
+`filter_eval` and `join_eval` take only that compiled `Condition`; a
+reference that does not resolve is an UnknownAttribute at compile time. Rows
+from another broker's /state delta may still carry text where an operator
+reads a number: the aggregates, HEATMAP and PREDICT then raise
+UnknownAttribute, and the engine skips that evaluation.
 """
 
 from __future__ import annotations
@@ -33,10 +40,7 @@ __all__ = [
     "OutOfOrderTuple",
     "UnknownAttribute",
     "EmptyWindow",
-    "DegenerateBounds",
     "WindowState",
-    "HeatGrid",
-    "PredictionTuple",
     "PredictState",
     "Condition",
     "JoinMemo",
@@ -65,10 +69,6 @@ class UnknownAttribute(OperatorError):
 
 
 class EmptyWindow(OperatorError):
-    pass
-
-
-class DegenerateBounds(OperatorError):
     pass
 
 
@@ -138,9 +138,7 @@ def _conjuncts(expr: BoolExpr):
 class Condition:
     """A FILTER or JOIN condition compiled once against its schema context.
 
-    `test` takes one positional value row. A reference that does not resolve
-    compiles to a `test` that raises UnknownAttribute, so the error still
-    surfaces when a row is evaluated, not when the operator is installed.
+    `test` takes one positional value row.
 
     For a join, `ctx` is the concatenated context and `split` the width of
     the left input. `key` is (left column, right column) of the first `=`
@@ -156,28 +154,21 @@ class Condition:
     residual: Optional[RowTest] = None
 
 
-def _failing(message: str) -> RowTest:
-    def fail(values) -> bool:
-        raise UnknownAttribute(message)
-
-    return fail
-
-
 def compile_condition(expr: BoolExpr, ctx: SchemaCtx) -> Condition:
-    """Resolve every column of `expr` against `ctx` once, for row tests."""
-    try:
-        return Condition(ctx, _compile(expr, ctx))
-    except UnknownAttribute as err:
-        return Condition(ctx, _failing(str(err)))
+    """Resolve every column of `expr` against `ctx` once, for row tests.
+
+    Raises UnknownAttribute for a reference that does not resolve.
+    """
+    return Condition(ctx, _compile(expr, ctx))
 
 
 def compile_join(cond: BoolExpr, left_ctx: SchemaCtx, right_ctx: SchemaCtx) -> Condition:
-    """Compile a join condition and pick its hash-join key, if it has one."""
+    """Compile a join condition and pick its hash-join key, if it has one.
+
+    Raises UnknownAttribute for a reference that does not resolve.
+    """
     ctx, split = left_ctx.join(right_ctx), left_ctx.width
-    try:
-        test = _compile(cond, ctx)
-    except UnknownAttribute as err:
-        return Condition(ctx, _failing(str(err)))
+    test = _compile(cond, ctx)
     for term in _conjuncts(cond):
         if not (
             isinstance(term, Comparison)
@@ -225,14 +216,9 @@ def window_insert(state: WindowState, t: Tuple) -> tuple[WindowState, list[Tuple
 # filter / join
 
 
-def filter_eval(tuples, expr: Union[BoolExpr, Condition], ctx: SchemaCtx) -> list[Tuple]:
-    """Rows that satisfy `expr`, in input order.
-
-    `expr` is a condition or its `compile_condition(expr, ctx)` form.
-    """
-    if not isinstance(expr, Condition):
-        expr = compile_condition(expr, ctx)
-    test = expr.test
+def filter_eval(tuples, cond: Condition) -> list[Tuple]:
+    """Rows that satisfy the compiled `cond`, in input order."""
+    test = cond.test
     return [t for t in tuples if test(t.values)]
 
 
@@ -261,24 +247,16 @@ class JoinMemo:
 _UNSEEN = object()
 
 
-def join_eval(
-    left,
-    right,
-    cond: Union[BoolExpr, Condition],
-    left_ctx: SchemaCtx,
-    right_ctx: SchemaCtx,
-    memo: Optional[JoinMemo] = None,
-) -> list[Tuple]:
+def join_eval(left, right, cond: Condition, memo: Optional[JoinMemo] = None) -> list[Tuple]:
     """Concatenating join; output rows ordered by (left index, right index).
 
-    `cond` is a condition or its `compile_join(cond, left_ctx, right_ctx)`
-    form. With a hash-join key (an `=` between an attribute of each input,
-    alone or as a conjunct of an `&` chain), the right rows are bucketed by
-    their key column in order, and each left row in order probes its bucket;
-    only the matches are tested against the rest of the condition. NaN keys
-    never match, and text keys never equal numbers. Every other condition,
-    and inputs whose rows do not have their schema's width, run the nested
-    loop over all pairs.
+    `cond` is a `compile_join` condition. With a hash-join key (an `=`
+    between an attribute of each input, alone or as a conjunct of an `&`
+    chain), the right rows are bucketed by their key column in order, and
+    each left row in order probes its bucket; only the matches are tested
+    against the rest of the condition. NaN keys never match, and text keys
+    never equal numbers. Every other condition, and inputs whose rows do not
+    have their schema's width, run the nested loop over all pairs.
 
     On the hash-join path, `memo` carries the pairs of the previous
     evaluation by row identity (see JoinMemo): a pair of the same two row
@@ -288,8 +266,6 @@ def join_eval(
     The joined tuple keeps the left timestamp, which equals the matched
     timestamp under the usual timestamp-equality conditions.
     """
-    if not isinstance(cond, Condition):
-        cond = compile_join(cond, left_ctx, right_ctx)
     schema_id = cond.ctx.schema_id
     out = []
     if (
@@ -344,8 +320,6 @@ _AGG_FUNS = {
 
 
 def aggregate_eval(kind: str, attr, tuples, ctx: SchemaCtx) -> Tuple:
-    if kind not in _AGG_FUNS:
-        raise UnknownAttribute("unknown aggregate %r" % kind)
     ref = attr if isinstance(attr, AttrRef) else AttrRef(str(attr))
     try:
         idx = ctx.resolve(ref)
@@ -380,65 +354,43 @@ def sequence_eval(a, b) -> Tuple:
 # heat map
 
 
-@dataclass
-class HeatGrid:
-    lat_min: float
-    lat_max: float
-    long_min: float
-    long_max: float
-    cell_size: float
-    HC: int
-    VC: int
-    grid: list[list[int]]
-    skipped: int = 0
+def heatmap_eval(
+    tuples, cell_size: float, bounds, ctx: SchemaCtx
+) -> tuple[list[list[int]], int]:
+    """Bin coordinates into a grid of counts; rows index latitude.
 
-    def to_rows(self) -> list[list[int]]:
-        return [list(r) for r in self.grid]
-
-
-def heatmap_eval(tuples, cell_size: float, bounds, ctx: SchemaCtx) -> HeatGrid:
-    """Bin coordinates into a grid of counts; rows index latitude."""
+    Returns the grid and the number of rows outside it. The parser has
+    checked that `ctx` has both coordinates, and that the cell size and both
+    spans of `bounds` are positive. A coordinate that is not a finite number
+    raises UnknownAttribute.
+    """
     lat_min, lat_max, long_min, long_max = bounds
-    if cell_size <= 0 or lat_max <= lat_min or long_max <= long_min:
-        raise DegenerateBounds(
-            "cell %r over lat[%r,%r] long[%r,%r]"
-            % (cell_size, lat_min, lat_max, long_min, long_max)
-        )
-    try:
-        lat_idx = ctx.resolve(AttrRef("latitude"))
-        long_idx = ctx.resolve(AttrRef("longitude"))
-    except SemanticError as err:
-        raise UnknownAttribute(str(err)) from err
+    lat_idx = ctx.resolve(AttrRef("latitude"))
+    long_idx = ctx.resolve(AttrRef("longitude"))
     hc = math.floor((long_max - long_min) / cell_size)
     vc = math.floor((lat_max - lat_min) / cell_size)
     grid = [[0] * hc for _ in range(vc)]
     skipped = 0
-    for t in tuples:
-        abs_lat = t.values[lat_idx] - lat_min
-        abs_long = t.values[long_idx] - long_min
-        if abs_lat < 0 or abs_long < 0:
-            skipped += 1
-            continue
-        row = math.floor(abs_lat / cell_size)
-        col = math.floor(abs_long / cell_size)
-        if row >= vc or col >= hc:
-            skipped += 1
-            continue
-        grid[row][col] += 1
-    return HeatGrid(lat_min, lat_max, long_min, long_max, cell_size, hc, vc, grid, skipped)
+    try:
+        for t in tuples:
+            abs_lat = t.values[lat_idx] - lat_min
+            abs_long = t.values[long_idx] - long_min
+            if abs_lat < 0 or abs_long < 0:
+                skipped += 1
+                continue
+            row = math.floor(abs_lat / cell_size)
+            col = math.floor(abs_long / cell_size)
+            if row >= vc or col >= hc:
+                skipped += 1
+                continue
+            grid[row][col] += 1
+    except (TypeError, ValueError, OverflowError) as err:
+        raise UnknownAttribute("latitude and longitude must be finite numbers") from err
+    return grid, skipped
 
 
 # ---------------------------------------------------------------------------
 # load prediction
-
-
-@dataclass(frozen=True)
-class PredictionTuple:
-    ts: int
-    plug_id: float
-    household_id: float
-    house_id: float
-    predicted_load: float
 
 
 @dataclass
@@ -453,14 +405,12 @@ def predict_eval(
     horizon: Duration,
     state: PredictState,
     slot_extent: Union[Duration, int],
-    combine: str = "literal",
-) -> tuple[PredictState, Optional[PredictionTuple]]:
-    """Emit a forecast when the newest tuple crosses a horizon boundary.
+) -> tuple[PredictState, Optional[Tuple]]:
+    """Emit a `prediction` tuple when the newest tuple crosses a horizon boundary.
 
-    The forecast combines the current slot's average load with the median of
-    past same-slot-of-day averages; with no history it falls back to the
-    current average alone. `combine` picks the printed sum ("literal") or its
-    halved variant.
+    The forecast is the current slot's average load plus the median of past
+    same-slot-of-day averages; with no history it is the current average
+    alone. A load that is not a number raises UnknownAttribute.
     """
     rows = list(window)
     if not rows:
@@ -477,22 +427,16 @@ def predict_eval(
     epoch_ts = (newest // horizon_ms) * horizon_ms
     slot = (epoch_ts // slot_ms) % max(86400000 // slot_ms, 1)
     values = [t.values[2] for t in rows]  # plug layout: value at index 2
+    if any(isinstance(v, str) for v in values):
+        raise UnknownAttribute("the plug value is not numeric")
     current = sum(values) / len(values)
     past = state.history.get(slot, [])
     if past:
         predicted = current + statistics.median(past)
-        if combine == "halved":
-            predicted = predicted / 2.0
     else:
         predicted = current  # fallback when the slot has no history yet
     new_state.history.setdefault(slot, []).append(current)
 
     latest = max(rows, key=lambda t: t.ts)
-    out = PredictionTuple(
-        ts=epoch_ts,
-        plug_id=latest.values[4],
-        household_id=latest.values[5],
-        house_id=latest.values[6],
-        predicted_load=predicted,
-    )
-    return new_state, out
+    ids = latest.values[4:7]  # plug_id, household_id, house_id
+    return new_state, Tuple.from_values("prediction", (epoch_ts, *ids, predicted))

@@ -202,6 +202,17 @@ def data_path(filename: str) -> Path:
     return Path(str(root.joinpath(filename)))
 
 
+def _delay_ms(text: str, lineno: int) -> float:
+    """The delay a topology line gives as `text`: a number >= 0."""
+    try:
+        d = float(text)
+    except ValueError:
+        raise ConfigError("line %d: bad delay %r" % (lineno, text))
+    if d < 0:
+        raise ConfigError("line %d: negative delay" % lineno)
+    return d
+
+
 def load_topology(path: str) -> TopologyConfig:
     """Parse a topology file; bare preset names resolve to shipped files."""
     src = Path(path)
@@ -225,13 +236,7 @@ def load_topology(path: str) -> TopologyConfig:
                 raise ConfigError("line %d: unknown role %r" % (lineno, role))
             if nid in nodes:
                 raise ConfigError("line %d: duplicate node %r" % (lineno, nid))
-            try:
-                d = float(delay)
-            except ValueError:
-                raise ConfigError("line %d: bad delay %r" % (lineno, delay))
-            if d < 0:
-                raise ConfigError("line %d: negative delay" % lineno)
-            nodes[nid] = TopoNode(nid, role, d)
+            nodes[nid] = TopoNode(nid, role, _delay_ms(delay, lineno))
         elif parts[0] == "link":
             if len(parts) not in (4, 5):
                 raise ConfigError(
@@ -241,12 +246,7 @@ def load_topology(path: str) -> TopologyConfig:
             for end in (a, b):
                 if end not in nodes:
                     raise ConfigError("line %d: unknown endpoint %r" % (lineno, end))
-            try:
-                d = float(delay)
-            except ValueError:
-                raise ConfigError("line %d: bad delay %r" % (lineno, delay))
-            if d < 0:
-                raise ConfigError("line %d: negative delay" % lineno)
+            d = _delay_ms(delay, lineno)
             cap = DEFAULT_LINK_CAPACITY
             if len(parts) == 5:
                 try:
@@ -302,7 +302,6 @@ class ScenarioSpec:
     topology: TopologyConfig
     streams: list[StreamDef]
     queries: list[QueryDef]
-    seed: int = 0
 
     def bindings(self) -> dict[str, StreamBinding]:
         return {
@@ -321,7 +320,6 @@ def load_scenario(path: str) -> ScenarioSpec:
     topology: Optional[TopologyConfig] = None
     streams: list[StreamDef] = []
     queries: list[QueryDef] = []
-    seed = 0
     base = src.parent
 
     for lineno, raw in enumerate(src.read_text().splitlines(), start=1):
@@ -334,11 +332,11 @@ def load_scenario(path: str) -> ScenarioSpec:
                 raise ConfigError("line %d: topology takes one name or path" % lineno)
             candidate = base / parts[1]
             topology = load_topology(str(candidate) if candidate.exists() else parts[1])
-        elif parts[0] == "seed":
+        elif parts[0] == "seed":  # checked, but nothing reads it
             if len(parts) != 2:
                 raise ConfigError("line %d: seed takes one integer" % lineno)
             try:
-                seed = int(parts[1])
+                int(parts[1])
             except ValueError:
                 raise ConfigError("line %d: bad seed %r" % (lineno, parts[1]))
         elif parts[0] == "stream":
@@ -397,7 +395,7 @@ def load_scenario(path: str) -> ScenarioSpec:
         raise ConfigError("%s: no topology line" % path)
     if not queries:
         raise ConfigError("%s: no query line" % path)
-    spec = ScenarioSpec(topology=topology, streams=streams, queries=queries, seed=seed)
+    spec = ScenarioSpec(topology=topology, streams=streams, queries=queries)
     _validate_scenario(spec, path)
     return spec
 
@@ -442,7 +440,7 @@ def override_scenario(
     """Re-target a scenario at another preset topology and/or deployment mode."""
     topo = load_topology(topology) if topology else spec.topology
     queries = [replace(q, mode=mode) if mode else q for q in spec.queries]
-    out = ScenarioSpec(topology=topo, streams=spec.streams, queries=queries, seed=spec.seed)
+    out = ScenarioSpec(topology=topo, streams=spec.streams, queries=queries)
     _validate_scenario(out, "override")
     return out
 

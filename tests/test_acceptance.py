@@ -24,6 +24,7 @@ from icncep.operators import (
     EmptyWindow,
     PredictState,
     aggregate_eval,
+    compile_join,
     heatmap_eval,
     join_eval,
     predict_eval,
@@ -102,13 +103,12 @@ def oracle_grid(points, cell, lat_min, lat_max, long_min, long_max):
     return grid, skipped
 
 
-def oracle_forecast(window_values, past_same_slot, combine):
-    """Current-average plus median-of-history, optionally halved."""
+def oracle_forecast(window_values, past_same_slot):
+    """Current-average plus median-of-history."""
     current = sum(window_values) / len(window_values)
     if not past_same_slot:
         return current
-    predicted = current + statistics.median(past_same_slot)
-    return predicted / 2.0 if combine == "halved" else predicted
+    return current + statistics.median(past_same_slot)
 
 
 def oracle_cheapest_path(delays, links, producers, consumer):
@@ -354,7 +354,9 @@ def test_c6_operator_correctness():
         )
         left_ctx = SchemaCtx.single("GPS_S1", GPS_SCHEMA)
         right_ctx = SchemaCtx.single("GPS_S2", GPS_SCHEMA)
-        cond = Comparison(AttrRef("ts", "GPS_S1"), "=", AttrRef("ts", "GPS_S2"))
+        cond = compile_join(
+            Comparison(AttrRef("ts", "GPS_S1"), "=", AttrRef("ts", "GPS_S2")), left_ctx, right_ctx
+        )
         for _ in range(50):
             left = [
                 gps(rng.randint(1, 4) * 1000, 49.9, 8.65)
@@ -364,20 +366,20 @@ def test_c6_operator_correctness():
                 gps(rng.randint(1, 4) * 1000, 49.7, 8.62)
                 for _ in range(rng.randint(0, 8))
             ]
-            got = join_eval(left, right, cond, left_ctx, right_ctx)
+            got = join_eval(left, right, cond)
             assert [(t.ts, t.values) for t in got] == oracle_join_ts(left, right)
 
         bounds = (49.86, 49.92, 8.61, 8.69)
         points = [
             (rng.uniform(49.85, 49.93), rng.uniform(8.60, 8.70)) for _ in range(1000)
         ]
-        grid = heatmap_eval(
+        grid, skipped = heatmap_eval(
             [gps(1000, lat, lon) for lat, lon in points], 0.01, bounds, left_ctx
         )
         want_grid, want_skipped = oracle_grid(points, 0.01, *bounds)
-        assert grid.to_rows() == want_grid
-        assert grid.skipped == want_skipped
-        assert sum(map(sum, grid.grid)) + grid.skipped == 1000
+        assert grid == want_grid
+        assert skipped == want_skipped
+        assert sum(map(sum, grid)) + skipped == 1000
 
         speed = AttrRef("speed")
         for _ in range(30):
@@ -407,23 +409,21 @@ def test_c6_operator_correctness():
         )
         horizon, slot = Duration(5, "m"), Duration(1, "m")
         day = 86400000
-        for combine in ("literal", "halved"):
-            for loads in ([12.0, 12.0, 12.0], [5.0, 15.0, 25.0]):  # constant, ramp
-                state = PredictState()
-                history = []
-                for d, load in enumerate(loads):
-                    window = [plug(d * day + 600000 + i * 10000, load) for i in range(3)]
-                    state, pred = predict_eval(window, horizon, state, slot, combine)
-                    assert pred is not None
-                    want = oracle_forecast([load] * 3, history, combine)
-                    assert abs(pred.predicted_load - want) < 1e-9
-                    assert (pred.plug_id, pred.household_id, pred.house_id) == (1.0, 2.0, 3.0)
-                    history.append(load)
-                # inside the same horizon epoch nothing new is emitted
-                state, pred = predict_eval(
-                    [plug(2 * day + 620000, 99.0)], horizon, state, slot, combine
-                )
-                assert pred is None
+        for loads in ([12.0, 12.0, 12.0], [5.0, 15.0, 25.0]):  # constant, ramp
+            state = PredictState()
+            history = []
+            for d, load in enumerate(loads):
+                window = [plug(d * day + 600000 + i * 10000, load) for i in range(3)]
+                state, pred = predict_eval(window, horizon, state, slot)
+                assert pred is not None
+                _, plug_id, household_id, house_id, predicted = pred.values
+                want = oracle_forecast([load] * 3, history)
+                assert abs(predicted - want) < 1e-9
+                assert (plug_id, household_id, house_id) == (1.0, 2.0, 3.0)
+                history.append(load)
+            # inside the same horizon epoch nothing new is emitted
+            state, pred = predict_eval([plug(2 * day + 620000, 99.0)], horizon, state, slot)
+            assert pred is None
 
 
 def test_c7_cheapest_path_matches_brute_force():

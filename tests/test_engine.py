@@ -272,7 +272,9 @@ def test_a_re_add_reports_the_parse_that_built_its_memo_entry():
     accepted = [p["graph_real_ms"] for n, k, p in svc.events if k == "query_accepted"]
     assert parse.call_count == 1 and len(accepted) == 3
     assert accepted[0] >= 10.0 and accepted == [accepted[0]] * 3
-    assert list(eng._parsed) == [Q2]
+    key = canonical_text(create_operator_graph(Q2, default_streams()))
+    assert list(eng._parsed) == [Q2, key]  # the key's entry is the text's
+    assert eng._parsed[key] is eng._parsed[Q2]
 
 
 def test_evaluation_charges_compute_cost():
@@ -539,9 +541,9 @@ def test_malformed_delta_is_rejected_without_touching_the_mirror(text):
     assert eng._decode_snapshot(carried(delta()), inst, 7) is not None
 
 
-def deploy_order(doc):
+def deploy_order(doc, target="b2"):
     blob = base64.urlsafe_b64encode(json.dumps(doc).encode("utf-8")).decode("ascii")
-    return Interest(name=Name(("node", "b2", "deploy", blob)))
+    return Interest(name=Name(("node", target, "deploy", blob)))
 
 
 def stream_row(values):
@@ -568,8 +570,8 @@ def test_a_stream_row_off_its_schema_never_reaches_the_window(query, values):
     assert eng.high_water == {"/node/p1/gps": 1000}
 
 
-def filter_host():
-    """b2 hosting Q2's FILTER (index 0) for query "s"; its WINDOW (index 1) ships from b1."""
+def filter_host(query=Q2):
+    """b2 hosting `query`'s root (index 0) for query "s"; its WINDOW (index 1) ships from b1."""
     svc = FakeServices()
     cfg = NodeConfig(
         "b2",
@@ -579,7 +581,7 @@ def filter_host():
         mode="distributed",
     )
     eng = Engine(cfg, svc)
-    key = canonical_text(create_operator_graph(Q2, default_streams()))
+    key = canonical_text(create_operator_graph(query, default_streams()))
     doc = {"q": key, "salted": "s", "unsalted": "u", "assign": {"0": "b2", "1": "b1"}}
     eng.handle_packet(deploy_order(doc), in_face=1)
     assert [p.payload for p in sent_to(svc, 1)] == [b"ok"]
@@ -643,6 +645,48 @@ def test_a_malformed_packet_is_dropped_and_counted(packet):
     assert eng.counters["malformed"] == 1
     assert svc.sent == []  # nothing forwarded, acked or pruned
     assert held() == before  # and nothing installed
+
+
+# parents that read a number from their WINDOW's rows: query, row width, column read
+NUMBER_READERS = {
+    "AVG": ("AVG('speed', WINDOW(GPS_S1, 4s))", 8, 7),
+    "HEATMAP": ("HEATMAP(0.01, 49.86, 49.92, 8.61, 8.69, WINDOW(GPS_S1, 4s))", 8, 2),
+    "PREDICT": ("PREDICT(5m, WINDOW(PLUG_S1, 1m))", 7, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NUMBER_READERS))
+def test_a_delta_with_text_where_its_parent_reads_a_number_skips_the_evaluation(kind):
+    query, width, column = NUMBER_READERS[kind]
+    eng, svc, _ = filter_host(query)
+    inst = eng.instances[("s", 0)]
+    predict_state = inst.predict_state
+    row = [2000] + [1.0] * (width - 1)
+    row[column] = "x"
+    name = Name.from_uri("/state/s/1/out")
+    eng.handle_packet(DataStream(name, carried(delta(first=0, end=1, rows=[row]))), in_face=1)
+    assert eng.counters["malformed"] == 1
+    assert svc.sent == [] and inst.last_emit == -1
+    assert inst.predict_state is predict_state
+    assert [t.values for t in inst.received[1].rows] == [tuple(row)]  # the mirror keeps it
+    # once the text row has slid out, the parent evaluates again
+    good = [3000] + [1.0] * (width - 1)
+    eng.handle_packet(DataStream(name, carried(delta(wm=3000, first=1, end=2, rows=[good]))), 1)
+    assert eng.counters["malformed"] == 1 and inst.last_emit >= 0
+
+
+@pytest.mark.parametrize("deploy_first", [False, True], ids=["add-first", "deploy-first"])
+def test_a_query_text_and_its_canonical_key_share_one_tree(deploy_first):
+    eng, svc = single_broker()
+    key = canonical_text(create_operator_graph(Q2, default_streams()))
+    assert key != Q2
+    order = {"q": key, "salted": "s", "unsalted": "u", "assign": {"0": "b1", "1": "b1"}}
+    packets = [AddQueryInterest(query=Q2, nonce="n1"), deploy_order(order, "b1")]
+    for p in packets[::-1] if deploy_first else packets:
+        eng.handle_packet(p, in_face=1)
+    assert set(eng._parsed) == {Q2, key} and len(eng._trees) == 2
+    trees = [tree for tree, _, _ in eng._parsed.values()] + list(eng._trees.values())
+    assert all(tree is trees[0] for tree in trees)
 
 
 JOIN_HOST_QUERY = (
@@ -736,10 +780,10 @@ def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, si
                 shipped = len(svc.sent)
                 eng.handle_packet(DataStream(stream_name=name, tuple=snap), in_face=1)
 
-                for (left, right, compiled, left_ctx, right_ctx, memo), out in evaluations:
+                for (left, right, compiled, memo), out in evaluations:
                     assert left is inst.left_rows and right is inst.right_rows
-                    assert memo is inst.join_memo
-                    unmemoized = real(left, right, compiled, left_ctx, right_ctx)
+                    assert compiled is inst.cond and memo is inst.join_memo
+                    unmemoized = real(left, right, compiled)
                     want = oracle_join_rows(windows[2], windows[3], cond == RESIDUAL_JOIN)
                     assert typed(out) == typed(unmemoized) == typed(want)
                     if out:

@@ -94,7 +94,7 @@ def test_every_feed_of_a_stopped_query_is_torn_down(tmp_path, captured, text):
         generate_gps_csv(str(csv), s_id=k, rows=60)
         streams.append(StreamDef("GPS_S%d" % k, "/node/p%d/gps" % k, "gps", str(csv), 1.0))
     query = QueryDef("a", "c1", 100, 20000, "distributed", text)
-    metrics = run_scenario(ScenarioSpec(load_topology("distributed"), streams, [query], seed=1))
+    metrics = run_scenario(ScenarioSpec(load_topology("distributed"), streams, [query]))
     assert metrics.queries["a"].notifications == 19
     assert totals(metrics, "errors") == 0
     for engine in captured[0].engines.values():
@@ -123,7 +123,6 @@ def cycles_spec(tmp_path, cycles):
         topology=load_topology("distributed"),
         streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
         queries=live + gone,
-        seed=1,
     )
 
 
@@ -194,7 +193,7 @@ def join_spec(tmp_path, readd_ms=None):
     queries = [QueryDef("a", "c2", 100, 20000, "distributed", JOIN)]
     if readd_ms is not None:
         queries.append(QueryDef("b", "c2", readd_ms, None, "distributed", JOIN))
-    return ScenarioSpec(topo, streams, queries, seed=1)
+    return ScenarioSpec(topo, streams, queries)
 
 
 def test_a_re_add_during_a_prune_notifies_after_its_re_deploy(tmp_path):

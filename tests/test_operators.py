@@ -14,12 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icncep.operators import (
-    DegenerateBounds,
     EmptyWindow,
-    HeatGrid,
     OutOfOrderTuple,
     PredictState,
-    PredictionTuple,
     UnknownAttribute,
     WindowState,
     aggregate_eval,
@@ -67,6 +64,16 @@ def cond_of(query_text):
     """Pull the validated boolean expression out of a FILTER/JOIN parse."""
     tree = parse_query(query_text)
     return tree.params[-1]
+
+
+def keep(rows, expr, ctx):
+    """FILTER as the engine runs it: compiled once, then evaluated."""
+    return filter_eval(rows, compile_condition(expr, ctx))
+
+
+def join(left, right, cond, left_ctx, right_ctx):
+    """JOIN as the engine runs it, without a memo."""
+    return join_eval(left, right, compile_join(cond, left_ctx, right_ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +149,7 @@ def test_window_conservation(steps):
 def test_filter_latitude_threshold():
     tuples = [gps(1000, lat=49.5), gps(2000, lat=50.2)]
     expr = cond_of("FILTER(WINDOW(GPS_S1, 4s), 'latitude'<50)")
-    kept = filter_eval(tuples, expr, GPS_CTX)
+    kept = keep(tuples, expr, GPS_CTX)
     assert [t.values[2] for t in kept] == [49.5]
 
 
@@ -159,7 +166,7 @@ def test_filter_unsatisfiable_conjunction():
         Comparison(AttrRef("a"), "<", NumberLit(5.0)),
         Comparison(AttrRef("a"), ">", NumberLit(10.0)),
     )
-    assert filter_eval(rows, expr, ctx) == []
+    assert keep(rows, expr, ctx) == []
 
 
 def test_filter_union_matches_naive_oracle():
@@ -178,24 +185,24 @@ def test_filter_union_matches_naive_oracle():
         Comparison(AttrRef("b"), "=", NumberLit(2.0)),
     )
     expected = [t for t in rows if t.values[1] == 1.0 or t.values[2] == 2.0]
-    assert filter_eval(rows, expr, ctx) == expected
+    assert keep(rows, expr, ctx) == expected
 
 
 def test_filter_preserves_order_and_idempotent():
     rng = random.Random(11)
     rows = [gps(ts * 1000, lat=rng.uniform(49, 51)) for ts in range(1, 30)]
     expr = cond_of("FILTER(WINDOW(GPS_S1, 4s), 'latitude'<50)")
-    once = filter_eval(rows, expr, GPS_CTX)
+    once = keep(rows, expr, GPS_CTX)
     assert once == [t for t in rows if t.values[2] < 50]
-    assert filter_eval(once, expr, GPS_CTX) == once
+    assert keep(once, expr, GPS_CTX) == once
 
 
-def test_filter_unknown_attribute():
+def test_filter_unknown_attribute_fails_to_compile():
     from icncep.query import AttrRef, Comparison, NumberLit
 
     expr = Comparison(AttrRef("no_such"), "<", NumberLit(1.0))
     with pytest.raises(UnknownAttribute):
-        filter_eval([gps(1000)], expr, GPS_CTX)
+        compile_condition(expr, GPS_CTX)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +217,7 @@ JOIN_TS_COND = cond_of(
 def test_join_on_equal_ts_two_each():
     left = [gps(1000, lat=49.1, lon=8.1), gps(2000, lat=49.2, lon=8.2)]
     right = [gps(1000, lat=49.8, lon=8.8), gps(2000, lat=49.9, lon=8.9)]
-    out = join_eval(left, right, JOIN_TS_COND, GPS_CTX, GPS2_CTX)
+    out = join(left, right, JOIN_TS_COND, GPS_CTX, GPS2_CTX)
     assert len(out) == 2
     for row in out:
         assert len(row.values) == 16
@@ -220,15 +227,15 @@ def test_join_on_equal_ts_two_each():
 
 def test_join_empty_side():
     right = [gps(1000)]
-    assert join_eval([], right, JOIN_TS_COND, GPS_CTX, GPS2_CTX) == []
-    assert join_eval(right, [], JOIN_TS_COND, GPS_CTX, GPS2_CTX) == []
+    assert join([], right, JOIN_TS_COND, GPS_CTX, GPS2_CTX) == []
+    assert join(right, [], JOIN_TS_COND, GPS_CTX, GPS2_CTX) == []
 
 
 def test_join_tautology_is_cross_product():
     left = [gps(ts * 1000) for ts in range(1, 4)]
     right = [gps(ts * 1000) for ts in range(1, 6)]
     cond = cond_of("JOIN(WINDOW(GPS_S1, 4s), WINDOW(GPS_S2, 4s), 'ts'='ts')")
-    out = join_eval(left, right, cond, GPS_CTX, GPS2_CTX)
+    out = join(left, right, cond, GPS_CTX, GPS2_CTX)
     assert len(out) == len(left) * len(right)
 
 
@@ -240,7 +247,7 @@ def test_join_tautology_is_cross_product():
 def test_join_matches_nested_loop_oracle(lts, rts):
     left = [gps(ts * 1000, lat=float(ts)) for ts in sorted(lts)]
     right = [gps(ts * 1000, lat=float(ts) + 0.5) for ts in sorted(rts)]
-    out = join_eval(left, right, JOIN_TS_COND, GPS_CTX, GPS2_CTX)
+    out = join(left, right, JOIN_TS_COND, GPS_CTX, GPS2_CTX)
     oracle = []
     for l in left:  # frozen nested-loop oracle
         for r in right:
@@ -249,12 +256,12 @@ def test_join_matches_nested_loop_oracle(lts, rts):
     assert [row.values for row in out] == oracle
 
 
-def test_join_unknown_alias():
+def test_join_unknown_alias_fails_to_compile():
     from icncep.query import AttrRef, Comparison
 
     cond = Comparison(AttrRef("ts", alias="NOPE"), "=", AttrRef("ts", alias="GPS_S2"))
     with pytest.raises(UnknownAttribute):
-        join_eval([gps(1000)], [gps(1000)], cond, GPS_CTX, GPS2_CTX)
+        compile_join(cond, GPS_CTX, GPS2_CTX)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +349,7 @@ def side(schema_id):
 @settings(max_examples=400, deadline=None)
 def test_join_matches_row_by_row_oracle(left, right, cond):
     want = oracle_join(left, right, cond, L_CTX, R_CTX)
-    assert as_rows(join_eval(left, right, cond, L_CTX, R_CTX)) == want
-    compiled = compile_join(cond, L_CTX, R_CTX)
-    assert as_rows(join_eval(left, right, compiled, L_CTX, R_CTX)) == want
+    assert as_rows(join(left, right, cond, L_CTX, R_CTX)) == want
 
 
 @given(rows=side("l"), cond=CONDS)
@@ -353,19 +358,17 @@ def test_filter_matches_row_by_row_oracle(rows, cond):
     ctx = L_CTX.join(R_CTX)
     wide = [Tuple(ts=t.ts, schema_id="w", values=t.values + t.values) for t in rows]
     want = [t for t in wide if oracle_eval(cond, t.values, ctx)]
-    assert filter_eval(wide, cond, ctx) == want
-    assert filter_eval(wide, compile_condition(cond, ctx), ctx) == want
+    assert keep(wide, cond, ctx) == want
 
 
-@given(left=side("l"), right=side("r"), cond=CONDS)
+@given(cond=CONDS)
 @settings(max_examples=100, deadline=None)
-def test_join_unknown_alias_raises_on_nonempty_inputs(left, right, cond):
+def test_an_unknown_alias_anywhere_fails_to_compile(cond):
     bad = BoolOp("&", cond, Comparison(AttrRef("k", "NOPE"), "=", AttrRef("k", "R")))
-    if left and right:
-        with pytest.raises(UnknownAttribute):
-            join_eval(left, right, bad, L_CTX, R_CTX)
-    else:
-        assert join_eval(left, right, bad, L_CTX, R_CTX) == []
+    with pytest.raises(UnknownAttribute):
+        compile_join(bad, L_CTX, R_CTX)
+    with pytest.raises(UnknownAttribute):
+        compile_condition(bad, L_CTX.join(R_CTX))
 
 
 @pytest.mark.parametrize(
@@ -389,7 +392,7 @@ def test_hash_join_key_equality():
     left = [Tuple.from_values("l", (1000, k, 0)) for k in keys]
     right = [Tuple.from_values("r", (1000, k, 0)) for k in keys]
     pairs = [(l.values[1], r.values[1]) for l in left for r in right]
-    out = join_eval(left, right, EQUI, L_CTX, R_CTX)
+    out = join(left, right, EQUI, L_CTX, R_CTX)
     got = [(t.values[1], t.values[4]) for t in out]
     # numbers match equal numbers, text never matches a number, and no NaN
     # matches, not even the same object
@@ -404,7 +407,7 @@ def test_join_rows_off_their_schema_width_take_the_nested_loop():
     right = [Tuple.from_values("r", (k, 1, 0)) for k in (1000, 2000)]
     want = oracle_join(left, right, EQUI, L_CTX, R_CTX)
     assert [row[2][4] for row in want] == [1000]
-    assert as_rows(join_eval(left, right, EQUI, L_CTX, R_CTX)) == want
+    assert as_rows(join(left, right, EQUI, L_CTX, R_CTX)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +480,21 @@ def test_sequence_matches_exists_pair_oracle(ats, bts):
 
 
 def test_heatmap_dimensions():
-    grid = heatmap_eval([], 0.25, (0.0, 1.0, 0.0, 1.0), GPS_CTX)
-    assert grid.VC == 4 and grid.HC == 4
-    assert len(grid.grid) == 4 and all(len(r) == 4 for r in grid.grid)
+    grid, skipped = heatmap_eval([], 0.25, (0.0, 1.0, 0.0, 1.0), GPS_CTX)
+    assert len(grid) == 4 and all(len(r) == 4 for r in grid)
+    assert skipped == 0
 
 
 def test_heatmap_origin_tuple():
-    grid = heatmap_eval([gps(1000, lat=0.0, lon=0.0)], 0.25, (0.0, 1.0, 0.0, 1.0), GPS_CTX)
-    assert grid.grid[0][0] == 1
-    assert sum(map(sum, grid.grid)) == 1
+    grid, _ = heatmap_eval([gps(1000, lat=0.0, lon=0.0)], 0.25, (0.0, 1.0, 0.0, 1.0), GPS_CTX)
+    assert grid[0][0] == 1
+    assert sum(map(sum, grid)) == 1
 
 
 def test_heatmap_row_is_latitude():
     # lat offset 0.9 -> row 3; long offset 0.1 -> col 0
-    grid = heatmap_eval([gps(1000, lat=0.9, lon=0.1)], 0.25, (0.0, 1.0, 0.0, 1.0), GPS_CTX)
-    assert grid.grid[3][0] == 1
+    grid, _ = heatmap_eval([gps(1000, lat=0.9, lon=0.1)], 0.25, (0.0, 1.0, 0.0, 1.0), GPS_CTX)
+    assert grid[3][0] == 1
 
 
 def test_heatmap_matches_rebinning_oracle():
@@ -502,15 +505,15 @@ def test_heatmap_matches_rebinning_oracle():
         gps((i + 1) * 1000, lat=rng.uniform(49.0, 49.999), lon=rng.uniform(8.0, 8.999))
         for i in range(100)
     ]
-    grid = heatmap_eval(rows, cell, bounds, GPS_CTX)
+    grid, skipped = heatmap_eval(rows, cell, bounds, GPS_CTX)
     # frozen oracle: independent floor-binning pass
-    expected = [[0] * grid.HC for _ in range(grid.VC)]
+    expected = [[0] * 10 for _ in range(10)]
     for t in rows:
         row = math.floor((t.values[2] - bounds[0]) / cell)
         col = math.floor((t.values[3] - bounds[2]) / cell)
         expected[row][col] += 1
-    assert grid.grid == expected
-    assert sum(map(sum, grid.grid)) == 100
+    assert grid == expected
+    assert sum(map(sum, grid)) == 100 and skipped == 0
 
 
 def test_heatmap_out_of_bounds_skipped_and_conserved():
@@ -521,18 +524,16 @@ def test_heatmap_out_of_bounds_skipped_and_conserved():
         gps(3000, lat=49.5, lon=9.5),  # beyond long_max
         gps(4000, lat=50.0, lon=8.5),  # exactly lat_max: index VC, outside
     ]
-    grid = heatmap_eval(rows, 0.1, bounds, GPS_CTX)
-    assert grid.skipped == 3
-    assert sum(map(sum, grid.grid)) + grid.skipped == len(rows)
+    grid, skipped = heatmap_eval(rows, 0.1, bounds, GPS_CTX)
+    assert skipped == 3
+    assert sum(map(sum, grid)) + skipped == len(rows)
 
 
-def test_heatmap_degenerate_bounds():
-    with pytest.raises(DegenerateBounds):
-        heatmap_eval([], 0.1, (50.0, 49.0, 8.0, 9.0), GPS_CTX)
-    with pytest.raises(DegenerateBounds):
-        heatmap_eval([], 0.0, (49.0, 50.0, 8.0, 9.0), GPS_CTX)
-    with pytest.raises(DegenerateBounds):
-        heatmap_eval([], 0.1, (49.0, 50.0, 8.0, 8.0), GPS_CTX)
+@pytest.mark.parametrize("lat", ["49.5", math.nan, math.inf])
+def test_heatmap_coordinate_that_is_not_a_finite_number(lat):
+    with pytest.raises(UnknownAttribute):
+        rows = [gps(1000, lat=49.5), gps(2000, lat=lat)]
+        heatmap_eval(rows, 0.1, (49.0, 50.0, 8.0, 9.0), GPS_CTX)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +542,11 @@ def test_heatmap_degenerate_bounds():
 PLUG_CTX = SchemaCtx.single("PLUG_S1", PLUG_SCHEMA)
 HORIZON = Duration(5, "m")
 SLOT = Duration(1, "m")
+
+
+def load(prediction):
+    """The forecast a `prediction` tuple carries."""
+    return prediction.values[4]
 
 
 def minute_window(base_ts, values):
@@ -554,33 +560,25 @@ def test_predict_fixed_example():
     slot = (epoch // 60000) % (86400000 // 60000)
     window = minute_window(epoch, [10.0, 10.0])
     hist = PredictState(history={slot: [8.0, 12.0, 10.0]}, last_ts=epoch - 10000)
-    state, out = predict_eval(window, HORIZON, hist, SLOT, combine="literal")
-    assert out is not None and out.predicted_load == 20.0
-    hist2 = PredictState(history={slot: [8.0, 12.0, 10.0]}, last_ts=epoch - 10000)
-    _, out2 = predict_eval(window, HORIZON, hist2, SLOT, combine="halved")
-    assert out2.predicted_load == 10.0
+    state, out = predict_eval(window, HORIZON, hist, SLOT)
+    assert out is not None and load(out) == 20.0
 
 
 def test_predict_missing_history_falls_back():
     epoch = 300000
     window = minute_window(epoch, [10.0, 10.0])
-    state, out = predict_eval(
-        window, HORIZON, PredictState(), SLOT, combine="literal"
-    )
-    assert out is not None and out.predicted_load == 10.0
+    state, out = predict_eval(window, HORIZON, PredictState(), SLOT)
+    assert out is not None and load(out) == 10.0
 
 
-def test_predict_constant_load_both_variants():
+def test_predict_constant_load_doubles():
     c = 7.5
     epoch = 600000
     slot = (epoch // 60000) % (86400000 // 60000)
     window = minute_window(epoch, [c, c, c])
     hist = PredictState(history={slot: [c, c]}, last_ts=epoch - 10000)
-    _, lit = predict_eval(window, HORIZON, hist, SLOT, combine="literal")
-    assert lit.predicted_load == 2 * c
-    hist = PredictState(history={slot: [c, c]}, last_ts=epoch - 10000)
-    _, half = predict_eval(window, HORIZON, hist, SLOT, combine="halved")
-    assert half.predicted_load == c
+    _, out = predict_eval(window, HORIZON, hist, SLOT)
+    assert load(out) == 2 * c
 
 
 def test_predict_ramp_load():
@@ -592,27 +590,22 @@ def test_predict_ramp_load():
     slot = (epoch // 60000) % (86400000 // 60000)
     hist_avgs = [2.0, 6.0, 4.0]
     hist = PredictState(history={slot: list(hist_avgs)}, last_ts=epoch - 10000)
-    _, out = predict_eval(window, HORIZON, hist, SLOT, combine="literal")
-    assert out.predicted_load == pytest.approx(cur + statistics.median(hist_avgs))
+    _, out = predict_eval(window, HORIZON, hist, SLOT)
+    assert load(out) == pytest.approx(cur + statistics.median(hist_avgs))
 
 
 def test_predict_non_epoch_returns_nothing():
     window = minute_window(290000, [10.0])
-    state, out = predict_eval(
-        window, HORIZON, PredictState(last_ts=280000), SLOT, combine="literal"
-    )
+    state, out = predict_eval(window, HORIZON, PredictState(last_ts=280000), SLOT)
     assert out is None
     assert state.last_ts == 290000
 
 
 def test_predict_epoch_crossing_and_fields():
     window = [plug(300010, 6.0, plug_id=2.0, household_id=5.0, house_id=9.0)]
-    state, out = predict_eval(
-        window, HORIZON, PredictState(last_ts=299000), SLOT, combine="literal"
-    )
-    assert isinstance(out, PredictionTuple)
+    state, out = predict_eval(window, HORIZON, PredictState(last_ts=299000), SLOT)
+    assert out == Tuple.from_values("prediction", (300000, 2.0, 5.0, 9.0, 6.0))
     assert out.ts == 300000  # pinned to the epoch boundary
-    assert (out.plug_id, out.household_id, out.house_id) == (2.0, 5.0, 9.0)
     # current slot average recorded into history for later epochs
     assert any(state.history.values())
 
@@ -624,10 +617,16 @@ def test_predict_stores_average_for_future_epochs():
     # two epochs of constant 5.0 then one of 15.0, same slot-of-day forced by
     # wrapping: keep it simple and reuse one slot via identical offsets
     w1 = minute_window(300000, [5.0, 5.0])
-    state, out1 = predict_eval(w1, HORIZON, state, SLOT, combine="literal")
-    assert out1.predicted_load == 5.0  # empty history fallback
+    state, out1 = predict_eval(w1, HORIZON, state, SLOT)
+    assert load(out1) == 5.0  # empty history fallback
     # same slot next day
     day = 86400000
     w2 = minute_window(300000 + day, [15.0])
-    state, out2 = predict_eval(w2, HORIZON, state, SLOT, combine="literal")
-    assert out2.predicted_load == 15.0 + 5.0
+    state, out2 = predict_eval(w2, HORIZON, state, SLOT)
+    assert load(out2) == 15.0 + 5.0
+
+
+def test_predict_text_load_is_an_unknown_attribute():
+    window = [plug(300010, 6.0), plug(300020, "6.0")]
+    with pytest.raises(UnknownAttribute):
+        predict_eval(window, HORIZON, PredictState(last_ts=299000), SLOT)

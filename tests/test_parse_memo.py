@@ -35,7 +35,6 @@ def poller_spec(tmp_path, poll_ms, stop_ms, text=FILTER):
         topology=load_topology("distributed"),
         streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
         queries=[QueryDef("poll", "c1", 100, stop_ms, "distributed", text, poll_ms)],
-        seed=1,
     )
 
 

@@ -429,7 +429,6 @@ def small_spec(tmp_path, rows=20, mode="centralized", topology="centralized", po
         topology=load_topology(topology),
         streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
         queries=[QueryDef("q", "c1", 100, stop, mode, "WINDOW(GPS_S1, 4s)", poll)],
-        seed=7,
     )
 
 
@@ -718,7 +717,6 @@ def test_stream_never_loops_round_a_cyclic_mesh(tmp_path, monkeypatch):
         topology=load_topology(str(topo)),
         streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
         queries=queries,
-        seed=1,
     )
     events = [0]
     original = Simulator._at
@@ -852,7 +850,7 @@ def busy_spec(tmp_path, drawn):
         QueryDef("q%d" % i, consumer, start, stop, mode, text, poll if stop else None)
         for i, (consumer, start, stop, poll, text) in enumerate(queries)
     ]
-    return ScenarioSpec(topology=load_topology(str(topo)), streams=defs, queries=qdefs, seed=1)
+    return ScenarioSpec(topology=load_topology(str(topo)), streams=defs, queries=qdefs)
 
 
 def test_waiting_batches_keep_the_trace_of_one_heap_entry_per_wait(tmp_path):
