@@ -136,6 +136,9 @@ def _cmd_run_sim(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        print("error: --limit must not be negative, got %d" % args.limit, file=sys.stderr)
+        return EXIT_CONFIG
     stream = StreamDef("REPLAY", args.uri, args.schema, args.csv, args.rate)
     try:
         schedule, warnings = replay_dataset(stream)

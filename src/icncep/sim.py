@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import random
+import zlib
 from array import array
 from bisect import bisect_left
 from collections import deque
@@ -417,6 +418,8 @@ def _validate_scenario(spec: ScenarioSpec, origin: str) -> None:
             raise ConfigError(
                 "%s: query %s names unknown consumer %s" % (origin, q.query_id, q.consumer)
             )
+        if q.poll_ms and q.stop_ms is None:
+            raise ConfigError("%s: query %s polls but has no stop time" % (origin, q.query_id))
     modes = {q.mode for q in spec.queries}
     if len(modes) > 1:
         raise ConfigError("%s: queries mix deployment modes %s" % (origin, sorted(modes)))
@@ -480,6 +483,8 @@ def replay_dataset(stream: StreamDef) -> tuple[list[tuple[float, DataStream]], i
                 values = (int(row[0]),) + tuple(float(v) for v in row[1:])
             except ValueError as err:
                 raise SchemaMismatch("%s: line %d: %s" % (stream.csv_path, lineno, err))
+            if values[0] < 0:
+                raise SchemaMismatch("%s: line %d: negative timestamp" % (stream.csv_path, lineno))
             rows.append(values)
 
     warnings = 0
@@ -544,16 +549,17 @@ def generate_plug_csv(
 
 
 class Trace:
-    """The lines of an event trace, kept as sealed chunks and hashed as they seal.
+    """The lines of an event trace, kept as compressed chunks and hashed as they seal.
 
     `append` is the bound `append` of the list of open lines, so recording a
-    line costs no Python call. `seal` joins the open lines with newlines into
-    one str, keeps their lengths in an `array('I')` and feeds the text's
-    UTF-8 bytes, after a newline if a chunk came before, to a running sha256.
-    A 76-character line then costs about 81 bytes, not the 133 of a `str` of
-    its own in a list. Iteration gives back exactly the lines appended, in
-    order, lines holding newlines included; `hexdigest` is the sha256 of all
-    of them joined by newlines.
+    line costs no Python call. `seal` joins the open lines with newlines,
+    feeds the text's UTF-8 bytes, after a newline if a chunk came before, to a
+    running sha256, and keeps those bytes zlib-compressed at level 1 with the
+    lines' lengths in an `array('I')`. A 76-character line then costs about
+    14 bytes, not the 133 of a `str` of its own in a list. Iteration and
+    `write` decompress one chunk at a time and give back exactly the lines
+    appended, in order, lines holding newlines included; `hexdigest` is the
+    sha256 of all of them joined by newlines.
     """
 
     __slots__ = ("append", "open_lines", "_chunks", "_sha")
@@ -561,18 +567,18 @@ class Trace:
     def __init__(self) -> None:
         self.open_lines: list[str] = []
         self.append = self.open_lines.append
-        self._chunks: list[tuple[str, array]] = []  # (joined text, line lengths)
+        self._chunks: list[tuple[bytes, array]] = []  # (compressed text, line lengths)
         self._sha = hashlib.sha256()
 
     def seal(self) -> None:
         lines = self.open_lines
         if not lines:
             return
-        text = "\n".join(lines)
+        raw = "\n".join(lines).encode("utf-8")
         if self._chunks:
             self._sha.update(b"\n")
-        self._sha.update(text.encode("utf-8"))
-        self._chunks.append((text, array("I", map(len, lines))))
+        self._sha.update(raw)
+        self._chunks.append((zlib.compress(raw, 1), array("I", map(len, lines))))
         lines.clear()
 
     def hexdigest(self) -> str:
@@ -582,14 +588,15 @@ class Trace:
     def write(self, fh) -> None:
         """Write the lines joined by newlines, and a final newline, chunk by chunk."""
         self.seal()
-        for i, (text, _) in enumerate(self._chunks):
+        for i, (packed, _) in enumerate(self._chunks):
             if i:
                 fh.write("\n")
-            fh.write(text)
+            fh.write(zlib.decompress(packed).decode("utf-8"))
         fh.write("\n")
 
     def __iter__(self):
-        for text, lengths in self._chunks:
+        for packed, lengths in self._chunks:
+            text = zlib.decompress(packed).decode("utf-8")
             start = 0
             for n in lengths:
                 yield text[start : start + n]
@@ -948,8 +955,7 @@ def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:
         if q.poll_ms:
             k = 1
             t = q.start_ms + q.poll_ms
-            stop = q.stop_ms if q.stop_ms is not None else t - 1
-            while t < stop:
+            while t < q.stop_ms:
                 k += 1
                 sim.inject(t, q.consumer, RemoveQueryInterest(query=q.text, nonce="%s:%dr" % (q.query_id, k)))
                 sim.inject(t, q.consumer, AddQueryInterest(query=q.text, nonce="%s:%d" % (q.query_id, k)))

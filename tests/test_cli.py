@@ -215,6 +215,26 @@ def test_run_sim_broken_stream_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def negative_ts_csv(tmp_path):
+    csv = tmp_path / "feed.csv"
+    generate_gps_csv(str(csv), seed=7, rows=1)
+    header, row = csv.read_text().splitlines()
+    csv.write_text("%s\n-5,%s\n" % (header, row.split(",", 1)[1]))
+    return csv
+
+
+def test_run_sim_negative_timestamp_row_exits_3(tmp_path, capsys):
+    negative_ts_csv(tmp_path)
+    scn = tmp_path / "run.scn"
+    scn.write_text(
+        "topology centralized\n"
+        "stream GPS_S1 /node/p1/gps gps feed.csv 1.0\n"
+        "query q1 c1 50 5000 centralized WINDOW(GPS_S1, 4s)\n"
+    )
+    assert main(["run-sim", str(scn)]) == 3
+    assert "feed.csv: line 2: negative timestamp" in capsys.readouterr().err
+
+
 def test_replay_prints_schedule_rows(tmp_path, capsys):
     csv = tmp_path / "feed.csv"
     generate_gps_csv(str(csv), seed=7, rows=5)
@@ -233,6 +253,21 @@ def test_replay_rate_compresses_schedule(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("500.000 ")
     assert lines[1].startswith("1000.000 ")
+
+
+def test_replay_negative_timestamp_row_exits_3(tmp_path, capsys):
+    csv = negative_ts_csv(tmp_path)
+    assert main(["replay", str(csv), "--schema", "gps"]) == 3
+    assert "feed.csv: line 2: negative timestamp" in capsys.readouterr().err
+
+
+def test_replay_negative_limit_exits_3(tmp_path, capsys):
+    csv = tmp_path / "feed.csv"
+    generate_gps_csv(str(csv), seed=7, rows=3)
+    assert main(["replay", str(csv), "--schema", "gps", "--limit", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--limit must not be negative" in captured.err
 
 
 def test_replay_missing_file_exits_3(capsys):
