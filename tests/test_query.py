@@ -382,6 +382,27 @@ def test_assigned_node_replaces_placeholder():
     ]
 
 
+@pytest.mark.parametrize(
+    "query, service",
+    [
+        ("WINDOW(GPS_S1, 4s)", "Window"),
+        ("FILTER(WINDOW(GPS_S1, 4s), 'speed'>1)", "Filter"),
+        ("JOIN(WINDOW(GPS_S1, 4s), WINDOW(GPS_S2, 4s), GPS_S1.'ts' = GPS_S2.'ts')", "Join"),
+        ("SEQUENCE(WINDOW(GPS_S1, 4s) -> WINDOW(GPS_S2, 4s))", "Sequence"),
+        ("SUM('speed', WINDOW(GPS_S1, 4s))", "Sum"),
+        ("MIN('speed', WINDOW(GPS_S1, 4s))", "Min"),
+        ("MAX('speed', WINDOW(GPS_S1, 4s))", "Max"),
+        ("AVG('speed', WINDOW(GPS_S1, 4s))", "Avg"),
+        ("COUNT('speed', WINDOW(GPS_S1, 4s))", "Count"),
+        ("HEATMAP(0.01, 49.86, 49.92, 8.61, 8.69, WINDOW(GPS_S1, 4s))", "Heatmap"),
+        ("PREDICT(5m, WINDOW(PLUG_S1, 1m))", "Predict"),
+    ],
+)
+def test_every_kind_calls_its_nfn_service(query, service):
+    text = to_nfn_expression(parse_query(query))
+    assert re.findall(r"nfn_service_(\w+)", text)[0] == service
+
+
 def test_every_graph_node_renders_its_lambda():
     tree = create_operator_graph(Q3)
     whole = to_nfn_expression(tree)
