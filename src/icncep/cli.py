@@ -93,7 +93,7 @@ def _cmd_explain(args) -> int:
         print("error: no query %r in scenario (have %s)" % (args.query_id, known), file=sys.stderr)
         return EXIT_SEMANTIC
     bindings = spec.bindings()
-    tree = create_operator_graph(q.text, bindings or None)
+    tree = create_operator_graph(q.text, bindings)
     coordinator = _coordinator_for(spec, q.consumer)
     try:
         plan = plan_query(tree, coordinator, q.mode, spec.topology, bindings)

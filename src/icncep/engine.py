@@ -196,6 +196,7 @@ class NodeConfig:
     node_id: str
     role: str  # broker | producer | consumer
     faces: list[FaceDef] = field(default_factory=list)
+    # the engine parses queries against this table only
     streams: dict[str, StreamBinding] = field(default_factory=dict)
     fib_routes: list[tuple[str, int]] = field(default_factory=list)
     mode: str = "centralized"
@@ -349,7 +350,7 @@ class Engine:
         parsed = self._parsed.get(text)
         if parsed is None:
             started = time.perf_counter()
-            tree = create_operator_graph(text, self.config.streams or None)
+            tree = create_operator_graph(text, self.config.streams)
             parse_ms = (time.perf_counter() - started) * 1000.0
             key = canonical_text(tree)
             tree = self._parsed.get(key, (tree,))[0]
@@ -853,7 +854,7 @@ class Engine:
         skipped and counted `malformed`. An empty MIN, MAX or AVG emits nothing.
         """
         node = inst.node
-        self.services.charge(self.node_id, EVAL_COST_MS.get(node.kind, 0.1))
+        self.services.charge(self.node_id, EVAL_COST_MS[node.kind])
         if node.kind in ("JOIN", "SEQUENCE"):
             if child_idx == node.left.index:
                 inst.left_rows, inst.left_wm = rows, wm
@@ -881,15 +882,13 @@ class Engine:
                 grid, skipped = heatmap_eval(rows, cell, bounds, node.left.ctx)
                 payload = json.dumps({"grid": grid, "skipped": skipped})
                 out = [Tuple(ts=wm, schema_id="grid", values=(wm, payload))]
-            elif node.kind == "PREDICT":
+            else:  # PREDICT
                 inst.predict_state, pred = predict_eval(
                     rows, node.params[0], inst.predict_state, node.left.params[1]
                 )
                 if pred is None:
                     return
                 out, wm = [pred], pred.ts
-            else:
-                out = rows  # unknown kinds pass their input through unchanged
         except EmptyWindow:
             return
         except OperatorError:

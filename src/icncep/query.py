@@ -4,10 +4,9 @@ Tokenizer, recursive-descent parser, semantic validation against stream
 schemas, canonical rendering (whose hash keys standing queries),
 and translation to named-function call expressions.
 
-The operator vocabulary is an extensible registry: a new operator kind
-registers its keyword, argument slots, and a semantic validator, and the
-parser, validator and renderers pick it up. The engine evaluates only the
-built-in kinds; it passes the input of any other kind through unchanged.
+The language is fixed: `OPERATORS` maps each keyword to its argument
+slots and semantic validator, and the parser, validator, renderers and
+engine all work from that one table.
 
 Concrete syntax notes, where the abstract grammar leaves room:
 - operator keywords are case-insensitive; stream and attribute names are not
@@ -22,8 +21,8 @@ Concrete syntax notes, where the abstract grammar leaves room:
   accepted as an alias)
 - "&" and "|" in boolean expressions share one precedence level and associate
   to the left
-- time literals (nn:nn:nn.nnn) are accepted lexically but no built-in
-  operator consumes them yet
+- time literals (nn:nn:nn.nnn) are comparison operands; operators compare
+  them with a tuple's timestamp as milliseconds since midnight
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ __all__ = [
     "BoolExpr",
     "OperatorNode",
     "OperatorDef",
-    "register_operator",
-    "operator_defs",
+    "OPERATORS",
     "StreamBinding",
     "StreamRegistry",
     "default_streams",
@@ -387,33 +385,17 @@ class OperatorNode:
 
 
 # ---------------------------------------------------------------------------
-# operator registry (factory pattern: new kinds plug in here)
+# operator table
 
 
 @dataclass(frozen=True)
 class OperatorDef:
-    keyword: str
     slots: tuple[str, ...]  # each: expr boolexp attr stream extent number duration
-    nfn_name: str
+    # returns the output SchemaCtx; raises SemanticError on bad params
+    semantics: Callable[["OperatorNode", list[SchemaCtx], StreamRegistry], SchemaCtx]
     accepts_format: bool = True
     arrow: bool = False  # children separated by -> instead of commas
     child_kind: Optional[str] = None  # required kind of every child, if any
-    # returns the output SchemaCtx; raises SemanticError on bad params
-    semantics: Callable[["OperatorNode", list[SchemaCtx], StreamRegistry], SchemaCtx] = None  # type: ignore[assignment]
-
-
-_REGISTRY: dict[str, OperatorDef] = {}
-
-
-def register_operator(op: OperatorDef) -> None:
-    key = op.keyword.upper()
-    if key in _REGISTRY:
-        raise ValueError("operator %s already registered" % key)
-    _REGISTRY[key] = op
-
-
-def operator_defs() -> dict[str, OperatorDef]:
-    return dict(_REGISTRY)
 
 
 def _sem_window(node: OperatorNode, child_ctxs, streams: StreamRegistry) -> SchemaCtx:
@@ -475,46 +457,21 @@ def _sem_predict(node: OperatorNode, child_ctxs, streams) -> SchemaCtx:
     return SchemaCtx.single(alias, PREDICTION_SCHEMA)
 
 
-def _register_builtins() -> None:
-    register_operator(
-        OperatorDef("WINDOW", ("stream", "extent"), "Window", accepts_format=False,
-                    semantics=_sem_window)
-    )
-    register_operator(
-        OperatorDef("FILTER", ("expr", "boolexp"), "Filter", semantics=_sem_filter)
-    )
-    register_operator(
-        OperatorDef("JOIN", ("expr", "expr", "boolexp"), "Join", semantics=_sem_join)
-    )
-    register_operator(
-        OperatorDef("SEQUENCE", ("expr", "expr"), "Sequence", arrow=True,
-                    semantics=_sem_sequence)
-    )
-    for agg in ("SUM", "MIN", "MAX", "AVG", "COUNT"):
-        register_operator(
-            OperatorDef(agg, ("attr", "expr"), agg.capitalize(),
-                        child_kind="WINDOW", semantics=_sem_agg)
-        )
-    register_operator(
-        OperatorDef(
-            "HEATMAP",
-            ("number", "number", "number", "number", "number", "expr"),
-            "Heatmap",
-            semantics=_sem_heatmap,
-        )
-    )
-    register_operator(
-        OperatorDef(
-            "PREDICT",
-            ("duration", "expr"),
-            "Predict",
-            child_kind="WINDOW",
-            semantics=_sem_predict,
-        )
-    )
-
-
-_register_builtins()
+# keyword -> definition; the NFN service of a kind is `nfn_service_<Kind>`
+OPERATORS: dict[str, OperatorDef] = {
+    "WINDOW": OperatorDef(("stream", "extent"), _sem_window, accepts_format=False),
+    "FILTER": OperatorDef(("expr", "boolexp"), _sem_filter),
+    "JOIN": OperatorDef(("expr", "expr", "boolexp"), _sem_join),
+    "SEQUENCE": OperatorDef(("expr", "expr"), _sem_sequence, arrow=True),
+    **{
+        agg: OperatorDef(("attr", "expr"), _sem_agg, child_kind="WINDOW")
+        for agg in ("SUM", "MIN", "MAX", "AVG", "COUNT")
+    },
+    "HEATMAP": OperatorDef(
+        ("number", "number", "number", "number", "number", "expr"), _sem_heatmap
+    ),
+    "PREDICT": OperatorDef(("duration", "expr"), _sem_predict, child_kind="WINDOW"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +525,7 @@ class _Parser:
                 "operators nest deeper than %d at offset %d" % (MAX_NESTING, tok.pos)
             )
         keyword = tok.text.upper()
-        op = _REGISTRY.get(keyword)
+        op = OPERATORS.get(keyword)
         if op is None:
             raise SemanticError("unknown operator %r" % tok.text)
         self.next()
@@ -611,11 +568,9 @@ class _Parser:
             elif slot == "number":
                 tok = self.expect("NUMBER")
                 params.append(tok.value)
-            elif slot == "duration":
+            else:  # duration
                 tok = self.expect("DURATION")
                 params.append(tok.value)
-            else:  # pragma: no cover - registry misuse
-                raise AssertionError("bad slot kind %r" % slot)
         tok = self.peek()
         if tok is not None and tok.kind == "COMMA":
             raise SemanticError("%s takes %d arguments" % (keyword, len(op.slots)))
@@ -698,7 +653,7 @@ class _Parser:
 
 def _validate(node: OperatorNode, streams: StreamRegistry) -> SchemaCtx:
     child_ctxs = [_validate(c, streams) for c in node.children]
-    op = _REGISTRY[node.kind]
+    op = OPERATORS[node.kind]
     ctx = op.semantics(node, child_ctxs, streams)
     node.ctx = ctx
     return ctx
@@ -736,7 +691,7 @@ def canonical_text(node: OperatorNode) -> str:
     Standing queries are keyed by this form's hash, so formatting differences
     in consumer-supplied text cannot create duplicate table entries.
     """
-    op = _REGISTRY[node.kind]
+    op = OPERATORS[node.kind]
     parts: list[str] = []
     if node.fmt == "Data":
         parts.append("Data")
@@ -773,12 +728,12 @@ def to_nfn_expression(node: OperatorNode, hosts: Optional[dict[int, str]] = None
     node that runs it, as in `PlacementPlan.assignments`; an operator
     without an entry carries the nodeQuery placeholder.
     """
-    op = _REGISTRY[node.kind]
     host = (hosts or {}).get(node.index, "nodeQuery")
     args = [to_nfn_expression(c, hosts) for c in node.children]
     args += [_render_param(p) for p in node.params]
     n = 1 + len(node.params) + len(node.children)
-    return "(call %d /node/%s/nfn_service_%s %s)" % (n, host, op.nfn_name, " ".join(args))
+    service = node.kind.capitalize()
+    return "(call %d /node/%s/nfn_service_%s %s)" % (n, host, service, " ".join(args))
 
 
 def create_operator_graph(

@@ -48,6 +48,7 @@ from .placement import NoPath
 from .query import (
     STREAM_SCHEMAS,
     Name,
+    OperatorNode,
     StreamBinding,
     canonical_text,
     create_operator_graph,
@@ -377,17 +378,11 @@ def load_scenario(path: str) -> ScenarioSpec:
                 rest = rest[1:]
             if not rest:
                 raise ConfigError("line %d: query text missing" % lineno)
-            if mode not in ("centralized", "distributed"):
-                raise ConfigError("line %d: unknown mode %r" % (lineno, mode))
-            if any(q.query_id == qid for q in queries):
-                raise ConfigError("line %d: duplicate query id %r" % (lineno, qid))
             try:
                 start = int(start_s)
                 stop = None if stop_s == "-" else int(stop_s)
             except ValueError:
                 raise ConfigError("line %d: bad start/stop" % lineno)
-            if stop is not None and stop <= start:
-                raise ConfigError("line %d: stop must follow start" % lineno)
             queries.append(QueryDef(qid, consumer, start, stop, mode, " ".join(rest), poll))
         else:
             raise ConfigError("line %d: unknown directive %r" % (lineno, parts[0]))
@@ -401,23 +396,25 @@ def load_scenario(path: str) -> ScenarioSpec:
     return spec
 
 
-def _validate_scenario(spec: ScenarioSpec, origin: str) -> None:
-    known_aliases = {s.alias for s in spec.streams}
+def _validate_scenario(spec: ScenarioSpec, origin: str) -> list[OperatorNode]:
+    """Check `spec` as a whole; the operator tree of each query, in order."""
     bindings = spec.bindings()
-    for q in spec.queries:
+    trees = []
+    for k, q in enumerate(spec.queries):
+        if any(p.query_id == q.query_id for p in spec.queries[:k]):
+            raise ConfigError("%s: duplicate query id %r" % (origin, q.query_id))
         try:
-            tree = create_operator_graph(q.text, bindings or None)
+            trees.append(create_operator_graph(q.text, bindings))
         except Exception as err:
             raise ConfigError("%s: query %s does not parse: %s" % (origin, q.query_id, err))
-        for alias in tree.stream_aliases():
-            if alias not in known_aliases:
-                raise ConfigError(
-                    "%s: query %s references unbound stream %s" % (origin, q.query_id, alias)
-                )
         if q.consumer not in spec.topology.nodes:
             raise ConfigError(
                 "%s: query %s names unknown consumer %s" % (origin, q.query_id, q.consumer)
             )
+        if q.mode not in ("centralized", "distributed"):
+            raise ConfigError("%s: query %s has unknown mode %r" % (origin, q.query_id, q.mode))
+        if q.stop_ms is not None and q.stop_ms <= q.start_ms:
+            raise ConfigError("%s: query %s stops before it starts" % (origin, q.query_id))
         if q.poll_ms and q.stop_ms is None:
             raise ConfigError("%s: query %s polls but has no stop time" % (origin, q.query_id))
     modes = {q.mode for q in spec.queries}
@@ -435,6 +432,7 @@ def _validate_scenario(spec: ScenarioSpec, origin: str) -> None:
     for outer, inner in zip(names, names[1:]):
         if len(outer.components) < len(inner.components) and is_prefix_of(outer, inner):
             raise ConfigError("%s: stream %s nests inside stream %s" % (origin, inner, outer))
+    return trees
 
 
 def override_scenario(
@@ -937,8 +935,11 @@ class Simulator:
 
 
 def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:
+    canon = {
+        q.query_id: canonical_text(tree)
+        for q, tree in zip(spec.queries, _validate_scenario(spec, "run_scenario"))
+    }
     sim = Simulator(spec, collect_trace=collect_trace)
-    bindings = spec.bindings()
     reorder = 0
     for stream in spec.streams:
         schedule, warnings = replay_dataset(stream)
@@ -947,10 +948,7 @@ def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:
         for emit_t, packet in schedule:
             sim.inject(emit_t, producer, packet)
 
-    canon: dict[str, str] = {}
     for q in spec.queries:
-        tree = create_operator_graph(q.text, bindings or None)
-        canon[q.query_id] = canonical_text(tree)
         sim.inject(q.start_ms, q.consumer, AddQueryInterest(query=q.text, nonce="%s:1" % q.query_id))
         if q.poll_ms:
             k = 1

@@ -29,7 +29,13 @@ from icncep.packet import (
     RemoveQueryInterest,
     Tuple,
 )
-from icncep.query import canonical_text, create_operator_graph, default_streams, query_hash
+from icncep.query import (
+    OPERATORS,
+    canonical_text,
+    create_operator_graph,
+    default_streams,
+    query_hash,
+)
 
 Q1 = "WINDOW(GPS_S1, 4s)"
 Q2 = "FILTER(WINDOW(GPS_S1, 4s),'latitude'<50)"
@@ -244,6 +250,18 @@ def test_malformed_query_nacked(text):
     assert eng.instances == {} and eng._parsed == {}
 
 
+def test_an_engine_without_streams_nacks_a_query_on_a_built_in_alias():
+    """The engine parses against its own stream table only, even an empty one."""
+    svc = FakeServices()
+    eng = Engine(NodeConfig(node_id="b1", role="broker", faces=[FaceDef(1, "c1")]), svc)
+    assert eng.config.streams == {}
+    eng.handle_packet(AddQueryInterest(query=Q1, nonce="n1"), in_face=1)
+    assert [p.name.components for p in sent_to(svc, 1, Data)] == [("nack", "n1")]
+    assert b"GPS_S1" in sent_to(svc, 1, Data)[0].payload
+    assert eng.instances == {}
+    assert [k for _, k, _ in svc.events if k in ("query_accepted", "query_deployed")] == []
+
+
 def test_malformed_queries_are_nacked_every_time_and_never_memoized():
     eng, svc = single_broker()
     texts = ["FILTER(WINDOW(GPS_S1, %ds), 'latitude' <" % k for k in range(1, 21)]
@@ -284,6 +302,10 @@ def test_evaluation_charges_compute_cost():
     charged = {ms for _, ms in svc.charges}
     assert EVAL_COST_MS["WINDOW"] in charged
     assert EVAL_COST_MS["FILTER"] in charged
+
+
+def test_every_operator_kind_has_an_evaluation_cost():
+    assert set(EVAL_COST_MS) == set(OPERATORS)
 
 
 def test_delay_service_answers():

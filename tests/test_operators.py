@@ -153,6 +153,12 @@ def test_filter_latitude_threshold():
     assert [t.values[2] for t in kept] == [49.5]
 
 
+def test_filter_compares_a_time_literal_as_ms_since_midnight():
+    tuples = [gps(500), gps(1000), gps(1500)]
+    expr = cond_of("FILTER(WINDOW(GPS_S1, 4s), 'ts' > 00:00:01.000)")
+    assert [t.ts for t in keep(tuples, expr, GPS_CTX)] == [1500]
+
+
 def test_filter_unsatisfiable_conjunction():
     schema = Schema("t2", ("ts", "a", "b"))
     ctx = SchemaCtx.single("T2", schema)

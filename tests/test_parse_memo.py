@@ -100,7 +100,7 @@ def test_memoized_trees_stay_as_parsed(memos):
     for eng, memo in memos[0].values():
         nodes = set()
         for text, (tree, key, _) in memo.items():
-            fresh = create_operator_graph(text, eng.config.streams or None)
+            fresh = create_operator_graph(text, eng.config.streams)
             assert [repr(n) for n in tree.walk()] == [repr(n) for n in fresh.walk()]
             assert key == canonical_text(fresh)
             nodes |= {id(n) for n in tree.walk()}

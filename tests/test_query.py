@@ -10,22 +10,20 @@ from hypothesis import strategies as st
 
 from icncep.query import (
     MAX_NESTING,
+    OPERATORS,
     AttrRef,
     BoolOp,
     Comparison,
     Duration,
     LexError,
     NumberLit,
-    OperatorDef,
     ParseError,
     QueryError,
     SemanticError,
     canonical_text,
     create_operator_graph,
-    operator_defs,
     parse_query,
     query_hash,
-    register_operator,
     to_nfn_expression,
     tokenize,
 )
@@ -420,34 +418,9 @@ def test_preorder_indices_match_textual_keyword_order():
         textual = [
             w.upper()
             for w in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", q)
-            if w.upper() in operator_defs()
+            if w.upper() in OPERATORS
         ]
         assert walked == textual
-
-
-# ---------------------------------------------------------------------------
-# registry extensibility
-
-
-def test_custom_operator_registers_and_parses():
-    import icncep.query as qmod
-
-    def sem(node, child_ctxs, streams):
-        return child_ctxs[0]
-
-    register_operator(
-        OperatorDef("SMOOTH", ("number", "expr"), "Smooth", semantics=sem)
-    )
-    try:
-        tree = parse_query("SMOOTH(3, WINDOW(GPS_S1, 4s))")
-        assert tree.kind == "SMOOTH"
-        assert "nfn_service_Smooth" in to_nfn_expression(tree)
-        with pytest.raises(ValueError):
-            register_operator(
-                OperatorDef("SMOOTH", ("number", "expr"), "Smooth", semantics=sem)
-            )
-    finally:
-        del qmod._REGISTRY["SMOOTH"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import random
 import sys
 import time
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -377,6 +378,25 @@ def test_scenario_rejects_bad_query_text(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_scenario(str(p))
     assert "does not parse" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "queries, message",
+    [
+        (lambda q: [replace(q, poll_ms=5000, stop_ms=None)], "query q1 polls but has no stop time"),
+        (lambda q: [replace(q, mode="foo")], "query q1 has unknown mode 'foo'"),
+        (lambda q: [replace(q, stop_ms=99)], "query q1 stops before it starts"),
+        (lambda q: [q, replace(q, start_ms=200)], "duplicate query id 'q1'"),
+    ],
+    ids=["poll-without-stop", "unknown-mode", "stop-before-start", "duplicate-id"],
+)
+def test_run_scenario_checks_a_spec_built_in_code(queries, message):
+    """A spec built in code is checked as a loaded one, before anything runs."""
+    spec = load_scenario("q1")
+    spec.queries = queries(spec.queries[0])
+    with pytest.raises(ConfigError) as err:
+        run_scenario(spec, collect_trace=False)
+    assert str(err.value) == "run_scenario: " + message
 
 
 # ---------------------------------------------------------------------------
