@@ -1,0 +1,59 @@
+"""Digests that pin a run's results and wire bytes apart from its trace.
+
+The trace hash pins timing, uids and nonces as well as results, so a change
+that moves it says nothing about whether consumers still get the same
+answers. `results_digest` covers only what the applications received;
+`wire_digest` covers the bytes the codec writes for every link send.
+"""
+
+import hashlib
+import json
+from contextlib import contextmanager
+from dataclasses import replace
+
+from icncep.packet import AddQueryInterest, RemoveQueryInterest, encode_packet
+from icncep.sim import Simulator
+
+
+def results_digest(metrics) -> str:
+    """sha256 over what each consumer received.
+
+    Per consumer and per /ce/<hash>, the payloads in arrival order; per
+    consumer, every nack's reason in arrival order. No times, uids or nonces.
+    """
+    received: dict = {}
+    for node, deliveries in metrics.app_deliveries.items():
+        for _, p in deliveries:
+            comps = p.name.components
+            key = "/ce/" + comps[1] if comps[0] == "ce" else "/" + comps[0]
+            received.setdefault(node, {}).setdefault(key, []).append(p.payload.decode("utf-8"))
+    return hashlib.sha256(json.dumps(received, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+@contextmanager
+def wire_digest():
+    """Yield a sha256 fed the `encode_packet` bytes of every link send, in order.
+
+    Query-control packets carry text nonces such as "q1:1", which the codec's
+    64-bit nonce field cannot hold; they are encoded with a zero nonce, which
+    has the same width.
+    """
+    digest = hashlib.sha256()
+    original = Simulator._dispatch
+
+    def dispatch(self, node, face_id, packet, at):
+        before = self._seq
+        original(self, node, face_id, packet, at)
+        # a packet put on a link takes one sequence number as its uid and
+        # one for its delivery; application deliveries and dropped stream
+        # packets take fewer
+        if self._seq == before + 2:
+            if isinstance(packet, (AddQueryInterest, RemoveQueryInterest)):
+                packet = replace(packet, nonce=0)
+            digest.update(encode_packet(packet))
+
+    Simulator._dispatch = dispatch
+    try:
+        yield digest
+    finally:
+        Simulator._dispatch = original

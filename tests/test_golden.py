@@ -7,25 +7,24 @@ update `golden/traces.json` and say why.
 
 The trace names each packet but not its payload, so `golden/wire.json` pins
 the bytes as well: per run, the sha256 over the `encode_packet` bytes of
-every packet the simulator puts on a link, in the order it puts them there.
-Query-control packets carry text nonces such as "q1:1", which the codec's
-64-bit nonce field cannot hold; they are encoded with a zero nonce, which
-has the same width.
+every packet the simulator puts on a link, in the order it puts them there
+(`digests.wire_digest`). `golden/results.json` pins what the consumers
+received, with no times, uids or nonces (`digests.results_digest`), so a
+change that must move a trace hash can show that the results held.
 """
 
-import hashlib
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from icncep.packet import AddQueryInterest, RemoveQueryInterest, encode_packet
-from icncep.sim import Simulator, data_path, load_scenario, override_scenario, run_scenario
+from icncep.sim import data_path, load_scenario, override_scenario, run_scenario
+from digests import results_digest, wire_digest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "traces.json").read_text())
 WIRE = json.loads((GOLDEN_DIR / "wire.json").read_text())
+RESULTS = json.loads((GOLDEN_DIR / "results.json").read_text())
 RUNS = [
     (qid, mode)
     for qid in ("q1", "q2", "q3", "q4", "q5", "q6")
@@ -38,25 +37,8 @@ def run_shipped(qid, mode):
     spec = load_scenario(str(data_path(qid + ".scn")))
     if mode == "centralized":
         spec = override_scenario(spec, topology="centralized", mode=mode)
-    digest = hashlib.sha256()
-    original = Simulator._dispatch
-
-    def dispatch(self, node, face_id, packet, at):
-        before = self._seq
-        original(self, node, face_id, packet, at)
-        # a packet put on a link takes one sequence number as its uid and
-        # one for its delivery; application deliveries and dropped stream
-        # packets take fewer
-        if self._seq == before + 2:
-            if isinstance(packet, (AddQueryInterest, RemoveQueryInterest)):
-                packet = replace(packet, nonce=0)
-            digest.update(encode_packet(packet))
-
-    Simulator._dispatch = dispatch
-    try:
+    with wire_digest() as digest:
         metrics = run_scenario(spec)
-    finally:
-        Simulator._dispatch = original
     return metrics, digest.hexdigest()
 
 
@@ -73,6 +55,10 @@ def test_wire_golden_covers_every_shipped_run():
     assert sorted(WIRE) == sorted("%s/%s" % run for run in RUNS)
 
 
+def test_results_golden_covers_every_shipped_run():
+    assert sorted(RESULTS) == sorted("%s/%s" % run for run in RUNS)
+
+
 @pytest.mark.parametrize("label", sorted(GOLDEN))
 def test_trace_hash_matches_golden(traced_runs, label):
     assert traced_runs[label][0].trace_hash == GOLDEN[label]
@@ -81,6 +67,11 @@ def test_trace_hash_matches_golden(traced_runs, label):
 @pytest.mark.parametrize("label", sorted(WIRE))
 def test_wire_bytes_match_golden(traced_runs, label):
     assert traced_runs[label][1] == WIRE[label]
+
+
+@pytest.mark.parametrize("label", sorted(RESULTS))
+def test_results_match_golden(traced_runs, label):
+    assert results_digest(traced_runs[label][0]) == RESULTS[label]
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN))
