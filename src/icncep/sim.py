@@ -347,16 +347,10 @@ def load_scenario(path: str) -> ScenarioSpec:
                     "line %d: stream takes <alias> <uri> <schema> <csv> <rate>" % lineno
                 )
             _, alias, uri, schema, csv_path, rate = parts
-            if schema not in STREAM_SCHEMAS:
-                raise ConfigError("line %d: unknown schema %r" % (lineno, schema))
-            if any(s.alias == alias for s in streams):
-                raise ConfigError("line %d: duplicate stream alias %r" % (lineno, alias))
             try:
                 r = float(rate)
             except ValueError:
                 raise ConfigError("line %d: bad rate %r" % (lineno, rate))
-            if r <= 0:
-                raise ConfigError("line %d: rate must be positive" % lineno)
             resolved = csv_path if Path(csv_path).is_absolute() else str(base / csv_path)
             streams.append(StreamDef(alias, uri, schema, resolved, r))
         elif parts[0] == "query":
@@ -398,6 +392,13 @@ def load_scenario(path: str) -> ScenarioSpec:
 
 def _validate_scenario(spec: ScenarioSpec, origin: str) -> list[OperatorNode]:
     """Check `spec` as a whole; the operator tree of each query, in order."""
+    for k, s in enumerate(spec.streams):
+        if s.schema not in STREAM_SCHEMAS:
+            raise ConfigError("%s: stream %s has unknown schema %r" % (origin, s.alias, s.schema))
+        if any(t.alias == s.alias for t in spec.streams[:k]):
+            raise ConfigError("%s: duplicate stream alias %r" % (origin, s.alias))
+        if not s.rate > 0:
+            raise ConfigError("%s: stream %s rate must be positive" % (origin, s.alias))
     bindings = spec.bindings()
     trees = []
     for k, q in enumerate(spec.queries):

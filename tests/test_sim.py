@@ -399,6 +399,25 @@ def test_run_scenario_checks_a_spec_built_in_code(queries, message):
     assert str(err.value) == "run_scenario: " + message
 
 
+@pytest.mark.parametrize(
+    "streams, message",
+    [
+        (lambda s: [replace(s, schema="foo")], "stream GPS_S1 has unknown schema 'foo'"),
+        (lambda s: [s, replace(s, uri="/node/p1/gps2")], "duplicate stream alias 'GPS_S1'"),
+        (lambda s: [replace(s, rate=0.0)], "stream GPS_S1 rate must be positive"),
+        (lambda s: [replace(s, rate=-1.0)], "stream GPS_S1 rate must be positive"),
+    ],
+    ids=["unknown-schema", "duplicate-alias", "zero-rate", "negative-rate"],
+)
+def test_run_scenario_checks_the_streams_of_a_spec_built_in_code(streams, message):
+    """The stream checks a loaded spec gets, not a KeyError from its bindings."""
+    spec = load_scenario("q1")
+    spec.streams = streams(spec.streams[0])
+    with pytest.raises(ConfigError) as err:
+        run_scenario(spec, collect_trace=False)
+    assert str(err.value) == "run_scenario: " + message
+
+
 # ---------------------------------------------------------------------------
 # dataset replay
 
