@@ -44,24 +44,25 @@ long as the run: `Simulator.detach` clears it.
 
 An operator whose parent runs on another broker ships its output on
 /state/<qhash>/<idx>/out, once per new result, as a row delta (the
-ISTREAM/DSTREAM split of CQL): one tuple (wm, text), where text is
-json.dumps of
-{"schema": <schema id>, "wm": <watermark>, "first": <index>, "end": <index>,
- "rows": [[value, ...], ...]}.
-Every row of a feed has a running index. The output is the rows with indices
-first .. end-1; "rows" carries only those the receiver has not had, which
-are the last len(rows) of them. The sender compares the new output with the
+ISTREAM/DSTREAM split of CQL): a `StateDelta(ts, schema, first, end, rows)`
+value, where ts is the watermark. Every row of a feed has a running index.
+The output is the rows with indices first .. end-1; `rows` carries only
+those the receiver has not had, which are the last len(rows) of them, as the
+sender's own `Tuple` objects. The sender compares the new output with the
 one it last shipped by row identity: if it is a tail of that output followed
 by new rows (a window slide, and what FILTER and a memoized join make of
 one), only the new rows ship; otherwise every row ships under fresh indices,
-a keyframe. The receiver keeps a mirror of each remote child's output:
-it drops the rows before `first`, appends the new rows, each built once
-through `Tuple` validation, and evaluates only when the mirror holds exactly
-first .. end-1. A /state packet lost at link capacity leaves a gap: the
-receiver skips evaluation (counter `state_gaps`) until `first` passes the
-missing rows or a keyframe arrives. Row objects so keep their identity from
-sender to receiver, and a hash join reuses the joined row it last built for
-the same pair of row objects.
+a keyframe. The receiver keeps a mirror of each remote child's output, a
+list of its own: it drops the rows before `first`, appends the delta's rows
+(re-tagging any whose schema id is not the delta's), and evaluates only when
+the mirror holds exactly first .. end-1. A /state packet lost at link
+capacity leaves a gap: the receiver skips evaluation (counter `state_gaps`)
+until `first` passes the missing rows or a keyframe arrives. Row objects so
+keep their identity from sender to receiver, and a hash join reuses the
+joined row it last built for the same pair of row objects. Only the codec
+(`packet.encode_packet`, `packet.decode_packet`) turns a delta into JSON
+text and back, and a /state/.../out packet that carries anything but a
+StateDelta is counted `malformed` and not forwarded.
 
 Query lifecycle. A RemoveQueryInterest only drops a PIT face; the work is
 released where its data next arrives unwanted, as in the prune of
@@ -125,6 +126,7 @@ from .packet import (
     Name,
     Packet,
     RemoveQueryInterest,
+    StateDelta,
     Tuple,
 )
 from .placement import NoPath, PlacementPlan, plan_query
@@ -721,6 +723,8 @@ class Engine:
             consumed = True
         elif len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
             try:
+                if type(p.tuple) is not StateDelta:
+                    raise ValueError("a /state stream carries deltas")
                 feed = (comps[1], int(comps[2]))
                 parent = self.instances.get(self._child_feeds.get(feed))
                 if parent is None:
@@ -762,63 +766,47 @@ class Engine:
         self._emit(inst, rows, rows[-1].ts)
 
     def _decode_snapshot(
-        self, t: Tuple, inst: OpInstance, child_idx: int, width: int = 1
+        self, delta: StateDelta, inst: OpInstance, child_idx: int, width: int = 1
     ) -> Optional[tuple[list[Tuple], int]]:
-        """Apply a /state delta from child `child_idx` of `inst` to its mirror.
+        """Apply `delta` from child `child_idx` of `inst` to its mirror.
 
         Returns a fresh list of the child's output rows and the watermark, or
         None while a lost packet leaves the mirror short of first .. end-1.
-        A malformed document, or a row with fewer than `width` values (the
-        child's output width), raises ValueError and leaves the mirror as it was.
+        A row with fewer than `width` values (the child's output width)
+        raises ValueError and leaves the mirror as it was.
         """
-        try:
-            doc = json.loads(t.values[1])
-            schema, wm = doc["schema"], int(doc["wm"])
-            first, end, raw = doc["first"], doc["end"], doc["rows"]
-            if not (
-                type(first) is int
-                and type(end) is int
-                and type(raw) is list
-                and len(raw) <= end - first
-            ):
-                raise ValueError("delta rows do not fit [first, end)")
-            new = [Tuple(ts=int(r[0]), schema_id=schema, values=tuple(r)) for r in raw]
-            if any(len(r) < width for r in raw):
-                raise ValueError("delta rows are narrower than %d values" % width)
-        except (KeyError, IndexError, TypeError, OverflowError, RecursionError) as err:
-            raise ValueError("malformed /state delta: %r" % (err,)) from err
+        new = delta.rows
+        if any(len(r.values) < width for r in new):
+            raise ValueError("delta rows are narrower than %d values" % width)
+        schema = delta.schema
+        if any(r.schema_id != schema for r in new):
+            new = [r if r.schema_id == schema else Tuple(r.ts, schema, r.values) for r in new]
         mirror = inst.received.setdefault(child_idx, Mirror())
-        start = end - len(new)
+        start = delta.end - len(new)
         if mirror.base + len(mirror.rows) == start:
             mirror.rows += new
         else:  # rows went missing: keep only what this packet brings
-            mirror.base, mirror.rows = start, new
-        if first > mirror.base:
-            del mirror.rows[: first - mirror.base]
-            mirror.base = first
-        if mirror.base != first:
+            # its own list: the delta's rows are shared with every receiver
+            mirror.base, mirror.rows = start, list(new)
+        if delta.first > mirror.base:
+            del mirror.rows[: delta.first - mirror.base]
+            mirror.base = delta.first
+        if mirror.base != delta.first:
             self._bump("state_gaps")
             return None
         # a copy: row ids held downstream stay valid only while the rows live
-        return list(mirror.rows), wm
+        return list(mirror.rows), delta.ts
 
     def _encode_snapshot(
         self, inst: OpInstance, rows: list[Tuple], wm: int, schema: str
-    ) -> Tuple:
+    ) -> StateDelta:
         """The /state delta that turns the output `inst` last shipped into `rows`."""
         kept = _shared_rows(inst.sent_rows, rows)
         end = inst.sent_end + len(rows) - kept
-        doc = _encode_json(
-            {
-                "schema": schema,
-                "wm": wm,
-                "first": end - len(rows),
-                "end": end,
-                "rows": [r.values for r in rows[kept:]],
-            }
-        )
         inst.sent_rows, inst.sent_end = rows, end
-        return Tuple(ts=wm, schema_id="snapshot", values=(wm, doc))
+        return StateDelta(
+            ts=wm, schema=schema, first=end - len(rows), end=end, rows=tuple(rows[kept:])
+        )
 
     def _emit(self, inst: OpInstance, rows: list[Tuple], wm: int) -> None:
         if not rows or wm <= inst.last_emit:

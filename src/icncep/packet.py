@@ -12,10 +12,20 @@ fields in order and nothing after them; integers are unsigned big-endian:
   tuple: u64 ts, text16 schema id, u16 value count, then per value
          b"F" and an IEEE-754 f64, or b"T" and a text32
   text16, text32: u16 or u32 byte length, then the UTF-8 bytes
+
+A DataStream named /state/<q>/<i>/out carries a StateDelta, which the
+engines hand on as a value. On the wire it is the tuple (wm, "snapshot",
+(wm, doc)), where doc is the JSON text (json.dumps with default settings, in
+this key order) of
+  {"schema": <schema id>, "wm": <wm>, "first": <index>, "end": <index>,
+   "rows": [[value, ...], ...]}
+and decode_packet accepts such a DataStream only with a doc whose rows fit
+[first, end) and pass Tuple validation.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass, field
 
@@ -26,6 +36,7 @@ __all__ = [
     "Interest",
     "Data",
     "DataStream",
+    "StateDelta",
     "AddQueryInterest",
     "RemoveQueryInterest",
     "Packet",
@@ -142,9 +153,24 @@ class Data:
 
 
 @dataclass(frozen=True, slots=True)
+class StateDelta:
+    """Rows first .. end-1 of an operator's output, shipped to its parent.
+
+    `rows` holds the last len(rows) of them, the ones the receiver has not
+    had yet; `ts` is the output's watermark.
+    """
+
+    ts: int
+    schema: str
+    first: int
+    end: int
+    rows: tuple[Tuple, ...]
+
+
+@dataclass(frozen=True, slots=True)
 class DataStream:
     stream_name: Name
-    tuple: Tuple
+    tuple: Tuple | StateDelta
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,7 +228,22 @@ def _enc_name(name: Name) -> bytes:
     return b"".join(out)
 
 
-def _enc_tuple(t: Tuple) -> bytes:
+# json.dumps with its default settings, without its per-call set-up
+_encode_json = json.JSONEncoder().encode
+
+
+def _enc_tuple(t: Tuple | StateDelta) -> bytes:
+    if isinstance(t, StateDelta):
+        doc = _encode_json(
+            {
+                "schema": t.schema,
+                "wm": t.ts,
+                "first": t.first,
+                "end": t.end,
+                "rows": [r.values for r in t.rows],
+            }
+        )
+        t = Tuple(ts=t.ts, schema_id="snapshot", values=(t.ts, doc))
     out = [_enc_u64(t.ts), _enc_text16(t.schema_id), _enc_u16(len(t.values))]
     for v in t.values:
         if isinstance(v, str):
@@ -313,6 +354,33 @@ def _dec_tuple(r: _Reader) -> Tuple:
         raise MalformedPacket(str(exc)) from None
 
 
+def _dec_state_delta(t: Tuple) -> StateDelta:
+    """The StateDelta that a /state/<q>/<i>/out tuple carries."""
+    if t.schema_id != "snapshot" or len(t.values) != 2 or not isinstance(t.values[1], str):
+        raise MalformedPacket("a /state delta is a (wm, text) snapshot tuple")
+    try:
+        doc = json.loads(t.values[1])
+        schema, wm, first, end, raw = (doc[k] for k in ("schema", "wm", "first", "end", "rows"))
+    except (ValueError, KeyError, TypeError, RecursionError) as err:
+        raise MalformedPacket("malformed /state delta: %r" % (err,)) from None
+    if not (
+        type(schema) is str
+        and type(wm) is int
+        and wm == t.ts
+        and type(first) is int
+        and type(end) is int
+        and type(raw) is list
+        and len(raw) <= end - first
+        and all(type(r) is list and r for r in raw)
+    ):
+        raise MalformedPacket("/state delta fields do not fit")
+    try:
+        rows = tuple(Tuple(ts=int(r[0]), schema_id=schema, values=tuple(r)) for r in raw)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise MalformedPacket("malformed /state delta row: %s" % (err,)) from None
+    return StateDelta(ts=wm, schema=schema, first=first, end=end, rows=rows)
+
+
 def decode_packet(b: bytes) -> Packet:
     """Inverse of encode_packet; raises MalformedPacket on anything else."""
     r = _Reader(bytes(b))
@@ -328,7 +396,12 @@ def decode_packet(b: bytes) -> Packet:
             payload = r.take(r.u32())
             p = Data(name=name, payload=payload, ts=ts)
         elif tag == _TAG_DATA_STREAM:
-            p = DataStream(stream_name=_dec_name(r), tuple=_dec_tuple(r))
+            name = _dec_name(r)
+            t = _dec_tuple(r)
+            comps = name.components
+            if len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
+                t = _dec_state_delta(t)
+            p = DataStream(stream_name=name, tuple=t)
         elif tag == _TAG_ADD_QUERY:
             nonce = r.u64()
             p = AddQueryInterest(query=r.text32(), nonce=nonce)

@@ -25,9 +25,13 @@ from icncep.packet import (
     Data,
     DataStream,
     Interest,
+    MalformedPacket,
     Name,
     RemoveQueryInterest,
+    StateDelta,
     Tuple,
+    decode_packet,
+    encode_packet,
 )
 from icncep.query import (
     OPERATORS,
@@ -461,10 +465,16 @@ def delta(**changes):
     return {k: v for k, v in doc.items() if v is not None}
 
 
-def carried(doc):
-    """The /state tuple that carries `doc`, or text standing for one."""
+def snapshot_tuple(doc, ts=2000):
+    """The wire tuple of a /state packet carrying `doc`, or text standing for one."""
     text = doc if isinstance(doc, str) else json.dumps(doc)
-    return Tuple(ts=1, schema_id="snapshot", values=(1, text))
+    return Tuple(ts=ts, schema_id="snapshot", values=(ts, text))
+
+
+def carried(doc):
+    """The StateDelta that the codec decodes from a /state packet carrying `doc`."""
+    wire = DataStream(Name.from_uri("/state/s/1/out"), snapshot_tuple(doc, doc["wm"]))
+    return decode_packet(encode_packet(wire)).tuple
 
 
 @given(
@@ -475,52 +485,91 @@ def carried(doc):
 )
 @settings(max_examples=300, deadline=None)
 def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(schema, steps):
-    """Deltas round-trip; a lost one stops evaluation until its rows slide out."""
+    """Deltas round-trip; a lost one stops evaluation until its rows slide out.
+
+    One receiver takes each delta as the value it was sent as, another as the
+    codec decodes it from its bytes; both must mirror the sender's output.
+    """
     eng, _ = single_broker()
-    sender, receiver = bare_instance(), bare_instance()
+    sender, receiver, decoder = bare_instance(), bare_instance(), bare_instance()
+    name = Name.from_uri("/state/s/7/out")
     last, mirrored = [], []
     lost_end = 0  # rows below this index may have been lost; an empty delta loses none
     gaps = 0
     for wm, step, lost in steps:
         rows = next_output(step, last, schema)
         snap = eng._encode_snapshot(sender, rows, wm, schema)
-        doc = json.loads(snap.values[1])
-        assert snap == Tuple(ts=wm, schema_id="snapshot", values=(wm, json.dumps(doc)))
-        assert list(doc) == ["schema", "wm", "first", "end", "rows"]
-        assert (doc["schema"], doc["wm"], doc["end"] - doc["first"]) == (schema, wm, len(rows))
-        shipped = [row_of(r, schema) for r in doc["rows"]]
-        assert typed(shipped) == typed(rows[len(rows) - len(shipped) :])
+        assert (snap.ts, snap.schema, snap.end - snap.first) == (wm, schema, len(rows))
+        shipped = rows[len(rows) - len(snap.rows) :]
+        assert all(map(operator.is_, snap.rows, shipped))  # the sender's own rows
+        doc = {
+            "schema": schema,
+            "wm": wm,
+            "first": snap.first,
+            "end": snap.end,
+            "rows": [list(r.values) for r in shipped],
+        }
+        wire = Tuple(ts=wm, schema_id="snapshot", values=(wm, json.dumps(doc)))
+        blob = encode_packet(DataStream(name, snap))
+        assert blob == encode_packet(DataStream(name, wire))
+        fresh = decode_packet(blob).tuple
+        assert (fresh.ts, fresh.schema, fresh.first, fresh.end) == (wm, schema, snap.first, snap.end)
+        assert typed(fresh.rows) == typed(shipped)
         if step[0] == "slide" and len(set(map(id, last))) == len(last):
             assert len(shipped) == len(step[2])  # a slide ships its new rows only
         assert sender.sent_rows is rows
         if lost:
-            if doc["rows"]:
-                lost_end = doc["end"]
+            if snap.rows:
+                lost_end = snap.end
         else:
             got = eng._decode_snapshot(snap, receiver, 7)
-            assert (got is None) == (doc["first"] < lost_end)
+            decoded = eng._decode_snapshot(fresh, decoder, 7)
+            assert (got is None) == (decoded is None) == (snap.first < lost_end)
             if got is not None:
-                assert got[1] == wm
-                assert typed(got[0]) == typed(rows)
+                assert got[1] == decoded[1] == wm
+                assert typed(got[0]) == typed(decoded[0]) == typed(rows)
                 assert got[0] is not receiver.received[7].rows
-                # the rows the receiver already had keep their identity
+                # the rows the receiver already had keep their identity, and
+                # the new ones are the sender's
                 kept = len(rows) - len(shipped)
                 if kept and mirrored:
                     assert all(map(operator.is_, got[0][:kept], mirrored[-kept:]))
+                assert all(map(operator.is_, got[0][kept:], snap.rows))
                 mirrored = got[0]
             else:
                 mirrored = []
-            gaps += got is None
+            gaps += 2 * (got is None)
         last = rows  # older rows are freed, so their ids can come back
     assert eng.counters.get("state_gaps", 0) == gaps
 
 
+def test_a_delta_shared_by_two_receivers_is_changed_by_neither():
+    """A forwarded packet reaches several receivers: each mirror keeps its own list."""
+    eng, _ = single_broker()
+    sender = bare_instance()
+    rows = [row_of((ts, 1.0), "gps") for ts in (1000, 2000, 3000)]
+    eng._encode_snapshot(sender, rows, 3000, "gps")  # a keyframe both receivers miss
+    slid = eng._encode_snapshot(sender, rows[2:] + [row_of((4000, 1.0), "gps")], 4000, "gps")
+    b, c = bare_instance(), bare_instance()
+    assert eng._decode_snapshot(slid, b, 7) is None and eng._decode_snapshot(slid, c, 7) is None
+    later = sender.sent_rows[1:] + [row_of((5000, 1.0), "gps")]
+    got = eng._decode_snapshot(eng._encode_snapshot(sender, later, 5000, "gps"), b, 7)
+    assert [t.ts for t in got[0]] == [4000, 5000]
+    assert [t.ts for t in slid.rows] == [t.ts for t in c.received[7].rows] == [4000]
+
+
+def test_a_delta_row_off_the_delta_schema_is_re_tagged():
+    eng, _ = single_broker()
+    rows = (row_of((1000, 1.0), "gps"), row_of((2000, 2.0), "other"))
+    got = eng._decode_snapshot(StateDelta(2000, "gps", 0, 2, rows), bare_instance(), 7)
+    assert got[0][0] is rows[0]
+    assert (got[0][1].schema_id, got[0][1].values) == ("gps", (2000, 2.0))
+
+
 @pytest.mark.parametrize("bad", [[2000, [1]], [2000, {"a": 1}], [2000, None]])
 def test_snapshot_row_of_unsupported_values_fails_tuple_validation(bad):
-    eng, _ = single_broker()
-    snap = carried(delta(first=0, rows=[[2000, 1.0], bad]))
-    with pytest.raises(ValueError, match="text or numbers"):
-        eng._decode_snapshot(snap, bare_instance(), 7)
+    with pytest.raises(MalformedPacket, match="text or numbers"):
+        carried(delta(first=0, rows=[[2000, 1.0], bad]))
 
 
 @pytest.mark.parametrize(
@@ -541,26 +590,27 @@ def test_snapshot_row_of_unsupported_values_fails_tuple_validation(bad):
             delta(rows=[["x"]]),
             delta(wm="x"),
             delta(wm=[]),
+            delta(wm=2001),  # not the watermark the tuple carries
+            delta(schema=5),
         ]
         + [delta(**{key: None}) for key in ("schema", "wm", "first", "end", "rows")]
     ]
-    + ["not json", "[1, 2]", '"doc"', "null"],
+    + ["not json", "[1, 2]", '"doc"', "null", "[" * 5000],
 )
 def test_malformed_delta_is_rejected_without_touching_the_mirror(text):
+    """The codec rejects it, so no mirror sees it; the delta it stands for applies."""
     eng, _ = single_broker()
     inst = bare_instance()
     good = eng._decode_snapshot(carried(delta(first=0, end=1, rows=[[1000, 1.0]])), inst, 7)
     mirror = inst.received[7]
     rows = mirror.rows
-    for idx in (7, 8):
-        with pytest.raises(ValueError):
-            eng._decode_snapshot(carried(text), inst, idx)
-    assert 8 not in inst.received
+    wire = encode_packet(DataStream(Name.from_uri("/state/s/7/out"), snapshot_tuple(text)))
+    with pytest.raises(MalformedPacket):
+        decode_packet(wire)
     assert inst.received[7] is mirror and mirror.rows is rows
     assert (mirror.base, mirror.rows) == (0, good[0])
-    assert eng.counters.get("state_gaps", 0) == 0
-    # the delta it stands for, well formed, still applies
     assert eng._decode_snapshot(carried(delta()), inst, 7) is not None
+    assert eng.counters.get("state_gaps", 0) == 0
 
 
 def deploy_order(doc, target="b2"):
@@ -621,9 +671,11 @@ def unplaceable_order(doc):
     "packet",
     [
         lambda doc: DataStream(Name.from_uri("/state/s/x/out"), carried(delta())),
-        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), carried("not json")),
-        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), carried(delta(first="1"))),
-        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), carried("[" * 5000)),
+        # /state tuples the codec would have rejected, or decoded into a StateDelta
+        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), snapshot_tuple("not json")),
+        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), snapshot_tuple(delta(first="1"))),
+        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), snapshot_tuple("[" * 5000)),
+        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), snapshot_tuple(delta())),
         lambda doc: Interest(name=Name.from_uri("/state/s/x/prune/5")),
         lambda doc: Interest(name=Name.from_uri("/state/s/1/prune/zz")),
         lambda doc: Interest(name=Name.from_uri("/node/b2/deploy/abcde")),
@@ -641,6 +693,7 @@ def unplaceable_order(doc):
         "delta-not-json",
         "delta-fields",
         "delta-nested",
+        "delta-as-a-plain-tuple",
         "prune-index",
         "prune-watermark",
         "deploy-not-base64",
@@ -667,6 +720,31 @@ def test_a_malformed_packet_is_dropped_and_counted(packet):
     assert eng.counters["malformed"] == 1
     assert svc.sent == []  # nothing forwarded, acked or pruned
     assert held() == before  # and nothing installed
+
+
+def test_a_state_packet_that_carries_no_delta_is_not_forwarded():
+    """A transit broker forwards /state deltas and counts anything else there malformed."""
+    svc = FakeServices()
+    cfg = NodeConfig(
+        "b2",
+        "broker",
+        faces=[FaceDef(1, "b1"), FaceDef(2, "b3")],
+        streams=default_streams(),
+        mode="distributed",
+    )
+    eng = Engine(cfg, svc)
+    key = canonical_text(create_operator_graph(Q2, default_streams()))
+    doc = {"q": key, "salted": "s", "unsalted": "u", "assign": {"0": "b3", "1": "b1"}}
+    eng.handle_packet(deploy_order(dict(doc, routes=[["/state/s/1", "b3"]])), in_face=1)
+    svc.sent.clear()
+    name = Name.from_uri("/state/s/1/out")
+    good = delta(first=0, end=1, rows=[[2000, 1.0, 49.5, 8.65, 120.0, 5.0, 0.0, 10.0]])
+    eng.handle_packet(DataStream(name, snapshot_tuple(good)), in_face=1)
+    assert eng.counters["malformed"] == 1
+    assert svc.sent == [] and "forwarded" not in eng.counters
+    eng.handle_packet(DataStream(name, carried(good)), in_face=1)
+    assert [p.tuple for p in sent_to(svc, 2, DataStream)] == [carried(good)]
+    assert eng.counters["malformed"] == eng.counters["forwarded"] == 1
 
 
 # parents that read a number from their WINDOW's rows: query, row width, column read
@@ -811,18 +889,20 @@ def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, si
                     if out:
                         assert inst.sent_rows is out
                         delta = svc.sent[-1][2].tuple
-                        assert json.loads(delta.values[1])["schema"] == "join(gps,gps)"
+                        assert delta.schema == "join(gps,gps)"
                         got = eng._decode_snapshot(delta, parent, 1)
                         assert got[1] == min(inst.left_wm, inst.right_wm)
                         assert typed(got[0]) == typed(out)
                 assert len(svc.sent) - shipped <= 1
-                # each mirror holds its window's rows, the objects the join saw
+                # each mirror holds its window's rows, the objects the join saw,
+                # which are the sender's own
                 for idx, rows_now in ((2, inst.left_rows), (3, inst.right_rows)):
                     if idx in inst.received:
                         mirror = inst.received[idx].rows
                         assert rows_now is not mirror
                         assert len(mirror) == len(rows_now) == len(windows[idx])
                         assert all(map(operator.is_, mirror, rows_now))
+                        assert all(map(operator.is_, mirror, windows[idx]))
                 memo = inst.join_memo
                 ids = {id(t) for t in memo.rows[0]} | {id(t) for t in memo.rows[1]}
                 assert {i for pair in memo.pairs for i in pair} <= ids
@@ -1037,12 +1117,9 @@ def test_distributed_result_flows_to_consumer():
     salted = [p for n, k, p in svc.events if k == "query_accepted"][0]["salted"]
 
     rows = [[1000, 1.0, 49.5, 8.65, 120.0, 5.0, 0.0, 10.0]]
-    snap = json.dumps({"schema": "gps", "wm": 1000, "first": 0, "end": 1, "rows": rows})
-    packet = DataStream(
-        stream_name=Name(("state", salted, "1", "out")),
-        tuple=Tuple(ts=1000, schema_id="snapshot", values=(1000, snap)),
-    )
-    eng.handle_packet(packet, in_face=1)
+    snap = {"schema": "gps", "wm": 1000, "first": 0, "end": 1, "rows": rows}
+    wire = DataStream(stream_name=Name(("state", salted, "1", "out")), tuple=snapshot_tuple(snap, 1000))
+    eng.handle_packet(decode_packet(encode_packet(wire)), in_face=1)
     out = notifications(svc, 9)
     assert len(out) == 1
     assert json.loads(out[0].payload)["rows"] == rows
@@ -1236,7 +1313,9 @@ def test_a_re_deployed_window_ships_a_keyframe_next():
     b1 = Engine(cfg, b1_svc)
 
     def last_delta():
-        return json.loads(sent_to(b1_svc, 2, DataStream)[-1].tuple.values[1])
+        """The document of b1's last delta, as the codec writes it."""
+        blob = encode_packet(sent_to(b1_svc, 2, DataStream)[-1])
+        return json.loads(blob[blob.index(b'{"schema"') :].decode("utf-8"))
 
     b1.handle_packet(order, in_face=2)
     for ts in (1000, 2000, 3000):

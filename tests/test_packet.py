@@ -1,5 +1,7 @@
 """Wire-format round trips, prefix relation, and decoder robustness."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from icncep.packet import (
     Name,
     RemoveQueryInterest,
     Schema,
+    StateDelta,
     Tuple,
     decode_packet,
     encode_packet,
@@ -158,7 +161,14 @@ _packet_strategy = st.one_of(
         payload=st.binary(max_size=64),
         ts=st.integers(min_value=0, max_value=2**40),
     ),
-    st.builds(DataStream, stream_name=_name_strategy, tuple=_tuple_strategy()),
+    st.builds(
+        DataStream,
+        # a /state/<q>/<i>/out stream carries a StateDelta, drawn below
+        stream_name=_name_strategy.filter(
+            lambda n: not (len(n.components) == 4 and n.components[::3] == ("state", "out"))
+        ),
+        tuple=_tuple_strategy(),
+    ),
     st.builds(
         AddQueryInterest,
         query=st.text(max_size=80),
@@ -176,6 +186,103 @@ _packet_strategy = st.one_of(
 @given(pkt=_packet_strategy)
 def test_round_trip_property(pkt):
     assert decode_packet(encode_packet(pkt)) == pkt
+
+
+# ---------------------------------------------------------------------------
+# /state deltas
+
+_STATE_NAME = Name.from_uri("/state/s/1/out")
+
+# values whose JSON text reads back equal: NaN equals nothing, not even itself
+_delta_value = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63),
+    st.floats(allow_nan=False, width=64),
+    st.booleans(),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def _delta_strategy(draw):
+    schema = draw(st.text(max_size=10))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        ts = draw(st.integers(min_value=0, max_value=2**40))
+        first = draw(st.sampled_from([ts, float(ts)]))
+        rest = draw(st.lists(_delta_value, max_size=4))
+        rows.append(Tuple(ts=ts, schema_id=schema, values=(first, *rest)))
+    first = draw(st.integers(min_value=0, max_value=10**6))
+    end = first + len(rows) + draw(st.integers(min_value=0, max_value=5))
+    wm = draw(st.integers(min_value=0, max_value=2**40))
+    return StateDelta(ts=wm, schema=schema, first=first, end=end, rows=tuple(rows))
+
+
+@settings(max_examples=300)
+@given(
+    name=st.tuples(_name_strategy.map(lambda n: n.components[0]), st.integers(0, 99)).map(
+        lambda p: Name(("state", p[0], str(p[1]), "out"))
+    ),
+    delta=_delta_strategy(),
+)
+def test_state_delta_round_trip_property(name, delta):
+    pkt = DataStream(name, delta)
+    assert decode_packet(encode_packet(pkt)) == pkt
+
+
+def test_state_delta_is_written_as_a_json_snapshot_tuple():
+    row = Tuple.from_values("gps", (1000, "é", 2.5))
+    delta = StateDelta(ts=3000, schema="gps", first=4, end=6, rows=(row,))
+    doc = {"schema": "gps", "wm": 3000, "first": 4, "end": 6, "rows": [[1000, "é", 2.5]]}
+    wire = Tuple(ts=3000, schema_id="snapshot", values=(3000, json.dumps(doc)))
+    assert encode_packet(DataStream(_STATE_NAME, delta)) == encode_packet(
+        DataStream(_STATE_NAME, wire)
+    )
+
+
+def _state_packet(*values):
+    """The bytes of a /state packet whose tuple holds `values` after its ts, 2000."""
+    wire = Tuple(ts=2000, schema_id="snapshot", values=(2000, *values))
+    return encode_packet(DataStream(_STATE_NAME, wire))
+
+
+_DOC = json.dumps({"schema": "gps", "wm": 2000, "first": 1, "end": 2, "rows": [[2000, 2.0]]})
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        _state_packet(),  # no document
+        _state_packet(_DOC, 1.0),  # a value after it
+        _state_packet(2000.0),  # a number in its place
+        encode_packet(DataStream(_STATE_NAME, Tuple(2000, "gps", (2000, _DOC)))),
+    ],
+    ids=["no-document", "extra-value", "number-document", "not-a-snapshot"],
+)
+def test_a_state_packet_must_hold_one_snapshot_document(blob):
+    with pytest.raises(MalformedPacket):
+        decode_packet(blob)
+    assert decode_packet(_state_packet(_DOC)).tuple == StateDelta(
+        ts=2000, schema="gps", first=1, end=2, rows=(Tuple(2000, "gps", (2000, 2.0)),)
+    )
+
+
+@settings(max_examples=500)
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=0, max_value=255)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_decode_of_a_mutated_state_delta_never_panics(edits):
+    """Byte edits, most of them inside the JSON document, fail closed."""
+    blob = bytearray(_state_packet(_DOC))
+    for at, byte in edits:
+        blob[at % len(blob)] = byte
+    try:
+        decode_packet(bytes(blob))
+    except MalformedPacket:
+        pass
 
 
 # ---------------------------------------------------------------------------
