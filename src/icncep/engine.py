@@ -8,9 +8,10 @@ delay, then it sends each host its deploy order. Each plan waits on the PIT
 entries of the Interests it sent, and a Data that answers one is handed to
 the plans waiting there. A stage ends with its last reply or at its timeout:
 a silent broker's delay reads infinite, as does a reply that is not a
-number >= 0, and a deploy order unacked gives the plan up. A plan that fails (NoPath) sends /nack/<nonce> with the reason on
-every face of its query's PIT entry and leaves no state, not even that
-entry, so a later Add of the query is planned afresh.
+number >= 0, and a deploy order unacked gives the plan up. A plan that
+fails (NoPath) sends /nack/<nonce> with the reason on every face of its
+query's PIT entry and leaves no state, not even that entry, so a later Add
+of the query is planned afresh.
 
 Name conventions produced locally:
   /node/<id>/delay            advertised processing + queueing delay
@@ -28,6 +29,10 @@ goes to the face of the topology's fewest-hop next hop toward <id>, so no
 engine keeps a route per node. Streams follow installed routes only, never
 a next hop toward their producer. Engines built without a topology route
 from their static `fib_routes` alone.
+
+One feed table, `_feeds`, maps the name a DataStream carries (its
+components) to the instances it feeds: a producer stream's WINDOWs in
+install order, or for /state/<qhash>/<idx>/out the parent of operator <idx>.
 
 Each engine parses each query text once per run, as NFN resolves a name
 once. `_parse` keeps every text that parsed, whether it came in an Add, a
@@ -70,7 +75,7 @@ dense-mode multicast:
   - Release at the root. When the root operator, which sits on the
     coordinator, has a result and finds no PIT entry for its query, the
     engine releases every instance of that salted query on this node, with
-    its stream and child feeds and its tree.
+    its feed table entries and its tree.
   - Prune hop by hop. A /state/<q>/<i>/out delta that a node neither
     consumes nor forwards is answered with an Interest
     /state/<q>/<i>/prune/<wm> on its in-face, where <wm> is the delta's
@@ -239,10 +244,8 @@ class OpInstance:
     win_state: Optional[WindowState] = None
     predict_state: Optional[PredictState] = None
     cond: Optional[Condition] = None  # FILTER and JOIN, compiled at install
-    left_rows: Optional[list] = None
-    left_wm: int = -1
-    right_rows: Optional[list] = None
-    right_wm: int = -1
+    # JOIN and SEQUENCE: each child's latest output rows and watermark, by child index
+    inputs: dict[int, tuple[list, int]] = field(default_factory=dict)
     last_emit: int = -1
     join_memo: Optional[JoinMemo] = None  # JOIN, made at install
     # shipping instances: the last output shipped, whose rows keep their ids
@@ -287,16 +290,16 @@ class Engine:
             self.fib.add_route(Name.from_uri(prefix), face_id)
 
         self.instances: dict[tuple[str, int], OpInstance] = {}
-        # producer stream uri -> width of its schema, whose values are all numbers
+        # producer stream name -> width of its schema, whose values are all numbers
         self._stream_widths = {
-            b.name.to_uri(): len(b.schema.attribute_names) for b in config.streams.values()
+            b.name.components: len(b.schema.attribute_names) for b in config.streams.values()
         }
-        self._stream_feeds: dict[str, list[tuple[str, int]]] = {}
-        self._child_feeds: dict[tuple[str, int], tuple[str, int]] = {}
+        # name a packet carries -> the instances it feeds; see _index_feeds
+        self._feeds: dict[tuple[str, ...], list[tuple[str, int]]] = {}
         self._trees: dict[str, OperatorNode] = {}  # salted hash -> local parse
         # query text -> (tree, canonical key, real parse ms); see _parse
         self._parsed: dict[str, tuple[OperatorNode, str, float]] = {}
-        self.high_water: dict[str, int] = {}  # stream uri -> newest tuple ts
+        self.high_water: dict[tuple[str, ...], int] = {}  # stream name -> newest tuple ts
         self._deployed: dict[str, int] = {}  # salted hash -> time of its latest deploy here
         self._fences: dict[tuple[str, int], int] = {}  # /state feed sent or forwarded -> fence wm
         self.counters: dict[str, int] = {}
@@ -394,7 +397,7 @@ class Engine:
         for alias in tree.stream_aliases():
             binding = self.config.streams.get(alias)
             if binding is not None:
-                min_ts = max(min_ts, self.high_water.get(binding.name.to_uri(), 0))
+                min_ts = max(min_ts, self.high_water.get(binding.name.components, 0))
         hit = self.cs.lookup(unsalted, min_ts=min_ts)
         if hit is not None:
             reply = Data(
@@ -678,11 +681,6 @@ class Engine:
             )
             if node.kind == "WINDOW":
                 inst.win_state = WindowState((), node.params[1])
-                binding = self.config.streams.get(node.stream_alias)
-                if binding is not None:
-                    self._stream_feeds.setdefault(binding.name.to_uri(), []).append(
-                        (salted, idx)
-                    )
             elif node.kind == "FILTER":
                 inst.cond = compile_condition(node.params[0], node.left.ctx)
             elif node.kind == "JOIN":
@@ -691,53 +689,65 @@ class Engine:
             elif node.kind == "PREDICT":
                 inst.predict_state = PredictState()
             self.instances[(salted, idx)] = inst
-            for child in node.children:
-                self._child_feeds[(salted, child.index)] = (salted, idx)
+            self._index_feeds(inst, add=True)
+
+    def _index_feeds(self, inst: OpInstance, add: bool) -> None:
+        """List `inst` in `_feeds` under each name that feeds it, or (`add` false) unlist it."""
+        key, node = (inst.salted, inst.node.index), inst.node
+        names = [("state", inst.salted, str(c.index), "out") for c in node.children]
+        binding = self.config.streams.get(node.stream_alias)
+        if binding is not None:
+            names.append(binding.name.components)
+        for name in names:
+            if add:
+                self._feeds.setdefault(name, []).append(key)
+            elif len(self._feeds[name]) > 1:
+                self._feeds[name].remove(key)
+            else:
+                del self._feeds[name]
 
     # -- data streams and evaluation ----------------------------------------
 
     def handle_data_stream(self, p: DataStream, in_face: int) -> None:
-        uri = p.stream_name.to_uri()
         comps = p.stream_name.components
-        consumed = False
         feed = None  # (salted hash, index) of a /state delta
-        width = self._stream_widths.get(uri)
+        width = self._stream_widths.get(comps)
         if width is not None:
             values = p.tuple.values
             if len(values) != width or any(isinstance(v, str) for v in values):
                 self._bump("malformed")
                 return
-            self.high_water[uri] = max(self.high_water.get(uri, 0), p.tuple.ts)
-
-        feeds = self._stream_feeds.get(uri, ())
-        if feeds:
-            for inst_key in list(feeds):
-                inst = self.instances.get(inst_key)
-                if inst is None:  # released by a result this tuple gave a self-join
-                    continue
-                entry = self.pit.lookup(inst.unsalted)
-                if entry is not None and p.tuple.ts <= entry.last_result_ts:
-                    self._bump("out_of_order")
-                    continue  # already folded into a delivered result
-                self._feed_window(inst, p.tuple)
-            consumed = True
+            self.high_water[comps] = max(self.high_water.get(comps, 0), p.tuple.ts)
         elif len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
             try:
                 if type(p.tuple) is not StateDelta:
                     raise ValueError("a /state stream carries deltas")
                 feed = (comps[1], int(comps[2]))
-                parent = self.instances.get(self._child_feeds.get(feed))
-                if parent is None:
-                    fed = None
-                else:
-                    child = next(c for c in parent.node.children if c.index == feed[1])
-                    fed = self._decode_snapshot(p.tuple, parent, feed[1], child.ctx.width)
             except ValueError:
                 self._bump("malformed")
                 return
-            if fed is not None:
-                self._feed_child_output(parent, feed[1], *fed)
-            consumed = parent is not None
+
+        feeds = self._feeds.get(comps)
+        consumed = bool(feeds)  # read first: a release in the loop empties the list
+        for inst_key in list(feeds or ()):
+            inst = self.instances.get(inst_key)
+            if inst is None:  # released by a result this packet gave a self-join
+                continue
+            if feed is not None:
+                child = next(c for c in inst.node.children if c.index == feed[1])
+                try:
+                    fed = self._decode_snapshot(p.tuple, inst, feed[1], child.ctx.width)
+                except ValueError:
+                    self._bump("malformed")
+                    return
+                if fed is not None:
+                    self._feed_child_output(inst, feed[1], *fed)
+                continue
+            entry = self.pit.lookup(inst.unsalted)
+            if entry is not None and p.tuple.ts <= entry.last_result_ts:
+                self._bump("out_of_order")
+                continue  # already folded into a delivered result
+            self._feed_window(inst, p.tuple)
 
         out_faces = self._fib_faces(p.stream_name, exclude=in_face)
         for f in out_faces:
@@ -844,19 +854,15 @@ class Engine:
         node = inst.node
         self.services.charge(self.node_id, EVAL_COST_MS[node.kind])
         if node.kind in ("JOIN", "SEQUENCE"):
-            if child_idx == node.left.index:
-                inst.left_rows, inst.left_wm = rows, wm
-            else:
-                inst.right_rows, inst.right_wm = rows, wm
-            if inst.left_rows is None or inst.right_rows is None:
-                return
-            out_wm = min(inst.left_wm, inst.right_wm)
-            if out_wm <= inst.last_emit:
-                return  # _emit would drop the result
+            inst.inputs[child_idx] = (rows, wm)
+            out_wm = min(w for _, w in inst.inputs.values())
+            if len(inst.inputs) < 2 or out_wm <= inst.last_emit:
+                return  # a side has no rows yet, or _emit would drop the result
+            left, right = (inst.inputs[c.index][0] for c in node.children)
             if node.kind == "JOIN":
-                out = join_eval(inst.left_rows, inst.right_rows, inst.cond, inst.join_memo)
+                out = join_eval(left, right, inst.cond, inst.join_memo)
             else:
-                out = [sequence_eval(inst.left_rows, inst.right_rows)]
+                out = [sequence_eval(left, right)]
             self._emit(inst, out, out_wm)
             return
         if node.kind == "FILTER":
@@ -946,18 +952,11 @@ class Engine:
             return
         for node in tree.walk():
             key = (salted, node.index)
-            self._child_feeds.pop(key, None)
             inst = self.instances.pop(key, None)
             if inst is None:
                 continue
             self._bump("released")
-            binding = self.config.streams.get(node.stream_alias) if node.kind == "WINDOW" else None
-            if binding is not None:
-                uri = binding.name.to_uri()
-                feeds = self._stream_feeds[uri]
-                feeds.remove(key)
-                if not feeds:
-                    del self._stream_feeds[uri]
+            self._index_feeds(inst, add=False)
             if inst.parent_host not in (None, self.node_id):
                 self._fences.pop(key, None)
                 prefix = Name(("state", salted, str(node.index)))

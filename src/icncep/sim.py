@@ -425,6 +425,10 @@ def _validate_scenario(spec: ScenarioSpec, origin: str) -> list[OperatorNode]:
         comps = Name.from_uri(s.uri).components
         if len(comps) < 2:
             raise ConfigError("%s: stream %s URI %s names no producer" % (origin, s.alias, s.uri))
+        if comps[0] == "state":
+            raise ConfigError(
+                "%s: stream %s URI %s is in the reserved /state namespace" % (origin, s.alias, s.uri)
+            )
         producer = comps[1]
         if producer not in spec.topology.nodes:
             raise ConfigError("%s: stream %s names unknown producer %s" % (origin, s.alias, producer))

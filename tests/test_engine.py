@@ -639,7 +639,7 @@ def test_a_stream_row_off_its_schema_never_reaches_the_window(query, values):
     assert eng.counters["malformed"] == 1
     assert len(svc.sent) == sent
     assert [inst.win_state for inst in eng.instances.values() if inst.win_state] == buffers
-    assert eng.high_water == {"/node/p1/gps": 1000}
+    assert eng.high_water == {("node", "p1", "gps"): 1000}
 
 
 def filter_host(query=Q2):
@@ -712,8 +712,9 @@ def test_a_malformed_packet_is_dropped_and_counted(packet):
 
     def held():
         mirrors = {i: (m.base, list(m.rows)) for i, m in eng.instances[("s", 0)].received.items()}
-        state = (eng._trees, eng._deployed, eng._fences, eng._child_feeds, eng.instances)
-        return eng.fib.dump(), [dict(d) for d in state], mirrors
+        state = (eng._trees, eng._deployed, eng._fences, eng.instances)
+        feeds = {name: list(keys) for name, keys in eng._feeds.items()}
+        return eng.fib.dump(), [dict(d) for d in state], feeds, mirrors
 
     before = held()
     eng.handle_packet(packet(doc), in_face=1)
@@ -745,6 +746,18 @@ def test_a_state_packet_that_carries_no_delta_is_not_forwarded():
     eng.handle_packet(DataStream(name, carried(good)), in_face=1)
     assert [p.tuple for p in sent_to(svc, 2, DataStream)] == [carried(good)]
     assert eng.counters["malformed"] == eng.counters["forwarded"] == 1
+
+
+def test_a_delta_whose_result_releases_its_query_is_consumed_and_sends_no_prune():
+    """The FILTER root on b2 has no PIT entry, so its result releases the query
+    while the delta that fed it is still being handled."""
+    eng, svc, _ = filter_host()
+    good = delta(first=0, end=1, rows=[[2000, 1.0, 49.5, 8.65, 120.0, 5.0, 0.0, 10.0]])
+    eng.handle_packet(DataStream(Name.from_uri("/state/s/1/out"), carried(good)), in_face=1)
+    assert eng.counters["released"] == 1 and eng.instances == {}
+    assert eng.counters["consumed"] == 2  # the deploy order and the delta
+    assert "dropped" not in eng.counters and "prunes_sent" not in eng.counters
+    assert sent_to(svc, 1, Interest) == []
 
 
 # parents that read a number from their WINDOW's rows: query, row width, column read
@@ -881,7 +894,7 @@ def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, si
                 eng.handle_packet(DataStream(stream_name=name, tuple=snap), in_face=1)
 
                 for (left, right, compiled, memo), out in evaluations:
-                    assert left is inst.left_rows and right is inst.right_rows
+                    assert left is inst.inputs[2][0] and right is inst.inputs[3][0]
                     assert compiled is inst.cond and memo is inst.join_memo
                     unmemoized = real(left, right, compiled)
                     want = oracle_join_rows(windows[2], windows[3], cond == RESIDUAL_JOIN)
@@ -891,18 +904,17 @@ def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, si
                         delta = svc.sent[-1][2].tuple
                         assert delta.schema == "join(gps,gps)"
                         got = eng._decode_snapshot(delta, parent, 1)
-                        assert got[1] == min(inst.left_wm, inst.right_wm)
+                        assert got[1] == min(inst.inputs[2][1], inst.inputs[3][1])
                         assert typed(got[0]) == typed(out)
                 assert len(svc.sent) - shipped <= 1
                 # each mirror holds its window's rows, the objects the join saw,
                 # which are the sender's own
-                for idx, rows_now in ((2, inst.left_rows), (3, inst.right_rows)):
-                    if idx in inst.received:
-                        mirror = inst.received[idx].rows
-                        assert rows_now is not mirror
-                        assert len(mirror) == len(rows_now) == len(windows[idx])
-                        assert all(map(operator.is_, mirror, rows_now))
-                        assert all(map(operator.is_, mirror, windows[idx]))
+                for idx, (rows_now, _) in inst.inputs.items():
+                    mirror = inst.received[idx].rows
+                    assert rows_now is not mirror
+                    assert len(mirror) == len(rows_now) == len(windows[idx])
+                    assert all(map(operator.is_, mirror, rows_now))
+                    assert all(map(operator.is_, mirror, windows[idx]))
                 memo = inst.join_memo
                 ids = {id(t) for t in memo.rows[0]} | {id(t) for t in memo.rows[1]}
                 assert {i for pair in memo.pairs for i in pair} <= ids
@@ -1034,7 +1046,7 @@ def test_a_release_while_feeding_a_stream_skips_the_released_windows():
     eng.handle_packet(RemoveQueryInterest(query=q, nonce="n2"), in_face=1)
     eng.handle_packet(gps_packet(2000, lat=50.0), in_face=2)
     assert eng.counters["released"] == 3
-    assert eng.instances == {} and eng._stream_feeds == {}
+    assert eng.instances == {} and eng._feeds == {}
     assert notifications(svc, 1) == []
 
 

@@ -26,8 +26,39 @@ from icncep.sim import (
 from icncep.tables import ContentStore
 
 
+def feeding_names(engine, inst):
+    """The names of the packets that feed `inst`, read off its operator."""
+    names = {("state", inst.salted, str(c.index), "out") for c in inst.node.children}
+    binding = engine.config.streams.get(inst.node.stream_alias)
+    if binding is not None:
+        names.add(binding.name.components)
+    return names
+
+
+def assert_feeds_list_the_live_instances(engine):
+    """`_feeds` lists each live instance once under each name that feeds it, and nothing else."""
+    listed = [(name, key) for name, keys in engine._feeds.items() for key in keys]
+    want = {
+        (name, key) for key, inst in engine.instances.items() for name in feeding_names(engine, inst)
+    }
+    assert len(listed) == len(set(listed)) and set(listed) == want, engine.node_id
+
+
+@pytest.fixture(autouse=True)
+def checked_feeds(monkeypatch):
+    """Every replay in this module ends with a feed table that matches its instances."""
+    run = sim.Simulator.run
+
+    def check(self):
+        run(self)
+        for engine in self.engines.values():
+            assert_feeds_list_the_live_instances(engine)
+
+    monkeypatch.setattr(sim.Simulator, "run", check)
+
+
 @pytest.fixture
-def captured(monkeypatch):
+def captured(monkeypatch, checked_feeds):
     """The Simulator of each run_scenario call, kept past its run."""
     sims = []
     run = sim.Simulator.run
@@ -43,8 +74,7 @@ def captured(monkeypatch):
 def held_queries(engine):
     """Salted hashes of the queries `engine` holds any deployment state for."""
     held = {s for s, _ in engine.instances}
-    held |= {s for feeds in engine._stream_feeds.values() for s, _ in feeds}
-    held |= {s for s, _ in engine._child_feeds} | set(engine._trees)
+    held |= {s for keys in engine._feeds.values() for s, _ in keys} | set(engine._trees)
     held |= {s for s, _ in engine._fences} | set(engine._deployed)
     held |= {
         e.prefix.components[1] for e in engine.fib.entries() if e.prefix.components[0] == "state"

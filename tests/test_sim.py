@@ -346,6 +346,16 @@ def test_scenario_rejects_a_stream_uri_without_a_producer(tmp_path):
     assert "stream GPS_S1 URI /gps names no producer" in str(err.value)
 
 
+def test_scenario_rejects_a_stream_in_the_state_namespace(tmp_path):
+    """/state/<q>/<i>/out names intermediate results; a producer stream there
+    would have every tuple counted malformed and fail the packet codec."""
+    with pytest.raises(ConfigError) as err:
+        load_scenario(streams_scenario(tmp_path, ["/state/p1/0/out"]))
+    assert "stream GPS_S1 URI /state/p1/0/out is in the reserved /state namespace" in str(
+        err.value
+    )
+
+
 @pytest.mark.parametrize("poll", [0, -5])
 def test_scenario_rejects_a_poll_interval_that_is_not_positive(tmp_path, poll):
     # only load the spec: run, a negative interval would inject polls forever
@@ -406,8 +416,12 @@ def test_run_scenario_checks_a_spec_built_in_code(queries, message):
         (lambda s: [s, replace(s, uri="/node/p1/gps2")], "duplicate stream alias 'GPS_S1'"),
         (lambda s: [replace(s, rate=0.0)], "stream GPS_S1 rate must be positive"),
         (lambda s: [replace(s, rate=-1.0)], "stream GPS_S1 rate must be positive"),
+        (
+            lambda s: [replace(s, uri="/state/p1/0/out")],
+            "stream GPS_S1 URI /state/p1/0/out is in the reserved /state namespace",
+        ),
     ],
-    ids=["unknown-schema", "duplicate-alias", "zero-rate", "negative-rate"],
+    ids=["unknown-schema", "duplicate-alias", "zero-rate", "negative-rate", "state-namespace"],
 )
 def test_run_scenario_checks_the_streams_of_a_spec_built_in_code(streams, message):
     """The stream checks a loaded spec gets, not a KeyError from its bindings."""
