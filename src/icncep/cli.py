@@ -35,6 +35,7 @@ from .sim import (
     override_scenario,
     replay_dataset,
     run_scenario,
+    valid_rate,
 )
 
 EXIT_OK = 0
@@ -105,6 +106,11 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_run_sim(args) -> int:
+    for flag, path in (("--metrics", args.metrics), ("--trace", args.trace)):
+        if path and not Path(path).parent.is_dir():
+            where = Path(path).parent
+            print("error: %s %s: no directory %s" % (flag, path, where), file=sys.stderr)
+            return EXIT_CONFIG
     try:
         spec = load_scenario(args.scenario)
         if args.topology or args.mode:
@@ -113,11 +119,15 @@ def _cmd_run_sim(args) -> int:
     except (ConfigError, SchemaMismatch) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
-    if args.metrics:
-        emit_metrics(metrics, args.metrics)
-    if args.trace:
-        with Path(args.trace).open("w") as fh:
-            metrics.trace.write(fh)
+    try:
+        if args.metrics:
+            emit_metrics(metrics, args.metrics)
+        if args.trace:
+            with Path(args.trace).open("w") as fh:
+                metrics.trace.write(fh)
+    except OSError as err:
+        print("error: %s" % err, file=sys.stderr)
+        return EXIT_CONFIG
     for qid in sorted(metrics.queries):
         q = metrics.queries[qid]
         print(
@@ -138,6 +148,9 @@ def _cmd_run_sim(args) -> int:
 def _cmd_replay(args) -> int:
     if args.limit is not None and args.limit < 0:
         print("error: --limit must not be negative, got %d" % args.limit, file=sys.stderr)
+        return EXIT_CONFIG
+    if not valid_rate(args.rate):
+        print("error: --rate must be a finite number > 0, got %r" % args.rate, file=sys.stderr)
         return EXIT_CONFIG
     stream = StreamDef("REPLAY", args.uri, args.schema, args.csv, args.rate)
     try:

@@ -28,7 +28,12 @@ for its own streams. An Interest for /node/<id>/... that no route matches
 goes to the face of the topology's fewest-hop next hop toward <id>, so no
 engine keeps a route per node. Streams follow installed routes only, never
 a next hop toward their producer. Engines built without a topology route
-from their static `fib_routes` alone.
+from their static `fib_routes` alone. The sorted out-faces of a DataStream
+name are kept per in-face in the FIB's `memo` (`_stream_faces`), but only
+while a route matches the name: a lookup that finds no face is not kept,
+and every route added or removed empties the memo. The memo so never holds
+more keys than the routed names a node has forwarded or shipped since the
+last route change, each once per in-face; Interests read the FIB afresh.
 
 One feed table, `_feeds`, maps the name a DataStream carries (its
 components) to the instances it feeds: a producer stream's WINDOWs in
@@ -339,6 +344,19 @@ class Engine:
             faces = [self._face_of_peer.get(topo.next_hop(self.node_id, comps[1]))]
         return sorted(f for f in faces if f not in (exclude, APP_FACE, None))
 
+    def _stream_faces(self, name: Name, exclude: Optional[int] = None) -> list[int]:
+        """`_fib_faces(name, exclude)` for a DataStream name, kept in the FIB's memo unless empty.
+
+        The list is shared with later calls: callers must not change it.
+        """
+        key = (name.components, exclude)
+        faces = self.fib.memo.get(key)
+        if faces is None:
+            faces = self._fib_faces(name, exclude)
+            if faces:
+                self.fib.memo[key] = faces
+        return faces
+
     def _flood_faces(self, exclude: int) -> list[int]:
         return sorted(
             f for f in self.faces if f not in (APP_FACE, exclude)
@@ -367,12 +385,12 @@ class Engine:
 
     def handle_packet(self, packet: Packet, in_face: int) -> None:
         self._bump("received")
-        if isinstance(packet, AddQueryInterest):
+        if type(packet) is DataStream:  # most packets: test it first
+            self.handle_data_stream(packet, in_face)
+        elif isinstance(packet, AddQueryInterest):
             self.handle_add_query_interest(packet, in_face)
         elif isinstance(packet, RemoveQueryInterest):
             self.handle_remove_query_interest(packet, in_face)
-        elif isinstance(packet, DataStream):
-            self.handle_data_stream(packet, in_face)
         elif isinstance(packet, Interest):
             self.handle_interest(packet, in_face)
         elif isinstance(packet, Data):
@@ -734,7 +752,8 @@ class Engine:
             if inst is None:  # released by a result this packet gave a self-join
                 continue
             if feed is not None:
-                child = next(c for c in inst.node.children if c.index == feed[1])
+                node = inst.node
+                child = node.left if node.left.index == feed[1] else node.right
                 try:
                     fed = self._decode_snapshot(p.tuple, inst, feed[1], child.ctx.width)
                 except ValueError:
@@ -749,7 +768,7 @@ class Engine:
                 continue  # already folded into a delivered result
             self._feed_window(inst, p.tuple)
 
-        out_faces = self._fib_faces(p.stream_name, exclude=in_face)
+        out_faces = self._stream_faces(p.stream_name, in_face)
         for f in out_faces:
             self._send(f, p)
         if out_faces:
@@ -791,7 +810,9 @@ class Engine:
         schema = delta.schema
         if any(r.schema_id != schema for r in new):
             new = [r if r.schema_id == schema else Tuple(r.ts, schema, r.values) for r in new]
-        mirror = inst.received.setdefault(child_idx, Mirror())
+        mirror = inst.received.get(child_idx)
+        if mirror is None:
+            mirror = inst.received[child_idx] = Mirror()
         start = delta.end - len(new)
         if mirror.base + len(mirror.rows) == start:
             mirror.rows += new
@@ -835,7 +856,7 @@ class Engine:
         packet = DataStream(
             stream_name=name, tuple=self._encode_snapshot(inst, rows, wm, schema)
         )
-        faces = self._fib_faces(name)
+        faces = self._stream_faces(name)
         for f in faces:
             self._send(f, packet)
         if faces:

@@ -22,12 +22,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import random
 import zlib
 from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from heapq import heappop, heappush
 from importlib import resources
 from pathlib import Path
@@ -74,6 +76,7 @@ __all__ = [
     "generate_gps_csv",
     "generate_plug_csv",
     "data_path",
+    "valid_rate",
 ]
 
 DEFAULT_LINK_CAPACITY = 64
@@ -279,6 +282,11 @@ def _check_connected(topo: TopologyConfig, origin: str) -> None:
 # scenario
 
 
+def valid_rate(rate: float) -> bool:
+    """Whether `rate`, a stream's replay speed-up, is a finite number > 0."""
+    return rate > 0 and math.isfinite(rate)
+
+
 @dataclass(frozen=True)
 class StreamDef:
     alias: str
@@ -397,8 +405,8 @@ def _validate_scenario(spec: ScenarioSpec, origin: str) -> list[OperatorNode]:
             raise ConfigError("%s: stream %s has unknown schema %r" % (origin, s.alias, s.schema))
         if any(t.alias == s.alias for t in spec.streams[:k]):
             raise ConfigError("%s: duplicate stream alias %r" % (origin, s.alias))
-        if not s.rate > 0:
-            raise ConfigError("%s: stream %s rate must be positive" % (origin, s.alias))
+        if not valid_rate(s.rate):
+            raise ConfigError("%s: stream %s rate must be a finite number > 0" % (origin, s.alias))
     bindings = spec.bindings()
     trees = []
     for k, q in enumerate(spec.queries):
@@ -674,13 +682,17 @@ def emit_metrics(metrics: Metrics, path: str) -> None:
 # the simulator proper
 
 
+# json.dumps(..., sort_keys=True) without its per-call set-up
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def _summary(p: Packet) -> str:
+    if type(p) is DataStream:  # most packets: test it first
+        return "DataStream %s ts=%d" % (p.stream_name.to_uri(), p.tuple.ts)
     if isinstance(p, AddQueryInterest):
         return "AddQueryInterest nonce=%s q=%s" % (p.nonce, p.query)
     if isinstance(p, RemoveQueryInterest):
         return "RemoveQueryInterest nonce=%s q=%s" % (p.nonce, p.query)
-    if isinstance(p, DataStream):
-        return "DataStream %s ts=%d" % (p.stream_name.to_uri(), p.tuple.ts)
     if isinstance(p, Data):
         return "Data %s ts=%d" % (p.name.to_uri(), p.ts)
     if isinstance(p, Interest):
@@ -717,6 +729,7 @@ class Simulator:
         self.app: dict[str, list[tuple[float, Packet]]] = {}
         self.link_drops: dict[str, int] = {}
         self.busy_until: dict[str, float] = {n: 0.0 for n in self.topo.nodes}
+        self._delays = {n: tnode.proc_delay_ms for n, tnode in self.topo.nodes.items()}
         self._ctx_node: Optional[str] = None
         self._ctx_charges = 0.0
         self._ctx_out: list[tuple[int, Packet]] = []
@@ -725,6 +738,9 @@ class Simulator:
         # directed link -> live (uid, packet, its trace summary or None)
         # awaiting delivery, oldest first
         self._in_flight: dict[tuple[str, str], deque[tuple[int, Packet, Optional[str]]]] = {}
+        # (node, face id) -> (its directed link, the TopoLink, that link's
+        # `_in_flight` deque), made on the first send over the face
+        self._links: dict[tuple[str, int], tuple[tuple[str, str], TopoLink, deque]] = {}
         self._dead: set[int] = set()
 
         mode = spec.queries[0].mode if spec.queries else "centralized"
@@ -768,7 +784,7 @@ class Simulator:
         heappush(self._heap, (t, self._seq, self._ctx_node, (t, [self._seq], [fn])))
 
     def local_delay_ms(self, node_id: str) -> float:
-        return self.topo.node_delay(node_id)
+        return self._delays[node_id]
 
     def charge(self, node_id: str, ms: float) -> None:
         self._ctx_charges += ms
@@ -778,7 +794,7 @@ class Simulator:
         if self.collect_trace:
             clean = {k: v for k, v in payload.items() if not k.endswith("_real_ms")}
             self.trace.append(
-                "%.3f %s event %s %s" % (self.t, node_id, kind, json.dumps(clean, sort_keys=True))
+                "%.3f %s event %s %s" % (self.t, node_id, kind, _encode_sorted(clean))
             )
 
     # -- internals -------------------------------------------------------------
@@ -847,7 +863,7 @@ class Simulator:
             if self.collect_trace:
                 self.trace.append("%.3f %s error %s: %s" % (self.t, node, type(err).__name__, err))
         out = self._ctx_out
-        end = self.t + self.topo.node_delay(node) + self._ctx_charges
+        end = self.t + self._delays[node] + self._ctx_charges
         self.busy_until[node] = end
         self._ctx_node, self._ctx_out = None, []
         for face_id, packet in out:
@@ -859,15 +875,17 @@ class Simulator:
             if self.collect_trace:
                 self.trace.append("%.3f %s app %s" % (at, node, _summary(packet)))
             return
-        if isinstance(packet, (AddQueryInterest, RemoveQueryInterest)):
+        if type(packet) is not DataStream and isinstance(
+            packet, (AddQueryInterest, RemoveQueryInterest)
+        ):
             ck = (node, packet.query)
             self.control_sends[ck] = self.control_sends.get(ck, 0) + 1
-        peer = self.engines[node].faces[face_id].peer
-        link = self.topo.link_by_pair[(node, peer)]
-        key = (node, peer)
-        flight = self._in_flight.get(key)
-        if flight is None:
-            flight = self._in_flight[key] = deque()
+        record = self._links.get((node, face_id))
+        if record is None:  # the first send over this face
+            key = (node, self.engines[node].faces[face_id].peer)
+            flight = self._in_flight.setdefault(key, deque())
+            record = self._links[(node, face_id)] = (key, self.topo.link_by_pair[key], flight)
+        key, link, flight = record
         self._seq += 1
         uid = self._seq
         summary = _summary(packet) if self.collect_trace else None
@@ -877,7 +895,7 @@ class Simulator:
             victim = next((e for e in flight if isinstance(e[1], DataStream)), None)
             if victim is not None:
                 flight.remove(victim)
-                tag = "%s->%s" % (node, peer)
+                tag = "%s->%s" % key
                 self.link_drops[tag] = self.link_drops.get(tag, 0) + 1
                 if self.collect_trace:
                     self.trace.append(
@@ -888,8 +906,8 @@ class Simulator:
                     return  # nothing older to shed: the new packet is lost
                 self._dead.add(victim[0])
         if self.collect_trace:
-            self.trace.append("%.3f %s send uid=%d %s -> %s" % (at, node, uid, summary, peer))
-        self._at(at + link.delay_ms, lambda: self._deliver(key, uid, packet))
+            self.trace.append("%.3f %s send uid=%d %s -> %s" % (at, node, uid, summary, key[1]))
+        self._at(at + link.delay_ms, partial(self._deliver, key, uid, packet))
 
     def _deliver(self, key: tuple[str, str], uid: int, packet: Packet) -> None:
         if uid in self._dead:
@@ -900,18 +918,17 @@ class Simulator:
         src, dst = key
         if self.collect_trace:
             self.trace.append("%.3f %s recv uid=%d %s <- %s" % (self.t, dst, uid, summary, src))
-        face = self.engines[dst]._face_of_peer[src]
-        self._exec(dst, lambda: self.engines[dst].handle_packet(packet, face))
+        engine = self.engines[dst]
+        self._exec(dst, partial(engine.handle_packet, packet, engine._face_of_peer[src]))
 
     def inject(self, t: float, node: str, packet: Packet) -> None:
         """Schedule an application-originated packet at `node`."""
+        self._at(t, partial(self._inject_now, node, packet))
 
-        def fire() -> None:
-            if self.collect_trace:
-                self.trace.append("%.3f %s recv uid=0 %s <- app" % (self.t, node, _summary(packet)))
-            self._exec(node, lambda: self.engines[node].handle_packet(packet, APP_FACE))
-
-        self._at(t, fire)
+    def _inject_now(self, node: str, packet: Packet) -> None:
+        if self.collect_trace:
+            self.trace.append("%.3f %s recv uid=0 %s <- app" % (self.t, node, _summary(packet)))
+        self._exec(node, partial(self.engines[node].handle_packet, packet, APP_FACE))
 
     def run(self) -> None:
         heap = self._heap
@@ -929,8 +946,8 @@ class Simulator:
     def detach(self) -> None:
         """Drop the engines' and the waiting handlers' references to this simulator.
 
-        Engines hold it as their services, and waiting handlers close over
-        it, so without this a finished run lives on until the cyclic garbage
+        Engines hold it as their services, and waiting handlers hold it
+        through their engine, so without this a finished run lives on until the cyclic garbage
         collector finds it. The engines stay readable; they can no longer run.
         """
         for eng in self.engines.values():

@@ -9,7 +9,8 @@ prefixes from the longest down, as hash-table NDN FIBs do. It holds
 installed routes only (deployments add them, and a prune removes them face
 by face), and so do its dumps: an engine routes /node/<id> Interests that
 no route matches from the topology's next hop, and those implicit routes
-are not listed.
+are not listed. Its `memo` dict is for its owner to keep answers derived
+from the routes in; every `add_route` and `remove_route` empties it.
 
 All three tables are owned by a single node engine and are only mutated
 from that engine's event loop; they expose no locking.
@@ -156,11 +157,13 @@ class ForwardingInformationBase:
 
     def __init__(self) -> None:
         self._routes: dict[tuple[str, ...], FibEntry] = {}
+        self.memo: dict = {}  # the owner's, valid until the routes next change
 
     def __len__(self) -> int:
         return len(self._routes)
 
     def add_route(self, prefix: Name, face_id: int) -> None:
+        self.memo.clear()
         entry = self._routes.get(prefix.components)
         if entry is None:
             entry = self._routes[prefix.components] = FibEntry(prefix=prefix, faces=set())
@@ -168,6 +171,7 @@ class ForwardingInformationBase:
 
     def remove_route(self, prefix: Name, face_id: int) -> bool:
         """Drop one face of the route for exactly `prefix`; False if it had none."""
+        self.memo.clear()
         entry = self._routes.get(prefix.components)
         if entry is None or face_id not in entry.faces:
             return False

@@ -200,6 +200,23 @@ def test_run_sim_reports_reordered_rows_on_stderr(tmp_path, capsys):
     assert swapped.out.splitlines()[-1] == in_order.out.splitlines()[-1]
 
 
+@pytest.mark.parametrize("flag", ["--metrics", "--trace"])
+def test_run_sim_output_in_a_missing_directory_exits_3(tmp_path, capsys, flag):
+    """It raised FileNotFoundError, after the whole run, and exited 1."""
+    target = tmp_path / "no" / "such" / "out.txt"
+    assert main(["run-sim", str(data_path("q1.scn")), flag, str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before the run
+    assert "error: %s %s" % (flag, target) in captured.err
+    assert not target.parent.exists()
+
+
+def test_run_sim_output_path_that_is_a_directory_exits_3(tmp_path, capsys):
+    scn = scenario_file(tmp_path)
+    assert main(["run-sim", scn, "--trace", str(tmp_path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_run_sim_missing_scenario_exits_3(capsys):
     assert main(["run-sim", "/no/such/file.scn"]) == 3
 
@@ -253,6 +270,17 @@ def test_replay_rate_compresses_schedule(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("500.000 ")
     assert lines[1].startswith("1000.000 ")
+
+
+@pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
+def test_replay_rate_that_is_not_a_finite_number_above_zero_exits_3(tmp_path, capsys, rate):
+    """--rate 0 raised ZeroDivisionError and --rate nan printed nan times."""
+    csv = tmp_path / "feed.csv"
+    generate_gps_csv(str(csv), seed=7, rows=2)
+    assert main(["replay", str(csv), "--schema", "gps", "--rate", rate]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--rate must be a finite number > 0" in captured.err
 
 
 def test_replay_negative_timestamp_row_exits_3(tmp_path, capsys):

@@ -748,6 +748,60 @@ def test_a_state_packet_that_carries_no_delta_is_not_forwarded():
     assert eng.counters["malformed"] == eng.counters["forwarded"] == 1
 
 
+def transit_broker():
+    """b2 forwarding query "s"'s /state/s/1 feed from b1 (face 1) to b3 (face 2).
+
+    Its face 3 leads to b4.
+    """
+    svc = FakeServices()
+    cfg = NodeConfig(
+        "b2",
+        "broker",
+        faces=[FaceDef(1, "b1"), FaceDef(2, "b3"), FaceDef(3, "b4")],
+        streams=default_streams(),
+        mode="distributed",
+    )
+    eng = Engine(cfg, svc)
+    key = canonical_text(create_operator_graph(Q2, default_streams()))
+    doc = {"q": key, "salted": "s", "unsalted": "u", "assign": {"0": "b3", "1": "b1"}}
+    eng.handle_packet(deploy_order(dict(doc, routes=[["/state/s/1", "b3"]])), in_face=1)
+    svc.sent.clear()
+    return eng, svc, doc
+
+
+def window_delta(wm):
+    """A /state/s/1/out packet whose one row has timestamp `wm`."""
+    row = [wm, 1.0, 49.5, 8.65, 120.0, 5.0, 0.0, 10.0]
+    doc = delta(wm=wm, first=0, end=1, rows=[row])
+    return DataStream(Name.from_uri("/state/s/1/out"), carried(doc))
+
+
+def test_a_prune_that_removes_the_route_empties_the_stream_faces_memo():
+    eng, svc, _ = transit_broker()
+    svc.clock = int(engine.DEPLOY_TIMEOUT_MS)  # late enough for the delta to set the fence
+    eng.handle_packet(window_delta(2000), in_face=1)
+    assert [(f, type(p)) for _, f, p in svc.sent] == [(2, DataStream)]
+    assert eng.fib.memo == {(("state", "s", "1", "out"), 1): [2]}
+    eng.handle_packet(Interest(name=Name.from_uri("/state/s/1/prune/2000")), in_face=2)
+    assert eng.fib.dump() == "prefix,faces\n" and eng.fib.memo == {}
+    svc.sent.clear()
+    eng.handle_packet(window_delta(3000), in_face=1)  # not out on the remembered face 2
+    assert [(f, p.name.to_uri()) for _, f, p in svc.sent] == [(1, "/state/s/1/prune/3000")]
+    assert eng.counters["dropped"] == eng.counters["prunes_sent"] == 1
+
+
+def test_a_route_added_after_a_drop_is_used_by_the_next_delta():
+    eng, svc, doc = transit_broker()
+    eng.handle_packet(window_delta(2000), in_face=1)  # out on face 2, remembered for face 1
+    eng.handle_packet(window_delta(2000), in_face=2)  # back from b3: no face left, dropped
+    assert eng.counters["dropped"] == 1
+    eng.handle_packet(deploy_order(dict(doc, routes=[["/state/s/1", "b4"]])), in_face=1)
+    svc.sent.clear()
+    eng.handle_packet(window_delta(3000), in_face=1)
+    assert [f for _, f, p in svc.sent] == [2, 3]
+    assert eng.counters["forwarded"] == 2
+
+
 def test_a_delta_whose_result_releases_its_query_is_consumed_and_sends_no_prune():
     """The FILTER root on b2 has no PIT entry, so its result releases the query
     while the delta that fed it is still being handled."""

@@ -11,6 +11,7 @@ import pytest
 
 from icncep import sim
 from icncep.engine import Engine
+from icncep.packet import Name
 from icncep.sim import (
     QueryDef,
     ScenarioSpec,
@@ -44,15 +45,25 @@ def assert_feeds_list_the_live_instances(engine):
     assert len(listed) == len(set(listed)) and set(listed) == want, engine.node_id
 
 
+def assert_stream_faces_memo_names_live_routes(engine):
+    """Each name in the FIB's memo still matches a route, and its faces are the FIB's own."""
+    for (comps, exclude), faces in engine.fib.memo.items():
+        name = Name(comps)
+        assert engine.fib.longest_prefix(name) is not None, (engine.node_id, comps)
+        assert faces == engine._fib_faces(name, exclude), (engine.node_id, comps)
+
+
 @pytest.fixture(autouse=True)
 def checked_feeds(monkeypatch):
-    """Every replay in this module ends with a feed table that matches its instances."""
+    """Every replay in this module ends with a feed table that matches its instances
+    and a stream-faces memo that names only routed DataStreams."""
     run = sim.Simulator.run
 
     def check(self):
         run(self)
         for engine in self.engines.values():
             assert_feeds_list_the_live_instances(engine)
+            assert_stream_faces_memo_names_live_routes(engine)
 
     monkeypatch.setattr(sim.Simulator, "run", check)
 

@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 
 from icncep import sim
 from icncep.engine import APP_FACE
-from icncep.packet import Data, DataStream, Interest, Name, Tuple
+from icncep.packet import (
+    AddQueryInterest,
+    Data,
+    DataStream,
+    Interest,
+    Name,
+    RemoveQueryInterest,
+    Tuple,
+)
 from icncep.placement import NoPath
 from icncep.sim import (
     ConfigError,
@@ -316,6 +324,23 @@ def test_scenario_rejects_unknown_consumer(tmp_path):
         load_scenario(str(p))
 
 
+BAD_RATE = "stream GPS_S1 rate must be a finite number > 0"
+
+
+@pytest.mark.parametrize("rate", ["0", "-2", "inf", "nan"])
+def test_scenario_rejects_a_rate_that_is_not_a_finite_number_above_zero(tmp_path, rate):
+    """A rate of inf would inject every tuple of the stream at t = 0."""
+    generate_gps_csv(str(tmp_path / "g.csv"), rows=3)
+    p = tmp_path / "s.scn"
+    p.write_text(
+        "topology centralized\n"
+        "stream GPS_S1 /node/p1/gps gps g.csv %s\n"
+        "query a c1 0 1000 centralized WINDOW(GPS_S1, 4s)\n" % rate
+    )
+    with pytest.raises(ConfigError, match=BAD_RATE):
+        load_scenario(str(p))
+
+
 def streams_scenario(tmp_path, uris):
     generate_gps_csv(str(tmp_path / "g.csv"), rows=3)
     lines = ["topology centralized"]
@@ -414,14 +439,24 @@ def test_run_scenario_checks_a_spec_built_in_code(queries, message):
     [
         (lambda s: [replace(s, schema="foo")], "stream GPS_S1 has unknown schema 'foo'"),
         (lambda s: [s, replace(s, uri="/node/p1/gps2")], "duplicate stream alias 'GPS_S1'"),
-        (lambda s: [replace(s, rate=0.0)], "stream GPS_S1 rate must be positive"),
-        (lambda s: [replace(s, rate=-1.0)], "stream GPS_S1 rate must be positive"),
+        (lambda s: [replace(s, rate=0.0)], BAD_RATE),
+        (lambda s: [replace(s, rate=-1.0)], BAD_RATE),
+        (lambda s: [replace(s, rate=float("inf"))], BAD_RATE),
+        (lambda s: [replace(s, rate=float("nan"))], BAD_RATE),
         (
             lambda s: [replace(s, uri="/state/p1/0/out")],
             "stream GPS_S1 URI /state/p1/0/out is in the reserved /state namespace",
         ),
     ],
-    ids=["unknown-schema", "duplicate-alias", "zero-rate", "negative-rate", "state-namespace"],
+    ids=[
+        "unknown-schema",
+        "duplicate-alias",
+        "zero-rate",
+        "negative-rate",
+        "infinite-rate",
+        "nan-rate",
+        "state-namespace",
+    ],
 )
 def test_run_scenario_checks_the_streams_of_a_spec_built_in_code(streams, message):
     """The stream checks a loaded spec gets, not a KeyError from its bindings."""
@@ -797,6 +832,31 @@ def test_stream_never_loops_round_a_cyclic_mesh(tmp_path, monkeypatch):
     m = run_scenario(spec)
     assert {qid: q.notifications for qid, q in m.queries.items()} == {"w1": 60, "w2": 60, "w3": 60}
     assert not any(n.get("errors") for n in m.nodes.values())
+
+
+class Beacon:
+    """A packet kind the simulator does not know."""
+
+
+@pytest.mark.parametrize(
+    "packet, text",
+    [
+        (AddQueryInterest(query="WINDOW(GPS_S1, 4s)", nonce="q1:1"),
+         "AddQueryInterest nonce=q1:1 q=WINDOW(GPS_S1, 4s)"),
+        (RemoveQueryInterest(query="WINDOW(GPS_S1, 4s)", nonce="q1:end"),
+         "RemoveQueryInterest nonce=q1:end q=WINDOW(GPS_S1, 4s)"),
+        (DataStream(Name.from_uri("/node/p1/gps"), Tuple.from_values("gps", (1000, 1.0))),
+         "DataStream /node/p1/gps ts=1000"),
+        (Data(name=Name.from_uri("/ce/abc/2000"), payload=b"{}", ts=2000),
+         "Data /ce/abc/2000 ts=2000"),
+        (Interest(name=Name.from_uri("/node/b1/delay")), "Interest /node/b1/delay"),
+        (Beacon(), "Beacon"),
+    ],
+    ids=["add", "remove", "stream", "data", "interest", "unknown"],
+)
+def test_each_packet_kind_has_its_trace_summary(packet, text):
+    """Trace lines carry these texts, so their hashes pin them too."""
+    assert sim._summary(packet) == text
 
 
 # ---------------------------------------------------------------------------
