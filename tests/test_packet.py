@@ -1,6 +1,8 @@
 """Wire-format round trips, prefix relation, and decoder robustness."""
 
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -319,3 +321,37 @@ def test_decode_never_panics(blob):
         decode_packet(blob)
     except MalformedPacket:
         pass
+
+
+def _verdict_corpus():
+    """Seeded byte edits and truncations of one packet of each kind."""
+    rows = (Tuple.from_values("gps", (1000, "s1", 49.5)), Tuple.from_values("gps", (1500, "s", 8)))
+    delta = DataStream(_STATE_NAME, StateDelta(ts=2000, schema="gps", first=3, end=6, rows=rows))
+    rng = random.Random(2020)
+    for base in [encode_packet(p) for p in (*_sample_packets(), delta)]:
+        for cut in range(len(base)):
+            yield base[:cut]
+        for at in range(len(base)):
+            for _ in range(8):
+                blob = bytearray(base)
+                blob[at] = rng.randrange(256)
+                yield bytes(blob)
+
+
+def test_decoder_verdicts_are_pinned():
+    """Which edited blobs decode, and to what, stays fixed across codec rewrites."""
+    digest = hashlib.sha256()
+    blobs = accepted = 0
+    for blob in _verdict_corpus():
+        try:
+            verdict = (True, repr(decode_packet(blob)))
+            accepted += 1
+        except MalformedPacket:
+            verdict = (False, "")
+        digest.update(repr(verdict).encode())
+        blobs += 1
+    assert (blobs, accepted, digest.hexdigest()) == (
+        3537,
+        1155,
+        "9c7e816282fc00ff9c7a8b7366479b8704e607ce224df4ba9b5f8368423fc954",
+    )
