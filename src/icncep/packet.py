@@ -196,61 +196,22 @@ _TAG_REMOVE_QUERY = 5
 _VALUE_FLOAT = ord("F")
 _VALUE_TEXT = ord("T")
 
-
-def _enc_u16(n: int) -> bytes:
-    return struct.pack(">H", n)
-
-
-def _enc_u32(n: int) -> bytes:
-    return struct.pack(">I", n)
-
-
-def _enc_u64(n: int) -> bytes:
-    return struct.pack(">Q", n)
-
-
-def _enc_text16(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValueError("text too long for 16-bit length prefix")
-    return _enc_u16(len(raw)) + raw
-
-
-def _enc_text32(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return _enc_u32(len(raw)) + raw
-
-
-def _enc_name(name: Name) -> bytes:
-    out = [_enc_u16(len(name.components))]
-    for comp in name.components:
-        out.append(_enc_text16(comp))
-    return b"".join(out)
-
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_FLOAT = struct.Struct(">Bd")  # a value kind byte and an f64
 
 # json.dumps with its default settings, without its per-call set-up
 _encode_json = json.JSONEncoder().encode
 
 
-def _enc_tuple(t: Tuple | StateDelta) -> bytes:
-    if isinstance(t, StateDelta):
-        doc = _encode_json(
-            {
-                "schema": t.schema,
-                "wm": t.ts,
-                "first": t.first,
-                "end": t.end,
-                "rows": [r.values for r in t.rows],
-            }
-        )
-        t = Tuple(ts=t.ts, schema_id="snapshot", values=(t.ts, doc))
-    out = [_enc_u64(t.ts), _enc_text16(t.schema_id), _enc_u16(len(t.values))]
-    for v in t.values:
-        if isinstance(v, str):
-            out.append(bytes([_VALUE_TEXT]) + _enc_text32(v))
-        else:
-            out.append(bytes([_VALUE_FLOAT]) + struct.pack(">d", float(v)))
-    return b"".join(out)
+def _text(s: str, prefix: struct.Struct) -> bytes:
+    """`s` as UTF-8 behind its byte length, written with `prefix`."""
+    raw = s.encode("utf-8")
+    if len(raw) >> (8 * prefix.size):
+        raise ValueError("text too long for %d-bit length prefix" % (8 * prefix.size))
+    return prefix.pack(len(raw)) + raw
 
 
 def encode_packet(p: Packet) -> bytes:
@@ -258,100 +219,50 @@ def encode_packet(p: Packet) -> bytes:
 
     Total on valid packets; decode_packet(encode_packet(p)) == p.
     """
+    if isinstance(p, (AddQueryInterest, RemoveQueryInterest)):
+        tag = _TAG_ADD_QUERY if isinstance(p, AddQueryInterest) else _TAG_REMOVE_QUERY
+        return _U8.pack(tag) + _U64.pack(p.nonce) + _text(p.query, _U32)
     if isinstance(p, Interest):
-        return bytes([_TAG_INTEREST]) + _enc_name(p.name)
+        tag, name = _TAG_INTEREST, p.name
+    elif isinstance(p, Data):
+        tag, name = _TAG_DATA, p.name
+    elif isinstance(p, DataStream):
+        tag, name = _TAG_DATA_STREAM, p.stream_name
+    else:
+        raise TypeError("not a packet: %r" % (p,))
+    out = [_U8.pack(tag), _U16.pack(len(name.components))]
+    out += [_text(comp, _U16) for comp in name.components]
     if isinstance(p, Data):
-        return (
-            bytes([_TAG_DATA])
-            + _enc_name(p.name)
-            + _enc_u64(p.ts)
-            + _enc_u32(len(p.payload))
-            + p.payload
-        )
-    if isinstance(p, DataStream):
-        return bytes([_TAG_DATA_STREAM]) + _enc_name(p.stream_name) + _enc_tuple(p.tuple)
-    if isinstance(p, AddQueryInterest):
-        return bytes([_TAG_ADD_QUERY]) + _enc_u64(p.nonce) + _enc_text32(p.query)
-    if isinstance(p, RemoveQueryInterest):
-        return bytes([_TAG_REMOVE_QUERY]) + _enc_u64(p.nonce) + _enc_text32(p.query)
-    raise TypeError("not a packet: %r" % (p,))
+        out += [_U64.pack(p.ts), _U32.pack(len(p.payload)), p.payload]
+    elif isinstance(p, DataStream):
+        t = p.tuple
+        if isinstance(t, StateDelta):
+            doc = _encode_json(
+                {
+                    "schema": t.schema,
+                    "wm": t.ts,
+                    "first": t.first,
+                    "end": t.end,
+                    "rows": [r.values for r in t.rows],
+                }
+            )
+            t = Tuple(ts=t.ts, schema_id="snapshot", values=(t.ts, doc))
+        out += [_U64.pack(t.ts), _text(t.schema_id, _U16), _U16.pack(len(t.values))]
+        for v in t.values:
+            if isinstance(v, str):
+                out.append(_U8.pack(_VALUE_TEXT) + _text(v, _U32))
+            else:
+                out.append(_FLOAT.pack(_VALUE_FLOAT, float(v)))
+    return b"".join(out)
 
 
-class _Reader:
-    """Bounds-checked cursor over a byte string."""
-
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.buf):
-            raise MalformedPacket("truncated packet")
-        chunk = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
-
-    def text16(self) -> str:
-        return self._text(self.u16())
-
-    def text32(self) -> str:
-        return self._text(self.u32())
-
-    def _text(self, n: int) -> str:
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedPacket("bad utf-8: %s" % exc) from None
-
-    def done(self) -> bool:
-        return self.pos == len(self.buf)
-
-
-def _dec_name(r: _Reader) -> Name:
-    count = r.u16()
-    if count == 0:
-        raise MalformedPacket("name with zero components")
-    comps = []
-    for _ in range(count):
-        comp = r.text16()
-        if not comp or "/" in comp:
-            raise MalformedPacket("bad name component %r" % comp)
-        comps.append(comp)
-    return Name(tuple(comps))
-
-
-def _dec_tuple(r: _Reader) -> Tuple:
-    ts = r.u64()
-    schema_id = r.text16()
-    count = r.u16()
-    values = []
-    for _ in range(count):
-        kind = r.u8()
-        if kind == _VALUE_FLOAT:
-            values.append(r.f64())
-        elif kind == _VALUE_TEXT:
-            values.append(r.text32())
-        else:
-            raise MalformedPacket("unknown value kind 0x%02x" % kind)
-    try:
-        return Tuple(ts=ts, schema_id=schema_id, values=tuple(values))
-    except ValueError as exc:
-        raise MalformedPacket(str(exc)) from None
+def _read(buf: bytes, at: int, prefix: struct.Struct) -> tuple[bytes, int]:
+    """The bytes behind the length `prefix` at `at`, and the offset after them."""
+    start = at + prefix.size
+    end = start + prefix.unpack_from(buf, at)[0]
+    if end > len(buf):
+        raise MalformedPacket("truncated packet")
+    return buf[start:end], end
 
 
 def _dec_state_delta(t: Tuple) -> StateDelta:
@@ -383,36 +294,55 @@ def _dec_state_delta(t: Tuple) -> StateDelta:
 
 def decode_packet(b: bytes) -> Packet:
     """Inverse of encode_packet; raises MalformedPacket on anything else."""
-    r = _Reader(bytes(b))
-    if len(r.buf) == 0:
+    buf = bytes(b)
+    if not buf:
         raise MalformedPacket("empty buffer")
-    tag = r.u8()
+    tag = buf[0]
     try:
-        if tag == _TAG_INTEREST:
-            p: Packet = Interest(_dec_name(r))
-        elif tag == _TAG_DATA:
-            name = _dec_name(r)
-            ts = r.u64()
-            payload = r.take(r.u32())
-            p = Data(name=name, payload=payload, ts=ts)
-        elif tag == _TAG_DATA_STREAM:
-            name = _dec_name(r)
-            t = _dec_tuple(r)
-            comps = name.components
-            if len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
-                t = _dec_state_delta(t)
-            p = DataStream(stream_name=name, tuple=t)
-        elif tag == _TAG_ADD_QUERY:
-            nonce = r.u64()
-            p = AddQueryInterest(query=r.text32(), nonce=nonce)
-        elif tag == _TAG_REMOVE_QUERY:
-            nonce = r.u64()
-            p = RemoveQueryInterest(query=r.text32(), nonce=nonce)
+        if tag == _TAG_ADD_QUERY or tag == _TAG_REMOVE_QUERY:
+            (nonce,) = _U64.unpack_from(buf, 1)
+            query, at = _read(buf, 9, _U32)
+            cls = AddQueryInterest if tag == _TAG_ADD_QUERY else RemoveQueryInterest
+            p: Packet = cls(query=query.decode("utf-8"), nonce=nonce)
+        elif _TAG_INTEREST <= tag <= _TAG_DATA_STREAM:
+            comps, at = [], 3
+            for _ in range(_U16.unpack_from(buf, 1)[0]):
+                comp, at = _read(buf, at, _U16)
+                comps.append(comp.decode("utf-8"))
+            name = Name(tuple(comps))
+            if tag == _TAG_INTEREST:
+                p = Interest(name)
+            elif tag == _TAG_DATA:
+                (ts,) = _U64.unpack_from(buf, at)
+                payload, at = _read(buf, at + 8, _U32)
+                p = Data(name=name, payload=payload, ts=ts)
+            else:
+                (ts,) = _U64.unpack_from(buf, at)
+                schema_id, at = _read(buf, at + 8, _U16)
+                (count,) = _U16.unpack_from(buf, at)
+                at += 2
+                values = []
+                for _ in range(count):
+                    (kind,) = _U8.unpack_from(buf, at)
+                    if kind == _VALUE_FLOAT:
+                        values.append(_FLOAT.unpack_from(buf, at)[1])
+                        at += _FLOAT.size
+                    elif kind == _VALUE_TEXT:
+                        text, at = _read(buf, at + 1, _U32)
+                        values.append(text.decode("utf-8"))
+                    else:
+                        raise MalformedPacket("unknown value kind 0x%02x" % kind)
+                t = Tuple(ts=ts, schema_id=schema_id.decode("utf-8"), values=tuple(values))
+                if len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
+                    t = _dec_state_delta(t)
+                p = DataStream(stream_name=name, tuple=t)
         else:
             raise MalformedPacket("unknown type tag 0x%02x" % tag)
-    except ValueError as exc:
-        # Name/Tuple constructors reject bad field content.
+    except struct.error:
+        raise MalformedPacket("truncated packet") from None
+    except (ValueError, OverflowError) as exc:
+        # bad UTF-8, or field content that Name or Tuple rejects
         raise MalformedPacket(str(exc)) from None
-    if not r.done():
-        raise MalformedPacket("%d trailing bytes" % (len(r.buf) - r.pos))
+    if at != len(buf):
+        raise MalformedPacket("%d trailing bytes" % (len(buf) - at))
     return p

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +314,15 @@ def test_decode_trailing_garbage_is_malformed():
     raw = encode_packet(Interest(Name.from_uri("/node/nodeA")))
     with pytest.raises(MalformedPacket):
         decode_packet(raw + b"\x00")
+
+
+def test_decode_of_an_infinite_first_value_is_malformed():
+    """int(inf) overflows instead of failing Tuple's ts check; that is malformed too."""
+    raw = encode_packet(DataStream(Name.from_uri("/node/gps1"), Tuple(5, "gps", (5,))))
+    inf = raw.replace(struct.pack(">d", 5.0), struct.pack(">d", math.inf))
+    assert inf != raw
+    with pytest.raises(MalformedPacket):
+        decode_packet(inf)
 
 
 @settings(max_examples=500)
