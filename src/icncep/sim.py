@@ -207,6 +207,14 @@ def data_path(filename: str) -> Path:
     return Path(str(root.joinpath(filename)))
 
 
+def _preset_path(path: str, suffix: str) -> Path:
+    """`path` if it exists; else a bare name, with or without `suffix`, is a shipped preset."""
+    src = Path(path)
+    if not src.exists() and "/" not in path:
+        src = data_path(path if path.endswith(suffix) else path + suffix)
+    return src
+
+
 def _delay_ms(text: str, lineno: int) -> float:
     """The delay a topology line gives as `text`: a number >= 0."""
     try:
@@ -220,9 +228,7 @@ def _delay_ms(text: str, lineno: int) -> float:
 
 def load_topology(path: str) -> TopologyConfig:
     """Parse a topology file; bare preset names resolve to shipped files."""
-    src = Path(path)
-    if not src.exists() and "/" not in path and not path.endswith(".topo"):
-        src = data_path(path + ".topo")
+    src = _preset_path(path, ".topo")
     if not src.exists():
         raise ConfigError("topology not found: %s" % path)
 
@@ -321,9 +327,7 @@ class ScenarioSpec:
 
 
 def load_scenario(path: str) -> ScenarioSpec:
-    src = Path(path)
-    if not src.exists() and "/" not in path:
-        src = data_path(path if path.endswith(".scn") else path + ".scn")
+    src = _preset_path(path, ".scn")
     if not src.exists():
         raise ConfigError("scenario not found: %s" % path)
 

@@ -167,6 +167,13 @@ def test_run_sim_mode_and_topology_override(tmp_path, capsys):
     assert "notifications=20" in out
 
 
+def test_run_sim_topology_preset_with_its_suffix(tmp_path, capsys):
+    """--topology distributed.topo exited 3: "topology not found"."""
+    scn = scenario_file(tmp_path, mode="centralized", topology="centralized")
+    assert main(["run-sim", scn, "--topology", "distributed.topo", "--mode", "distributed"]) == 0
+    assert "notifications=20" in capsys.readouterr().out
+
+
 def test_run_sim_twice_gives_the_same_simulated_outcome(tmp_path, capsys):
     # replayed CSVs are deterministic; only real parse/plan timings jitter
     def sim_fields(out):

@@ -93,6 +93,18 @@ def test_topology_errors_carry_diagnostics(tmp_path, body, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["distributed", "distributed.topo"])
+def test_topology_preset_resolves_with_or_without_suffix(name):
+    """A ".topo" suffix on a preset name raised "topology not found"."""
+    shipped = load_topology(str(data_path("distributed.topo")))
+    assert load_topology(name).link_list == shipped.link_list
+
+
+@pytest.mark.parametrize("name", ["q1", "q1.scn"])
+def test_scenario_preset_resolves_with_or_without_suffix(name):
+    assert load_scenario(name).queries == load_scenario(str(data_path("q1.scn"))).queries
+
+
 def test_missing_topology_file():
     with pytest.raises(ConfigError):
         load_topology("/no/such/file.topo")
