@@ -311,8 +311,8 @@ class Engine:
 
     # -- small helpers ------------------------------------------------------
 
-    def _bump(self, key: str, n: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + n
+    def _bump(self, key: str) -> None:
+        self.counters[key] = self.counters.get(key, 0) + 1
 
     def _send(self, face_id: int, packet: Packet) -> None:
         self._bump("sent")

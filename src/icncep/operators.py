@@ -319,10 +319,9 @@ _AGG_FUNS = {
 }
 
 
-def aggregate_eval(kind: str, attr, tuples, ctx: SchemaCtx) -> Tuple:
-    ref = attr if isinstance(attr, AttrRef) else AttrRef(str(attr))
+def aggregate_eval(kind: str, attr: AttrRef, tuples, ctx: SchemaCtx) -> Tuple:
     try:
-        idx = ctx.resolve(ref)
+        idx = ctx.resolve(attr)
     except SemanticError as err:
         raise UnknownAttribute(str(err)) from err
     rows = list(tuples)
@@ -332,11 +331,10 @@ def aggregate_eval(kind: str, attr, tuples, ctx: SchemaCtx) -> Tuple:
     for t in rows:
         v = t.values[idx]
         if isinstance(v, str):
-            raise UnknownAttribute("attribute %s is not numeric" % ref)
+            raise UnknownAttribute("attribute %s is not numeric" % attr)
         values.append(v)
-    result = float(_AGG_FUNS[kind](values)) if (values or kind in ("SUM", "COUNT")) else 0.0
     newest = max((t.ts for t in rows), default=0)
-    return Tuple.from_values("agg", (newest, result))
+    return Tuple.from_values("agg", (newest, float(_AGG_FUNS[kind](values))))
 
 
 # ---------------------------------------------------------------------------

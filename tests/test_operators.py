@@ -419,29 +419,31 @@ def test_join_rows_off_their_schema_width_take_the_nested_loop():
 # ---------------------------------------------------------------------------
 # aggregates
 
+SPEED = AttrRef("speed")
+
 
 def test_aggregate_basics():
     rows = [gps(1000, speed=1.0), gps(2000, speed=2.0), gps(3000, speed=3.0)]
-    out = aggregate_eval("SUM", "speed", rows, GPS_CTX)
+    out = aggregate_eval("SUM", SPEED, rows, GPS_CTX)
     assert out.values[1] == 6.0 and out.ts == 3000
     rows2 = [gps(1000, speed=2.0), gps(2000, speed=4.0)]
-    assert aggregate_eval("AVG", "speed", rows2, GPS_CTX).values[1] == 3.0
-    assert aggregate_eval("MIN", "speed", rows2, GPS_CTX).values[1] == 2.0
-    assert aggregate_eval("MAX", "speed", rows2, GPS_CTX).values[1] == 4.0
-    assert aggregate_eval("COUNT", "speed", rows2, GPS_CTX).values[1] == 2.0
+    assert aggregate_eval("AVG", SPEED, rows2, GPS_CTX).values[1] == 3.0
+    assert aggregate_eval("MIN", SPEED, rows2, GPS_CTX).values[1] == 2.0
+    assert aggregate_eval("MAX", SPEED, rows2, GPS_CTX).values[1] == 4.0
+    assert aggregate_eval("COUNT", SPEED, rows2, GPS_CTX).values[1] == 2.0
 
 
 def test_aggregate_empty_window():
-    assert aggregate_eval("COUNT", "speed", [], GPS_CTX).values[1] == 0.0
-    assert aggregate_eval("SUM", "speed", [], GPS_CTX).values[1] == 0.0
+    assert aggregate_eval("COUNT", SPEED, [], GPS_CTX).values[1] == 0.0
+    assert aggregate_eval("SUM", SPEED, [], GPS_CTX).values[1] == 0.0
     for kind in ("MIN", "MAX", "AVG"):
         with pytest.raises(EmptyWindow):
-            aggregate_eval(kind, "speed", [], GPS_CTX)
+            aggregate_eval(kind, SPEED, [], GPS_CTX)
 
 
 def test_aggregate_unknown_attribute():
     with pytest.raises(UnknownAttribute):
-        aggregate_eval("SUM", "no_such", [gps(1000)], GPS_CTX)
+        aggregate_eval("SUM", AttrRef("no_such"), [gps(1000)], GPS_CTX)
 
 
 @given(
@@ -452,9 +454,9 @@ def test_aggregate_unknown_attribute():
 @settings(max_examples=150, deadline=None)
 def test_avg_times_count_equals_sum(speeds):
     rows = [gps((i + 1) * 1000, speed=v) for i, v in enumerate(speeds)]
-    total = aggregate_eval("SUM", "speed", rows, GPS_CTX).values[1]
-    avg = aggregate_eval("AVG", "speed", rows, GPS_CTX).values[1]
-    count = aggregate_eval("COUNT", "speed", rows, GPS_CTX).values[1]
+    total = aggregate_eval("SUM", SPEED, rows, GPS_CTX).values[1]
+    avg = aggregate_eval("AVG", SPEED, rows, GPS_CTX).values[1]
+    count = aggregate_eval("COUNT", SPEED, rows, GPS_CTX).values[1]
     assert math.isclose(avg * count, total, rel_tol=1e-9, abs_tol=1e-9)
 
 
