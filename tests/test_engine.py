@@ -975,6 +975,22 @@ def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, si
     assert eng.counters.get("state_gaps", 0) == 0
 
 
+def test_a_prune_on_one_of_two_faces_keeps_the_feed_for_the_other():
+    eng, svc, doc = transit_broker()
+    eng.handle_packet(deploy_order(dict(doc, routes=[["/state/s/1", "b4"]])), in_face=1)
+    svc.clock = int(engine.DEPLOY_TIMEOUT_MS)  # late enough for the delta to set the fence
+    svc.sent.clear()
+    eng.handle_packet(window_delta(2000), in_face=1)
+    assert [f for _, f, _ in svc.sent] == [2, 3]
+    eng.handle_packet(Interest(name=Name.from_uri("/state/s/1/prune/2000")), in_face=2)
+    assert eng.fib.dump() == "prefix,faces\n/state/s/1,3\n"
+    assert "s" in eng._trees and ("s", 1) in eng._fences
+    assert "released" not in eng.counters and "stale_prunes" not in eng.counters
+    svc.sent.clear()
+    eng.handle_packet(window_delta(3000), in_face=1)
+    assert [f for _, f, _ in svc.sent] == [3]
+
+
 # ---------------------------------------------------------------------------
 # classic pull across a wired three-node line
 

@@ -367,6 +367,43 @@ def test_filter_matches_row_by_row_oracle(rows, cond):
     assert keep(wide, cond, ctx) == want
 
 
+# a literal on the left of an attribute, and a literal on both sides
+LITERAL_TERMS = [
+    Comparison(NumberLit(2.0), ">", AttrRef("x", "L")),
+    Comparison(NumberLit(1.0), "<=", AttrRef("k")),
+    Comparison(NumberLit(1.0), "<", NumberLit(2.0)),
+    Comparison(NumberLit(2.0), "<", NumberLit(1.0)),
+]
+
+
+@given(
+    rows=side("l"),
+    cond=st.recursive(
+        st.sampled_from(LITERAL_TERMS + TERMS),
+        lambda inner: st.builds(BoolOp, st.sampled_from("&|"), inner, inner),
+        max_leaves=3,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_filter_with_literal_operands_matches_row_by_row_oracle(rows, cond):
+    ctx = L_CTX.join(R_CTX)
+    wide = [Tuple(ts=t.ts, schema_id="w", values=t.values + t.values) for t in rows]
+    want = [t for t in wide if oracle_eval(cond, t.values, ctx)]
+    assert keep(wide, cond, ctx) == want
+
+
+@pytest.mark.parametrize(
+    "condition, kept",
+    [("50 > 'latitude'", 1), ("1 < 2", 4), ("2 < 1", 0)],
+)
+def test_a_parsed_filter_with_a_literal_on_the_left_matches_the_oracle(condition, kept):
+    rows = [gps(1000 * i, lat=49.0 + i / 2) for i in range(1, 5)]  # 49.5 .. 51.0
+    cond = cond_of("FILTER(WINDOW(GPS_S1, 4s), %s)" % condition)
+    got = keep(rows, cond, GPS_CTX)
+    assert got == [t for t in rows if oracle_eval(cond, t.values, GPS_CTX)]
+    assert len(got) == kept
+
+
 @given(cond=CONDS)
 @settings(max_examples=100, deadline=None)
 def test_an_unknown_alias_anywhere_fails_to_compile(cond):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icncep import sim
-from icncep.engine import APP_FACE
+from icncep.engine import APP_FACE, Engine
 from icncep.packet import (
     AddQueryInterest,
     Data,
@@ -1063,6 +1063,49 @@ def test_engine_errors_surface_in_trace_without_abort(tmp_path):
     sim_metrics = run_scenario(spec)
     # sanity: a healthy run has no error lines
     assert not any(" error " in line for line in sim_metrics.trace)
+
+
+def test_a_handler_that_raises_is_counted_traced_and_the_run_goes_on(tmp_path, monkeypatch):
+    original = Engine.handle_data_stream
+    raised = []
+
+    def handle_data_stream(self, p, in_face):
+        if self.node_id == "b1" and not raised:
+            raised.append(p)
+            raise RuntimeError("boom")
+        original(self, p, in_face)
+
+    monkeypatch.setattr(Engine, "handle_data_stream", handle_data_stream)
+    m = run_scenario(small_spec(tmp_path, rows=5))
+    assert len(raised) == 1 and m.nodes["b1"]["errors"] == 1
+    assert [line.split(" ", 1)[1] for line in m.trace if " error " in line] == [
+        "b1 error RuntimeError: boom"
+    ]
+    assert m.queries["q"].notifications == 4  # every later tuple still reaches c1
+
+
+def test_a_plan_failed_nack_crosses_a_hop_to_the_consumer_app(tmp_path):
+    """b2 coordinates c1's query, but its only path to b1 runs through consumer x1."""
+    roles = {"p1": "producer", "b1": "broker", "x1": "consumer", "b2": "broker", "c1": "consumer"}
+    topo = TopologyConfig(
+        name="cut",
+        nodes={n: TopoNode(n, role, 1.0) for n, role in roles.items()},
+        link_list=[
+            TopoLink(a, b, 1.0) for a, b in (("p1", "b1"), ("b1", "x1"), ("x1", "b2"), ("b2", "c1"))
+        ],
+    )
+    csv = tmp_path / "gps.csv"
+    generate_gps_csv(str(csv), rows=5)
+    spec = ScenarioSpec(
+        topology=topo,
+        streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
+        queries=[QueryDef("q", "c1", 100, None, "distributed", "WINDOW(GPS_S1, 4s)")],
+    )
+    m = run_scenario(spec)
+    assert [(n, k) for n, k, _ in m.events if k == "plan_failed"] == [("b2", "plan_failed")]
+    assert [p.name.to_uri() for _, p in m.app_deliveries["c1"]] == ["/nack/q:1"]
+    assert m.nodes["c1"]["consumed"] == 1
+    assert any(" c1 recv " in line and "/nack/q:1" in line for line in m.trace)
 
 
 def test_notification_payload_rows_match_window(tmp_path):
