@@ -324,6 +324,9 @@ TERMS = [
     Comparison(AttrRef("x", "L"), "<", AttrRef("y", "R")),
     Comparison(AttrRef("k", "L"), ">=", NumberLit(1.0)),
     TAUTOLOGY,  # both sides resolve into the left segment
+    Comparison(NumberLit(2.0), ">", AttrRef("x", "L")),  # a literal on the left
+    Comparison(NumberLit(1.0), "<", NumberLit(2.0)),  # literals on both sides
+    Comparison(NumberLit(2.0), "<", NumberLit(1.0)),
 ]
 # ints against int-valued floats, text against numbers, shared and fresh NaNs
 KEYS = st.one_of(
@@ -361,31 +364,6 @@ def test_join_matches_row_by_row_oracle(left, right, cond):
 @given(rows=side("l"), cond=CONDS)
 @settings(max_examples=200, deadline=None)
 def test_filter_matches_row_by_row_oracle(rows, cond):
-    ctx = L_CTX.join(R_CTX)
-    wide = [Tuple(ts=t.ts, schema_id="w", values=t.values + t.values) for t in rows]
-    want = [t for t in wide if oracle_eval(cond, t.values, ctx)]
-    assert keep(wide, cond, ctx) == want
-
-
-# a literal on the left of an attribute, and a literal on both sides
-LITERAL_TERMS = [
-    Comparison(NumberLit(2.0), ">", AttrRef("x", "L")),
-    Comparison(NumberLit(1.0), "<=", AttrRef("k")),
-    Comparison(NumberLit(1.0), "<", NumberLit(2.0)),
-    Comparison(NumberLit(2.0), "<", NumberLit(1.0)),
-]
-
-
-@given(
-    rows=side("l"),
-    cond=st.recursive(
-        st.sampled_from(LITERAL_TERMS + TERMS),
-        lambda inner: st.builds(BoolOp, st.sampled_from("&|"), inner, inner),
-        max_leaves=3,
-    ),
-)
-@settings(max_examples=200, deadline=None)
-def test_filter_with_literal_operands_matches_row_by_row_oracle(rows, cond):
     ctx = L_CTX.join(R_CTX)
     wide = [Tuple(ts=t.ts, schema_id="w", values=t.values + t.values) for t in rows]
     want = [t for t in wide if oracle_eval(cond, t.values, ctx)]

@@ -1058,14 +1058,12 @@ def test_a_finished_run_is_freed_by_refcount(tmp_path, monkeypatch):
     assert metrics.queries["q"].notifications == 10
 
 
-def test_engine_errors_surface_in_trace_without_abort(tmp_path):
+def test_engine_errors_surface_in_trace_without_abort(tmp_path, monkeypatch):
     spec = small_spec(tmp_path, rows=5)
     sim_metrics = run_scenario(spec)
     # sanity: a healthy run has no error lines
     assert not any(" error " in line for line in sim_metrics.trace)
 
-
-def test_a_handler_that_raises_is_counted_traced_and_the_run_goes_on(tmp_path, monkeypatch):
     original = Engine.handle_data_stream
     raised = []
 
@@ -1076,7 +1074,7 @@ def test_a_handler_that_raises_is_counted_traced_and_the_run_goes_on(tmp_path, m
         original(self, p, in_face)
 
     monkeypatch.setattr(Engine, "handle_data_stream", handle_data_stream)
-    m = run_scenario(small_spec(tmp_path, rows=5))
+    m = run_scenario(spec)
     assert len(raised) == 1 and m.nodes["b1"]["errors"] == 1
     assert [line.split(" ", 1)[1] for line in m.trace if " error " in line] == [
         "b1 error RuntimeError: boom"
