@@ -208,7 +208,10 @@ def data_path(filename: str) -> Path:
 
 
 def _preset_path(path: str, suffix: str) -> Path:
-    """`path` if it exists; else a bare name, with or without `suffix`, is a shipped preset."""
+    """`path` if it exists, else the shipped preset a bare name stands for.
+
+    The name may carry `suffix` or leave it off.
+    """
     src = Path(path)
     if not src.exists() and "/" not in path:
         src = data_path(path if path.endswith(suffix) else path + suffix)

@@ -374,7 +374,7 @@ def test_filter_matches_row_by_row_oracle(rows, cond):
     "condition, kept",
     [("50 > 'latitude'", 1), ("1 < 2", 4), ("2 < 1", 0)],
 )
-def test_a_parsed_filter_with_a_literal_on_the_left_matches_the_oracle(condition, kept):
+def test_a_parsed_filter_with_literal_operands_matches_the_oracle(condition, kept):
     rows = [gps(1000 * i, lat=49.0 + i / 2) for i in range(1, 5)]  # 49.5 .. 51.0
     cond = cond_of("FILTER(WINDOW(GPS_S1, 4s), %s)" % condition)
     got = keep(rows, cond, GPS_CTX)
