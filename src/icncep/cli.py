@@ -79,7 +79,12 @@ def _cmd_parse(args) -> int:
 
 
 def _coordinator_for(spec, consumer: str) -> str:
-    return spec.topology.ingress_broker(consumer) or spec.topology.broker_ids()[0]
+    """`consumer`'s ingress broker, which coordinates its queries; else the first broker."""
+    topo = spec.topology
+    coordinator = topo.ingress_broker(consumer) or next(iter(topo.broker_ids()), None)
+    if coordinator is None:
+        raise NoPath("topology %s has no broker to coordinate a query" % topo.name)
+    return coordinator
 
 
 def _cmd_explain(args) -> int:
@@ -95,8 +100,8 @@ def _cmd_explain(args) -> int:
         return EXIT_SEMANTIC
     bindings = spec.bindings()
     tree = create_operator_graph(q.text, bindings)
-    coordinator = _coordinator_for(spec, q.consumer)
     try:
+        coordinator = _coordinator_for(spec, q.consumer)
         plan = plan_query(tree, coordinator, q.mode, spec.topology, bindings)
     except NoPath as err:
         print("error: %s" % err, file=sys.stderr)

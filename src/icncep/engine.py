@@ -22,13 +22,19 @@ Name conventions produced locally:
   /ce/<qhash>/<ts>            consumer notification
   /nack/<nonce>               rejection of a malformed or unplaceable query
 
+An engine wires itself from `NodeConfig.topology`: it takes its node's role,
+face k leads to its k-th sorted neighbour, and a producer routes each of its
+own streams to its ingress broker's face (`TopologyConfig.ingress_broker`).
+A producer or consumer sends the Adds and Removes it originates or forwards
+up that face, so one broker coordinates its query, and floods them only with
+no broker neighbour or when they came in on that face.
+
 The FIB holds only installed routes: those that deployments install for
 stream names and /state/<qhash>/<idx> prefixes, and each producer's route
 for its own streams. An Interest for /node/<id>/... that no route matches
 goes to the face of the topology's fewest-hop next hop toward <id>, so no
 engine keeps a route per node. Streams follow installed routes only, never
-a next hop toward their producer. Engines built without a topology route
-from their static `fib_routes` alone. The sorted out-faces of a DataStream
+a next hop toward their producer. The sorted out-faces of a DataStream
 name are kept per in-face in the FIB's `memo` (`_stream_faces`), but only
 while a route matches the name: a lookup that finds no face is not kept,
 and every route added or removed empties the memo. The memo so never holds
@@ -206,13 +212,10 @@ class FaceDef:
 @dataclass
 class NodeConfig:
     node_id: str
-    role: str  # broker | producer | consumer
-    faces: list[FaceDef] = field(default_factory=list)
+    topology: object  # the node's role and faces come from it; brokers plan on it
     # the engine parses queries against this table only
     streams: dict[str, StreamBinding] = field(default_factory=dict)
-    fib_routes: list[tuple[str, int]] = field(default_factory=list)
     mode: str = "centralized"
-    topology: object = None  # every node's: brokers plan on it, all route /node/<id> by it
 
 
 class Services(Protocol):
@@ -279,8 +282,9 @@ class _PendingPlan:
 class Engine:
     def __init__(self, config: NodeConfig, services: Services):
         self.config = config
-        self.node_id = config.node_id
-        self.role = config.role
+        self.node_id = nid = config.node_id
+        topo = config.topology
+        self.role = topo.nodes[nid].role
         self.services = services
 
         self.cs = ContentStore()
@@ -288,11 +292,16 @@ class Engine:
         self.fib = ForwardingInformationBase()
         self.faces: dict[int, FaceDef] = {APP_FACE: FaceDef(APP_FACE, "app")}
         self._face_of_peer: dict[str, int] = {}
-        for fd in config.faces:
-            self.faces[fd.face_id] = fd
-            self._face_of_peer[fd.peer] = fd.face_id
-        for prefix, face_id in config.fib_routes:
-            self.fib.add_route(Name.from_uri(prefix), face_id)
+        for face_id, peer in enumerate(topo.neighbors(nid), 1):
+            self.faces[face_id] = FaceDef(face_id, peer)
+            self._face_of_peer[peer] = face_id
+        # an endpoint's face to its ingress broker: its streams and query interests go there
+        up = None if self.role == "broker" else self._face_of_peer.get(topo.ingress_broker(nid))
+        self._ingress_face = up
+        if self.role == "producer" and up is not None:
+            for b in config.streams.values():
+                if b.name.components[1] == nid:
+                    self.fib.add_route(b.name, up)
 
         self.instances: dict[tuple[str, int], OpInstance] = {}
         # producer stream name -> width of its schema, whose values are all numbers
@@ -340,7 +349,7 @@ class Engine:
         entry = self.fib.longest_prefix(name)
         faces = () if entry is None else entry.faces
         comps, topo = name.components, self.config.topology
-        if entry is None and interest and topo and comps[0] == "node" and len(comps) > 1:
+        if entry is None and interest and comps[0] == "node" and len(comps) > 1:
             faces = [self._face_of_peer.get(topo.next_hop(self.node_id, comps[1]))]
         return sorted(f for f in faces if f not in (exclude, APP_FACE, None))
 
@@ -357,10 +366,12 @@ class Engine:
                 self.fib.memo[key] = faces
         return faces
 
-    def _flood_faces(self, exclude: int) -> list[int]:
-        return sorted(
-            f for f in self.faces if f not in (APP_FACE, exclude)
-        )
+    def _query_faces(self, in_face: int) -> list[int]:
+        """An endpoint's ingress-broker face, unless `in_face` is it; else every other face."""
+        up = self._ingress_face
+        if up is not None and up != in_face:
+            return [up]
+        return sorted(f for f in self.faces if f not in (APP_FACE, in_face))
 
     def _parse(self, text: str) -> tuple[OperatorNode, str, float]:
         """`text`'s operator tree, canonical key and real parse ms, parsed once.
@@ -440,10 +451,10 @@ class Engine:
             self._bump("consumed")
             self._coordinate(p.nonce, key, tree, unsalted, graph_real_ms)
         else:
-            flood = self._flood_faces(exclude=in_face)
-            for f in flood:
+            out = self._query_faces(in_face)
+            for f in out:
                 self._send(f, p)
-            self._bump("forwarded" if flood else "consumed")
+            self._bump("forwarded" if out else "consumed")
 
     def handle_remove_query_interest(self, p: RemoveQueryInterest, in_face: int) -> None:
         try:
@@ -455,10 +466,10 @@ class Engine:
             self._bump("dropped")
             return
         self.pit.remove_face(unsalted, in_face)
-        flood = self._flood_faces(exclude=in_face)
-        for f in flood:
+        out = self._query_faces(in_face)
+        for f in out:
             self._send(f, p)
-        self._bump("forwarded" if flood else "consumed")
+        self._bump("forwarded" if out else "consumed")
 
     # -- coordination -------------------------------------------------------
 
@@ -487,7 +498,7 @@ class Engine:
         )
         # a distributed plan probes every other broker's delay; others are planned at once
         probes = []
-        if self.config.mode != "centralized" and self.config.topology is not None:
+        if self.config.mode != "centralized":
             pending.delays[self.node_id] = self.services.local_delay_ms(self.node_id)
             brokers = self.config.topology.broker_ids()
             probes = [Name(("node", b, "delay")) for b in brokers if b != self.node_id]
@@ -559,8 +570,7 @@ class Engine:
             plan = plan_query(
                 pending.tree,
                 self.node_id,
-                # the delays are empty unless the brokers were probed
-                self.config.mode if pending.delays else "centralized",
+                self.config.mode,
                 self.config.topology,
                 self.config.streams,
                 pending.delays,

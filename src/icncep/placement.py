@@ -153,8 +153,8 @@ def plan_query(
     """Plan `tree` for the broker `coordinator`; the engine and `explain` share it.
 
     In both modes each bound stream's producer enters at
-    `topology.ingress_broker` (nowhere without a topology), and the plan's
-    `ingress` lets deployment route the stream to the host of its window.
+    `topology.ingress_broker`, and the plan's `ingress` lets deployment route
+    the stream to the host of its window.
     Centralized mode keeps the whole tree on the coordinator. Otherwise the
     tree is spread along the cheapest broker path from the producers to the
     coordinator, priced by `delays` (each broker's delay, the configured ones
@@ -168,7 +168,7 @@ def plan_query(
             continue
         producer = binding.name.components[1]
         producers.append(producer)
-        home = topology.ingress_broker(producer) if topology is not None else None
+        home = topology.ingress_broker(producer)
         if home is not None:
             ingress[alias] = home
     if mode == "centralized":

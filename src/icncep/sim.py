@@ -35,7 +35,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
-from .engine import APP_FACE, Engine, FaceDef, NodeConfig
+from .engine import APP_FACE, Engine, NodeConfig
 from .packet import (
     AddQueryInterest,
     Data,
@@ -431,6 +431,8 @@ def _validate_scenario(spec: ScenarioSpec, origin: str) -> list[OperatorNode]:
             raise ConfigError("%s: query %s has unknown mode %r" % (origin, q.query_id, q.mode))
         if q.stop_ms is not None and q.stop_ms <= q.start_ms:
             raise ConfigError("%s: query %s stops before it starts" % (origin, q.query_id))
+        if q.poll_ms is not None and q.poll_ms <= 0:
+            raise ConfigError("%s: query %s poll interval must be positive" % (origin, q.query_id))
         if q.poll_ms and q.stop_ms is None:
             raise ConfigError("%s: query %s polls but has no stop time" % (origin, q.query_id))
     modes = {q.mode for q in spec.queries}
@@ -752,30 +754,10 @@ class Simulator:
 
         mode = spec.queries[0].mode if spec.queries else "centralized"
         bindings = spec.bindings()
-        self.engines: dict[str, Engine] = {}
-        for nid, tnode in sorted(self.topo.nodes.items()):
-            faces = [
-                FaceDef(i + 1, peer) for i, peer in enumerate(self.topo.neighbors(nid))
-            ]
-            cfg = NodeConfig(
-                node_id=nid,
-                role=tnode.role,
-                faces=faces,
-                streams=bindings,
-                fib_routes=self._routes_for(nid, faces),
-                mode=mode,
-                topology=self.topo,
-            )
-            self.engines[nid] = Engine(cfg, self)
-
-    # each producer pushes its own streams toward its lowest-id broker neighbour
-    def _routes_for(self, nid: str, faces: list[FaceDef]) -> list[tuple[str, int]]:
-        broker = self.topo.ingress_broker(nid)
-        if self.topo.nodes[nid].role != "producer" or broker is None:
-            return []
-        face = next(f.face_id for f in faces if f.peer == broker)
-        mine = [s.uri for s in self.spec.streams if Name.from_uri(s.uri).components[1] == nid]
-        return [(uri, face) for uri in mine]
+        self.engines: dict[str, Engine] = {
+            nid: Engine(NodeConfig(nid, self.topo, bindings, mode), self)
+            for nid in sorted(self.topo.nodes)
+        }
 
     # -- Services protocol ---------------------------------------------------
 

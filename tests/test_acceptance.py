@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from icncep.engine import APP_FACE, Engine, FaceDef, NodeConfig
+from icncep.engine import APP_FACE, Engine, NodeConfig
 from icncep.operators import (
     EmptyWindow,
     PredictState,
@@ -55,6 +55,7 @@ from icncep.sim import (
     emit_metrics,
     generate_gps_csv,
     load_scenario,
+    load_topology,
     override_scenario,
     run_scenario,
 )
@@ -256,10 +257,8 @@ def test_c3_result_freshness():
         eng = Engine(
             NodeConfig(
                 node_id="b1",
-                role="broker",
-                faces=[FaceDef(1, "c1"), FaceDef(2, "p1")],
+                topology=load_topology("centralized"),  # c1 on face 1, p1 on face 2
                 streams=default_streams(),
-                fib_routes=[("/node/p1", 2), ("/node/c1", 1)],
                 mode="centralized",
             ),
             svc,

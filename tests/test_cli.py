@@ -130,6 +130,15 @@ def test_explain_unknown_query_exits_2(capsys):
     assert "no query" in capsys.readouterr().err
 
 
+def test_explain_on_a_topology_without_a_broker_exits_2(tmp_path, capsys):
+    """No broker coordinates the query: an error line, not an IndexError's traceback."""
+    topo = tmp_path / "nobroker.topo"
+    topo.write_text("node p1 producer 1\nnode c1 consumer 1\nlink p1 c1 1\n")
+    assert main(["explain", scenario_file(tmp_path, topology=str(topo)), "q1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: topology nobroker has no broker to coordinate a query\n"
+
+
 def test_explain_missing_scenario_exits_3(capsys):
     assert main(["explain", "/no/such/file.scn", "q1"]) == 3
     assert "error" in capsys.readouterr().err

@@ -16,7 +16,6 @@ from icncep.engine import (
     APP_FACE,
     Engine,
     EVAL_COST_MS,
-    FaceDef,
     NodeConfig,
     OpInstance,
 )
@@ -83,14 +82,24 @@ def gps_packet(ts, lat=49.5):
     return DataStream(stream_name=Name.from_uri("/node/p1/gps"), tuple=t)
 
 
+def topology(*links):
+    """A TopologyConfig over `links` such as "c1-b1", every node and link 1 ms.
+
+    A node's role follows its first letter.
+    """
+    roles = {"b": "broker", "p": "producer", "c": "consumer"}
+    pairs = [link.split("-") for link in links]
+    nodes = {n: sim.TopoNode(n, roles[n[0]], 1.0) for pair in pairs for n in pair}
+    return sim.TopologyConfig("test", nodes, [sim.TopoLink(a, b, 1.0) for a, b in pairs])
+
+
 def single_broker():
+    """b1 with c1 on face 1 and p1 on face 2."""
     svc = FakeServices()
     cfg = NodeConfig(
         node_id="b1",
-        role="broker",
-        faces=[FaceDef(1, "c1"), FaceDef(2, "p1")],
+        topology=topology("c1-b1", "b1-p1"),
         streams=default_streams(),
-        fib_routes=[("/node/p1", 2), ("/node/c1", 1)],
         mode="centralized",
     )
     return Engine(cfg, svc), svc
@@ -257,13 +266,28 @@ def test_malformed_query_nacked(text):
 def test_an_engine_without_streams_nacks_a_query_on_a_built_in_alias():
     """The engine parses against its own stream table only, even an empty one."""
     svc = FakeServices()
-    eng = Engine(NodeConfig(node_id="b1", role="broker", faces=[FaceDef(1, "c1")]), svc)
+    eng = Engine(NodeConfig(node_id="b1", topology=topology("c1-b1")), svc)
     assert eng.config.streams == {}
     eng.handle_packet(AddQueryInterest(query=Q1, nonce="n1"), in_face=1)
     assert [p.name.components for p in sent_to(svc, 1, Data)] == [("nack", "n1")]
     assert b"GPS_S1" in sent_to(svc, 1, Data)[0].payload
     assert eng.instances == {}
     assert [k for _, k, _ in svc.events if k in ("query_accepted", "query_deployed")] == []
+
+
+def test_an_endpoint_sends_query_interests_up_to_its_ingress_broker():
+    """c1's Adds and Removes go to b1 alone, unless they came from b1; c2, with
+    no broker neighbour, floods them."""
+    topo = topology("c1-b1", "c1-b2", "c1-c2", "c2-p1")  # c1: b1, b2, c2 on faces 1-3
+    c1_svc, c2_svc = FakeServices(), FakeServices()
+    c1 = Engine(NodeConfig("c1", topo, default_streams()), c1_svc)
+    c2 = Engine(NodeConfig("c2", topo, default_streams()), c2_svc)
+    c1.handle_packet(AddQueryInterest(query=Q1, nonce="a"), APP_FACE)
+    c1.handle_packet(RemoveQueryInterest(query=Q1, nonce="r"), APP_FACE)
+    c1.handle_packet(AddQueryInterest(query=Q2, nonce="b"), in_face=1)
+    c2.handle_packet(AddQueryInterest(query=Q1, nonce="c"), APP_FACE)
+    assert [(f, p.nonce) for _, f, p in c1_svc.sent] == [(1, "a"), (1, "r"), (2, "b"), (3, "b")]
+    assert [(f, p.nonce) for _, f, p in c2_svc.sent] == [(1, "c"), (2, "c")]
 
 
 def test_malformed_queries_are_nacked_every_time_and_never_memoized():
@@ -646,11 +670,7 @@ def filter_host(query=Q2):
     """b2 hosting `query`'s root (index 0) for query "s"; its WINDOW (index 1) ships from b1."""
     svc = FakeServices()
     cfg = NodeConfig(
-        "b2",
-        "broker",
-        faces=[FaceDef(1, "b1"), FaceDef(2, "b3")],
-        streams=default_streams(),
-        mode="distributed",
+        "b2", topology("b1-b2", "b2-b3"), streams=default_streams(), mode="distributed"
     )
     eng = Engine(cfg, svc)
     key = canonical_text(create_operator_graph(query, default_streams()))
@@ -727,11 +747,7 @@ def test_a_state_packet_that_carries_no_delta_is_not_forwarded():
     """A transit broker forwards /state deltas and counts anything else there malformed."""
     svc = FakeServices()
     cfg = NodeConfig(
-        "b2",
-        "broker",
-        faces=[FaceDef(1, "b1"), FaceDef(2, "b3")],
-        streams=default_streams(),
-        mode="distributed",
+        "b2", topology("b1-b2", "b2-b3"), streams=default_streams(), mode="distributed"
     )
     eng = Engine(cfg, svc)
     key = canonical_text(create_operator_graph(Q2, default_streams()))
@@ -756,8 +772,7 @@ def transit_broker():
     svc = FakeServices()
     cfg = NodeConfig(
         "b2",
-        "broker",
-        faces=[FaceDef(1, "b1"), FaceDef(2, "b3"), FaceDef(3, "b4")],
+        topology("b1-b2", "b2-b3", "b2-b4"),
         streams=default_streams(),
         mode="distributed",
     )
@@ -868,8 +883,7 @@ def join_host(cond):
     """b2 running only the JOIN (index 1); its windows and its parent are remote."""
     cfg = NodeConfig(
         node_id="b2",
-        role="broker",
-        faces=[FaceDef(1, "b1"), FaceDef(2, "b3")],
+        topology=topology("b1-b2", "b2-b3"),
         streams=default_streams(),
         mode="distributed",
     )
@@ -1006,9 +1020,13 @@ class Net:
         self.clock = 0
         self.timers = []
 
-    def wire(self, a, face_a, b, face_b):
-        self.links[(a, face_a)] = (b, face_b)
-        self.links[(b, face_b)] = (a, face_a)
+    def wire(self, engines):
+        """Deliver among `engines` by node id, each face to its peer's face back."""
+        self.engines = engines
+        for node, eng in engines.items():
+            for face, fd in eng.faces.items():
+                if fd.peer in engines:
+                    self.links[(node, face)] = (fd.peer, engines[fd.peer]._face_of_peer[node])
 
     def send(self, node_id, face_id, packet):
         if face_id == APP_FACE:
@@ -1040,25 +1058,11 @@ class Net:
 
 
 def pull_line():
+    """c1 - b1 - p1, and c2 (no engine) on b1's face 2; p1 is on b1's face 3."""
     net = Net()
-    c1 = Engine(
-        NodeConfig("c1", "consumer", faces=[FaceDef(1, "b1")], fib_routes=[("/node/p1", 1)]),
-        net,
-    )
-    b1 = Engine(
-        NodeConfig(
-            "b1",
-            "broker",
-            faces=[FaceDef(1, "c1"), FaceDef(2, "p1"), FaceDef(3, "c2")],
-            fib_routes=[("/node/p1", 2)],
-        ),
-        net,
-    )
-    p1 = Engine(NodeConfig("p1", "producer", faces=[FaceDef(1, "b1")]), net)
-    net.engines = {"c1": c1, "b1": b1, "p1": p1}
-    net.wire("c1", 1, "b1", 1)
-    net.wire("b1", 2, "p1", 1)
-    return net, c1, b1, p1
+    topo = topology("c1-b1", "b1-p1", "b1-c2")
+    net.wire({n: Engine(NodeConfig(n, topo), net) for n in ("c1", "b1", "p1")})
+    return net, net.engines["c1"], net.engines["b1"], net.engines["p1"]
 
 
 def test_classic_pull_round_trip():
@@ -1077,13 +1081,13 @@ def test_interest_aggregation_two_faces():
     net, c1, b1, p1 = pull_line()
     name = Name.from_uri("/node/p1/latest")
     b1.handle_packet(Interest(name=name), in_face=1)
-    b1.handle_packet(Interest(name=name), in_face=3)
+    b1.handle_packet(Interest(name=name), in_face=2)
     upstream = [pkt for n, f, pkt in net.queue if n == "p1"]
     assert len(upstream) == 1  # second interest aggregated, not re-forwarded
-    assert b1.pit.lookup(name).faces == {1, 3}
+    assert b1.pit.lookup(name).faces == {1, 2}
     net.run()
     p1.cs.insert(name, b"v", 9)
-    b1.handle_packet(Data(name=name, payload=b"v", ts=9), in_face=2)
+    b1.handle_packet(Data(name=name, payload=b"v", ts=9), in_face=3)
     fan_out = [(n, f) for n, f, pkt in net.queue if isinstance(pkt, Data)]
     assert ("c1", 1) in fan_out
     assert b1.pit.lookup(name) is None
@@ -1126,34 +1130,24 @@ def test_a_release_while_feeding_a_stream_skips_the_released_windows():
 
 def line_topology():
     """p1 - b1 - b2 - b3 - c1, every node and link 1 ms."""
-    roles = {"p1": "producer", "b1": "broker", "b2": "broker", "b3": "broker", "c1": "consumer"}
-    return sim.TopologyConfig(
-        name="line",
-        nodes={n: sim.TopoNode(n, role, 1.0) for n, role in roles.items()},
-        link_list=[
-            sim.TopoLink(a, b, 1.0)
-            for a, b in (("p1", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", "c1"))
-        ],
-    )
+    return topology("p1-b1", "b1-b2", "b2-b3", "b3-c1")
 
 
 def coordinator_b3():
+    """b3 on the line, with b2 on face 1 and c1 on face 2."""
     svc = FakeServices()
     cfg = NodeConfig(
         node_id="b3",
-        role="broker",
-        faces=[FaceDef(1, "b2"), FaceDef(9, "c1")],
-        streams=default_streams(),
-        fib_routes=[("/node/b1", 1), ("/node/b2", 1), ("/node/p1", 1)],
-        mode="distributed",
         topology=line_topology(),
+        streams=default_streams(),
+        mode="distributed",
     )
     return Engine(cfg, svc), svc
 
 
 def test_distributed_probe_then_deploy():
     eng, svc = coordinator_b3()
-    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=2)
     probes = [
         p for p in sent_to(svc, 1, Interest) if p.name.components[-1] == "delay"
     ]
@@ -1189,7 +1183,7 @@ def test_distributed_probe_then_deploy():
 
 def test_distributed_result_flows_to_consumer():
     eng, svc = coordinator_b3()
-    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=2)
     probes = [p for p in sent_to(svc, 1, Interest) if p.name.components[-1] == "delay"]
     for p in probes:
         eng.handle_packet(Data(name=p.name, payload=b"1.0", ts=1), in_face=1)
@@ -1202,14 +1196,14 @@ def test_distributed_result_flows_to_consumer():
     snap = {"schema": "gps", "wm": 1000, "first": 0, "end": 1, "rows": rows}
     wire = DataStream(stream_name=Name(("state", salted, "1", "out")), tuple=snapshot_tuple(snap, 1000))
     eng.handle_packet(decode_packet(encode_packet(wire)), in_face=1)
-    out = notifications(svc, 9)
+    out = notifications(svc, 2)
     assert len(out) == 1
     assert json.loads(out[0].payload)["rows"] == rows
 
 
 def test_deploy_timeout_surfaces():
     eng, svc = coordinator_b3()
-    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=2)
     probes = [p for p in sent_to(svc, 1, Interest) if p.name.components[-1] == "delay"]
     for p in probes:
         eng.handle_packet(Data(name=p.name, payload=b"1.0", ts=1), in_face=1)
@@ -1221,7 +1215,7 @@ def test_deploy_timeout_surfaces():
 
 def test_probe_timeout_marks_unreachable_and_proceeds():
     eng, svc = coordinator_b3()
-    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=2)
     probes = [p for p in sent_to(svc, 1, Interest) if p.name.components[-1] == "delay"]
     # only b1 answers; b2 is silent and must be routed around
     b1_probe = [p for p in probes if p.name.components[1] == "b1"][0]
@@ -1242,30 +1236,30 @@ def test_probe_timeout_marks_unreachable_and_proceeds():
 @pytest.mark.parametrize("reply", [b"-1", b"nan", b"-inf", b"abc", b"\xff"])
 def test_a_probe_reply_that_is_no_delay_reads_like_a_silent_broker(reply):
     eng, svc = coordinator_b3()
-    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=2)
     eng.handle_packet(Data(name=Name.from_uri("/node/b1/delay"), payload=b"1.0", ts=1), in_face=1)
     eng.handle_packet(Data(name=Name.from_uri("/node/b2/delay"), payload=reply, ts=1), in_face=1)
     # without b2 no broker path joins b1 to b3
     assert [k for n, k, p in svc.events] == ["query_accepted", "plan_failed"]
-    assert [p.name.components for p in sent_to(svc, 9)] == [("nack", "n1")]
+    assert [p.name.components for p in sent_to(svc, 2)] == [("nack", "n1")]
     assert eng._trees == {} and len(eng.pit) == 0
-    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=2)
     assert [p["nonce"] for n, k, p in svc.events if k == "query_accepted"] == ["n1", "n2"]
 
 
 def test_a_failed_plan_leaves_nothing_behind_and_a_later_add_plans_again():
     eng, svc = coordinator_b3()
-    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=2)
     b1_probe = Name.from_uri("/node/b1/delay")
     eng.handle_packet(Data(name=b1_probe, payload=b"1.0", ts=1), in_face=1)
     svc.fire_timers()  # b2 stays silent: no broker path b1..b3
     assert [k for n, k, p in svc.events] == ["query_accepted", "plan_failed"]
     reason = svc.events[-1][2]["reason"]
-    nacks = [(p.name.components, p.payload) for p in sent_to(svc, 9)]
+    nacks = [(p.name.components, p.payload) for p in sent_to(svc, 2)]
     assert nacks == [(("nack", "n1"), reason.encode("utf-8"))]  # the consumer is told
     assert eng._trees == {} and eng.instances == {} and len(eng.pit) == 0
 
-    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=2)
     accepted = [p["nonce"] for n, k, p in svc.events if k == "query_accepted"]
     assert accepted == ["n1", "n2"]
     for uri in ("/node/b1/delay", "/node/b2/delay"):
@@ -1279,7 +1273,7 @@ def test_a_failed_plan_leaves_nothing_behind_and_a_later_add_plans_again():
 
 def test_late_deploy_acks_are_dropped_as_unsolicited():
     eng, svc = coordinator_b3()
-    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=2)
     for uri in ("/node/b1/delay", "/node/b2/delay"):
         eng.handle_packet(Data(name=Name.from_uri(uri), payload=b"1.0", ts=1), in_face=1)
     deploys = [p for p in sent_to(svc, 1, Interest) if len(p.name.components) == 4]
@@ -1300,8 +1294,8 @@ Q3 = "FILTER(WINDOW(GPS_S1, 6s), 'latitude' < 48)"
 
 def test_concurrent_plans_share_one_probe_per_broker():
     eng, svc = coordinator_b3()
-    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
-    eng.handle_packet(AddQueryInterest(query=Q3, nonce="n2"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=2)
+    eng.handle_packet(AddQueryInterest(query=Q3, nonce="n2"), in_face=2)
     probes = [p for p in sent_to(svc, 1, Interest) if p.name.components[-1] == "delay"]
     assert sorted(p.name.to_uri() for p in probes) == ["/node/b1/delay", "/node/b2/delay"]
     for p in probes:
@@ -1320,9 +1314,9 @@ def test_concurrent_plans_share_one_probe_per_broker():
 
 def test_a_probe_timeout_drops_only_its_own_wait():
     eng, svc = coordinator_b3()
-    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=2)
     svc.clock = 100
-    eng.handle_packet(AddQueryInterest(query=Q3, nonce="n2"), in_face=9)
+    eng.handle_packet(AddQueryInterest(query=Q3, nonce="n2"), in_face=2)
     first_timeout = svc.timers.pop(0)[1]
     first_timeout()  # n1 gives up on both brokers; n2 still waits
     for uri in ("/node/b1/delay", "/node/b2/delay"):
@@ -1346,20 +1340,9 @@ def wired_line():
     """Engines on p1 - b1 - b2 - b3 - c1, delivering through a RecordingNet."""
     net = RecordingNet()
     topo = line_topology()
-    peers = {"p1": ["b1"], "b1": ["p1", "b2"], "b2": ["b1", "b3"], "b3": ["b2", "c1"], "c1": ["b3"]}
-    for node, near in peers.items():
-        faces = [FaceDef(k, peer) for k, peer in enumerate(near, 1)]
-        cfg = NodeConfig(
-            node,
-            topo.nodes[node].role,
-            faces=faces,
-            streams=default_streams(),
-            mode="distributed",
-            topology=topo,
-        )
-        net.engines[node] = Engine(cfg, net)
-        for k, peer in enumerate(near, 1):
-            net.links[(node, k)] = (peer, peers[peer].index(node) + 1)
+    net.wire(
+        {n: Engine(NodeConfig(n, topo, default_streams(), "distributed"), net) for n in topo.nodes}
+    )
     return net
 
 
@@ -1379,31 +1362,23 @@ def test_a_reply_reaches_interests_aggregated_on_the_nodes_own():
 def test_a_re_deployed_window_ships_a_keyframe_next():
     """Its parent may have been released and deployed afresh, with an empty mirror."""
     coordinator, svc = coordinator_b3()
-    coordinator.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=9)
+    coordinator.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=2)
     for p in [p for p in sent_to(svc, 1, Interest) if p.name.components[-1] == "delay"]:
         coordinator.handle_packet(Data(name=p.name, payload=b"1.0", ts=1), in_face=1)
     order = next(p for p in sent_to(svc, 1, Interest) if p.name.components[:3] == ("node", "b1", "deploy"))
     b1_svc = FakeServices()
-    cfg = NodeConfig(
-        "b1",
-        "broker",
-        faces=[FaceDef(1, "p1"), FaceDef(2, "b2")],
-        streams=default_streams(),
-        mode="distributed",
-        topology=line_topology(),
-    )
-    b1 = Engine(cfg, b1_svc)
+    b1 = Engine(NodeConfig("b1", line_topology(), default_streams(), "distributed"), b1_svc)
 
     def last_delta():
         """The document of b1's last delta, as the codec writes it."""
-        blob = encode_packet(sent_to(b1_svc, 2, DataStream)[-1])
+        blob = encode_packet(sent_to(b1_svc, 1, DataStream)[-1])  # face 1 leads to b2
         return json.loads(blob[blob.index(b'{"schema"') :].decode("utf-8"))
 
-    b1.handle_packet(order, in_face=2)
+    b1.handle_packet(order, in_face=1)
     for ts in (1000, 2000, 3000):
-        b1.handle_packet(gps_packet(ts), in_face=1)
+        b1.handle_packet(gps_packet(ts), in_face=2)
     assert len(last_delta()["rows"]) == 1  # the window grew by one row
-    b1.handle_packet(order, in_face=2)  # the same query, deployed again
-    b1.handle_packet(gps_packet(4000), in_face=1)
+    b1.handle_packet(order, in_face=1)  # the same query, deployed again
+    b1.handle_packet(gps_packet(4000), in_face=2)
     doc = last_delta()
     assert len(doc["rows"]) == doc["end"] - doc["first"] > 1

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icncep import sim
-from icncep.engine import APP_FACE, Engine
+from icncep.engine import APP_FACE, Engine, NodeConfig
 from icncep.packet import (
     AddQueryInterest,
     Data,
@@ -27,6 +27,7 @@ from icncep.packet import (
     Tuple,
 )
 from icncep.placement import NoPath
+from icncep.query import STREAM_SCHEMAS, StreamBinding
 from icncep.sim import (
     ConfigError,
     Metrics,
@@ -228,6 +229,27 @@ def connected_topologies(draw):
 @settings(max_examples=150, deadline=None)
 def test_graph_queries_match_oracle_on_drawn_topologies(topo):
     assert_graph_matches_oracle(topo)
+
+
+@given(topo=connected_topologies())
+@settings(max_examples=150, deadline=None)
+def test_engines_wire_themselves_from_drawn_topologies(topo):
+    """Face k leads to the k-th sorted neighbour, and only a producer starts with
+    routes: its own streams, on its ingress broker's face. Every node has a stream."""
+    streams = {
+        n: StreamBinding(n, Name(("node", n, "s")), STREAM_SCHEMAS["gps"]) for n in topo.nodes
+    }
+    for nid, tnode in topo.nodes.items():
+        eng = Engine(NodeConfig(nid, topo, streams), services=None)
+        peers = oracle_neighbors(topo, nid)
+        assert {k: fd.peer for k, fd in eng.faces.items()} == dict(enumerate(["app"] + peers))
+        assert eng._face_of_peer == {peer: k for k, peer in enumerate(peers, 1)}
+        assert eng.role == tnode.role
+        broker = oracle_ingress_broker(topo, nid)
+        routes = []
+        if tnode.role == "producer" and broker is not None:
+            routes = ["/node/%s/s,%d" % (nid, peers.index(broker) + 1)]
+        assert eng.fib.dump().splitlines() == ["prefix,faces"] + routes
 
 
 @pytest.mark.parametrize("preset", ["centralized", "distributed"])
@@ -434,8 +456,18 @@ def test_scenario_rejects_bad_query_text(tmp_path):
         (lambda q: [replace(q, mode="foo")], "query q1 has unknown mode 'foo'"),
         (lambda q: [replace(q, stop_ms=99)], "query q1 stops before it starts"),
         (lambda q: [q, replace(q, start_ms=200)], "duplicate query id 'q1'"),
+        (lambda q: [replace(q, poll_ms=0)], "query q1 poll interval must be positive"),
+        # unchecked, the poll loop stepped backwards from the stop time for ever
+        (lambda q: [replace(q, poll_ms=-5)], "query q1 poll interval must be positive"),
     ],
-    ids=["poll-without-stop", "unknown-mode", "stop-before-start", "duplicate-id"],
+    ids=[
+        "poll-without-stop",
+        "unknown-mode",
+        "stop-before-start",
+        "duplicate-id",
+        "zero-poll",
+        "negative-poll",
+    ],
 )
 def test_run_scenario_checks_a_spec_built_in_code(queries, message):
     """A spec built in code is checked as a loaded one, before anything runs."""
@@ -1229,3 +1261,23 @@ def test_a_trace_holds_its_lines_compressed_to_under_a_third_of_their_characters
     chars = sum(len(line) for line in trace)
     assert chars > 100_000
     assert held_bytes(trace, set()) <= 0.3 * chars
+
+
+def test_a_consumer_linked_to_two_brokers_is_coordinated_once():
+    """Its Add goes up to its ingress broker b1 alone; flooded to b2 as well,
+    both brokers coordinated the query and every result arrived twice."""
+    roles = {"p1": "producer", "b1": "broker", "b2": "broker", "c1": "consumer"}
+    links = [("p1", "b1"), ("b1", "b2"), ("c1", "b1"), ("c1", "b2")]
+    topo = TopologyConfig(
+        "two-brokers",
+        {n: TopoNode(n, role, 1.0) for n, role in roles.items()},
+        [TopoLink(a, b, 1.0) for a, b in links],
+    )
+    stream = StreamDef("GPS_S1", "/node/p1/gps", "gps", str(data_path("gps_s1.csv")))
+    text = "FILTER(WINDOW(GPS_S1, 4s), 'latitude' < 50)"
+    spec = ScenarioSpec(topo, [stream], [QueryDef("q", "c1", 0, 20000, "centralized", text)])
+    metrics = run_scenario(spec, collect_trace=False)
+    kinds = ("query_accepted", "query_deployed")
+    assert [(n, k) for n, k, _ in metrics.events if k in kinds] == [("b1", k) for k in kinds]
+    results = [p.ts for _, p in metrics.app_deliveries["c1"] if p.name.components[0] == "ce"]
+    assert len(results) == len(set(results)) == 19
