@@ -79,11 +79,10 @@ def _cmd_parse(args) -> int:
 
 
 def _coordinator_for(spec, consumer: str) -> str:
-    """`consumer`'s ingress broker, which coordinates its queries; else the first broker."""
-    topo = spec.topology
-    coordinator = topo.ingress_broker(consumer) or next(iter(topo.broker_ids()), None)
+    """`consumer`'s ingress broker, which coordinates its queries."""
+    coordinator = spec.topology.ingress_broker(consumer)
     if coordinator is None:
-        raise NoPath("topology %s has no broker to coordinate a query" % topo.name)
+        raise NoPath("topology %s has no broker to coordinate a query" % spec.topology.name)
     return coordinator
 
 

@@ -3,15 +3,15 @@
 A node runs one logical event loop. Every packet enters through
 `handle_packet(packet, in_face)`; handlers run to completion and never block
 on remote responses. A coordinator plans a query in one request/reply loop
-of two stages: while the plan is unmade it probes every other broker's
-delay, then it sends each host its deploy order. Each plan waits on the PIT
-entries of the Interests it sent, and a Data that answers one is handed to
-the plans waiting there. A stage ends with its last reply or at its timeout:
-a silent broker's delay reads infinite, as does a reply that is not a
-number >= 0, and a deploy order unacked gives the plan up. A plan that
-fails (NoPath) sends /nack/<nonce> with the reason on every face of its
-query's PIT entry and leaves no state, not even that entry, so a later Add
-of the query is planned afresh.
+of two stages: while the plan is unmade it probes the delay of every other
+broker in the query's `placement.corridor`, then it sends each host its
+deploy order. Each plan waits on the PIT entries of the Interests it sent,
+and a Data that answers one is handed to the plans waiting there. A stage
+ends with its last reply or at its timeout: a silent broker's delay reads
+infinite, as does a reply that is not a number >= 0, and a deploy order
+unacked gives the plan up. A plan that fails (NoPath) sends /nack/<nonce>
+with the reason on every face of its query's PIT entry and leaves no state,
+not even that entry, so a later Add of the query is planned afresh.
 
 Name conventions produced locally:
   /node/<id>/delay            advertised processing + queueing delay
@@ -24,10 +24,11 @@ Name conventions produced locally:
 
 An engine wires itself from `NodeConfig.topology`: it takes its node's role,
 face k leads to its k-th sorted neighbour, and a producer routes each of its
-own streams to its ingress broker's face (`TopologyConfig.ingress_broker`).
-A producer or consumer sends the Adds and Removes it originates or forwards
-up that face, so one broker coordinates its query, and floods them only with
-no broker neighbour or when they came in on that face.
+own streams to the face of its next hop toward its ingress broker, the
+nearest one (`TopologyConfig.ingress_broker`). A producer or consumer sends
+the Adds and Removes it originates or forwards up that face, so one broker
+coordinates its query, and floods them only when no broker is reachable or
+when they came in on that face.
 
 The FIB holds only installed routes: those that deployments install for
 stream names and /state/<qhash>/<idx> prefixes, and each producer's route
@@ -145,7 +146,7 @@ from .packet import (
     StateDelta,
     Tuple,
 )
-from .placement import NoPath, PlacementPlan, plan_query
+from .placement import NoPath, PlacementPlan, corridor, plan_query
 from .query import (
     OperatorNode,
     QueryError,
@@ -295,8 +296,10 @@ class Engine:
         for face_id, peer in enumerate(topo.neighbors(nid), 1):
             self.faces[face_id] = FaceDef(face_id, peer)
             self._face_of_peer[peer] = face_id
-        # an endpoint's face to its ingress broker: its streams and query interests go there
-        up = None if self.role == "broker" else self._face_of_peer.get(topo.ingress_broker(nid))
+        # an endpoint's face toward its ingress broker: its streams and query interests go there
+        up = None
+        if self.role != "broker":
+            up = self._face_of_peer.get(topo.next_hop(nid, topo.ingress_broker(nid)))
         self._ingress_face = up
         if self.role == "producer" and up is not None:
             for b in config.streams.values():
@@ -496,11 +499,12 @@ class Engine:
             graph_real_ms=graph_real_ms,
             mode=self.config.mode,
         )
-        # a distributed plan probes every other broker's delay; others are planned at once
+        # a distributed plan probes the delay of each other broker in its
+        # corridor; others are planned at once
         probes = []
         if self.config.mode != "centralized":
             pending.delays[self.node_id] = self.services.local_delay_ms(self.node_id)
-            brokers = self.config.topology.broker_ids()
+            brokers = corridor(self.config.topology, tree, self.config.streams, self.node_id)
             probes = [Name(("node", b, "delay")) for b in brokers if b != self.node_id]
         self._request(pending, probes, PROBE_TIMEOUT_MS)
 

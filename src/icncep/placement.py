@@ -1,9 +1,10 @@
 """Operator placement.
 
-The first broker that receives a query coordinates it: from the other
-brokers' advertised delays it builds the cheapest broker path from the stream
-ingress points to itself, and spreads the operator tree along that path with
-the deepest operators closest to the producers and the root on itself.
+The first broker that receives a query coordinates it: from the advertised
+delays of the brokers in its corridor it builds the cheapest broker path from
+the stream ingress points to itself, and spreads the operator tree along that
+path with the deepest operators closest to the producers and the root on
+itself.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "NoPath",
     "PlacementPlan",
     "build_path",
+    "corridor",
     "assign_operators",
     "plan_query",
     "plan_dump",
@@ -61,16 +63,25 @@ def build_path(topology, delays: dict[str, float], producers, consumer: str) -> 
     if not starts or not goals:
         raise NoPath("no broker adjacent to producers or consumer")
 
-    heap = [(delays[s], (s,)) for s in sorted(starts)]
-    heapq.heapify(heap)
+    # Dijkstra on (cost, node-id sequence): the first label to reach a broker
+    # is its cheapest, ties to the smallest sequence, so each broker settles once
+    best = {s: (delays[s], (s,)) for s in starts}
+    heap = sorted(best.values())
+    settled: set = set()
     while heap:
         cost, path = heapq.heappop(heap)
         here = path[-1]
+        if here in settled:
+            continue
         if here in goals:
             return list(path)
+        settled.add(here)
         for nxt, link_delay in adj.get(here, {}).items():
-            if nxt in brokers and nxt not in path:
-                heapq.heappush(heap, (cost + link_delay + delays[nxt], path + (nxt,)))
+            if nxt in brokers:
+                label = (cost + link_delay + delays[nxt], path + (nxt,))
+                if nxt not in best or label < best[nxt]:  # never true once nxt is settled
+                    best[nxt] = label
+                    heapq.heappush(heap, label)
     raise NoPath("producers and consumer are not connected through brokers")
 
 
@@ -142,6 +153,42 @@ def assign_operators(
     )
 
 
+def _producers(tree: OperatorNode, streams: dict[str, StreamBinding]) -> dict[str, str]:
+    """Each of `tree`'s bound stream aliases -> the node id of its producer."""
+    return {
+        alias: streams[alias].name.components[1]
+        for alias in sorted(tree.stream_aliases())
+        if alias in streams
+    }
+
+
+def corridor(
+    topology, tree: OperatorNode, streams: dict[str, StreamBinding], coordinator: str
+) -> list[str]:
+    """The sorted brokers a distributed plan of `tree` at `coordinator` may use.
+
+    These are the brokers on the fewest-hop path (`topology.hop_path`) from
+    each stream's ingress broker to the coordinator, and every broker one hop
+    from such a path, as network-aware placement prices only the nodes near
+    the data's route instead of probing them all (Pietzuch et al., ICDE 2006).
+    Where a stream has no ingress broker or no such path, every broker, so
+    that `build_path` reports the missing path.
+    """
+    near: set = set()
+    for producer in _producers(tree, streams).values() or [coordinator]:
+        home = topology.ingress_broker(producer)
+        try:
+            path = topology.hop_path(home, coordinator) if home is not None else None
+        except NoPath:
+            path = None
+        if path is None:
+            return topology.broker_ids()
+        for node in path:
+            near.add(node)
+            near.update(topology.neighbors(node))
+    return [b for b in topology.broker_ids() if b in near]
+
+
 def plan_query(
     tree: OperatorNode,
     coordinator: str,
@@ -157,25 +204,21 @@ def plan_query(
     the stream to the host of its window.
     Centralized mode keeps the whole tree on the coordinator. Otherwise the
     tree is spread along the cheapest broker path from the producers to the
-    coordinator, priced by `delays` (each broker's delay, the configured ones
-    when None).
+    coordinator, priced by `delays` (each broker's delay; when None, the
+    configured delays of the brokers in the `corridor` the engine probes).
     """
-    producers = []
+    producers = _producers(tree, streams)
     ingress = {}
-    for alias in sorted(tree.stream_aliases()):
-        binding = streams.get(alias)
-        if binding is None:
-            continue
-        producer = binding.name.components[1]
-        producers.append(producer)
+    for alias, producer in producers.items():
         home = topology.ingress_broker(producer)
         if home is not None:
             ingress[alias] = home
     if mode == "centralized":
         return assign_operators(tree, [coordinator], mode, ingress=ingress)
     if delays is None:
-        delays = {b: topology.node_delay(b) for b in topology.broker_ids()}
-    path = build_path(topology, delays, producers or [coordinator], coordinator)
+        brokers = corridor(topology, tree, streams, coordinator)
+        delays = {b: topology.node_delay(b) for b in brokers}
+    path = build_path(topology, delays, list(producers.values()) or [coordinator], coordinator)
     return assign_operators(tree, path, mode, ingress=ingress)
 
 

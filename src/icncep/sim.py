@@ -118,10 +118,10 @@ class TopologyConfig:
     ordered node pair (the last of duplicate links wins) and the sorted broker
     list. A source's breadth-first parent map, which visits neighbours in
     sorted order so that fewest-hop ties go to the smallest ids, is built on
-    the first `next_hop` or `hop_path` from that source and kept. Interest
-    forwarding toward /node/<id> names, deployment routes and the
-    connectivity check all read these, so `nodes` and `link_list` must not
-    change after construction.
+    the first `hop_path`, or `next_hop` beyond a neighbour, from that source
+    and kept. Interest forwarding toward /node/<id> names, deployment routes,
+    ingress brokers, planning corridors and the connectivity check all read
+    these, so `nodes` and `link_list` must not change after construction.
     """
 
     name: str
@@ -166,8 +166,12 @@ class TopologyConfig:
 
     def next_hop(self, src: str, dst: str) -> Optional[str]:
         """First node after `src` on its fewest-hop path to `dst`, if any."""
+        if src == dst:
+            return None
+        if dst in self._adj.get(src, ()):  # a neighbour: no search
+            return dst
         parents = self._bfs(src)
-        if src == dst or dst not in parents:
+        if dst not in parents:
             return None
         node = dst
         while parents[node] != src:
@@ -188,13 +192,19 @@ class TopologyConfig:
         return path
 
     def ingress_broker(self, node_id: str) -> Optional[str]:
-        """`node_id` if it is a broker, else its smallest broker neighbour."""
-        node = self.nodes.get(node_id)
-        if node is not None and node.role == "broker":
-            return node_id
-        return next(
-            (p for p in self._adj.get(node_id, ()) if self.nodes[p].role == "broker"), None
-        )
+        """The broker nearest `node_id`, if any: fewest hops, then smallest id.
+
+        A broker is its own ingress broker.
+        """
+        ring = [node_id] if node_id in self._adj else []
+        seen = set(ring)
+        while ring:
+            brokers = [n for n in ring if self.nodes[n].role == "broker"]
+            if brokers:
+                return min(brokers)
+            ring = {p for n in ring for p in self._adj[n]} - seen
+            seen |= ring
+        return None
 
 
 def data_path(filename: str) -> Path:

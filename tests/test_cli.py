@@ -125,6 +125,25 @@ def test_explain_prints_the_plan_the_engine_deploys(qid, capsys):
     assert sorted(op["index"] for op in plan["operators"] if op["pinned"]) == deployed[0]["pinned"]
 
 
+def test_explain_prints_the_path_the_engine_deploys_past_a_detour_off_the_corridor(
+    tmp_path, capsys
+):
+    """The detour b1-b4-b5-b6-b3 is cheaper than b1-b2-b3, but b5 is two hops
+    off the fewest-hop path, so the engine never probes it; explain plans on
+    the same corridor and prints the path the engine deploys."""
+    topo = tmp_path / "detour.topo"
+    nodes = ["node p1 producer 1", "node c1 consumer 1", "node b2 broker 10"]
+    nodes += ["node b%d broker 1" % i for i in (1, 3, 4, 5, 6)]
+    links = ["p1 b1", "b1 b2", "b2 b3", "b3 c1", "b1 b4", "b4 b5", "b5 b6", "b6 b3"]
+    topo.write_text("\n".join(nodes + ["link %s 1" % l for l in links]) + "\n")
+    scn = scenario_file(tmp_path, mode="distributed", topology=str(topo))
+    assert main(["explain", scn, "q1"]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    metrics = run_scenario(load_scenario(scn), collect_trace=False)
+    (deployed,) = [p for _, kind, p in metrics.events if kind == "query_deployed"]
+    assert plan["path"] == deployed["path"] == ["b1", "b2", "b3"]
+
+
 def test_explain_unknown_query_exits_2(capsys):
     assert main(["explain", str(data_path("q3.scn")), "zz"]) == 2
     assert "no query" in capsys.readouterr().err

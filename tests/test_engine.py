@@ -277,7 +277,7 @@ def test_an_engine_without_streams_nacks_a_query_on_a_built_in_alias():
 
 def test_an_endpoint_sends_query_interests_up_to_its_ingress_broker():
     """c1's Adds and Removes go to b1 alone, unless they came from b1; c2, with
-    no broker neighbour, floods them."""
+    no broker neighbour, sends them to c1, its next hop toward b1."""
     topo = topology("c1-b1", "c1-b2", "c1-c2", "c2-p1")  # c1: b1, b2, c2 on faces 1-3
     c1_svc, c2_svc = FakeServices(), FakeServices()
     c1 = Engine(NodeConfig("c1", topo, default_streams()), c1_svc)
@@ -287,7 +287,7 @@ def test_an_endpoint_sends_query_interests_up_to_its_ingress_broker():
     c1.handle_packet(AddQueryInterest(query=Q2, nonce="b"), in_face=1)
     c2.handle_packet(AddQueryInterest(query=Q1, nonce="c"), APP_FACE)
     assert [(f, p.nonce) for _, f, p in c1_svc.sent] == [(1, "a"), (1, "r"), (2, "b"), (3, "b")]
-    assert [(f, p.nonce) for _, f, p in c2_svc.sent] == [(1, "c"), (2, "c")]
+    assert [(f, p.nonce) for _, f, p in c2_svc.sent] == [(1, "c")]
 
 
 def test_malformed_queries_are_nacked_every_time_and_never_memoized():
@@ -1143,6 +1143,32 @@ def coordinator_b3():
         mode="distributed",
     )
     return Engine(cfg, svc), svc
+
+
+def probed(eng, svc, query):
+    """The brokers whose delay `eng` probes to plan `query`, in order."""
+    eng.handle_packet(AddQueryInterest(query=query, nonce="n1"), in_face=APP_FACE)
+    return [
+        p.name.components[1]
+        for _, _, p in svc.sent
+        if isinstance(p, Interest) and p.name.components[-1] == "delay"
+    ]
+
+
+@pytest.mark.parametrize("qid", ["q1", "q2", "q3", "q4", "q5", "q6"])
+def test_every_shipped_query_probes_every_other_broker_of_the_distributed_preset(qid):
+    spec = sim.load_scenario(str(sim.data_path(qid + ".scn")))
+    svc = FakeServices()
+    eng = Engine(NodeConfig("b6", spec.topology, spec.bindings(), "distributed"), svc)
+    assert probed(eng, svc, spec.queries[0].text) == ["b1", "b2", "b3", "b4", "b5"]
+
+
+def test_a_side_branch_two_hops_off_the_path_gets_no_probe():
+    # b1..b3 is the fewest-hop path from p1's broker; b4 is one hop off it, b5 two
+    topo = topology("p1-b1", "b1-b2", "b2-b3", "b3-c1", "b2-b4", "b4-b5")
+    svc = FakeServices()
+    eng = Engine(NodeConfig("b3", topo, default_streams(), "distributed"), svc)
+    assert probed(eng, svc, Q2) == ["b1", "b2", "b4"]
 
 
 def test_distributed_probe_then_deploy():

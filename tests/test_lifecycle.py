@@ -263,8 +263,9 @@ def test_a_re_add_during_a_prune_notifies_after_its_re_deploy(tmp_path):
 def test_no_plan_waits_in_any_pit_after_a_run_of_re_added_queries(tmp_path, captured, monkeypatch):
     """Every plan's wait on a probe or deploy Interest ends with its stage.
 
-    A broker b9 on a 150 ms link answers each probe after the 200 ms probe
-    timeout, so every distributed plan drops its wait for b9 at the timeout.
+    A broker b9, on a 150 ms link to the coordinator b6 and so in every
+    corridor, answers each probe after the 200 ms probe timeout, so every
+    distributed plan drops its wait for b9 at the timeout.
     """
     dropped = []
     drop_waits = Engine._drop_waits
@@ -276,7 +277,7 @@ def test_no_plan_waits_in_any_pit_after_a_run_of_re_added_queries(tmp_path, capt
     slow = TopologyConfig(
         "slow",
         dict(topo.nodes, b9=TopoNode("b9", "broker", 1.0)),
-        topo.link_list + [TopoLink("b9", "b5", 150.0)],
+        topo.link_list + [TopoLink("b9", "b6", 150.0)],
     )
     again = [
         replace(q, query_id=q.query_id + "again", start_ms=q.start_ms + 9000, stop_ms=q.stop_ms + 9000)

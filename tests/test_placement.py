@@ -2,24 +2,31 @@
 
 The path oracle below enumerates every simple path via DFS and minimizes
 (cost, path) directly; it was written before build_path and stays frozen.
+A second oracle, `_best_first_over_simple_paths`, is build_path as it was
+before it kept a settled set.
 """
 
+import heapq
 import itertools
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icncep.placement import (
     NoPath,
     PlacementPlan,
     assign_operators,
     build_path,
+    corridor,
     plan_dump,
     plan_query,
 )
 from icncep.query import create_operator_graph, default_streams, to_nfn_expression
-from icncep.sim import data_path, load_scenario
+from icncep.sim import TopoLink, TopologyConfig, TopoNode, data_path, load_scenario
 
 
 class Topo:
@@ -275,6 +282,154 @@ def test_build_path_matches_bruteforce_oracle():
         assert tuple(got) == expected_path
         checked += 1
     assert checked >= 30
+
+
+def _best_first_over_simple_paths(topology, delays, producers, consumer):
+    """Frozen oracle: build_path before it kept a settled set.
+
+    A best-first search over every simple path: exact, but exponential in
+    time when no path exists.
+    """
+    brokers = {n for n, d in delays.items() if math.isfinite(d)}
+    adj = {}
+    for a, b, d in topology.links():
+        adj.setdefault(a, {})[b] = d
+        adj.setdefault(b, {})[a] = d
+
+    def attached(node_id):
+        if node_id in brokers:
+            return {node_id}
+        return {b for b in adj.get(node_id, ()) if b in brokers}
+
+    starts = set()
+    for p in producers:
+        starts |= attached(p)
+    goals = attached(consumer)
+    if not starts or not goals:
+        raise NoPath("no broker adjacent to producers or consumer")
+
+    heap = [(delays[s], (s,)) for s in sorted(starts)]
+    heapq.heapify(heap)
+    while heap:
+        cost, path = heapq.heappop(heap)
+        here = path[-1]
+        if here in goals:
+            return list(path)
+        for nxt, link_delay in adj.get(here, {}).items():
+            if nxt in brokers and nxt not in path:
+                heapq.heappush(heap, (cost + link_delay + delays[nxt], path + (nxt,)))
+    raise NoPath("producers and consumer are not connected through brokers")
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to six brokers, two producers and a consumer (or a broker as the
+    consumer), linked at random with repeated links and self-links, with link
+    and broker delays that may be zero and broker delays that may be infinite."""
+    brokers = ["b%d" % i for i in range(1, draw(st.integers(1, 6)) + 1)]
+    ids = brokers + ["p1", "p2", "c1"]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=16))
+    links = [(a, b, draw(st.sampled_from([0.0, 1.0, 2.0, 5.0]))) for a, b in pairs]
+    nodes = {p: ("producer", 1.0) for p in ("p1", "p2")}
+    nodes["c1"] = ("consumer", 1.0)
+    nodes.update((b, ("broker", 1.0)) for b in brokers)
+    delays = {b: draw(st.sampled_from([0.0, 1.0, 3.0, math.inf])) for b in brokers}
+    producers = draw(st.lists(st.sampled_from(["p1", "p2"] + brokers), min_size=1, max_size=2))
+    consumer = draw(st.sampled_from(["c1"] + brokers))
+    return Topo(nodes, links), delays, producers, consumer
+
+
+@given(graph=small_graphs())
+@settings(max_examples=400, deadline=None)
+def test_build_path_matches_the_best_first_search_over_simple_paths(graph):
+    topo, delays, producers, consumer = graph
+    try:
+        expected = _best_first_over_simple_paths(topo, delays, producers, consumer)
+    except NoPath:
+        with pytest.raises(NoPath):
+            build_path(topo, delays, producers, consumer)
+        return
+    assert build_path(topo, delays, producers, consumer) == expected
+
+
+def test_build_path_pops_each_broker_at_most_once_when_no_path_exists(monkeypatch):
+    """64 brokers on a ring with 32 chords; every neighbour of the consumer's
+    broker b40 reads infinite, so no path reaches it. The best-first search
+    over simple paths ran for minutes here; a settled set pops each broker's
+    one heap entry (with equal link delays no broker's label ever improves)."""
+    rng = random.Random(64)
+    ids = ["b%02d" % i for i in range(64)]
+    links = [(b, ids[(i + 1) % 64], 1.0) for i, b in enumerate(ids)]
+    links += [tuple(rng.sample(ids, 2)) + (1.0,) for _ in range(32)]
+    links += [("p1", "b00", 1.0), ("c1", "b40", 1.0)]
+    nodes = dict({b: ("broker", 1.0) for b in ids}, p1=("producer", 1.0), c1=("consumer", 1.0))
+    topo = Topo(nodes, links)
+    delays = configured(topo)
+    for a, b, _ in links:
+        if "b40" in (a, b) and "c1" not in (a, b):
+            delays[b if a == "b40" else a] = math.inf
+    delays["b40"] = 1.0
+    pops = []
+    heappop = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
+    with pytest.raises(NoPath):
+        build_path(topo, delays, ["p1"], "c1")
+    assert 0 < len(pops) <= sum(math.isfinite(d) for d in delays.values()) - 1
+
+
+# ---------------------------------------------------------------------------
+# the corridor a distributed plan probes
+
+
+def topology(*links, delays=None):
+    """A TopologyConfig over links such as "p1-b1", each 1 ms; a node's role
+    follows its first letter, and its delay is 1 ms unless `delays` says."""
+    roles = {"b": "broker", "p": "producer", "c": "consumer"}
+    pairs = [link.split("-") for link in links]
+    delays = delays or {}
+    nodes = {n: TopoNode(n, roles[n[0]], delays.get(n, 1.0)) for pair in pairs for n in pair}
+    return TopologyConfig("test", nodes, [TopoLink(a, b, 1.0) for a, b in pairs])
+
+
+Q2 = "FILTER(WINDOW(GPS_S1, 4s),'latitude'<50)"
+
+
+@pytest.mark.parametrize("qid", ["q1", "q2", "q3", "q4", "q5", "q6"])
+def test_the_corridor_of_every_shipped_query_is_every_broker_of_its_preset(qid):
+    spec = load_scenario(str(data_path(qid + ".scn")))
+    bindings = spec.bindings()
+    tree = create_operator_graph(spec.queries[0].text, bindings)
+    assert corridor(spec.topology, tree, bindings, "b6") == ["b%d" % i for i in range(1, 7)]
+
+
+def test_the_corridor_is_the_hop_path_and_the_brokers_one_hop_off_it():
+    # b1..b3 is the path; b4 hangs off it, b5 two hops off and b6 off b5
+    topo = topology("p1-b1", "b1-b2", "b2-b3", "b3-c1", "b2-b4", "b4-b5", "b5-b6")
+    tree = create_operator_graph(Q2)
+    assert corridor(topo, tree, default_streams(), "b3") == ["b1", "b2", "b3", "b4"]
+    # with no bound stream, the coordinator and its broker neighbours
+    assert corridor(topo, create_operator_graph(Q2), {}, "b4") == ["b2", "b4", "b5"]
+
+
+def test_the_corridor_is_every_broker_where_no_hop_path_exists():
+    topo = topology("p1-b1", "b1-b2", "b3-c1", "b3-b4")
+    tree = create_operator_graph(Q2)
+    assert corridor(topo, tree, default_streams(), "b3") == ["b1", "b2", "b3", "b4"]
+    with pytest.raises(NoPath):
+        plan_query(tree, "b3", "distributed", topo, default_streams())
+
+
+def test_plan_query_prices_only_the_corridor():
+    """The detour b1-b4-b5-b6-b3 costs 9 against 14 through b2, but b5 is two
+    hops off the fewest-hop path b1-b2-b3: no probe reaches it, so no plan uses it."""
+    topo = topology(
+        "p1-b1", "b1-b2", "b2-b3", "b3-c1", "b1-b4", "b4-b5", "b5-b6", "b6-b3", delays={"b2": 10.0}
+    )
+    tree = create_operator_graph(Q2)
+    assert plan_query(tree, "b3", "distributed", topo, default_streams()).path == ["b1", "b2", "b3"]
+    every = {b: topo.node_delay(b) for b in topo.broker_ids()}
+    plan = plan_query(tree, "b3", "distributed", topo, default_streams(), every)
+    assert plan.path == ["b1", "b4", "b5", "b6", "b3"]
 
 
 # ---------------------------------------------------------------------------

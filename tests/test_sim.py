@@ -26,8 +26,8 @@ from icncep.packet import (
     RemoveQueryInterest,
     Tuple,
 )
-from icncep.placement import NoPath
-from icncep.query import STREAM_SCHEMAS, StreamBinding
+from icncep.placement import NoPath, corridor
+from icncep.query import STREAM_SCHEMAS, StreamBinding, create_operator_graph
 from icncep.sim import (
     ConfigError,
     Metrics,
@@ -171,17 +171,15 @@ def oracle_hops(topo, src, dst):
     raise NoPath("%s cannot reach %s" % (src, dst))
 
 
-def oracle_ingress_broker(topo, producer):
-    brokers = set(topo.broker_ids())
-    if producer in brokers:
-        return producer
-    best = None
-    for a, b, _ in topo.links():
-        if a == producer and b in brokers:
-            best = b if best is None else min(best, b)
-        elif b == producer and a in brokers:
-            best = a if best is None else min(best, a)
-    return best
+def oracle_ingress_broker(topo, node_id):
+    """The broker with the fewest hops from `node_id`, then the smallest id."""
+    reachable = []
+    for b in topo.broker_ids():
+        try:
+            reachable.append((len(oracle_hops(topo, node_id, b)), b))
+        except NoPath:
+            pass
+    return min(reachable)[1] if reachable else None
 
 
 def interest_peers(simulator, src, uri):
@@ -235,7 +233,8 @@ def test_graph_queries_match_oracle_on_drawn_topologies(topo):
 @settings(max_examples=150, deadline=None)
 def test_engines_wire_themselves_from_drawn_topologies(topo):
     """Face k leads to the k-th sorted neighbour, and only a producer starts with
-    routes: its own streams, on its ingress broker's face. Every node has a stream."""
+    routes: its own streams, on the face toward its nearest broker. Every node has a
+    stream."""
     streams = {
         n: StreamBinding(n, Name(("node", n, "s")), STREAM_SCHEMAS["gps"]) for n in topo.nodes
     }
@@ -248,7 +247,8 @@ def test_engines_wire_themselves_from_drawn_topologies(topo):
         broker = oracle_ingress_broker(topo, nid)
         routes = []
         if tnode.role == "producer" and broker is not None:
-            routes = ["/node/%s/s,%d" % (nid, peers.index(broker) + 1)]
+            up = oracle_next_hop(topo, nid, broker)
+            routes = ["/node/%s/s,%d" % (nid, peers.index(up) + 1)]
         assert eng.fib.dump().splitlines() == ["prefix,faces"] + routes
 
 
@@ -307,6 +307,69 @@ def test_setup_of_1000_brokers_installs_only_stream_routes_and_one_bfs(tmp_path)
     }
     assert routes == {("p1", "/node/p1/gps", (1,)), ("p1", "/node/p1/gps2", (1,))}
     assert len(topo._parents) <= 1
+
+
+def tree_and_chords_topology(seed, brokers):
+    """A seeded random spanning tree over `brokers` brokers plus brokers/2
+    chords, links of 1-3 ms; producers p1, p2 and consumers c1..c8 each hang
+    off a random broker."""
+    rng = random.Random(seed)
+    ids = ["b%03d" % i for i in range(brokers)]
+    pairs = [(ids[i], rng.choice(ids[:i])) for i in range(1, brokers)]
+    pairs += [tuple(rng.sample(ids, 2)) for _ in range(brokers // 2)]
+    ends = {"p1": "producer", "p2": "producer"}
+    ends.update(("c%d" % k, "consumer") for k in range(1, 9))
+    pairs += [(n, rng.choice(ids)) for n in ends]
+    nodes = {n: TopoNode(n, "broker", 1.0) for n in ids}
+    nodes.update((n, TopoNode(n, role, 1.0)) for n, role in ends.items())
+    links = [TopoLink(a, b, float(rng.randint(1, 3))) for a, b in pairs]
+    return TopologyConfig("tree%d" % brokers, nodes, links)
+
+
+def test_distributed_plans_on_256_brokers_probe_only_their_corridors(tmp_path, monkeypatch):
+    """Probing all 255 other brokers cannot end within the 200 ms probe
+    timeout; each plan probes only its corridor, and every query deploys."""
+    topo = tree_and_chords_topology(256, 256)
+    streams = []
+    for k in (1, 2):
+        csv = str(tmp_path / ("gps%d.csv" % k))
+        generate_gps_csv(csv, seed=k, s_id=k, rows=12)
+        streams.append(StreamDef("GPS_S%d" % k, "/node/p%d/gps" % k, "gps", csv))
+    texts = [
+        "FILTER(WINDOW(GPS_S1, 4s), 'speed' > 5)",
+        "FILTER(WINDOW(GPS_S2, 3s), 'latitude' < 50)",
+        "AVG('speed', WINDOW(GPS_S1, 4s))",
+        "AVG('altitude', WINDOW(GPS_S2, 5s))",
+        "JOIN(WINDOW(GPS_S1, 4s), WINDOW(GPS_S2, 3s), GPS_S1.'ts' = GPS_S2.'ts')",
+        "SEQUENCE(FILTER(WINDOW(GPS_S1, 4s), 'accuracy' < 8) -> WINDOW(GPS_S2, 4s))",
+        "FILTER(WINDOW(GPS_S1, 2s), 'speed' >= 0)",
+        "AVG('distance', WINDOW(GPS_S2, 2s))",
+    ]
+    queries = [
+        QueryDef("q%d" % k, "c%d" % k, 100 * k, None, "distributed", text)
+        for k, text in enumerate(texts, 1)
+    ]
+    spec = ScenarioSpec(topo, streams, queries)
+    probes = {}
+    originate = Engine._originate_interest
+
+    def record(eng, name, pending):
+        if name.components[-1] == "delay":
+            probes.setdefault(pending.nonce, []).append(name.components[1])
+        originate(eng, name, pending)
+
+    monkeypatch.setattr(Engine, "_originate_interest", record)
+    metrics = run_scenario(spec, collect_trace=False)
+    kinds = [k for _, k, _ in metrics.events]
+    assert kinds.count("query_deployed") == 8 and "plan_failed" not in kinds
+    assert sum(c.get("errors", 0) for c in metrics.nodes.values()) == 0
+    bindings = spec.bindings()
+    for node, kind, p in metrics.events:
+        if kind == "query_accepted":
+            tree = create_operator_graph(p["key"], bindings)
+            near = corridor(topo, tree, bindings, node)
+            assert len(probes[p["nonce"]]) <= len(near) < 64  # under a quarter of 256
+            assert set(probes[p["nonce"]]) < set(near)
 
 
 # ---------------------------------------------------------------------------
@@ -1263,11 +1326,20 @@ def test_a_trace_holds_its_lines_compressed_to_under_a_third_of_their_characters
     assert held_bytes(trace, set()) <= 0.3 * chars
 
 
-def test_a_consumer_linked_to_two_brokers_is_coordinated_once():
-    """Its Add goes up to its ingress broker b1 alone; flooded to b2 as well,
-    both brokers coordinated the query and every result arrived twice."""
-    roles = {"p1": "producer", "b1": "broker", "b2": "broker", "c1": "consumer"}
-    links = [("p1", "b1"), ("b1", "b2"), ("c1", "b1"), ("c1", "b2")]
+@pytest.mark.parametrize(
+    "links",
+    [
+        [("p1", "b1"), ("b1", "b2"), ("c1", "b1"), ("c1", "b2")],
+        # c1 reaches b1 through c2 and b2 through c3, both two hops away
+        [("p1", "b1"), ("b1", "b2"), ("c1", "c2"), ("c2", "b1"), ("c1", "c3"), ("c3", "b2")],
+    ],
+    ids=["linked", "relayed"],
+)
+def test_a_consumer_that_reaches_two_brokers_is_coordinated_once(links):
+    """Its Add goes toward its nearest broker b1 alone; flooded toward b2 as
+    well, both brokers coordinated the query and every result arrived twice."""
+    roles = {"p1": "producer", "b1": "broker", "b2": "broker"}
+    roles.update((n, "consumer") for link in links for n in link if n[0] == "c")
     topo = TopologyConfig(
         "two-brokers",
         {n: TopoNode(n, role, 1.0) for n, role in roles.items()},

@@ -26,9 +26,9 @@ from icncep.sim import run_scenario  # noqa: E402
 from digests import results_digest, wire_digest  # noqa: E402
 
 HASHES = {
-    ("churn", 42): "4123ffb17ca20a13354e63766083d604922ae7533a5b124ba3ba70d085b2f259",
-    ("churn", 7): "21b3481d72b39fa1a774dfaddf068e50a77ec5494de1eb6442d0c81fddd200fe",
-    ("mesh", 42): "49360c08f0e76167b72d114b9977dc41dc18c5ca400f134a997fe2c41ed4198b",
+    ("churn", 42): "e1f935a9c90922d63470359d6375f62c75957a2f66253972a63340f0756f4d4c",
+    ("churn", 7): "ae58f495df0a82728b66e9813efcf61721ad51d0faf63bc6d011688fce364a6a",
+    ("mesh", 42): "1c575a19f9199329606cd71b819b2ccb0bdffb8df5df81cbdd4da43d4420cca7",
 }
 RESULTS = {
     ("churn", 42): "91868e5eff2420b762f34bd243be139b59e101b908c43ea37446820773b85c91",
@@ -36,9 +36,9 @@ RESULTS = {
     ("mesh", 42): "2bac075dc258eebec1852e2fda25260438642ebcda828ded3de101970fcb3641",
 }
 WIRE = {
-    ("churn", 42): "925dd386e3cada179143d30317bd2d703ed5ac12c86d10149314958def579a0d",
-    ("churn", 7): "febdc09a0a479a861272144e15fb70c24169f79090bb055dd662608f2fe04e0b",
-    ("mesh", 42): "5115c5b9acdc44899e69df66ddb24eff3552beeb5b732beed166cb47eb95aad1",
+    ("churn", 42): "e02c1a7446f1f625335763ad5190a26dc26c81d73ce633549b6a905e0f00787d",
+    ("churn", 7): "30cce25a34f560232cdb2d2333ca061545ff6decbe6688ae2222acf2d8086c39",
+    ("mesh", 42): "fd955b85916407ed280cdb97a9d1475c62022f6d8dacd2ab871b2d0401a037e4",
 }
 
 
