@@ -4,14 +4,16 @@ A node runs one logical event loop. Every packet enters through
 `handle_packet(packet, in_face)`; handlers run to completion and never block
 on remote responses. A coordinator plans a query in one request/reply loop
 of two stages: while the plan is unmade it probes the delay of every other
-broker in the query's `placement.corridor`, then it sends each host its
-deploy order. Each plan waits on the PIT entries of the Interests it sent,
-and a Data that answers one is handed to the plans waiting there. A stage
-ends with its last reply or at its timeout: a silent broker's delay reads
-infinite, as does a reply that is not a number >= 0, and a deploy order
-unacked gives the plan up. A plan that fails (NoPath) sends /nack/<nonce>
-with the reason on every face of its query's PIT entry and leaves no state,
-not even that entry, so a later Add of the query is planned afresh.
+broker in the query's `placement.corridor` whose delay it does not already
+hold from a probe reply it received or forwarded (counter `delays_reused`),
+then it sends each host its deploy order. Each plan waits on the PIT
+entries of the Interests it sent, and a Data that answers one is handed to
+the plans waiting there. A stage ends with its last reply or at its timeout:
+a silent broker's delay reads infinite, as does a reply that is not a number
+>= 0, and a deploy order unacked gives the plan up. A plan that fails
+(NoPath) sends /nack/<nonce> with the reason on every face of its query's
+PIT entry and leaves no state, not even that entry, so a later Add of the
+query is planned afresh.
 
 Name conventions produced locally:
   /node/<id>/delay            advertised processing + queueing delay
@@ -189,6 +191,15 @@ EVAL_COST_MS = {
     "HEATMAP": 40.0,
     "PREDICT": 30.0,
 }
+
+
+def _advertised_delay(payload: bytes) -> float:
+    """A probe reply's delay; anything but a number >= 0 reads as silence, infinite."""
+    try:
+        delay = float(payload.decode("utf-8"))
+    except ValueError:
+        return math.inf
+    return delay if delay >= 0 else math.inf
 
 
 def _shared_rows(sent: list, rows: list) -> int:
@@ -479,6 +490,15 @@ class Engine:
     def _coordinate(
         self, nonce: str, key: str, tree: OperatorNode, unsalted: str, graph_real_ms: float
     ) -> None:
+        """Plan the query `key` here, from the delays of the brokers in its corridor.
+
+        A probe reply this node received or forwarded stays in its content
+        store, and its answer is taken for the broker's delay unless it reads
+        infinite. That holds because a broker's advertised delay
+        (`Services.local_delay_ms`) stays the same for a whole run; a delay
+        that changed during a run would have to gate this lookup by time
+        (`min_ts`), together with intermediate content-store answers.
+        """
         salted = query_hash(key, salt=self.node_id)
         pending = _PendingPlan(
             nonce=nonce,
@@ -500,12 +520,21 @@ class Engine:
             mode=self.config.mode,
         )
         # a distributed plan probes the delay of each other broker in its
-        # corridor; others are planned at once
+        # corridor that this node has not heard from; others are planned at once
         probes = []
         if self.config.mode != "centralized":
             pending.delays[self.node_id] = self.services.local_delay_ms(self.node_id)
-            brokers = corridor(self.config.topology, tree, self.config.streams, self.node_id)
-            probes = [Name(("node", b, "delay")) for b in brokers if b != self.node_id]
+            for b in corridor(self.config.topology, tree, self.config.streams, self.node_id):
+                if b == self.node_id:
+                    continue
+                name = Name(("node", b, "delay"))
+                hit = self.cs.lookup(name)
+                delay = math.inf if hit is None else _advertised_delay(hit.payload)
+                if math.isinf(delay):
+                    probes.append(name)
+                else:
+                    pending.delays[b] = delay
+                    self._bump("delays_reused")
         self._request(pending, probes, PROBE_TIMEOUT_MS)
 
     def _request(self, pending: _PendingPlan, names: list[Name], timeout_ms: float) -> None:
@@ -523,12 +552,7 @@ class Engine:
         """Record `pending`'s reply `data`; the stage's last reply ends it."""
         pending.awaiting.remove(data.name)
         if pending.plan is None:  # a probe's reply: the node's advertised delay
-            try:
-                delay = float(data.payload.decode("utf-8"))
-            except ValueError:
-                delay = math.inf
-            # anything but a number >= 0 reads like a broker that never answered
-            pending.delays[data.name.components[1]] = delay if delay >= 0 else math.inf
+            pending.delays[data.name.components[1]] = _advertised_delay(data.payload)
         if not pending.awaiting:
             self._next_stage(pending)
 

@@ -4,10 +4,13 @@ The trace hash pins timing, uids and nonces as well as results, so a change
 that moves it says nothing about whether consumers still get the same
 answers. `results_digest` covers only what the applications received;
 `wire_digest` covers the bytes the codec writes for every link send.
+`first_divergence` says where two traces part, so a change that moves a
+trace hash can name the first event it moved.
 """
 
 import hashlib
 import json
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -57,3 +60,34 @@ def wire_digest():
         yield digest
     finally:
         Simulator._dispatch = original
+
+
+def _kind(line: str) -> str:
+    """A trace line's kind: its third field, such as send, recv, event, app or drop."""
+    fields = line.split(" ", 3)
+    return fields[2] if len(fields) > 2 else ""
+
+
+def first_divergence(a, b, context: int = 3):
+    """Where traces `a` and `b` (iterables of lines) first differ; None if they are equal.
+
+    Returns a dict: `index`, the number of the first line that differs or
+    that one trace lacks; `a` and `b`, that line on each side (None past a
+    trace's end); `before`, up to `context` lines both share before it;
+    `after_a` and `after_b`, up to `context` lines after it on each side; and
+    `kinds_a` and `kinds_b`, the count of each line kind over each whole trace.
+    """
+    a, b = list(a), list(b)
+    index = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    if index == len(a) == len(b):
+        return None
+    return {
+        "index": index,
+        "a": a[index] if index < len(a) else None,
+        "b": b[index] if index < len(b) else None,
+        "before": a[max(0, index - context) : index],
+        "after_a": a[index + 1 : index + 1 + context],
+        "after_b": b[index + 1 : index + 1 + context],
+        "kinds_a": dict(Counter(map(_kind, a))),
+        "kinds_b": dict(Counter(map(_kind, b))),
+    }

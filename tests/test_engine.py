@@ -1271,6 +1271,9 @@ def test_a_probe_reply_that_is_no_delay_reads_like_a_silent_broker(reply):
     assert eng._trees == {} and len(eng.pit) == 0
     eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=2)
     assert [p["nonce"] for n, k, p in svc.events if k == "query_accepted"] == ["n1", "n2"]
+    # b1's answer is on record and b2's is not, so only b2 is probed again
+    probes = [p.name.components[1] for p in sent_to(svc, 1, Interest)]
+    assert probes == ["b1", "b2", "b2"] and eng.counters["delays_reused"] == 1
 
 
 def test_a_failed_plan_leaves_nothing_behind_and_a_later_add_plans_again():
@@ -1288,8 +1291,9 @@ def test_a_failed_plan_leaves_nothing_behind_and_a_later_add_plans_again():
     eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=2)
     accepted = [p["nonce"] for n, k, p in svc.events if k == "query_accepted"]
     assert accepted == ["n1", "n2"]
-    for uri in ("/node/b1/delay", "/node/b2/delay"):
-        eng.handle_packet(Data(name=Name.from_uri(uri), payload=b"1.0", ts=2), in_face=1)
+    # b1's answer is on record, so only the silent b2 is probed again
+    assert [p.name.components[1] for p in sent_to(svc, 1, Interest)] == ["b1", "b2", "b2"]
+    eng.handle_packet(Data(name=Name.from_uri("/node/b2/delay"), payload=b"1.0", ts=2), in_face=1)
     deploys = [p for p in sent_to(svc, 1, Interest) if len(p.name.components) == 4]
     for p in deploys:
         eng.handle_packet(Data(name=p.name, payload=b"ok", ts=3), in_face=1)
@@ -1336,6 +1340,72 @@ def test_concurrent_plans_share_one_probe_per_broker():
     assert ("n1", "query_deployed") in kinds and ("n2", "query_deployed") in kinds
     assert not any(k in ("plan_failed", "deploy_timeout") for _, k in kinds)
     assert sent_to(svc, APP_FACE) == []
+
+
+def plan_in_rounds(eng, svc, query, nonce):
+    """Plan `query` on coordinator `eng`, answering each round of its Interests 10 ms on.
+
+    Returns the brokers it probed, in order, and its query_deployed event.
+    """
+    done = len(svc.sent)
+    eng.handle_packet(AddQueryInterest(query=query, nonce=nonce), in_face=2)
+    probed = []
+    while True:
+        asked = [p for _, _, p in svc.sent[done:] if isinstance(p, Interest)]
+        done = len(svc.sent)
+        if not asked:
+            break
+        svc.clock += 10
+        for p in asked:
+            is_probe = p.name.components[2] == "delay"
+            probed += [p.name.components[1]] if is_probe else []
+            reply = Data(name=p.name, payload=b"1.0" if is_probe else b"ok", ts=svc.clock)
+            eng.handle_packet(reply, in_face=1)
+    (deployed,) = [p for _, k, p in svc.events if k == "query_deployed" and p["nonce"] == nonce]
+    return probed, deployed
+
+
+def test_a_second_plan_probes_no_broker_whose_delay_it_holds():
+    eng, svc = coordinator_b3()
+    assert plan_in_rounds(eng, svc, Q2, "n1")[0] == ["b1", "b2"]
+    timers = len(svc.timers)  # a probe timer and a deploy timer
+    probed, second = plan_in_rounds(eng, svc, Q3, "n2")
+    assert probed == [] and eng.counters["delays_reused"] == 2
+    assert len(svc.timers) == timers + 1  # only the deploy stage's
+    fresh, fresh_svc = coordinator_b3()
+    fresh_probed, first = plan_in_rounds(fresh, fresh_svc, Q3, "n2")
+    assert fresh_probed == ["b1", "b2"] and "delays_reused" not in fresh.counters
+    # one round trip sooner, to the same plan
+    assert second["placement_sim_ms"] == 10.0 < first["placement_sim_ms"] == 20.0
+    assert (second["assignments"], second["path"]) == (first["assignments"], first["path"])
+
+
+def test_a_broker_reuses_a_probe_reply_it_only_forwarded():
+    net = wired_line()
+    sent = []
+    send = net.send
+    net.send = lambda node, face, p: (sent.append((node, p)), send(node, face, p))
+    b2, b3 = net.engines["b2"], net.engines["b3"]
+    b3.handle_packet(AddQueryInterest(query=Q3, nonce="n3"), in_face=2)  # b3 probes b1 via b2
+    net.run()
+    b1_delay = Name.from_uri("/node/b1/delay")
+    assert [n for n, p in sent if isinstance(p, Interest) and p.name == b1_delay] == ["b3", "b2"]
+    sent.clear()
+    b2.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), APP_FACE)
+    net.run()
+    assert not any(isinstance(p, Interest) and p.name == b1_delay for _, p in sent)
+    assert b2.counters["delays_reused"] == 1
+    deployed = [(n, p["nonce"]) for n, k, p in net.events if k == "query_deployed"]
+    assert deployed == [("b3", "n3"), ("b2", "n2")]
+
+
+def test_a_centralized_coordinator_probes_nothing_even_with_delays_on_record():
+    svc = FakeServices()
+    eng = Engine(NodeConfig("b3", line_topology(), default_streams(), "centralized"), svc)
+    assert plan_in_rounds(eng, svc, Q2, "n1")[0] == []
+    eng.cs.insert(Name.from_uri("/node/b1/delay"), b"1.0", 1)
+    assert plan_in_rounds(eng, svc, Q3, "n2")[0] == []
+    assert "delays_reused" not in eng.counters
 
 
 def test_a_probe_timeout_drops_only_its_own_wait():

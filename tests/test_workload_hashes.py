@@ -26,19 +26,19 @@ from icncep.sim import run_scenario  # noqa: E402
 from digests import results_digest, wire_digest  # noqa: E402
 
 HASHES = {
-    ("churn", 42): "e1f935a9c90922d63470359d6375f62c75957a2f66253972a63340f0756f4d4c",
-    ("churn", 7): "ae58f495df0a82728b66e9813efcf61721ad51d0faf63bc6d011688fce364a6a",
-    ("mesh", 42): "1c575a19f9199329606cd71b819b2ccb0bdffb8df5df81cbdd4da43d4420cca7",
+    ("churn", 42): "ac9cfd918f4c79a9b11e8454121e4bac4ec0f7178094fb4d1638a1c953ddbba5",
+    ("churn", 7): "23f68f119fdb23c84421e753f21186e45af95d1996c9d2eddc145c81f0b2d1ce",
+    ("mesh", 42): "90cb63b1e901e115e33afe74f035727283d9c7152911581a6ba86f756beb69e0",
 }
 RESULTS = {
     ("churn", 42): "91868e5eff2420b762f34bd243be139b59e101b908c43ea37446820773b85c91",
-    ("churn", 7): "8dcbfb2f780267faa59cc0d7b7baa27049092bf536fa2a8721337b0cc540f4a6",
+    ("churn", 7): "573765e90b524fba25279663c050058f06cb54edb28aa2ac8aa8f84e9f9abab0",
     ("mesh", 42): "2bac075dc258eebec1852e2fda25260438642ebcda828ded3de101970fcb3641",
 }
 WIRE = {
-    ("churn", 42): "e02c1a7446f1f625335763ad5190a26dc26c81d73ce633549b6a905e0f00787d",
-    ("churn", 7): "30cce25a34f560232cdb2d2333ca061545ff6decbe6688ae2222acf2d8086c39",
-    ("mesh", 42): "fd955b85916407ed280cdb97a9d1475c62022f6d8dacd2ab871b2d0401a037e4",
+    ("churn", 42): "6c3eca145089e8f770761728d838eab2fc690dcd6a6b0686834eacb89591279f",
+    ("churn", 7): "f92be50290297797eab40d827c59cd6c709c3f98e267e05e71e36db911c03042",
+    ("mesh", 42): "0df48b56c51d5b667e544e856506d8a9b94d5117a307f64e185c376861830fb6",
 }
 
 
