@@ -334,26 +334,45 @@ def test_decode_never_panics(blob):
         pass
 
 
-def _verdict_corpus():
-    """Seeded byte edits and truncations of one packet of each kind."""
-    rows = (Tuple.from_values("gps", (1000, "s1", 49.5)), Tuple.from_values("gps", (1500, "s", 8)))
-    delta = DataStream(_STATE_NAME, StateDelta(ts=2000, schema="gps", first=3, end=6, rows=rows))
+_VERDICT_ROWS = (
+    Tuple.from_values("gps", (1000, "s1", 49.5)),
+    Tuple.from_values("gps", (1500, "s", 8)),
+)
+_VERDICT_SAMPLES = {type(p).__name__: p for p in _sample_packets()}
+_VERDICT_SAMPLES["StateDelta"] = DataStream(
+    _STATE_NAME, StateDelta(ts=2000, schema="gps", first=3, end=6, rows=_VERDICT_ROWS)
+)
+
+
+def _verdict_corpus(base: bytes):
+    """Every truncation of `base` and seeded byte edits at each of its offsets."""
     rng = random.Random(2020)
-    for base in [encode_packet(p) for p in (*_sample_packets(), delta)]:
-        for cut in range(len(base)):
-            yield base[:cut]
-        for at in range(len(base)):
-            for _ in range(8):
-                blob = bytearray(base)
-                blob[at] = rng.randrange(256)
-                yield bytes(blob)
+    for cut in range(len(base)):
+        yield base[:cut]
+    for at in range(len(base)):
+        for _ in range(8):
+            blob = bytearray(base)
+            blob[at] = rng.randrange(256)
+            yield bytes(blob)
 
 
-def test_decoder_verdicts_are_pinned():
+# per sample kind: blobs, blobs accepted, sha256 of the verdicts
+_VERDICT_PINS = {
+    "Interest": (261, 71, "476cb86b276e8f9122d7b5e591fb86c4761c4866d54eb1216a9393d6c2239a8b"),
+    "Data": (450, 207, "b452c1fba81d26e6f91119ad8bef3584f3e2971a540ad5531894ee3069be5a2a"),
+    "DataStream": (900, 475, "d77392552b5ed9bdc08624385ea1b9da0e53b86c715907e29903779453f2d81e"),
+    "AddQueryInterest": (279, 118, "0a9cd4ab8ff2bbbd080aea8eac4e40d6d9f69f8a2ca61a2a946581411e8a6899"),
+    "RemoveQueryInterest": (279, 118, "d39903877fb0ce2c1f3e751aa61dc60e625563048b1717349cb29790ee2fe6de"),
+    "StateDelta": (1368, 103, "455cbe4981e701b68d0a43ec83d5ebec52b79f2399150a8769090e7e1ea8cfeb"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_VERDICT_PINS))
+def test_decoder_verdicts_are_pinned(kind):
     """Which edited blobs decode, and to what, stays fixed across codec rewrites."""
     digest = hashlib.sha256()
     blobs = accepted = 0
-    for blob in _verdict_corpus():
+    for blob in _verdict_corpus(encode_packet(_VERDICT_SAMPLES[kind])):
         try:
             verdict = (True, repr(decode_packet(blob)))
             accepted += 1
@@ -361,8 +380,4 @@ def test_decoder_verdicts_are_pinned():
             verdict = (False, "")
         digest.update(repr(verdict).encode())
         blobs += 1
-    assert (blobs, accepted, digest.hexdigest()) == (
-        3537,
-        1155,
-        "9c7e816282fc00ff9c7a8b7366479b8704e607ce224df4ba9b5f8368423fc954",
-    )
+    assert (blobs, accepted, digest.hexdigest()) == _VERDICT_PINS[kind]
