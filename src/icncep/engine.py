@@ -79,9 +79,10 @@ capacity leaves a gap: the receiver skips evaluation (counter `state_gaps`)
 until `first` passes the missing rows or a keyframe arrives. Row objects so
 keep their identity from sender to receiver, and a hash join reuses the
 joined row it last built for the same pair of row objects. Only the codec
-(`packet.encode_packet`, `packet.decode_packet`) turns a delta into JSON
-text and back, and a /state/.../out packet that carries anything but a
-StateDelta is counted `malformed` and not forwarded.
+(`packet.encode_packet`, `packet.decode_packet`) turns a delta into bytes
+(fixed fields, then its rows as JSON text) and back, and a /state/.../out
+packet that carries anything but a StateDelta is counted `malformed` and
+not forwarded.
 
 Query lifecycle. A RemoveQueryInterest only drops a PIT face; the work is
 released where its data next arrives unwanted, as in the prune of

@@ -14,13 +14,14 @@ fields in order and nothing after them; integers are unsigned big-endian:
   text16, text32: u16 or u32 byte length, then the UTF-8 bytes
 
 A DataStream named /state/<q>/<i>/out carries a StateDelta, which the
-engines hand on as a value. On the wire it is the tuple (wm, "snapshot",
-(wm, doc)), where doc is the JSON text (json.dumps with default settings, in
-this key order) of
-  {"schema": <schema id>, "wm": <wm>, "first": <index>, "end": <index>,
-   "rows": [[value, ...], ...]}
-and decode_packet accepts such a DataStream only with a doc whose rows fit
-[first, end) and pass Tuple validation.
+engines hand on as a value, and has a layout of its own after its name:
+  delta: u64 wm, u64 first, u64 end, text16 schema id, text32 rows
+where rows is the compact JSON text (separators "," and ":") of
+[[value, ...], ...], the values of each shipped row. decode_packet accepts
+it only if the rows text is UTF-8 JSON of a list of non-empty lists, there
+are at most end - first rows, and each passes Tuple validation; each row
+decodes to a Tuple of the delta's schema. encode_packet refuses a StateDelta under any
+other name, and anything but a StateDelta under such a name.
 """
 
 from __future__ import annotations
@@ -201,9 +202,10 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _FLOAT = struct.Struct(">Bd")  # a value kind byte and an f64
+_DELTA = struct.Struct(">QQQ")  # wm, first, end
 
-# json.dumps with its default settings, without its per-call set-up
-_encode_json = json.JSONEncoder().encode
+# json.dumps(..., separators=(",", ":")), without its per-call set-up
+_encode_rows = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _text(s: str, prefix: struct.Struct) -> bytes:
@@ -212,6 +214,11 @@ def _text(s: str, prefix: struct.Struct) -> bytes:
     if len(raw) >> (8 * prefix.size):
         raise ValueError("text too long for %d-bit length prefix" % (8 * prefix.size))
     return prefix.pack(len(raw)) + raw
+
+
+def _is_state_out(components: tuple[str, ...]) -> bool:
+    """True iff the name is /state/<q>/<i>/out, which carries StateDeltas."""
+    return len(components) == 4 and components[0] == "state" and components[3] == "out"
 
 
 def encode_packet(p: Packet) -> bytes:
@@ -236,23 +243,20 @@ def encode_packet(p: Packet) -> bytes:
         out += [_U64.pack(p.ts), _U32.pack(len(p.payload)), p.payload]
     elif isinstance(p, DataStream):
         t = p.tuple
+        if _is_state_out(name.components) != isinstance(t, StateDelta):
+            raise ValueError("a StateDelta is sent on /state/<q>/<i>/out, and only there")
         if isinstance(t, StateDelta):
-            doc = _encode_json(
-                {
-                    "schema": t.schema,
-                    "wm": t.ts,
-                    "first": t.first,
-                    "end": t.end,
-                    "rows": [r.values for r in t.rows],
-                }
-            )
-            t = Tuple(ts=t.ts, schema_id="snapshot", values=(t.ts, doc))
-        out += [_U64.pack(t.ts), _text(t.schema_id, _U16), _U16.pack(len(t.values))]
-        for v in t.values:
-            if isinstance(v, str):
-                out.append(_U8.pack(_VALUE_TEXT) + _text(v, _U32))
-            else:
-                out.append(_FLOAT.pack(_VALUE_FLOAT, float(v)))
+            if not 0 <= t.first <= t.end - len(t.rows):
+                raise ValueError("rows first .. end-1 cannot hold %d rows" % len(t.rows))
+            rows = _encode_rows([r.values for r in t.rows])
+            out += [_DELTA.pack(t.ts, t.first, t.end), _text(t.schema, _U16), _text(rows, _U32)]
+        else:
+            out += [_U64.pack(t.ts), _text(t.schema_id, _U16), _U16.pack(len(t.values))]
+            for v in t.values:
+                if isinstance(v, str):
+                    out.append(_U8.pack(_VALUE_TEXT) + _text(v, _U32))
+                else:
+                    out.append(_FLOAT.pack(_VALUE_FLOAT, float(v)))
     return b"".join(out)
 
 
@@ -265,31 +269,27 @@ def _read(buf: bytes, at: int, prefix: struct.Struct) -> tuple[bytes, int]:
     return buf[start:end], end
 
 
-def _dec_state_delta(t: Tuple) -> StateDelta:
-    """The StateDelta that a /state/<q>/<i>/out tuple carries."""
-    if t.schema_id != "snapshot" or len(t.values) != 2 or not isinstance(t.values[1], str):
-        raise MalformedPacket("a /state delta is a (wm, text) snapshot tuple")
+def _dec_state_delta(buf: bytes, at: int) -> tuple[StateDelta, int]:
+    """The StateDelta written at `at`, and the offset after it."""
+    wm, first, end = _DELTA.unpack_from(buf, at)
+    schema, at = _read(buf, at + _DELTA.size, _U16)
+    text, at = _read(buf, at, _U32)
+    schema = schema.decode("utf-8")
     try:
-        doc = json.loads(t.values[1])
-        schema, wm, first, end, raw = (doc[k] for k in ("schema", "wm", "first", "end", "rows"))
-    except (ValueError, KeyError, TypeError, RecursionError) as err:
-        raise MalformedPacket("malformed /state delta: %r" % (err,)) from None
+        raw = json.loads(text.decode("utf-8"))
+    except RecursionError:
+        raise MalformedPacket("/state delta rows nest too deep") from None
     if not (
-        type(schema) is str
-        and type(wm) is int
-        and wm == t.ts
-        and type(first) is int
-        and type(end) is int
-        and type(raw) is list
+        type(raw) is list
         and len(raw) <= end - first
         and all(type(r) is list and r for r in raw)
     ):
-        raise MalformedPacket("/state delta fields do not fit")
+        raise MalformedPacket("/state delta rows do not fit")
     try:
         rows = tuple(Tuple(ts=int(r[0]), schema_id=schema, values=tuple(r)) for r in raw)
-    except (TypeError, ValueError, OverflowError) as err:
+    except TypeError as err:
         raise MalformedPacket("malformed /state delta row: %s" % (err,)) from None
-    return StateDelta(ts=wm, schema=schema, first=first, end=end, rows=rows)
+    return StateDelta(ts=wm, schema=schema, first=first, end=end, rows=rows), at
 
 
 def decode_packet(b: bytes) -> Packet:
@@ -316,6 +316,9 @@ def decode_packet(b: bytes) -> Packet:
                 (ts,) = _U64.unpack_from(buf, at)
                 payload, at = _read(buf, at + 8, _U32)
                 p = Data(name=name, payload=payload, ts=ts)
+            elif _is_state_out(name.components):
+                delta, at = _dec_state_delta(buf, at)
+                p = DataStream(stream_name=name, tuple=delta)
             else:
                 (ts,) = _U64.unpack_from(buf, at)
                 schema_id, at = _read(buf, at + 8, _U16)
@@ -333,8 +336,6 @@ def decode_packet(b: bytes) -> Packet:
                     else:
                         raise MalformedPacket("unknown value kind 0x%02x" % kind)
                 t = Tuple(ts=ts, schema_id=schema_id.decode("utf-8"), values=tuple(values))
-                if len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
-                    t = _dec_state_delta(t)
                 p = DataStream(stream_name=name, tuple=t)
         else:
             raise MalformedPacket("unknown type tag 0x%02x" % tag)

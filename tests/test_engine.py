@@ -4,6 +4,7 @@ import base64
 import json
 import math
 import operator
+import struct
 import time
 from unittest import mock
 
@@ -483,22 +484,29 @@ def next_output(step, last, schema):
 
 
 def delta(**changes):
-    """A delta document for row 1 at wm 2000, changed as given (None drops a key)."""
+    """The fields of a delta of row 1 at wm 2000, changed as given.
+
+    `rows` is a list of rows, or text that stands for the rows' JSON text.
+    """
     doc = {"schema": "gps", "wm": 2000, "first": 1, "end": 2, "rows": [[2000, 2.0]]}
     doc.update(changes)
-    return {k: v for k, v in doc.items() if v is not None}
+    return doc
 
 
-def snapshot_tuple(doc, ts=2000):
-    """The wire tuple of a /state packet carrying `doc`, or text standing for one."""
-    text = doc if isinstance(doc, str) else json.dumps(doc)
-    return Tuple(ts=ts, schema_id="snapshot", values=(ts, text))
+def state_blob(doc, name="/state/s/1/out"):
+    """The bytes of a /state packet carrying `doc`, written field by field:
+    u64 wm, first and end, text16 schema, text32 compact JSON rows."""
+    rows = doc["rows"]
+    text = (rows if isinstance(rows, str) else json.dumps(rows, separators=(",", ":"))).encode()
+    schema = doc["schema"].encode()
+    head = encode_packet(Interest(Name.from_uri(name)))  # a type tag, then the name
+    fields = struct.pack(">QQQH", doc["wm"], doc["first"], doc["end"], len(schema))
+    return b"\x03" + head[1:] + fields + schema + struct.pack(">I", len(text)) + text
 
 
 def carried(doc):
     """The StateDelta that the codec decodes from a /state packet carrying `doc`."""
-    wire = DataStream(Name.from_uri("/state/s/1/out"), snapshot_tuple(doc, doc["wm"]))
-    return decode_packet(encode_packet(wire)).tuple
+    return decode_packet(state_blob(doc)).tuple
 
 
 @given(
@@ -533,9 +541,8 @@ def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(schema, steps):
             "end": snap.end,
             "rows": [list(r.values) for r in shipped],
         }
-        wire = Tuple(ts=wm, schema_id="snapshot", values=(wm, json.dumps(doc)))
         blob = encode_packet(DataStream(name, snap))
-        assert blob == encode_packet(DataStream(name, wire))
+        assert blob == state_blob(doc, name.to_uri())
         fresh = decode_packet(blob).tuple
         assert (fresh.ts, fresh.schema, fresh.first, fresh.end) == (wm, schema, snap.first, snap.end)
         assert typed(fresh.rows) == typed(shipped)
@@ -597,40 +604,37 @@ def test_snapshot_row_of_unsupported_values_fails_tuple_validation(bad):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "blob",
     [
-        json.dumps(doc)
-        for doc in [
-            delta(first=3, end=2, rows=[]),  # end before first
-            delta(first=1, end=2, rows=[[2000, 1.0], [2000, 2.0]]),  # more rows than fit
-            delta(rows=[[2000, [1]]]),  # unhashable values, which Tuple rejects
-            delta(rows=[[2000, {"a": 1}]]),
-            delta(first="1"),
-            delta(end=2.0),
-            delta(rows={"a": [2000]}),
-            delta(rows=[[]]),
-            delta(rows=[5]),
-            delta(rows=[[math.inf]]),
-            delta(rows=[["x"]]),
-            delta(wm="x"),
-            delta(wm=[]),
-            delta(wm=2001),  # not the watermark the tuple carries
-            delta(schema=5),
+        state_blob(delta(**changes), "/state/s/7/out")
+        for changes in [
+            dict(first=3, end=2, rows=[]),  # end before first
+            dict(first=1, end=2, rows=[[2000, 1.0], [2000, 2.0]]),  # more rows than fit
+            dict(rows=[[2000, [1]]]),  # unhashable values, which Tuple rejects
+            dict(rows=[[2000, {"a": 1}]]),
+            dict(rows={"a": [2000]}),
+            dict(rows=[[]]),
+            dict(rows=[5]),
+            dict(rows=[[math.inf]]),
+            dict(rows=[["x"]]),
         ]
-        + [delta(**{key: None}) for key in ("schema", "wm", "first", "end", "rows")]
+        + [dict(rows=text) for text in ["not json", "[1, 2]", '"doc"', "null", "[" * 5000]]
     ]
-    + ["not json", "[1, 2]", '"doc"', "null", "[" * 5000],
+    + [
+        state_blob(delta(), "/state/s/7/out")[:40],  # cut inside the u64 fields
+        state_blob(delta(), "/state/s/7/out").replace(b"gps", b"g\xffs"),  # schema not UTF-8
+        state_blob(delta(), "/state/s/7/out") + b"\x00",  # a byte after the rows
+    ],
 )
-def test_malformed_delta_is_rejected_without_touching_the_mirror(text):
+def test_malformed_delta_is_rejected_without_touching_the_mirror(blob):
     """The codec rejects it, so no mirror sees it; the delta it stands for applies."""
     eng, _ = single_broker()
     inst = bare_instance()
     good = eng._decode_snapshot(carried(delta(first=0, end=1, rows=[[1000, 1.0]])), inst, 7)
     mirror = inst.received[7]
     rows = mirror.rows
-    wire = encode_packet(DataStream(Name.from_uri("/state/s/7/out"), snapshot_tuple(text)))
     with pytest.raises(MalformedPacket):
-        decode_packet(wire)
+        decode_packet(blob)
     assert inst.received[7] is mirror and mirror.rows is rows
     assert (mirror.base, mirror.rows) == (0, good[0])
     assert eng._decode_snapshot(carried(delta()), inst, 7) is not None
@@ -691,11 +695,12 @@ def unplaceable_order(doc):
     "packet",
     [
         lambda doc: DataStream(Name.from_uri("/state/s/x/out"), carried(delta())),
-        # /state tuples the codec would have rejected, or decoded into a StateDelta
-        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), snapshot_tuple("not json")),
-        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), snapshot_tuple(delta(first="1"))),
-        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), snapshot_tuple("[" * 5000)),
-        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), snapshot_tuple(delta())),
+        # /state packets that carry a Tuple, which the codec refuses to encode
+        lambda doc: DataStream(Name.from_uri("/state/s/1/out"), Tuple(2000, "gps", (2000, 2.0))),
+        lambda doc: DataStream(
+            Name.from_uri("/state/s/1/out"),
+            Tuple(2000, "snapshot", (2000, json.dumps(delta()))),  # the old wire layout
+        ),
         lambda doc: Interest(name=Name.from_uri("/state/s/x/prune/5")),
         lambda doc: Interest(name=Name.from_uri("/state/s/1/prune/zz")),
         lambda doc: Interest(name=Name.from_uri("/node/b2/deploy/abcde")),
@@ -710,10 +715,8 @@ def unplaceable_order(doc):
     ],
     ids=[
         "stream-index",
-        "delta-not-json",
-        "delta-fields",
-        "delta-nested",
         "delta-as-a-plain-tuple",
+        "delta-as-a-snapshot-tuple",
         "prune-index",
         "prune-watermark",
         "deploy-not-base64",
@@ -756,7 +759,7 @@ def test_a_state_packet_that_carries_no_delta_is_not_forwarded():
     svc.sent.clear()
     name = Name.from_uri("/state/s/1/out")
     good = delta(first=0, end=1, rows=[[2000, 1.0, 49.5, 8.65, 120.0, 5.0, 0.0, 10.0]])
-    eng.handle_packet(DataStream(name, snapshot_tuple(good)), in_face=1)
+    eng.handle_packet(DataStream(name, Tuple.from_values("gps", good["rows"][0])), in_face=1)
     assert eng.counters["malformed"] == 1
     assert svc.sent == [] and "forwarded" not in eng.counters
     eng.handle_packet(DataStream(name, carried(good)), in_face=1)
@@ -1219,9 +1222,8 @@ def test_distributed_result_flows_to_consumer():
     salted = [p for n, k, p in svc.events if k == "query_accepted"][0]["salted"]
 
     rows = [[1000, 1.0, 49.5, 8.65, 120.0, 5.0, 0.0, 10.0]]
-    snap = {"schema": "gps", "wm": 1000, "first": 0, "end": 1, "rows": rows}
-    wire = DataStream(stream_name=Name(("state", salted, "1", "out")), tuple=snapshot_tuple(snap, 1000))
-    eng.handle_packet(decode_packet(encode_packet(wire)), in_face=1)
+    wire = state_blob(delta(wm=1000, first=0, end=1, rows=rows), "/state/%s/1/out" % salted)
+    eng.handle_packet(decode_packet(wire), in_face=1)
     out = notifications(svc, 2)
     assert len(out) == 1
     assert json.loads(out[0].payload)["rows"] == rows
@@ -1466,15 +1468,15 @@ def test_a_re_deployed_window_ships_a_keyframe_next():
     b1 = Engine(NodeConfig("b1", line_topology(), default_streams(), "distributed"), b1_svc)
 
     def last_delta():
-        """The document of b1's last delta, as the codec writes it."""
+        """b1's last delta, as the codec reads it back from its bytes."""
         blob = encode_packet(sent_to(b1_svc, 1, DataStream)[-1])  # face 1 leads to b2
-        return json.loads(blob[blob.index(b'{"schema"') :].decode("utf-8"))
+        return decode_packet(blob).tuple
 
     b1.handle_packet(order, in_face=1)
     for ts in (1000, 2000, 3000):
         b1.handle_packet(gps_packet(ts), in_face=2)
-    assert len(last_delta()["rows"]) == 1  # the window grew by one row
+    assert len(last_delta().rows) == 1  # the window grew by one row
     b1.handle_packet(order, in_face=1)  # the same query, deployed again
     b1.handle_packet(gps_packet(4000), in_face=2)
-    doc = last_delta()
-    assert len(doc["rows"]) == doc["end"] - doc["first"] > 1
+    sent = last_delta()
+    assert len(sent.rows) == sent.end - sent.first > 1

@@ -1,7 +1,6 @@
 """Wire-format round trips, prefix relation, and decoder robustness."""
 
 import hashlib
-import json
 import math
 import random
 import struct
@@ -196,6 +195,7 @@ def test_round_trip_property(pkt):
 # /state deltas
 
 _STATE_NAME = Name.from_uri("/state/s/1/out")
+_STATE_HEAD = b"\x03\x00\x04\x00\x05state\x00\x01s\x00\x011\x00\x03out"  # its type tag and name
 
 # values whose JSON text reads back equal: NaN equals nothing, not even itself
 _delta_value = st.one_of(
@@ -233,39 +233,105 @@ def test_state_delta_round_trip_property(name, delta):
     assert decode_packet(encode_packet(pkt)) == pkt
 
 
-def test_state_delta_is_written_as_a_json_snapshot_tuple():
-    row = Tuple.from_values("gps", (1000, "é", 2.5))
-    delta = StateDelta(ts=3000, schema="gps", first=4, end=6, rows=(row,))
-    doc = {"schema": "gps", "wm": 3000, "first": 4, "end": 6, "rows": [[1000, "é", 2.5]]}
-    wire = Tuple(ts=3000, schema_id="snapshot", values=(3000, json.dumps(doc)))
-    assert encode_packet(DataStream(_STATE_NAME, delta)) == encode_packet(
-        DataStream(_STATE_NAME, wire)
-    )
-
-
-def _state_packet(*values):
-    """The bytes of a /state packet whose tuple holds `values` after its ts, 2000."""
-    wire = Tuple(ts=2000, schema_id="snapshot", values=(2000, *values))
-    return encode_packet(DataStream(_STATE_NAME, wire))
-
-
-_DOC = json.dumps({"schema": "gps", "wm": 2000, "first": 1, "end": 2, "rows": [[2000, 2.0]]})
+_MESH_ROW = Tuple.from_values("gps", (10000, 3.0, 49.873243, 8.644881, 123.63, 1.23, 0.002, 7.11))
+# a one-row GPS delta of the mesh workload: 120 bytes
+_MESH_DELTA = DataStream(
+    Name.from_uri("/state/78d58e0ea08a/2/out"), StateDelta(10000, "gps", 0, 1, (_MESH_ROW,))
+)
 
 
 @pytest.mark.parametrize(
-    "blob",
+    "pkt, blob",
     [
-        _state_packet(),  # no document
-        _state_packet(_DOC, 1.0),  # a value after it
-        _state_packet(2000.0),  # a number in its place
-        encode_packet(DataStream(_STATE_NAME, Tuple(2000, "gps", (2000, _DOC)))),
+        (
+            DataStream(
+                _STATE_NAME,
+                StateDelta(3000, "gps", 4, 6, (Tuple.from_values("gps", (1000, "é", 2.5)),)),
+            ),
+            _STATE_HEAD
+            + struct.pack(">QQQ", 3000, 4, 6)
+            + b"\x00\x03gps"
+            + b'\x00\x00\x00\x15[[1000,"\\u00e9",2.5]]',
+        ),
+        (
+            _MESH_DELTA,
+            b"\x03\x00\x04\x00\x05state\x00\x0c78d58e0ea08a\x00\x012\x00\x03out"
+            + struct.pack(">QQQ", 10000, 0, 1)
+            + b"\x00\x03gps"
+            + b"\x00\x00\x00\x37[[10000,3.0,49.873243,8.644881,123.63,1.23,0.002,7.11]]",
+        ),
     ],
-    ids=["no-document", "extra-value", "number-document", "not-a-snapshot"],
+    ids=["text-value", "mesh-gps-row"],
 )
-def test_a_state_packet_must_hold_one_snapshot_document(blob):
+def test_state_delta_wire_layout(pkt, blob):
+    """Name, u64 wm, first and end, text16 schema, text32 compact JSON rows."""
+    assert encode_packet(pkt) == blob
+    assert decode_packet(blob) == pkt
+
+
+_ROW = Tuple(2000, "gps", (2000, 2.0))
+
+
+@pytest.mark.parametrize(
+    "pkt",
+    [
+        DataStream(Name.from_uri("/node/p1/gps"), StateDelta(2000, "gps", 1, 2, (_ROW,))),
+        DataStream(_STATE_NAME, _ROW),
+        DataStream(_STATE_NAME, StateDelta(2000, "gps", 1, 2, (_ROW, _ROW))),
+        DataStream(_STATE_NAME, StateDelta(2000, "gps", -5, -3, ())),
+    ],
+    ids=["delta-off-state", "tuple-on-state", "more-rows-than-fit", "negative-indices"],
+)
+def test_encoder_refuses_what_the_decoder_would_not_give_back(pkt):
+    with pytest.raises(ValueError):
+        encode_packet(pkt)
+
+
+def _state_blob(rows="[[2000,2.0]]", wm=2000, first=1, end=2, schema=b"gps"):
+    """The bytes of a /state/s/1/out packet, written field by field."""
+    text = rows if isinstance(rows, bytes) else rows.encode("utf-8")
+    fields = struct.pack(">QQQH", wm, first, end, len(schema)) + schema
+    return _STATE_HEAD + fields + struct.pack(">I", len(text)) + text
+
+
+def _plain_tuple_on_state(schema, *values):
+    """A /state/s/1/out packet written as a stream tuple (2000, *values)."""
+    stray = DataStream(Name.from_uri("/stata/s/1/out"), Tuple(2000, schema, (2000, *values)))
+    return encode_packet(stray).replace(b"stata", b"state")
+
+
+_OLD_DOC = '{"schema": "gps", "wm": 2000, "first": 1, "end": 2, "rows": [[2000, 2.0]]}'
+
+
+_MALFORMED_STATE = {
+    "no-rows": _state_blob().removesuffix(b"\x00\x00\x00\x0c[[2000,2.0]]"),
+    "truncated-header": _STATE_HEAD + struct.pack(">QQ", 2000, 1),
+    "trailing-bytes": _state_blob() + b"\x00",
+    "first-after-end": _state_blob("[]", first=3, end=2),
+    "more-rows-than-fit": _state_blob("[[2000,1.0],[2000,2.0]]"),
+    "rows-not-json": _state_blob("not json"),
+    "rows-a-number": _state_blob("2000.0"),
+    "rows-a-text": _state_blob('"doc"'),
+    "rows-null": _state_blob("null"),
+    "rows-an-object": _state_blob('{"a":[2000]}'),
+    "row-a-number": _state_blob("[5]"),
+    "row-empty": _state_blob("[[]]"),
+    "rows-nested-deep": _state_blob("[" * 5000),
+    "row-ts-a-text": _state_blob('[["x"]]'),
+    "row-ts-infinite": _state_blob("[[Infinity]]"),
+    "row-value-a-list": _state_blob("[[2000,[1]]]"),
+    "rows-not-utf8": _state_blob("[[2000,2.0]]".encode("utf-16")),
+    "schema-not-utf8": _state_blob(schema=b"g\xffs"),
+    "plain-tuple": _plain_tuple_on_state("gps", 2.0),
+    "snapshot-tuple": _plain_tuple_on_state("snapshot", _OLD_DOC),  # the layout before this one
+}
+
+
+@pytest.mark.parametrize("blob", list(_MALFORMED_STATE.values()), ids=list(_MALFORMED_STATE))
+def test_a_state_packet_must_hold_one_delta(blob):
     with pytest.raises(MalformedPacket):
         decode_packet(blob)
-    assert decode_packet(_state_packet(_DOC)).tuple == StateDelta(
+    assert decode_packet(_state_blob()).tuple == StateDelta(
         ts=2000, schema="gps", first=1, end=2, rows=(Tuple(2000, "gps", (2000, 2.0)),)
     )
 
@@ -279,8 +345,8 @@ def test_a_state_packet_must_hold_one_snapshot_document(blob):
     )
 )
 def test_decode_of_a_mutated_state_delta_never_panics(edits):
-    """Byte edits, most of them inside the JSON document, fail closed."""
-    blob = bytearray(_state_packet(_DOC))
+    """Byte edits, most of them inside the fixed fields and the rows text, fail closed."""
+    blob = bytearray(_state_blob())
     for at, byte in edits:
         blob[at % len(blob)] = byte
     try:
@@ -363,7 +429,7 @@ _VERDICT_PINS = {
     "DataStream": (900, 475, "d77392552b5ed9bdc08624385ea1b9da0e53b86c715907e29903779453f2d81e"),
     "AddQueryInterest": (279, 118, "0a9cd4ab8ff2bbbd080aea8eac4e40d6d9f69f8a2ca61a2a946581411e8a6899"),
     "RemoveQueryInterest": (279, 118, "d39903877fb0ce2c1f3e751aa61dc60e625563048b1717349cb29790ee2fe6de"),
-    "StateDelta": (1368, 103, "455cbe4981e701b68d0a43ec83d5ebec52b79f2399150a8769090e7e1ea8cfeb"),
+    "StateDelta": (765, 159, "ab3a69b8ab251b4534962f5de3dfd6a1b5101d5cc1e9d0774dd8716b4af2219f"),
 }
 
 

@@ -36,9 +36,9 @@ RESULTS = {
     ("mesh", 42): "2bac075dc258eebec1852e2fda25260438642ebcda828ded3de101970fcb3641",
 }
 WIRE = {
-    ("churn", 42): "6c3eca145089e8f770761728d838eab2fc690dcd6a6b0686834eacb89591279f",
-    ("churn", 7): "f92be50290297797eab40d827c59cd6c709c3f98e267e05e71e36db911c03042",
-    ("mesh", 42): "0df48b56c51d5b667e544e856506d8a9b94d5117a307f64e185c376861830fb6",
+    ("churn", 42): "2e5e452bdde64736a567837853d5563e3fdb2d141c150a705420dc10b0b60753",
+    ("churn", 7): "2b8e7b739f147215000e4c6c30e263fcd6b559583a24067d190fb53bd6b76389",
+    ("mesh", 42): "b89a526134e0ecf7d270577a36e40d35c83d5823a9d86d526916a002264ae10c",
 }
 
 
