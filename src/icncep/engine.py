@@ -8,9 +8,10 @@ broker in the query's `placement.corridor` whose delay it does not already
 hold from a probe reply it received or forwarded (counter `delays_reused`),
 then it sends each host its deploy order. Each plan waits on the PIT
 entries of the Interests it sent, and a Data that answers one is handed to
-the plans waiting there. A stage ends with its last reply or at its timeout:
-a silent broker's delay reads infinite, as does a reply that is not a number
->= 0, and a deploy order unacked gives the plan up. A plan that fails
+the plans waiting there. A stage ends with its last reply or at its timeout,
+and a deploy order unacked gives the plan up. The plan reads each delay from
+the content store when it is made: a silent broker's reads infinite, as does
+a reply that is not a number >= 0. A plan that fails
 (NoPath) sends /nack/<nonce> with the reason on every face of its query's
 PIT entry and leaves no state, not even that entry, so a later Add of the
 query is planned afresh.
@@ -287,7 +288,7 @@ class _PendingPlan:
     t0: int
     graph_real_ms: float
     awaiting: set[Name] = field(default_factory=set)  # /node/<id>/... not yet answered
-    delays: dict[str, float] = field(default_factory=dict)
+    corridor: list[str] = field(default_factory=list)  # the brokers a distributed plan prices
     plan_real_ms: float = 0.0
     plan: Optional[PlacementPlan] = None
 
@@ -495,7 +496,7 @@ class Engine:
 
         A probe reply this node received or forwarded stays in its content
         store, and its answer is taken for the broker's delay unless it reads
-        infinite. That holds because a broker's advertised delay
+        infinite (`_held_delay`). That holds because a broker's advertised delay
         (`Services.local_delay_ms`) stays the same for a whole run; a delay
         that changed during a run would have to gate this lookup by time
         (`min_ts`), together with intermediate content-store answers.
@@ -524,19 +525,23 @@ class Engine:
         # corridor that this node has not heard from; others are planned at once
         probes = []
         if self.config.mode != "centralized":
-            pending.delays[self.node_id] = self.services.local_delay_ms(self.node_id)
-            for b in corridor(self.config.topology, tree, self.config.streams, self.node_id):
+            topo, streams = self.config.topology, self.config.streams
+            pending.corridor = corridor(topo, tree, streams, self.node_id)
+            for b in pending.corridor:
                 if b == self.node_id:
                     continue
-                name = Name(("node", b, "delay"))
-                hit = self.cs.lookup(name)
-                delay = math.inf if hit is None else _advertised_delay(hit.payload)
-                if math.isinf(delay):
-                    probes.append(name)
+                if math.isinf(self._held_delay(b)):
+                    probes.append(Name(("node", b, "delay")))
                 else:
-                    pending.delays[b] = delay
                     self._bump("delays_reused")
         self._request(pending, probes, PROBE_TIMEOUT_MS)
+
+    def _held_delay(self, broker: str) -> float:
+        """`broker`'s delay: this node's own, else the probe reply in its content store."""
+        if broker == self.node_id:
+            return self.services.local_delay_ms(broker)
+        hit = self.cs.lookup(Name(("node", broker, "delay")))
+        return math.inf if hit is None else _advertised_delay(hit.payload)
 
     def _request(self, pending: _PendingPlan, names: list[Name], timeout_ms: float) -> None:
         """Ask `names` for `pending`'s stage; it ends with its last reply or at `timeout_ms`."""
@@ -550,10 +555,8 @@ class Engine:
         self.services.schedule(timeout_ms, lambda: self._timeout(pending, plan))
 
     def _reply(self, pending: _PendingPlan, data: Data) -> None:
-        """Record `pending`'s reply `data`; the stage's last reply ends it."""
+        """Take `pending`'s reply `data`, cached already; the stage's last reply ends it."""
         pending.awaiting.remove(data.name)
-        if pending.plan is None:  # a probe's reply: the node's advertised delay
-            pending.delays[data.name.components[1]] = _advertised_delay(data.payload)
         if not pending.awaiting:
             self._next_stage(pending)
 
@@ -562,9 +565,7 @@ class Engine:
         if pending.plan is not plan or not pending.awaiting:
             return
         self._drop_waits(pending)
-        if plan is None:
-            for name in pending.awaiting:
-                pending.delays[name.components[1]] = float("inf")
+        if plan is None:  # a silent broker has no reply on record: it reads infinite
             pending.awaiting.clear()
             self._plan_and_deploy(pending)
             return
@@ -602,7 +603,7 @@ class Engine:
                 self.config.mode,
                 self.config.topology,
                 self.config.streams,
-                pending.delays,
+                {b: self._held_delay(b) for b in pending.corridor},
             )
         except NoPath as err:
             # nothing was installed: a later Add of the query is planned afresh

@@ -224,40 +224,44 @@ def _is_state_out(components: tuple[str, ...]) -> bool:
 def encode_packet(p: Packet) -> bytes:
     """Deterministic, self-delimiting encoding of a packet.
 
-    Total on valid packets; decode_packet(encode_packet(p)) == p.
+    Total on valid packets; decode_packet(encode_packet(p)) == p. A packet
+    the decoder would not give back raises ValueError.
     """
-    if isinstance(p, (AddQueryInterest, RemoveQueryInterest)):
-        tag = _TAG_ADD_QUERY if isinstance(p, AddQueryInterest) else _TAG_REMOVE_QUERY
-        return _U8.pack(tag) + _U64.pack(p.nonce) + _text(p.query, _U32)
-    if isinstance(p, Interest):
-        tag, name = _TAG_INTEREST, p.name
-    elif isinstance(p, Data):
-        tag, name = _TAG_DATA, p.name
-    elif isinstance(p, DataStream):
-        tag, name = _TAG_DATA_STREAM, p.stream_name
-    else:
-        raise TypeError("not a packet: %r" % (p,))
-    out = [_U8.pack(tag), _U16.pack(len(name.components))]
-    out += [_text(comp, _U16) for comp in name.components]
-    if isinstance(p, Data):
-        out += [_U64.pack(p.ts), _U32.pack(len(p.payload)), p.payload]
-    elif isinstance(p, DataStream):
-        t = p.tuple
-        if _is_state_out(name.components) != isinstance(t, StateDelta):
-            raise ValueError("a StateDelta is sent on /state/<q>/<i>/out, and only there")
-        if isinstance(t, StateDelta):
-            if not 0 <= t.first <= t.end - len(t.rows):
-                raise ValueError("rows first .. end-1 cannot hold %d rows" % len(t.rows))
-            rows = _encode_rows([r.values for r in t.rows])
-            out += [_DELTA.pack(t.ts, t.first, t.end), _text(t.schema, _U16), _text(rows, _U32)]
+    try:
+        if isinstance(p, (AddQueryInterest, RemoveQueryInterest)):
+            tag = _TAG_ADD_QUERY if isinstance(p, AddQueryInterest) else _TAG_REMOVE_QUERY
+            return _U8.pack(tag) + _U64.pack(p.nonce) + _text(p.query, _U32)
+        if isinstance(p, Interest):
+            tag, name = _TAG_INTEREST, p.name
+        elif isinstance(p, Data):
+            tag, name = _TAG_DATA, p.name
+        elif isinstance(p, DataStream):
+            tag, name = _TAG_DATA_STREAM, p.stream_name
         else:
-            out += [_U64.pack(t.ts), _text(t.schema_id, _U16), _U16.pack(len(t.values))]
-            for v in t.values:
-                if isinstance(v, str):
-                    out.append(_U8.pack(_VALUE_TEXT) + _text(v, _U32))
-                else:
-                    out.append(_FLOAT.pack(_VALUE_FLOAT, float(v)))
-    return b"".join(out)
+            raise TypeError("not a packet: %r" % (p,))
+        out = [_U8.pack(tag), _U16.pack(len(name.components))]
+        out += [_text(comp, _U16) for comp in name.components]
+        if isinstance(p, Data):
+            out += [_U64.pack(p.ts), _U32.pack(len(p.payload)), p.payload]
+        elif isinstance(p, DataStream):
+            t = p.tuple
+            if _is_state_out(name.components) != isinstance(t, StateDelta):
+                raise ValueError("a StateDelta is sent on /state/<q>/<i>/out, and only there")
+            if isinstance(t, StateDelta):
+                if not 0 <= t.first <= t.end - len(t.rows):
+                    raise ValueError("rows first .. end-1 cannot hold %d rows" % len(t.rows))
+                rows = _encode_rows([r.values for r in t.rows])
+                out += [_DELTA.pack(t.ts, t.first, t.end), _text(t.schema, _U16), _text(rows, _U32)]
+            else:
+                out += [_U64.pack(t.ts), _text(t.schema_id, _U16), _U16.pack(len(t.values))]
+                for v in t.values:
+                    if isinstance(v, str):
+                        out.append(_U8.pack(_VALUE_TEXT) + _text(v, _U32))
+                    else:
+                        out.append(_FLOAT.pack(_VALUE_FLOAT, float(v)))
+        return b"".join(out)
+    except (struct.error, OverflowError) as err:  # an integer beyond its field
+        raise ValueError("cannot encode %s: %s" % (type(p).__name__, err)) from None
 
 
 def _read(buf: bytes, at: int, prefix: struct.Struct) -> tuple[bytes, int]:

@@ -2,9 +2,9 @@
 
 The first broker that receives a query coordinates it: from the advertised
 delays of the brokers in its corridor it builds the cheapest broker path from
-the stream ingress points to itself, and spreads the operator tree along that
-path with the deepest operators closest to the producers and the root on
-itself.
+its streams' ingress brokers (`TopologyConfig.ingress_broker`) to itself over
+the topology's links, and spreads the operator tree along that path with the
+deepest operators closest to the producers and the root on itself.
 """
 
 from __future__ import annotations
@@ -37,35 +37,20 @@ class NoPath(PlacementError):
     pass
 
 
-def build_path(topology, delays: dict[str, float], producers, consumer: str) -> list[str]:
-    """Cheapest broker path (summed link + node delay) from ingress to egress.
+def build_path(topology, delays: dict[str, float], starts, goals) -> list[str]:
+    """Cheapest broker path (summed link + node delay) from `starts` to `goals`.
 
-    `delays` gives each broker's delay; a broker without a finite one is left
-    out. Where two links join the same brokers, the last one counts. Ties
-    break toward the lexicographically smallest node-id sequence, which makes
-    planning deterministic across runs.
+    The path runs over `topology`'s links, the last of two between the same
+    brokers counting (`TopologyConfig.link_by_pair`), and through the
+    brokers that `delays` prices finite; an unpriced start or goal is left
+    out. Ties break toward the lexicographically smallest node-id sequence,
+    which makes planning deterministic across runs.
     """
     brokers = {n for n, d in delays.items() if math.isfinite(d)}
-    adj: dict[str, dict[str, float]] = {}
-    for a, b, d in topology.links():
-        adj.setdefault(a, {})[b] = d
-        adj.setdefault(b, {})[a] = d
-
-    def attached(node_id) -> set:
-        if node_id in brokers:
-            return {node_id}
-        return {b for b in adj.get(node_id, ()) if b in brokers}
-
-    starts: set = set()
-    for p in producers:
-        starts |= attached(p)
-    goals = attached(consumer)
-    if not starts or not goals:
-        raise NoPath("no broker adjacent to producers or consumer")
-
+    links = topology.link_by_pair
     # Dijkstra on (cost, node-id sequence): the first label to reach a broker
     # is its cheapest, ties to the smallest sequence, so each broker settles once
-    best = {s: (delays[s], (s,)) for s in starts}
+    best = {s: (delays[s], (s,)) for s in starts if s in brokers}
     heap = sorted(best.values())
     settled: set = set()
     while heap:
@@ -76,13 +61,16 @@ def build_path(topology, delays: dict[str, float], producers, consumer: str) -> 
         if here in goals:
             return list(path)
         settled.add(here)
-        for nxt, link_delay in adj.get(here, {}).items():
+        for nxt in topology.neighbors(here):
             if nxt in brokers:
-                label = (cost + link_delay + delays[nxt], path + (nxt,))
+                label = (cost + links[here, nxt].delay_ms + delays[nxt], path + (nxt,))
                 if nxt not in best or label < best[nxt]:  # never true once nxt is settled
                     best[nxt] = label
                     heapq.heappush(heap, label)
-    raise NoPath("producers and consumer are not connected through brokers")
+    raise NoPath(
+        "no priced broker path joins %s to %s"
+        % tuple(", ".join(sorted(set(ends))) or "no broker" for ends in (starts, goals))
+    )
 
 
 @dataclass
@@ -153,10 +141,12 @@ def assign_operators(
     )
 
 
-def _producers(tree: OperatorNode, streams: dict[str, StreamBinding]) -> dict[str, str]:
-    """Each of `tree`'s bound stream aliases -> the node id of its producer."""
+def _ingress(
+    topology, tree: OperatorNode, streams: dict[str, StreamBinding]
+) -> dict[str, Optional[str]]:
+    """Each of `tree`'s bound stream aliases -> its producer's ingress broker, or None."""
     return {
-        alias: streams[alias].name.components[1]
+        alias: topology.ingress_broker(streams[alias].name.components[1])
         for alias in sorted(tree.stream_aliases())
         if alias in streams
     }
@@ -175,8 +165,7 @@ def corridor(
     that `build_path` reports the missing path.
     """
     near: set = set()
-    for producer in _producers(tree, streams).values() or [coordinator]:
-        home = topology.ingress_broker(producer)
+    for home in _ingress(topology, tree, streams).values() or [coordinator]:
         try:
             path = topology.hop_path(home, coordinator) if home is not None else None
         except NoPath:
@@ -203,22 +192,20 @@ def plan_query(
     `topology.ingress_broker`, and the plan's `ingress` lets deployment route
     the stream to the host of its window.
     Centralized mode keeps the whole tree on the coordinator. Otherwise the
-    tree is spread along the cheapest broker path from the producers to the
-    coordinator, priced by `delays` (each broker's delay; when None, the
-    configured delays of the brokers in the `corridor` the engine probes).
+    tree is spread along the cheapest broker path from the ingress brokers
+    (the coordinator, with no bound stream) to the coordinator, priced by
+    `delays` (each broker's delay; when None, the configured delays of the
+    brokers in the `corridor` the engine probes).
     """
-    producers = _producers(tree, streams)
-    ingress = {}
-    for alias, producer in producers.items():
-        home = topology.ingress_broker(producer)
-        if home is not None:
-            ingress[alias] = home
+    homes = _ingress(topology, tree, streams)
+    ingress = {alias: home for alias, home in homes.items() if home is not None}
     if mode == "centralized":
         return assign_operators(tree, [coordinator], mode, ingress=ingress)
     if delays is None:
         brokers = corridor(topology, tree, streams, coordinator)
         delays = {b: topology.node_delay(b) for b in brokers}
-    path = build_path(topology, delays, list(producers.values()) or [coordinator], coordinator)
+    starts = set(ingress.values()) if homes else {coordinator}
+    path = build_path(topology, delays, starts, {coordinator})
     return assign_operators(tree, path, mode, ingress=ingress)
 
 

@@ -120,8 +120,8 @@ class TopologyConfig:
     sorted order so that fewest-hop ties go to the smallest ids, is built on
     the first `hop_path`, or `next_hop` beyond a neighbour, from that source
     and kept. Interest forwarding toward /node/<id> names, deployment routes,
-    ingress brokers, planning corridors and the connectivity check all read
-    these, so `nodes` and `link_list` must not change after construction.
+    ingress brokers, planning corridors and paths and the connectivity check
+    all read these, so `nodes` and `link_list` must not change after construction.
     """
 
     name: str
@@ -157,9 +157,6 @@ class TopologyConfig:
 
     def node_delay(self, node_id: str) -> float:
         return self.nodes[node_id].proc_delay_ms
-
-    def links(self) -> list[tuple[str, str, float]]:
-        return [(l.a, l.b, l.delay_ms) for l in self.link_list]
 
     def neighbors(self, node_id: str) -> list[str]:
         return list(self._adj.get(node_id, ()))
@@ -760,7 +757,6 @@ class Simulator:
         # (node, face id) -> (its directed link, the TopoLink, that link's
         # `_in_flight` deque), made on the first send over the face
         self._links: dict[tuple[str, int], tuple[tuple[str, str], TopoLink, deque]] = {}
-        self._dead: set[int] = set()
 
         mode = spec.queries[0].mode if spec.queries else "centralized"
         bindings = spec.bindings()
@@ -903,17 +899,17 @@ class Simulator:
                     )
                 if victim[0] == uid:
                     return  # nothing older to shed: the new packet is lost
-                self._dead.add(victim[0])
         if self.collect_trace:
             self.trace.append("%.3f %s send uid=%d %s -> %s" % (at, node, uid, summary, key[1]))
         self._at(at + link.delay_ms, partial(self._deliver, key, uid, packet))
 
     def _deliver(self, key: tuple[str, str], uid: int, packet: Packet) -> None:
-        if uid in self._dead:
-            self._dead.discard(uid)
+        # a link delivers in the order it sends, so a packet that does not head
+        # its link's queue was shed from it
+        flight = self._in_flight[key]
+        if not flight or flight[0][0] != uid:
             return
-        # a link delivers in the order it sends, and shed packets are dead
-        summary = self._in_flight[key].popleft()[2]
+        summary = flight.popleft()[2]
         src, dst = key
         if self.collect_trace:
             self.trace.append("%.3f %s recv uid=%d %s <- %s" % (self.t, dst, uid, summary, src))

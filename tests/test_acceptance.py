@@ -15,7 +15,6 @@ import random
 import statistics
 import time
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -51,6 +50,9 @@ from icncep.query import (
     default_streams,
 )
 from icncep.sim import (
+    TopoLink,
+    TopologyConfig,
+    TopoNode,
     data_path,
     emit_metrics,
     generate_gps_csv,
@@ -146,6 +148,18 @@ def oracle_cheapest_path(delays, links, producers, consumer):
     for s in starts:
         walk([s], delays[s])
     return None if best is None else list(best[1])
+
+
+def oracle_endpoints(delays, links, producers, consumer):
+    """The start and goal brokers by oracle_cheapest_path's endpoint rule."""
+    brokers = {n for n, e in delays.items() if not math.isinf(e)}
+
+    def attached(endpoint):
+        if endpoint in brokers:
+            return {endpoint}
+        return {b for pair in links if endpoint in pair for b in pair if b in brokers}
+
+    return set().union(*map(attached, producers)), attached(consumer)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +459,18 @@ def test_c7_cheapest_path_matches_brute_force():
             for endpoint in ("p", "c"):
                 for b in rng.sample(brokers, rng.randint(0, 2)):
                     links[tuple(sorted((endpoint, b)))] = 1.0
-            topology = SimpleNamespace(links=lambda: [(a, b, d) for (a, b), d in links.items()])
+            roles = dict.fromkeys(brokers, "broker") | {"p": "producer", "c": "consumer"}
+            topology = TopologyConfig(
+                "c7",
+                {n: TopoNode(n, role, 1.0) for n, role in roles.items()},
+                [TopoLink(a, b, d) for (a, b), d in links.items()],
+            )
             producers = [rng.choice(brokers)] if rng.random() < 0.3 else ["p"]
             expected = oracle_cheapest_path(delays, links, producers, "c")
             try:
-                got = build_path(topology, delays, producers, "c")
+                got = build_path(
+                    topology, delays, *oracle_endpoints(delays, links, producers, "c")
+                )
             except NoPath:
                 got = None
             if got != expected:

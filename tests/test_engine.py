@@ -1286,6 +1286,7 @@ def test_a_failed_plan_leaves_nothing_behind_and_a_later_add_plans_again():
     svc.fire_timers()  # b2 stays silent: no broker path b1..b3
     assert [k for n, k, p in svc.events] == ["query_accepted", "plan_failed"]
     reason = svc.events[-1][2]["reason"]
+    assert reason == "no priced broker path joins b1 to b3"  # b2 is unpriced
     nacks = [(p.name.components, p.payload) for p in sent_to(svc, 2)]
     assert nacks == [(("nack", "n1"), reason.encode("utf-8"))]  # the consumer is told
     assert eng._trees == {} and eng.instances == {} and len(eng.pit) == 0

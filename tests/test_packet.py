@@ -279,8 +279,23 @@ _ROW = Tuple(2000, "gps", (2000, 2.0))
         DataStream(_STATE_NAME, _ROW),
         DataStream(_STATE_NAME, StateDelta(2000, "gps", 1, 2, (_ROW, _ROW))),
         DataStream(_STATE_NAME, StateDelta(2000, "gps", -5, -3, ())),
+        Data(Name.from_uri("/node/b1/delay"), b"1.0", ts=-1),
+        DataStream(_STATE_NAME, StateDelta(-1, "gps", 1, 2, (_ROW,))),
+        AddQueryInterest(query="WINDOW(GPS_S1, 4s)", nonce=-1),
+        AddQueryInterest(query="WINDOW(GPS_S1, 4s)", nonce=2**64),
+        DataStream(Name.from_uri("/node/p1/gps"), Tuple(2000, "gps", (2000, 10**400))),
     ],
-    ids=["delta-off-state", "tuple-on-state", "more-rows-than-fit", "negative-indices"],
+    ids=[
+        "delta-off-state",
+        "tuple-on-state",
+        "more-rows-than-fit",
+        "negative-indices",
+        "negative-data-ts",
+        "negative-watermark",
+        "negative-nonce",
+        "nonce-beyond-u64",
+        "value-beyond-f64",
+    ],
 )
 def test_encoder_refuses_what_the_decoder_would_not_give_back(pkt):
     with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 The path oracle below enumerates every simple path via DFS and minimizes
 (cost, path) directly; it was written before build_path and stays frozen.
 A second oracle, `_best_first_over_simple_paths`, is build_path as it was
-before it kept a settled set.
+before it kept a settled set. Both pick a path's start and goal brokers by
+their own endpoint rule (`endpoints`), and build_path is given those sets.
 """
 
 import heapq
@@ -29,25 +30,13 @@ from icncep.query import create_operator_graph, default_streams, to_nfn_expressi
 from icncep.sim import TopoLink, TopologyConfig, TopoNode, data_path, load_scenario
 
 
-class Topo:
-    """Minimal stand-in for a topology handle."""
-
-    def __init__(self, nodes, links):
-        # nodes: {id: (role, delay_ms)}; links: [(a, b, delay_ms)]
-        self.nodes = nodes
-        self._links = links
-
-    def broker_ids(self):
-        return [n for n, (role, _) in sorted(self.nodes.items()) if role == "broker"]
-
-    def node_delay(self, node_id):
-        return self.nodes[node_id][1]
-
-    def links(self):
-        return list(self._links)
-
-    def ingress_broker(self, node_id):
-        return None  # nothing is pinned: these tests look at the path
+def make_topo(nodes, links):
+    """A TopologyConfig from {id: (role, delay_ms)} and [(a, b, delay_ms)]."""
+    return TopologyConfig(
+        "test",
+        {n: TopoNode(n, role, delay) for n, (role, delay) in nodes.items()},
+        [TopoLink(a, b, d) for a, b, d in links],
+    )
 
 
 def configured(topo):
@@ -55,8 +44,29 @@ def configured(topo):
     return {b: topo.node_delay(b) for b in topo.broker_ids()}
 
 
+def endpoints(topo, delays, producers, consumer):
+    """The start and goal brokers by the oracles' own endpoint rule.
+
+    A broker that `delays` prices finite stands for itself; any other node
+    for its neighbours that are such brokers.
+    """
+    brokers = {n for n, d in delays.items() if math.isfinite(d)}
+
+    def attached(node_id):
+        if node_id in brokers:
+            return {node_id}
+        return {b for b in topo.neighbors(node_id) if b in brokers}
+
+    return set().union(*map(attached, producers)), attached(consumer)
+
+
+def cheapest(topo, delays, producers, consumer):
+    """build_path between the endpoints the oracles would pick."""
+    return build_path(topo, delays, *endpoints(topo, delays, producers, consumer))
+
+
 def line_topo():
-    return Topo(
+    return make_topo(
         {
             "p1": ("producer", 1.0),
             "b1": ("broker", 1.0),
@@ -77,8 +87,8 @@ def plan_to_b3(topo, delays=None):
     return plan_query(tree, "b3", "distributed", topo, default_streams(), delays)
 
 
-def detour_topo(b1_b2_delay, b2_delay=1.0):
-    return Topo(
+def detour_topo(b1_b2_delay, b2_delay=1.0, *extra):
+    return make_topo(
         {
             "p1": ("producer", 1.0),
             "b1": ("broker", 1.0),
@@ -94,6 +104,7 @@ def detour_topo(b1_b2_delay, b2_delay=1.0):
             ("b2", "b3", 1.0),
             ("b4", "b3", 1.0),
             ("b3", "c1", 1.0),
+            *extra,
         ],
     )
 
@@ -130,11 +141,11 @@ def test_plan_query_leaves_out_a_broker_at_infinity():
 
 def test_build_path_line():
     topo = line_topo()
-    assert build_path(topo, configured(topo), ["p1"], "c1") == ["b1", "b2", "b3"]
+    assert cheapest(topo, configured(topo), ["p1"], "c1") == ["b1", "b2", "b3"]
 
 
 def test_build_path_tie_breaks_on_smaller_id():
-    topo = Topo(
+    topo = make_topo(
         {
             "p1": ("producer", 1.0),
             "b1": ("broker", 1.0),
@@ -152,11 +163,11 @@ def test_build_path_tie_breaks_on_smaller_id():
             ("b4", "c1", 1.0),
         ],
     )
-    assert build_path(topo, configured(topo), ["p1"], "c1") == ["b1", "b2", "b4"]
+    assert cheapest(topo, configured(topo), ["p1"], "c1") == ["b1", "b2", "b4"]
 
 
 def test_build_path_prefers_cheap_detour():
-    topo = Topo(
+    topo = make_topo(
         {
             "p1": ("producer", 1.0),
             "b1": ("broker", 1.0),
@@ -174,13 +185,13 @@ def test_build_path_prefers_cheap_detour():
             ("b4", "c1", 1.0),
         ],
     )
-    assert build_path(topo, configured(topo), ["p1"], "c1") == ["b1", "b3", "b4"]
+    assert cheapest(topo, configured(topo), ["p1"], "c1") == ["b1", "b3", "b4"]
 
 
 def test_build_path_consumer_at_broker():
     topo = line_topo()
-    assert build_path(topo, configured(topo), ["p1"], "b3") == ["b1", "b2", "b3"]
-    assert build_path(topo, configured(topo), ["b1"], "b1") == ["b1"]
+    assert cheapest(topo, configured(topo), ["p1"], "b3") == ["b1", "b2", "b3"]
+    assert cheapest(topo, configured(topo), ["b1"], "b1") == ["b1"]
 
 
 @pytest.mark.parametrize(
@@ -193,13 +204,12 @@ def test_build_path_consumer_at_broker():
 )
 def test_build_path_prices_the_last_of_two_links_between_the_same_brokers(first, last, path):
     # via b2 the path costs 4 plus the b1-b2 link, via b4 it costs 5.5
-    topo = detour_topo(first)
-    topo._links.append(last)
-    assert build_path(topo, configured(topo), ["p1"], "c1") == path
+    topo = detour_topo(first, 1.0, last)
+    assert cheapest(topo, configured(topo), ["p1"], "c1") == path
 
 
 def test_build_path_no_route():
-    topo = Topo(
+    topo = make_topo(
         {
             "p1": ("producer", 1.0),
             "b1": ("broker", 1.0),
@@ -208,17 +218,17 @@ def test_build_path_no_route():
         },
         [("p1", "b1", 1.0), ("b2", "c1", 1.0)],
     )
-    with pytest.raises(NoPath):
-        build_path(topo, configured(topo), ["p1"], "c1")
+    with pytest.raises(NoPath, match="^no priced broker path joins b1 to b2$"):
+        cheapest(topo, configured(topo), ["p1"], "c1")
 
 
 def _oracle_best_path(topo, delays, producers, consumer):
     """Frozen oracle: enumerate all simple broker paths, minimize (cost, path)."""
     brokers = {n for n, e in delays.items() if e != float("inf")}
     adj = {}
-    for a, b, d in topo.links():
-        adj.setdefault(a, []).append((b, d))
-        adj.setdefault(b, []).append((a, d))
+    for link in topo.link_list:
+        adj.setdefault(link.a, []).append((link.b, link.delay_ms))
+        adj.setdefault(link.b, []).append((link.a, link.delay_ms))
 
     def endpoints(x):
         if x in brokers:
@@ -264,15 +274,15 @@ def test_build_path_matches_bruteforce_oracle():
                 links.append((a, b, float(rng.randint(1, 9))))
         links.append(("p1", rng.choice(ids), 1.0))
         links.append(("c1", rng.choice(ids), 1.0))
-        topo = Topo(nodes, links)
+        topo = make_topo(nodes, links)
         delays = configured(topo)
         try:
             expected_cost, expected_path = _oracle_best_path(topo, delays, ["p1"], "c1")
         except NoPath:
             with pytest.raises(NoPath):
-                build_path(topo, delays, ["p1"], "c1")
+                cheapest(topo, delays, ["p1"], "c1")
             continue
-        got = build_path(topo, delays, ["p1"], "c1")
+        got = cheapest(topo, delays, ["p1"], "c1")
         link_delay = {tuple(sorted((a, b))): d for a, b, d in links}
         got_cost = delays[got[0]]
         for a, b in zip(got, got[1:]):
@@ -292,9 +302,9 @@ def _best_first_over_simple_paths(topology, delays, producers, consumer):
     """
     brokers = {n for n, d in delays.items() if math.isfinite(d)}
     adj = {}
-    for a, b, d in topology.links():
-        adj.setdefault(a, {})[b] = d
-        adj.setdefault(b, {})[a] = d
+    for link in topology.link_list:
+        adj.setdefault(link.a, {})[link.b] = link.delay_ms
+        adj.setdefault(link.b, {})[link.a] = link.delay_ms
 
     def attached(node_id):
         if node_id in brokers:
@@ -336,7 +346,7 @@ def small_graphs(draw):
     delays = {b: draw(st.sampled_from([0.0, 1.0, 3.0, math.inf])) for b in brokers}
     producers = draw(st.lists(st.sampled_from(["p1", "p2"] + brokers), min_size=1, max_size=2))
     consumer = draw(st.sampled_from(["c1"] + brokers))
-    return Topo(nodes, links), delays, producers, consumer
+    return make_topo(nodes, links), delays, producers, consumer
 
 
 @given(graph=small_graphs())
@@ -347,9 +357,9 @@ def test_build_path_matches_the_best_first_search_over_simple_paths(graph):
         expected = _best_first_over_simple_paths(topo, delays, producers, consumer)
     except NoPath:
         with pytest.raises(NoPath):
-            build_path(topo, delays, producers, consumer)
+            cheapest(topo, delays, producers, consumer)
         return
-    assert build_path(topo, delays, producers, consumer) == expected
+    assert cheapest(topo, delays, producers, consumer) == expected
 
 
 def test_build_path_pops_each_broker_at_most_once_when_no_path_exists(monkeypatch):
@@ -363,7 +373,7 @@ def test_build_path_pops_each_broker_at_most_once_when_no_path_exists(monkeypatc
     links += [tuple(rng.sample(ids, 2)) + (1.0,) for _ in range(32)]
     links += [("p1", "b00", 1.0), ("c1", "b40", 1.0)]
     nodes = dict({b: ("broker", 1.0) for b in ids}, p1=("producer", 1.0), c1=("consumer", 1.0))
-    topo = Topo(nodes, links)
+    topo = make_topo(nodes, links)
     delays = configured(topo)
     for a, b, _ in links:
         if "b40" in (a, b) and "c1" not in (a, b):
@@ -373,7 +383,7 @@ def test_build_path_pops_each_broker_at_most_once_when_no_path_exists(monkeypatc
     heappop = heapq.heappop
     monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
     with pytest.raises(NoPath):
-        build_path(topo, delays, ["p1"], "c1")
+        cheapest(topo, delays, ["p1"], "c1")
     assert 0 < len(pops) <= sum(math.isfinite(d) for d in delays.values()) - 1
 
 
@@ -430,6 +440,18 @@ def test_plan_query_prices_only_the_corridor():
     every = {b: topo.node_delay(b) for b in topo.broker_ids()}
     plan = plan_query(tree, "b3", "distributed", topo, default_streams(), every)
     assert plan.path == ["b1", "b4", "b5", "b6", "b3"]
+
+
+def test_a_multi_homed_producer_is_planned_from_its_ingress_broker():
+    """p1 links to b1 and b2, and b2 reaches the coordinator b3 cheaper; but
+    p1's stream enters at its ingress broker b1, so the path starts there and
+    its window stays on the path."""
+    roles = {"p1": "producer", "b1": "broker", "b2": "broker", "b3": "broker"}
+    links = [("p1", "b1", 1.0), ("p1", "b2", 1.0), ("b1", "b3", 10.0), ("b2", "b3", 1.0)]
+    topo = make_topo({n: (role, 1.0) for n, role in roles.items()}, links)
+    plan = plan_query(create_operator_graph(Q2), "b3", "distributed", topo, default_streams())
+    assert plan.path[0] == topo.ingress_broker("p1") == "b1"
+    assert plan.path == ["b1", "b3"] and plan.pinned == frozenset()
 
 
 # ---------------------------------------------------------------------------

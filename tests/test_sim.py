@@ -152,9 +152,9 @@ def oracle_hops(topo, src, dst):
     if src == dst:
         return [src]
     adj = {}
-    for a, b, _ in topo.links():
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    for link in topo.link_list:
+        adj.setdefault(link.a, []).append(link.b)
+        adj.setdefault(link.b, []).append(link.a)
     seen = {src}
     frontier = [[src]]
     while frontier:
@@ -765,22 +765,37 @@ def test_flow_control_sheds_oldest_stream_packets(tmp_path):
 
 
 def test_links_deliver_in_the_order_they_send(tmp_path, monkeypatch):
-    """`_deliver` takes the head of the link's queue; that must be its packet."""
-    delivered = []
+    """`_deliver` drops a packet that does not head its link's queue as shed.
+
+    That holds only if each link delivers in the order it sends, that is of
+    its packets' uids, and if every packet dropped there was shed.
+    """
+    last, calls, delivered = {}, [], []
     original = Simulator._deliver
 
     def deliver(self, key, uid, packet):
-        if uid not in self._dead:
-            assert self._in_flight[key][0][0] == uid
+        assert uid > last.get(key, 0)
+        last[key] = uid
+        calls.append(uid)
+        if self._in_flight[key] and self._in_flight[key][0][0] == uid:
             delivered.append(uid)
         original(self, key, uid, packet)
 
+    def uids(trace, kind):
+        return {int(line.split("uid=")[1].split()[0]) for line in trace if kind in line}
+
     monkeypatch.setattr(Simulator, "_deliver", deliver)
     m = run_scenario(load_scenario(str(data_path("q3.scn"))))
-    assert delivered and m.queries["q3"].notifications
-    delivered.clear()
+    assert m.queries["q3"].notifications and not m.link_drops
+    assert delivered == calls
+    for seen in (last, calls, delivered):
+        seen.clear()
     shed = run_scenario(burst_spec(tmp_path))
-    assert delivered and sum(shed.link_drops.values()) > 0
+    dropped = uids(shed.trace, " drop uid=")
+    assert len(dropped) == sum(shed.link_drops.values()) > 0
+    assert set(delivered) == uids(shed.trace, " recv uid=") - {0}
+    assert set(calls) - set(delivered) <= dropped
+    assert not dropped & set(delivered)
 
 
 def burst_spec(tmp_path):
