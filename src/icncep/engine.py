@@ -11,10 +11,12 @@ entries of the Interests it sent, and a Data that answers one is handed to
 the plans waiting there. A stage ends with its last reply or at its timeout,
 and a deploy order unacked gives the plan up. The plan reads each delay from
 the content store when it is made: a silent broker's reads infinite, as does
-a reply that is not a number >= 0. A plan that fails
-(NoPath) sends /nack/<nonce> with the reason on every face of its query's
-PIT entry and leaves no state, not even that entry, so a later Add of the
-query is planned afresh.
+a reply that is not a number >= 0. The coordinator installs its own share
+through the deploy-order reader, as every other host does. A plan that fails
+(NoPath) sends /nack/<qhash>/<nonce> with the reason on every face of its
+query's PIT entry and leaves no state: like a /ce result, the nack follows
+the PIT entries for <qhash> to the consumers, and it drops each one on its
+way, so a later Add of the query is planned afresh.
 
 Name conventions produced locally:
   /node/<id>/delay            advertised processing + queueing delay
@@ -23,7 +25,8 @@ Name conventions produced locally:
   /state/<qhash>/<idx>/prune/<wm>
                               asks the upstream hop to stop that stream
   /ce/<qhash>/<ts>            consumer notification
-  /nack/<nonce>               rejection of a malformed or unplaceable query
+  /nack/<nonce>               rejection of a malformed query
+  /nack/<qhash>/<nonce>       rejection of an unplaceable query
 
 An engine wires itself from `NodeConfig.topology`: it takes its node's role,
 face k leads to its k-th sorted neighbour, and a producer routes each of its
@@ -343,9 +346,9 @@ class Engine:
         self._bump("sent")
         self.services.send(self.node_id, face_id, packet)
 
-    def _nack(self, faces, nonce: str, reason: str) -> None:
-        """Reject query `nonce` for `reason` on each of `faces`."""
-        nack = Data(name=Name(("nack", nonce)), payload=reason.encode("utf-8"), ts=self._now())
+    def _nack(self, faces, reason: str, *name: str) -> None:
+        """Send /nack/<name> with `reason` on each of `faces`."""
+        nack = Data(name=Name(("nack",) + name), payload=reason.encode("utf-8"), ts=self._now())
         for f in faces:
             self._send(f, nack)
 
@@ -433,7 +436,7 @@ class Engine:
         except QueryError as err:
             self._bump("nacks")
             self._bump("consumed")
-            self._nack([in_face], p.nonce, str(err))
+            self._nack([in_face], str(err), p.nonce)
             return
         unsalted = query_hash(key)
 
@@ -610,7 +613,8 @@ class Engine:
             entry = self.pit.lookup(pending.unsalted)
             self.pit.remove(pending.unsalted)
             self._event("plan_failed", nonce=pending.nonce, reason=str(err))
-            self._nack(sorted(entry.faces) if entry is not None else (), pending.nonce, str(err))
+            faces = sorted(entry.faces) if entry is not None else ()
+            self._nack(faces, str(err), pending.unsalted, pending.nonce)
             return
         pending.plan_real_ms = (time.perf_counter() - started) * 1000.0
         if self.config.mode == "centralized":
@@ -618,14 +622,8 @@ class Engine:
         pending.plan = plan
 
         orders = self._deployment_orders(pending, plan)
-        routes = orders.pop(self.node_id, {}).get("routes", [])
-        self._install_assignment(
-            pending.salted,
-            pending.unsalted,
-            pending.tree,
-            plan.assignments,
-            [(Name.from_uri(prefix), self._face_of_peer.get(hop)) for prefix, hop in routes],
-        )
+        # the root operator sits here, so this node always has an order of its own
+        self._install_assignment(*self._read_deploy_order(orders.pop(self.node_id)))
         deploys = []
         for target, doc in sorted(orders.items()):
             blob = base64.urlsafe_b64encode(
@@ -676,15 +674,14 @@ class Engine:
 
     # -- deployment intake ---------------------------------------------------
 
-    def _read_deploy_order(self, blob: str) -> tuple:
-        """`_install_assignment`'s arguments for deploy order `blob`.
+    def _read_deploy_order(self, doc) -> tuple:
+        """`_install_assignment`'s arguments for the decoded deploy order `doc`.
 
         Raises ValueError if the order is malformed, before anything is
-        installed: it must be base64url JSON of an object whose assignment
-        covers exactly the operators of its query's tree.
+        installed: it must be an object whose assignment covers exactly the
+        operators of its query's tree.
         """
         try:
-            doc = json.loads(base64.urlsafe_b64decode(blob.encode("ascii")))
             salted, unsalted, key = doc["salted"], doc["unsalted"], doc["q"]
             assignments = {int(i): h for i, h in doc["assign"].items()}
             routes = [
@@ -808,13 +805,8 @@ class Engine:
                 continue  # already folded into a delivered result
             self._feed_window(inst, p.tuple)
 
-        out_faces = self._stream_faces(p.stream_name, in_face)
-        for f in out_faces:
-            self._send(f, p)
-        if out_faces:
+        if self._ship(p, feed, in_face):
             self._bump("forwarded")
-            if feed is not None:
-                self._fence(feed, p.tuple.ts)
         elif consumed:
             self._bump("consumed")
         else:
@@ -896,12 +888,17 @@ class Engine:
         packet = DataStream(
             stream_name=name, tuple=self._encode_snapshot(inst, rows, wm, schema)
         )
-        faces = self._stream_faces(name)
-        for f in faces:
-            self._send(f, packet)
-        if faces:
+        if self._ship(packet, (inst.salted, inst.node.index)):
             self._bump("results_shipped")
-            self._fence((inst.salted, inst.node.index), wm)
+
+    def _ship(self, p: DataStream, feed: Optional[tuple], in_face: Optional[int] = None) -> bool:
+        """Send `p` on its routed faces but `in_face`, then fence /state `feed`; whether it went."""
+        faces = self._stream_faces(p.stream_name, in_face)
+        for f in faces:
+            self._send(f, p)
+        if faces and feed is not None:
+            self._fence(feed, p.tuple.ts)
+        return bool(faces)
 
     def _feed_child_output(
         self, inst: OpInstance, child_idx: int, rows: list[Tuple], wm: int
@@ -1064,8 +1061,9 @@ class Engine:
             return
         if len(comps) == 4 and comps[:2] == ("node", self.node_id) and comps[2] == "deploy":
             try:
-                order = self._read_deploy_order(comps[3])
-            except ValueError:
+                doc = json.loads(base64.urlsafe_b64decode(comps[3].encode("ascii")))
+                order = self._read_deploy_order(doc)
+            except (ValueError, RecursionError):  # a deeply nested document
                 self._bump("malformed")
                 return
             self._install_assignment(*order)
@@ -1102,12 +1100,15 @@ class Engine:
 
     def handle_data(self, p: Data, in_face: int) -> None:
         comps = p.name.components
-        if comps[0] == "ce" and len(comps) >= 2:
+        # a result, or a failed plan's nack, follows its query's PIT entry
+        if comps[0] == "ce" and len(comps) >= 2 or comps[0] == "nack" and len(comps) == 3:
             entry = self.pit.lookup(comps[1])
             faces = [] if entry is None else [f for f in sorted(entry.faces) if f != in_face]
             for f in faces:
                 self._send(f, p)
-            if entry is not None:
+            if comps[0] == "nack":  # and takes it along: a failed plan leaves no state
+                self.pit.remove(comps[1])
+            elif entry is not None:
                 entry.last_result_ts = max(entry.last_result_ts, p.ts)
             self._bump("forwarded" if faces else "dropped")
             return

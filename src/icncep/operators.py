@@ -343,7 +343,7 @@ def aggregate_eval(kind: str, attr: AttrRef, tuples, ctx: SchemaCtx) -> Tuple:
 
 def sequence_eval(a, b) -> Tuple:
     """True iff some tuple of `a` happened strictly before some tuple of `b`."""
-    matched = any(x.ts < y.ts for x in a for y in b)
+    matched = a and b and min(x.ts for x in a) < max(y.ts for y in b)
     newest = max((t.ts for t in list(a) + list(b)), default=0)
     return Tuple.from_values("bool", (newest, 1.0 if matched else 0.0))
 

@@ -118,10 +118,11 @@ class TopologyConfig:
     ordered node pair (the last of duplicate links wins) and the sorted broker
     list. A source's breadth-first parent map, which visits neighbours in
     sorted order so that fewest-hop ties go to the smallest ids, is built on
-    the first `hop_path`, or `next_hop` beyond a neighbour, from that source
-    and kept. Interest forwarding toward /node/<id> names, deployment routes,
-    ingress brokers, planning corridors and paths and the connectivity check
-    all read these, so `nodes` and `link_list` must not change after construction.
+    the first `hop_path` beyond a neighbour from that source and kept;
+    `next_hop` is the second node of `hop_path`. Interest forwarding toward
+    /node/<id> names, deployment routes, ingress brokers, planning corridors
+    and paths and the connectivity check all read these, so `nodes` and
+    `link_list` must not change after construction.
     """
 
     name: str
@@ -165,20 +166,17 @@ class TopologyConfig:
         """First node after `src` on its fewest-hop path to `dst`, if any."""
         if src == dst:
             return None
-        if dst in self._adj.get(src, ()):  # a neighbour: no search
-            return dst
-        parents = self._bfs(src)
-        if dst not in parents:
+        try:
+            return self.hop_path(src, dst)[1]
+        except NoPath:
             return None
-        node = dst
-        while parents[node] != src:
-            node = parents[node]
-        return node
 
     def hop_path(self, src: str, dst: str) -> list[str]:
         """Fewest-hop node path from `src` to `dst`, both ends included."""
         if src == dst:
             return [src]
+        if dst in self._adj.get(src, ()):  # a neighbour: no search
+            return [src, dst]
         parents = self._bfs(src)
         if dst not in parents:
             raise NoPath("%s cannot reach %s" % (src, dst))
@@ -226,11 +224,13 @@ def _preset_path(path: str, suffix: str) -> Path:
 
 
 def _delay_ms(text: str, lineno: int) -> float:
-    """The delay a topology line gives as `text`: a number >= 0."""
+    """The delay a topology line gives as `text`: a finite number >= 0."""
     try:
         d = float(text)
     except ValueError:
         raise ConfigError("line %d: bad delay %r" % (lineno, text))
+    if not math.isfinite(d):
+        raise ConfigError("line %d: delay %r is not finite" % (lineno, text))
     if d < 0:
         raise ConfigError("line %d: negative delay" % lineno)
     return d
@@ -718,16 +718,18 @@ def _summary(p: Packet) -> str:
 
 # A node's waiting handlers: (time, seqs, handlers). `time` is the node's
 # busy_until when the batch opened; seqs[k] is the seq handlers[k] would have
-# taken as a heap entry of its own, ascending.
+# taken as a heap entry of its own, ascending. Its heap entry is
+# (time, seqs[0], partial(Simulator._wake, node, batch)).
 Batch = tuple[float, list[int], list[Callable[[], None]]]
 
 
 class Simulator:
     """Event loop, links, and per-node serial processing around the engines.
 
-    Heap entries are (time, seq, node, payload). With `node` None the payload
-    is a callable. Otherwise it is a `Batch` of handlers for `node`: either a
-    timer, or the handlers that found `node` busy until `time` (`_wait`),
+    Heap entries are (time, seq, fn), and `run` calls each `fn` in turn. An
+    engine's timer (`schedule`) is an ordinary node handler: its entry runs
+    it through `_exec` like a packet's. The handlers that find their node
+    busy until `time` wait in a `Batch` (`_wait`), one entry per batch,
     served by `_wake` in the order and with the seqs of one heap entry per
     wait. Trace uids are heap seqs, so they do not depend on the batching.
     """
@@ -738,7 +740,7 @@ class Simulator:
         self.collect_trace = collect_trace
         self.t = 0.0
         self._seq = 0
-        self._heap: list[tuple[float, int, Optional[str], object]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._waiting: dict[str, Batch] = {}  # each node's latest batch from `_wait`
         self.trace = Trace()
         self.events: list[tuple[str, str, dict]] = []
@@ -774,9 +776,7 @@ class Simulator:
         return int(self.t)
 
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> None:
-        self._seq += 1
-        t = max(self.t + delay_ms, self.t)
-        heappush(self._heap, (t, self._seq, self._ctx_node, (t, [self._seq], [fn])))
+        self._at(self.t + delay_ms, partial(self._exec, self._ctx_node, fn))
 
     def local_delay_ms(self, node_id: str) -> float:
         return self._delays[node_id]
@@ -796,7 +796,7 @@ class Simulator:
 
     def _at(self, t: float, fn: Callable[[], None]) -> None:
         self._seq += 1
-        heappush(self._heap, (max(t, self.t), self._seq, None, fn))
+        heappush(self._heap, (max(t, self.t), self._seq, fn))
 
     def _exec(self, node: str, thunk: Callable[[], None]) -> None:
         """Run a handler on `node` now, or queue it until the node is idle."""
@@ -821,7 +821,7 @@ class Simulator:
             batch[2].extend(fns)
         else:
             batch = self._waiting[node] = (until, list(range(first, self._seq + 1)), fns)
-            heappush(self._heap, (until, first, node, batch))
+            heappush(self._heap, (until, first, partial(self._wake, node, batch)))
 
     def _wake(self, node: str, batch: Batch) -> None:
         """Serve a batch whose time has come, as if each handler were popped alone.
@@ -839,7 +839,8 @@ class Simulator:
             if heap and heap[0][0] == t:  # heap times never fall below t
                 j = bisect_left(seqs, heap[0][1], i, n)
                 if j == i:
-                    heappush(heap, (t, seqs[i], node, (t, seqs[i:], fns[i:])))
+                    rest = (t, seqs[i:], fns[i:])
+                    heappush(heap, (t, seqs[i], partial(self._wake, node, rest)))
                     return
             if self.busy_until[node] > t:
                 self._wait(node, fns[i:j])
@@ -929,12 +930,9 @@ class Simulator:
         heap = self._heap
         trace, open_lines = self.trace, self.trace.open_lines
         while heap:
-            t, _, node, payload = heappop(heap)
+            t, _, fn = heappop(heap)
             self.t = t
-            if node is None:
-                payload()
-            else:
-                self._wake(node, payload)
+            fn()
             if len(open_lines) >= SEAL_LINES:
                 trace.seal()
 

@@ -1269,7 +1269,8 @@ def test_a_probe_reply_that_is_no_delay_reads_like_a_silent_broker(reply):
     eng.handle_packet(Data(name=Name.from_uri("/node/b2/delay"), payload=reply, ts=1), in_face=1)
     # without b2 no broker path joins b1 to b3
     assert [k for n, k, p in svc.events] == ["query_accepted", "plan_failed"]
-    assert [p.name.components for p in sent_to(svc, 2)] == [("nack", "n1")]
+    unsalted = svc.events[0][2]["unsalted"]
+    assert [p.name.components for p in sent_to(svc, 2)] == [("nack", unsalted, "n1")]
     assert eng._trees == {} and len(eng.pit) == 0
     eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=2)
     assert [p["nonce"] for n, k, p in svc.events if k == "query_accepted"] == ["n1", "n2"]
@@ -1288,7 +1289,9 @@ def test_a_failed_plan_leaves_nothing_behind_and_a_later_add_plans_again():
     reason = svc.events[-1][2]["reason"]
     assert reason == "no priced broker path joins b1 to b3"  # b2 is unpriced
     nacks = [(p.name.components, p.payload) for p in sent_to(svc, 2)]
-    assert nacks == [(("nack", "n1"), reason.encode("utf-8"))]  # the consumer is told
+    # the consumer is told, by a nack that names the query's PIT entry
+    unsalted = svc.events[0][2]["unsalted"]
+    assert nacks == [(("nack", unsalted, "n1"), reason.encode("utf-8"))]
     assert eng._trees == {} and eng.instances == {} and len(eng.pit) == 0
 
     eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=2)

@@ -486,16 +486,17 @@ def test_sequence_orderings():
 
 
 @given(
-    ats=st.lists(st.integers(min_value=1, max_value=9), min_size=0, max_size=6),
-    bts=st.lists(st.integers(min_value=1, max_value=9), min_size=0, max_size=6),
+    ats=st.lists(st.integers(min_value=0, max_value=20), max_size=8),
+    bts=st.lists(st.integers(min_value=0, max_value=20), max_size=8),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_sequence_matches_exists_pair_oracle(ats, bts):
-    a = [gps(ts * 1000) for ts in sorted(ats)]
-    b = [gps(ts * 1000) for ts in sorted(bts)]
-    expected = any(x.ts < y.ts for x in a for y in b)  # frozen oracle
-    got = sequence_eval(a, b)
-    assert bool(got.values[1]) == expected
+    """In any row order, ties included, the result is the pairwise scan's."""
+    a = [gps(ts) for ts in ats]
+    b = [gps(ts) for ts in bts]
+    matched = any(x.ts < y.ts for x in a for y in b)  # frozen oracle: the pairwise form
+    newest = max(ats + bts, default=0)
+    assert sequence_eval(a, b) == Tuple.from_values("bool", (newest, 1.0 if matched else 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 import time
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,12 @@ def test_distributed_preset_shape():
         ("node a broker 1\nlink a ghost 1\n", "unknown endpoint"),
         ("node a broker 1\nlink a a x\n", "bad delay"),
         ("node a broker -1\n", "negative delay"),
+        ("node a broker 1\nnode b broker nan\n", "line 2: delay 'nan' is not finite"),
+        ("node a broker inf\n", "line 1: delay 'inf' is not finite"),
+        ("node a broker -inf\n", "line 1: delay '-inf' is not finite"),
+        ("node a broker 1\nnode b broker 1\nlink a b nan\n", "line 3: delay 'nan' is not finite"),
+        ("node a broker 1\nnode b broker 1\nlink a b inf\n", "line 3: delay 'inf' is not finite"),
+        ("node a broker 1\nnode b broker 1\nlink a b -inf 4\n", "line 3: delay '-inf' is not finite"),
         ("garble\n", "unknown directive"),
         ("node a broker 1\nnode b broker 1\n", "disconnected"),
         ("node a broker 1\nnode b broker 1\nlink a b 1 0\n", "capacity"),
@@ -986,7 +993,12 @@ def test_each_packet_kind_has_its_trace_summary(packet, text):
 
 
 class RequeueSimulator(Simulator):
-    """The oracle: each wait is a heap entry of its own, re-pushed while busy."""
+    """The oracle: each wait is a heap entry of its own, re-pushed while busy.
+
+    Heap entries are (time, seq, fn), as in the shipped kernel, but nothing
+    is batched: a handler that finds its node busy is pushed again, alone,
+    at the node's busy_until.
+    """
 
     def schedule(self, delay_ms, fn):
         node = self._ctx_node
@@ -1000,7 +1012,7 @@ class RequeueSimulator(Simulator):
 
     def run(self):
         while self._heap:
-            t, _, _, fn = heapq.heappop(self._heap)
+            t, _, fn = heapq.heappop(self._heap)
             self.t = t
             fn()
 
@@ -1009,15 +1021,27 @@ def path_recorder(paths):
     """The simulator as shipped, adding to `paths` the waiting-batch paths it takes."""
 
     class PathRecorder(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.timers = set()
+
+        def schedule(self, delay_ms, fn):
+            self.timers.add(fn)
+            super().schedule(delay_ms, fn)
+
         def _exec(self, node, thunk):
             batch = self._waiting.get(node)
             if (
                 self.busy_until[node] == self.t
                 and batch is not None
                 and batch[0] == self.t
-                and any(entry[3] is batch for entry in self._heap)
+                and any(
+                    isinstance(fn, partial) and fn.args[-1] is batch for _, _, fn in self._heap
+                )
             ):
                 paths.add("arrival at busy_until runs ahead of the waiters")
+            if thunk in self.timers and self.busy_until[node] > self.t:
+                paths.add("stage timer fires while its coordinator is busy")
             super()._exec(node, thunk)
 
         def _wait(self, node, fns):
@@ -1116,6 +1140,7 @@ def test_waiting_batches_keep_the_trace_of_one_heap_entry_per_wait(tmp_path):
         "bulk move",
         "same-time event between waiters",
         "arrival at busy_until runs ahead of the waiters",
+        "stage timer fires while its coordinator is busy",
     }
 
 
@@ -1192,28 +1217,48 @@ def test_engine_errors_surface_in_trace_without_abort(tmp_path, monkeypatch):
     assert m.queries["q"].notifications == 4  # every later tuple still reaches c1
 
 
-def test_a_plan_failed_nack_crosses_a_hop_to_the_consumer_app(tmp_path):
-    """b2 coordinates c1's query, but its only path to b1 runs through consumer x1."""
+@pytest.mark.parametrize("relay", [False, True], ids=["direct", "relay"])
+def test_a_plan_failed_nack_clears_each_pit_entry_on_its_way_to_the_consumer_app(tmp_path, relay):
+    """b2 coordinates c1's query, but its only path to b1 runs through consumer x1.
+
+    With `relay` c1 reaches b2 through consumer c2. The nack must reach c1's
+    app and clear the query's PIT entry at each endpoint, so that the same
+    query issued again is planned (and fails) again.
+    """
     roles = {"p1": "producer", "b1": "broker", "x1": "consumer", "b2": "broker", "c1": "consumer"}
+    pairs = [("p1", "b1"), ("b1", "x1"), ("x1", "b2")]
+    if relay:
+        roles["c2"] = "consumer"
+        pairs += [("b2", "c2"), ("c2", "c1")]
+    else:
+        pairs.append(("b2", "c1"))
     topo = TopologyConfig(
         name="cut",
         nodes={n: TopoNode(n, role, 1.0) for n, role in roles.items()},
-        link_list=[
-            TopoLink(a, b, 1.0) for a, b in (("p1", "b1"), ("b1", "x1"), ("x1", "b2"), ("b2", "c1"))
-        ],
+        link_list=[TopoLink(a, b, 1.0) for a, b in pairs],
     )
     csv = tmp_path / "gps.csv"
     generate_gps_csv(str(csv), rows=5)
+    text = "WINDOW(GPS_S1, 4s)"
     spec = ScenarioSpec(
         topology=topo,
         streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
-        queries=[QueryDef("q", "c1", 100, None, "distributed", "WINDOW(GPS_S1, 4s)")],
+        queries=[
+            QueryDef("q", "c1", 100, None, "distributed", text),
+            QueryDef("r", "c1", 2000, None, "distributed", text),
+        ],
     )
     m = run_scenario(spec)
-    assert [(n, k) for n, k, _ in m.events if k == "plan_failed"] == [("b2", "plan_failed")]
-    assert [p.name.to_uri() for _, p in m.app_deliveries["c1"]] == ["/nack/q:1"]
-    assert m.nodes["c1"]["consumed"] == 1
-    assert any(" c1 recv " in line and "/nack/q:1" in line for line in m.trace)
+    failed = [(n, p["nonce"]) for n, k, p in m.events if k == "plan_failed"]
+    assert failed == [("b2", "q:1"), ("b2", "r:1")]
+    unsalted = {p["unsalted"] for n, k, p in m.events if k == "query_accepted"}
+    assert len(unsalted) == 1
+    h = unsalted.pop()
+    nacks = ["/nack/%s/q:1" % h, "/nack/%s/r:1" % h]
+    assert {n: [p.name.to_uri() for _, p in d] for n, d in m.app_deliveries.items()} == {"c1": nacks}
+    hop = "c2" if relay else "b2"
+    recvs = [line for line in m.trace if " c1 recv " in line and "/nack/" in line]
+    assert len(recvs) == 2 and all(line.endswith(" <- " + hop) for line in recvs)
 
 
 def test_notification_payload_rows_match_window(tmp_path):
