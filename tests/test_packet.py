@@ -1,6 +1,7 @@
 """Wire-format round trips, prefix relation, and decoder robustness."""
 
 import hashlib
+import json
 import math
 import random
 import struct
@@ -371,6 +372,16 @@ def test_decode_of_a_mutated_state_delta_never_panics(edits):
 
 
 # ---------------------------------------------------------------------------
+# /ce results
+
+
+def ce_result(qhash, ts, schema, rows):
+    """The Data a coordinator sends a consumer, rendered as `Engine._notify` renders it."""
+    doc = {"hash": qhash, "ts": ts, "schema": schema, "rows": rows}
+    return Data(Name(("ce", qhash, str(ts))), json.dumps(doc).encode("utf-8"), ts)
+
+
+# ---------------------------------------------------------------------------
 # decoder robustness
 
 
@@ -423,6 +434,9 @@ _VERDICT_SAMPLES = {type(p).__name__: p for p in _sample_packets()}
 _VERDICT_SAMPLES["StateDelta"] = DataStream(
     _STATE_NAME, StateDelta(ts=2000, schema="gps", first=3, end=6, rows=_VERDICT_ROWS)
 )
+_VERDICT_SAMPLES["CeResult"] = ce_result(
+    "78d58e0ea08a", 2000, "gps", [r.values for r in _VERDICT_ROWS]
+)
 
 
 def _verdict_corpus(base: bytes):
@@ -445,6 +459,7 @@ _VERDICT_PINS = {
     "AddQueryInterest": (279, 118, "0a9cd4ab8ff2bbbd080aea8eac4e40d6d9f69f8a2ca61a2a946581411e8a6899"),
     "RemoveQueryInterest": (279, 118, "d39903877fb0ce2c1f3e751aa61dc60e625563048b1717349cb29790ee2fe6de"),
     "StateDelta": (765, 159, "ab3a69b8ab251b4534962f5de3dfd6a1b5101d5cc1e9d0774dd8716b4af2219f"),
+    "CeResult": (1242, 918, "92ace2e7a4d3dd3b6ae49488540e7270481cda62042571b70bd9654710d804bd"),
 }
 
 
