@@ -2,26 +2,41 @@
 
 Everything here is an immutable value; packets can be shared freely between
 nodes without copying. An encoded packet is one type-tag byte, then its
-fields in order and nothing after them; integers are unsigned big-endian:
+fields in order and nothing after them; fixed-width integers are unsigned
+big-endian:
 
   1 Interest: name
   2 Data: name, u64 ts, u32 payload length, payload
   3 DataStream: name, tuple
   4 AddQueryInterest, 5 RemoveQueryInterest: u64 nonce, text32 query
+  6 Data named /ce/<hash>/<ts> that carries a rendered result: name, result
   name: u16 component count (at least 1), one text16 per component
   tuple: u64 ts, text16 schema id, u16 value count, then per value
          b"F" and an IEEE-754 f64, or b"T" and a text32
-  text16, text32: u16 or u32 byte length, then the UTF-8 bytes
+  text16, text32, textvar: u16, u32 or varint byte length, then the UTF-8 bytes
+  varint: an unsigned LEB128 integer below 2**64, low 7-bit group first, the
+          high bit of each byte set on all but the last; at most 10 bytes, and
+          the last byte is not zero unless it is the only one
 
 A DataStream named /state/<q>/<i>/out carries a StateDelta, which the
 engines hand on as a value, and has a layout of its own after its name:
-  delta: u64 wm, u64 first, u64 end, text16 schema id, text32 rows
+  delta: varint wm, varint first, varint end, textvar schema id, textvar rows
 where rows is the compact JSON text (separators "," and ":") of
 [[value, ...], ...], the values of each shipped row. decode_packet accepts
 it only if the rows text is UTF-8 JSON of a list of non-empty lists, there
 are at most end - first rows, and each passes Tuple validation; each row
 decodes to a Tuple of the delta's schema. encode_packet refuses a StateDelta under any
 other name, and anything but a StateDelta under such a name.
+
+A result is what Engine._notify sends: a Data named exactly /ce/<hash>/<ts>,
+with <ts> its ts in canonical decimal, whose payload is the default-format
+JSON of {"hash": <hash>, "ts": <ts>, "schema": ..., "rows": [...]}. Its
+payload is kept whole in memory, but the wire carries only
+  result: textvar schema, textvar rows
+with rows the compact JSON text of the list, and decode_packet renders the
+payload again, byte for byte. A result's rows must be UTF-8 JSON of a list.
+encode_packet writes tag 6 only where that rendering gives the payload back,
+and tag 2 for every other Data.
 """
 
 from __future__ import annotations
@@ -193,6 +208,7 @@ _TAG_DATA = 2
 _TAG_DATA_STREAM = 3
 _TAG_ADD_QUERY = 4
 _TAG_REMOVE_QUERY = 5
+_TAG_RESULT = 6
 
 _VALUE_FLOAT = ord("F")
 _VALUE_TEXT = ord("T")
@@ -202,10 +218,11 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _FLOAT = struct.Struct(">Bd")  # a value kind byte and an f64
-_DELTA = struct.Struct(">QQQ")  # wm, first, end
 
 # json.dumps(..., separators=(",", ":")), without its per-call set-up
 _encode_rows = json.JSONEncoder(separators=(",", ":")).encode
+# json.dumps(...), as Engine._notify renders a result
+_encode_result = json.JSONEncoder().encode
 
 
 def _text(s: str, prefix: struct.Struct) -> bytes:
@@ -216,9 +233,59 @@ def _text(s: str, prefix: struct.Struct) -> bytes:
     return prefix.pack(len(raw)) + raw
 
 
+def _varint(n: int) -> bytes:
+    """`n` as an unsigned LEB128 varint; ValueError outside 0 .. 2**64-1."""
+    if not (isinstance(n, int) and 0 <= n < 1 << 64):
+        raise ValueError("%r is not a u64" % (n,))
+    out = bytearray()
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+def _textvar(s: str) -> bytes:
+    raw = s.encode("utf-8")
+    return _varint(len(raw)) + raw
+
+
 def _is_state_out(components: tuple[str, ...]) -> bool:
     """True iff the name is /state/<q>/<i>/out, which carries StateDeltas."""
     return len(components) == 4 and components[0] == "state" and components[3] == "out"
+
+
+def _render_result(components: tuple[str, ...], ts: int, schema: str, rows_text: str) -> bytes:
+    """The payload of the result /ce/<hash>/<ts> whose rows are `rows_text`."""
+    try:
+        rows = json.loads(rows_text)
+        if type(rows) is not list:
+            raise MalformedPacket("result rows are not a list")
+        doc = {"hash": components[1], "ts": ts, "schema": schema, "rows": rows}
+        return _encode_result(doc).encode("utf-8")
+    except RecursionError:
+        raise MalformedPacket("result rows nest too deep") from None
+
+
+def _result_fields(p: Data) -> bytes | None:
+    """The tag-6 fields of `p` if its payload renders back from them, else None."""
+    comps = p.name.components
+    if not (
+        len(comps) == 3
+        and comps[0] == "ce"
+        and type(p.ts) is int
+        and 0 <= p.ts < 1 << 64
+        and comps[2] == str(p.ts)
+    ):
+        return None
+    try:
+        doc = json.loads(p.payload)
+        schema, rows = doc["schema"], _encode_rows(doc["rows"])
+        if type(schema) is str and _render_result(comps, p.ts, schema, rows) == p.payload:
+            return _textvar(schema) + _textvar(rows)
+    except (ValueError, TypeError, KeyError, RecursionError):
+        pass  # not JSON of an object with a text schema and a list of rows
+    return None
 
 
 def encode_packet(p: Packet) -> bytes:
@@ -231,17 +298,21 @@ def encode_packet(p: Packet) -> bytes:
         if isinstance(p, (AddQueryInterest, RemoveQueryInterest)):
             tag = _TAG_ADD_QUERY if isinstance(p, AddQueryInterest) else _TAG_REMOVE_QUERY
             return _U8.pack(tag) + _U64.pack(p.nonce) + _text(p.query, _U32)
+        result = None
         if isinstance(p, Interest):
             tag, name = _TAG_INTEREST, p.name
         elif isinstance(p, Data):
-            tag, name = _TAG_DATA, p.name
+            result = _result_fields(p)
+            tag, name = (_TAG_DATA if result is None else _TAG_RESULT), p.name
         elif isinstance(p, DataStream):
             tag, name = _TAG_DATA_STREAM, p.stream_name
         else:
             raise TypeError("not a packet: %r" % (p,))
         out = [_U8.pack(tag), _U16.pack(len(name.components))]
         out += [_text(comp, _U16) for comp in name.components]
-        if isinstance(p, Data):
+        if result is not None:
+            out.append(result)
+        elif isinstance(p, Data):
             out += [_U64.pack(p.ts), _U32.pack(len(p.payload)), p.payload]
         elif isinstance(p, DataStream):
             t = p.tuple
@@ -251,7 +322,8 @@ def encode_packet(p: Packet) -> bytes:
                 if not 0 <= t.first <= t.end - len(t.rows):
                     raise ValueError("rows first .. end-1 cannot hold %d rows" % len(t.rows))
                 rows = _encode_rows([r.values for r in t.rows])
-                out += [_DELTA.pack(t.ts, t.first, t.end), _text(t.schema, _U16), _text(rows, _U32)]
+                out += [_varint(t.ts), _varint(t.first), _varint(t.end)]
+                out += [_textvar(t.schema), _textvar(rows)]
             else:
                 out += [_U64.pack(t.ts), _text(t.schema_id, _U16), _U16.pack(len(t.values))]
                 for v in t.values:
@@ -273,14 +345,41 @@ def _read(buf: bytes, at: int, prefix: struct.Struct) -> tuple[bytes, int]:
     return buf[start:end], end
 
 
+def _read_varint(buf: bytes, at: int) -> tuple[int, int]:
+    """The varint at `at`, and the offset after it."""
+    n = shift = 0
+    for i in range(at, min(at + 10, len(buf))):
+        byte = buf[i]
+        n |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if byte == 0 and i > at:
+                raise MalformedPacket("varint ends in a zero group")
+            if n >> 64:
+                raise MalformedPacket("varint beyond u64")
+            return n, i + 1
+        shift += 7
+    if at + 10 <= len(buf):
+        raise MalformedPacket("varint longer than 10 bytes")
+    raise MalformedPacket("truncated packet")
+
+
+def _read_textvar(buf: bytes, at: int) -> tuple[str, int]:
+    """The text behind the varint length at `at`, and the offset after it."""
+    size, at = _read_varint(buf, at)
+    if at + size > len(buf):
+        raise MalformedPacket("truncated packet")
+    return buf[at : at + size].decode("utf-8"), at + size
+
+
 def _dec_state_delta(buf: bytes, at: int) -> tuple[StateDelta, int]:
     """The StateDelta written at `at`, and the offset after it."""
-    wm, first, end = _DELTA.unpack_from(buf, at)
-    schema, at = _read(buf, at + _DELTA.size, _U16)
-    text, at = _read(buf, at, _U32)
-    schema = schema.decode("utf-8")
+    wm, at = _read_varint(buf, at)
+    first, at = _read_varint(buf, at)
+    end, at = _read_varint(buf, at)
+    schema, at = _read_textvar(buf, at)
+    text, at = _read_textvar(buf, at)
     try:
-        raw = json.loads(text.decode("utf-8"))
+        raw = json.loads(text)
     except RecursionError:
         raise MalformedPacket("/state delta rows nest too deep") from None
     if not (
@@ -308,7 +407,7 @@ def decode_packet(b: bytes) -> Packet:
             query, at = _read(buf, 9, _U32)
             cls = AddQueryInterest if tag == _TAG_ADD_QUERY else RemoveQueryInterest
             p: Packet = cls(query=query.decode("utf-8"), nonce=nonce)
-        elif _TAG_INTEREST <= tag <= _TAG_DATA_STREAM:
+        elif _TAG_INTEREST <= tag <= _TAG_DATA_STREAM or tag == _TAG_RESULT:
             comps, at = [], 3
             for _ in range(_U16.unpack_from(buf, 1)[0]):
                 comp, at = _read(buf, at, _U16)
@@ -320,6 +419,16 @@ def decode_packet(b: bytes) -> Packet:
                 (ts,) = _U64.unpack_from(buf, at)
                 payload, at = _read(buf, at + 8, _U32)
                 p = Data(name=name, payload=payload, ts=ts)
+            elif tag == _TAG_RESULT:
+                comps = name.components
+                if len(comps) != 3 or comps[0] != "ce":
+                    raise MalformedPacket("a result is named /ce/<hash>/<ts>")
+                ts = int(comps[2])
+                if str(ts) != comps[2] or not 0 <= ts < 1 << 64:
+                    raise MalformedPacket("result ts %r is not a canonical u64" % comps[2])
+                schema, at = _read_textvar(buf, at)
+                rows, at = _read_textvar(buf, at)
+                p = Data(name=name, payload=_render_result(comps, ts, schema, rows), ts=ts)
             elif _is_state_out(name.components):
                 delta, at = _dec_state_delta(buf, at)
                 p = DataStream(stream_name=name, tuple=delta)

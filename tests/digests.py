@@ -3,7 +3,8 @@
 The trace hash pins timing, uids and nonces as well as results, so a change
 that moves it says nothing about whether consumers still get the same
 answers. `results_digest` covers only what the applications received;
-`wire_digest` covers the bytes the codec writes for every link send.
+`wire_digest` covers the bytes the codec writes for every link send, and
+checks that each decodes back to the packet sent.
 `first_divergence` says where two traces part, so a change that moves a
 trace hash can name the first event it moved.
 """
@@ -14,7 +15,13 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
-from icncep.packet import AddQueryInterest, RemoveQueryInterest, encode_packet
+from icncep.packet import (
+    AddQueryInterest,
+    Data,
+    RemoveQueryInterest,
+    decode_packet,
+    encode_packet,
+)
 from icncep.sim import Simulator
 
 
@@ -39,10 +46,13 @@ def wire_digest():
 
     Query-control packets carry text nonces such as "q1:1", which the codec's
     64-bit nonce field cannot hold; they are encoded with a zero nonce, which
-    has the same width.
+    has the same width. On leaving the block it raises AssertionError if a
+    send did not decode back equal to itself, or a /ce Data was not written
+    with the result layout (type tag 6).
     """
     digest = hashlib.sha256()
     original = Simulator._dispatch
+    faults = []
 
     def dispatch(self, node, face_id, packet, at):
         before = self._seq
@@ -53,13 +63,19 @@ def wire_digest():
         if self._seq == before + 2:
             if isinstance(packet, (AddQueryInterest, RemoveQueryInterest)):
                 packet = replace(packet, nonce=0)
-            digest.update(encode_packet(packet))
+            raw = encode_packet(packet)
+            digest.update(raw)
+            if decode_packet(raw) != packet:
+                faults.append(("round trip", packet))
+            if type(packet) is Data and packet.name.components[0] == "ce" and raw[0] != 6:
+                faults.append(("type tag %d" % raw[0], packet))
 
     Simulator._dispatch = dispatch
     try:
         yield digest
     finally:
         Simulator._dispatch = original
+    assert not faults, "%d sends failed the codec checks, first %r" % (len(faults), faults[0])
 
 
 def _kind(line: str) -> str:

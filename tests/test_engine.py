@@ -4,7 +4,6 @@ import base64
 import json
 import math
 import operator
-import struct
 import time
 from unittest import mock
 
@@ -40,6 +39,7 @@ from icncep.query import (
     default_streams,
     query_hash,
 )
+from test_packet import uleb128
 
 Q1 = "WINDOW(GPS_S1, 4s)"
 Q2 = "FILTER(WINDOW(GPS_S1, 4s),'latitude'<50)"
@@ -495,13 +495,14 @@ def delta(**changes):
 
 def state_blob(doc, name="/state/s/1/out"):
     """The bytes of a /state packet carrying `doc`, written field by field:
-    u64 wm, first and end, text16 schema, text32 compact JSON rows."""
+    varint wm, first and end, then the schema and the compact JSON rows, each
+    behind a varint length."""
     rows = doc["rows"]
     text = (rows if isinstance(rows, str) else json.dumps(rows, separators=(",", ":"))).encode()
     schema = doc["schema"].encode()
     head = encode_packet(Interest(Name.from_uri(name)))  # a type tag, then the name
-    fields = struct.pack(">QQQH", doc["wm"], doc["first"], doc["end"], len(schema))
-    return b"\x03" + head[1:] + fields + schema + struct.pack(">I", len(text)) + text
+    fields = b"".join(uleb128(doc[k]) for k in ("wm", "first", "end"))
+    return b"\x03" + head[1:] + fields + uleb128(len(schema)) + schema + uleb128(len(text)) + text
 
 
 def carried(doc):
@@ -621,7 +622,7 @@ def test_snapshot_row_of_unsupported_values_fails_tuple_validation(bad):
         + [dict(rows=text) for text in ["not json", "[1, 2]", '"doc"', "null", "[" * 5000]]
     ]
     + [
-        state_blob(delta(), "/state/s/7/out")[:40],  # cut inside the u64 fields
+        state_blob(delta(), "/state/s/7/out")[:22],  # cut inside the varint watermark
         state_blob(delta(), "/state/s/7/out").replace(b"gps", b"g\xffs"),  # schema not UTF-8
         state_blob(delta(), "/state/s/7/out") + b"\x00",  # a byte after the rows
     ],

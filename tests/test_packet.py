@@ -198,6 +198,15 @@ def test_round_trip_property(pkt):
 _STATE_NAME = Name.from_uri("/state/s/1/out")
 _STATE_HEAD = b"\x03\x00\x04\x00\x05state\x00\x01s\x00\x011\x00\x03out"  # its type tag and name
 
+
+def uleb128(n: int) -> bytes:
+    """`n` as an unsigned LEB128 varint, written out group by group."""
+    groups = [n & 0x7F]
+    while n > 0x7F:
+        n >>= 7
+        groups.append(n & 0x7F)
+    return bytes([g | 0x80 for g in groups[:-1]] + groups[-1:])
+
 # values whose JSON text reads back equal: NaN equals nothing, not even itself
 _delta_value = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**63),
@@ -235,7 +244,7 @@ def test_state_delta_round_trip_property(name, delta):
 
 
 _MESH_ROW = Tuple.from_values("gps", (10000, 3.0, 49.873243, 8.644881, 123.63, 1.23, 0.002, 7.11))
-# a one-row GPS delta of the mesh workload: 120 bytes
+# a one-row GPS delta of the mesh workload: 96 bytes (120 with fixed-width fields)
 _MESH_DELTA = DataStream(
     Name.from_uri("/state/78d58e0ea08a/2/out"), StateDelta(10000, "gps", 0, 1, (_MESH_ROW,))
 )
@@ -249,25 +258,49 @@ _MESH_DELTA = DataStream(
                 _STATE_NAME,
                 StateDelta(3000, "gps", 4, 6, (Tuple.from_values("gps", (1000, "é", 2.5)),)),
             ),
-            _STATE_HEAD
-            + struct.pack(">QQQ", 3000, 4, 6)
-            + b"\x00\x03gps"
-            + b'\x00\x00\x00\x15[[1000,"\\u00e9",2.5]]',
+            _STATE_HEAD + b"\xb8\x17\x04\x06" + b"\x03gps" + b'\x15[[1000,"\\u00e9",2.5]]',
         ),
         (
             _MESH_DELTA,
             b"\x03\x00\x04\x00\x05state\x00\x0c78d58e0ea08a\x00\x012\x00\x03out"
-            + struct.pack(">QQQ", 10000, 0, 1)
-            + b"\x00\x03gps"
-            + b"\x00\x00\x00\x37[[10000,3.0,49.873243,8.644881,123.63,1.23,0.002,7.11]]",
+            + b"\x90\x4e\x00\x01"
+            + b"\x03gps"
+            + b"\x37[[10000,3.0,49.873243,8.644881,123.63,1.23,0.002,7.11]]",
         ),
     ],
     ids=["text-value", "mesh-gps-row"],
 )
 def test_state_delta_wire_layout(pkt, blob):
-    """Name, u64 wm, first and end, text16 schema, text32 compact JSON rows."""
+    """Name, varint wm, first and end, then schema and compact JSON rows behind varint lengths."""
     assert encode_packet(pkt) == blob
     assert decode_packet(blob) == pkt
+
+
+def test_a_one_row_mesh_delta_takes_96_bytes():
+    assert len(encode_packet(_MESH_DELTA)) == 96
+
+
+@pytest.mark.parametrize(
+    "n, varint",
+    [(0, b"\x00"), (127, b"\x7f"), (128, b"\x80\x01"), (2**64 - 1, b"\xff" * 9 + b"\x01")],
+)
+def test_varint_fields_round_trip(n, varint):
+    pkt = DataStream(_STATE_NAME, StateDelta(ts=n, schema="gps", first=n, end=n, rows=()))
+    blob = _STATE_HEAD + varint * 3 + b"\x03gps\x02[]"
+    assert uleb128(n) == varint
+    assert encode_packet(pkt) == blob
+    assert decode_packet(blob) == pkt
+
+
+@pytest.mark.parametrize("n", [-1, 2**64])
+@pytest.mark.parametrize("field", ["ts", "first", "end"])
+def test_varint_fields_refuse_what_is_not_a_u64(field, n):
+    fields = dict(ts=0, schema="gps", first=0, end=0, rows=())
+    fields[field] = n
+    if field == "first":
+        fields["end"] = n  # rows first .. end-1 stay empty
+    with pytest.raises(ValueError):
+        encode_packet(DataStream(_STATE_NAME, StateDelta(**fields)))
 
 
 _ROW = Tuple(2000, "gps", (2000, 2.0))
@@ -304,10 +337,11 @@ def test_encoder_refuses_what_the_decoder_would_not_give_back(pkt):
 
 
 def _state_blob(rows="[[2000,2.0]]", wm=2000, first=1, end=2, schema=b"gps"):
-    """The bytes of a /state/s/1/out packet, written field by field."""
+    """The bytes of a /state/s/1/out packet, written field by field; `wm` as an
+    int or as the bytes of its varint."""
     text = rows if isinstance(rows, bytes) else rows.encode("utf-8")
-    fields = struct.pack(">QQQH", wm, first, end, len(schema)) + schema
-    return _STATE_HEAD + fields + struct.pack(">I", len(text)) + text
+    fields = (wm if isinstance(wm, bytes) else uleb128(wm)) + uleb128(first) + uleb128(end)
+    return _STATE_HEAD + fields + uleb128(len(schema)) + schema + uleb128(len(text)) + text
 
 
 def _plain_tuple_on_state(schema, *values):
@@ -320,8 +354,14 @@ _OLD_DOC = '{"schema": "gps", "wm": 2000, "first": 1, "end": 2, "rows": [[2000, 
 
 
 _MALFORMED_STATE = {
-    "no-rows": _state_blob().removesuffix(b"\x00\x00\x00\x0c[[2000,2.0]]"),
-    "truncated-header": _STATE_HEAD + struct.pack(">QQ", 2000, 1),
+    "no-rows": _state_blob().removesuffix(b"\x0c[[2000,2.0]]"),
+    "truncated-header": _STATE_HEAD + uleb128(2000) + uleb128(1),
+    "truncated-varint": _STATE_HEAD + b"\xd0",
+    "varint-non-minimal": _state_blob(wm=b"\xd0\x8f\x00"),
+    "varint-non-minimal-zero": _state_blob(wm=b"\x80\x00"),
+    "varint-of-11-bytes": _state_blob(wm=b"\xff" * 10 + b"\x01"),
+    "varint-beyond-u64": _state_blob(wm=b"\x80" * 9 + b"\x02"),
+    "rows-past-the-end": _state_blob().removesuffix(b"]"),
     "trailing-bytes": _state_blob() + b"\x00",
     "first-after-end": _state_blob("[]", first=3, end=2),
     "more-rows-than-fit": _state_blob("[[2000,1.0],[2000,2.0]]"),
@@ -379,6 +419,143 @@ def ce_result(qhash, ts, schema, rows):
     """The Data a coordinator sends a consumer, rendered as `Engine._notify` renders it."""
     doc = {"hash": qhash, "ts": ts, "schema": schema, "rows": rows}
     return Data(Name(("ce", qhash, str(ts))), json.dumps(doc).encode("utf-8"), ts)
+
+
+_CE_HEAD = b"\x00\x03\x00\x02ce\x00\x0c78d58e0ea08a\x00\x0510000"  # /ce/78d58e0ea08a/10000
+_AVG_RESULT = ce_result("78d58e0ea08a", 10000, "agg", [[10000, 57.25]])
+
+
+def test_a_result_takes_tag_6_and_only_its_schema_and_rows():
+    """An AVG result: 48 bytes, against 120 with its whole payload behind tag 2."""
+    blob = b"\x06" + _CE_HEAD + b"\x03agg" + b"\x0f[[10000,57.25]]"
+    assert encode_packet(_AVG_RESULT) == blob
+    assert decode_packet(blob) == _AVG_RESULT
+    tag2 = b"\x02" + _CE_HEAD + struct.pack(">QI", 10000, 80) + _AVG_RESULT.payload
+    assert decode_packet(tag2) == _AVG_RESULT  # the general layout still reads it
+
+
+_hash_component = st.text(
+    alphabet=st.characters(blacklist_characters="/", blacklist_categories=("Cs",)), min_size=1
+)
+_number = st.one_of(st.integers(min_value=-(2**70), max_value=2**70), st.floats(width=64))
+# HEATMAP ships its grid as JSON text inside a row, so the rows escape quotes and backslashes
+_heatmap_text = st.builds(
+    lambda grid, skipped: json.dumps({"grid": grid, "skipped": skipped}),
+    st.lists(st.lists(st.integers(0, 99), max_size=4), max_size=4),
+    st.integers(0, 9),
+)
+_result_value = st.one_of(_number, st.text(max_size=12), _heatmap_text)
+
+
+@settings(max_examples=300)
+@given(
+    qhash=_hash_component,
+    ts=st.integers(min_value=0, max_value=2**64 - 1),
+    schema=st.text(max_size=10),
+    rows=st.lists(st.lists(_result_value, max_size=5), max_size=4),
+)
+def test_result_round_trip_property(qhash, ts, schema, rows):
+    pkt = ce_result(qhash, ts, schema, [[ts, *row] for row in rows])
+    raw = encode_packet(pkt)
+    assert raw[0] == 6
+    assert decode_packet(raw) == pkt
+
+
+def _payload(**changes):
+    doc = {"hash": "78d58e0ea08a", "ts": 10000, "schema": "agg", "rows": [[10000, 57.25]]}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+_CE_NAME = _AVG_RESULT.name
+
+
+@pytest.mark.parametrize(
+    "pkt",
+    [
+        Data(_CE_NAME, _payload().replace(", ", ",").replace(": ", ":").encode(), 10000),
+        Data(_CE_NAME, _AVG_RESULT.payload + b" ", 10000),
+        Data(_CE_NAME, _AVG_RESULT.payload.decode().encode("utf-16"), 10000),
+        Data(_CE_NAME, _payload(hash="78d58e0ea08b").encode(), 10000),
+        Data(_CE_NAME, _payload(ts=10001).encode(), 10000),
+        Data(_CE_NAME, _payload(schema=5).encode(), 10000),
+        Data(_CE_NAME, _payload(rows={"a": 1}).encode(), 10000),
+        Data(_CE_NAME, _payload(extra=1).encode(), 10000),
+        Data(_CE_NAME, json.dumps(dict(reversed(json.loads(_payload()).items()))).encode(), 10000),
+        Data(_CE_NAME, json.dumps([1, 2]).encode(), 10000),
+        Data(_CE_NAME, b"[" * 5000, 10000),
+        Data(_CE_NAME, b"", 10000),
+        Data(_CE_NAME, _AVG_RESULT.payload, 10001),
+        Data(Name(("ce", "78d58e0ea08a", "010000")), _AVG_RESULT.payload, 10000),
+        Data(Name(("ce", "78d58e0ea08a")), _AVG_RESULT.payload, 10000),
+        Data(Name(("ce", "78d58e0ea08a", "10000", "x")), _AVG_RESULT.payload, 10000),
+        Data(Name(("cf", "78d58e0ea08a", "10000")), _AVG_RESULT.payload, 10000),
+    ],
+    ids=[
+        "compact-json",
+        "trailing-space",
+        "utf-16",
+        "other-hash",
+        "other-ts",
+        "schema-a-number",
+        "rows-an-object",
+        "extra-key",
+        "keys-reordered",
+        "not-an-object",
+        "nested-deep",
+        "empty",
+        "ts-not-the-name's",
+        "name-ts-not-canonical",
+        "two-components",
+        "four-components",
+        "not-ce",
+    ],
+)
+def test_any_other_data_keeps_tag_2(pkt):
+    raw = encode_packet(pkt)
+    assert raw[0] == 2
+    assert decode_packet(raw) == pkt
+
+
+@settings(max_examples=200)
+@given(qhash=_hash_component, ts=st.integers(min_value=0, max_value=2**40), payload=st.binary())
+def test_a_result_name_with_any_other_payload_round_trips(qhash, ts, payload):
+    pkt = Data(Name(("ce", qhash, str(ts))), payload, ts)
+    assert decode_packet(encode_packet(pkt)) == pkt
+
+
+def _result_blob(components, schema=b"agg", rows=b"[[10000,57.25]]"):
+    """A tag-6 packet written field by field."""
+    head = encode_packet(Interest(Name(components)))[1:]
+    return b"\x06" + head + uleb128(len(schema)) + schema + uleb128(len(rows)) + rows
+
+
+_MALFORMED_RESULT = {
+    "two-components": _result_blob(("ce", "78d58e0ea08a")),
+    "four-components": _result_blob(("ce", "78d58e0ea08a", "10000", "x")),
+    "ts-007": _result_blob(("ce", "78d58e0ea08a", "007")),
+    "ts-signed": _result_blob(("ce", "78d58e0ea08a", "+7")),
+    "ts-negative": _result_blob(("ce", "78d58e0ea08a", "-7")),
+    "ts-beyond-u64": _result_blob(("ce", "78d58e0ea08a", str(2**64))),
+    "ts-a-text": _result_blob(("ce", "78d58e0ea08a", "x")),
+    "not-ce": _result_blob(("cf", "78d58e0ea08a", "10000")),
+    "rows-an-object": _result_blob(("ce", "h", "1"), rows=b'{"a":1}'),
+    "rows-a-number": _result_blob(("ce", "h", "1"), rows=b"5"),
+    "rows-not-json": _result_blob(("ce", "h", "1"), rows=b"not json"),
+    "rows-nested-deep": _result_blob(("ce", "h", "1"), rows=b"[" * 5000 + b"]" * 5000),
+    "rows-not-utf8": _result_blob(("ce", "h", "1"), rows="[[1]]".encode("utf-16")),
+    "schema-not-utf8": _result_blob(("ce", "h", "1"), schema=b"g\xffs"),
+    "no-rows": _result_blob(("ce", "h", "1")).removesuffix(b"\x0f[[10000,57.25]]"),
+    "rows-past-the-end": _result_blob(("ce", "h", "1")).removesuffix(b"]"),
+    "trailing-bytes": _result_blob(("ce", "h", "1")) + b"\x00",
+}
+
+
+@pytest.mark.parametrize("blob", list(_MALFORMED_RESULT.values()), ids=list(_MALFORMED_RESULT))
+def test_a_tag_6_packet_must_hold_one_result(blob):
+    with pytest.raises(MalformedPacket):
+        decode_packet(blob)
+    assert decode_packet(_result_blob(("ce", "78d58e0ea08a", "10000"))) == _AVG_RESULT
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +635,8 @@ _VERDICT_PINS = {
     "DataStream": (900, 475, "d77392552b5ed9bdc08624385ea1b9da0e53b86c715907e29903779453f2d81e"),
     "AddQueryInterest": (279, 118, "0a9cd4ab8ff2bbbd080aea8eac4e40d6d9f69f8a2ca61a2a946581411e8a6899"),
     "RemoveQueryInterest": (279, 118, "d39903877fb0ce2c1f3e751aa61dc60e625563048b1717349cb29790ee2fe6de"),
-    "StateDelta": (765, 159, "ab3a69b8ab251b4534962f5de3dfd6a1b5101d5cc1e9d0774dd8716b4af2219f"),
-    "CeResult": (1242, 918, "92ace2e7a4d3dd3b6ae49488540e7270481cda62042571b70bd9654710d804bd"),
+    "StateDelta": (549, 44, "2a00d9442e93a5ee5b8d12679c4a4e5a341a0096fd3989aa163d91c2da91a7ab"),
+    "CeResult": (567, 63, "a0fbb02c50b2e206751e91b9633da482afa388dad9a9a46d9ae1c38e2b977d97"),
 }
 
 

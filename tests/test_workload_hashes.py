@@ -36,9 +36,9 @@ RESULTS = {
     ("mesh", 42): "2bac075dc258eebec1852e2fda25260438642ebcda828ded3de101970fcb3641",
 }
 WIRE = {
-    ("churn", 42): "2e5e452bdde64736a567837853d5563e3fdb2d141c150a705420dc10b0b60753",
-    ("churn", 7): "2b8e7b739f147215000e4c6c30e263fcd6b559583a24067d190fb53bd6b76389",
-    ("mesh", 42): "b89a526134e0ecf7d270577a36e40d35c83d5823a9d86d526916a002264ae10c",
+    ("churn", 42): "53f7485a751960fa205bfd1982d2d28a056123c8ee75cd071cb723a90a6d8118",
+    ("churn", 7): "c1f0e18f9c6c320ba676b61b45296a7f7a717dc5966edaf3c643f7f0956337fd",
+    ("mesh", 42): "cfa2c8884a7efd36bfdb047ec060db9d8306a97cea8aa8ddbc5dbc7bda259c48",
 }
 
 
