@@ -84,9 +84,12 @@ until `first` passes the missing rows or a keyframe arrives. Row objects so
 keep their identity from sender to receiver, and a hash join reuses the
 joined row it last built for the same pair of row objects. Only the codec
 (`packet.encode_packet`, `packet.decode_packet`) turns a delta into bytes
-(fixed fields, then its rows as JSON text) and back, and a /state/.../out
-packet that carries anything but a StateDelta is counted `malformed` and
-not forwarded.
+(varint fields, then its rows as compact JSON text) and back, and a
+/state/.../out packet that carries anything but a StateDelta is counted
+`malformed` and not forwarded. A /ce result's payload is the JSON that
+`packet.result_payload` renders, the bytes the consumer application reads;
+the codec sends only its schema and rows and renders the rest again from
+the name.
 
 Query lifecycle. A RemoveQueryInterest only drops a PIT face; the work is
 released where its data next arrives unwanted, as in the prune of
@@ -152,6 +155,7 @@ from .packet import (
     RemoveQueryInterest,
     StateDelta,
     Tuple,
+    result_payload,
 )
 from .placement import NoPath, PlacementPlan, corridor, plan_query
 from .query import (
@@ -178,9 +182,6 @@ __all__ = [
 APP_FACE = 0
 PROBE_TIMEOUT_MS = 200.0
 DEPLOY_TIMEOUT_MS = 400.0
-
-# json.dumps with its default settings, without its per-call set-up
-_encode_json = json.JSONEncoder().encode
 
 # simulated per-evaluation compute charge, by operator kind
 EVAL_COST_MS = {
@@ -955,14 +956,7 @@ class Engine:
             return
         if wm <= entry.last_result_ts:
             return
-        payload = _encode_json(
-            {
-                "hash": inst.unsalted,
-                "ts": wm,
-                "schema": rows[0].schema_id,
-                "rows": [r.values for r in rows],
-            }
-        ).encode("utf-8")
+        payload = result_payload(inst.unsalted, wm, rows[0].schema_id, [r.values for r in rows])
         packet = Data(name=Name(("ce", inst.unsalted, str(wm))), payload=payload, ts=wm)
         for f in sorted(entry.faces):
             self._send(f, packet)

@@ -29,9 +29,9 @@ decodes to a Tuple of the delta's schema. encode_packet refuses a StateDelta und
 other name, and anything but a StateDelta under such a name.
 
 A result is what Engine._notify sends: a Data named exactly /ce/<hash>/<ts>,
-with <ts> its ts in canonical decimal, whose payload is the default-format
-JSON of {"hash": <hash>, "ts": <ts>, "schema": ..., "rows": [...]}. Its
-payload is kept whole in memory, but the wire carries only
+with <ts> its ts in canonical decimal, whose payload is result_payload's
+default-format JSON of {"hash": <hash>, "ts": <ts>, "schema": ..., "rows":
+[...]}. Its payload is kept whole in memory, but the wire carries only
   result: textvar schema, textvar rows
 with rows the compact JSON text of the list, and decode_packet renders the
 payload again, byte for byte. A result's rows must be UTF-8 JSON of a list.
@@ -59,6 +59,7 @@ __all__ = [
     "MalformedPacket",
     "encode_packet",
     "decode_packet",
+    "result_payload",
     "is_prefix_of",
 ]
 
@@ -221,7 +222,7 @@ _FLOAT = struct.Struct(">Bd")  # a value kind byte and an f64
 
 # json.dumps(..., separators=(",", ":")), without its per-call set-up
 _encode_rows = json.JSONEncoder(separators=(",", ":")).encode
-# json.dumps(...), as Engine._notify renders a result
+# json.dumps(...), without its per-call set-up
 _encode_result = json.JSONEncoder().encode
 
 
@@ -255,33 +256,43 @@ def _is_state_out(components: tuple[str, ...]) -> bool:
     return len(components) == 4 and components[0] == "state" and components[3] == "out"
 
 
+def result_payload(qhash: str, ts: int, schema: str, rows: list) -> bytes:
+    """The payload of the result /ce/<qhash>/<ts>, as the consumer application reads it."""
+    return _encode_result({"hash": qhash, "ts": ts, "schema": schema, "rows": rows}).encode("utf-8")
+
+
 def _render_result(components: tuple[str, ...], ts: int, schema: str, rows_text: str) -> bytes:
     """The payload of the result /ce/<hash>/<ts> whose rows are `rows_text`."""
     try:
         rows = json.loads(rows_text)
         if type(rows) is not list:
             raise MalformedPacket("result rows are not a list")
-        doc = {"hash": components[1], "ts": ts, "schema": schema, "rows": rows}
-        return _encode_result(doc).encode("utf-8")
+        return result_payload(components[1], ts, schema, rows)
     except RecursionError:
         raise MalformedPacket("result rows nest too deep") from None
 
 
+def _result_ts(components: tuple[str, ...]) -> int | None:
+    """<ts> of the name /ce/<hash>/<ts> if it is a u64 in canonical decimal, else None."""
+    if len(components) != 3 or components[0] != "ce":
+        return None
+    text = components[2]
+    if text.isascii() and text.isdigit() and len(text) <= 20:
+        ts = int(text)
+        if str(ts) == text and ts < 1 << 64:
+            return ts
+    return None
+
+
 def _result_fields(p: Data) -> bytes | None:
     """The tag-6 fields of `p` if its payload renders back from them, else None."""
-    comps = p.name.components
-    if not (
-        len(comps) == 3
-        and comps[0] == "ce"
-        and type(p.ts) is int
-        and 0 <= p.ts < 1 << 64
-        and comps[2] == str(p.ts)
-    ):
+    ts = _result_ts(p.name.components)
+    if ts is None or ts != p.ts:
         return None
     try:
         doc = json.loads(p.payload)
         schema, rows = doc["schema"], _encode_rows(doc["rows"])
-        if type(schema) is str and _render_result(comps, p.ts, schema, rows) == p.payload:
+        if type(schema) is str and _render_result(p.name.components, ts, schema, rows) == p.payload:
             return _textvar(schema) + _textvar(rows)
     except (ValueError, TypeError, KeyError, RecursionError):
         pass  # not JSON of an object with a text schema and a list of rows
@@ -420,15 +431,13 @@ def decode_packet(b: bytes) -> Packet:
                 payload, at = _read(buf, at + 8, _U32)
                 p = Data(name=name, payload=payload, ts=ts)
             elif tag == _TAG_RESULT:
-                comps = name.components
-                if len(comps) != 3 or comps[0] != "ce":
-                    raise MalformedPacket("a result is named /ce/<hash>/<ts>")
-                ts = int(comps[2])
-                if str(ts) != comps[2] or not 0 <= ts < 1 << 64:
-                    raise MalformedPacket("result ts %r is not a canonical u64" % comps[2])
+                ts = _result_ts(name.components)
+                if ts is None:
+                    raise MalformedPacket("a result is named /ce/<hash>/<ts>, <ts> a u64")
                 schema, at = _read_textvar(buf, at)
                 rows, at = _read_textvar(buf, at)
-                p = Data(name=name, payload=_render_result(comps, ts, schema, rows), ts=ts)
+                payload = _render_result(name.components, ts, schema, rows)
+                p = Data(name=name, payload=payload, ts=ts)
             elif _is_state_out(name.components):
                 delta, at = _dec_state_delta(buf, at)
                 p = DataStream(stream_name=name, tuple=delta)

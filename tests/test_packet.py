@@ -487,6 +487,7 @@ _CE_NAME = _AVG_RESULT.name
         Data(_CE_NAME, b"", 10000),
         Data(_CE_NAME, _AVG_RESULT.payload, 10001),
         Data(Name(("ce", "78d58e0ea08a", "010000")), _AVG_RESULT.payload, 10000),
+        Data(Name(("ce", "78d58e0ea08a", "1" * 5000)), _AVG_RESULT.payload, 10000),
         Data(Name(("ce", "78d58e0ea08a")), _AVG_RESULT.payload, 10000),
         Data(Name(("ce", "78d58e0ea08a", "10000", "x")), _AVG_RESULT.payload, 10000),
         Data(Name(("cf", "78d58e0ea08a", "10000")), _AVG_RESULT.payload, 10000),
@@ -506,6 +507,7 @@ _CE_NAME = _AVG_RESULT.name
         "empty",
         "ts-not-the-name's",
         "name-ts-not-canonical",
+        "name-ts-5000-digits",
         "two-components",
         "four-components",
         "not-ce",
@@ -538,6 +540,8 @@ _MALFORMED_RESULT = {
     "ts-negative": _result_blob(("ce", "78d58e0ea08a", "-7")),
     "ts-beyond-u64": _result_blob(("ce", "78d58e0ea08a", str(2**64))),
     "ts-a-text": _result_blob(("ce", "78d58e0ea08a", "x")),
+    "ts-not-ascii-digits": _result_blob(("ce", "78d58e0ea08a", "\u0667")),
+    "ts-5000-digits": _result_blob(("ce", "78d58e0ea08a", "1" * 5000)),
     "not-ce": _result_blob(("cf", "78d58e0ea08a", "10000")),
     "rows-an-object": _result_blob(("ce", "h", "1"), rows=b'{"a":1}'),
     "rows-a-number": _result_blob(("ce", "h", "1"), rows=b"5"),
