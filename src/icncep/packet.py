@@ -247,6 +247,7 @@ def _varint(n: int) -> bytes:
 
 
 def _textvar(s: str) -> bytes:
+    """`s` as UTF-8 behind its varint byte length."""
     raw = s.encode("utf-8")
     return _varint(len(raw)) + raw
 
