@@ -18,7 +18,6 @@ from .placement import NoPath, plan_dump, plan_query
 from .query import (
     STREAM_SCHEMAS,
     LexError,
-    OperatorNode,
     ParseError,
     QueryError,
     _render_param,
@@ -44,17 +43,6 @@ EXIT_SEMANTIC = 2
 EXIT_CONFIG = 3
 
 
-def _tree_lines(node: OperatorNode, depth: int = 0, out: list[str] | None = None) -> list[str]:
-    if out is None:
-        out = []
-    params = ",".join(_render_param(p) for p in node.params)
-    suffix = " [%s]" % params if params else ""
-    out.append("%s%d %s%s" % ("  " * depth, node.index, node.kind, suffix))
-    for child in node.children:
-        _tree_lines(child, depth + 1, out)
-    return out
-
-
 def _cmd_parse(args) -> int:
     text = args.query
     if text is None or text == "-":
@@ -72,8 +60,10 @@ def _cmd_parse(args) -> int:
         print("semantic error: %s" % err, file=sys.stderr)
         return EXIT_SEMANTIC
     print("canonical: %s" % canonical_text(tree))
-    for line in _tree_lines(tree):
-        print(line)
+    for node in tree.walk():
+        params = ",".join(_render_param(p) for p in node.params)
+        suffix = " [%s]" % params if params else ""
+        print("%s%d %s%s" % ("  " * node.depth, node.index, node.kind, suffix))
     print("nfn: %s" % to_nfn_expression(tree))
     return EXIT_OK
 

@@ -2,21 +2,28 @@
 
 A node runs one logical event loop. Every packet enters through
 `handle_packet(packet, in_face)`; handlers run to completion and never block
-on remote responses. A coordinator plans a query in one request/reply loop
-of two stages: while the plan is unmade it probes the delay of every other
-broker in the query's `placement.corridor` whose delay it does not already
-hold from a probe reply it received or forwarded (counter `delays_reused`),
-then it sends each host its deploy order. Each plan waits on the PIT
-entries of the Interests it sent, and a Data that answers one is handed to
-the plans waiting there. A stage ends with its last reply or at its timeout,
-and a deploy order unacked gives the plan up. The plan reads each delay from
-the content store when it is made: a silent broker's reads infinite, as does
-a reply that is not a number >= 0. The coordinator installs its own share
-through the deploy-order reader, as every other host does. A plan that fails
-(NoPath) sends /nack/<qhash>/<nonce> with the reason on every face of its
-query's PIT entry and leaves no state: like a /ce result, the nack follows
-the PIT entries for <qhash> to the consumers, and it drops each one on its
-way, so a later Add of the query is planned afresh.
+on remote responses. Each handler returns the packet's disposition:
+`consumed`, `forwarded`, `dropped` or `malformed`. `handle_packet` counts
+each packet once, as `received` and under the disposition its handler
+returned. A packet whose handler raises gets no disposition; the simulator
+counts it in its node's `errors`. An evaluation that `_feed_child_output`
+skips for a row it cannot read is counted `malformed` too.
+
+A coordinator plans a query in one request/reply loop of two stages: while
+the plan is unmade it probes the delay of every other broker in the query's
+`placement.corridor` whose delay it does not already hold from a probe reply
+it received or forwarded (counter `delays_reused`), then it sends each host
+its deploy order. Each plan waits on the PIT entries of the Interests it
+sent, and a Data that answers one is handed to the plans waiting there. A
+stage ends with its last reply or at its timeout, and a deploy order unacked
+gives the plan up. The plan reads each delay from the content store when it
+is made: a silent broker's reads infinite, as does a reply that is not a
+number >= 0. The coordinator installs its own share through the deploy-order
+reader, as every other host does. A plan that fails (NoPath) sends
+/nack/<qhash>/<nonce> with the reason on every face of its query's PIT entry
+and leaves no state: like a /ce result, the nack follows the PIT entries for
+<qhash> to the consumers, and it drops each one on its way, so a later Add
+of the query is planned afresh.
 
 Name conventions produced locally:
   /node/<id>/delay            advertised processing + queueing delay
@@ -124,6 +131,7 @@ import json
 import math
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
@@ -265,7 +273,6 @@ class OpInstance:
     salted: str
     unsalted: str  # the hash its /ce names carry, its PIT and CS key
     node: OperatorNode
-    parent_idx: Optional[int]
     parent_host: Optional[str]
     win_state: Optional[WindowState] = None
     predict_state: Optional[PredictState] = None
@@ -336,15 +343,12 @@ class Engine:
         self.high_water: dict[tuple[str, ...], int] = {}  # stream name -> newest tuple ts
         self._deployed: dict[str, int] = {}  # salted hash -> time of its latest deploy here
         self._fences: dict[tuple[str, int], int] = {}  # /state feed sent or forwarded -> fence wm
-        self.counters: dict[str, int] = {}
+        self.counters: Counter[str] = Counter()
 
     # -- small helpers ------------------------------------------------------
 
-    def _bump(self, key: str) -> None:
-        self.counters[key] = self.counters.get(key, 0) + 1
-
     def _send(self, face_id: int, packet: Packet) -> None:
-        self._bump("sent")
+        self.counters["sent"] += 1
         self.services.send(self.node_id, face_id, packet)
 
     def _nack(self, faces, reason: str, *name: str) -> None:
@@ -415,30 +419,31 @@ class Engine:
     # -- dispatch -----------------------------------------------------------
 
     def handle_packet(self, packet: Packet, in_face: int) -> None:
-        self._bump("received")
+        """Handle `packet`; count it `received` and under the disposition its handler returns."""
+        self.counters["received"] += 1
         if type(packet) is DataStream:  # most packets: test it first
-            self.handle_data_stream(packet, in_face)
+            disposition = self.handle_data_stream(packet, in_face)
         elif isinstance(packet, AddQueryInterest):
-            self.handle_add_query_interest(packet, in_face)
+            disposition = self.handle_add_query_interest(packet, in_face)
         elif isinstance(packet, RemoveQueryInterest):
-            self.handle_remove_query_interest(packet, in_face)
+            disposition = self.handle_remove_query_interest(packet, in_face)
         elif isinstance(packet, Interest):
-            self.handle_interest(packet, in_face)
+            disposition = self.handle_interest(packet, in_face)
         elif isinstance(packet, Data):
-            self.handle_data(packet, in_face)
+            disposition = self.handle_data(packet, in_face)
         else:
-            self._bump("dropped")
+            disposition = "dropped"
+        self.counters[disposition] += 1
 
     # -- query interests ----------------------------------------------------
 
-    def handle_add_query_interest(self, p: AddQueryInterest, in_face: int) -> None:
+    def handle_add_query_interest(self, p: AddQueryInterest, in_face: int) -> str:
         try:
             tree, key, graph_real_ms = self._parse(p.query)
         except QueryError as err:
-            self._bump("nacks")
-            self._bump("consumed")
+            self.counters["nacks"] += 1
             self._nack([in_face], str(err), p.nonce)
-            return
+            return "consumed"
         unsalted = query_hash(key)
 
         # (a) fresh content store hit answers immediately, no state change
@@ -454,42 +459,37 @@ class Engine:
                 payload=hit.payload,
                 ts=hit.logical_ts,
             )
-            self._bump("cs_replies")
-            self._bump("consumed")
+            self.counters["cs_replies"] += 1
             self._send(in_face, reply)
-            return
+            return "consumed"
 
         # (b) already pending: record the extra face and stop
         if self.pit.lookup(unsalted) is not None:
             self.pit.add_face(unsalted, in_face, self._now())
-            self._bump("consumed")
-            return
+            return "consumed"
 
         # (c) take the query: brokers coordinate it, endpoints forward it
         self.pit.add_face(unsalted, in_face, self._now())
         if self.role == "broker":
-            self._bump("consumed")
             self._coordinate(p.nonce, key, tree, unsalted, graph_real_ms)
-        else:
-            out = self._query_faces(in_face)
-            for f in out:
-                self._send(f, p)
-            self._bump("forwarded" if out else "consumed")
+            return "consumed"
+        out = self._query_faces(in_face)
+        for f in out:
+            self._send(f, p)
+        return "forwarded" if out else "consumed"
 
-    def handle_remove_query_interest(self, p: RemoveQueryInterest, in_face: int) -> None:
+    def handle_remove_query_interest(self, p: RemoveQueryInterest, in_face: int) -> str:
         try:
             unsalted = query_hash(self._parse(p.query)[1])
         except QueryError:
-            self._bump("dropped")
-            return
+            return "dropped"
         if self.pit.lookup(unsalted) is None:
-            self._bump("dropped")
-            return
+            return "dropped"
         self.pit.remove_face(unsalted, in_face)
         out = self._query_faces(in_face)
         for f in out:
             self._send(f, p)
-        self._bump("forwarded" if out else "consumed")
+        return "forwarded" if out else "consumed"
 
     # -- coordination -------------------------------------------------------
 
@@ -537,7 +537,7 @@ class Engine:
                 if math.isinf(self._held_delay(b)):
                     probes.append(Name(("node", b, "delay")))
                 else:
-                    self._bump("delays_reused")
+                    self.counters["delays_reused"] += 1
         self._request(pending, probes, PROBE_TIMEOUT_MS)
 
     def _held_delay(self, broker: str) -> float:
@@ -647,9 +647,7 @@ class Engine:
         for node in tree.walk():
             host = assign[node.index]
             if node.is_leaf:
-                binding = self.config.streams.get(node.stream_alias)
-                if binding is None:
-                    continue
+                binding = self.config.streams[node.stream_alias]
                 home = plan.ingress.get(node.stream_alias)
                 if home and home != host:
                     add_route_path(home, host, binding.name.to_uri())
@@ -713,12 +711,9 @@ class Engine:
                 self.fib.add_route(prefix, face)
         tree = self._trees.setdefault(salted, tree)
         self._deployed[salted] = self._now()
-        parent_of: dict[int, Optional[int]] = {tree.index: None}
-        for node in tree.walk():
-            self._fences.pop((salted, node.index), None)
-            for child in node.children:
-                parent_of[child.index] = node.index
         by_index = {node.index: node for node in tree.walk()}
+        for idx in by_index:
+            self._fences.pop((salted, idx), None)
         for idx, host in assignments.items():
             if host != self.node_id:
                 continue
@@ -727,14 +722,8 @@ class Engine:
                 existing.sent_rows = []  # its parent may be new: ship a keyframe next
                 continue
             node = by_index[idx]
-            pidx = parent_of[idx]
-            inst = OpInstance(
-                salted=salted,
-                unsalted=unsalted,
-                node=node,
-                parent_idx=pidx,
-                parent_host=assignments[pidx] if pidx is not None else None,
-            )
+            parent_host = None if node.parent is None else assignments[node.parent]
+            inst = OpInstance(salted=salted, unsalted=unsalted, node=node, parent_host=parent_host)
             if node.kind == "WINDOW":
                 inst.win_state = WindowState((), node.params[1])
             elif node.kind == "FILTER":
@@ -764,15 +753,14 @@ class Engine:
 
     # -- data streams and evaluation ----------------------------------------
 
-    def handle_data_stream(self, p: DataStream, in_face: int) -> None:
+    def handle_data_stream(self, p: DataStream, in_face: int) -> str:
         comps = p.stream_name.components
         feed = None  # (salted hash, index) of a /state delta
         width = self._stream_widths.get(comps)
         if width is not None:
             values = p.tuple.values
             if len(values) != width or any(isinstance(v, str) for v in values):
-                self._bump("malformed")
-                return
+                return "malformed"
             self.high_water[comps] = max(self.high_water.get(comps, 0), p.tuple.ts)
         elif len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
             try:
@@ -780,8 +768,7 @@ class Engine:
                     raise ValueError("a /state stream carries deltas")
                 feed = (comps[1], int(comps[2]))
             except ValueError:
-                self._bump("malformed")
-                return
+                return "malformed"
 
         feeds = self._feeds.get(comps)
         consumed = bool(feeds)  # read first: a release in the loop empties the list
@@ -795,34 +782,32 @@ class Engine:
                 try:
                     fed = self._decode_snapshot(p.tuple, inst, feed[1], child.ctx.width)
                 except ValueError:
-                    self._bump("malformed")
-                    return
+                    return "malformed"
                 if fed is not None:
                     self._feed_child_output(inst, feed[1], *fed)
                 continue
             entry = self.pit.lookup(inst.unsalted)
             if entry is not None and p.tuple.ts <= entry.last_result_ts:
-                self._bump("out_of_order")
+                self.counters["out_of_order"] += 1
                 continue  # already folded into a delivered result
             self._feed_window(inst, p.tuple)
 
         if self._ship(p, feed, in_face):
-            self._bump("forwarded")
-        elif consumed:
-            self._bump("consumed")
-        else:
-            self._bump("dropped")
-            if feed is not None:  # nobody here wants this feed: prune it upstream
-                self._bump("prunes_sent")
-                prune = Name(("state", comps[1], comps[2], "prune", str(p.tuple.ts)))
-                self._send(in_face, Interest(name=prune))
+            return "forwarded"
+        if consumed:
+            return "consumed"
+        if feed is not None:  # nobody here wants this feed: prune it upstream
+            self.counters["prunes_sent"] += 1
+            prune = Name(("state", comps[1], comps[2], "prune", str(p.tuple.ts)))
+            self._send(in_face, Interest(name=prune))
+        return "dropped"
 
     def _feed_window(self, inst: OpInstance, t: Tuple) -> None:
         self.services.charge(self.node_id, EVAL_COST_MS["WINDOW"])
         try:
             inst.win_state, _evicted = window_insert(inst.win_state, t)
         except OutOfOrderTuple:
-            self._bump("out_of_order")
+            self.counters["out_of_order"] += 1
             return
         rows = list(inst.win_state.buffer)
         self._emit(inst, rows, rows[-1].ts)
@@ -856,7 +841,7 @@ class Engine:
             del mirror.rows[: delta.first - mirror.base]
             mirror.base = delta.first
         if mirror.base != delta.first:
-            self._bump("state_gaps")
+            self.counters["state_gaps"] += 1
             return None
         # a copy: row ids held downstream stay valid only while the rows live
         return list(mirror.rows), delta.ts
@@ -876,11 +861,11 @@ class Engine:
         if not rows or wm <= inst.last_emit:
             return
         inst.last_emit = wm
-        if inst.parent_idx is None:
+        if inst.node.parent is None:
             self._notify(inst, rows, wm)
             return
         if inst.parent_host == self.node_id:
-            parent = self.instances.get((inst.salted, inst.parent_idx))
+            parent = self.instances.get((inst.salted, inst.node.parent))
             if parent is not None:
                 self._feed_child_output(parent, inst.node.index, rows, wm)
             return
@@ -890,7 +875,7 @@ class Engine:
             stream_name=name, tuple=self._encode_snapshot(inst, rows, wm, schema)
         )
         if self._ship(packet, (inst.salted, inst.node.index)):
-            self._bump("results_shipped")
+            self.counters["results_shipped"] += 1
 
     def _ship(self, p: DataStream, feed: Optional[tuple], in_face: Optional[int] = None) -> bool:
         """Send `p` on its routed faces but `in_face`, then fence /state `feed`; whether it went."""
@@ -945,7 +930,7 @@ class Engine:
         except EmptyWindow:
             return
         except OperatorError:
-            self._bump("malformed")
+            self.counters["malformed"] += 1
             return
         self._emit(inst, out, wm)
 
@@ -984,7 +969,7 @@ class Engine:
         """Stop sending `feed` on `in_face`; with no face left, release its query here."""
         fence = self._fences.get(feed)
         if fence is None or wm < fence:
-            self._bump("stale_prunes")
+            self.counters["stale_prunes"] += 1
             return
         prefix = Name(("state", feed[0], str(feed[1])))
         self.fib.remove_route(prefix, in_face)
@@ -1007,7 +992,7 @@ class Engine:
             inst = self.instances.pop(key, None)
             if inst is None:
                 continue
-            self._bump("released")
+            self.counters["released"] += 1
             self._index_feeds(inst, add=False)
             if inst.parent_host not in (None, self.node_id):
                 self._fences.pop(key, None)
@@ -1034,53 +1019,45 @@ class Engine:
             if not entry.waiting:
                 self.pit.remove_face(name, APP_FACE)
 
-    def handle_interest(self, p: Interest, in_face: int) -> None:
+    def handle_interest(self, p: Interest, in_face: int) -> str:
         comps = p.name.components
         if len(comps) == 5 and comps[0] == "state" and comps[3] == "prune":
             try:
                 feed, wm = (comps[1], int(comps[2])), int(comps[4])
             except ValueError:
-                self._bump("malformed")
-                return
-            self._bump("consumed")
+                return "malformed"
             self._handle_prune(feed, wm, in_face)
-            return
+            return "consumed"
         if len(comps) == 3 and comps[:2] == ("node", self.node_id) and comps[2] == "delay":
             delay = self.services.local_delay_ms(self.node_id)
-            self._bump("consumed")
             self._send(
                 in_face,
                 Data(name=p.name, payload=repr(delay).encode("ascii"), ts=self._now()),
             )
-            return
+            return "consumed"
         if len(comps) == 4 and comps[:2] == ("node", self.node_id) and comps[2] == "deploy":
             try:
                 doc = json.loads(base64.urlsafe_b64decode(comps[3].encode("ascii")))
                 order = self._read_deploy_order(doc)
             except (ValueError, RecursionError):  # a deeply nested document
-                self._bump("malformed")
-                return
+                return "malformed"
             self._install_assignment(*order)
-            self._bump("consumed")
             self._send(in_face, Data(name=p.name, payload=b"ok", ts=self._now()))
-            return
+            return "consumed"
         hit = self.cs.lookup(p.name)
         if hit is not None:
-            self._bump("consumed")
             self._send(in_face, Data(name=p.name, payload=hit.payload, ts=hit.logical_ts))
-            return
+            return "consumed"
         if self.pit.lookup(p.name) is not None:
             self.pit.add_face(p.name, in_face, self._now())
-            self._bump("consumed")
-            return
+            return "consumed"
         out_faces = self._fib_faces(p.name, exclude=in_face, interest=True)
         if not out_faces:
-            self._bump("dropped")
-            return
+            return "dropped"
         self.pit.add_face(p.name, in_face, self._now())
-        self._bump("forwarded")
         for f in out_faces:
             self._send(f, p)
+        return "forwarded"
 
     def _cache(self, p: Data) -> None:
         """Keep `p` in the content store unless it acks a deploy order.
@@ -1092,7 +1069,7 @@ class Engine:
         if not (len(comps) == 4 and comps[0] == "node" and comps[2] == "deploy"):
             self.cs.insert(p.name, p.payload, p.ts)
 
-    def handle_data(self, p: Data, in_face: int) -> None:
+    def handle_data(self, p: Data, in_face: int) -> str:
         comps = p.name.components
         # a result, or a failed plan's nack, follows its query's PIT entry
         if comps[0] == "ce" and len(comps) >= 2 or comps[0] == "nack" and len(comps) == 3:
@@ -1104,23 +1081,20 @@ class Engine:
                 self.pit.remove(comps[1])
             elif entry is not None:
                 entry.last_result_ts = max(entry.last_result_ts, p.ts)
-            self._bump("forwarded" if faces else "dropped")
-            return
+            return "forwarded" if faces else "dropped"
         if comps[0] == "nack":
             # surface rejections to the local application
-            self._bump("consumed")
             self._send(APP_FACE, p)
-            return
+            return "consumed"
         entry = self.pit.lookup(p.name)
         if entry is None:
-            self._bump("dropped")  # unsolicited
-            return
+            return "dropped"  # unsolicited
         self.pit.remove(p.name)
         self._cache(p)
         waiting = entry.waiting  # while plans wait, APP_FACE stands for them
         for f in sorted(entry.faces):
             if f != in_face and not (waiting and f == APP_FACE):
                 self._send(f, p)
-        self._bump("consumed" if waiting else "forwarded")
         for pending in waiting:
             self._reply(pending, p)
+        return "consumed" if waiting else "forwarded"

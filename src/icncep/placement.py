@@ -109,8 +109,7 @@ def assign_operators(
         for node in ops:
             assignments[node.index] = coordinator
     elif mode == "distributed":
-        depth = tree.depth_map()
-        ordered = sorted(ops, key=lambda n: (-depth[n.index], n.index))
+        ordered = sorted(ops, key=lambda n: (-n.depth, n.index))
         k, l = len(ordered), len(path)
         if k >= l:
             base, rem = divmod(k, l)

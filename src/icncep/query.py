@@ -341,6 +341,8 @@ class OperatorNode:
     right: Optional["OperatorNode"] = None
     fmt: str = "DataStream"
     index: int = field(default=-1, compare=False)
+    parent: Optional[int] = field(default=None, compare=False)  # its parent's index
+    depth: int = field(default=0, compare=False)  # the root's is 0
     ctx: Optional[SchemaCtx] = field(default=None, compare=False)
 
     @property
@@ -369,18 +371,6 @@ class OperatorNode:
             alias = node.stream_alias
             if alias:
                 out.add(alias)
-        return out
-
-    def depth_map(self) -> dict[int, int]:
-        """index -> depth (root at 0); indices must be assigned first."""
-        out: dict[int, int] = {}
-
-        def visit(node: "OperatorNode", d: int) -> None:
-            out[node.index] = d
-            for child in node.children:
-                visit(child, d + 1)
-
-        visit(self, 0)
         return out
 
 
@@ -739,8 +729,10 @@ def to_nfn_expression(node: OperatorNode, hosts: Optional[dict[int, str]] = None
 def create_operator_graph(
     query: str, streams: Optional[StreamRegistry] = None
 ) -> OperatorNode:
-    """Parse plus plan-node bookkeeping: pre-order operator indices."""
+    """Parse plus plan-node bookkeeping: pre-order indices, each node's parent and depth."""
     tree = parse_query(query, streams)
     for i, node in enumerate(tree.walk()):
         node.index = i
+        for child in node.children:
+            child.parent, child.depth = i, node.depth + 1
     return tree

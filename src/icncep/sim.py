@@ -858,7 +858,7 @@ class Simulator:
         try:
             thunk()
         except Exception as err:  # keep the run alive, surface in the trace
-            self.engines[node]._bump("errors")
+            self.engines[node].counters["errors"] += 1
             if self.collect_trace:
                 self.trace.append("%.3f %s error %s: %s" % (self.t, node, type(err).__name__, err))
         out = self._ctx_out

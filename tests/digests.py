@@ -6,7 +6,8 @@ answers. `results_digest` covers only what the applications received;
 `wire_digest` covers the bytes the codec writes for every link send, and
 checks that each decodes back to the packet sent.
 `first_divergence` says where two traces part, so a change that moves a
-trace hash can name the first event it moved.
+trace hash can name the first event it moved. `unbalanced_nodes` names the
+nodes whose packets' dispositions do not add up to what they received.
 """
 
 import hashlib
@@ -39,6 +40,16 @@ def results_digest(metrics) -> str:
             key = "/ce/" + comps[1] if comps[0] == "ce" else "/" + comps[0]
             received.setdefault(node, {}).setdefault(key, []).append(p.payload.decode("utf-8"))
     return hashlib.sha256(json.dumps(received, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def unbalanced_nodes(metrics) -> dict:
+    """Per node whose `received` is not `consumed + forwarded + dropped + malformed`, its counters."""
+    dispositions = ("consumed", "forwarded", "dropped", "malformed")
+    return {
+        node: counters
+        for node, counters in metrics.nodes.items()
+        if counters.get("received", 0) != sum(counters.get(k, 0) for k in dispositions)
+    }
 
 
 @contextmanager

@@ -243,8 +243,9 @@ def test_remove_is_per_face():
 def test_remove_unknown_query_is_dropped():
     eng, svc = single_broker()
     eng.handle_packet(RemoveQueryInterest(query=Q1, nonce="nx"), in_face=1)
+    eng.handle_packet(RemoveQueryInterest(query="WINDOW(", nonce="ny"), in_face=1)  # no parse
     assert svc.sent == []
-    assert eng.counters.get("dropped", 0) == 1
+    assert eng.counters.get("dropped", 0) == 2
 
 
 NESTED_TOO_DEEP = "FILTER(" * 3000 + "WINDOW(GPS_S1, 4s)" + ", 'speed' > 1)" * 3000
@@ -262,6 +263,11 @@ def test_malformed_query_nacked(text):
     assert out[0].name.components[1] == "n9"
     assert out[0].payload  # carries the parser diagnostic
     assert eng.instances == {} and eng._parsed == {}
+    # the consumer the Add came from hands the nack to its application
+    c1_svc = FakeServices()
+    c1 = Engine(NodeConfig("c1", eng.config.topology, default_streams()), c1_svc)
+    c1.handle_packet(out[0], in_face=1)
+    assert c1_svc.sent == [("c1", APP_FACE, out[0])] and c1.counters["consumed"] == 1
 
 
 def test_an_engine_without_streams_nacks_a_query_on_a_built_in_alias():
@@ -443,7 +449,7 @@ def typed(rows):
 
 
 def bare_instance():
-    return OpInstance("s", "u", node=None, parent_idx=None, parent_host=None)
+    return OpInstance("s", "u", node=None, parent_host=None)
 
 
 def row_of(values, schema):

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from icncep.sim import data_path, load_scenario, override_scenario, run_scenario
-from digests import results_digest, wire_digest
+from digests import results_digest, unbalanced_nodes, wire_digest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "traces.json").read_text())
@@ -80,3 +80,4 @@ def test_shipped_run_ends_without_engine_errors(traced_runs, label):
     errors = {n: c["errors"] for n, c in metrics.nodes.items() if c.get("errors")}
     assert errors == {}
     assert not any(" error " in line for line in metrics.trace)
+    assert unbalanced_nodes(metrics) == {}

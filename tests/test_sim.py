@@ -93,6 +93,10 @@ def test_distributed_preset_shape():
         ("garble\n", "unknown directive"),
         ("node a broker 1\nnode b broker 1\n", "disconnected"),
         ("node a broker 1\nnode b broker 1\nlink a b 1 0\n", "capacity"),
+        ("node a broker\n", "line 1: node takes <id> <role> <delay_ms>"),
+        ("node a broker 1\nnode b broker 1\nlink a b\n", "line 3: link takes <a> <b>"),
+        ("node a broker 1\nnode b broker 1\nlink a b 1 x\n", "line 3: bad capacity 'x'"),
+        ("# nothing but a comment\n", "defines no nodes"),
     ],
 )
 def test_topology_errors_carry_diagnostics(tmp_path, body, fragment):
@@ -385,6 +389,40 @@ def test_distributed_plans_on_256_brokers_probe_only_their_corridors(tmp_path, m
 # scenario loading
 
 
+TOPO = "topology centralized\n"
+STREAM = "stream GPS_S1 /node/p1/gps gps g.csv 1.0\n"
+QUERY = "query a c1 0 1000 centralized WINDOW(GPS_S1, 4s)\n"
+
+
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        ("topology a b\n", "line 1: topology takes one name or path"),
+        (TOPO + "seed\n", "line 2: seed takes one integer"),
+        (TOPO + "seed x\n", "line 2: bad seed 'x'"),
+        (TOPO + "stream GPS_S1 /node/p1/gps gps\n", "line 2: stream takes <alias>"),
+        (TOPO + "stream GPS_S1 /node/p1/gps gps g.csv fast\n", "line 2: bad rate 'fast'"),
+        (TOPO + "query a c1 0 1000 centralized\n", "line 2: query takes <id>"),
+        (TOPO + "query a c1 0 1000 centralized poll=x WINDOW(GPS_S1, 4s)\n", "line 2: bad poll"),
+        (TOPO + "query a c1 0 1000 centralized poll=5\n", "line 2: query text missing"),
+        (TOPO + "query a c1 zero 1000 centralized WINDOW(GPS_S1, 4s)\n", "line 2: bad start/stop"),
+        (TOPO + "garble\n", "line 2: unknown directive 'garble'"),
+        (STREAM + QUERY, "no topology line"),
+        (TOPO + STREAM, "no query line"),
+        (
+            TOPO + "stream GPS_S1 /node/p9/gps gps g.csv 1.0\n" + QUERY,
+            "stream GPS_S1 names unknown producer p9",
+        ),
+    ],
+)
+def test_scenario_errors_carry_diagnostics(tmp_path, body, fragment):
+    p = tmp_path / "s.scn"
+    p.write_text(body)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(str(p))
+    assert fragment in str(err.value)
+
+
 def test_shipped_scenarios_load():
     for qid in ("q1", "q2", "q3", "q4", "q5", "q6"):
         spec = load_scenario(qid)
@@ -611,6 +649,26 @@ def test_replay_header_mismatch(tmp_path):
     csv.write_text("ts,s_id,longitude\n1,1,8.6\n")
     with pytest.raises(SchemaMismatch):
         replay_dataset(StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0))
+
+
+GPS_HEADER = "ts,s_id,latitude,longitude,altitude,accuracy,distance,speed\n"
+
+
+@pytest.mark.parametrize(
+    "schema,body,fragment",
+    [
+        ("foo", GPS_HEADER, "unknown schema 'foo'"),
+        ("gps", GPS_HEADER + "1000,1,49.87\n", "line 2 has 3 fields, expected 8"),
+        ("gps", GPS_HEADER + "1000,1,49.87,8.65,100,1,0,fast\n", "line 2: could not convert"),
+        ("gps", GPS_HEADER + "-1,1,49.87,8.65,100,1,0,10\n", "line 2: negative timestamp"),
+    ],
+)
+def test_replay_errors_carry_diagnostics(tmp_path, schema, body, fragment):
+    csv = tmp_path / "g.csv"
+    csv.write_text(body)
+    with pytest.raises(SchemaMismatch) as err:
+        replay_dataset(StreamDef("GPS_S1", "/node/p1/gps", schema, str(csv), 1.0))
+    assert fragment in str(err.value)
 
 
 def test_replay_missing_file():

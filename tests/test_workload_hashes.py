@@ -10,7 +10,8 @@ changed behaviour and must say why. The result digest (what the consumers
 received, `digests.results_digest`) should hold even then, unless the change
 says why it moves. The wire digest pins the `encode_packet` bytes of every
 link send (`digests.wire_digest`), which `golden/wire.json` pins only for the
-shipped runs.
+shipped runs. On every node of every run, each packet received is counted
+under exactly one disposition.
 """
 
 import sys
@@ -23,7 +24,7 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
 from icncep.sim import run_scenario  # noqa: E402
-from digests import results_digest, wire_digest  # noqa: E402
+from digests import results_digest, unbalanced_nodes, wire_digest  # noqa: E402
 
 HASHES = {
     ("churn", 42): "ac9cfd918f4c79a9b11e8454121e4bac4ec0f7178094fb4d1638a1c953ddbba5",
@@ -71,3 +72,8 @@ def test_workload_results_digest_is_pinned(workload, seed, replays):
 @pytest.mark.parametrize("workload, seed", list(WIRE))
 def test_workload_wire_digest_is_pinned(workload, seed, replays):
     assert replays(workload, seed)[1] == WIRE[workload, seed]
+
+
+@pytest.mark.parametrize("workload, seed", list(HASHES))
+def test_workload_dispositions_add_up_to_received(workload, seed, replays):
+    assert unbalanced_nodes(replays(workload, seed)[0]) == {}
