@@ -7,7 +7,7 @@ on remote responses. Each handler returns the packet's disposition:
 each packet once, as `received` and under the disposition its handler
 returned. A packet whose handler raises gets no disposition; the simulator
 counts it in its node's `errors`. An evaluation that `_feed_child_output`
-skips for a row it cannot read is counted `malformed` too.
+skips for a row it cannot read is counted `eval_skipped`, not a disposition.
 
 A coordinator plans a query in one request/reply loop of two stages: while
 the plan is unmade it probes the delay of every other broker in the query's
@@ -893,7 +893,7 @@ class Engine:
 
         Rows from a remote child may carry text where an aggregate, HEATMAP or
         PREDICT reads a number: that evaluation raises UnknownAttribute and is
-        skipped and counted `malformed`. An empty MIN, MAX or AVG emits nothing.
+        skipped and counted `eval_skipped`. An empty MIN, MAX or AVG emits nothing.
         """
         node = inst.node
         self.services.charge(self.node_id, EVAL_COST_MS[node.kind])
@@ -930,7 +930,7 @@ class Engine:
         except EmptyWindow:
             return
         except OperatorError:
-            self.counters["malformed"] += 1
+            self.counters["eval_skipped"] += 1
             return
         self._emit(inst, out, wm)
 

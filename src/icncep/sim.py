@@ -12,9 +12,9 @@ start + processing delay + any compute charged during evaluation. Real
 (wall-clock) parse and planning times are kept out of the trace and surface
 only in the metrics, marked as real in the CSV header.
 
-Handlers that find their node busy wait in per-node batches, one heap entry
-per batch rather than per handler. Events still run in the order, and take
-the seqs (so the trace uids), that one heap push per wait would give them.
+A handler that finds its node busy, or others already waiting there, joins
+the back of the node's first-come-first-served line. Each line has one heap
+entry, at the node's busy_until, that serves it while the node is idle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 import random
 import zlib
 from array import array
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -719,22 +718,17 @@ def _summary(p: Packet) -> str:
     return type(p).__name__
 
 
-# A node's waiting handlers: (time, seqs, handlers). `time` is the node's
-# busy_until when the batch opened; seqs[k] is the seq handlers[k] would have
-# taken as a heap entry of its own, ascending. Its heap entry is
-# (time, seqs[0], partial(Simulator._wake, node, batch)).
-Batch = tuple[float, list[int], list[Callable[[], None]]]
-
-
 class Simulator:
     """Event loop, links, and per-node serial processing around the engines.
 
     Heap entries are (time, seq, fn), and `run` calls each `fn` in turn. An
     engine's timer (`schedule`) is an ordinary node handler: its entry runs
-    it through `_exec` like a packet's. The handlers that find their node
-    busy until `time` wait in a `Batch` (`_wait`), one entry per batch,
-    served by `_wake` in the order and with the seqs of one heap entry per
-    wait. Trace uids are heap seqs, so they do not depend on the batching.
+    it through `_exec` like a packet's. Handlers that cannot run at once
+    wait in their node's line, in the order they reached `_exec`, and
+    `_serve` runs them once the node is idle. Trace uids are heap seqs: a
+    join takes one, and each re-wait of a line takes one per handler in it,
+    so that the uids, and the pinned trace hashes, are those of a kernel
+    with one heap entry per wait.
     """
 
     def __init__(self, spec: ScenarioSpec, collect_trace: bool = True):
@@ -744,7 +738,7 @@ class Simulator:
         self.t = 0.0
         self._seq = 0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._waiting: dict[str, Batch] = {}  # each node's latest batch from `_wait`
+        self._waiting: dict[str, deque[Callable[[], None]]] = {}  # each busy node's line
         self.trace = Trace()
         self.events: list[tuple[str, str, dict]] = []
         self.app: dict[str, list[tuple[float, Packet]]] = {}
@@ -802,55 +796,29 @@ class Simulator:
         heappush(self._heap, (max(t, self.t), self._seq, fn))
 
     def _exec(self, node: str, thunk: Callable[[], None]) -> None:
-        """Run a handler on `node` now, or queue it until the node is idle."""
-        if self.busy_until[node] > self.t:
-            self._wait(node, [thunk])
-        else:
+        """Run a handler on `node` now, or put it at the back of the node's line."""
+        line = self._waiting.get(node)
+        if line is None and self.busy_until[node] <= self.t:
             self._run(node, thunk)
-
-    def _wait(self, node: str, fns: list[Callable[[], None]]) -> None:
-        """Queue `fns`, in order, until busy `node` is idle.
-
-        Each takes the next seq, as a heap push of its own would. They join
-        the node's open batch if it waits for the same busy_until, else open
-        a new one with a single heap entry.
-        """
-        until = self.busy_until[node]
-        first = self._seq + 1
-        self._seq += len(fns)
-        batch = self._waiting.get(node)
-        if batch is not None and batch[0] == until:
-            batch[1].extend(range(first, self._seq + 1))
-            batch[2].extend(fns)
+            return
+        self._seq += 1
+        if line is None:
+            self._waiting[node] = deque((thunk,))
+            heappush(self._heap, (self.busy_until[node], self._seq, partial(self._serve, node)))
         else:
-            batch = self._waiting[node] = (until, list(range(first, self._seq + 1)), fns)
-            heappush(self._heap, (until, first, partial(self._wake, node, batch)))
+            line.append(thunk)
 
-    def _wake(self, node: str, batch: Batch) -> None:
-        """Serve a batch whose time has come, as if each handler were popped alone.
-
-        Handlers run while the node is idle. Once it is busy, every handler
-        up to the next heap event at this time moves to the node's next
-        batch in one step. If such an event falls between two handlers, the
-        rest of the batch goes back on the heap at the seq of its head.
-        """
-        t, seqs, fns = batch
-        heap = self._heap
-        i, n = 0, len(seqs)
-        while i < n:
-            j = n
-            if heap and heap[0][0] == t:  # heap times never fall below t
-                j = bisect_left(seqs, heap[0][1], i, n)
-                if j == i:
-                    rest = (t, seqs[i:], fns[i:])
-                    heappush(heap, (t, seqs[i], partial(self._wake, node, rest)))
-                    return
-            if self.busy_until[node] > t:
-                self._wait(node, fns[i:j])
-            else:
-                self._run(node, fns[i])
-                j = i + 1
-            i = j
+    def _serve(self, node: str) -> None:
+        """Run `node`'s line while the node is idle; the rest waits again."""
+        line = self._waiting[node]
+        while line and self.busy_until[node] <= self.t:
+            self._run(node, line.popleft())
+        if line:
+            first = self._seq + 1
+            self._seq += len(line)
+            heappush(self._heap, (self.busy_until[node], first, partial(self._serve, node)))
+        else:
+            del self._waiting[node]
 
     def _run(self, node: str, thunk: Callable[[], None]) -> None:
         """Run a handler in a serial processing slot on idle `node`."""
@@ -940,16 +908,15 @@ class Simulator:
                 trace.seal()
 
     def detach(self) -> None:
-        """Drop the engines' and the waiting handlers' references to this simulator.
+        """Drop the engines' references to this simulator.
 
-        Engines hold it as their services, and waiting handlers hold it
-        through their engine, so without this a finished run lives on until the cyclic garbage
-        collector finds it. The engines stay readable; they can no longer run.
+        Engines hold it as their services, so without this a finished run
+        lives on until the cyclic garbage collector finds it. The engines stay
+        readable; they can no longer run. A finished run has no line left.
         """
         for eng in self.engines.values():
             eng.services = None
             eng._parsed.clear()
-        self._waiting.clear()
 
 
 def run_scenario(spec: ScenarioSpec, collect_trace: bool = True) -> Metrics:

@@ -222,6 +222,8 @@ def test_parse_aggregate_both_forms():
     b = parse_query("SUM(DataStream, 'speed', WINDOW(GPS_S1, 4s))")
     assert a.kind == "SUM" and a.params[0] == AttrRef("speed")
     assert canonical_text(a) == canonical_text(b)
+    bare = parse_query("SUM(speed, WINDOW(GPS_S1, 4))")
+    assert canonical_text(bare) == canonical_text(parse_query("SUM('speed', WINDOW(GPS_S1, 4))"))
 
 
 def test_parse_count_window_extent():
@@ -279,6 +281,8 @@ def test_unknown_attribute_rejected():
         parse_query(
             "JOIN(WINDOW(GPS_S1, 4s), WINDOW(GPS_S2, 4s), GPS_S9.'ts' = GPS_S2.'ts')"
         )
+    with pytest.raises(SemanticError, match="expected an attribute name"):
+        parse_query("SUM(3, WINDOW(GPS_S1, 4))")
 
 
 def test_aggregate_requires_window_child():

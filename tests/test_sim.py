@@ -1050,74 +1050,37 @@ def test_each_packet_kind_has_its_trace_summary(packet, text):
 
 
 # ---------------------------------------------------------------------------
-# waiting batches against one heap entry per wait
+# each node serves its handlers first come, first served
 
 
-class RequeueSimulator(Simulator):
-    """The oracle: each wait is a heap entry of its own, re-pushed while busy.
+def fifo_recorder(runs):
+    """The simulator as shipped, adding to `runs` each instance it makes.
 
-    Heap entries are (time, seq, fn), as in the shipped kernel, but nothing
-    is batched: a handler that finds its node busy is pushed again, alone,
-    at the node's busy_until.
+    Each instance numbers, per node, the handlers as they reach `_exec`, and
+    notes the numbers in the order the handlers start, any handler that
+    starts while its node is busy, and how many started later than they
+    arrived.
     """
 
-    def schedule(self, delay_ms, fn):
-        node = self._ctx_node
-        self._at(self.t + delay_ms, lambda: self._exec(node, fn))
-
-    def _exec(self, node, thunk):
-        if self.busy_until[node] > self.t:
-            self._at(self.busy_until[node], lambda: self._exec(node, thunk))
-        else:
-            self._run(node, thunk)
-
-    def run(self):
-        while self._heap:
-            t, _, fn = heapq.heappop(self._heap)
-            self.t = t
-            fn()
-
-
-def path_recorder(paths):
-    """The simulator as shipped, adding to `paths` the waiting-batch paths it takes."""
-
-    class PathRecorder(Simulator):
+    class FifoRecorder(Simulator):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.timers = set()
-
-        def schedule(self, delay_ms, fn):
-            self.timers.add(fn)
-            super().schedule(delay_ms, fn)
+            self.reached, self.started, self.early, self.waited = Counter(), {}, [], 0
+            runs.append(self)
 
         def _exec(self, node, thunk):
-            batch = self._waiting.get(node)
-            if (
-                self.busy_until[node] == self.t
-                and batch is not None
-                and batch[0] == self.t
-                and any(
-                    isinstance(fn, partial) and fn.args[-1] is batch for _, _, fn in self._heap
-                )
-            ):
-                paths.add("arrival at busy_until runs ahead of the waiters")
-            if thunk in self.timers and self.busy_until[node] > self.t:
-                paths.add("stage timer fires while its coordinator is busy")
-            super()._exec(node, thunk)
+            k = self.reached[node]
+            self.reached[node] += 1
+            super()._exec(node, partial(self._start, node, k, self.t, thunk))
 
-        def _wait(self, node, fns):
-            if len(fns) > 1:
-                paths.add("bulk move")
-            super()._wait(node, fns)
+        def _start(self, node, k, reached_t, thunk):
+            if self.busy_until[node] > self.t:
+                self.early.append((self.t, node, k))
+            self.waited += self.t > reached_t
+            self.started.setdefault(node, []).append(k)
+            thunk()
 
-        def _wake(self, node, batch):
-            t, seqs, _ = batch
-            top = self._heap[0] if self._heap else None
-            if top is not None and top[0] == t and top[1] < seqs[-1]:
-                paths.add("same-time event between waiters")
-            super()._wake(node, batch)
-
-    return PathRecorder
+    return FifoRecorder
 
 
 def run_with(simulator, spec):
@@ -1143,7 +1106,7 @@ def busy_scenarios(draw):
     """A broker ring with a chord, integer delays and streams a few ms apart.
 
     Arrivals then often land exactly on a node's busy_until, and several
-    events share one time, which is where waiting batches must yield.
+    events share one time, which is where a node's line must keep its order.
     """
     ms = st.integers(0, 3)
     k = draw(st.integers(3, 5))
@@ -1186,23 +1149,26 @@ def busy_spec(tmp_path, drawn):
     return ScenarioSpec(topology=load_topology(str(topo)), streams=defs, queries=qdefs)
 
 
-def test_waiting_batches_keep_the_trace_of_one_heap_entry_per_wait(tmp_path):
-    paths = set()
-    recorder = path_recorder(paths)
+def test_each_node_runs_its_handlers_in_the_order_they_arrive(tmp_path):
+    """A handler that reaches a node while it is busy, or while others wait
+    there, starts after them: also when it arrives at the very time the node
+    turns idle. No handler starts while its node is busy."""
+    runs, waited = [], [0]
+    recorder = fifo_recorder(runs)
 
     @given(drawn=busy_scenarios())
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     def check(drawn):
-        spec = busy_spec(tmp_path, drawn)
-        assert run_with(recorder, spec).trace == run_with(RequeueSimulator, spec).trace
+        runs.clear()
+        run_with(recorder, busy_spec(tmp_path, drawn))
+        (run,) = runs
+        assert run.early == []
+        for node, n in run.reached.items():
+            assert run.started.get(node, []) == list(range(n)), node
+        waited[0] += run.waited
 
     check()
-    assert paths == {
-        "bulk move",
-        "same-time event between waiters",
-        "arrival at busy_until runs ahead of the waiters",
-        "stage timer fires while its coordinator is busy",
-    }
+    assert waited[0] > 0
 
 
 def test_every_link_send_of_a_busy_scenario_survives_the_codec(tmp_path):

@@ -27,9 +27,9 @@ from icncep.sim import run_scenario  # noqa: E402
 from digests import results_digest, unbalanced_nodes, wire_digest  # noqa: E402
 
 HASHES = {
-    ("churn", 42): "ac9cfd918f4c79a9b11e8454121e4bac4ec0f7178094fb4d1638a1c953ddbba5",
-    ("churn", 7): "23f68f119fdb23c84421e753f21186e45af95d1996c9d2eddc145c81f0b2d1ce",
-    ("mesh", 42): "90cb63b1e901e115e33afe74f035727283d9c7152911581a6ba86f756beb69e0",
+    ("churn", 42): "874298902c1ac22716ce79df99608b8d56168301f732b11eabf9b15f2199f62b",
+    ("churn", 7): "fb42b91060f399c7bfb7f1294b32791e030c24134f6648fb2012d97168c3feeb",
+    ("mesh", 42): "b7b836d2b453d4838dadd00c956b7cf2cd74ff05b1f6cc841dce3b8f4bae9783",
 }
 RESULTS = {
     ("churn", 42): "91868e5eff2420b762f34bd243be139b59e101b908c43ea37446820773b85c91",
@@ -37,9 +37,9 @@ RESULTS = {
     ("mesh", 42): "2bac075dc258eebec1852e2fda25260438642ebcda828ded3de101970fcb3641",
 }
 WIRE = {
-    ("churn", 42): "8b3d4c98d4889e1869861c68b584c4eea1655cabf7e7a2ea5ed0d3863bc79175",
-    ("churn", 7): "a69ebd810366c5338a4b643e1871fb1bc4d1d73b3484c36828ab87181e0dd70d",
-    ("mesh", 42): "17f6f2b1a91ecb1b68023baa21e225cf9ab9b5eab736f4c0e7c47cb411cef502",
+    ("churn", 42): "a268169ff621a66a932e638e8b4f76a5ca8643534f6f8ee5ae0b9feea10f036e",
+    ("churn", 7): "a03c3fb77cd66b5a24ba52abb459b92012b43a753d287823cf1d0770f0f16eb1",
+    ("mesh", 42): "cb3307640c416881d0632551dedd37fb3f2f700f449ac9394a9bc0f11078fc5a",
 }
 
 
