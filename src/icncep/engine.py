@@ -34,6 +34,9 @@ Name conventions produced locally:
   /ce/<qhash>/<ts>            consumer notification
   /nack/<nonce>               rejection of a malformed query
   /nack/<qhash>/<nonce>       rejection of an unplaceable query
+<idx>, <wm> and <ts> are u64 values in canonical decimal, as the codec reads
+them (`packet._u64_text`); a /state packet that spells <idx> or <wm> any
+other way (`01`, `+1`, ` 1`, non-ASCII digits) is counted `malformed`.
 
 An engine wires itself from `NodeConfig.topology`: it takes its node's role,
 face k leads to its k-th sorted neighbour, and a producer routes each of its
@@ -92,7 +95,8 @@ keep their identity from sender to receiver, and a hash join reuses the
 joined row it last built for the same pair of row objects. Only the codec
 (`packet.encode_packet`, `packet.decode_packet`) turns a delta into bytes
 (type tag 7, <q> as raw hash bytes and the varint fields, then its rows as
-compact JSON text) and back, and a /state/.../out packet that carries
+typed binary values: zigzag varint ints, floats as a decimal mantissa and
+exponent, UTF-8 text) and back, and a /state/.../out packet that carries
 anything but a StateDelta is counted `malformed` and not forwarded. A /ce
 result's payload is the JSON that `packet.result_payload` renders, the bytes
 the consumer application reads; the codec sends only the name's hash and
@@ -163,6 +167,7 @@ from .packet import (
     RemoveQueryInterest,
     StateDelta,
     Tuple,
+    _u64_text,
     result_payload,
 )
 from .placement import NoPath, PlacementPlan, corridor, plan_query
@@ -763,12 +768,10 @@ class Engine:
                 return "malformed"
             self.high_water[comps] = max(self.high_water.get(comps, 0), p.tuple.ts)
         elif len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
-            try:
-                if type(p.tuple) is not StateDelta:
-                    raise ValueError("a /state stream carries deltas")
-                feed = (comps[1], int(comps[2]))
-            except ValueError:
-                return "malformed"
+            index = _u64_text(comps[2])
+            if index is None or type(p.tuple) is not StateDelta:
+                return "malformed"  # a misspelt <i>, or no delta on a /state stream
+            feed = (comps[1], index)
 
         feeds = self._feeds.get(comps)
         consumed = bool(feeds)  # read first: a release in the loop empties the list
@@ -1022,11 +1025,10 @@ class Engine:
     def handle_interest(self, p: Interest, in_face: int) -> str:
         comps = p.name.components
         if len(comps) == 5 and comps[0] == "state" and comps[3] == "prune":
-            try:
-                feed, wm = (comps[1], int(comps[2])), int(comps[4])
-            except ValueError:
+            index, wm = _u64_text(comps[2]), _u64_text(comps[4])
+            if index is None or wm is None:
                 return "malformed"
-            self._handle_prune(feed, wm, in_face)
+            self._handle_prune((comps[1], index), wm, in_face)
             return "consumed"
         if len(comps) == 3 and comps[:2] == ("node", self.node_id) and comps[2] == "delay":
             delay = self.services.local_delay_ms(self.node_id)

@@ -32,30 +32,50 @@ canonical decimal, which is how the name spells them.
 
 A DataStream named /state/<q>/<i>/out carries a StateDelta, which the
 engines hand on as a value; after its name fields comes
-  delta: varint wm, varint first, varint end, textvar schema id, textvar rows
-where rows is the compact JSON text (separators "," and ":") of
-[[value, ...], ...], the values of each shipped row. decode_packet accepts
-it only if the rows text is UTF-8 JSON of a list of non-empty lists, there
-are at most end - first rows, and each passes Tuple validation; each row
-decodes to a Tuple of the delta's schema. It rejects a tag-3 packet under a
-/state/<q>/<i>/out name. encode_packet refuses a StateDelta under any other
-name or with an <i> that is not a u64 in canonical decimal, and anything but
-a StateDelta under such a name.
+  delta: varint wm, varint first, varint end, textvar schema id, rows
+with rows the values of each shipped row. decode_packet accepts it only if
+every row is non-empty, there are at most end - first rows, and each passes
+Tuple validation; each row decodes to a Tuple of the delta's schema. It
+rejects a tag-3 packet under a /state/<q>/<i>/out name. encode_packet
+refuses a StateDelta under any other name or with an <i> that is not a u64
+in canonical decimal, and anything but a StateDelta under such a name.
 
 A result is what Engine._notify sends: a Data named exactly /ce/<hash>/<ts>,
 with <ts> its ts in canonical decimal, whose payload is result_payload's
 default-format JSON of {"hash": <hash>, "ts": <ts>, "schema": ..., "rows":
-[...]}. Its payload is kept whole in memory, but after its name fields the
-wire carries only
-  result: textvar schema, textvar rows
-with rows the compact JSON text of the list, and decode_packet renders the
-payload again, byte for byte. A result's rows must be UTF-8 JSON of a list.
-encode_packet writes tag 6 only where that rendering gives the payload back,
-and tag 2 for every other Data.
+[[value, ...], ...]}. Its payload is kept whole in memory, but after its
+name fields the wire carries only
+  result: textvar schema, rows
+and decode_packet renders the payload again, byte for byte. encode_packet
+writes tag 6 only where the payload's rows are a list of lists and that
+rendering gives the payload back, and tag 2 for every other Data.
+
+Tags 6 and 7 write their rows with typed values:
+  rows: varint row count, then per row a varint value count and its values
+  value: varint header h; kind = h & 3, n = h >> 2
+    0 an int (not a bool), n = zigzag(v); only where h < 2**64, which is
+      -2**61 <= v < 2**61
+    1 a finite float, n = zigzag(e) << 1 | sign, then varint m: m * 10**e is
+      the shortest decimal that repr(v) spells, m has no trailing 0 digit,
+      and m = 0 takes e = 0 (-0.0 keeps its sign; 3.0 is m=3, e=0 and reads
+      back as a float)
+    2 a str, n = its UTF-8 byte length, then those bytes
+    3 any other value (a bool, an int beyond kind 0, nan and +-inf; in a
+      result also null, a list or an object; a str with a lone surrogate),
+      n = the byte length of its compact JSON text (separators "," and
+      ":"), then that text
+  zigzag(v): 2v for v >= 0, else -2v - 1
+Each value has one encoding: decode_packet re-encodes every float and JSON
+value it reads and rejects bytes that differ, such as a mantissa with a
+trailing 0 digit, a zero with an exponent, a kind-1 value that reads as
+another float or as inf, kind 3 for a value that kinds 0-2 write, or JSON
+that is not compact. An int and a str read back in their one encoding by
+construction.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -237,8 +257,15 @@ _FLOAT = struct.Struct(">Bd")  # a value kind byte and an f64
 
 _HEX_DIGITS = "0123456789abcdef"
 
+# row value kinds, the low two bits of a value's header
+_KIND_INT = 0
+_KIND_FLOAT = 1
+_KIND_TEXT = 2
+_KIND_JSON = 3
+_INT_BOUND = 1 << 61  # kind 0 holds -2**61 .. 2**61-1, whose headers stay below 2**64
+
 # json.dumps(..., separators=(",", ":")), without its per-call set-up
-_encode_rows = json.JSONEncoder(separators=(",", ":")).encode
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 # json.dumps(...), without its per-call set-up
 _encode_result = json.JSONEncoder().encode
 
@@ -256,8 +283,13 @@ def _name(name: Name) -> bytes:
     return _U16.pack(len(name.components)) + b"".join(_text(c, _U16) for c in name.components)
 
 
+_ONE_BYTE = [bytes((n,)) for n in range(0x80)]  # the varints of one byte
+
+
 def _varint(n: int) -> bytes:
     """`n` as an unsigned LEB128 varint; ValueError outside 0 .. 2**64-1."""
+    if type(n) is int and 0 <= n < 0x80:
+        return _ONE_BYTE[n]
     if not (isinstance(n, int) and 0 <= n < 1 << 64):
         raise ValueError("%r is not a u64" % (n,))
     out = bytearray()
@@ -294,6 +326,50 @@ def _u64_text(text: str) -> int | None:
     return None
 
 
+def _zigzag(v: int) -> int:
+    """`v` as an unsigned integer: 2v for v >= 0, else -2v - 1."""
+    return v << 1 if v >= 0 else ~v << 1 | 1
+
+
+def _unzigzag(n: int) -> int:
+    """The integer whose zigzag form is `n`."""
+    return ~(n >> 1) if n & 1 else n >> 1
+
+
+def _value(v) -> bytes:
+    """The row value `v`: its varint header, then its body."""
+    cls = type(v)
+    if cls is int and -_INT_BOUND <= v < _INT_BOUND:
+        return _varint(_zigzag(v) << 2 | _KIND_INT)
+    if cls is float and math.isfinite(v):
+        # repr spells [-]whole[.frac][e<exp>]; m is its digits without trailing zeros
+        text = repr(v)
+        sign = text[0] == "-"
+        mantissa, _, exp = text[sign:].partition("e")
+        whole, _, frac = mantissa.partition(".")
+        digits = (whole + frac).rstrip("0")
+        m = int(digits or "0")
+        e = int(exp or "0") + len(whole) - len(digits) if m else 0
+        return _varint((_zigzag(e) << 1 | sign) << 2 | _KIND_FLOAT) + _varint(m)
+    if cls is str:
+        try:
+            raw = v.encode("utf-8")
+            return _varint(len(raw) << 2 | _KIND_TEXT) + raw
+        except UnicodeEncodeError:
+            pass  # a lone surrogate, which JSON text escapes
+    raw = _compact(v).encode("utf-8")
+    return _varint(len(raw) << 2 | _KIND_JSON) + raw
+
+
+def _rows(rows) -> bytes:
+    """`rows`, each a sequence of values, in the rows layout of tags 6 and 7."""
+    out = [_varint(len(rows))]
+    for row in rows:
+        out.append(_varint(len(row)))
+        out += map(_value, row)
+    return b"".join(out)
+
+
 def _is_state_out(components: tuple[str, ...]) -> bool:
     """True iff the name is /state/<q>/<i>/out, which carries StateDeltas."""
     return len(components) == 4 and components[0] == "state" and components[3] == "out"
@@ -304,17 +380,6 @@ def result_payload(qhash: str, ts: int, schema: str, rows: list) -> bytes:
     return _encode_result({"hash": qhash, "ts": ts, "schema": schema, "rows": rows}).encode("utf-8")
 
 
-def _render_result(qhash: str, ts: int, schema: str, rows_text: str) -> bytes:
-    """The payload of the result /ce/<qhash>/<ts> whose rows are `rows_text`."""
-    try:
-        rows = json.loads(rows_text)
-        if type(rows) is not list:
-            raise MalformedPacket("result rows are not a list")
-        return result_payload(qhash, ts, schema, rows)
-    except RecursionError:
-        raise MalformedPacket("result rows nest too deep") from None
-
-
 def _result_fields(p: Data) -> bytes | None:
     """The tag-6 fields of `p` if its payload renders back from them, else None."""
     comps = p.name.components
@@ -322,9 +387,14 @@ def _result_fields(p: Data) -> bytes | None:
         return None
     try:
         doc = json.loads(p.payload)
-        schema, rows = doc["schema"], _encode_rows(doc["rows"])
-        if type(schema) is str and _render_result(comps[1], p.ts, schema, rows) == p.payload:
-            return _hash(comps[1]) + _varint(p.ts) + _textvar(schema) + _textvar(rows)
+        schema, rows = doc["schema"], doc["rows"]
+        if (
+            type(schema) is str
+            and type(rows) is list
+            and all(type(r) is list for r in rows)
+            and result_payload(comps[1], p.ts, schema, rows) == p.payload
+        ):
+            return _hash(comps[1]) + _varint(p.ts) + _textvar(schema) + _rows(rows)
     except (ValueError, TypeError, KeyError, RecursionError):
         pass  # not JSON of an object with a text schema and a list of rows
     return None
@@ -337,9 +407,8 @@ def _state_fields(comps: tuple[str, ...], t: StateDelta) -> bytes:
         raise ValueError("<i> of /state/<q>/<i>/out is not a u64 in canonical decimal")
     if not 0 <= t.first <= t.end - len(t.rows):
         raise ValueError("rows first .. end-1 cannot hold %d rows" % len(t.rows))
-    rows = _encode_rows([r.values for r in t.rows])
     out = [_hash(comps[1]), _varint(index), _varint(t.ts), _varint(t.first), _varint(t.end)]
-    return b"".join(out) + _textvar(t.schema) + _textvar(rows)
+    return b"".join(out) + _textvar(t.schema) + _rows([r.values for r in t.rows])
 
 
 def encode_packet(p: Packet) -> bytes:
@@ -390,6 +459,8 @@ def _read(buf: bytes, at: int, prefix: struct.Struct) -> tuple[bytes, int]:
 
 def _read_varint(buf: bytes, at: int) -> tuple[int, int]:
     """The varint at `at`, and the offset after it."""
+    if at < len(buf) and buf[at] < 0x80:
+        return buf[at], at + 1
     n = shift = 0
     for i in range(at, min(at + 10, len(buf))):
         byte = buf[i]
@@ -434,22 +505,50 @@ def _read_hash(buf: bytes, at: int) -> tuple[str, int]:
     return text, at
 
 
+def _read_value(buf: bytes, at: int) -> tuple[object, int]:
+    """The row value at `at`, and the offset after it."""
+    start = at
+    header, at = _read_varint(buf, at)
+    kind, n = header & 3, header >> 2
+    # an int or a text reads back in its one encoding: _read_varint refuses a
+    # varint that is not minimal, and UTF-8 spells each text one way
+    if kind == _KIND_INT:
+        return _unzigzag(n), at
+    if kind == _KIND_FLOAT:
+        m, at = _read_varint(buf, at)
+        v = float("%s%de%d" % ("-" if n & 1 else "", m, _unzigzag(n >> 1)))
+    else:
+        raw, at = _read_bytes(buf, at, n)
+        if kind == _KIND_TEXT:
+            return raw.decode("utf-8"), at
+        v = json.loads(raw.decode("utf-8"))
+    if _value(v) != buf[start:at]:
+        raise MalformedPacket("row value not in its one encoding")
+    return v, at
+
+
+def _read_rows(buf: bytes, at: int) -> tuple[list[list], int]:
+    """The rows at `at`, each a list of values, and the offset after them."""
+    count, at = _read_varint(buf, at)
+    rows = []
+    for _ in range(count):  # each row takes at least a byte: a short buffer ends the loop
+        size, at = _read_varint(buf, at)
+        row = []
+        for _ in range(size):
+            v, at = _read_value(buf, at)
+            row.append(v)
+        rows.append(row)
+    return rows, at
+
+
 def _dec_state_delta(buf: bytes, at: int) -> tuple[StateDelta, int]:
     """The StateDelta written at `at`, and the offset after it."""
     wm, at = _read_varint(buf, at)
     first, at = _read_varint(buf, at)
     end, at = _read_varint(buf, at)
     schema, at = _read_textvar(buf, at)
-    text, at = _read_textvar(buf, at)
-    try:
-        raw = json.loads(text)
-    except RecursionError:
-        raise MalformedPacket("/state delta rows nest too deep") from None
-    if not (
-        type(raw) is list
-        and len(raw) <= end - first
-        and all(type(r) is list and r for r in raw)
-    ):
+    raw, at = _read_rows(buf, at)
+    if not (len(raw) <= end - first and all(raw)):
         raise MalformedPacket("/state delta rows do not fit")
     try:
         rows = tuple(Tuple(ts=int(r[0]), schema_id=schema, values=tuple(r)) for r in raw)
@@ -474,8 +573,8 @@ def decode_packet(b: bytes) -> Packet:
             qhash, at = _read_hash(buf, 1)
             ts, at = _read_varint(buf, at)
             schema, at = _read_textvar(buf, at)
-            rows, at = _read_textvar(buf, at)
-            payload = _render_result(qhash, ts, schema, rows)
+            rows, at = _read_rows(buf, at)
+            payload = result_payload(qhash, ts, schema, rows)
             p = Data(name=Name(("ce", qhash, str(ts))), payload=payload, ts=ts)
         elif tag == _TAG_STATE:
             q, at = _read_hash(buf, 1)
@@ -518,8 +617,8 @@ def decode_packet(b: bytes) -> Packet:
             raise MalformedPacket("unknown type tag 0x%02x" % tag)
     except struct.error:
         raise MalformedPacket("truncated packet") from None
-    except (ValueError, OverflowError) as exc:
-        # bad UTF-8, or field content that Name or Tuple rejects
+    except (ValueError, OverflowError, RecursionError) as exc:
+        # bad UTF-8 or JSON, JSON nested too deep, or field content that Name or Tuple rejects
         raise MalformedPacket(str(exc)) from None
     if at != len(buf):
         raise MalformedPacket("%d trailing bytes" % (len(buf) - at))

@@ -21,6 +21,7 @@ from icncep.packet import (
     Data,
     DataStream,
     RemoveQueryInterest,
+    _value,
     decode_packet,
     encode_packet,
 )
@@ -60,8 +61,9 @@ def wire_digest():
     64-bit nonce field cannot hold; they are encoded with a zero nonce, which
     has the same width. On leaving the block it raises AssertionError if a
     send did not decode back equal to itself, a /ce Data was not written
-    with the result layout (type tag 6), or a /state DataStream was not
-    written with the delta layout (type tag 7).
+    with the result layout (type tag 6), a /state DataStream was not
+    written with the delta layout (type tag 7), or a row value of either took
+    value kind 3, the JSON text that only values outside the typed kinds need.
     """
     digest = hashlib.sha256()
     original = Simulator._dispatch
@@ -87,6 +89,9 @@ def wire_digest():
                 tag = 7
             if raw[0] != tag:
                 faults.append(("type tag %d" % raw[0], packet))
+            elif tag in (6, 7) and any(_value(v)[0] & 3 == 3 for v in _row_values(packet)):
+                # a value's kind is the low two bits of its header's first byte
+                faults.append(("a row value as JSON text", packet))
 
     Simulator._dispatch = dispatch
     try:
@@ -94,6 +99,13 @@ def wire_digest():
     finally:
         Simulator._dispatch = original
     assert not faults, "%d sends failed the codec checks, first %r" % (len(faults), faults[0])
+
+
+def _row_values(packet):
+    """Every row value of a /ce result or a /state delta."""
+    if type(packet) is Data:
+        return [v for row in json.loads(packet.payload)["rows"] for v in row]
+    return [v for row in packet.tuple.rows for v in row.values]
 
 
 def _kind(line: str) -> str:

@@ -39,7 +39,7 @@ from icncep.query import (
     default_streams,
     query_hash,
 )
-from test_packet import hash_field, uleb128
+from test_packet import hash_field, json_field, rows_field, uleb128
 
 Q1 = "WINDOW(GPS_S1, 4s)"
 Q2 = "FILTER(WINDOW(GPS_S1, 4s),'latitude'<50)"
@@ -492,7 +492,7 @@ def next_output(step, last, schema):
 def delta(**changes):
     """The fields of a delta of row 1 at wm 2000, changed as given.
 
-    `rows` is a list of rows, or text that stands for the rows' JSON text.
+    `rows` is a list of rows, or bytes that stand for the rows field.
     """
     doc = {"schema": "gps", "wm": 2000, "first": 1, "end": 2, "rows": [[2000, 2.0]]}
     doc.update(changes)
@@ -502,15 +502,14 @@ def delta(**changes):
 def state_blob(doc, name="/state/s/1/out"):
     """The bytes of a /state/<q>/<i>/out packet carrying `doc`, written field
     by field: type tag 7, the hash field of <q> and varint <i>, varint wm,
-    first and end, then the schema and the compact JSON rows, each behind a
-    varint length."""
+    first and end, the schema behind its varint length, then the rows field."""
     rows = doc["rows"]
-    text = (rows if isinstance(rows, str) else json.dumps(rows, separators=(",", ":"))).encode()
+    rows = rows if isinstance(rows, bytes) else rows_field(rows)
     schema = doc["schema"].encode()
     _, q, index, _ = Name.from_uri(name).components
     head = b"\x07" + hash_field(q) + uleb128(int(index))
     fields = b"".join(uleb128(doc[k]) for k in ("wm", "first", "end"))
-    return head + fields + uleb128(len(schema)) + schema + uleb128(len(text)) + text
+    return head + fields + uleb128(len(schema)) + schema + rows
 
 
 def carried(doc):
@@ -621,13 +620,17 @@ def test_snapshot_row_of_unsupported_values_fails_tuple_validation(bad):
             dict(first=1, end=2, rows=[[2000, 1.0], [2000, 2.0]]),  # more rows than fit
             dict(rows=[[2000, [1]]]),  # unhashable values, which Tuple rejects
             dict(rows=[[2000, {"a": 1}]]),
-            dict(rows={"a": [2000]}),
+            dict(rows=[[{"a": [2000]}]]),
             dict(rows=[[]]),
-            dict(rows=[5]),
+            dict(rows=b"\x01\x05" + rows_field([[2000]])[2:]),  # five values counted, one written
             dict(rows=[[math.inf]]),
             dict(rows=[["x"]]),
+            dict(rows=[[None]]),
         ]
-        + [dict(rows=text) for text in ["not json", "[1, 2]", '"doc"', "null", "[" * 5000]]
+        + [
+            dict(rows=[[2000, json_field(text)]])
+            for text in [b"not json", b"[1, 2]", b'"doc"', b"[" * 5000 + b"]" * 5000]
+        ]
     ]
     + [
         state_blob(delta(), "/state/s/7/out")[:5],  # cut inside the varint watermark
@@ -721,6 +724,16 @@ def unplaceable_order(doc):
         lambda doc: stream_row((1000, 1.0, 49.5)),
         lambda doc: stream_row((1000, "1", 49.5, 8.65, 120.0, 5.0, 0.0, 10.0)),
         lambda doc: DataStream(Name.from_uri("/state/s/1/out"), carried(delta())),
+        # <i> and <wm> spelled other than as a u64 in canonical decimal
+        lambda doc: Interest(name=Name.from_uri("/state/s/01/prune/2000")),
+        lambda doc: Interest(name=Name.from_uri("/state/s/+1/prune/2000")),
+        lambda doc: Interest(name=Name(("state", "s", " 1", "prune", "2000"))),
+        lambda doc: Interest(name=Name.from_uri("/state/s/\u0661/prune/2000")),
+        lambda doc: Interest(name=Name.from_uri("/state/s/1/prune/02000")),
+        lambda doc: Interest(name=Name.from_uri("/state/s/1/prune/-1")),
+        lambda doc: DataStream(Name.from_uri("/state/s/01/out"), carried(delta())),
+        lambda doc: DataStream(Name.from_uri("/state/s/+1/out"), carried(delta())),
+        lambda doc: DataStream(Name.from_uri("/state/s/\u0661/out"), carried(delta())),
     ],
     ids=[
         "stream-index",
@@ -737,6 +750,15 @@ def unplaceable_order(doc):
         "stream-row-width",
         "stream-row-text",
         "delta-rows-narrower-than-the-window",
+        "prune-index-leading-zero",
+        "prune-index-signed",
+        "prune-index-spaced",
+        "prune-index-arabic-indic",
+        "prune-watermark-leading-zero",
+        "prune-watermark-negative",
+        "stream-index-leading-zero",
+        "stream-index-signed",
+        "stream-index-arabic-indic",
     ],
 )
 def test_a_malformed_packet_is_dropped_and_counted(packet):
@@ -794,6 +816,18 @@ def transit_broker():
     eng.handle_packet(deploy_order(dict(doc, routes=[["/state/s/1", "b3"]])), in_face=1)
     svc.sent.clear()
     return eng, svc, doc
+
+
+@pytest.mark.parametrize("index", ["01", "+1", " 1", "\u0661"])
+def test_a_prune_that_misspells_the_feed_index_keeps_its_route(index):
+    """int() reads each of these as 1; the feed's route must not go with them."""
+    eng, svc, _ = transit_broker()
+    svc.clock = int(engine.DEPLOY_TIMEOUT_MS)  # late enough for the delta to set the fence
+    eng.handle_packet(window_delta(2000), in_face=1)
+    routes = eng.fib.dump()
+    eng.handle_packet(Interest(name=Name(("state", "s", index, "prune", "2000"))), in_face=2)
+    assert eng.counters["malformed"] == 1
+    assert eng.fib.dump() == routes != "prefix,faces\n"
 
 
 def window_delta(wm):

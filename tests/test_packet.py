@@ -5,6 +5,7 @@ import json
 import math
 import random
 import struct
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +219,46 @@ def hash_field(component: str) -> bytes:
     return uleb128(2 * len(raw)) + raw
 
 
+def zigzag(v: int) -> int:
+    """`v` as an unsigned integer: 2v for v >= 0, else -2v - 1."""
+    return 2 * v if v >= 0 else -2 * v - 1
+
+
+def float_field(m: int, e: int, negative: bool = False) -> bytes:
+    """A kind-1 row value of mantissa `m` and exponent `e`, canonical or not."""
+    return uleb128(4 * (2 * zigzag(e) + negative) + 1) + uleb128(m)
+
+
+def json_field(text: bytes) -> bytes:
+    """`text` as a kind-3 row value, whatever it holds."""
+    return uleb128(4 * len(text) + 3) + text
+
+
+def value_field(v) -> bytes:
+    """The row value `v` as the rows grammar spells it: an int that keeps the
+    header below 2**64 as kind 0, a finite float as kind 1 (the shortest
+    decimal, read here with Decimal), a str as kind 2, anything else as kind 3."""
+    if type(v) is int and -(2**61) <= v < 2**61:
+        return uleb128(4 * zigzag(v))
+    if type(v) is float and math.isfinite(v):
+        sign, digits, e = Decimal(repr(v)).normalize().as_tuple()
+        m = int("".join(map(str, digits)))
+        return float_field(m, e if m else 0, bool(sign))
+    if type(v) is str:
+        raw = v.encode("utf-8")
+        return uleb128(4 * len(raw) + 2) + raw
+    return json_field(json.dumps(v, separators=(",", ":")).encode("utf-8"))
+
+
+def rows_field(rows) -> bytes:
+    """`rows` in the rows layout of tags 6 and 7; a bytes value is written as it is."""
+    out = uleb128(len(rows))
+    for row in rows:
+        fields = [v if isinstance(v, bytes) else value_field(v) for v in row]
+        out += uleb128(len(row)) + b"".join(fields)
+    return out
+
+
 # values whose JSON text reads back equal: NaN equals nothing, not even itself
 _delta_value = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**63),
@@ -297,14 +338,14 @@ def test_hash_field_layout(component, field):
     """Even-length lowercase hex as raw bytes behind an odd header, any other text as UTF-8."""
     assert hash_field(component) == field
     pkt = DataStream(Name(("state", component, "1", "out")), StateDelta(0, "gps", 0, 0, ()))
-    blob = b"\x07" + field + b"\x01" + b"\x00" * 3 + b"\x03gps\x02[]"
+    blob = b"\x07" + field + b"\x01" + b"\x00" * 3 + b"\x03gps\x00"
     assert encode_packet(pkt) == blob
     assert decode_packet(blob) == pkt
 
 
 _MESH_ROW = Tuple.from_values("gps", (10000, 3.0, 49.873243, 8.644881, 123.63, 1.23, 0.002, 7.11))
-# a one-row GPS delta of the mesh workload: 73 bytes (96 with its name as text,
-# 120 with fixed-width fields as well)
+# a one-row GPS delta of the mesh workload: 44 bytes (73 with its rows as compact
+# JSON text, 96 with its name as text as well, 120 with fixed-width fields too)
 _MESH_DELTA = DataStream(
     Name.from_uri("/state/78d58e0ea08a/2/out"), StateDelta(10000, "gps", 0, 1, (_MESH_ROW,))
 )
@@ -318,27 +359,43 @@ _MESH_DELTA = DataStream(
                 _STATE_NAME,
                 StateDelta(3000, "gps", 4, 6, (Tuple.from_values("gps", (1000, "é", 2.5)),)),
             ),
-            _STATE_HEAD + b"\xb8\x17\x04\x06" + b"\x03gps" + b'\x15[[1000,"\\u00e9",2.5]]',
+            _STATE_HEAD
+            + b"\xb8\x17\x04\x06"
+            + b"\x03gps"
+            + b"\x01\x03"  # one row of three values
+            + b"\xc0\x3e"  # 1000: kind 0, zigzag 2000
+            + b"\x0a\xc3\xa9"  # "é": kind 2, two UTF-8 bytes
+            + b"\x09\x19",  # 2.5: kind 1, exponent -1 (zigzag 1), mantissa 25
         ),
         (
             _MESH_DELTA,
             b"\x07\x0d\x78\xd5\x8e\x0e\xa0\x8a\x02"
             + b"\x90\x4e\x00\x01"
             + b"\x03gps"
-            + b"\x37[[10000,3.0,49.873243,8.644881,123.63,1.23,0.002,7.11]]",
+            + b"\x01\x08"
+            + b"\x80\xf1\x04"  # 10000
+            + b"\x01\x03"  # 3.0: mantissa 3, exponent 0
+            + b"\x59\xdb\x82\xe4\x17"  # 49.873243: exponent -6, mantissa 49873243
+            + b"\x59\x91\xd2\x8f\x04"  # 8.644881
+            + b"\x19\xcb\x60"  # 123.63: exponent -2, mantissa 12363
+            + b"\x19\x7b"  # 1.23
+            + b"\x29\x02"  # 0.002: exponent -3, mantissa 2
+            + b"\x19\xc7\x05",  # 7.11
         ),
     ],
     ids=["text-value", "mesh-gps-row"],
 )
 def test_state_delta_wire_layout(pkt, blob):
-    """Tag 7, hash <q> and varint <i>, varint wm, first and end, then schema
-    and compact JSON rows behind varint lengths."""
+    """Tag 7, hash <q> and varint <i>, varint wm, first and end, the schema
+    behind its varint length, then the rows: a row count, and per row a value
+    count and its typed values."""
     assert encode_packet(pkt) == blob
     assert decode_packet(blob) == pkt
+    assert blob.endswith(rows_field([r.values for r in pkt.tuple.rows]))
 
 
-def test_a_one_row_mesh_delta_takes_73_bytes():
-    assert len(encode_packet(_MESH_DELTA)) == 73
+def test_a_one_row_mesh_delta_takes_44_bytes():
+    assert len(encode_packet(_MESH_DELTA)) == 44
 
 
 @pytest.mark.parametrize(
@@ -347,12 +404,12 @@ def test_a_one_row_mesh_delta_takes_73_bytes():
 )
 def test_varint_fields_round_trip(n, varint):
     pkt = DataStream(_STATE_NAME, StateDelta(ts=n, schema="gps", first=n, end=n, rows=()))
-    blob = _STATE_HEAD + varint * 3 + b"\x03gps\x02[]"
+    blob = _STATE_HEAD + varint * 3 + b"\x03gps\x00"
     assert uleb128(n) == varint
     assert encode_packet(pkt) == blob
     assert decode_packet(blob) == pkt
     indexed = DataStream(Name(("state", "s", str(n), "out")), StateDelta(0, "gps", 0, 0, ()))
-    blob = b"\x07\x02s" + varint + b"\x00" * 3 + b"\x03gps\x02[]"
+    blob = b"\x07\x02s" + varint + b"\x00" * 3 + b"\x03gps\x00"
     assert encode_packet(indexed) == blob
     assert decode_packet(blob) == indexed
 
@@ -411,12 +468,13 @@ def test_encoder_refuses_what_the_decoder_would_not_give_back(pkt):
         encode_packet(pkt)
 
 
-def _state_blob(rows="[[2000,2.0]]", wm=2000, first=1, end=2, schema=b"gps", head=_STATE_HEAD):
-    """The bytes of a /state/s/1/out packet, written field by field; `wm` as an
-    int or as the bytes of its varint."""
-    text = rows if isinstance(rows, bytes) else rows.encode("utf-8")
+def _state_blob(rows=((2000, 2.0),), wm=2000, first=1, end=2, schema=b"gps", head=_STATE_HEAD):
+    """The bytes of a /state/s/1/out packet, written field by field; `rows` as
+    rows of values or as the bytes of the rows field, `wm` as an int or as the
+    bytes of its varint."""
+    rows = rows if isinstance(rows, bytes) else rows_field(rows)
     fields = (wm if isinstance(wm, bytes) else uleb128(wm)) + uleb128(first) + uleb128(end)
-    return head + fields + uleb128(len(schema)) + schema + uleb128(len(text)) + text
+    return head + fields + uleb128(len(schema)) + schema + rows
 
 
 def _plain_tuple_on_state(schema, *values):
@@ -426,37 +484,45 @@ def _plain_tuple_on_state(schema, *values):
 
 
 _OLD_DOC = '{"schema": "gps", "wm": 2000, "first": 1, "end": 2, "rows": [[2000, 2.0]]}'
+_GOOD_ROWS = rows_field([[2000, 2.0]])
+_NOT_UTF8 = b"\x0a\xff\xfe"  # a kind-2 value of two bytes that are not UTF-8
+_NESTED_DEEP = json_field(b"[" * 5000 + b"]" * 5000)
 
 
 _MALFORMED_STATE = {
-    "no-rows": _state_blob().removesuffix(b"\x0c[[2000,2.0]]"),
+    "no-rows": _state_blob().removesuffix(_GOOD_ROWS),
     "truncated-header": _STATE_HEAD + uleb128(2000) + uleb128(1),
     "truncated-varint": _STATE_HEAD + b"\xd0",
     "varint-non-minimal": _state_blob(wm=b"\xd0\x8f\x00"),
     "varint-non-minimal-zero": _state_blob(wm=b"\x80\x00"),
     "varint-of-11-bytes": _state_blob(wm=b"\xff" * 10 + b"\x01"),
     "varint-beyond-u64": _state_blob(wm=b"\x80" * 9 + b"\x02"),
-    "rows-past-the-end": _state_blob().removesuffix(b"]"),
+    "rows-past-the-end": _state_blob(b"\x02" + _GOOD_ROWS[1:]),  # two rows counted, one written
+    "row-truncated": _state_blob()[:-1],
+    "value-count-past-the-end": _state_blob(b"\x01\x03" + _GOOD_ROWS[2:]),
     "trailing-bytes": _state_blob() + b"\x00",
-    "first-after-end": _state_blob("[]", first=3, end=2),
-    "more-rows-than-fit": _state_blob("[[2000,1.0],[2000,2.0]]"),
-    "rows-not-json": _state_blob("not json"),
-    "rows-a-number": _state_blob("2000.0"),
-    "rows-a-text": _state_blob('"doc"'),
-    "rows-null": _state_blob("null"),
-    "rows-an-object": _state_blob('{"a":[2000]}'),
-    "row-a-number": _state_blob("[5]"),
-    "row-empty": _state_blob("[[]]"),
-    "rows-nested-deep": _state_blob("[" * 5000),
-    "row-ts-a-text": _state_blob('[["x"]]'),
-    "row-ts-infinite": _state_blob("[[Infinity]]"),
-    "row-value-a-list": _state_blob("[[2000,[1]]]"),
-    "rows-not-utf8": _state_blob("[[2000,2.0]]".encode("utf-16")),
+    "first-after-end": _state_blob([], first=3, end=2),
+    "more-rows-than-fit": _state_blob([[2000, 1.0], [2000, 2.0]]),
+    "json-value-not-json": _state_blob([[2000, json_field(b"not json")]]),
+    "row-count-huge": _state_blob(uleb128(2**63)),
+    "value-count-huge": _state_blob(b"\x01" + uleb128(2**63)),
+    "row-ts-null": _state_blob([[None]]),
+    "row-value-an-object": _state_blob([[2000, {"a": 2000}]]),
+    "row-ts-negative": _state_blob([[-1]]),
+    "row-empty": _state_blob([[]]),
+    "json-value-nested-deep": _state_blob([[2000, _NESTED_DEEP]]),
+    "row-ts-a-text": _state_blob([["x"]]),
+    "row-ts-infinite": _state_blob([[math.inf]]),
+    "row-value-a-list": _state_blob([[2000, [1]]]),
+    "text-value-not-utf8": _state_blob([[2000, _NOT_UTF8]]),
+    "json-value-not-utf8": _state_blob([[2000, json_field(b'"\xff"')]]),
     "schema-not-utf8": _state_blob(schema=b"g\xffs"),
     "plain-tuple": _plain_tuple_on_state("gps", 2.0),
     "snapshot-tuple": _plain_tuple_on_state("snapshot", _OLD_DOC),  # the layout before deltas
     # the delta layout before tag 7: tag 3 and the name as text
     "tag-3-delta": _state_blob(head=b"\x03" + encode_packet(Interest(_STATE_NAME))[1:]),
+    # the rows layout before typed values: compact JSON text behind its length
+    "rows-as-json-text": _state_blob(uleb128(12) + b"[[2000,2.0]]"),
     "hash-hex-in-text-form": _state_blob(head=b"\x07\x18" + b"78d58e0ea08a" + b"\x01"),
     "hash-empty-text": _state_blob(head=b"\x07\x00\x01"),
     "hash-empty-raw": _state_blob(head=b"\x07\x01\x01"),
@@ -512,9 +578,11 @@ _AVG_RESULT = ce_result("78d58e0ea08a", 10000, "agg", [[10000, 57.25]])
 
 
 def test_a_result_takes_tag_6_and_only_its_schema_and_rows():
-    """An AVG result: 30 bytes, 48 with its name as text and 120 with its whole
-    payload behind tag 2."""
-    blob = b"\x06" + _CE_HASH + b"\x90\x4e" + b"\x03agg" + b"\x0f[[10000,57.25]]"
+    """An AVG result: 22 bytes, 30 with its rows as compact JSON text, 48 with
+    its name as text as well, and 120 with its whole payload behind tag 2."""
+    rows = b"\x01\x02" + b"\x80\xf1\x04" + b"\x19\xdd\x2c"  # [[10000, 57.25]]
+    blob = b"\x06" + _CE_HASH + b"\x90\x4e" + b"\x03agg" + rows
+    assert len(blob) == 22 and rows == rows_field([[10000, 57.25]])
     assert encode_packet(_AVG_RESULT) == blob
     assert decode_packet(blob) == _AVG_RESULT
     name = encode_packet(Interest(_AVG_RESULT.name))[1:]
@@ -566,6 +634,8 @@ _CE_NAME = _AVG_RESULT.name
         Data(_CE_NAME, _payload(ts=10001).encode(), 10000),
         Data(_CE_NAME, _payload(schema=5).encode(), 10000),
         Data(_CE_NAME, _payload(rows={"a": 1}).encode(), 10000),
+        Data(_CE_NAME, _payload(rows=[57.25]).encode(), 10000),
+        Data(_CE_NAME, _payload(rows=[{"ts": 10000}]).encode(), 10000),
         Data(_CE_NAME, _payload(extra=1).encode(), 10000),
         Data(_CE_NAME, json.dumps(dict(reversed(json.loads(_payload()).items()))).encode(), 10000),
         Data(_CE_NAME, json.dumps([1, 2]).encode(), 10000),
@@ -586,6 +656,8 @@ _CE_NAME = _AVG_RESULT.name
         "other-ts",
         "schema-a-number",
         "rows-an-object",
+        "a-row-a-number",
+        "a-row-an-object",
         "extra-key",
         "keys-reordered",
         "not-an-object",
@@ -612,10 +684,18 @@ def test_a_result_name_with_any_other_payload_round_trips(qhash, ts, payload):
     assert decode_packet(encode_packet(pkt)) == pkt
 
 
-def _result_blob(qhash=_CE_HASH, ts=b"\x90\x4e", schema=b"agg", rows=b"[[10000,57.25]]"):
+_AVG_ROWS = rows_field([[10000, 57.25]])
+
+
+def _result_blob(qhash=_CE_HASH, ts=b"\x90\x4e", schema=b"agg", rows=_AVG_ROWS):
     """A tag-6 packet written field by field: hash field `qhash`, then the
-    varint `ts`, then `schema` and `rows` behind their varint lengths."""
-    return b"\x06" + qhash + ts + uleb128(len(schema)) + schema + uleb128(len(rows)) + rows
+    varint `ts`, then `schema` behind its varint length, then the rows field."""
+    return b"\x06" + qhash + ts + uleb128(len(schema)) + schema + rows
+
+
+def _result_row(*values):
+    """A tag-6 packet whose one row is 10000 and `values`, each a value or its bytes."""
+    return _result_blob(rows=rows_field([[10000, *values]]))
 
 
 _MALFORMED_RESULT = {
@@ -631,14 +711,21 @@ _MALFORMED_RESULT = {
     "ts-truncated": b"\x06" + _CE_HASH + b"\x90",
     # the layout before the hash field: the name's u16 component count and text16s
     "name-as-text": b"\x06" + encode_packet(Interest(_AVG_RESULT.name))[1:] + b"\x03agg\x01x",
-    "rows-an-object": _result_blob(rows=b'{"a":1}'),
-    "rows-a-number": _result_blob(rows=b"5"),
-    "rows-not-json": _result_blob(rows=b"not json"),
-    "rows-nested-deep": _result_blob(rows=b"[" * 5000 + b"]" * 5000),
-    "rows-not-utf8": _result_blob(rows="[[1]]".encode("utf-16")),
+    # the rows layout before typed values: compact JSON text behind its length
+    "rows-as-json-text": _result_blob(rows=uleb128(15) + b"[[10000,57.25]]"),
+    "json-value-not-compact": _result_row(json_field(b'{"a": 1}')),
+    "json-list-not-compact": _result_row(json_field(b"[1, 2]")),
+    "row-count-huge": _result_blob(rows=uleb128(2**63)),
+    "value-count-huge": _result_blob(rows=b"\x01" + uleb128(2**63)),
+    "json-value-not-json": _result_row(json_field(b"not json")),
+    "json-value-nested-deep": _result_row(_NESTED_DEEP),
+    "text-value-not-utf8": _result_row(_NOT_UTF8),
+    "json-value-not-utf8": _result_row(json_field(b'"\xff"')),
     "schema-not-utf8": _result_blob(schema=b"g\xffs"),
-    "no-rows": _result_blob().removesuffix(b"\x0f[[10000,57.25]]"),
-    "rows-past-the-end": _result_blob().removesuffix(b"]"),
+    "no-rows": _result_blob(rows=b""),
+    "rows-past-the-end": _result_blob(rows=b"\x02" + _AVG_ROWS[1:]),
+    "row-truncated": _result_blob()[:-1],
+    "value-count-past-the-end": _result_blob(rows=b"\x01\x03" + _AVG_ROWS[2:]),
     "trailing-bytes": _result_blob() + b"\x00",
 }
 
@@ -648,6 +735,92 @@ def test_a_tag_6_packet_must_hold_one_result(blob):
     with pytest.raises(MalformedPacket):
         decode_packet(blob)
     assert decode_packet(_result_blob()) == _AVG_RESULT
+
+
+# ---------------------------------------------------------------------------
+# row values of /state deltas and /ce results
+
+
+@pytest.mark.parametrize(
+    "v, field",
+    [
+        (0, b"\x00"),
+        (-1, b"\x04"),
+        (2**61 - 1, b"\xf8" + b"\xff" * 8 + b"\x01"),
+        (-(2**61), b"\xfc" + b"\xff" * 8 + b"\x01"),
+        (2**61, b"\x4f" + b"2305843009213693952"),  # its kind-0 header would reach 2**64
+        (True, b"\x13true"),
+        (3.0, b"\x01\x03"),
+        (-0.0, b"\x05\x00"),
+        (5e-324, b"\xb9\x28\x05"),
+        (1e16, b"\x81\x02\x01"),
+        (0.1 + 0.2, b"\x89\x02" + uleb128(30000000000000004)),
+        (math.nan, b"\x0fNaN"),
+        (math.inf, b"\x23Infinity"),
+        (-math.inf, b"\x27-Infinity"),
+        ("é", b"\x0a\xc3\xa9"),
+    ],
+    ids=[
+        "zero", "minus-one", "int-max", "int-min", "int-beyond", "bool", "float-integral",
+        "negative-zero", "subnormal", "1e16", "0.1+0.2", "nan", "inf", "-inf", "text",
+    ],
+)
+def test_each_row_value_kind_has_exact_bytes(v, field):
+    """A delta row and a result row write `v` as `field`, and read it back."""
+    assert value_field(v) == field
+    delta = StateDelta(2000, "gps", 1, 2, (Tuple(2000, "gps", (2000, v)),))
+    blob = _state_blob([[2000, field]])
+    assert encode_packet(DataStream(_STATE_NAME, delta)) == blob
+    assert encode_packet(decode_packet(blob)) == blob  # nan is not equal even to itself
+    back = decode_packet(blob).tuple.rows[0].values[1]
+    assert type(back) is type(v) and repr(back) == repr(v)
+    result = ce_result("78d58e0ea08a", 10000, "agg", [[10000, v]])
+    blob = _result_row(field)
+    assert encode_packet(result) == blob
+    assert decode_packet(blob).payload == result.payload
+
+
+_NOT_CANONICAL = {
+    "mantissa-trailing-zero": float_field(20, -1),  # 2.0
+    "zero-with-exponent": float_field(0, 1),
+    "negative-zero-with-exponent": float_field(0, -1, negative=True),
+    "another-float": float_field(100000000000000001, -17),  # reads as 1.0
+    "underflow-to-zero": float_field(1, -400),
+    "overflow-to-inf": float_field(1, 400),
+    "json-for-an-int": json_field(b"5"),
+    "json-for-a-float": json_field(b"2.5"),
+    "json-for-negative-zero": json_field(b"-0.0"),
+    "json-for-a-text": json_field(b'"x"'),
+    "json-not-compact": json_field(b" true"),
+    "json-inf-by-overflow": json_field(b"1e400"),  # reads as inf, which JSON spells Infinity
+}
+
+
+@pytest.mark.parametrize("field", list(_NOT_CANONICAL.values()), ids=list(_NOT_CANONICAL))
+def test_a_row_value_has_one_encoding(field):
+    """The decoder re-encodes each float and JSON value and rejects other bytes."""
+    with pytest.raises(MalformedPacket, match="one encoding"):
+        decode_packet(_state_blob([[2000, field]]))
+    with pytest.raises(MalformedPacket, match="one encoding"):
+        decode_packet(_result_row(field))
+
+
+_row_value = st.one_of(
+    _delta_value,
+    st.floats(width=64),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.text(max_size=12),
+    st.none(),
+    st.lists(st.integers(0, 99), max_size=3),
+)
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(st.lists(_row_value, max_size=5), max_size=4))
+def test_result_rows_follow_the_grammar(rows):
+    """A result's rows field is what the grammar spells, value by value."""
+    pkt = ce_result("78d58e0ea08a", 10000, "agg", rows)
+    assert encode_packet(pkt) == _result_blob(rows=rows_field(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +900,8 @@ _VERDICT_PINS = {
     "DataStream": (900, 475, "d77392552b5ed9bdc08624385ea1b9da0e53b86c715907e29903779453f2d81e"),
     "AddQueryInterest": (279, 118, "0a9cd4ab8ff2bbbd080aea8eac4e40d6d9f69f8a2ca61a2a946581411e8a6899"),
     "RemoveQueryInterest": (279, 118, "d39903877fb0ce2c1f3e751aa61dc60e625563048b1717349cb29790ee2fe6de"),
-    "StateDelta": (396, 35, "9962d75aafbeb3e851cfc2065097ddc992e02e95caeeaaaa0820d7256dbf6ced"),
-    "CeResult": (414, 86, "40879968ac17003479c4ee05b28588f5379f92eba5a81f76d7f128c33eade3c4"),
+    "StateDelta": (252, 50, "79a736072ac807f50730781d89acbac052e410a1cc667aeb032c9e0c9e4f0515"),
+    "CeResult": (270, 95, "d750de33503d6d9d78c162e4f8b5d7fc5104493c34daba3250027788da2a414a"),
 }
 
 
@@ -746,3 +919,14 @@ def test_decoder_verdicts_are_pinned(kind):
         digest.update(repr(verdict).encode())
         blobs += 1
     assert (blobs, accepted, digest.hexdigest()) == _VERDICT_PINS[kind]
+
+
+@pytest.mark.parametrize("kind", ["StateDelta", "CeResult"])
+def test_an_accepted_row_blob_is_the_one_encoding_of_its_packet(kind):
+    """Each edited tag-6 or tag-7 blob that decodes is what its packet encodes to."""
+    for blob in _verdict_corpus(encode_packet(_VERDICT_SAMPLES[kind])):
+        try:
+            pkt = decode_packet(blob)
+        except MalformedPacket:
+            continue
+        assert encode_packet(pkt) == blob

@@ -37,9 +37,9 @@ RESULTS = {
     ("mesh", 42): "2bac075dc258eebec1852e2fda25260438642ebcda828ded3de101970fcb3641",
 }
 WIRE = {
-    ("churn", 42): "a268169ff621a66a932e638e8b4f76a5ca8643534f6f8ee5ae0b9feea10f036e",
-    ("churn", 7): "a03c3fb77cd66b5a24ba52abb459b92012b43a753d287823cf1d0770f0f16eb1",
-    ("mesh", 42): "cb3307640c416881d0632551dedd37fb3f2f700f449ac9394a9bc0f11078fc5a",
+    ("churn", 42): "8790c077821e8498c2879ed09f8ceed9773ade7ff01812480a2ece98862fa3dc",
+    ("churn", 7): "001e9284e7bf30b1b8c1c902335fd086d39f7b30c915f24faa6a5b6fe9002b1c",
+    ("mesh", 42): "277ca1b8822156f1387108c6a2c30fbf1399bb14c48295016b1e27e4a94b2a95",
 }
 
 
