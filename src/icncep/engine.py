@@ -36,7 +36,9 @@ Name conventions produced locally:
   /nack/<qhash>/<nonce>       rejection of an unplaceable query
 <idx>, <wm> and <ts> are u64 values in canonical decimal, as the codec reads
 them (`packet._u64_text`); a /state packet that spells <idx> or <wm> any
-other way (`01`, `+1`, ` 1`, non-ASCII digits) is counted `malformed`.
+other way (`01`, `+1`, ` 1`, non-ASCII digits) is counted `malformed`. So is
+a deploy order that spells an operator index of its `assign` object any
+other way; it is not acked.
 
 An engine wires itself from `NodeConfig.topology`: it takes its node's role,
 face k leads to its k-th sorted neighbour, and a producer routes each of its
@@ -51,12 +53,24 @@ stream names and /state/<qhash>/<idx> prefixes, and each producer's route
 for its own streams. An Interest for /node/<id>/... that no route matches
 goes to the face of the topology's fewest-hop next hop toward <id>, so no
 engine keeps a route per node. Streams follow installed routes only, never
-a next hop toward their producer. The sorted out-faces of a DataStream
-name are kept per in-face in the FIB's `memo` (`_stream_faces`), but only
-while a route matches the name: a lookup that finds no face is not kept,
-and every route added or removed empties the memo. The memo so never holds
-more keys than the routed names a node has forwarded or shipped since the
-last route change, each once per in-face; Interests read the FIB afresh.
+a next hop toward their producer.
+
+An engine derives what a DataStream hop and a result need once, in three
+caches that fill lazily and hold nothing a fresh derivation would not give:
+  - Per DataStream name, a `_Hop` in the FIB's `memo` (`_stream_hop`): the
+    name's producer-stream width, its /state feed as `_u64_text` reads it,
+    its entry in `_feeds`, and its sorted out-faces per in-face as `_ship`
+    first reads them, an empty answer included. It is kept only while a
+    route matches the name or the name feeds an instance here, and never
+    for a misspelt /state name; every route added or removed empties the
+    memo, as does every change of `_feeds`. The memo so holds no key for a
+    name that no route or instance knows, however many such names arrive;
+    Interests read the FIB afresh.
+  - Per shipping instance, the /state/<q>/<i>/out `Name` it ships on, made
+    when it is installed.
+  - Per root instance, a `packet.ResultRenderer`, which keeps the JSON text
+    of each row of its last result by row identity, never by equality, so a
+    result renders only its rows that are new since the last one.
 
 One feed table, `_feeds`, maps the name a DataStream carries (its
 components) to the instances it feeds: a producer stream's WINDOWs in
@@ -137,6 +151,7 @@ import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Protocol
 
 from .operators import (
@@ -166,9 +181,10 @@ from .packet import (
     Packet,
     RemoveQueryInterest,
     StateDelta,
+    ResultRenderer,
     Tuple,
+    _is_state_out,
     _u64_text,
-    result_payload,
 )
 from .placement import NoPath, PlacementPlan, corridor, plan_query
 from .query import (
@@ -273,6 +289,17 @@ class Mirror:
     rows: list = field(default_factory=list)
 
 
+@dataclass(slots=True)
+class _Hop:
+    """What a DataStream name tells its node until the routes or `_feeds` next change."""
+
+    width: Optional[int]  # a producer stream's schema width, whose values are all numbers
+    # (q, i) of /state/<q>/<i>/out, i None if it is not canonical; None for other names
+    feed: Optional[tuple]
+    feeds: Optional[list]  # the name's entry in `_feeds`
+    faces: dict  # in-face (None: sent from here) -> out-faces, as `_ship` first reads them
+
+
 @dataclass
 class OpInstance:
     salted: str
@@ -286,10 +313,12 @@ class OpInstance:
     inputs: dict[int, tuple[list, int]] = field(default_factory=dict)
     last_emit: int = -1
     join_memo: Optional[JoinMemo] = None  # JOIN, made at install
-    # shipping instances: the last output shipped, whose rows keep their ids
-    # valid, and one past the index of its last row
+    # shipping instances: the name they ship on, the last output shipped,
+    # whose rows keep their ids valid, and one past the index of its last row
+    out_name: Optional[Name] = None
     sent_rows: list = field(default_factory=list)
     sent_end: int = 0
+    results: ResultRenderer = field(default_factory=ResultRenderer)  # root instances
     # the mirror of each remote child's output, by child index
     received: dict[int, Mirror] = field(default_factory=dict)
 
@@ -382,18 +411,26 @@ class Engine:
             faces = [self._face_of_peer.get(topo.next_hop(self.node_id, comps[1]))]
         return sorted(f for f in faces if f not in (exclude, APP_FACE, None))
 
-    def _stream_faces(self, name: Name, exclude: Optional[int] = None) -> list[int]:
-        """`_fib_faces(name, exclude)` for a DataStream name, kept in the FIB's memo unless empty.
+    def _stream_hop(self, name: Name) -> _Hop:
+        """The `_Hop` of DataStream `name`, kept in the FIB's memo while it holds.
 
-        The list is shared with later calls: callers must not change it.
+        It is kept only if a route matches `name` or `name` feeds an instance
+        here, and never for a /state name whose <i> is not canonical; the FIB
+        empties the memo when its routes change, `_index_feeds` when `_feeds`
+        does.
         """
-        key = (name.components, exclude)
-        faces = self.fib.memo.get(key)
-        if faces is None:
-            faces = self._fib_faces(name, exclude)
-            if faces:
-                self.fib.memo[key] = faces
-        return faces
+        comps = name.components
+        hop = self.fib.memo.get(comps)
+        if hop is None:
+            width, feed = self._stream_widths.get(comps), None
+            if width is None and _is_state_out(comps):
+                feed = (comps[1], _u64_text(comps[2]))
+            hop = _Hop(width, feed, self._feeds.get(comps), {})
+            if (feed is None or feed[1] is not None) and (
+                hop.feeds or self.fib.longest_prefix(name)
+            ):
+                self.fib.memo[comps] = hop
+        return hop
 
     def _query_faces(self, in_face: int) -> list[int]:
         """An endpoint's ingress-broker face, unless `in_face` is it; else every other face."""
@@ -683,11 +720,11 @@ class Engine:
 
         Raises ValueError if the order is malformed, before anything is
         installed: it must be an object whose assignment covers exactly the
-        operators of its query's tree.
+        operators of its query's tree, each index in canonical decimal.
         """
         try:
             salted, unsalted, key = doc["salted"], doc["unsalted"], doc["q"]
-            assignments = {int(i): h for i, h in doc["assign"].items()}
+            assignments = {_u64_text(i): h for i, h in doc["assign"].items()}
             routes = [
                 (Name.from_uri(prefix), self._face_of_peer.get(hop))
                 for prefix, hop in doc.get("routes", [])
@@ -699,7 +736,7 @@ class Engine:
                 tree = self._parse(key)[0]
         except (KeyError, TypeError, AttributeError, RecursionError) as err:
             raise ValueError("malformed deploy order: %r" % (err,)) from err
-        if set(assignments) != {node.index for node in tree.walk()}:
+        if set(assignments) != {node.index for node in tree.walk()}:  # None: a misspelt index
             raise ValueError("deploy order does not assign its query's operators")
         return salted, unsalted, tree, assignments, routes
 
@@ -729,6 +766,8 @@ class Engine:
             node = by_index[idx]
             parent_host = None if node.parent is None else assignments[node.parent]
             inst = OpInstance(salted=salted, unsalted=unsalted, node=node, parent_host=parent_host)
+            if parent_host not in (None, self.node_id):
+                inst.out_name = Name(("state", salted, str(idx), "out"))
             if node.kind == "WINDOW":
                 inst.win_state = WindowState((), node.params[1])
             elif node.kind == "FILTER":
@@ -742,7 +781,11 @@ class Engine:
             self._index_feeds(inst, add=True)
 
     def _index_feeds(self, inst: OpInstance, add: bool) -> None:
-        """List `inst` in `_feeds` under each name that feeds it, or (`add` false) unlist it."""
+        """List `inst` in `_feeds` under each name that feeds it, or (`add` false) unlist it.
+
+        Either empties the FIB's memo, whose `_Hop`s are kept by what `_feeds` holds.
+        """
+        self.fib.memo.clear()
         key, node = (inst.salted, inst.node.index), inst.node
         names = [("state", inst.salted, str(c.index), "out") for c in node.children]
         binding = self.config.streams.get(node.stream_alias)
@@ -759,21 +802,18 @@ class Engine:
     # -- data streams and evaluation ----------------------------------------
 
     def handle_data_stream(self, p: DataStream, in_face: int) -> str:
-        comps = p.stream_name.components
-        feed = None  # (salted hash, index) of a /state delta
-        width = self._stream_widths.get(comps)
+        hop = self._stream_hop(p.stream_name)
+        feed, feeds = hop.feed, hop.feeds  # feed: (salted hash, index) of a /state delta
+        width = hop.width
         if width is not None:
             values = p.tuple.values
-            if len(values) != width or any(isinstance(v, str) for v in values):
+            if len(values) != width or any(map(isinstance, values, repeat(str, width))):
                 return "malformed"
+            comps = p.stream_name.components
             self.high_water[comps] = max(self.high_water.get(comps, 0), p.tuple.ts)
-        elif len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
-            index = _u64_text(comps[2])
-            if index is None or type(p.tuple) is not StateDelta:
-                return "malformed"  # a misspelt <i>, or no delta on a /state stream
-            feed = (comps[1], index)
+        elif feed is not None and (feed[1] is None or type(p.tuple) is not StateDelta):
+            return "malformed"  # a misspelt <i>, or no delta on a /state stream
 
-        feeds = self._feeds.get(comps)
         consumed = bool(feeds)  # read first: a release in the loop empties the list
         for inst_key in list(feeds or ()):
             inst = self.instances.get(inst_key)
@@ -795,13 +835,15 @@ class Engine:
                 continue  # already folded into a delivered result
             self._feed_window(inst, p.tuple)
 
-        if self._ship(p, feed, in_face):
+        if consumed:  # what the loop released or installed changed the hop: read it afresh
+            hop = self._stream_hop(p.stream_name)
+        if self._ship(p, hop, in_face):
             return "forwarded"
         if consumed:
             return "consumed"
         if feed is not None:  # nobody here wants this feed: prune it upstream
             self.counters["prunes_sent"] += 1
-            prune = Name(("state", comps[1], comps[2], "prune", str(p.tuple.ts)))
+            prune = Name(p.stream_name.components[:3] + ("prune", str(p.tuple.ts)))
             self._send(in_face, Interest(name=prune))
         return "dropped"
 
@@ -873,20 +915,30 @@ class Engine:
                 self._feed_child_output(parent, inst.node.index, rows, wm)
             return
         schema = rows[0].schema_id
-        name = Name(("state", inst.salted, str(inst.node.index), "out"))
         packet = DataStream(
-            stream_name=name, tuple=self._encode_snapshot(inst, rows, wm, schema)
+            stream_name=inst.out_name, tuple=self._encode_snapshot(inst, rows, wm, schema)
         )
-        if self._ship(packet, (inst.salted, inst.node.index)):
+        if self._ship(packet, self._stream_hop(inst.out_name)):
             self.counters["results_shipped"] += 1
 
-    def _ship(self, p: DataStream, feed: Optional[tuple], in_face: Optional[int] = None) -> bool:
-        """Send `p` on its routed faces but `in_face`, then fence /state `feed`; whether it went."""
-        faces = self._stream_faces(p.stream_name, in_face)
+    def _ship(self, p: DataStream, hop: _Hop, in_face: Optional[int] = None) -> bool:
+        """Send `p` on its routed faces but `in_face`, then fence its /state feed; whether it went.
+
+        `hop` is the `_Hop` of `p`'s name, which keeps the faces per in-face.
+        The first delta of a feed sent DEPLOY_TIMEOUT_MS or more after this
+        node's latest deploy order for its query sets the feed's fence: a
+        prune answering an older delta is stale.
+        """
+        faces = hop.faces.get(in_face)
+        if faces is None:
+            faces = hop.faces[in_face] = self._fib_faces(p.stream_name, in_face)
         for f in faces:
             self._send(f, p)
-        if faces and feed is not None:
-            self._fence(feed, p.tuple.ts)
+        feed = hop.feed
+        if faces and feed is not None and feed not in self._fences:
+            since = self._deployed.get(feed[0])
+            if since is None or self._now() >= since + DEPLOY_TIMEOUT_MS:
+                self._fences[feed] = p.tuple.ts
         return bool(faces)
 
     def _feed_child_output(
@@ -944,7 +996,7 @@ class Engine:
             return
         if wm <= entry.last_result_ts:
             return
-        payload = result_payload(inst.unsalted, wm, rows[0].schema_id, [r.values for r in rows])
+        payload = inst.results.payload(inst.unsalted, wm, rows)
         packet = Data(name=Name(("ce", inst.unsalted, str(wm))), payload=payload, ts=wm)
         for f in sorted(entry.faces):
             self._send(f, packet)
@@ -955,18 +1007,6 @@ class Engine:
         )
 
     # -- teardown ------------------------------------------------------------
-
-    def _fence(self, feed: tuple[str, int], wm: int) -> None:
-        """Note a delta sent or forwarded on `feed`.
-
-        The first one sent DEPLOY_TIMEOUT_MS or more after this node's latest
-        deploy order for its query sets the feed's fence: a prune answering an
-        older delta is stale.
-        """
-        if feed not in self._fences:
-            since = self._deployed.get(feed[0])
-            if since is None or self._now() >= since + DEPLOY_TIMEOUT_MS:
-                self._fences[feed] = wm
 
     def _handle_prune(self, feed: tuple[str, int], wm: int, in_face: int) -> None:
         """Stop sending `feed` on `in_face`; with no face left, release its query here."""
@@ -997,9 +1037,9 @@ class Engine:
                 continue
             self.counters["released"] += 1
             self._index_feeds(inst, add=False)
-            if inst.parent_host not in (None, self.node_id):
+            if inst.out_name is not None:  # it ships to a remote parent
                 self._fences.pop(key, None)
-                prefix = Name(("state", salted, str(node.index)))
+                prefix = Name(inst.out_name.components[:3])
                 for f in self._fib_faces(prefix):
                     self.fib.remove_route(prefix, f)
 

@@ -94,6 +94,7 @@ __all__ = [
     "encode_packet",
     "decode_packet",
     "result_payload",
+    "ResultRenderer",
     "is_prefix_of",
 ]
 
@@ -378,6 +379,38 @@ def _is_state_out(components: tuple[str, ...]) -> bool:
 def result_payload(qhash: str, ts: int, schema: str, rows: list) -> bytes:
     """The payload of the result /ce/<qhash>/<ts>, as the consumer application reads it."""
     return _encode_result({"hash": qhash, "ts": ts, "schema": schema, "rows": rows}).encode("utf-8")
+
+
+class ResultRenderer:
+    """`result_payload` of one query's successive results, rendering each row once.
+
+    A row of the last result, the same object, keeps the JSON text it had
+    there. Rows are matched by identity, never by equality (`1`, `1.0` and
+    `True` print apart), and only the last result's rows and texts are kept,
+    the rows with them, so that no row id is reused while its text is held.
+    """
+
+    __slots__ = ("_rows", "_texts", "_frame")
+
+    def __init__(self) -> None:
+        self._rows: tuple[Tuple, ...] = ()
+        self._texts: dict[int, str] = {}  # id of a row in _rows -> JSON text of its values
+        # (qhash, schema, the JSON before ts, the JSON between ts and the rows)
+        self._frame: tuple[str, str, str, str] | None = None
+
+    def payload(self, qhash: str, ts: int, rows: list[Tuple]) -> bytes:
+        """The bytes of `result_payload(qhash, ts, rows[0].schema_id, [r.values for r in rows])`."""
+        held = self._texts
+        texts = [held.get(id(r)) or _encode_result(r.values) for r in rows]
+        self._rows, self._texts = tuple(rows), dict(zip(map(id, rows), texts))
+        schema, frame = rows[0].schema_id, self._frame
+        if frame is None or frame[0] != qhash or frame[1] != schema:
+            before = '{"hash": %s, "ts": ' % _encode_result(qhash)
+            between = ', "schema": %s, "rows": [' % _encode_result(schema)
+            frame = self._frame = (qhash, schema, before, between)
+        # JSON writes an int as its repr
+        stamp = repr(ts) if type(ts) is int else _encode_result(ts)
+        return ("%s%s%s%s]}" % (frame[2], stamp, frame[3], ", ".join(texts))).encode("utf-8")
 
 
 def _result_fields(p: Data) -> bytes | None:

@@ -700,8 +700,9 @@ def emit_metrics(metrics: Metrics, path: str) -> None:
 # the simulator proper
 
 
-# json.dumps(..., sort_keys=True) without its per-call set-up
-_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+# json.dumps(..., sort_keys=True) without its per-call set-up; engine events
+# are flat dicts, so there is no cycle to check for
+_encode_sorted = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def _summary(p: Packet) -> str:
@@ -729,6 +730,11 @@ class Simulator:
     join takes one, and each re-wait of a line takes one per handler in it,
     so that the uids, and the pinned trace hashes, are those of a kernel
     with one heap entry per wait.
+
+    A packet's trace summary is rendered once: the in-flight entry
+    (uid, packet, summary) of a delivery or injection rides with its
+    handler, and a send of that same packet object, as a relay's is, takes
+    its summary; so does each further send of a packet sent on several faces.
     """
 
     def __init__(self, spec: ScenarioSpec, collect_trace: bool = True):
@@ -748,6 +754,8 @@ class Simulator:
         self._ctx_node: Optional[str] = None
         self._ctx_charges = 0.0
         self._ctx_out: list[tuple[int, Packet]] = []
+        # the in-flight entry whose summary the next send of its packet reuses
+        self._rendered: Optional[tuple[int, Packet, Optional[str]]] = None
         # (node, query text) -> query-interest packets sent on network faces
         self.control_sends: dict[tuple[str, str], int] = {}
         # directed link -> live (uid, packet, its trace summary or None)
@@ -784,9 +792,10 @@ class Simulator:
     def event(self, node_id: str, kind: str, payload: dict) -> None:
         self.events.append((node_id, kind, payload))
         if self.collect_trace:
-            clean = {k: v for k, v in payload.items() if not k.endswith("_real_ms")}
+            if "_real_ms" in " ".join(payload):  # else no key ends with it: nothing to drop
+                payload = {k: v for k, v in payload.items() if not k.endswith("_real_ms")}
             self.trace.append(
-                "%.3f %s event %s %s" % (self.t, node_id, kind, _encode_sorted(clean))
+                "%.3f %s event %s %s" % (self.t, node_id, kind, _encode_sorted(payload))
             )
 
     # -- internals -------------------------------------------------------------
@@ -795,24 +804,27 @@ class Simulator:
         self._seq += 1
         heappush(self._heap, (max(t, self.t), self._seq, fn))
 
-    def _exec(self, node: str, thunk: Callable[[], None]) -> None:
-        """Run a handler on `node` now, or put it at the back of the node's line."""
+    def _exec(self, node: str, thunk: Callable[[], None], rendered: Optional[tuple] = None) -> None:
+        """Run a handler on `node` now, or put it at the back of the node's line.
+
+        `rendered` is the in-flight entry of the packet the handler handles, if any.
+        """
         line = self._waiting.get(node)
         if line is None and self.busy_until[node] <= self.t:
-            self._run(node, thunk)
+            self._run(node, thunk, rendered)
             return
         self._seq += 1
         if line is None:
-            self._waiting[node] = deque((thunk,))
+            self._waiting[node] = deque(((thunk, rendered),))
             heappush(self._heap, (self.busy_until[node], self._seq, partial(self._serve, node)))
         else:
-            line.append(thunk)
+            line.append((thunk, rendered))
 
     def _serve(self, node: str) -> None:
         """Run `node`'s line while the node is idle; the rest waits again."""
         line = self._waiting[node]
         while line and self.busy_until[node] <= self.t:
-            self._run(node, line.popleft())
+            self._run(node, *line.popleft())
         if line:
             first = self._seq + 1
             self._seq += len(line)
@@ -820,7 +832,7 @@ class Simulator:
         else:
             del self._waiting[node]
 
-    def _run(self, node: str, thunk: Callable[[], None]) -> None:
+    def _run(self, node: str, thunk: Callable[[], None], rendered: Optional[tuple] = None) -> None:
         """Run a handler in a serial processing slot on idle `node`."""
         self._ctx_node, self._ctx_charges, self._ctx_out = node, 0.0, []
         try:
@@ -833,14 +845,19 @@ class Simulator:
         end = self.t + self._delays[node] + self._ctx_charges
         self.busy_until[node] = end
         self._ctx_node, self._ctx_out = None, []
+        self._rendered = rendered
         for face_id, packet in out:
             self._dispatch(node, face_id, packet, end)
 
     def _dispatch(self, node: str, face_id: int, packet: Packet, at: float) -> None:
+        summary = None
+        if self.collect_trace:
+            rendered = self._rendered
+            summary = rendered[2] if rendered and rendered[1] is packet else _summary(packet)
         if face_id == APP_FACE:
             self.app.setdefault(node, []).append((at, packet))
-            if self.collect_trace:
-                self.trace.append("%.3f %s app %s" % (at, node, _summary(packet)))
+            if summary is not None:
+                self.trace.append("%.3f %s app %s" % (at, node, summary))
             return
         if type(packet) is not DataStream and isinstance(
             packet, (AddQueryInterest, RemoveQueryInterest)
@@ -855,8 +872,8 @@ class Simulator:
         key, link, flight = record
         self._seq += 1
         uid = self._seq
-        summary = _summary(packet) if self.collect_trace else None
-        flight.append((uid, packet, summary))
+        self._rendered = entry = (uid, packet, summary)
+        flight.append(entry)
         if len(flight) > link.capacity:
             # shed the oldest stream packet; control packets are never shed
             victim = next((e for e in flight if isinstance(e[1], DataStream)), None)
@@ -881,21 +898,22 @@ class Simulator:
         flight = self._in_flight[key]
         if not flight or flight[0][0] != uid:
             return
-        summary = flight.popleft()[2]
+        entry = flight.popleft()
         src, dst = key
         if self.collect_trace:
-            self.trace.append("%.3f %s recv uid=%d %s <- %s" % (self.t, dst, uid, summary, src))
+            self.trace.append("%.3f %s recv uid=%d %s <- %s" % (self.t, dst, uid, entry[2], src))
         engine = self.engines[dst]
-        self._exec(dst, partial(engine.handle_packet, packet, engine._face_of_peer[src]))
+        self._exec(dst, partial(engine.handle_packet, packet, engine._face_of_peer[src]), entry)
 
     def inject(self, t: float, node: str, packet: Packet) -> None:
         """Schedule an application-originated packet at `node`."""
         self._at(t, partial(self._inject_now, node, packet))
 
     def _inject_now(self, node: str, packet: Packet) -> None:
+        entry = (0, packet, _summary(packet) if self.collect_trace else None)
         if self.collect_trace:
-            self.trace.append("%.3f %s recv uid=0 %s <- app" % (self.t, node, _summary(packet)))
-        self._exec(node, partial(self.engines[node].handle_packet, packet, APP_FACE))
+            self.trace.append("%.3f %s recv uid=0 %s <- app" % (self.t, node, entry[2]))
+        self._exec(node, partial(self.engines[node].handle_packet, packet, APP_FACE), entry)
 
     def run(self) -> None:
         heap = self._heap

@@ -25,7 +25,7 @@ def pytest_configure(config):
 def _record_engine_errors():
     original = Simulator._run
 
-    def _run(self, node, thunk):
+    def _run(self, node, thunk, *rest):
         def guarded():
             try:
                 thunk()
@@ -33,7 +33,7 @@ def _record_engine_errors():
                 _caught.append((node, err))
                 raise
 
-        original(self, node, guarded)
+        original(self, node, guarded, *rest)
 
     Simulator._run = _run
     try:

@@ -27,10 +27,12 @@ from icncep.packet import (
     MalformedPacket,
     Name,
     RemoveQueryInterest,
+    ResultRenderer,
     StateDelta,
     Tuple,
     decode_packet,
     encode_packet,
+    result_payload,
 )
 from icncep.query import (
     OPERATORS,
@@ -489,6 +491,35 @@ def next_output(step, last, schema):
     return []
 
 
+RESULT_STEP = st.tuples(
+    SNAP_STEP,
+    st.sampled_from(["gps", "\u00e9\"\\"]),  # the schema of the step's new rows
+    st.sampled_from(["u", "\u00e9\"\\"]),  # the query hash
+    st.sampled_from([7, 0, 2**64 - 1, 7.0, True]),  # the timestamp
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RESULT_STEP, min_size=1, max_size=10))
+def test_result_payloads_reuse_row_texts_by_identity_only(steps):
+    """Each payload is `packet.result_payload`'s, byte for byte.
+
+    A row of the last result, the same object, keeps its text; a new row
+    equal to one of them (1, 1.0 and True; 0.0 and -0.0) prints its own, and
+    nan, which equals nothing, prints as NaN. Only the last result's rows
+    and texts are held. The hash, schema and timestamp around the rows may
+    change from one result to the next.
+    """
+    renderer, last = ResultRenderer(), []
+    for step, schema, qhash, ts in steps:
+        rows = last = next_output(step, last, schema)
+        if not rows:  # the engine notifies only results that have rows
+            continue
+        want = result_payload(qhash, ts, rows[0].schema_id, [r.values for r in rows])
+        assert renderer.payload(qhash, ts, rows) == want
+        assert renderer._rows == tuple(rows) and set(renderer._texts) == {id(r) for r in rows}
+
+
 def delta(**changes):
     """The fields of a delta of row 1 at wm 2000, changed as given.
 
@@ -734,6 +765,12 @@ def unplaceable_order(doc):
         lambda doc: DataStream(Name.from_uri("/state/s/01/out"), carried(delta())),
         lambda doc: DataStream(Name.from_uri("/state/s/+1/out"), carried(delta())),
         lambda doc: DataStream(Name.from_uri("/state/s/\u0661/out"), carried(delta())),
+        # assign indices spelled other than in canonical decimal, which int() read as 0 and 1
+        lambda doc: deploy_order(dict(doc, assign={"00": "b2", "1": "b1"})),
+        lambda doc: deploy_order(dict(doc, assign={"0": "b2", "+1": "b1"})),
+        lambda doc: deploy_order(dict(doc, assign={"0": "b2", " 1": "b1"})),
+        # one index spelled twice: with int() the later spelling won
+        lambda doc: deploy_order(dict(doc, assign={"0": "b2", "00": "b1", "1": "b1"})),
     ],
     ids=[
         "stream-index",
@@ -759,6 +796,10 @@ def unplaceable_order(doc):
         "stream-index-leading-zero",
         "stream-index-signed",
         "stream-index-arabic-indic",
+        "deploy-index-leading-zero",
+        "deploy-index-signed",
+        "deploy-index-spaced",
+        "deploy-index-spelled-twice",
     ],
 )
 def test_a_malformed_packet_is_dropped_and_counted(packet):
@@ -842,13 +883,43 @@ def test_a_prune_that_removes_the_route_empties_the_stream_faces_memo():
     svc.clock = int(engine.DEPLOY_TIMEOUT_MS)  # late enough for the delta to set the fence
     eng.handle_packet(window_delta(2000), in_face=1)
     assert [(f, type(p)) for _, f, p in svc.sent] == [(2, DataStream)]
-    assert eng.fib.memo == {(("state", "s", "1", "out"), 1): [2]}
+    hops = {comps: (hop.feed, hop.faces) for comps, hop in eng.fib.memo.items()}
+    assert hops == {("state", "s", "1", "out"): (("s", 1), {1: [2]})}
     eng.handle_packet(Interest(name=Name.from_uri("/state/s/1/prune/2000")), in_face=2)
     assert eng.fib.dump() == "prefix,faces\n" and eng.fib.memo == {}
     svc.sent.clear()
     eng.handle_packet(window_delta(3000), in_face=1)  # not out on the remembered face 2
     assert [(f, p.name.to_uri()) for _, f, p in svc.sent] == [(1, "/state/s/1/prune/3000")]
     assert eng.counters["dropped"] == eng.counters["prunes_sent"] == 1
+
+
+def name_tables(eng):
+    """The size of each table of `eng` that a packet's name can add an entry to."""
+    tables = (eng.fib.memo, eng._feeds, eng.high_water, eng._fences, eng._trees, eng.instances)
+    return [len(t) for t in tables] + [len(eng.fib), len(eng.pit), len(eng.cs)]
+
+
+@pytest.mark.parametrize("host", [filter_host, transit_broker], ids=["root-host", "transit"])
+def test_a_burst_of_unknown_and_misspelt_state_names_grows_no_table(host):
+    """1,000 distinct /state/<q>/<i>/out names that no route or instance knows."""
+    eng, svc, _ = host()
+    svc.clock = int(engine.DEPLOY_TIMEOUT_MS)
+    eng.pit.add_face("u", 2)  # a consumer behind b3, so the root keeps its query
+    eng.handle_packet(window_delta(2000), in_face=1)  # the live feed, kept in the memo
+    before, counters = name_tables(eng), dict(eng.counters)
+    assert len(eng.fib.memo) == 1
+    unknown = ["/state/s/%d/out" % (k + 2) for k in range(250)]
+    unknown += ["/state/x%d/1/out" % k for k in range(250)]
+    misspelt = ["/state/s/0%d/out" % k for k in range(250)]
+    misspelt += [Name(("state", "s", "+%d" % k, "out")) for k in range(250)]
+    delta_row = window_delta(3000).tuple
+    for name in unknown + misspelt:
+        name = name if isinstance(name, Name) else Name.from_uri(name)
+        eng.handle_packet(DataStream(name, delta_row), in_face=1)
+    assert name_tables(eng) == before
+    verdicts = ("dropped", "malformed", "prunes_sent")
+    counts = {k: eng.counters[k] - counters.get(k, 0) for k in verdicts}
+    assert counts == {"dropped": 500, "malformed": 500, "prunes_sent": 500}
 
 
 def test_a_route_added_after_a_drop_is_used_by_the_next_delta():
@@ -873,6 +944,32 @@ def test_a_delta_whose_result_releases_its_query_is_consumed_and_sends_no_prune(
     assert eng.counters["consumed"] == 2  # the deploy order and the delta
     assert "dropped" not in eng.counters and "prunes_sent" not in eng.counters
     assert sent_to(svc, 1, Interest) == []
+
+
+def test_a_delta_whose_result_releases_the_route_it_was_forwarded_on_is_only_consumed():
+    """b2 still hosts query "s"'s WINDOW, shipping to b3, from a first deploy
+    order when a second one gives it the FILTER root, fed from b1. A delta on
+    /state/s/1/out then feeds the root and is forwarded to b3 too; once the
+    root's result releases the query, with the WINDOW's route to b3, the next
+    delta must not follow the faces that the route had."""
+    svc = FakeServices()
+    cfg = NodeConfig(
+        "b2", topology("b1-b2", "b2-b3"), streams=default_streams(), mode="distributed"
+    )
+    eng = Engine(cfg, svc)
+    key = canonical_text(create_operator_graph(Q2, default_streams()))
+    doc = {"q": key, "salted": "s", "unsalted": "u", "assign": {"0": "b3", "1": "b2"}}
+    eng.handle_packet(deploy_order(dict(doc, routes=[["/state/s/1", "b3"]])), in_face=2)
+    eng.handle_packet(deploy_order(dict(doc, assign={"0": "b2", "1": "b1"})), in_face=1)
+    eng.pit.add_face("u", 1)
+    svc.clock = int(engine.DEPLOY_TIMEOUT_MS)
+    eng.handle_packet(window_delta(2000), in_face=1)
+    assert [type(p) for p in sent_to(svc, 2)] == [Data, DataStream]  # an ack, then the delta
+    eng.pit.remove("u")
+    svc.sent.clear()
+    eng.handle_packet(window_delta(3000), in_face=1)
+    assert eng.counters["released"] == 2 and eng.fib.dump() == "prefix,faces\n"
+    assert svc.sent == [] and eng.counters["forwarded"] == 1
 
 
 # parents that read a number from their WINDOW's rows: query, row width, column read

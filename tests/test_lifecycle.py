@@ -11,7 +11,7 @@ import pytest
 
 from icncep import sim
 from icncep.engine import Engine
-from icncep.packet import Name
+from icncep.packet import Name, _u64_text
 from icncep.sim import (
     QueryDef,
     ScenarioSpec,
@@ -45,25 +45,36 @@ def assert_feeds_list_the_live_instances(engine):
     assert len(listed) == len(set(listed)) and set(listed) == want, engine.node_id
 
 
-def assert_stream_faces_memo_names_live_routes(engine):
-    """Each name in the FIB's memo still matches a route, and its faces are the FIB's own."""
-    for (comps, exclude), faces in engine.fib.memo.items():
+def assert_stream_hops_are_fresh_and_live(engine):
+    """Each name in the FIB's memo still matches a route or feeds a live instance,
+    and its entry holds what a fresh read of the tables gives: the stream width,
+    the /state feed as `_u64_text` reads it, never a misspelt one, the name's
+    `_feeds` entry itself, and per in-face the FIB's own faces."""
+    for comps, hop in engine.fib.memo.items():
         name = Name(comps)
-        assert engine.fib.longest_prefix(name) is not None, (engine.node_id, comps)
-        assert faces == engine._fib_faces(name, exclude), (engine.node_id, comps)
+        routed = engine.fib.longest_prefix(name) is not None
+        assert routed or comps in engine._feeds, (engine.node_id, comps)
+        width, feed = engine._stream_widths.get(comps), None
+        if width is None and len(comps) == 4 and comps[0] == "state" and comps[3] == "out":
+            feed = (comps[1], _u64_text(comps[2]))
+            assert feed[1] is not None, (engine.node_id, comps)
+        assert (hop.width, hop.feed) == (width, feed), (engine.node_id, comps)
+        assert hop.feeds is engine._feeds.get(comps), (engine.node_id, comps)
+        for exclude, faces in hop.faces.items():
+            assert faces == engine._fib_faces(name, exclude), (engine.node_id, comps, exclude)
 
 
 @pytest.fixture(autouse=True)
 def checked_feeds(monkeypatch):
     """Every replay in this module ends with a feed table that matches its instances
-    and a stream-faces memo that names only routed DataStreams."""
+    and a memo of fresh stream hops for routed or feeding names only."""
     run = sim.Simulator.run
 
     def check(self):
         run(self)
         for engine in self.engines.values():
             assert_feeds_list_the_live_instances(engine)
-            assert_stream_faces_memo_names_live_routes(engine)
+            assert_stream_hops_are_fresh_and_live(engine)
 
     monkeypatch.setattr(sim.Simulator, "run", check)
 
@@ -90,6 +101,7 @@ def held_queries(engine):
     held |= {
         e.prefix.components[1] for e in engine.fib.entries() if e.prefix.components[0] == "state"
     }
+    held |= {comps[1] for comps in engine.fib.memo if comps[0] == "state"}
     return held
 
 
@@ -117,6 +129,22 @@ def test_a_stopped_query_is_torn_down_hop_by_hop(captured):
     assert totals(metrics, "errors") == 0
     for engine in captured[0].engines.values():
         assert not held_queries(engine), engine.node_id
+
+
+def test_every_stream_hop_is_fresh_after_every_packet_of_a_teardown(monkeypatch):
+    """The memo check of `checked_feeds`, after each packet rather than at the end."""
+    handle = Engine.handle_packet
+    checked = Counter()
+
+    def handle_and_check(engine, packet, in_face):
+        handle(engine, packet, in_face)
+        assert_stream_hops_are_fresh_and_live(engine)
+        checked[type(packet).__name__] += 1
+
+    monkeypatch.setattr(Engine, "handle_packet", handle_and_check)
+    spec = load_scenario("q2")
+    run_scenario(replace(spec, queries=[replace(spec.queries[0], stop_ms=20000)]))
+    assert checked["DataStream"] > 1000 and checked["Interest"] > 0
 
 
 @pytest.mark.parametrize(

@@ -1068,10 +1068,10 @@ def fifo_recorder(runs):
             self.reached, self.started, self.early, self.waited = Counter(), {}, [], 0
             runs.append(self)
 
-        def _exec(self, node, thunk):
+        def _exec(self, node, thunk, *rest):
             k = self.reached[node]
             self.reached[node] += 1
-            super()._exec(node, partial(self._start, node, k, self.t, thunk))
+            super()._exec(node, partial(self._start, node, k, self.t, thunk), *rest)
 
         def _start(self, node, k, reached_t, thunk):
             if self.busy_until[node] > self.t:
