@@ -6,8 +6,8 @@ on remote responses. Each handler returns the packet's disposition:
 `consumed`, `forwarded`, `dropped` or `malformed`. `handle_packet` counts
 each packet once, as `received` and under the disposition its handler
 returned. A packet whose handler raises gets no disposition; the simulator
-counts it in its node's `errors`. An evaluation that `_feed_child_output`
-skips for a row it cannot read is counted `eval_skipped`, not a disposition.
+counts it in its node's `errors`. An evaluation that `_feed` skips for a row
+it cannot read is counted `eval_skipped`, not a disposition.
 
 A coordinator plans a query in one request/reply loop of two stages: while
 the plan is unmade it probes the delay of every other broker in the query's
@@ -38,7 +38,7 @@ Name conventions produced locally:
 them (`packet._u64_text`); a /state packet that spells <idx> or <wm> any
 other way (`01`, `+1`, ` 1`, non-ASCII digits) is counted `malformed`. So is
 a deploy order that spells an operator index of its `assign` object any
-other way; it is not acked.
+other way, or whose JSON repeats a key in any object; it is not acked.
 
 An engine wires itself from `NodeConfig.topology`: it takes its node's role,
 face k leads to its k-th sorted neighbour, and a producer routes each of its
@@ -83,7 +83,7 @@ canonical key and real parse time; a poll's Remove+Add pair and every later
 deploy of the same query are lookups. A text that fails to parse is parsed
 again each time and nacked each time. All texts of one canonical key share
 one tree, and the key's own entry is made by the first of them to parse.
-Memoized trees are shared with `_trees`, pending plans and operator
+Memoized trees are shared with `_deployed`, pending plans and operator
 instances, so nothing changes a tree after `create_operator_graph` returns.
 `graph_real_ms` is the time of the parse that built the entry, on a hit too.
 The memo holds one entry per distinct text and canonical key and lives as
@@ -154,24 +154,9 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Optional, Protocol
 
-from .operators import (
-    Condition,
-    EmptyWindow,
-    JoinMemo,
-    OperatorError,
-    OutOfOrderTuple,
-    PredictState,
-    WindowState,
-    aggregate_eval,
-    compile_condition,
-    compile_join,
-    filter_eval,
-    heatmap_eval,
-    join_eval,
-    predict_eval,
-    sequence_eval,
-    window_insert,
-)
+# join_eval is unused here: bench/test_bench.py checks that the benchmark's
+# tracer, which wraps each module's reference to it, restores engine.join_eval
+from .operators import Operator, OutOfOrderTuple, UnknownAttribute, join_eval  # noqa: F401
 from .packet import (
     AddQueryInterest,
     Data,
@@ -205,27 +190,11 @@ __all__ = [
     "Engine",
     "PROBE_TIMEOUT_MS",
     "DEPLOY_TIMEOUT_MS",
-    "EVAL_COST_MS",
 ]
 
 APP_FACE = 0
 PROBE_TIMEOUT_MS = 200.0
 DEPLOY_TIMEOUT_MS = 400.0
-
-# simulated per-evaluation compute charge, by operator kind
-EVAL_COST_MS = {
-    "WINDOW": 0.05,
-    "FILTER": 0.05,
-    "JOIN": 0.2,
-    "SEQUENCE": 0.1,
-    "SUM": 0.1,
-    "MIN": 0.1,
-    "MAX": 0.1,
-    "AVG": 0.1,
-    "COUNT": 0.1,
-    "HEATMAP": 40.0,
-    "PREDICT": 30.0,
-}
 
 
 def _advertised_delay(payload: bytes) -> float:
@@ -235,6 +204,14 @@ def _advertised_delay(payload: bytes) -> float:
     except ValueError:
         return math.inf
     return delay if delay >= 0 else math.inf
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object; one that repeats a key raises ValueError."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return doc
 
 
 def _shared_rows(sent: list, rows: list) -> int:
@@ -306,13 +283,7 @@ class OpInstance:
     unsalted: str  # the hash its /ce names carry, its PIT and CS key
     node: OperatorNode
     parent_host: Optional[str]
-    win_state: Optional[WindowState] = None
-    predict_state: Optional[PredictState] = None
-    cond: Optional[Condition] = None  # FILTER and JOIN, compiled at install
-    # JOIN and SEQUENCE: each child's latest output rows and watermark, by child index
-    inputs: dict[int, tuple[list, int]] = field(default_factory=dict)
-    last_emit: int = -1
-    join_memo: Optional[JoinMemo] = None  # JOIN, made at install
+    op: Operator  # its kind's state and evaluation
     # shipping instances: the name they ship on, the last output shipped,
     # whose rows keep their ids valid, and one past the index of its last row
     out_name: Optional[Name] = None
@@ -371,11 +342,10 @@ class Engine:
         }
         # name a packet carries -> the instances it feeds; see _index_feeds
         self._feeds: dict[tuple[str, ...], list[tuple[str, int]]] = {}
-        self._trees: dict[str, OperatorNode] = {}  # salted hash -> local parse
         # query text -> (tree, canonical key, real parse ms); see _parse
         self._parsed: dict[str, tuple[OperatorNode, str, float]] = {}
         self.high_water: dict[tuple[str, ...], int] = {}  # stream name -> newest tuple ts
-        self._deployed: dict[str, int] = {}  # salted hash -> time of its latest deploy here
+        self._deployed: dict[str, tuple[OperatorNode, int]] = {}  # salted -> (tree, deploy time)
         self._fences: dict[tuple[str, int], int] = {}  # /state feed sent or forwarded -> fence wm
         self.counters: Counter[str] = Counter()
 
@@ -731,9 +701,8 @@ class Engine:
             ]
             if not all(isinstance(s, str) for s in (salted, unsalted, key)):
                 raise TypeError("query names must be strings")
-            tree = self._trees.get(salted)
-            if tree is None:
-                tree = self._parse(key)[0]
+            held = self._deployed.get(salted)
+            tree = self._parse(key)[0] if held is None else held[0]
         except (KeyError, TypeError, AttributeError, RecursionError) as err:
             raise ValueError("malformed deploy order: %r" % (err,)) from err
         if set(assignments) != {node.index for node in tree.walk()}:  # None: a misspelt index
@@ -751,8 +720,8 @@ class Engine:
         for prefix, face in routes:
             if face is not None:
                 self.fib.add_route(prefix, face)
-        tree = self._trees.setdefault(salted, tree)
-        self._deployed[salted] = self._now()
+        tree = self._deployed.get(salted, (tree,))[0]
+        self._deployed[salted] = (tree, self._now())
         by_index = {node.index: node for node in tree.walk()}
         for idx in by_index:
             self._fences.pop((salted, idx), None)
@@ -765,18 +734,9 @@ class Engine:
                 continue
             node = by_index[idx]
             parent_host = None if node.parent is None else assignments[node.parent]
-            inst = OpInstance(salted=salted, unsalted=unsalted, node=node, parent_host=parent_host)
+            inst = OpInstance(salted, unsalted, node, parent_host, Operator(node))
             if parent_host not in (None, self.node_id):
                 inst.out_name = Name(("state", salted, str(idx), "out"))
-            if node.kind == "WINDOW":
-                inst.win_state = WindowState((), node.params[1])
-            elif node.kind == "FILTER":
-                inst.cond = compile_condition(node.params[0], node.left.ctx)
-            elif node.kind == "JOIN":
-                inst.cond = compile_join(node.params[0], node.left.ctx, node.right.ctx)
-                inst.join_memo = JoinMemo()
-            elif node.kind == "PREDICT":
-                inst.predict_state = PredictState()
             self.instances[(salted, idx)] = inst
             self._index_feeds(inst, add=True)
 
@@ -827,13 +787,13 @@ class Engine:
                 except ValueError:
                     return "malformed"
                 if fed is not None:
-                    self._feed_child_output(inst, feed[1], *fed)
+                    self._feed(inst, feed[1], *fed)
                 continue
             entry = self.pit.lookup(inst.unsalted)
             if entry is not None and p.tuple.ts <= entry.last_result_ts:
                 self.counters["out_of_order"] += 1
                 continue  # already folded into a delivered result
-            self._feed_window(inst, p.tuple)
+            self._feed(inst, None, (p.tuple,), p.tuple.ts)
 
         if consumed:  # what the loop released or installed changed the hop: read it afresh
             hop = self._stream_hop(p.stream_name)
@@ -846,16 +806,6 @@ class Engine:
             prune = Name(p.stream_name.components[:3] + ("prune", str(p.tuple.ts)))
             self._send(in_face, Interest(name=prune))
         return "dropped"
-
-    def _feed_window(self, inst: OpInstance, t: Tuple) -> None:
-        self.services.charge(self.node_id, EVAL_COST_MS["WINDOW"])
-        try:
-            inst.win_state, _evicted = window_insert(inst.win_state, t)
-        except OutOfOrderTuple:
-            self.counters["out_of_order"] += 1
-            return
-        rows = list(inst.win_state.buffer)
-        self._emit(inst, rows, rows[-1].ts)
 
     def _decode_snapshot(
         self, delta: StateDelta, inst: OpInstance, child_idx: int, width: int = 1
@@ -902,23 +852,36 @@ class Engine:
             ts=wm, schema=schema, first=end - len(rows), end=end, rows=tuple(rows[kept:])
         )
 
-    def _emit(self, inst: OpInstance, rows: list[Tuple], wm: int) -> None:
-        if not rows or wm <= inst.last_emit:
+    def _feed(self, inst: OpInstance, child: Optional[int], rows, wm: int) -> None:
+        """Charge `inst`'s evaluation, feed it `rows` (see `Operator.feed`) and emit its output.
+
+        A tuple older than its window's newest counts `out_of_order`, and an
+        evaluation that reads text for a number counts `eval_skipped`.
+        """
+        op = inst.op
+        self.services.charge(self.node_id, op.cost_ms)
+        try:
+            out = op.feed(child, rows, wm)
+        except OutOfOrderTuple:
+            self.counters["out_of_order"] += 1
             return
-        inst.last_emit = wm
+        except UnknownAttribute:
+            self.counters["eval_skipped"] += 1
+            return
+        if out is not None:
+            self._emit(inst, *out)
+
+    def _emit(self, inst: OpInstance, rows: list[Tuple], wm: int) -> None:
         if inst.node.parent is None:
             self._notify(inst, rows, wm)
             return
         if inst.parent_host == self.node_id:
             parent = self.instances.get((inst.salted, inst.node.parent))
             if parent is not None:
-                self._feed_child_output(parent, inst.node.index, rows, wm)
+                self._feed(parent, inst.node.index, rows, wm)
             return
-        schema = rows[0].schema_id
-        packet = DataStream(
-            stream_name=inst.out_name, tuple=self._encode_snapshot(inst, rows, wm, schema)
-        )
-        if self._ship(packet, self._stream_hop(inst.out_name)):
+        delta = self._encode_snapshot(inst, rows, wm, rows[0].schema_id)
+        if self._ship(DataStream(inst.out_name, delta), self._stream_hop(inst.out_name)):
             self.counters["results_shipped"] += 1
 
     def _ship(self, p: DataStream, hop: _Hop, in_face: Optional[int] = None) -> bool:
@@ -936,58 +899,10 @@ class Engine:
             self._send(f, p)
         feed = hop.feed
         if faces and feed is not None and feed not in self._fences:
-            since = self._deployed.get(feed[0])
-            if since is None or self._now() >= since + DEPLOY_TIMEOUT_MS:
+            held = self._deployed.get(feed[0])
+            if held is None or self._now() >= held[1] + DEPLOY_TIMEOUT_MS:
                 self._fences[feed] = p.tuple.ts
         return bool(faces)
-
-    def _feed_child_output(
-        self, inst: OpInstance, child_idx: int, rows: list[Tuple], wm: int
-    ) -> None:
-        """Evaluate `inst` on `rows`, the new output of its child `child_idx`.
-
-        Rows from a remote child may carry text where an aggregate, HEATMAP or
-        PREDICT reads a number: that evaluation raises UnknownAttribute and is
-        skipped and counted `eval_skipped`. An empty MIN, MAX or AVG emits nothing.
-        """
-        node = inst.node
-        self.services.charge(self.node_id, EVAL_COST_MS[node.kind])
-        if node.kind in ("JOIN", "SEQUENCE"):
-            inst.inputs[child_idx] = (rows, wm)
-            out_wm = min(w for _, w in inst.inputs.values())
-            if len(inst.inputs) < 2 or out_wm <= inst.last_emit:
-                return  # a side has no rows yet, or _emit would drop the result
-            left, right = (inst.inputs[c.index][0] for c in node.children)
-            if node.kind == "JOIN":
-                out = join_eval(left, right, inst.cond, inst.join_memo)
-            else:
-                out = [sequence_eval(left, right)]
-            self._emit(inst, out, out_wm)
-            return
-        if node.kind == "FILTER":
-            self._emit(inst, filter_eval(rows, inst.cond), wm)
-            return
-        try:
-            if node.kind in ("SUM", "MIN", "MAX", "AVG", "COUNT"):
-                out = [aggregate_eval(node.kind, node.params[0], rows, node.left.ctx)]
-            elif node.kind == "HEATMAP":  # params: cell size, then the four bounds
-                cell, bounds = node.params[0], node.params[1:5]
-                grid, skipped = heatmap_eval(rows, cell, bounds, node.left.ctx)
-                payload = json.dumps({"grid": grid, "skipped": skipped})
-                out = [Tuple(ts=wm, schema_id="grid", values=(wm, payload))]
-            else:  # PREDICT
-                inst.predict_state, pred = predict_eval(
-                    rows, node.params[0], inst.predict_state, node.left.params[1]
-                )
-                if pred is None:
-                    return
-                out, wm = [pred], pred.ts
-        except EmptyWindow:
-            return
-        except OperatorError:
-            self.counters["eval_skipped"] += 1
-            return
-        self._emit(inst, out, wm)
 
     def _notify(self, inst: OpInstance, rows: list[Tuple], wm: int) -> None:
         entry = self.pit.lookup(inst.unsalted)
@@ -1026,11 +941,10 @@ class Engine:
 
         An instance that ships to a remote parent takes its /state route along.
         """
-        tree = self._trees.pop(salted, None)
-        self._deployed.pop(salted, None)
-        if tree is None:
+        held = self._deployed.pop(salted, None)
+        if held is None:
             return
-        for node in tree.walk():
+        for node in held[0].walk():
             key = (salted, node.index)
             inst = self.instances.pop(key, None)
             if inst is None:
@@ -1079,7 +993,8 @@ class Engine:
             return "consumed"
         if len(comps) == 4 and comps[:2] == ("node", self.node_id) and comps[2] == "deploy":
             try:
-                doc = json.loads(base64.urlsafe_b64decode(comps[3].encode("ascii")))
+                blob = base64.urlsafe_b64decode(comps[3].encode("ascii"))
+                doc = json.loads(blob, object_pairs_hook=_unique_keys)
                 order = self._read_deploy_order(doc)
             except (ValueError, RecursionError):  # a deeply nested document
                 return "malformed"

@@ -1,21 +1,23 @@
 """Runtime semantics of the event-processing operators.
 
-Every function here is pure: it takes explicit state plus input and returns
-new state plus output, which is what makes node-local evaluation replayable.
-The engine owns the state objects and holds them in its operator instances
-between evaluations.
+The kernels are pure: each takes explicit state plus input and returns new
+state plus output, which is what makes node-local evaluation replayable.
+`Operator` owns the state: one per installed operator, it holds its kind's
+state between evaluations and feeds each new input through its kind's
+kernel, so the engine that hosts it names no operator kind.
 
-The operators see only trees the parser validated. The engine compiles each
-FILTER and JOIN condition once when it installs the operator, and
-`filter_eval` and `join_eval` take only that compiled `Condition`; a
-reference that does not resolve is an UnknownAttribute at compile time. Rows
-from another broker's /state delta may still carry text where an operator
-reads a number: the aggregates, HEATMAP and PREDICT then raise
-UnknownAttribute, and the engine skips that evaluation.
+The operators see only trees the parser validated. An `Operator` compiles
+its FILTER or JOIN condition once, when it is built, and `filter_eval` and
+`join_eval` take only that compiled `Condition`; a reference that does not
+resolve is an UnknownAttribute at compile time. Rows from another broker's
+/state delta may still carry text where an operator reads a number: the
+aggregates, HEATMAP and PREDICT then raise UnknownAttribute, and the engine
+skips that evaluation.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import statistics
@@ -30,6 +32,8 @@ from .query import (
     Comparison,
     Duration,
     NumberLit,
+    OPERATORS,
+    OperatorNode,
     SchemaCtx,
     SemanticError,
     TimeLit,
@@ -53,6 +57,7 @@ __all__ = [
     "sequence_eval",
     "heatmap_eval",
     "predict_eval",
+    "Operator",
 ]
 
 
@@ -438,3 +443,81 @@ def predict_eval(
     latest = max(rows, key=lambda t: t.ts)
     ids = latest.values[4:7]  # plug_id, household_id, house_id
     return new_state, Tuple.from_values("prediction", (epoch_ts, *ids, predicted))
+
+
+# ---------------------------------------------------------------------------
+# installed operators
+
+
+class Operator:
+    """One installed operator: its kind's state between evaluations, and its evaluation.
+
+    `state` is a WINDOW's `WindowState` or PREDICT's `PredictState`, `cond` a
+    FILTER's or JOIN's compiled condition, `memo` a JOIN's `JoinMemo`, and
+    `inputs` a JOIN's or SEQUENCE's latest (rows, watermark) by child index.
+    """
+
+    __slots__ = ("node", "cost_ms", "state", "cond", "memo", "inputs", "last_emit")
+
+    def __init__(self, node: OperatorNode) -> None:
+        kind, self.node = node.kind, node
+        self.cost_ms: float = OPERATORS[kind].cost_ms
+        self.state = self.cond = self.memo = None
+        self.inputs: dict[int, tuple[list, int]] = {}
+        self.last_emit = -1  # the watermark of the last output `feed` returned
+        if kind == "WINDOW":
+            self.state = WindowState((), node.params[1])
+        elif kind == "FILTER":
+            self.cond = compile_condition(node.params[0], node.left.ctx)
+        elif kind == "JOIN":
+            self.cond = compile_join(node.params[0], node.left.ctx, node.right.ctx)
+            self.memo = JoinMemo()
+        elif kind == "PREDICT":
+            self.state = PredictState()
+
+    def feed(self, child: Optional[int], rows, wm: int) -> Optional[tuple[list[Tuple], int]]:
+        """Take `rows`, child `child`'s new output at watermark `wm`; return what to emit.
+
+        A WINDOW takes one stream tuple at a time, as `rows`, with `child` None
+        and `wm` its timestamp. Returns (output, watermark), or None for an
+        empty output or one at or below `last_emit`, an empty MIN, MAX or AVG,
+        or a PREDICT that crossed no horizon. A JOIN or SEQUENCE calls no
+        kernel while a child has no output or their least watermark is at or
+        below `last_emit`. OutOfOrderTuple and UnknownAttribute (text read for
+        a number) leave the state as it was.
+        """
+        node, kind = self.node, self.node.kind
+        if kind == "WINDOW":
+            self.state = window_insert(self.state, rows[0])[0]
+            out = list(self.state.buffer)
+        elif kind == "FILTER":
+            out = filter_eval(rows, self.cond)
+        elif kind == "JOIN" or kind == "SEQUENCE":
+            inputs = self.inputs
+            inputs[child] = (rows, wm)
+            wm = min(w for _, w in inputs.values())
+            if len(inputs) < 2 or wm <= self.last_emit:
+                return None
+            left, right = (inputs[c.index][0] for c in node.children)
+            if kind == "JOIN":
+                out = join_eval(left, right, self.cond, self.memo)
+            else:
+                out = [sequence_eval(left, right)]
+        elif kind == "HEATMAP":  # params: cell size, then the four bounds
+            grid, skipped = heatmap_eval(rows, node.params[0], node.params[1:5], node.left.ctx)
+            payload = json.dumps({"grid": grid, "skipped": skipped})
+            out = [Tuple(ts=wm, schema_id="grid", values=(wm, payload))]
+        elif kind == "PREDICT":
+            self.state, pred = predict_eval(rows, node.params[0], self.state, node.left.params[1])
+            if pred is None:
+                return None
+            out, wm = [pred], pred.ts
+        else:  # an aggregate
+            try:
+                out = [aggregate_eval(kind, node.params[0], rows, node.left.ctx)]
+            except EmptyWindow:
+                return None
+        if not out or wm <= self.last_emit:
+            return None
+        self.last_emit = wm
+        return out, wm

@@ -5,8 +5,9 @@ schemas, canonical rendering (whose hash keys standing queries),
 and translation to named-function call expressions.
 
 The language is fixed: `OPERATORS` maps each keyword to its argument
-slots and semantic validator, and the parser, validator, renderers and
-engine all work from that one table.
+slots, its semantic validator and its simulated compute cost per
+evaluation, and the parser, validator, renderers and operators all work
+from that one table.
 
 Concrete syntax notes, where the abstract grammar leaves room:
 - operator keywords are case-insensitive; stream and attribute names are not
@@ -383,6 +384,7 @@ class OperatorDef:
     slots: tuple[str, ...]  # each: expr boolexp attr stream extent number duration
     # returns the output SchemaCtx; raises SemanticError on bad params
     semantics: Callable[["OperatorNode", list[SchemaCtx], StreamRegistry], SchemaCtx]
+    cost_ms: float  # simulated compute charge of one evaluation
     accepts_format: bool = True
     arrow: bool = False  # children separated by -> instead of commas
     child_kind: Optional[str] = None  # required kind of every child, if any
@@ -449,18 +451,18 @@ def _sem_predict(node: OperatorNode, child_ctxs, streams) -> SchemaCtx:
 
 # keyword -> definition; the NFN service of a kind is `nfn_service_<Kind>`
 OPERATORS: dict[str, OperatorDef] = {
-    "WINDOW": OperatorDef(("stream", "extent"), _sem_window, accepts_format=False),
-    "FILTER": OperatorDef(("expr", "boolexp"), _sem_filter),
-    "JOIN": OperatorDef(("expr", "expr", "boolexp"), _sem_join),
-    "SEQUENCE": OperatorDef(("expr", "expr"), _sem_sequence, arrow=True),
+    "WINDOW": OperatorDef(("stream", "extent"), _sem_window, cost_ms=0.05, accepts_format=False),
+    "FILTER": OperatorDef(("expr", "boolexp"), _sem_filter, cost_ms=0.05),
+    "JOIN": OperatorDef(("expr", "expr", "boolexp"), _sem_join, cost_ms=0.2),
+    "SEQUENCE": OperatorDef(("expr", "expr"), _sem_sequence, cost_ms=0.1, arrow=True),
     **{
-        agg: OperatorDef(("attr", "expr"), _sem_agg, child_kind="WINDOW")
+        agg: OperatorDef(("attr", "expr"), _sem_agg, cost_ms=0.1, child_kind="WINDOW")
         for agg in ("SUM", "MIN", "MAX", "AVG", "COUNT")
     },
     "HEATMAP": OperatorDef(
-        ("number", "number", "number", "number", "number", "expr"), _sem_heatmap
+        ("number", "number", "number", "number", "number", "expr"), _sem_heatmap, cost_ms=40.0
     ),
-    "PREDICT": OperatorDef(("duration", "expr"), _sem_predict, child_kind="WINDOW"),
+    "PREDICT": OperatorDef(("duration", "expr"), _sem_predict, cost_ms=30.0, child_kind="WINDOW"),
 }
 
 

@@ -1,21 +1,22 @@
 """Node data-plane behavior: query handling, evaluation, classic pull."""
 
+import ast
 import base64
 import json
 import math
 import operator
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icncep import engine, sim
+from icncep import engine, operators, sim
 from icncep.engine import (
     APP_FACE,
     Engine,
-    EVAL_COST_MS,
     NodeConfig,
     OpInstance,
 )
@@ -337,12 +338,16 @@ def test_evaluation_charges_compute_cost():
     eng.handle_packet(AddQueryInterest(query=Q2, nonce="n1"), in_face=1)
     eng.handle_packet(gps_packet(1000), in_face=2)
     charged = {ms for _, ms in svc.charges}
-    assert EVAL_COST_MS["WINDOW"] in charged
-    assert EVAL_COST_MS["FILTER"] in charged
+    assert OPERATORS["WINDOW"].cost_ms in charged
+    assert OPERATORS["FILTER"].cost_ms in charged
 
 
-def test_every_operator_kind_has_an_evaluation_cost():
-    assert set(EVAL_COST_MS) == set(OPERATORS)
+def test_the_engine_names_no_operator_kind():
+    """Each kind's state, evaluation and cost live in `operators` and `OPERATORS` alone."""
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    texts = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert not texts & set(OPERATORS)
+    assert all(op.cost_ms > 0 for op in OPERATORS.values())
 
 
 def test_delay_service_answers():
@@ -369,8 +374,8 @@ def gps2_packet(ts):
 def test_join_behind_a_stale_side_is_charged_but_not_evaluated(monkeypatch):
     eng, svc = single_broker()
     calls = []
-    real = engine.join_eval
-    monkeypatch.setattr(engine, "join_eval", lambda *args: calls.append(args) or real(*args))
+    real = operators.join_eval
+    monkeypatch.setattr(operators, "join_eval", lambda *args: calls.append(args) or real(*args))
     eng.handle_packet(AddQueryInterest(query=QJ, nonce="n1"), in_face=1)
     eng.handle_packet(gps_packet(1000), in_face=2)
     eng.handle_packet(gps2_packet(1000), in_face=2)
@@ -384,7 +389,7 @@ def test_join_behind_a_stale_side_is_charged_but_not_evaluated(monkeypatch):
     got = [json.loads(p.payload) for p in notifications(svc, 1)]
     assert [(n["ts"], [r[0] for r in n["rows"]]) for n in got] == [(1000, [1000]), (3000, [1000, 3000])]
     # every feed of the join is charged, evaluated or not
-    assert [ms for _, ms in svc.charges].count(EVAL_COST_MS["JOIN"]) == 5
+    assert [ms for _, ms in svc.charges].count(OPERATORS["JOIN"].cost_ms) == 5
 
 
 def test_distributed_run_caches_results_but_no_window_state(monkeypatch):
@@ -451,7 +456,7 @@ def typed(rows):
 
 
 def bare_instance():
-    return OpInstance("s", "u", node=None, parent_host=None)
+    return OpInstance("s", "u", node=None, parent_host=None, op=None)
 
 
 def row_of(values, schema):
@@ -685,7 +690,12 @@ def test_malformed_delta_is_rejected_without_touching_the_mirror(blob):
 
 
 def deploy_order(doc, target="b2"):
-    blob = base64.urlsafe_b64encode(json.dumps(doc).encode("utf-8")).decode("ascii")
+    return deploy_text(json.dumps(doc), target)
+
+
+def deploy_text(text, target="b2"):
+    """A deploy order whose JSON text is `text`, which may repeat a key."""
+    blob = base64.urlsafe_b64encode(text.encode("utf-8")).decode("ascii")
     return Interest(name=Name(("node", target, "deploy", blob)))
 
 
@@ -704,12 +714,12 @@ def test_a_stream_row_off_its_schema_never_reaches_the_window(query, values):
     eng, svc = single_broker()
     eng.handle_packet(AddQueryInterest(query=query, nonce="n1"), in_face=1)
     eng.handle_packet(gps_packet(1000), in_face=2)
-    buffers = [inst.win_state for inst in eng.instances.values() if inst.win_state]
+    buffers = [inst.op.state for inst in eng.instances.values() if inst.op.state]
     sent = len(svc.sent)
     eng.handle_packet(stream_row(values), in_face=2)
     assert eng.counters["malformed"] == 1
     assert len(svc.sent) == sent
-    assert [inst.win_state for inst in eng.instances.values() if inst.win_state] == buffers
+    assert [inst.op.state for inst in eng.instances.values() if inst.op.state] == buffers
     assert eng.high_water == {("node", "p1", "gps"): 1000}
 
 
@@ -771,6 +781,13 @@ def unplaceable_order(doc):
         lambda doc: deploy_order(dict(doc, assign={"0": "b2", " 1": "b1"})),
         # one index spelled twice: with int() the later spelling won
         lambda doc: deploy_order(dict(doc, assign={"0": "b2", "00": "b1", "1": "b1"})),
+        # a key repeated, at the top or in `assign`: json.loads kept the later value
+        lambda doc: deploy_text(json.dumps(doc)[:-1] + ', "salted": "s2"}'),
+        lambda doc: deploy_text(
+            json.dumps(dict(doc, assign={})).replace(
+                '"assign": {}', '"assign": {"0": "b1", "0": "b2", "1": "b1"}'
+            )
+        ),
     ],
     ids=[
         "stream-index",
@@ -800,6 +817,8 @@ def unplaceable_order(doc):
         "deploy-index-signed",
         "deploy-index-spaced",
         "deploy-index-spelled-twice",
+        "deploy-key-repeated",
+        "deploy-assign-index-repeated",
     ],
 )
 def test_a_malformed_packet_is_dropped_and_counted(packet):
@@ -807,7 +826,7 @@ def test_a_malformed_packet_is_dropped_and_counted(packet):
 
     def held():
         mirrors = {i: (m.base, list(m.rows)) for i, m in eng.instances[("s", 0)].received.items()}
-        state = (eng._trees, eng._deployed, eng._fences, eng.instances)
+        state = (eng._deployed, eng._fences, eng.instances)
         feeds = {name: list(keys) for name, keys in eng._feeds.items()}
         return eng.fib.dump(), [dict(d) for d in state], feeds, mirrors
 
@@ -895,7 +914,7 @@ def test_a_prune_that_removes_the_route_empties_the_stream_faces_memo():
 
 def name_tables(eng):
     """The size of each table of `eng` that a packet's name can add an entry to."""
-    tables = (eng.fib.memo, eng._feeds, eng.high_water, eng._fences, eng._trees, eng.instances)
+    tables = (eng.fib.memo, eng._feeds, eng.high_water, eng._fences, eng._deployed, eng.instances)
     return [len(t) for t in tables] + [len(eng.fib), len(eng.pit), len(eng.cs)]
 
 
@@ -985,7 +1004,7 @@ def test_a_delta_with_text_where_its_parent_reads_a_number_skips_the_evaluation(
     query, width, column = NUMBER_READERS[kind]
     eng, svc, _ = filter_host(query)
     inst = eng.instances[("s", 0)]
-    predict_state = inst.predict_state
+    predict_state = inst.op.state
     row = [2000] + [1.0] * (width - 1)
     row[column] = "x"
     name = Name.from_uri("/state/s/1/out")
@@ -993,13 +1012,13 @@ def test_a_delta_with_text_where_its_parent_reads_a_number_skips_the_evaluation(
     c = eng.counters
     assert c["eval_skipped"] == 1 and "malformed" not in c
     assert c["received"] == c["consumed"] + c["forwarded"] + c["dropped"] + c["malformed"]
-    assert svc.sent == [] and inst.last_emit == -1
-    assert inst.predict_state is predict_state
+    assert svc.sent == [] and inst.op.last_emit == -1
+    assert inst.op.state is predict_state
     assert [t.values for t in inst.received[1].rows] == [tuple(row)]  # the mirror keeps it
     # once the text row has slid out, the parent evaluates again
     good = [3000] + [1.0] * (width - 1)
     eng.handle_packet(DataStream(name, carried(delta(wm=3000, first=1, end=2, rows=[good]))), 1)
-    assert c["eval_skipped"] == 1 and inst.last_emit >= 0
+    assert c["eval_skipped"] == 1 and inst.op.last_emit >= 0
     assert c["received"] == c["consumed"] + c["forwarded"] + c["dropped"] + c["malformed"]
 
 
@@ -1012,8 +1031,9 @@ def test_a_query_text_and_its_canonical_key_share_one_tree(deploy_first):
     packets = [AddQueryInterest(query=Q2, nonce="n1"), deploy_order(order, "b1")]
     for p in packets[::-1] if deploy_first else packets:
         eng.handle_packet(p, in_face=1)
-    assert set(eng._parsed) == {Q2, key} and len(eng._trees) == 2
-    trees = [tree for tree, _, _ in eng._parsed.values()] + list(eng._trees.values())
+    assert set(eng._parsed) == {Q2, key} and len(eng._deployed) == 2
+    trees = [tree for tree, _, _ in eng._parsed.values()]
+    trees += [tree for tree, _ in eng._deployed.values()]
     assert all(tree is trees[0] for tree in trees)
 
 
@@ -1083,7 +1103,7 @@ def oracle_join_rows(left, right, with_speed):
 def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, sides):
     eng, svc, inst = join_host(cond)
     evaluations = []
-    real = engine.join_eval
+    real = operators.join_eval
 
     def recording(*args):
         out = real(*args)
@@ -1097,7 +1117,7 @@ def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, si
     }
     windows = {}
     parent = bare_instance()
-    with mock.patch.object(engine, "join_eval", recording):
+    with mock.patch.object(operators, "join_eval", recording):
         for step in range(max(len(rows) for _, rows in sides)):
             for child, (width, _) in zip((2, 3), sides):
                 windows[child] = streams[child][max(0, step - width + 1) : step + 1]
@@ -1108,8 +1128,8 @@ def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, si
                 eng.handle_packet(DataStream(stream_name=name, tuple=snap), in_face=1)
 
                 for (left, right, compiled, memo), out in evaluations:
-                    assert left is inst.inputs[2][0] and right is inst.inputs[3][0]
-                    assert compiled is inst.cond and memo is inst.join_memo
+                    assert left is inst.op.inputs[2][0] and right is inst.op.inputs[3][0]
+                    assert compiled is inst.op.cond and memo is inst.op.memo
                     unmemoized = real(left, right, compiled)
                     want = oracle_join_rows(windows[2], windows[3], cond == RESIDUAL_JOIN)
                     assert typed(out) == typed(unmemoized) == typed(want)
@@ -1118,18 +1138,18 @@ def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, si
                         delta = svc.sent[-1][2].tuple
                         assert delta.schema == "join(gps,gps)"
                         got = eng._decode_snapshot(delta, parent, 1)
-                        assert got[1] == min(inst.inputs[2][1], inst.inputs[3][1])
+                        assert got[1] == min(inst.op.inputs[2][1], inst.op.inputs[3][1])
                         assert typed(got[0]) == typed(out)
                 assert len(svc.sent) - shipped <= 1
                 # each mirror holds its window's rows, the objects the join saw,
                 # which are the sender's own
-                for idx, (rows_now, _) in inst.inputs.items():
+                for idx, (rows_now, _) in inst.op.inputs.items():
                     mirror = inst.received[idx].rows
                     assert rows_now is not mirror
                     assert len(mirror) == len(rows_now) == len(windows[idx])
                     assert all(map(operator.is_, mirror, rows_now))
                     assert all(map(operator.is_, mirror, windows[idx]))
-                memo = inst.join_memo
+                memo = inst.op.memo
                 ids = {id(t) for t in memo.rows[0]} | {id(t) for t in memo.rows[1]}
                 assert {i for pair in memo.pairs for i in pair} <= ids
     assert eng.counters.get("state_gaps", 0) == 0
@@ -1144,7 +1164,7 @@ def test_a_prune_on_one_of_two_faces_keeps_the_feed_for_the_other():
     assert [f for _, f, _ in svc.sent] == [2, 3]
     eng.handle_packet(Interest(name=Name.from_uri("/state/s/1/prune/2000")), in_face=2)
     assert eng.fib.dump() == "prefix,faces\n/state/s/1,3\n"
-    assert "s" in eng._trees and ("s", 1) in eng._fences
+    assert "s" in eng._deployed and ("s", 1) in eng._fences
     assert "released" not in eng.counters and "stale_prunes" not in eng.counters
     svc.sent.clear()
     eng.handle_packet(window_delta(3000), in_face=1)
@@ -1414,7 +1434,7 @@ def test_a_probe_reply_that_is_no_delay_reads_like_a_silent_broker(reply):
     assert [k for n, k, p in svc.events] == ["query_accepted", "plan_failed"]
     unsalted = svc.events[0][2]["unsalted"]
     assert [p.name.components for p in sent_to(svc, 2)] == [("nack", unsalted, "n1")]
-    assert eng._trees == {} and len(eng.pit) == 0
+    assert eng._deployed == {} and len(eng.pit) == 0
     eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=2)
     assert [p["nonce"] for n, k, p in svc.events if k == "query_accepted"] == ["n1", "n2"]
     # b1's answer is on record and b2's is not, so only b2 is probed again
@@ -1435,7 +1455,7 @@ def test_a_failed_plan_leaves_nothing_behind_and_a_later_add_plans_again():
     # the consumer is told, by a nack that names the query's PIT entry
     unsalted = svc.events[0][2]["unsalted"]
     assert nacks == [(("nack", unsalted, "n1"), reason.encode("utf-8"))]
-    assert eng._trees == {} and eng.instances == {} and len(eng.pit) == 0
+    assert eng._deployed == {} and eng.instances == {} and len(eng.pit) == 0
 
     eng.handle_packet(AddQueryInterest(query=Q2, nonce="n2"), in_face=2)
     accepted = [p["nonce"] for n, k, p in svc.events if k == "query_accepted"]

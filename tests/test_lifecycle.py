@@ -96,8 +96,8 @@ def captured(monkeypatch, checked_feeds):
 def held_queries(engine):
     """Salted hashes of the queries `engine` holds any deployment state for."""
     held = {s for s, _ in engine.instances}
-    held |= {s for keys in engine._feeds.values() for s, _ in keys} | set(engine._trees)
-    held |= {s for s, _ in engine._fences} | set(engine._deployed)
+    held |= {s for keys in engine._feeds.values() for s, _ in keys} | set(engine._deployed)
+    held |= {s for s, _ in engine._fences}
     held |= {
         e.prefix.components[1] for e in engine.fib.entries() if e.prefix.components[0] == "state"
     }

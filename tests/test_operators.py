@@ -9,12 +9,16 @@ import math
 import random
 import statistics
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icncep import operators
 from icncep.operators import (
     EmptyWindow,
+    Operator,
     OutOfOrderTuple,
     PredictState,
     UnknownAttribute,
@@ -40,6 +44,8 @@ from icncep.query import (
     NumberLit,
     SchemaCtx,
     SemanticError,
+    create_operator_graph,
+    default_streams,
     parse_query,
 )
 
@@ -654,3 +660,56 @@ def test_predict_text_load_is_an_unknown_attribute():
     window = [plug(300010, 6.0), plug(300020, "6.0")]
     with pytest.raises(UnknownAttribute):
         predict_eval(window, HORIZON, PredictState(last_ts=299000), SLOT)
+
+
+# ---------------------------------------------------------------------------
+# installed two-input operators
+
+TWO_INPUT_QUERIES = {
+    "JOIN": "JOIN(WINDOW(GPS_S1, 3), WINDOW(GPS_S2, 3), GPS_S1.'s_id' = GPS_S2.'s_id')",
+    "SEQUENCE": "SEQUENCE(WINDOW(GPS_S1, 3) -> WINDOW(GPS_S2, 3))",
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(TWO_INPUT_QUERIES)),
+    # (side, rows as (ts, s_id), watermark) per feed, in the order they arrive
+    feeds=st.lists(
+        st.tuples(
+            st.sampled_from([0, 1]),
+            st.lists(st.tuples(st.integers(0, 9000), st.sampled_from([1.0, 2.0])), max_size=4),
+            st.integers(0, 12),
+        ),
+        max_size=12,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_two_input_operator_evaluates_its_latest_inputs_once_both_have_output(kind, feeds):
+    root = create_operator_graph(TWO_INPUT_QUERIES[kind], default_streams())
+    op = Operator(root)
+    kernel = "join_eval" if kind == "JOIN" else "sequence_eval"
+    latest, emitted, evaluated = {}, [], 0
+    with mock.patch.object(operators, kernel, wraps=getattr(operators, kernel)) as calls:
+        for side, picks, wm in feeds:
+            child = root.children[side].index
+            rows = [gps(ts, sid=sid) for ts, sid in picks]
+            got = op.feed(child, rows, wm)
+            latest[child] = (rows, wm)
+            if len(latest) < 2:
+                assert got is None and calls.call_count == 0
+                continue
+            least = min(w for _, w in latest.values())
+            if least <= (emitted[-1] if emitted else -1):
+                assert got is None and calls.call_count == evaluated  # no kernel call
+                continue
+            evaluated += 1
+            left, right = (latest[c.index][0] for c in root.children)
+            if kind == "JOIN":
+                want = join_eval(left, right, op.cond)
+            else:
+                want = [sequence_eval(left, right)]
+            assert got == ((want, least) if want else None)
+            if want:
+                emitted.append(least)
+        assert calls.call_count == evaluated
+    assert all(a < b for a, b in zip(emitted, emitted[1:]))
