@@ -55,7 +55,7 @@ goes to the face of the topology's fewest-hop next hop toward <id>, so no
 engine keeps a route per node. Streams follow installed routes only, never
 a next hop toward their producer.
 
-An engine derives what a DataStream hop and a result need once, in three
+An engine derives what a DataStream hop and a result need once, in two
 caches that fill lazily and hold nothing a fresh derivation would not give:
   - Per DataStream name, a `_Hop` in the FIB's `memo` (`_stream_hop`): the
     name's producer-stream width, its /state feed as `_u64_text` reads it,
@@ -66,8 +66,6 @@ caches that fill lazily and hold nothing a fresh derivation would not give:
     memo, as does every change of `_feeds`. The memo so holds no key for a
     name that no route or instance knows, however many such names arrive;
     Interests read the FIB afresh.
-  - Per shipping instance, the /state/<q>/<i>/out `Name` it ships on, made
-    when it is installed.
   - Per root instance, a `packet.ResultRenderer`, which keeps the JSON text
     of each row of its last result by row identity, never by equality, so a
     result renders only its rows that are new since the last one.
@@ -90,31 +88,17 @@ The memo holds one entry per distinct text and canonical key and lives as
 long as the run: `Simulator.detach` clears it.
 
 An operator whose parent runs on another broker ships its output on
-/state/<qhash>/<idx>/out, once per new result, as a row delta (the
-ISTREAM/DSTREAM split of CQL): a `StateDelta(ts, schema, first, end, rows)`
-value, where ts is the watermark. Every row of a feed has a running index.
-The output is the rows with indices first .. end-1; `rows` carries only
-those the receiver has not had, which are the last len(rows) of them, as the
-sender's own `Tuple` objects. The sender compares the new output with the
-one it last shipped by row identity: if it is a tail of that output followed
-by new rows (a window slide, and what FILTER and a memoized join make of
-one), only the new rows ship; otherwise every row ships under fresh indices,
-a keyframe. The receiver keeps a mirror of each remote child's output, a
-list of its own: it drops the rows before `first`, appends the delta's rows
-(re-tagging any whose schema id is not the delta's), and evaluates only when
-the mirror holds exactly first .. end-1. A /state packet lost at link
-capacity leaves a gap: the receiver skips evaluation (counter `state_gaps`)
-until `first` passes the missing rows or a keyframe arrives. Row objects so
-keep their identity from sender to receiver, and a hash join reuses the
-joined row it last built for the same pair of row objects. Only the codec
-(`packet.encode_packet`, `packet.decode_packet`) turns a delta into bytes
-(type tag 7, <q> as raw hash bytes and the varint fields, then its rows as
-typed binary values: zigzag varint ints, floats as a decimal mantissa and
-exponent, UTF-8 text) and back, and a /state/.../out packet that carries
-anything but a StateDelta is counted `malformed` and not forwarded. A /ce
-result's payload is the JSON that `packet.result_payload` renders, the bytes
-the consumer application reads; the codec sends only the name's hash and
-ts, the schema and the rows, and renders the rest again.
+/state/<qhash>/<idx>/out, once per new result, as a row delta
+(`packet.StateDelta`, whose ts is the watermark). Each end of a feed is a
+`packet` class that the instance holds: a shipping instance's `out`, a
+`DeltaSender` made at install, and the parent's `received`, one `Mirror` per
+child made at install. The engine only routes deltas: it evaluates a parent
+when its mirror holds the child's whole output, and counts `state_gaps` while
+a /state packet lost at link capacity leaves the mirror short. Only the codec
+(`packet.encode_packet`, type tag 7) turns a delta into bytes and back, and a
+/state/.../out packet that carries anything but a StateDelta is counted
+`malformed` and not forwarded. A /ce result's payload is the JSON that
+`packet.result_payload` renders.
 
 Query lifecycle. A RemoveQueryInterest only drops a PIT face; the work is
 released where its data next arrives unwanted, as in the prune of
@@ -147,7 +131,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -161,12 +144,14 @@ from .packet import (
     AddQueryInterest,
     Data,
     DataStream,
+    DeltaSender,
     Interest,
+    Mirror,
     Name,
     Packet,
     RemoveQueryInterest,
-    StateDelta,
     ResultRenderer,
+    StateDelta,
     Tuple,
     _is_state_out,
     _u64_text,
@@ -214,19 +199,6 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
-def _shared_rows(sent: list, rows: list) -> int:
-    """How many leading rows of `rows` are, by identity, a tail of `sent` (else 0)."""
-    if rows:
-        head = rows[0]
-        for k, r in enumerate(sent):
-            if r is head:
-                tail = sent[k:]
-                if len(tail) <= len(rows) and all(map(operator.is_, tail, rows)):
-                    return len(tail)
-                break
-    return 0
-
-
 @dataclass(frozen=True)
 class FaceDef:
     face_id: int
@@ -258,14 +230,6 @@ class Services(Protocol):
     def event(self, node_id: str, kind: str, payload: dict) -> None: ...
 
 
-@dataclass
-class Mirror:
-    """A receiver's copy of a remote child's output: rows[i] has index base + i."""
-
-    base: int = 0
-    rows: list = field(default_factory=list)
-
-
 @dataclass(slots=True)
 class _Hop:
     """What a DataStream name tells its node until the routes or `_feeds` next change."""
@@ -284,14 +248,10 @@ class OpInstance:
     node: OperatorNode
     parent_host: Optional[str]
     op: Operator  # its kind's state and evaluation
-    # shipping instances: the name they ship on, the last output shipped,
-    # whose rows keep their ids valid, and one past the index of its last row
-    out_name: Optional[Name] = None
-    sent_rows: list = field(default_factory=list)
-    sent_end: int = 0
-    results: ResultRenderer = field(default_factory=ResultRenderer)  # root instances
-    # the mirror of each remote child's output, by child index
-    received: dict[int, Mirror] = field(default_factory=dict)
+    received: dict[int, Mirror]  # the mirror of each child's output, by child index
+    # its one output end: a shipping instance's /state feed, or a root's results
+    out: Optional[DeltaSender] = None
+    results: Optional[ResultRenderer] = None
 
 
 @dataclass
@@ -730,13 +690,17 @@ class Engine:
                 continue
             existing = self.instances.get((salted, idx))
             if existing is not None:
-                existing.sent_rows = []  # its parent may be new: ship a keyframe next
+                if existing.out is not None:
+                    existing.out.restart()  # its parent may be new: ship a keyframe next
                 continue
             node = by_index[idx]
             parent_host = None if node.parent is None else assignments[node.parent]
-            inst = OpInstance(salted, unsalted, node, parent_host, Operator(node))
-            if parent_host not in (None, self.node_id):
-                inst.out_name = Name(("state", salted, str(idx), "out"))
+            received = {c.index: Mirror(c.ctx.width) for c in node.children}
+            inst = OpInstance(salted, unsalted, node, parent_host, Operator(node), received)
+            if parent_host is None:
+                inst.results = ResultRenderer()
+            elif parent_host != self.node_id:
+                inst.out = DeltaSender(Name(("state", salted, str(idx), "out")))
             self.instances[(salted, idx)] = inst
             self._index_feeds(inst, add=True)
 
@@ -780,14 +744,14 @@ class Engine:
             if inst is None:  # released by a result this packet gave a self-join
                 continue
             if feed is not None:
-                node = inst.node
-                child = node.left if node.left.index == feed[1] else node.right
                 try:
-                    fed = self._decode_snapshot(p.tuple, inst, feed[1], child.ctx.width)
+                    rows = inst.received[feed[1]].apply(p.tuple)
                 except ValueError:
                     return "malformed"
-                if fed is not None:
-                    self._feed(inst, feed[1], *fed)
+                if rows is None:
+                    self.counters["state_gaps"] += 1
+                else:
+                    self._feed(inst, feed[1], rows, p.tuple.ts)
                 continue
             entry = self.pit.lookup(inst.unsalted)
             if entry is not None and p.tuple.ts <= entry.last_result_ts:
@@ -806,51 +770,6 @@ class Engine:
             prune = Name(p.stream_name.components[:3] + ("prune", str(p.tuple.ts)))
             self._send(in_face, Interest(name=prune))
         return "dropped"
-
-    def _decode_snapshot(
-        self, delta: StateDelta, inst: OpInstance, child_idx: int, width: int = 1
-    ) -> Optional[tuple[list[Tuple], int]]:
-        """Apply `delta` from child `child_idx` of `inst` to its mirror.
-
-        Returns a fresh list of the child's output rows and the watermark, or
-        None while a lost packet leaves the mirror short of first .. end-1.
-        A row with fewer than `width` values (the child's output width)
-        raises ValueError and leaves the mirror as it was.
-        """
-        new = delta.rows
-        if any(len(r.values) < width for r in new):
-            raise ValueError("delta rows are narrower than %d values" % width)
-        schema = delta.schema
-        if any(r.schema_id != schema for r in new):
-            new = [r if r.schema_id == schema else Tuple(r.ts, schema, r.values) for r in new]
-        mirror = inst.received.get(child_idx)
-        if mirror is None:
-            mirror = inst.received[child_idx] = Mirror()
-        start = delta.end - len(new)
-        if mirror.base + len(mirror.rows) == start:
-            mirror.rows += new
-        else:  # rows went missing: keep only what this packet brings
-            # its own list: the delta's rows are shared with every receiver
-            mirror.base, mirror.rows = start, list(new)
-        if delta.first > mirror.base:
-            del mirror.rows[: delta.first - mirror.base]
-            mirror.base = delta.first
-        if mirror.base != delta.first:
-            self.counters["state_gaps"] += 1
-            return None
-        # a copy: row ids held downstream stay valid only while the rows live
-        return list(mirror.rows), delta.ts
-
-    def _encode_snapshot(
-        self, inst: OpInstance, rows: list[Tuple], wm: int, schema: str
-    ) -> StateDelta:
-        """The /state delta that turns the output `inst` last shipped into `rows`."""
-        kept = _shared_rows(inst.sent_rows, rows)
-        end = inst.sent_end + len(rows) - kept
-        inst.sent_rows, inst.sent_end = rows, end
-        return StateDelta(
-            ts=wm, schema=schema, first=end - len(rows), end=end, rows=tuple(rows[kept:])
-        )
 
     def _feed(self, inst: OpInstance, child: Optional[int], rows, wm: int) -> None:
         """Charge `inst`'s evaluation, feed it `rows` (see `Operator.feed`) and emit its output.
@@ -880,8 +799,9 @@ class Engine:
             if parent is not None:
                 self._feed(parent, inst.node.index, rows, wm)
             return
-        delta = self._encode_snapshot(inst, rows, wm, rows[0].schema_id)
-        if self._ship(DataStream(inst.out_name, delta), self._stream_hop(inst.out_name)):
+        out = inst.out
+        delta = out.delta(rows, wm, rows[0].schema_id)
+        if self._ship(DataStream(out.name, delta), self._stream_hop(out.name)):
             self.counters["results_shipped"] += 1
 
     def _ship(self, p: DataStream, hop: _Hop, in_face: Optional[int] = None) -> bool:
@@ -951,9 +871,9 @@ class Engine:
                 continue
             self.counters["released"] += 1
             self._index_feeds(inst, add=False)
-            if inst.out_name is not None:  # it ships to a remote parent
+            if inst.out is not None:  # it ships to a remote parent
                 self._fences.pop(key, None)
-                prefix = Name(inst.out_name.components[:3])
+                prefix = Name(inst.out.name.components[:3])
                 for f in self._fib_faces(prefix):
                     self.fib.remove_route(prefix, f)
 

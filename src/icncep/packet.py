@@ -1,9 +1,12 @@
 """Names, tuples, and the five packet kinds with their wire encoding.
 
-Everything here is an immutable value; packets can be shared freely between
-nodes without copying. An encoded packet is one type-tag byte, then its
-fields in order and nothing after them; fixed-width integers are unsigned
-big-endian:
+Names, tuples, deltas and packets are immutable values; packets can be
+shared freely between nodes without copying. Three classes are not values
+but the ends an operator instance keeps of what it sends or receives:
+`DeltaSender` and `Mirror`, the two ends of a /state feed, and
+`ResultRenderer`, a root's renderer of /ce payloads. An encoded packet is
+one type-tag byte, then its fields in order and nothing after them;
+fixed-width integers are unsigned big-endian:
 
   1 Interest: name
   2 Data: name, u64 ts, u32 payload length, payload
@@ -76,6 +79,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -95,6 +99,8 @@ __all__ = [
     "decode_packet",
     "result_payload",
     "ResultRenderer",
+    "DeltaSender",
+    "Mirror",
     "is_prefix_of",
 ]
 
@@ -208,8 +214,10 @@ class Data:
 class StateDelta:
     """Rows first .. end-1 of an operator's output, shipped to its parent.
 
-    `rows` holds the last len(rows) of them, the ones the receiver has not
-    had yet; `ts` is the output's watermark.
+    Every row of a feed has a running index. `rows` holds the last len(rows)
+    of them, the ones the receiver has not had yet, as the sender's own
+    `Tuple` objects (the ISTREAM/DSTREAM split of CQL); `ts` is the output's
+    watermark. `DeltaSender` makes them and `Mirror` applies them.
     """
 
     ts: int
@@ -411,6 +419,73 @@ class ResultRenderer:
         # JSON writes an int as its repr
         stamp = repr(ts) if type(ts) is int else _encode_result(ts)
         return ("%s%s%s%s]}" % (frame[2], stamp, frame[3], ", ".join(texts))).encode("utf-8")
+
+
+class DeltaSender:
+    """The sending end of the /state feed `name`: the output it last shipped, `rows`,
+    and `end`, one past that output's last running index.
+
+    An output that is, by row identity, a tail of `rows` and then new rows (a
+    window slide, and what FILTER and a memoized join make of one) ships only
+    the new rows; any other ships every row under fresh indices, a keyframe.
+    """
+
+    __slots__ = ("name", "rows", "end")
+
+    def __init__(self, name: Name) -> None:
+        self.name, self.rows, self.end = name, [], 0
+
+    def delta(self, rows: list[Tuple], wm: int, schema: str) -> StateDelta:
+        """The StateDelta that turns the output last shipped into `rows`, which it then holds."""
+        sent, head = self.rows, rows[0] if rows else None
+        tail = sent[next((k for k, r in enumerate(sent) if r is head), len(sent)) :]
+        # the rows kept from the last output: its tail from `head` on, if `rows` begins with it
+        kept = len(tail) if len(tail) <= len(rows) and all(map(operator.is_, tail, rows)) else 0
+        end = self.end + len(rows) - kept
+        self.rows, self.end = rows, end
+        return StateDelta(wm, schema, end - len(rows), end, tuple(rows[kept:]))
+
+    def restart(self) -> None:
+        """Make the next delta a keyframe, for a receiver that may have no mirror yet."""
+        self.rows = []
+
+
+class Mirror:
+    """The receiving end of a /state feed: rows[i] is the child's row of index base + i.
+
+    The list is the mirror's own, as a delta's rows are shared by every
+    receiver of its packet; the rows keep their identity from the sender.
+    """
+
+    __slots__ = ("width", "base", "rows")
+
+    def __init__(self, width: int) -> None:
+        self.width, self.base, self.rows = width, 0, []  # width: the child's output width
+
+    def apply(self, delta: StateDelta) -> list[Tuple] | None:
+        """A fresh list of the child's rows first .. end-1 once `delta` applies, or None.
+
+        It drops the rows before `first`, then appends the delta's, re-tagged
+        to its schema id. None means a lost packet left the mirror short, until
+        `first` passes the missing rows or a keyframe comes. A row narrower
+        than `width` raises ValueError and leaves the mirror as it was.
+        """
+        new = delta.rows
+        if any(len(r.values) < self.width for r in new):
+            raise ValueError("delta rows are narrower than %d values" % self.width)
+        schema = delta.schema
+        if any(r.schema_id != schema for r in new):
+            new = [r if r.schema_id == schema else Tuple(r.ts, schema, r.values) for r in new]
+        start = delta.end - len(new)
+        if self.base + len(self.rows) == start:
+            self.rows += new
+        else:  # rows went missing: keep only what this packet brings
+            self.base, self.rows = start, list(new)
+        if delta.first > self.base:
+            del self.rows[: delta.first - self.base]
+            self.base = delta.first
+        # a copy: row ids held downstream stay valid only while the rows live
+        return list(self.rows) if self.base == delta.first else None
 
 
 def _result_fields(p: Data) -> bytes | None:

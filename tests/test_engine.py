@@ -18,18 +18,18 @@ from icncep.engine import (
     APP_FACE,
     Engine,
     NodeConfig,
-    OpInstance,
 )
 from icncep.packet import (
     AddQueryInterest,
     Data,
     DataStream,
+    DeltaSender,
     Interest,
     MalformedPacket,
+    Mirror,
     Name,
     RemoveQueryInterest,
     ResultRenderer,
-    StateDelta,
     Tuple,
     decode_packet,
     encode_packet,
@@ -42,7 +42,17 @@ from icncep.query import (
     default_streams,
     query_hash,
 )
-from test_packet import hash_field, json_field, rows_field, uleb128
+from test_packet import (
+    SNAP_STEP,
+    SNAP_TS,
+    SNAP_VALUES,
+    carried,
+    delta,
+    next_output,
+    row_of,
+    state_blob,
+    typed,
+)
 
 Q1 = "WINDOW(GPS_S1, 4s)"
 Q2 = "FILTER(WINDOW(GPS_S1, 4s),'latitude'<50)"
@@ -350,6 +360,14 @@ def test_the_engine_names_no_operator_kind():
     assert all(op.cost_ms > 0 for op in OPERATORS.values())
 
 
+def test_the_engine_keeps_no_delta_arithmetic():
+    """A /state feed's row indices and shipped rows live in `packet.DeltaSender`
+    and `packet.Mirror` alone: the engine reads none of their fields."""
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not read & {"first", "end", "base", "sent_rows", "sent_end"}
+
+
 def test_delay_service_answers():
     eng, svc = single_broker()
     svc.delays["b1"] = 3.5
@@ -416,85 +434,7 @@ def test_distributed_run_caches_results_but_no_window_state(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# row deltas on /state/<q>/<i>/out
-
-# equal values that print differently (1, 1.0, True; 0, 0.0, -0.0, False),
-# values that equal nothing or print specially, and text that JSON escapes
-SNAP_VALUES = st.one_of(
-    st.sampled_from([0, 1, 1.0, True, False, 0.0, -0.0, 2.5, math.nan, math.inf, -math.inf]),
-    st.floats(),
-    st.sampled_from(['"', "\\", "é", 'a"\\€\n', "", "1"]),
-)
-SNAP_TS = st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True, 2000, 2000.0])
-SNAP_ROW = st.tuples(SNAP_TS, st.lists(SNAP_VALUES, max_size=3)).map(lambda p: (p[0], *p[1]))
-TWINS = [(0, 0.0, -0.0, False), (1, 1.0, True), (2000, 2000.0)]  # equal, printed apart
-# how a row of an arbitrary output relates to the previous output: the same
-# row object; a new row equal to one of them but for one value, which may
-# be an equal value printed differently; or a new row
-SNAP_PICK = st.one_of(
-    st.tuples(st.just("keep"), st.integers(0, 5)),
-    st.tuples(st.just("vary"), st.integers(0, 5), st.integers(0, 3), SNAP_VALUES),
-    st.tuples(st.just("twin"), st.integers(0, 5), st.integers(0, 3), st.integers(0, 3)),
-    st.tuples(st.just("new"), SNAP_ROW),
-)
-# how an output follows the previous one: a window slide (drop rows from the
-# front, append new rows), an arbitrary replacement, empty, or one row
-SNAP_STEP = st.one_of(
-    st.tuples(st.just("slide"), st.integers(0, 4), st.lists(SNAP_ROW, max_size=3)),
-    st.tuples(st.just("replace"), st.lists(SNAP_PICK, max_size=6)),
-    st.tuples(st.just("empty")),
-    st.tuples(st.just("one"), SNAP_PICK),
-)
-
-
-def typed(rows):
-    """What a row shows downstream: ts, schema, value types and JSON text."""
-    return [
-        (t.ts, t.schema_id, [type(v) for v in t.values], json.dumps(list(t.values)))
-        for t in rows
-    ]
-
-
-def bare_instance():
-    return OpInstance("s", "u", node=None, parent_host=None, op=None)
-
-
-def row_of(values, schema):
-    return Tuple(ts=int(values[0]), schema_id=schema, values=tuple(values))
-
-
-def picked_rows(picks, last, schema):
-    rows = []
-    for kind, *how in picks:
-        if kind == "new":
-            values = how[0]
-        elif not last:
-            continue
-        elif kind == "keep":
-            rows.append(last[how[0] % len(last)])
-            continue
-        else:
-            values = list(last[how[0] % len(last)].values)
-            if kind == "twin":
-                at = how[1] % len(values)
-                family = next((f for f in TWINS if values[at] in f), (values[at],))
-                values[at] = family[how[2] % len(family)]
-            elif len(values) > 1:  # the first value is the timestamp
-                values[1 + how[1] % (len(values) - 1)] = how[2]
-        rows.append(row_of(values, schema))
-    return rows
-
-
-def next_output(step, last, schema):
-    kind, *how = step
-    if kind == "slide":
-        return last[how[0] :] + [row_of(v, schema) for v in how[1]]
-    if kind == "replace":
-        return picked_rows(how[0], last, schema)
-    if kind == "one":
-        return picked_rows([how[0]], last, schema)[:1]
-    return []
-
+# the rows of results and of /state deltas
 
 RESULT_STEP = st.tuples(
     SNAP_STEP,
@@ -525,168 +465,10 @@ def test_result_payloads_reuse_row_texts_by_identity_only(steps):
         assert renderer._rows == tuple(rows) and set(renderer._texts) == {id(r) for r in rows}
 
 
-def delta(**changes):
-    """The fields of a delta of row 1 at wm 2000, changed as given.
-
-    `rows` is a list of rows, or bytes that stand for the rows field.
-    """
-    doc = {"schema": "gps", "wm": 2000, "first": 1, "end": 2, "rows": [[2000, 2.0]]}
-    doc.update(changes)
-    return doc
-
-
-def state_blob(doc, name="/state/s/1/out"):
-    """The bytes of a /state/<q>/<i>/out packet carrying `doc`, written field
-    by field: type tag 7, the hash field of <q> and varint <i>, varint wm,
-    first and end, the schema behind its varint length, then the rows field."""
-    rows = doc["rows"]
-    rows = rows if isinstance(rows, bytes) else rows_field(rows)
-    schema = doc["schema"].encode()
-    _, q, index, _ = Name.from_uri(name).components
-    head = b"\x07" + hash_field(q) + uleb128(int(index))
-    fields = b"".join(uleb128(doc[k]) for k in ("wm", "first", "end"))
-    return head + fields + uleb128(len(schema)) + schema + rows
-
-
-def carried(doc):
-    """The StateDelta that the codec decodes from a /state packet carrying `doc`."""
-    return decode_packet(state_blob(doc)).tuple
-
-
-@given(
-    schema=st.sampled_from(["gps", 'a"\\é']),
-    steps=st.lists(
-        st.tuples(st.integers(0, 10**6), SNAP_STEP, st.booleans()), min_size=1, max_size=10
-    ),
-)
-@settings(max_examples=300, deadline=None)
-def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(schema, steps):
-    """Deltas round-trip; a lost one stops evaluation until its rows slide out.
-
-    One receiver takes each delta as the value it was sent as, another as the
-    codec decodes it from its bytes; both must mirror the sender's output.
-    """
-    eng, _ = single_broker()
-    sender, receiver, decoder = bare_instance(), bare_instance(), bare_instance()
-    name = Name.from_uri("/state/s/7/out")
-    last, mirrored = [], []
-    lost_end = 0  # rows below this index may have been lost; an empty delta loses none
-    gaps = 0
-    for wm, step, lost in steps:
-        rows = next_output(step, last, schema)
-        snap = eng._encode_snapshot(sender, rows, wm, schema)
-        assert (snap.ts, snap.schema, snap.end - snap.first) == (wm, schema, len(rows))
-        shipped = rows[len(rows) - len(snap.rows) :]
-        assert all(map(operator.is_, snap.rows, shipped))  # the sender's own rows
-        doc = {
-            "schema": schema,
-            "wm": wm,
-            "first": snap.first,
-            "end": snap.end,
-            "rows": [list(r.values) for r in shipped],
-        }
-        blob = encode_packet(DataStream(name, snap))
-        assert blob == state_blob(doc, name.to_uri())
-        fresh = decode_packet(blob).tuple
-        assert (fresh.ts, fresh.schema, fresh.first, fresh.end) == (wm, schema, snap.first, snap.end)
-        assert typed(fresh.rows) == typed(shipped)
-        if step[0] == "slide" and len(set(map(id, last))) == len(last):
-            assert len(shipped) == len(step[2])  # a slide ships its new rows only
-        assert sender.sent_rows is rows
-        if lost:
-            if snap.rows:
-                lost_end = snap.end
-        else:
-            got = eng._decode_snapshot(snap, receiver, 7)
-            decoded = eng._decode_snapshot(fresh, decoder, 7)
-            assert (got is None) == (decoded is None) == (snap.first < lost_end)
-            if got is not None:
-                assert got[1] == decoded[1] == wm
-                assert typed(got[0]) == typed(decoded[0]) == typed(rows)
-                assert got[0] is not receiver.received[7].rows
-                # the rows the receiver already had keep their identity, and
-                # the new ones are the sender's
-                kept = len(rows) - len(shipped)
-                if kept and mirrored:
-                    assert all(map(operator.is_, got[0][:kept], mirrored[-kept:]))
-                assert all(map(operator.is_, got[0][kept:], snap.rows))
-                mirrored = got[0]
-            else:
-                mirrored = []
-            gaps += 2 * (got is None)
-        last = rows  # older rows are freed, so their ids can come back
-    assert eng.counters.get("state_gaps", 0) == gaps
-
-
-def test_a_delta_shared_by_two_receivers_is_changed_by_neither():
-    """A forwarded packet reaches several receivers: each mirror keeps its own list."""
-    eng, _ = single_broker()
-    sender = bare_instance()
-    rows = [row_of((ts, 1.0), "gps") for ts in (1000, 2000, 3000)]
-    eng._encode_snapshot(sender, rows, 3000, "gps")  # a keyframe both receivers miss
-    slid = eng._encode_snapshot(sender, rows[2:] + [row_of((4000, 1.0), "gps")], 4000, "gps")
-    b, c = bare_instance(), bare_instance()
-    assert eng._decode_snapshot(slid, b, 7) is None and eng._decode_snapshot(slid, c, 7) is None
-    later = sender.sent_rows[1:] + [row_of((5000, 1.0), "gps")]
-    got = eng._decode_snapshot(eng._encode_snapshot(sender, later, 5000, "gps"), b, 7)
-    assert [t.ts for t in got[0]] == [4000, 5000]
-    assert [t.ts for t in slid.rows] == [t.ts for t in c.received[7].rows] == [4000]
-
-
-def test_a_delta_row_off_the_delta_schema_is_re_tagged():
-    eng, _ = single_broker()
-    rows = (row_of((1000, 1.0), "gps"), row_of((2000, 2.0), "other"))
-    got = eng._decode_snapshot(StateDelta(2000, "gps", 0, 2, rows), bare_instance(), 7)
-    assert got[0][0] is rows[0]
-    assert (got[0][1].schema_id, got[0][1].values) == ("gps", (2000, 2.0))
-
-
 @pytest.mark.parametrize("bad", [[2000, [1]], [2000, {"a": 1}], [2000, None]])
 def test_snapshot_row_of_unsupported_values_fails_tuple_validation(bad):
     with pytest.raises(MalformedPacket, match="text or numbers"):
         carried(delta(first=0, rows=[[2000, 1.0], bad]))
-
-
-@pytest.mark.parametrize(
-    "blob",
-    [
-        state_blob(delta(**changes), "/state/s/7/out")
-        for changes in [
-            dict(first=3, end=2, rows=[]),  # end before first
-            dict(first=1, end=2, rows=[[2000, 1.0], [2000, 2.0]]),  # more rows than fit
-            dict(rows=[[2000, [1]]]),  # unhashable values, which Tuple rejects
-            dict(rows=[[2000, {"a": 1}]]),
-            dict(rows=[[{"a": [2000]}]]),
-            dict(rows=[[]]),
-            dict(rows=b"\x01\x05" + rows_field([[2000]])[2:]),  # five values counted, one written
-            dict(rows=[[math.inf]]),
-            dict(rows=[["x"]]),
-            dict(rows=[[None]]),
-        ]
-        + [
-            dict(rows=[[2000, json_field(text)]])
-            for text in [b"not json", b"[1, 2]", b'"doc"', b"[" * 5000 + b"]" * 5000]
-        ]
-    ]
-    + [
-        state_blob(delta(), "/state/s/7/out")[:5],  # cut inside the varint watermark
-        state_blob(delta(), "/state/s/7/out").replace(b"gps", b"g\xffs"),  # schema not UTF-8
-        state_blob(delta(), "/state/s/7/out") + b"\x00",  # a byte after the rows
-    ],
-)
-def test_malformed_delta_is_rejected_without_touching_the_mirror(blob):
-    """The codec rejects it, so no mirror sees it; the delta it stands for applies."""
-    eng, _ = single_broker()
-    inst = bare_instance()
-    good = eng._decode_snapshot(carried(delta(first=0, end=1, rows=[[1000, 1.0]])), inst, 7)
-    mirror = inst.received[7]
-    rows = mirror.rows
-    with pytest.raises(MalformedPacket):
-        decode_packet(blob)
-    assert inst.received[7] is mirror and mirror.rows is rows
-    assert (mirror.base, mirror.rows) == (0, good[0])
-    assert eng._decode_snapshot(carried(delta()), inst, 7) is not None
-    assert eng.counters.get("state_gaps", 0) == 0
 
 
 def deploy_order(doc, target="b2"):
@@ -1111,17 +893,17 @@ def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, si
         return out
 
     # each window's host ships deltas of its window; the parent mirrors the join's
-    senders = {2: bare_instance(), 3: bare_instance()}
+    senders = {c: DeltaSender(Name(("state", "s", str(c), "out"))) for c in (2, 3)}
     streams = {
         child: [row_of(r, "gps") for r in rows] for child, (_, rows) in zip((2, 3), sides)
     }
     windows = {}
-    parent = bare_instance()
+    parent = Mirror(inst.node.ctx.width)
     with mock.patch.object(operators, "join_eval", recording):
         for step in range(max(len(rows) for _, rows in sides)):
             for child, (width, _) in zip((2, 3), sides):
                 windows[child] = streams[child][max(0, step - width + 1) : step + 1]
-                snap = eng._encode_snapshot(senders[child], windows[child], step + 1, "gps")
+                snap = senders[child].delta(windows[child], step + 1, "gps")
                 name = Name(("state", "s", str(child), "out"))
                 evaluations.clear()
                 shipped = len(svc.sent)
@@ -1134,12 +916,12 @@ def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, si
                     want = oracle_join_rows(windows[2], windows[3], cond == RESIDUAL_JOIN)
                     assert typed(out) == typed(unmemoized) == typed(want)
                     if out:
-                        assert inst.sent_rows is out
+                        assert inst.out.rows is out
                         delta = svc.sent[-1][2].tuple
                         assert delta.schema == "join(gps,gps)"
-                        got = eng._decode_snapshot(delta, parent, 1)
-                        assert got[1] == min(inst.op.inputs[2][1], inst.op.inputs[3][1])
-                        assert typed(got[0]) == typed(out)
+                        got = parent.apply(delta)
+                        assert delta.ts == min(inst.op.inputs[2][1], inst.op.inputs[3][1])
+                        assert typed(got) == typed(out)
                 assert len(svc.sent) - shipped <= 1
                 # each mirror holds its window's rows, the objects the join saw,
                 # which are the sender's own

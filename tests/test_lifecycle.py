@@ -64,10 +64,25 @@ def assert_stream_hops_are_fresh_and_live(engine):
             assert faces == engine._fib_faces(name, exclude), (engine.node_id, comps, exclude)
 
 
+def assert_instance_ends_match_their_places(engine):
+    """A root instance alone renders results; an instance ships on
+    /state/<salted>/<idx>/out exactly when its parent runs on another host;
+    and each instance mirrors each of its children, and nothing else."""
+    for (salted, idx), inst in engine.instances.items():
+        where = (engine.node_id, salted, idx)
+        assert (inst.results is not None) == (inst.node.parent is None), where
+        remote = inst.parent_host not in (None, engine.node_id)
+        assert (inst.out is not None) == remote, where
+        if remote:
+            assert inst.out.name == Name(("state", salted, str(idx), "out")), where
+        assert set(inst.received) == {c.index for c in inst.node.children}, where
+
+
 @pytest.fixture(autouse=True)
 def checked_feeds(monkeypatch):
-    """Every replay in this module ends with a feed table that matches its instances
-    and a memo of fresh stream hops for routed or feeding names only."""
+    """Every replay in this module ends with a feed table that matches its instances,
+    a memo of fresh stream hops for routed or feeding names only, and instances
+    whose output and input ends match their places in the tree."""
     run = sim.Simulator.run
 
     def check(self):
@@ -75,6 +90,7 @@ def checked_feeds(monkeypatch):
         for engine in self.engines.values():
             assert_feeds_list_the_live_instances(engine)
             assert_stream_hops_are_fresh_and_live(engine)
+            assert_instance_ends_match_their_places(engine)
 
     monkeypatch.setattr(sim.Simulator, "run", check)
 
@@ -132,13 +148,15 @@ def test_a_stopped_query_is_torn_down_hop_by_hop(captured):
 
 
 def test_every_stream_hop_is_fresh_after_every_packet_of_a_teardown(monkeypatch):
-    """The memo check of `checked_feeds`, after each packet rather than at the end."""
+    """The memo and instance-end checks of `checked_feeds`, after each packet
+    rather than at the end."""
     handle = Engine.handle_packet
     checked = Counter()
 
     def handle_and_check(engine, packet, in_face):
         handle(engine, packet, in_face)
         assert_stream_hops_are_fresh_and_live(engine)
+        assert_instance_ends_match_their_places(engine)
         checked[type(packet).__name__] += 1
 
     monkeypatch.setattr(Engine, "handle_packet", handle_and_check)

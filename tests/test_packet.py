@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import operator
 import random
 import struct
 from decimal import Decimal
@@ -15,8 +16,10 @@ from icncep.packet import (
     AddQueryInterest,
     Data,
     DataStream,
+    DeltaSender,
     Interest,
     MalformedPacket,
+    Mirror,
     Name,
     RemoveQueryInterest,
     Schema,
@@ -561,6 +564,251 @@ def test_decode_of_a_mutated_state_delta_never_panics(edits):
         decode_packet(bytes(blob))
     except MalformedPacket:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the two ends of a /state feed: DeltaSender and Mirror
+
+# equal values that print differently (1, 1.0, True; 0, 0.0, -0.0, False),
+# values that equal nothing or print specially, and text that JSON escapes
+SNAP_VALUES = st.one_of(
+    st.sampled_from([0, 1, 1.0, True, False, 0.0, -0.0, 2.5, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.sampled_from(['"', "\\", "é", 'a"\\€\n', "", "1"]),
+)
+SNAP_TS = st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True, 2000, 2000.0])
+SNAP_ROW = st.tuples(SNAP_TS, st.lists(SNAP_VALUES, max_size=3)).map(lambda p: (p[0], *p[1]))
+TWINS = [(0, 0.0, -0.0, False), (1, 1.0, True), (2000, 2000.0)]  # equal, printed apart
+# how a row of an arbitrary output relates to the previous output: the same
+# row object; a new row equal to one of them but for one value, which may
+# be an equal value printed differently; or a new row
+SNAP_PICK = st.one_of(
+    st.tuples(st.just("keep"), st.integers(0, 5)),
+    st.tuples(st.just("vary"), st.integers(0, 5), st.integers(0, 3), SNAP_VALUES),
+    st.tuples(st.just("twin"), st.integers(0, 5), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("new"), SNAP_ROW),
+)
+# how an output follows the previous one: a window slide (drop rows from the
+# front, append new rows), an arbitrary replacement, empty, or one row
+SNAP_STEP = st.one_of(
+    st.tuples(st.just("slide"), st.integers(0, 4), st.lists(SNAP_ROW, max_size=3)),
+    st.tuples(st.just("replace"), st.lists(SNAP_PICK, max_size=6)),
+    st.tuples(st.just("empty")),
+    st.tuples(st.just("one"), SNAP_PICK),
+)
+
+
+def typed(rows):
+    """What a row shows downstream: ts, schema, value types and JSON text."""
+    return [
+        (t.ts, t.schema_id, [type(v) for v in t.values], json.dumps(list(t.values)))
+        for t in rows
+    ]
+
+
+def row_of(values, schema):
+    return Tuple(ts=int(values[0]), schema_id=schema, values=tuple(values))
+
+
+def picked_rows(picks, last, schema):
+    rows = []
+    for kind, *how in picks:
+        if kind == "new":
+            values = how[0]
+        elif not last:
+            continue
+        elif kind == "keep":
+            rows.append(last[how[0] % len(last)])
+            continue
+        else:
+            values = list(last[how[0] % len(last)].values)
+            if kind == "twin":
+                at = how[1] % len(values)
+                family = next((f for f in TWINS if values[at] in f), (values[at],))
+                values[at] = family[how[2] % len(family)]
+            elif len(values) > 1:  # the first value is the timestamp
+                values[1 + how[1] % (len(values) - 1)] = how[2]
+        rows.append(row_of(values, schema))
+    return rows
+
+
+def next_output(step, last, schema):
+    kind, *how = step
+    if kind == "slide":
+        return last[how[0] :] + [row_of(v, schema) for v in how[1]]
+    if kind == "replace":
+        return picked_rows(how[0], last, schema)
+    if kind == "one":
+        return picked_rows([how[0]], last, schema)[:1]
+    return []
+
+
+def delta(**changes):
+    """The fields of a delta of row 1 at wm 2000, changed as given.
+
+    `rows` is a list of rows, or bytes that stand for the rows field.
+    """
+    doc = {"schema": "gps", "wm": 2000, "first": 1, "end": 2, "rows": [[2000, 2.0]]}
+    doc.update(changes)
+    return doc
+
+
+def state_blob(doc, name="/state/s/1/out"):
+    """The bytes of a /state/<q>/<i>/out packet carrying `doc`, written field
+    by field: type tag 7, the hash field of <q> and varint <i>, then the
+    fields of `_state_blob`."""
+    _, q, index, _ = Name.from_uri(name).components
+    head = b"\x07" + hash_field(q) + uleb128(int(index))
+    fields = [doc[k] for k in ("rows", "wm", "first", "end")]
+    return _state_blob(*fields, schema=doc["schema"].encode(), head=head)
+
+
+def carried(doc):
+    """The StateDelta that the codec decodes from a /state packet carrying `doc`."""
+    return decode_packet(state_blob(doc)).tuple
+
+
+@given(
+    schema=st.sampled_from(["gps", 'a"\\é']),
+    steps=st.lists(
+        st.tuples(st.integers(0, 10**6), SNAP_STEP, st.booleans()), min_size=1, max_size=10
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(schema, steps):
+    """Deltas round-trip; a lost one stops evaluation until its rows slide out.
+
+    One mirror takes each delta as the value it was sent as, another as the
+    codec decodes it from its bytes; both must mirror the sender's output.
+    """
+    name = Name.from_uri("/state/s/7/out")
+    sender, receiver, decoder = DeltaSender(name), Mirror(1), Mirror(1)
+    last, mirrored = [], []
+    lost_end = 0  # rows below this index may have been lost; an empty delta loses none
+    gaps = want_gaps = 0
+    for wm, step, lost in steps:
+        rows = next_output(step, last, schema)
+        snap = sender.delta(rows, wm, schema)
+        assert (snap.ts, snap.schema, snap.end - snap.first) == (wm, schema, len(rows))
+        shipped = rows[len(rows) - len(snap.rows) :]
+        assert all(map(operator.is_, snap.rows, shipped))  # the sender's own rows
+        doc = {
+            "schema": schema,
+            "wm": wm,
+            "first": snap.first,
+            "end": snap.end,
+            "rows": [list(r.values) for r in shipped],
+        }
+        blob = encode_packet(DataStream(name, snap))
+        assert blob == state_blob(doc, name.to_uri())
+        fresh = decode_packet(blob).tuple
+        assert (fresh.ts, fresh.schema, fresh.first, fresh.end) == (wm, schema, snap.first, snap.end)
+        assert typed(fresh.rows) == typed(shipped)
+        if step[0] == "slide" and len(set(map(id, last))) == len(last):
+            assert len(shipped) == len(step[2])  # a slide ships its new rows only
+        assert sender.rows is rows
+        if lost:
+            if snap.rows:
+                lost_end = snap.end
+        else:
+            got = receiver.apply(snap)
+            decoded = decoder.apply(fresh)
+            assert (got is None) == (decoded is None) == (snap.first < lost_end)
+            if got is not None:
+                assert snap.ts == fresh.ts == wm  # the watermark the parent evaluates at
+                assert typed(got) == typed(decoded) == typed(rows)
+                assert got is not receiver.rows
+                # the rows the receiver already had keep their identity, and
+                # the new ones are the sender's
+                kept = len(rows) - len(shipped)
+                if kept and mirrored:
+                    assert all(map(operator.is_, got[:kept], mirrored[-kept:]))
+                assert all(map(operator.is_, got[kept:], snap.rows))
+                mirrored = got
+            else:
+                mirrored = []
+            gaps += (got is None) + (decoded is None)
+            want_gaps += 2 * (snap.first < lost_end)
+        last = rows  # older rows are freed, so their ids can come back
+    assert gaps == want_gaps
+
+
+def test_a_delta_shared_by_two_receivers_is_changed_by_neither():
+    """A forwarded packet reaches several receivers: each mirror keeps its own list."""
+    sender = DeltaSender(Name.from_uri("/state/s/7/out"))
+    rows = [row_of((ts, 1.0), "gps") for ts in (1000, 2000, 3000)]
+    sender.delta(rows, 3000, "gps")  # a keyframe both receivers miss
+    slid = sender.delta(rows[2:] + [row_of((4000, 1.0), "gps")], 4000, "gps")
+    b, c = Mirror(1), Mirror(1)
+    assert b.apply(slid) is None and c.apply(slid) is None
+    later = sender.rows[1:] + [row_of((5000, 1.0), "gps")]
+    got = b.apply(sender.delta(later, 5000, "gps"))
+    assert [t.ts for t in got] == [4000, 5000]
+    assert [t.ts for t in slid.rows] == [t.ts for t in c.rows] == [4000]
+
+
+def test_a_delta_row_off_the_delta_schema_is_re_tagged():
+    rows = (row_of((1000, 1.0), "gps"), row_of((2000, 2.0), "other"))
+    got = Mirror(1).apply(StateDelta(2000, "gps", 0, 2, rows))
+    assert got[0] is rows[0]
+    assert (got[1].schema_id, got[1].values) == ("gps", (2000, 2.0))
+
+
+def test_a_restarted_sender_ships_a_keyframe_under_fresh_indices():
+    sender = DeltaSender(Name.from_uri("/state/s/7/out"))
+    rows = [row_of((ts, 1.0), "gps") for ts in (1000, 2000)]
+    assert sender.delta(rows, 2000, "gps") == StateDelta(2000, "gps", 0, 2, tuple(rows))
+    assert sender.delta(rows, 2000, "gps") == StateDelta(2000, "gps", 0, 2, ())
+    sender.restart()
+    assert sender.delta(rows, 2000, "gps") == StateDelta(2000, "gps", 2, 4, tuple(rows))
+
+
+def test_a_delta_row_narrower_than_the_mirror_raises_and_leaves_it_as_it_was():
+    mirror = Mirror(2)
+    held = mirror.apply(StateDelta(1000, "gps", 0, 1, (row_of((1000, 1.0), "gps"),)))
+    rows = mirror.rows
+    with pytest.raises(ValueError, match="narrower"):
+        mirror.apply(StateDelta(2000, "gps", 0, 2, (row_of((2000,), "gps"),)))
+    assert (mirror.base, mirror.rows) == (0, held) and mirror.rows is rows
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        state_blob(delta(**changes), "/state/s/7/out")
+        for changes in [
+            dict(first=3, end=2, rows=[]),  # end before first
+            dict(first=1, end=2, rows=[[2000, 1.0], [2000, 2.0]]),  # more rows than fit
+            dict(rows=[[2000, [1]]]),  # unhashable values, which Tuple rejects
+            dict(rows=[[2000, {"a": 1}]]),
+            dict(rows=[[{"a": [2000]}]]),
+            dict(rows=[[]]),
+            dict(rows=b"\x01\x05" + rows_field([[2000]])[2:]),  # five values counted, one written
+            dict(rows=[[math.inf]]),
+            dict(rows=[["x"]]),
+            dict(rows=[[None]]),
+        ]
+        + [
+            dict(rows=[[2000, json_field(text)]])
+            for text in [b"not json", b"[1, 2]", b'"doc"', b"[" * 5000 + b"]" * 5000]
+        ]
+    ]
+    + [
+        state_blob(delta(), "/state/s/7/out")[:5],  # cut inside the varint watermark
+        state_blob(delta(), "/state/s/7/out").replace(b"gps", b"g\xffs"),  # schema not UTF-8
+        state_blob(delta(), "/state/s/7/out") + b"\x00",  # a byte after the rows
+    ],
+)
+def test_malformed_delta_is_rejected_without_touching_the_mirror(blob):
+    """The codec rejects it, so no mirror sees it; the delta it stands for applies."""
+    mirror = Mirror(1)
+    good = mirror.apply(carried(delta(first=0, end=1, rows=[[1000, 1.0]])))
+    rows = mirror.rows
+    with pytest.raises(MalformedPacket):
+        decode_packet(blob)
+    assert mirror.rows is rows
+    assert (mirror.base, mirror.rows) == (0, good)
+    assert mirror.apply(carried(delta())) is not None  # no gap
 
 
 # ---------------------------------------------------------------------------
