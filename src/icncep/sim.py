@@ -813,11 +813,11 @@ class Simulator:
         if line is None and self.busy_until[node] <= self.t:
             self._run(node, thunk, rendered)
             return
-        self._seq += 1
         if line is None:
             self._waiting[node] = deque(((thunk, rendered),))
-            heappush(self._heap, (self.busy_until[node], self._seq, partial(self._serve, node)))
+            self._at(self.busy_until[node], partial(self._serve, node))
         else:
+            self._seq += 1
             line.append((thunk, rendered))
 
     def _serve(self, node: str) -> None:
@@ -826,9 +826,8 @@ class Simulator:
         while line and self.busy_until[node] <= self.t:
             self._run(node, *line.popleft())
         if line:
-            first = self._seq + 1
-            self._seq += len(line)
-            heappush(self._heap, (self.busy_until[node], first, partial(self._serve, node)))
+            self._at(self.busy_until[node], partial(self._serve, node))
+            self._seq += len(line) - 1
         else:
             del self._waiting[node]
 
@@ -849,7 +848,8 @@ class Simulator:
         for face_id, packet in out:
             self._dispatch(node, face_id, packet, end)
 
-    def _dispatch(self, node: str, face_id: int, packet: Packet, at: float) -> None:
+    def _dispatch(self, node: str, face_id: int, packet: Packet, at: float) -> Optional[int]:
+        """Deliver `packet` to the application or put it on a link; return its link uid, if any."""
         summary = None
         if self.collect_trace:
             rendered = self._rendered
@@ -891,6 +891,7 @@ class Simulator:
         if self.collect_trace:
             self.trace.append("%.3f %s send uid=%d %s -> %s" % (at, node, uid, summary, key[1]))
         self._at(at + link.delay_ms, partial(self._deliver, key, uid, packet))
+        return uid
 
     def _deliver(self, key: tuple[str, str], uid: int, packet: Packet) -> None:
         # a link delivers in the order it sends, so a packet that does not head

@@ -70,12 +70,9 @@ def wire_digest():
     faults = []
 
     def dispatch(self, node, face_id, packet, at):
-        before = self._seq
-        original(self, node, face_id, packet, at)
-        # a packet put on a link takes one sequence number as its uid and
-        # one for its delivery; application deliveries and dropped stream
-        # packets take fewer
-        if self._seq == before + 2:
+        uid = original(self, node, face_id, packet, at)
+        # an application delivery or a shed packet has no link uid
+        if uid is not None:
             if isinstance(packet, (AddQueryInterest, RemoveQueryInterest)):
                 packet = replace(packet, nonce=0)
             raw = encode_packet(packet)
@@ -92,6 +89,7 @@ def wire_digest():
             elif tag in (6, 7) and any(_value(v)[0] & 3 == 3 for v in _row_values(packet)):
                 # a value's kind is the low two bits of its header's first byte
                 faults.append(("a row value as JSON text", packet))
+        return uid
 
     Simulator._dispatch = dispatch
     try:

@@ -46,10 +46,8 @@ def test_a_trace_that_stops_early_diverges_where_it_ends():
 class _Link:
     """Stands in for a simulator whose every dispatch puts a packet on a link."""
 
-    _seq = 0
-
     def dispatch(self, node, face_id, packet, at):
-        self._seq += 2  # a uid and a delivery
+        return 1  # the uid it went on the link under
 
 
 def _sends(monkeypatch, *packets):

@@ -976,6 +976,20 @@ def test_a_stream_packet_is_lost_at_a_link_full_of_control_packets():
     assert not any(" send %s " % uid in l for l in simulator.trace)
 
 
+def test_dispatch_returns_a_uid_only_for_a_packet_it_put_on_a_link():
+    simulator = capacity_one_link()
+    sent = [
+        simulator._dispatch("b1", face, packet, 0.0)
+        for face, packet in (
+            (APP_FACE, stream_packet(1000)),
+            (1, Interest(name=Name.from_uri("/x/y"))),
+            (1, stream_packet(2000)),  # shed at once: the link is full of control packets
+        )
+    ]
+    assert sent[0] is None and sent[2] is None
+    assert [l.split(" ")[3] for l in simulator.trace if " send " in l] == ["uid=%d" % sent[1]]
+
+
 LOOP_LINKS = (
     ("b1", "b2"), ("b1", "b3"), ("b1", "b5"), ("b2", "b3"), ("b2", "b5"), ("b2", "b6"),
     ("b3", "b4"), ("b3", "b5"), ("b4", "b8"), ("b5", "b7"), ("b6", "b8"),
@@ -1190,8 +1204,8 @@ def test_every_link_send_of_a_busy_scenario_survives_the_codec(tmp_path):
     assert sent["DataStream /state/"] > 0 and sent["Data /ce/"] > 0
 
 
-def test_a_burst_into_a_busy_broker_costs_linear_heap_pushes(tmp_path, monkeypatch):
-    """300 stream packets queue at a slow broker; waiting must not re-push them."""
+def slow_broker_spec(tmp_path):
+    """300 stream packets, 1 ms apart, into a broker that takes 5 ms for each."""
     topo = tmp_path / "burst.topo"
     topo.write_text(
         "node p1 producer 0\n"
@@ -1202,11 +1216,15 @@ def test_a_burst_into_a_busy_broker_costs_linear_heap_pushes(tmp_path, monkeypat
     )
     csv = tmp_path / "gps.csv"
     generate_gps_csv(str(csv), rows=300, step_ms=1)
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         topology=load_topology(str(topo)),
         streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
         queries=[QueryDef("q", "c1", 10, None, "centralized", "WINDOW(GPS_S1, 3)")],
     )
+
+
+def count_heap_pushes(monkeypatch):
+    """Count every `heappush` the simulator makes; returns the one-element count."""
     pushes = [0]
 
     def counting(heap, entry):
@@ -1214,10 +1232,30 @@ def test_a_burst_into_a_busy_broker_costs_linear_heap_pushes(tmp_path, monkeypat
         heapq.heappush(heap, entry)
 
     monkeypatch.setattr(sim, "heappush", counting)
-    m = run_scenario(spec, collect_trace=False)
+    return pushes
+
+
+def test_a_burst_into_a_busy_broker_costs_linear_heap_pushes(tmp_path, monkeypatch):
+    """300 stream packets queue at a slow broker; waiting must not re-push them."""
+    pushes = count_heap_pushes(monkeypatch)
+    m = run_scenario(slow_broker_spec(tmp_path), collect_trace=False)
     handled = sum(c.get("received", 0) for c in m.nodes.values())
     assert m.nodes["b1"]["received"] >= 300 and m.queries["q"].notifications == 300
     assert pushes[0] < 3 * handled
+
+
+def test_every_heap_push_goes_through_at(tmp_path, monkeypatch):
+    """The node lines' pushes too, so a wrapper of `_at` sees every heap event."""
+    pushes, calls = count_heap_pushes(monkeypatch), [0]
+    at = Simulator._at
+
+    def counted(self, t, fn):
+        calls[0] += 1
+        at(self, t, fn)
+
+    monkeypatch.setattr(Simulator, "_at", counted)
+    run_scenario(slow_broker_spec(tmp_path), collect_trace=False)
+    assert calls[0] == pushes[0] > 600
 
 
 def test_a_finished_run_is_freed_by_refcount(tmp_path, monkeypatch):
