@@ -87,14 +87,17 @@ instances, so nothing changes a tree after `create_operator_graph` returns.
 The memo holds one entry per distinct text and canonical key and lives as
 long as the run: `Simulator.detach` clears it.
 
-An operator whose parent runs on another broker ships its output on
+Operators hand their outputs on as slides (`packet.Slide`): the rows that
+left the front of the output emitted before, and the rows appended. An
+operator whose parent runs on another broker ships its output on
 /state/<qhash>/<idx>/out, once per new result, as a row delta
-(`packet.StateDelta`, whose ts is the watermark). Each end of a feed is a
-`packet` class that the instance holds: a shipping instance's `out`, a
-`DeltaSender` made at install, and the parent's `received`, one `Mirror` per
-child made at install. The engine only routes deltas: it evaluates a parent
-when its mirror holds the child's whole output, and counts `state_gaps` while
-a /state packet lost at link capacity leaves the mirror short. Only the codec
+(`packet.StateDelta`, whose ts is the watermark) that its slide makes. Each
+end of a feed is a `packet` class that the instance holds: a shipping
+instance's `out`, a `DeltaSender` made at install, and the parent's
+`received`, one `Mirror` per child made at install. The engine only routes
+deltas: it evaluates a parent on the slide its mirror returns once the
+mirror holds the child's whole output, and counts `state_gaps` while a
+/state packet lost at link capacity leaves the mirror short. Only the codec
 (`packet.encode_packet`, type tag 7) turns a delta into bytes and back, and a
 /state/.../out packet that carries anything but a StateDelta is counted
 `malformed` and not forwarded. A /ce result's payload is the JSON that
@@ -135,7 +138,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional, Protocol, Sequence
 
 # join_eval is unused here: bench/test_bench.py checks that the benchmark's
 # tracer, which wraps each module's reference to it, restores engine.join_eval
@@ -151,6 +154,7 @@ from .packet import (
     Packet,
     RemoveQueryInterest,
     ResultRenderer,
+    Slide,
     StateDelta,
     Tuple,
     _is_state_out,
@@ -745,19 +749,20 @@ class Engine:
                 continue
             if feed is not None:
                 try:
-                    rows = inst.received[feed[1]].apply(p.tuple)
+                    slide = inst.received[feed[1]].apply(p.tuple)
                 except ValueError:
                     return "malformed"
-                if rows is None:
+                if slide is None:
                     self.counters["state_gaps"] += 1
                 else:
-                    self._feed(inst, feed[1], rows, p.tuple.ts)
+                    self._feed(inst, feed[1], slide, p.tuple.ts)
                 continue
             entry = self.pit.lookup(inst.unsalted)
             if entry is not None and p.tuple.ts <= entry.last_result_ts:
                 self.counters["out_of_order"] += 1
                 continue  # already folded into a delivered result
-            self._feed(inst, None, (p.tuple,), p.tuple.ts)
+            one = (p.tuple,)
+            self._feed(inst, None, (one, 0, one), p.tuple.ts)
 
         if consumed:  # what the loop released or installed changed the hop: read it afresh
             hop = self._stream_hop(p.stream_name)
@@ -771,8 +776,8 @@ class Engine:
             self._send(in_face, Interest(name=prune))
         return "dropped"
 
-    def _feed(self, inst: OpInstance, child: Optional[int], rows, wm: int) -> None:
-        """Charge `inst`'s evaluation, feed it `rows` (see `Operator.feed`) and emit its output.
+    def _feed(self, inst: OpInstance, child: Optional[int], slide: Slide, wm: int) -> None:
+        """Charge `inst`'s evaluation, feed it `slide` (see `Operator.feed`) and emit its output.
 
         A tuple older than its window's newest counts `out_of_order`, and an
         evaluation that reads text for a number counts `eval_skipped`.
@@ -780,7 +785,7 @@ class Engine:
         op = inst.op
         self.services.charge(self.node_id, op.cost_ms)
         try:
-            out = op.feed(child, rows, wm)
+            out = op.feed(child, slide, wm)
         except OutOfOrderTuple:
             self.counters["out_of_order"] += 1
             return
@@ -790,17 +795,17 @@ class Engine:
         if out is not None:
             self._emit(inst, *out)
 
-    def _emit(self, inst: OpInstance, rows: list[Tuple], wm: int) -> None:
+    def _emit(self, inst: OpInstance, slide: Slide, wm: int) -> None:
         if inst.node.parent is None:
-            self._notify(inst, rows, wm)
+            self._notify(inst, slide[0], wm)
             return
         if inst.parent_host == self.node_id:
             parent = self.instances.get((inst.salted, inst.node.parent))
             if parent is not None:
-                self._feed(parent, inst.node.index, rows, wm)
+                self._feed(parent, inst.node.index, slide, wm)
             return
-        out = inst.out
-        delta = out.delta(rows, wm, rows[0].schema_id)
+        out, (rows, gone, new) = inst.out, slide
+        delta = out.delta(gone, new, wm, rows[0].schema_id)
         if self._ship(DataStream(out.name, delta), self._stream_hop(out.name)):
             self.counters["results_shipped"] += 1
 
@@ -824,7 +829,7 @@ class Engine:
                 self._fences[feed] = p.tuple.ts
         return bool(faces)
 
-    def _notify(self, inst: OpInstance, rows: list[Tuple], wm: int) -> None:
+    def _notify(self, inst: OpInstance, rows: Sequence[Tuple], wm: int) -> None:
         entry = self.pit.lookup(inst.unsalted)
         if entry is None or not entry.faces:
             self._release(inst.salted)  # the query was removed: its work here ends

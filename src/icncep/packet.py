@@ -81,7 +81,10 @@ import json
 import math
 import operator
 import struct
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 __all__ = [
     "Name",
@@ -99,6 +102,7 @@ __all__ = [
     "decode_packet",
     "result_payload",
     "ResultRenderer",
+    "Slide",
     "DeltaSender",
     "Mirror",
     "is_prefix_of",
@@ -421,71 +425,126 @@ class ResultRenderer:
         return ("%s%s%s%s]}" % (frame[2], stamp, frame[3], ", ".join(texts))).encode("utf-8")
 
 
+# An output as it changed, (rows, gone, new): `rows` is the output now, and
+# rows == before[gone:] + new for the output `before` reported ahead of it.
+Slide = tuple[Sequence[Tuple], int, Sequence[Tuple]]
+
+
+def _kept(left: list[Tuple], kept: int, rows: Sequence[Tuple]) -> int:
+    """The rows `rows` keeps from an output by the identity rule, where that
+    output was `left` then rows[:kept] and rows[0] is also in `left`.
+
+    The rule: the output's rows from the first copy of rows[0] on are kept if
+    `rows` begins with them, and else none is.
+    """
+    first = next(i for i, r in enumerate(left) if r is rows[0])
+    tail = left[first:] + list(islice(rows, kept))
+    return len(tail) if len(tail) <= len(rows) and all(map(operator.is_, tail, rows)) else 0
+
+
 class DeltaSender:
     """The sending end of the /state feed `name`: the output it last shipped, `rows`,
     and `end`, one past that output's last running index.
 
-    An output that is, by row identity, a tail of `rows` and then new rows (a
-    window slide, and what FILTER and a memoized join make of one) ships only
-    the new rows; any other ships every row under fresh indices, a keyframe.
+    `delta` takes the output's slide since the last delta and ships its new
+    rows under the next indices, so the receiver drops the `gone` rows and
+    keeps the rest. When the output's first row was also among the rows that
+    left (a row object held twice), it keeps what the identity rule keeps
+    (`_kept`), which may be a keyframe: every row under fresh indices.
     """
 
-    __slots__ = ("name", "rows", "end")
+    __slots__ = ("name", "rows", "end", "_restarted")
 
     def __init__(self, name: Name) -> None:
-        self.name, self.rows, self.end = name, [], 0
+        self.name, self.rows, self.end = name, deque(), 0
+        self._restarted = False
 
-    def delta(self, rows: list[Tuple], wm: int, schema: str) -> StateDelta:
-        """The StateDelta that turns the output last shipped into `rows`, which it then holds."""
-        sent, head = self.rows, rows[0] if rows else None
-        tail = sent[next((k for k, r in enumerate(sent) if r is head), len(sent)) :]
-        # the rows kept from the last output: its tail from `head` on, if `rows` begins with it
-        kept = len(tail) if len(tail) <= len(rows) and all(map(operator.is_, tail, rows)) else 0
-        end = self.end + len(rows) - kept
-        self.rows, self.end = rows, end
-        return StateDelta(wm, schema, end - len(rows), end, tuple(rows[kept:]))
+    def delta(self, gone: int, new: Sequence[Tuple], wm: int, schema: str) -> StateDelta:
+        """The StateDelta that turns the output last shipped, slid by `gone` and `new`,
+        into the output now."""
+        rows = self.rows
+        left = [rows.popleft() for _ in range(gone)]
+        rows.extend(new)
+        kept = len(rows) - len(new)
+        if self._restarted:
+            kept, self._restarted = 0, False
+        elif left and rows and any(map(operator.is_, left, repeat(rows[0]))):
+            kept = _kept(left, kept, rows)
+        end = self.end = self.end + len(rows) - kept
+        fresh = new if kept == len(rows) - len(new) else list(islice(rows, kept, None))
+        return StateDelta(wm, schema, end - len(rows), end, tuple(fresh))
 
     def restart(self) -> None:
         """Make the next delta a keyframe, for a receiver that may have no mirror yet."""
-        self.rows = []
+        self._restarted = True
 
 
 class Mirror:
     """The receiving end of a /state feed: rows[i] is the child's row of index base + i.
 
-    The list is the mirror's own, as a delta's rows are shared by every
-    receiver of its packet; the rows keep their identity from the sender.
+    `rows` is the mirror's own deque, updated in place, as a delta's rows are
+    shared by every receiver of its packet; the rows keep their identity
+    from the sender. Of the rows `apply` last returned, `left` holds those
+    gone since and the next `shown` are still held; `fresh` are the rows
+    come since, which `rows` ends with.
     """
 
-    __slots__ = ("width", "base", "rows")
+    __slots__ = ("width", "base", "rows", "shown", "left", "fresh")
 
     def __init__(self, width: int) -> None:
-        self.width, self.base, self.rows = width, 0, []  # width: the child's output width
+        self.width, self.base = width, 0  # width: the child's output width
+        self.rows: deque[Tuple] = deque()
+        self.shown, self.left, self.fresh = 0, [], []
 
-    def apply(self, delta: StateDelta) -> list[Tuple] | None:
-        """A fresh list of the child's rows first .. end-1 once `delta` applies, or None.
+    def _drop(self, k: int) -> None:
+        rows, left, held = self.rows, self.left, min(k, self.shown)
+        self.shown -= held
+        for _ in range(held):
+            left.append(rows.popleft())
+        if k > held:
+            for _ in range(k - held):
+                rows.popleft()
+            del self.fresh[: k - held]
+
+    def apply(self, delta: StateDelta) -> Slide | None:
+        """The slide of the child's rows first .. end-1 once `delta` applies, or None.
 
         It drops the rows before `first`, then appends the delta's, re-tagged
-        to its schema id. None means a lost packet left the mirror short, until
+        to its schema id, and returns (rows, gone, new) measured from the rows
+        it last returned: the rows of theirs it holds stay. When it holds none
+        of them, as after a keyframe, the rows kept are those the identity
+        rule finds (`_kept`): a restarted sender's keyframe brings back rows
+        the mirror had. None means a lost packet left the mirror short, until
         `first` passes the missing rows or a keyframe comes. A row narrower
         than `width` raises ValueError and leaves the mirror as it was.
         """
-        new = delta.rows
-        if any(len(r.values) < self.width for r in new):
-            raise ValueError("delta rows are narrower than %d values" % self.width)
-        schema = delta.schema
-        if any(r.schema_id != schema for r in new):
+        new, rows, schema = delta.rows, self.rows, delta.schema
+        retag = False
+        for r in new:
+            if len(r.values) < self.width:
+                raise ValueError("delta rows are narrower than %d values" % self.width)
+            retag = retag or r.schema_id != schema
+        if retag:
             new = [r if r.schema_id == schema else Tuple(r.ts, schema, r.values) for r in new]
         start = delta.end - len(new)
-        if self.base + len(self.rows) == start:
-            self.rows += new
-        else:  # rows went missing: keep only what this packet brings
-            self.base, self.rows = start, list(new)
+        if self.base + len(rows) != start:  # rows went missing: keep only this packet's
+            self._drop(len(rows))
+            self.base = start
+        rows.extend(new)
+        self.fresh += new
         if delta.first > self.base:
-            del self.rows[: delta.first - self.base]
+            self._drop(min(delta.first - self.base, len(rows)))
             self.base = delta.first
-        # a copy: row ids held downstream stay valid only while the rows live
-        return list(self.rows) if self.base == delta.first else None
+        if self.base != delta.first:
+            return None
+        left, fresh = self.left, self.fresh
+        gone = len(left)
+        if gone and not self.shown and rows and any(map(operator.is_, left, repeat(rows[0]))):
+            kept = _kept(left, 0, rows)
+            gone, fresh = gone - kept, list(islice(rows, kept, None))
+        left.clear()
+        self.shown, self.fresh = len(rows), []
+        return rows, gone, fresh
 
 
 def _result_fields(p: Data) -> bytes | None:

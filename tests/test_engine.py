@@ -389,21 +389,21 @@ def gps2_packet(ts):
     return DataStream(stream_name=Name.from_uri("/node/p2/gps"), tuple=t)
 
 
-def test_join_behind_a_stale_side_is_charged_but_not_evaluated(monkeypatch):
+def test_join_behind_a_stale_side_is_charged_but_not_evaluated():
     eng, svc = single_broker()
-    calls = []
-    real = operators.join_eval
-    monkeypatch.setattr(operators, "join_eval", lambda *args: calls.append(args) or real(*args))
-    eng.handle_packet(AddQueryInterest(query=QJ, nonce="n1"), in_face=1)
-    eng.handle_packet(gps_packet(1000), in_face=2)
-    eng.handle_packet(gps2_packet(1000), in_face=2)
-    assert len(calls) == 1
-    # the right side stays at 1000, which the join already emitted
-    eng.handle_packet(gps_packet(2000), in_face=2)
-    eng.handle_packet(gps_packet(3000), in_face=2)
-    assert len(calls) == 1
-    eng.handle_packet(gps2_packet(3000), in_face=2)
-    assert len(calls) == 2
+    # every joined row is a Tuple made in `operators`
+    with mock.patch.object(operators, "Tuple", wraps=Tuple) as built:
+        eng.handle_packet(AddQueryInterest(query=QJ, nonce="n1"), in_face=1)
+        eng.handle_packet(gps_packet(1000), in_face=2)
+        eng.handle_packet(gps2_packet(1000), in_face=2)
+        assert built.call_count == 1
+        # the right side stays at 1000, which the join already emitted: the
+        # left rows wait, joined with nothing
+        eng.handle_packet(gps_packet(2000), in_face=2)
+        eng.handle_packet(gps_packet(3000), in_face=2)
+        assert built.call_count == 1
+        eng.handle_packet(gps2_packet(3000), in_face=2)
+        assert built.call_count == 2
     got = [json.loads(p.payload) for p in notifications(svc, 1)]
     assert [(n["ts"], [r[0] for r in n["rows"]]) for n in got] == [(1000, [1000]), (3000, [1000, 3000])]
     # every feed of the join is charged, evaluated or not
@@ -457,7 +457,7 @@ def test_result_payloads_reuse_row_texts_by_identity_only(steps):
     """
     renderer, last = ResultRenderer(), []
     for step, schema, qhash, ts in steps:
-        rows = last = next_output(step, last, schema)
+        rows = last = next_output(step, last, schema)[0]
         if not rows:  # the engine notifies only results that have rows
             continue
         want = result_payload(qhash, ts, rows[0].schema_id, [r.values for r in rows])
@@ -496,12 +496,13 @@ def test_a_stream_row_off_its_schema_never_reaches_the_window(query, values):
     eng, svc = single_broker()
     eng.handle_packet(AddQueryInterest(query=query, nonce="n1"), in_face=1)
     eng.handle_packet(gps_packet(1000), in_face=2)
-    buffers = [inst.op.state for inst in eng.instances.values() if inst.op.state]
+    windows = [inst.op.state for inst in eng.instances.values() if inst.node.kind == "WINDOW"]
+    buffers = [list(w.buffer) for w in windows]
     sent = len(svc.sent)
     eng.handle_packet(stream_row(values), in_face=2)
     assert eng.counters["malformed"] == 1
     assert len(svc.sent) == sent
-    assert [inst.op.state for inst in eng.instances.values() if inst.op.state] == buffers
+    assert [list(w.buffer) for w in windows] == buffers
     assert eng.high_water == {("node", "p1", "gps"): 1000}
 
 
@@ -882,58 +883,47 @@ def oracle_join_rows(left, right, with_speed):
     ),
 )
 @settings(max_examples=200, deadline=None)
-def test_join_host_output_matches_join_eval_without_memo_and_the_oracle(cond, sides):
+def test_join_host_output_matches_join_eval_and_the_oracle(cond, sides):
     eng, svc, inst = join_host(cond)
-    evaluations = []
-    real = operators.join_eval
-
-    def recording(*args):
-        out = real(*args)
-        evaluations.append((args, out))
-        return out
-
     # each window's host ships deltas of its window; the parent mirrors the join's
     senders = {c: DeltaSender(Name(("state", "s", str(c), "out"))) for c in (2, 3)}
     streams = {
         child: [row_of(r, "gps") for r in rows] for child, (_, rows) in zip((2, 3), sides)
     }
-    windows = {}
+    spans, marks, last = {}, {}, -1
     parent = Mirror(inst.node.ctx.width)
-    with mock.patch.object(operators, "join_eval", recording):
-        for step in range(max(len(rows) for _, rows in sides)):
-            for child, (width, _) in zip((2, 3), sides):
-                windows[child] = streams[child][max(0, step - width + 1) : step + 1]
-                snap = senders[child].delta(windows[child], step + 1, "gps")
-                name = Name(("state", "s", str(child), "out"))
-                evaluations.clear()
-                shipped = len(svc.sent)
-                eng.handle_packet(DataStream(stream_name=name, tuple=snap), in_face=1)
+    for step in range(max(len(rows) for _, rows in sides)):
+        for child, (width, _) in zip((2, 3), sides):
+            stream = streams[child]
+            (a0, b0), (a1, b1) = spans.get(child, (0, 0)), (
+                max(0, step - width + 1), min(step + 1, len(stream))
+            )
+            spans[child], marks[child] = (a1, b1), step + 1
+            gone, new = min(a1 - a0, b0 - a0), stream[max(b0, a1) : b1]
+            snap = senders[child].delta(gone, new, step + 1, "gps")
+            name = Name(("state", "s", str(child), "out"))
+            shipped = len(svc.sent)
+            eng.handle_packet(DataStream(stream_name=name, tuple=snap), in_face=1)
 
-                for (left, right, compiled, memo), out in evaluations:
-                    assert left is inst.op.inputs[2][0] and right is inst.op.inputs[3][0]
-                    assert compiled is inst.op.cond and memo is inst.op.memo
-                    unmemoized = real(left, right, compiled)
-                    want = oracle_join_rows(windows[2], windows[3], cond == RESIDUAL_JOIN)
-                    assert typed(out) == typed(unmemoized) == typed(want)
-                    if out:
-                        assert inst.out.rows is out
-                        delta = svc.sent[-1][2].tuple
-                        assert delta.schema == "join(gps,gps)"
-                        got = parent.apply(delta)
-                        assert delta.ts == min(inst.op.inputs[2][1], inst.op.inputs[3][1])
-                        assert typed(got) == typed(out)
-                assert len(svc.sent) - shipped <= 1
-                # each mirror holds its window's rows, the objects the join saw,
-                # which are the sender's own
-                for idx, (rows_now, _) in inst.op.inputs.items():
-                    mirror = inst.received[idx].rows
-                    assert rows_now is not mirror
-                    assert len(mirror) == len(rows_now) == len(windows[idx])
-                    assert all(map(operator.is_, mirror, rows_now))
-                    assert all(map(operator.is_, mirror, windows[idx]))
-                memo = inst.op.memo
-                ids = {id(t) for t in memo.rows[0]} | {id(t) for t in memo.rows[1]}
-                assert {i for pair in memo.pairs for i in pair} <= ids
+            windows = {c: streams[c][slice(*spans.get(c, (0, 0)))] for c in (2, 3)}
+            want = []
+            if len(marks) == 2 and min(marks.values()) > last:
+                want = oracle_join_rows(windows[2], windows[3], cond == RESIDUAL_JOIN)
+                recomputed = operators.join_eval(windows[2], windows[3], inst.op.cond)
+                assert typed(recomputed) == typed(want)
+            assert len(svc.sent) - shipped == (1 if want else 0)
+            if want:
+                last = min(marks.values())
+                delta = svc.sent[-1][2].tuple
+                assert (delta.schema, delta.ts) == ("join(gps,gps)", last)
+                got = list(parent.apply(delta)[0])
+                assert typed(got) == typed(want)
+                # the parent holds the very rows the join host shipped
+                assert all(map(operator.is_, got, inst.out.rows)) and len(got) == len(inst.out.rows)
+            # each mirror holds its window's rows, which are the sender's own
+            for idx, window in windows.items():
+                mirror = inst.received[idx].rows
+                assert len(mirror) == len(window) and all(map(operator.is_, mirror, window))
     assert eng.counters.get("state_gaps", 0) == 0
 
 

@@ -5,7 +5,9 @@ quantity (nested loops, re-binning, direct arithmetic). They were written
 before the implementations and stay frozen.
 """
 
+import json
 import math
+import operator
 import random
 import statistics
 
@@ -662,6 +664,18 @@ def test_predict_text_load_is_an_unknown_attribute():
         predict_eval(window, HORIZON, PredictState(last_ts=299000), SLOT)
 
 
+def test_predict_updates_its_history_in_place_only_after_the_loads_are_checked():
+    slot = (300000 // 60000) % (86400000 // 60000)
+    state = PredictState(history={slot: [8.0]}, last_ts=299000)
+    past = state.history[slot]
+    with pytest.raises(UnknownAttribute):
+        predict_eval([plug(300010, 6.0), plug(300020, "6.0")], HORIZON, state, SLOT)
+    assert (state.history, state.last_ts) == ({slot: [8.0]}, 299000)  # as it was
+    got, out = predict_eval([plug(300010, 6.0)], HORIZON, state, SLOT)
+    assert got is state and state.history[slot] is past  # updated, not copied
+    assert (load(out), past, state.last_ts) == (14.0, [8.0, 6.0], 300010)
+
+
 # ---------------------------------------------------------------------------
 # installed two-input operators
 
@@ -673,10 +687,12 @@ TWO_INPUT_QUERIES = {
 
 @given(
     kind=st.sampled_from(sorted(TWO_INPUT_QUERIES)),
-    # (side, rows as (ts, s_id), watermark) per feed, in the order they arrive
+    # (side, rows the side's output dropped, rows as (ts, s_id) it appended,
+    # watermark) per feed, in the order they arrive
     feeds=st.lists(
         st.tuples(
             st.sampled_from([0, 1]),
+            st.integers(0, 3),
             st.lists(st.tuples(st.integers(0, 9000), st.sampled_from([1.0, 2.0])), max_size=4),
             st.integers(0, 12),
         ),
@@ -686,30 +702,215 @@ TWO_INPUT_QUERIES = {
 @settings(max_examples=300, deadline=None)
 def test_a_two_input_operator_evaluates_its_latest_inputs_once_both_have_output(kind, feeds):
     root = create_operator_graph(TWO_INPUT_QUERIES[kind], default_streams())
-    op = Operator(root)
-    kernel = "join_eval" if kind == "JOIN" else "sequence_eval"
-    latest, emitted, evaluated = {}, [], 0
-    with mock.patch.object(operators, kernel, wraps=getattr(operators, kernel)) as calls:
-        for side, picks, wm in feeds:
+    fed = Fed(root)
+    inputs, marks, emitted = {}, {}, []
+    # every row an operator builds is a Tuple made in `operators`
+    with mock.patch.object(operators, "Tuple", wraps=Tuple) as built:
+        for side, gone, picks, wm in feeds:
             child = root.children[side].index
-            rows = [gps(ts, sid=sid) for ts, sid in picks]
-            got = op.feed(child, rows, wm)
-            latest[child] = (rows, wm)
-            if len(latest) < 2:
-                assert got is None and calls.call_count == 0
+            new = [gps(ts, sid=sid) for ts, sid in picks]
+            held = inputs.get(child, [])
+            inputs[child], marks[child] = held[gone:] + new, wm
+            before = built.call_count + built.from_values.call_count
+            got = fed(child, inputs[child], min(gone, len(held)), new, wm)
+            least = min(marks.values())
+            if len(inputs) < 2 or least <= (emitted[-1] if emitted else -1):
+                # a side behind the last output, or no output yet on one side: nothing built
+                assert got is None
+                assert built.call_count + built.from_values.call_count == before
                 continue
-            least = min(w for _, w in latest.values())
-            if least <= (emitted[-1] if emitted else -1):
-                assert got is None and calls.call_count == evaluated  # no kernel call
-                continue
-            evaluated += 1
-            left, right = (latest[c.index][0] for c in root.children)
+            left, right = (inputs[c.index] for c in root.children)
             if kind == "JOIN":
-                want = join_eval(left, right, op.cond)
+                want = join_eval(left, right, fed.op.cond)
             else:
                 want = [sequence_eval(left, right)]
-            assert got == ((want, least) if want else None)
+            assert (None if got is None else (shown(got[0]), got[1])) == (
+                (shown(want), least) if want else None
+            )
             if want:
                 emitted.append(least)
-        assert calls.call_count == evaluated
     assert all(a < b for a, b in zip(emitted, emitted[1:]))
+
+
+# ---------------------------------------------------------------------------
+# installed operators against recomputation: each step changes the input, and
+# the Operator must emit what the pure kernels make of the whole input now
+
+
+class Fed:
+    """An Operator fed slides: each slide it emits must turn the output it
+    emitted before into the rows it emits now."""
+
+    def __init__(self, node):
+        self.op, self.emitted = Operator(node), []
+
+    def __call__(self, child, rows, gone, new, wm):
+        """Feed child `child`'s output `rows`, which dropped the first `gone`
+        rows of the output fed before and appended `new`; return what it emits."""
+        got = self.op.feed(child, (rows, gone, new), wm)
+        if got is None:
+            return None
+        (now, dropped, fresh), mark = got
+        want = self.emitted[dropped:] + list(fresh)
+        assert len(now) == len(want) and all(map(operator.is_, now, want))
+        self.emitted = list(now)
+        return self.emitted, mark
+
+
+def shown(rows):
+    """What a row shows downstream: ts, schema, and each value's type and text."""
+    return [(t.ts, t.schema_id, [(type(v), repr(v)) for v in t.values]) for t in rows]
+
+
+def wanted(rows, wm, last):
+    """What an operator whose output is now `rows` emits after emitting at `last`."""
+    return (shown(rows), wm) if rows and wm > last else None
+
+
+def checked(got, want, last):
+    """Compare an emission with the recomputed one; return the new last watermark."""
+    assert (None if got is None else (shown(got[0]), got[1])) == want
+    return last if want is None else want[1]
+
+
+WINDOW_EXTENTS = {
+    "4s": lambda rows, ts: [t for t in rows if ts - t.ts < 4000],
+    "3": lambda rows, ts: rows[-3:],
+}
+
+
+@given(
+    extent=st.sampled_from(sorted(WINDOW_EXTENTS)),
+    # each step moves the stream's clock, backwards too, and sends one tuple
+    steps=st.lists(st.integers(-2500, 3000), max_size=25),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_window_operator_matches_the_eviction_rule(extent, steps):
+    root = create_operator_graph("WINDOW(GPS_S1, %s)" % extent, default_streams())
+    fed, keep_rule = Fed(root), WINDOW_EXTENTS[extent]
+    buffered, last, ts = [], -1, 5000
+    for step in steps:
+        ts = max(ts + step, 0)
+        t = gps(ts)
+        if buffered and ts < buffered[-1].ts:
+            with pytest.raises(OutOfOrderTuple):
+                fed(None, (t,), 0, (t,), ts)
+        else:
+            buffered = keep_rule(buffered + [t], ts)
+            last = checked(fed(None, (t,), 0, (t,), ts), wanted(buffered, ts, last), last)
+        # an out-of-order tuple leaves the window as it was
+        assert list(fed.op.state.buffer) == buffered
+        assert all(a is b for a, b in zip(fed.op.state.buffer, buffered))
+
+
+# how an input changes: drop rows from its front, append rows, at a watermark
+def slides(row):
+    return st.lists(
+        st.tuples(st.integers(0, 4), st.lists(row, max_size=3), st.integers(0, 12)), max_size=14
+    )
+
+
+def gps_row(**drawn):
+    """A gps Tuple with the drawn values put in at their columns, one more value when `wide`."""
+    names = GPS_SCHEMA.attribute_names
+    return st.fixed_dictionaries(drawn).map(
+        lambda d: Tuple.from_values(
+            "gps",
+            tuple(d.get(name, 0 if name == "ts" else 1.0) for name in names)
+            + (("x",) if d.get("wide") else ()),
+        )
+    )
+
+
+@given(
+    cond=st.sampled_from(["'latitude' < 50", "'speed' > 'latitude' | 'ts' = 2000"]),
+    steps=slides(
+        gps_row(
+            ts=st.sampled_from([1000, 2000]),
+            latitude=st.sampled_from([49.0, 50.0, 51.0, math.nan, "49"]),
+            speed=st.sampled_from([0.0, 50.5, math.inf, "fast"]),
+        )
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_filter_operator_matches_filter_eval_over_its_whole_input(cond, steps):
+    root = create_operator_graph("FILTER(WINDOW(GPS_S1, 4s), %s)" % cond, default_streams())
+    fed, rows, last = Fed(root), [], -1
+    for gone, new, wm in steps:
+        held, rows = rows, rows[gone:] + new
+        want = wanted(filter_eval(rows, fed.op.cond), wm, last)
+        last = checked(fed(root.left.index, rows, min(gone, len(held)), new, wm), want, last)
+
+
+JOIN_CONDITIONS = [
+    "GPS_S1.'s_id' = GPS_S2.'s_id'",  # a hash key
+    "GPS_S1.'s_id' = GPS_S2.'s_id' & GPS_S1.'speed' < GPS_S2.'speed'",  # and a residual
+    "GPS_S1.'speed' < GPS_S2.'speed'",  # no key: the nested loop
+]
+# NaN keys, text against number keys, and keys equal across int, float and bool
+JOIN_KEYS = st.sampled_from([1, 1.0, True, 0, -0.0, 2.5, math.nan, "1", "a"])
+JOIN_ROW = gps_row(
+    ts=st.sampled_from([1000, 2000]),
+    s_id=JOIN_KEYS,
+    speed=st.sampled_from([0.0, 1.5, math.nan, "x"]),
+    wide=st.sampled_from([False] * 24 + [True]),  # now and then a row off the schema width
+)
+
+
+@given(
+    cond=st.sampled_from(JOIN_CONDITIONS),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from([0, 1]),
+            st.integers(0, 3),
+            st.lists(JOIN_ROW, max_size=3),
+            st.integers(0, 12),
+        ),
+        max_size=24,
+    ),
+)
+@settings(max_examples=500, deadline=None)
+def test_a_join_operator_matches_the_nested_loop_over_its_whole_inputs(cond, steps):
+    root = create_operator_graph(
+        "JOIN(WINDOW(GPS_S1, 4s), WINDOW(GPS_S2, 4s), %s)" % cond, default_streams()
+    )
+    fed, inputs, marks, last = Fed(root), {}, {}, -1
+    for side, gone, new, wm in steps:
+        child = root.children[side].index
+        held = inputs.get(child, [])
+        inputs[child], marks[child] = held[gone:] + new, wm
+        got = fed(child, inputs[child], min(gone, len(held)), new, wm)
+        want = None
+        if len(inputs) == 2 and min(marks.values()) > last:
+            left, right = (inputs[c.index] for c in root.children)
+            want = wanted(join_eval(left, right, fed.op.cond), min(marks.values()), last)
+        last = checked(got, want, last)
+
+
+HEAT_QUERY = "HEATMAP(0.01, 49.86, 49.92, 8.61, 8.69, WINDOW(GPS_S1, 4s))"
+HEAT_ROW = gps_row(
+    ts=st.sampled_from([1000, 2000]),
+    latitude=st.one_of(
+        st.floats(49.85, 49.93), st.sampled_from([math.nan, math.inf, -math.inf, "49.9"])
+    ),
+    longitude=st.one_of(st.floats(8.6, 8.7), st.sampled_from([math.nan, math.inf, "8.65"])),
+)
+
+
+@given(steps=slides(HEAT_ROW))
+@settings(max_examples=200, deadline=None)
+def test_a_heatmap_operator_matches_heatmap_eval_over_its_whole_input(steps):
+    root = create_operator_graph(HEAT_QUERY, default_streams())
+    cell, bounds = root.params[0], root.params[1:5]
+    fed, rows, last = Fed(root), [], -1
+    for gone, new, wm in steps:
+        held, rows = rows, rows[gone:] + new
+        try:
+            grid, skipped = heatmap_eval(rows, cell, bounds, root.left.ctx)
+        except UnknownAttribute:
+            with pytest.raises(UnknownAttribute):
+                fed(root.left.index, rows, min(gone, len(held)), new, wm)
+            continue
+        payload = json.dumps({"grid": grid, "skipped": skipped})
+        want = wanted([Tuple(ts=wm, schema_id="grid", values=(wm, payload))], wm, last)
+        last = checked(fed(root.left.index, rows, min(gone, len(held)), new, wm), want, last)

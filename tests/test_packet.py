@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icncep.operators import Operator
+from icncep.query import create_operator_graph, default_streams
 from icncep.packet import (
     AddQueryInterest,
     Data,
@@ -633,14 +635,46 @@ def picked_rows(picks, last, schema):
 
 
 def next_output(step, last, schema):
+    """The output after `step`, and its slide from `last`: (rows, gone, new)."""
     kind, *how = step
     if kind == "slide":
-        return last[how[0] :] + [row_of(v, schema) for v in how[1]]
+        new = [row_of(v, schema) for v in how[1]]
+        return last[how[0] :] + new, min(how[0], len(last)), new
     if kind == "replace":
-        return picked_rows(how[0], last, schema)
-    if kind == "one":
-        return picked_rows([how[0]], last, schema)[:1]
-    return []
+        rows = picked_rows(how[0], last, schema)
+    elif kind == "one":
+        rows = picked_rows([how[0]], last, schema)[:1]
+    else:
+        rows = []
+    return rows, len(last), rows  # any output is the last one gone and all its rows new
+
+
+def identity_delta(sent, end, rows, wm, schema):
+    """The delta oracle: the StateDelta that turns `sent`, whose running indices
+    end before `end`, into `rows`, found by row identity alone; and its end.
+
+    The rows kept are the tail of `sent` from the first copy of rows[0] on, if
+    `rows` begins with it, and else none.
+    """
+    head = rows[0] if rows else None
+    tail = sent[next((k for k, r in enumerate(sent) if r is head), len(sent)) :]
+    kept = len(tail) if len(tail) <= len(rows) and all(map(operator.is_, tail, rows)) else 0
+    end += len(rows) - kept
+    return StateDelta(wm, schema, end - len(rows), end, tuple(rows[kept:])), end
+
+
+def same_delta(got, want):
+    """Equal fields, and the very row objects."""
+    assert (got.ts, got.schema, got.first, got.end) == (want.ts, want.schema, want.first, want.end)
+    assert len(got.rows) == len(want.rows) and all(map(operator.is_, got.rows, want.rows))
+
+
+def check_slide(got, before):
+    """`got` is a mirror's slide (rows, gone, new) from the rows `before`; return its rows."""
+    rows, gone, new = got
+    want = list(before)[gone:] + list(new)
+    assert len(rows) == len(want) and all(map(operator.is_, rows, want))
+    return list(rows)
 
 
 def delta(**changes):
@@ -683,15 +717,16 @@ def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(schema, steps):
     """
     name = Name.from_uri("/state/s/7/out")
     sender, receiver, decoder = DeltaSender(name), Mirror(1), Mirror(1)
-    last, mirrored = [], []
+    last, mirrored, returned, decoded_rows, end = [], [], [], [], 0
     lost_end = 0  # rows below this index may have been lost; an empty delta loses none
     gaps = want_gaps = 0
     for wm, step, lost in steps:
-        rows = next_output(step, last, schema)
-        snap = sender.delta(rows, wm, schema)
+        rows, gone, new = next_output(step, last, schema)
+        snap = sender.delta(gone, new, wm, schema)
+        want, end = identity_delta(last, end, rows, wm, schema)
+        same_delta(snap, want)
         assert (snap.ts, snap.schema, snap.end - snap.first) == (wm, schema, len(rows))
         shipped = rows[len(rows) - len(snap.rows) :]
-        assert all(map(operator.is_, snap.rows, shipped))  # the sender's own rows
         doc = {
             "schema": schema,
             "wm": wm,
@@ -706,7 +741,7 @@ def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(schema, steps):
         assert typed(fresh.rows) == typed(shipped)
         if step[0] == "slide" and len(set(map(id, last))) == len(last):
             assert len(shipped) == len(step[2])  # a slide ships its new rows only
-        assert sender.rows is rows
+        assert all(map(operator.is_, sender.rows, rows)) and len(sender.rows) == len(rows)
         if lost:
             if snap.rows:
                 lost_end = snap.end
@@ -716,15 +751,17 @@ def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(schema, steps):
             assert (got is None) == (decoded is None) == (snap.first < lost_end)
             if got is not None:
                 assert snap.ts == fresh.ts == wm  # the watermark the parent evaluates at
-                assert typed(got) == typed(decoded) == typed(rows)
-                assert got is not receiver.rows
+                assert got[0] is receiver.rows  # the mirror's own rows, updated in place
+                assert typed(got[0]) == typed(decoded[0]) == typed(rows)
                 # the rows the receiver already had keep their identity, and
                 # the new ones are the sender's
                 kept = len(rows) - len(shipped)
                 if kept and mirrored:
-                    assert all(map(operator.is_, got[:kept], mirrored[-kept:]))
-                assert all(map(operator.is_, got[kept:], snap.rows))
-                mirrored = got
+                    assert all(map(operator.is_, list(got[0])[:kept], mirrored[-kept:]))
+                assert all(map(operator.is_, list(got[0])[kept:], snap.rows))
+                # the slide is measured from the rows last returned, gaps or not
+                mirrored = returned = check_slide(got, returned)
+                decoded_rows = check_slide(decoded, decoded_rows)
             else:
                 mirrored = []
             gaps += (got is None) + (decoded is None)
@@ -733,23 +770,82 @@ def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(schema, steps):
     assert gaps == want_gaps
 
 
+# what a FILTER over a WINDOW is fed: a tuple one clock step on (a step of 0
+# repeats a timestamp, which emits nothing) or the last tuple object again;
+# a restart of the sender; or the loss of the next delta before the mirror
+SHIPPED = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("tuple"), st.integers(0, 1500), st.sampled_from([1.0, 9.0]), st.booleans()
+        ),
+        st.tuples(st.just("restart")),
+        st.tuples(st.just("lose")),
+    ),
+    max_size=30,
+)
+
+
+@given(extent=st.sampled_from(["2s", "3"]), events=SHIPPED)
+@settings(max_examples=300, deadline=None)
+def test_a_slide_built_delta_equals_the_identity_rule(extent, events):
+    """Each delta a shipping FILTER's slides make is the delta oracle's, and a
+    mirror that lost some returns, once whole again, the slide from the rows it
+    returned last."""
+    query = "FILTER(WINDOW(GPS_S1, %s), 'speed' > 5)" % extent
+    root = create_operator_graph(query, default_streams())
+    window, kept = Operator(root.left), Operator(root)
+    sender, mirror = DeltaSender(Name.from_uri("/state/s/0/out")), Mirror(8)
+    sent, end, returned, lose, lost_end = [], 0, [], False, 0
+    ts, t = 1000, None
+    for kind, *how in events:
+        if kind == "restart":
+            sender.restart()
+            sent = []  # the oracle's rule for a receiver that may hold nothing
+            continue
+        if kind == "lose":
+            lose = True
+            continue
+        step, speed, again = how
+        if not again or t is None:
+            ts += step
+            t = row_of((ts, 1.0, 49.9, 8.65, 120.0, 5.0, 0.0, speed), "gps")
+        got = window.feed(None, ((t,), 0, (t,)), t.ts)
+        got = got and kept.feed(root.left.index, *got)
+        if got is None:  # computed, but empty or at or below the last watermark emitted
+            continue
+        (rows, gone, new), wm = got
+        rows = list(rows)
+        snap = sender.delta(gone, new, wm, "gps")
+        want, end = identity_delta(sent, end, rows, wm, "gps")
+        same_delta(snap, want)
+        sent = rows
+        if lose:
+            lose, lost_end = False, snap.end if snap.rows else lost_end
+            continue
+        slide = mirror.apply(snap)
+        assert (slide is None) == (snap.first < lost_end)
+        if slide is not None:
+            returned = check_slide(slide, returned)
+            assert len(returned) == len(rows) and all(map(operator.is_, returned, rows))
+
+
 def test_a_delta_shared_by_two_receivers_is_changed_by_neither():
-    """A forwarded packet reaches several receivers: each mirror keeps its own list."""
+    """A forwarded packet reaches several receivers: each mirror keeps its own rows."""
     sender = DeltaSender(Name.from_uri("/state/s/7/out"))
     rows = [row_of((ts, 1.0), "gps") for ts in (1000, 2000, 3000)]
-    sender.delta(rows, 3000, "gps")  # a keyframe both receivers miss
-    slid = sender.delta(rows[2:] + [row_of((4000, 1.0), "gps")], 4000, "gps")
+    sender.delta(0, rows, 3000, "gps")  # a keyframe both receivers miss
+    slid = sender.delta(2, [row_of((4000, 1.0), "gps")], 4000, "gps")
     b, c = Mirror(1), Mirror(1)
     assert b.apply(slid) is None and c.apply(slid) is None
-    later = sender.rows[1:] + [row_of((5000, 1.0), "gps")]
-    got = b.apply(sender.delta(later, 5000, "gps"))
-    assert [t.ts for t in got] == [4000, 5000]
+    got = b.apply(sender.delta(1, [row_of((5000, 1.0), "gps")], 5000, "gps"))
+    assert [t.ts for t in got[0]] == [4000, 5000]
+    assert (got[1], [t.ts for t in got[2]]) == (0, [4000, 5000])  # nothing returned before
     assert [t.ts for t in slid.rows] == [t.ts for t in c.rows] == [4000]
 
 
 def test_a_delta_row_off_the_delta_schema_is_re_tagged():
     rows = (row_of((1000, 1.0), "gps"), row_of((2000, 2.0), "other"))
-    got = Mirror(1).apply(StateDelta(2000, "gps", 0, 2, rows))
+    got = Mirror(1).apply(StateDelta(2000, "gps", 0, 2, rows))[0]
     assert got[0] is rows[0]
     assert (got[1].schema_id, got[1].values) == ("gps", (2000, 2.0))
 
@@ -757,19 +853,33 @@ def test_a_delta_row_off_the_delta_schema_is_re_tagged():
 def test_a_restarted_sender_ships_a_keyframe_under_fresh_indices():
     sender = DeltaSender(Name.from_uri("/state/s/7/out"))
     rows = [row_of((ts, 1.0), "gps") for ts in (1000, 2000)]
-    assert sender.delta(rows, 2000, "gps") == StateDelta(2000, "gps", 0, 2, tuple(rows))
-    assert sender.delta(rows, 2000, "gps") == StateDelta(2000, "gps", 0, 2, ())
+    assert sender.delta(0, rows, 2000, "gps") == StateDelta(2000, "gps", 0, 2, tuple(rows))
+    assert sender.delta(0, [], 2000, "gps") == StateDelta(2000, "gps", 0, 2, ())
     sender.restart()
-    assert sender.delta(rows, 2000, "gps") == StateDelta(2000, "gps", 2, 4, tuple(rows))
+    assert sender.delta(0, [], 2000, "gps") == StateDelta(2000, "gps", 2, 4, tuple(rows))
+    assert sender.delta(1, [], 2000, "gps") == StateDelta(2000, "gps", 3, 4, ())
+
+
+def test_a_mirror_reports_a_restart_keyframe_as_the_slide_its_rows_made():
+    """A keyframe of rows the mirror holds slides them, as the identity rule finds."""
+    sender, mirror = DeltaSender(Name.from_uri("/state/s/7/out")), Mirror(1)
+    rows = [row_of((ts, 1.0), "gps") for ts in (1000, 2000, 3000)]
+    assert check_slide(mirror.apply(sender.delta(0, rows, 3000, "gps")), []) == rows
+    sender.restart()
+    later = row_of((4000, 1.0), "gps")
+    got = mirror.apply(sender.delta(1, [later], 4000, "gps"))
+    assert (got[1], list(got[2])) == (1, [later])
+    assert check_slide(got, rows) == rows[1:] + [later]
 
 
 def test_a_delta_row_narrower_than_the_mirror_raises_and_leaves_it_as_it_was():
     mirror = Mirror(2)
     held = mirror.apply(StateDelta(1000, "gps", 0, 1, (row_of((1000, 1.0), "gps"),)))
-    rows = mirror.rows
+    rows, before = mirror.rows, list(mirror.rows)
     with pytest.raises(ValueError, match="narrower"):
         mirror.apply(StateDelta(2000, "gps", 0, 2, (row_of((2000,), "gps"),)))
-    assert (mirror.base, mirror.rows) == (0, held) and mirror.rows is rows
+    assert held[0] is rows is mirror.rows
+    assert (mirror.base, list(mirror.rows)) == (0, before)
 
 
 @pytest.mark.parametrize(
@@ -802,12 +912,12 @@ def test_a_delta_row_narrower_than_the_mirror_raises_and_leaves_it_as_it_was():
 def test_malformed_delta_is_rejected_without_touching_the_mirror(blob):
     """The codec rejects it, so no mirror sees it; the delta it stands for applies."""
     mirror = Mirror(1)
-    good = mirror.apply(carried(delta(first=0, end=1, rows=[[1000, 1.0]])))
+    good = list(mirror.apply(carried(delta(first=0, end=1, rows=[[1000, 1.0]])))[0])
     rows = mirror.rows
     with pytest.raises(MalformedPacket):
         decode_packet(blob)
     assert mirror.rows is rows
-    assert (mirror.base, mirror.rows) == (0, good)
+    assert (mirror.base, list(mirror.rows)) == (0, good)
     assert mirror.apply(carried(delta())) is not None  # no gap
 
 
