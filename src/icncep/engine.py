@@ -66,9 +66,9 @@ caches that fill lazily and hold nothing a fresh derivation would not give:
     memo, as does every change of `_feeds`. The memo so holds no key for a
     name that no route or instance knows, however many such names arrive;
     Interests read the FIB afresh.
-  - Per root instance, a `packet.ResultRenderer`, which keeps the JSON text
-    of each row of its last result by row identity, never by equality, so a
-    result renders only its rows that are new since the last one.
+  - Per root instance, a `packet.ResultRenderer`, which takes every slide of
+    the root's output and keeps the JSON text of each row it still holds, so
+    a result renders only its rows that are new since the last one.
 
 One feed table, `_feeds`, maps the name a DataStream carries (its
 components) to the instances it feeds: a producer stream's WINDOWs in
@@ -138,7 +138,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol
 
 # join_eval is unused here: bench/test_bench.py checks that the benchmark's
 # tracer, which wraps each module's reference to it, restores engine.join_eval
@@ -156,7 +156,6 @@ from .packet import (
     ResultRenderer,
     Slide,
     StateDelta,
-    Tuple,
     _is_state_out,
     _u64_text,
 )
@@ -797,15 +796,15 @@ class Engine:
 
     def _emit(self, inst: OpInstance, slide: Slide, wm: int) -> None:
         if inst.node.parent is None:
-            self._notify(inst, slide[0], wm)
+            self._notify(inst, slide, wm)
             return
         if inst.parent_host == self.node_id:
             parent = self.instances.get((inst.salted, inst.node.parent))
             if parent is not None:
                 self._feed(parent, inst.node.index, slide, wm)
             return
-        out, (rows, gone, new) = inst.out, slide
-        delta = out.delta(gone, new, wm, rows[0].schema_id)
+        out = inst.out
+        delta = out.delta(slide, wm, slide[0][0].schema_id)
         if self._ship(DataStream(out.name, delta), self._stream_hop(out.name)):
             self.counters["results_shipped"] += 1
 
@@ -829,13 +828,15 @@ class Engine:
                 self._fences[feed] = p.tuple.ts
         return bool(faces)
 
-    def _notify(self, inst: OpInstance, rows: Sequence[Tuple], wm: int) -> None:
+    def _notify(self, inst: OpInstance, slide: Slide, wm: int) -> None:
+        inst.results.take(slide)  # rendered or not, so its texts follow the rows
         entry = self.pit.lookup(inst.unsalted)
         if entry is None or not entry.faces:
             self._release(inst.salted)  # the query was removed: its work here ends
             return
         if wm <= entry.last_result_ts:
             return
+        rows = slide[0]
         payload = inst.results.payload(inst.unsalted, wm, rows)
         packet = Data(name=Name(("ce", inst.unsalted, str(wm))), payload=payload, ts=wm)
         for f in sorted(entry.faces):

@@ -12,7 +12,7 @@ before, and `new` the rows appended since, so rows == before[gone:] + new.
 A WINDOW updates its buffer in place and reports that slide, FILTER tests
 only the appended rows, JOIN is a symmetric hash join and HEATMAP keeps its
 cell counts. The aggregates, SEQUENCE and PREDICT recompute over their
-whole input: a running float sum rounds differently from `sum()`.
+whole input: a running float sum rounds differently from their left fold.
 
 The operators see only trees the parser validated. An `Operator` compiles
 its FILTER or JOIN condition once, when it is built, and `filter_eval` and
@@ -30,6 +30,7 @@ import operator
 import statistics
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, islice
 from typing import Callable, Optional, Union
 
@@ -439,11 +440,17 @@ class _Join:
 # aggregation
 
 
+def _fold(values):
+    """The sum of `values` added left to right, as `sum()` adds floats up to
+    CPython 3.11 (3.12 compensates); a sum of ints stays an int."""
+    return reduce(operator.add, values, 0)
+
+
 _AGG_FUNS = {
-    "SUM": sum,
+    "SUM": _fold,
     "MIN": min,
     "MAX": max,
-    "AVG": lambda vs: sum(vs) / len(vs),
+    "AVG": lambda vs: _fold(vs) / len(vs),
     "COUNT": len,
 }
 
@@ -594,7 +601,7 @@ def predict_eval(
     values = [t.values[2] for t in rows]  # plug layout: value at index 2
     if any(isinstance(v, str) for v in values):
         raise UnknownAttribute("the plug value is not numeric")
-    current = sum(values) / len(values)
+    current = _fold(values) / len(values)
     past = state.history.setdefault(slot, [])
     if past:
         predicted = current + statistics.median(past)
@@ -647,7 +654,7 @@ class _Output:
 class Operator:
     """One installed operator: its kind's state between evaluations, and its evaluation.
 
-    `state` is a WINDOW's `WindowState`, FILTER's input rows, JOIN's
+    `state` is a WINDOW's `WindowState`, FILTER's pass flag per input row, JOIN's
     `_Join`, SEQUENCE's latest rows by child index, HEATMAP's `_Heat` or
     PREDICT's `PredictState`; `cond` is a FILTER's or JOIN's compiled
     condition, `marks` a JOIN's or SEQUENCE's latest watermark by child
@@ -698,14 +705,15 @@ class Operator:
         if kind == "WINDOW":
             out.base += len(window_insert(self.state, new[0])[1])
         elif kind == "FILTER":
-            held, front, n = self.state, out.rows, 0
+            passed, front, n = self.state, out.rows, 0
             for _ in range(gone):  # a row that left is the output's next iff it passed
-                if held.popleft() is (front[n] if n < len(front) else None):
-                    n += 1
+                n += passed.popleft()
             if n:
                 out.drop(n)
-            held.extend(new)
-            front.extend(filter_eval(new, self.cond))
+            for t in new:
+                kept = filter_eval((t,), self.cond)
+                passed.append(bool(kept))
+                front.extend(kept)
         elif kind == "JOIN" or kind == "SEQUENCE":
             marks = self.marks
             marks[child] = wm

@@ -79,12 +79,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import struct
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import islice, repeat
 
 __all__ = [
     "Name",
@@ -106,6 +104,7 @@ __all__ = [
     "DeltaSender",
     "Mirror",
     "is_prefix_of",
+    "encode_sorted",
 ]
 
 
@@ -218,9 +217,9 @@ class Data:
 class StateDelta:
     """Rows first .. end-1 of an operator's output, shipped to its parent.
 
-    Every row of a feed has a running index. `rows` holds the last len(rows)
-    of them, the ones the receiver has not had yet, as the sender's own
-    `Tuple` objects (the ISTREAM/DSTREAM split of CQL); `ts` is the output's
+    Every row of a feed has a running index, and both ends know each row by
+    it alone. `rows` holds the last len(rows) of them, the ones the receiver
+    has not had yet (the ISTREAM/DSTREAM split of CQL); `ts` is the output's
     watermark. `DeltaSender` makes them and `Mirror` applies them.
     """
 
@@ -279,8 +278,20 @@ _INT_BOUND = 1 << 61  # kind 0 holds -2**61 .. 2**61-1, whose headers stay below
 
 # json.dumps(..., separators=(",", ":")), without its per-call set-up
 _compact = json.JSONEncoder(separators=(",", ":")).encode
-# json.dumps(...), without its per-call set-up
-_encode_result = json.JSONEncoder().encode
+
+
+def _prebuilt(sort_keys: bool) -> Callable[[object], str]:
+    """`json.JSONEncoder(sort_keys=sort_keys).encode` of a value that holds no
+    cycle, with its C encoder built once: `encode` builds one per call."""
+    # markers, default, str encoder, indent, separators, sort_keys, skipkeys, allow_nan
+    head = (None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None)
+    c = json.encoder.c_make_encoder(*head, ": ", ", ", sort_keys, False, True)
+    return lambda o: "".join(c(o, 0))
+
+
+# json.dumps(...) and json.dumps(..., sort_keys=True) of a value with no cycle
+_encode_result = _prebuilt(False)
+encode_sorted = _prebuilt(True)
 
 
 def _text(s: str, prefix: struct.Struct) -> bytes:
@@ -393,28 +404,42 @@ def result_payload(qhash: str, ts: int, schema: str, rows: list) -> bytes:
     return _encode_result({"hash": qhash, "ts": ts, "schema": schema, "rows": rows}).encode("utf-8")
 
 
+# An output as it changed, (rows, gone, new): `rows` is the output now, and
+# rows == before[gone:] + new for the output `before` reported ahead of it.
+Slide = tuple[Sequence[Tuple], int, Sequence[Tuple]]
+
+
 class ResultRenderer:
     """`result_payload` of one query's successive results, rendering each row once.
 
-    A row of the last result, the same object, keeps the JSON text it had
-    there. Rows are matched by identity, never by equality (`1`, `1.0` and
-    `True` print apart), and only the last result's rows and texts are kept,
-    the rows with them, so that no row id is reused while its text is held.
+    It takes every slide of the root's output (`take`), rendered or not, and
+    keeps a JSON text per row of the output now: `_texts` for its first rows,
+    and none yet for the last `_pending`, which the next payload renders.
     """
 
-    __slots__ = ("_rows", "_texts", "_frame")
+    __slots__ = ("_texts", "_pending", "_frame")
 
     def __init__(self) -> None:
-        self._rows: tuple[Tuple, ...] = ()
-        self._texts: dict[int, str] = {}  # id of a row in _rows -> JSON text of its values
+        self._texts: deque[str] = deque()
+        self._pending = 0
         # (qhash, schema, the JSON before ts, the JSON between ts and the rows)
         self._frame: tuple[str, str, str, str] | None = None
 
-    def payload(self, qhash: str, ts: int, rows: list[Tuple]) -> bytes:
-        """The bytes of `result_payload(qhash, ts, rows[0].schema_id, [r.values for r in rows])`."""
-        held = self._texts
-        texts = [held.get(id(r)) or _encode_result(r.values) for r in rows]
-        self._rows, self._texts = tuple(rows), dict(zip(map(id, rows), texts))
+    def take(self, slide: Slide) -> None:
+        """Note that the root's output slid by `slide`."""
+        texts, gone = self._texts, slide[1]
+        held = min(gone, len(texts))  # the rows that left had texts first
+        for _ in range(held):
+            texts.popleft()
+        self._pending += len(slide[2]) - (gone - held)
+
+    def payload(self, qhash: str, ts: int, rows: Sequence[Tuple]) -> bytes:
+        """The bytes of `result_payload(qhash, ts, rows[0].schema_id, [r.values for r in rows])`,
+        where `rows` is the root's output now."""
+        texts, pending = self._texts, self._pending
+        if pending:
+            texts.extend(_encode_result(rows[i].values) for i in range(-pending, 0))
+            self._pending = 0
         schema, frame = rows[0].schema_id, self._frame
         if frame is None or frame[0] != qhash or frame[1] != schema:
             before = '{"hash": %s, "ts": ' % _encode_result(qhash)
@@ -425,54 +450,29 @@ class ResultRenderer:
         return ("%s%s%s%s]}" % (frame[2], stamp, frame[3], ", ".join(texts))).encode("utf-8")
 
 
-# An output as it changed, (rows, gone, new): `rows` is the output now, and
-# rows == before[gone:] + new for the output `before` reported ahead of it.
-Slide = tuple[Sequence[Tuple], int, Sequence[Tuple]]
-
-
-def _kept(left: list[Tuple], kept: int, rows: Sequence[Tuple]) -> int:
-    """The rows `rows` keeps from an output by the identity rule, where that
-    output was `left` then rows[:kept] and rows[0] is also in `left`.
-
-    The rule: the output's rows from the first copy of rows[0] on are kept if
-    `rows` begins with them, and else none is.
-    """
-    first = next(i for i, r in enumerate(left) if r is rows[0])
-    tail = left[first:] + list(islice(rows, kept))
-    return len(tail) if len(tail) <= len(rows) and all(map(operator.is_, tail, rows)) else 0
-
-
 class DeltaSender:
-    """The sending end of the /state feed `name`: the output it last shipped, `rows`,
-    and `end`, one past that output's last running index.
+    """The sending end of the /state feed `name`: `end` is one past the running
+    index of the last row it shipped.
 
     `delta` takes the output's slide since the last delta and ships its new
-    rows under the next indices, so the receiver drops the `gone` rows and
-    keeps the rest. When the output's first row was also among the rows that
-    left (a row object held twice), it keeps what the identity rule keeps
-    (`_kept`), which may be a keyframe: every row under fresh indices.
+    rows under the next indices, so the receiver drops the rows before the
+    output's first index and keeps the rest. After `restart`, the next delta
+    is a keyframe: every row of the output, under fresh indices.
     """
 
-    __slots__ = ("name", "rows", "end", "_restarted")
+    __slots__ = ("name", "end", "_restarted")
 
     def __init__(self, name: Name) -> None:
-        self.name, self.rows, self.end = name, deque(), 0
-        self._restarted = False
+        self.name, self.end, self._restarted = name, 0, False
 
-    def delta(self, gone: int, new: Sequence[Tuple], wm: int, schema: str) -> StateDelta:
-        """The StateDelta that turns the output last shipped, slid by `gone` and `new`,
+    def delta(self, slide: Slide, wm: int, schema: str) -> StateDelta:
+        """The StateDelta that turns the output last shipped, slid by `slide`,
         into the output now."""
-        rows = self.rows
-        left = [rows.popleft() for _ in range(gone)]
-        rows.extend(new)
-        kept = len(rows) - len(new)
+        rows, _, new = slide
         if self._restarted:
-            kept, self._restarted = 0, False
-        elif left and rows and any(map(operator.is_, left, repeat(rows[0]))):
-            kept = _kept(left, kept, rows)
-        end = self.end = self.end + len(rows) - kept
-        fresh = new if kept == len(rows) - len(new) else list(islice(rows, kept, None))
-        return StateDelta(wm, schema, end - len(rows), end, tuple(fresh))
+            new, self._restarted = rows, False
+        end = self.end = self.end + len(new)
+        return StateDelta(wm, schema, end - len(rows), end, tuple(new))
 
     def restart(self) -> None:
         """Make the next delta a keyframe, for a receiver that may have no mirror yet."""
@@ -483,40 +483,27 @@ class Mirror:
     """The receiving end of a /state feed: rows[i] is the child's row of index base + i.
 
     `rows` is the mirror's own deque, updated in place, as a delta's rows are
-    shared by every receiver of its packet; the rows keep their identity
-    from the sender. Of the rows `apply` last returned, `left` holds those
-    gone since and the next `shown` are still held; `fresh` are the rows
-    come since, which `rows` ends with.
+    shared by every receiver of its packet. The rows `apply` last returned
+    had the running indices first .. end-1.
     """
 
-    __slots__ = ("width", "base", "rows", "shown", "left", "fresh")
+    __slots__ = ("width", "base", "rows", "first", "end")
 
     def __init__(self, width: int) -> None:
-        self.width, self.base = width, 0  # width: the child's output width
+        self.width = width  # the child's output width
         self.rows: deque[Tuple] = deque()
-        self.shown, self.left, self.fresh = 0, [], []
-
-    def _drop(self, k: int) -> None:
-        rows, left, held = self.rows, self.left, min(k, self.shown)
-        self.shown -= held
-        for _ in range(held):
-            left.append(rows.popleft())
-        if k > held:
-            for _ in range(k - held):
-                rows.popleft()
-            del self.fresh[: k - held]
+        self.base = self.first = self.end = 0
 
     def apply(self, delta: StateDelta) -> Slide | None:
         """The slide of the child's rows first .. end-1 once `delta` applies, or None.
 
         It drops the rows before `first`, then appends the delta's, re-tagged
-        to its schema id, and returns (rows, gone, new) measured from the rows
-        it last returned: the rows of theirs it holds stay. When it holds none
-        of them, as after a keyframe, the rows kept are those the identity
-        rule finds (`_kept`): a restarted sender's keyframe brings back rows
-        the mirror had. None means a lost packet left the mirror short, until
-        `first` passes the missing rows or a keyframe comes. A row narrower
-        than `width` raises ValueError and leaves the mirror as it was.
+        to its schema id, and returns (rows, gone, new) measured by index from
+        the rows it last returned: the rows of theirs it holds stay, and a
+        keyframe, which comes under fresh indices, slides them all out. None
+        means a lost packet left the mirror short, until `first` passes the
+        missing rows or a keyframe comes. A row narrower than `width` raises
+        ValueError and leaves the mirror as it was.
         """
         new, rows, schema = delta.rows, self.rows, delta.schema
         retag = False
@@ -528,23 +515,23 @@ class Mirror:
             new = [r if r.schema_id == schema else Tuple(r.ts, schema, r.values) for r in new]
         start = delta.end - len(new)
         if self.base + len(rows) != start:  # rows went missing: keep only this packet's
-            self._drop(len(rows))
+            rows.clear()
+            # every row last returned is gone, under any sender's indices
+            self.first, self.end = start - (self.end - self.first), start
             self.base = start
         rows.extend(new)
-        self.fresh += new
         if delta.first > self.base:
-            self._drop(min(delta.first - self.base, len(rows)))
+            for _ in range(min(delta.first - self.base, len(rows))):
+                rows.popleft()
             self.base = delta.first
         if self.base != delta.first:
             return None
-        left, fresh = self.left, self.fresh
-        gone = len(left)
-        if gone and not self.shown and rows and any(map(operator.is_, left, repeat(rows[0]))):
-            kept = _kept(left, 0, rows)
-            gone, fresh = gone - kept, list(islice(rows, kept, None))
-        left.clear()
-        self.shown, self.fresh = len(rows), []
-        return rows, gone, fresh
+        base, n, end = self.base, len(rows), self.end
+        gone, fresh = min(base, end) - self.first, min(n, base + n - end)
+        self.first, self.end = base, base + n
+        if fresh != len(new):  # the rows of deltas that returned None are new too
+            new = list(map(rows.__getitem__, range(-fresh, 0)))
+        return rows, gone, new
 
 
 def _result_fields(p: Data) -> bytes | None:

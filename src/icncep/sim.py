@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import random
 import zlib
@@ -43,6 +42,7 @@ from .packet import (
     Packet,
     RemoveQueryInterest,
     Tuple,
+    encode_sorted,
     is_prefix_of,
 )
 from .placement import NoPath
@@ -700,11 +700,6 @@ def emit_metrics(metrics: Metrics, path: str) -> None:
 # the simulator proper
 
 
-# json.dumps(..., sort_keys=True) without its per-call set-up; engine events
-# are flat dicts, so there is no cycle to check for
-_encode_sorted = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-
-
 def _summary(p: Packet) -> str:
     if type(p) is DataStream:  # most packets: test it first
         return "DataStream %s ts=%d" % (p.stream_name.to_uri(), p.tuple.ts)
@@ -795,7 +790,7 @@ class Simulator:
             if "_real_ms" in " ".join(payload):  # else no key ends with it: nothing to drop
                 payload = {k: v for k, v in payload.items() if not k.endswith("_real_ms")}
             self.trace.append(
-                "%.3f %s event %s %s" % (self.t, node_id, kind, _encode_sorted(payload))
+                "%.3f %s event %s %s" % (self.t, node_id, kind, encode_sorted(payload))
             )
 
     # -- internals -------------------------------------------------------------

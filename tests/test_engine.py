@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icncep import engine, operators, sim
+from icncep import engine, operators, packet, sim
 from icncep.engine import (
     APP_FACE,
     Engine,
@@ -446,23 +446,63 @@ RESULT_STEP = st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(RESULT_STEP, min_size=1, max_size=10))
-def test_result_payloads_reuse_row_texts_by_identity_only(steps):
+def test_result_payloads_render_each_row_once(steps):
     """Each payload is `packet.result_payload`'s, byte for byte.
 
-    A row of the last result, the same object, keeps its text; a new row
-    equal to one of them (1, 1.0 and True; 0.0 and -0.0) prints its own, and
-    nan, which equals nothing, prints as NaN. Only the last result's rows
-    and texts are held. The hash, schema and timestamp around the rows may
-    change from one result to the next.
+    A row renders once while it stays in the output; a new row equal to one
+    of them (1, 1.0 and True; 0.0 and -0.0) prints its own, and nan, which
+    equals nothing, prints as NaN. The hash, schema and timestamp around the
+    rows may change from one result to the next.
     """
-    renderer, last = ResultRenderer(), []
-    for step, schema, qhash, ts in steps:
-        rows = last = next_output(step, last, schema)[0]
-        if not rows:  # the engine notifies only results that have rows
-            continue
-        want = result_payload(qhash, ts, rows[0].schema_id, [r.values for r in rows])
-        assert renderer.payload(qhash, ts, rows) == want
-        assert renderer._rows == tuple(rows) and set(renderer._texts) == {id(r) for r in rows}
+    renderer, last, unrendered, renders = ResultRenderer(), [], [], []
+    encode = packet._encode_result
+
+    def counted(value):
+        if type(value) is tuple:  # a row's values
+            renders.append(value)
+        return encode(value)
+
+    with mock.patch.object(packet, "_encode_result", counted):
+        for step, schema, qhash, ts in steps:
+            rows, gone, new = next_output(step, last, schema)
+            renderer.take((rows, gone, new))
+            # the oracle: a flag per row of the output, true until it renders
+            unrendered, last = unrendered[gone:] + [True] * len(new), rows
+            if not rows:  # the engine notifies only results that have rows
+                continue
+            want = result_payload(qhash, ts, rows[0].schema_id, [r.values for r in rows])
+            del renders[:]
+            assert renderer.payload(qhash, ts, rows) == want
+            assert len(renders) == sum(unrendered)
+            unrendered = [False] * len(rows)
+
+
+def test_a_result_not_sent_still_slides_the_root_renderer():
+    """A root output at or below the last result's ts, which a result
+    forwarded from elsewhere may have set, sends nothing; the next result
+    still renders the root's whole output."""
+    topo = topology("b1-b2", "c1-b2")
+    svc = FakeServices()
+    eng = Engine(NodeConfig("b2", topo, default_streams(), mode="distributed"), svc)
+    key = canonical_text(create_operator_graph(Q2, default_streams()))
+    eng._install_assignment("s", "u", eng._parse(key)[0], {0: "b2", 1: "b1"}, [])
+    eng.pit.add_face("u", 1)
+    name = Name(("state", "s", "1", "out"))
+    sender, rows = DeltaSender(name), []
+    for ts in range(1000, 7000, 1000):
+        if ts == 2000:
+            eng.pit.lookup("u").last_result_ts = 3000
+        gone = int(len(rows) == 4)  # the child's window holds 4 rows
+        rows = rows[gone:] + [gps_packet(ts).tuple]
+        delta = sender.delta((rows, gone, rows[-1:]), ts, "gps")
+        eng.handle_packet(DataStream(stream_name=name, tuple=delta), in_face=2)
+    got = [json.loads(p.payload) for p in notifications(svc, 1)]
+    assert [(n["ts"], [r[0] for r in n["rows"]]) for n in got] == [
+        (1000, [1000]),
+        (4000, [1000, 2000, 3000, 4000]),
+        (5000, [2000, 3000, 4000, 5000]),
+        (6000, [3000, 4000, 5000, 6000]),
+    ]
 
 
 @pytest.mark.parametrize("bad", [[2000, [1]], [2000, {"a": 1}], [2000, None]])
@@ -900,7 +940,7 @@ def test_join_host_output_matches_join_eval_and_the_oracle(cond, sides):
             )
             spans[child], marks[child] = (a1, b1), step + 1
             gone, new = min(a1 - a0, b0 - a0), stream[max(b0, a1) : b1]
-            snap = senders[child].delta(gone, new, step + 1, "gps")
+            snap = senders[child].delta((stream[a1:b1], gone, new), step + 1, "gps")
             name = Name(("state", "s", str(child), "out"))
             shipped = len(svc.sent)
             eng.handle_packet(DataStream(stream_name=name, tuple=snap), in_face=1)
@@ -919,7 +959,8 @@ def test_join_host_output_matches_join_eval_and_the_oracle(cond, sides):
                 got = list(parent.apply(delta)[0])
                 assert typed(got) == typed(want)
                 # the parent holds the very rows the join host shipped
-                assert all(map(operator.is_, got, inst.out.rows)) and len(got) == len(inst.out.rows)
+                held = inst.op.out.rows
+                assert all(map(operator.is_, got, held)) and len(got) == len(held)
             # each mirror holds its window's rows, which are the sender's own
             for idx, window in windows.items():
                 mirror = inst.received[idx].rows

@@ -603,6 +603,21 @@ def test_predict_missing_history_falls_back():
     assert out is not None and load(out) == 10.0
 
 
+# loads that a compensated `sum()` (CPython 3.12 on) adds up to 1.0: added left
+# to right, as every pinned result was made, they give 0.0 on every CPython
+CANCELLING = [1e16, 1.0, -1e16]
+
+
+def test_sums_add_left_to_right_on_every_python():
+    rows = [gps((i + 1) * 1000, speed=v) for i, v in enumerate(CANCELLING)]
+    assert aggregate_eval("SUM", SPEED, rows, GPS_CTX).values[1] == 0.0
+    assert aggregate_eval("AVG", SPEED, rows, GPS_CTX).values[1] == 0.0
+    _, out = predict_eval(minute_window(300000, CANCELLING), HORIZON, PredictState(), SLOT)
+    assert load(out) == 0.0
+    total = operators._AGG_FUNS["SUM"]([1, 2, 3])
+    assert (type(total), total) == (int, 6)  # a SUM over ints stays an int
+
+
 def test_predict_constant_load_doubles():
     c = 7.5
     epoch = 600000

@@ -24,12 +24,16 @@ from icncep.packet import (
     Mirror,
     Name,
     RemoveQueryInterest,
+    ResultRenderer,
     Schema,
     StateDelta,
     Tuple,
+    _encode_result,
     decode_packet,
     encode_packet,
+    encode_sorted,
     is_prefix_of,
+    result_payload,
 )
 
 # ---------------------------------------------------------------------------
@@ -649,18 +653,25 @@ def next_output(step, last, schema):
     return rows, len(last), rows  # any output is the last one gone and all its rows new
 
 
-def identity_delta(sent, end, rows, wm, schema):
-    """The delta oracle: the StateDelta that turns `sent`, whose running indices
-    end before `end`, into `rows`, found by row identity alone; and its end.
+def index_delta(indexed, end, slide, wm, schema, keyframe=False):
+    """The delta oracle: each row of an output keeps the running index it was
+    first shipped under, and each row appended takes the next one.
 
-    The rows kept are the tail of `sent` from the first copy of rows[0] on, if
-    `rows` begins with it, and else none.
+    `indexed` pairs each row of the output last shipped with its index, and
+    `end` is the next index; a keyframe gives every row a fresh one. Returns
+    the StateDelta of the rows not shipped before, and `indexed` and `end`
+    for the output now.
     """
-    head = rows[0] if rows else None
-    tail = sent[next((k for k, r in enumerate(sent) if r is head), len(sent)) :]
-    kept = len(tail) if len(tail) <= len(rows) and all(map(operator.is_, tail, rows)) else 0
-    end += len(rows) - kept
-    return StateDelta(wm, schema, end - len(rows), end, tuple(rows[kept:])), end
+    rows, gone, new = slide
+    if keyframe:
+        indexed, gone, new = [], 0, rows
+    indexed = indexed[gone:] + [(end + k, r) for k, r in enumerate(new)]
+    # the slide holds: rows == before[gone:] + new
+    assert len(rows) == len(indexed) and all(map(operator.is_, rows, (r for _, r in indexed)))
+    first = indexed[0][0] if indexed else end + len(new)
+    shipped = tuple(r for i, r in indexed if i >= end)
+    end += len(shipped)
+    return StateDelta(wm, schema, first, end, shipped), indexed, end
 
 
 def same_delta(got, want):
@@ -717,13 +728,13 @@ def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(schema, steps):
     """
     name = Name.from_uri("/state/s/7/out")
     sender, receiver, decoder = DeltaSender(name), Mirror(1), Mirror(1)
-    last, mirrored, returned, decoded_rows, end = [], [], [], [], 0
+    last, mirrored, returned, decoded_rows, indexed, end = [], [], [], [], [], 0
     lost_end = 0  # rows below this index may have been lost; an empty delta loses none
     gaps = want_gaps = 0
     for wm, step, lost in steps:
         rows, gone, new = next_output(step, last, schema)
-        snap = sender.delta(gone, new, wm, schema)
-        want, end = identity_delta(last, end, rows, wm, schema)
+        snap = sender.delta((rows, gone, new), wm, schema)
+        want, indexed, end = index_delta(indexed, end, (rows, gone, new), wm, schema)
         same_delta(snap, want)
         assert (snap.ts, snap.schema, snap.end - snap.first) == (wm, schema, len(rows))
         shipped = rows[len(rows) - len(snap.rows) :]
@@ -739,9 +750,9 @@ def test_snapshot_codec_matches_json_dumps_and_a_fresh_decode(schema, steps):
         fresh = decode_packet(blob).tuple
         assert (fresh.ts, fresh.schema, fresh.first, fresh.end) == (wm, schema, snap.first, snap.end)
         assert typed(fresh.rows) == typed(shipped)
-        if step[0] == "slide" and len(set(map(id, last))) == len(last):
+        if step[0] == "slide":
             assert len(shipped) == len(step[2])  # a slide ships its new rows only
-        assert all(map(operator.is_, sender.rows, rows)) and len(sender.rows) == len(rows)
+        assert sender.end == end
         if lost:
             if snap.rows:
                 lost_end = snap.end
@@ -787,7 +798,7 @@ SHIPPED = st.lists(
 
 @given(extent=st.sampled_from(["2s", "3"]), events=SHIPPED)
 @settings(max_examples=300, deadline=None)
-def test_a_slide_built_delta_equals_the_identity_rule(extent, events):
+def test_a_slide_built_delta_equals_the_index_rule(extent, events):
     """Each delta a shipping FILTER's slides make is the delta oracle's, and a
     mirror that lost some returns, once whole again, the slide from the rows it
     returned last."""
@@ -795,12 +806,12 @@ def test_a_slide_built_delta_equals_the_identity_rule(extent, events):
     root = create_operator_graph(query, default_streams())
     window, kept = Operator(root.left), Operator(root)
     sender, mirror = DeltaSender(Name.from_uri("/state/s/0/out")), Mirror(8)
-    sent, end, returned, lose, lost_end = [], 0, [], False, 0
+    indexed, end, returned, lose, lost_end, keyframe = [], 0, [], False, 0, False
     ts, t = 1000, None
     for kind, *how in events:
         if kind == "restart":
             sender.restart()
-            sent = []  # the oracle's rule for a receiver that may hold nothing
+            keyframe = True  # for a receiver that may hold nothing
             continue
         if kind == "lose":
             lose = True
@@ -813,12 +824,12 @@ def test_a_slide_built_delta_equals_the_identity_rule(extent, events):
         got = got and kept.feed(root.left.index, *got)
         if got is None:  # computed, but empty or at or below the last watermark emitted
             continue
-        (rows, gone, new), wm = got
-        rows = list(rows)
-        snap = sender.delta(gone, new, wm, "gps")
-        want, end = identity_delta(sent, end, rows, wm, "gps")
+        slide, wm = got
+        rows = list(slide[0])
+        snap = sender.delta(slide, wm, "gps")
+        want, indexed, end = index_delta(indexed, end, slide, wm, "gps", keyframe)
         same_delta(snap, want)
-        sent = rows
+        keyframe = False
         if lose:
             lose, lost_end = False, snap.end if snap.rows else lost_end
             continue
@@ -833,11 +844,13 @@ def test_a_delta_shared_by_two_receivers_is_changed_by_neither():
     """A forwarded packet reaches several receivers: each mirror keeps its own rows."""
     sender = DeltaSender(Name.from_uri("/state/s/7/out"))
     rows = [row_of((ts, 1.0), "gps") for ts in (1000, 2000, 3000)]
-    sender.delta(0, rows, 3000, "gps")  # a keyframe both receivers miss
-    slid = sender.delta(2, [row_of((4000, 1.0), "gps")], 4000, "gps")
+    sender.delta((rows, 0, rows), 3000, "gps")  # a keyframe both receivers miss
+    rows = rows[2:] + [row_of((4000, 1.0), "gps")]
+    slid = sender.delta((rows, 2, rows[-1:]), 4000, "gps")
     b, c = Mirror(1), Mirror(1)
     assert b.apply(slid) is None and c.apply(slid) is None
-    got = b.apply(sender.delta(1, [row_of((5000, 1.0), "gps")], 5000, "gps"))
+    rows = rows[1:] + [row_of((5000, 1.0), "gps")]
+    got = b.apply(sender.delta((rows, 1, rows[-1:]), 5000, "gps"))
     assert [t.ts for t in got[0]] == [4000, 5000]
     assert (got[1], [t.ts for t in got[2]]) == (0, [4000, 5000])  # nothing returned before
     assert [t.ts for t in slid.rows] == [t.ts for t in c.rows] == [4000]
@@ -853,23 +866,24 @@ def test_a_delta_row_off_the_delta_schema_is_re_tagged():
 def test_a_restarted_sender_ships_a_keyframe_under_fresh_indices():
     sender = DeltaSender(Name.from_uri("/state/s/7/out"))
     rows = [row_of((ts, 1.0), "gps") for ts in (1000, 2000)]
-    assert sender.delta(0, rows, 2000, "gps") == StateDelta(2000, "gps", 0, 2, tuple(rows))
-    assert sender.delta(0, [], 2000, "gps") == StateDelta(2000, "gps", 0, 2, ())
+    assert sender.delta((rows, 0, rows), 2000, "gps") == StateDelta(2000, "gps", 0, 2, tuple(rows))
+    assert sender.delta((rows, 0, []), 2000, "gps") == StateDelta(2000, "gps", 0, 2, ())
     sender.restart()
-    assert sender.delta(0, [], 2000, "gps") == StateDelta(2000, "gps", 2, 4, tuple(rows))
-    assert sender.delta(1, [], 2000, "gps") == StateDelta(2000, "gps", 3, 4, ())
+    assert sender.delta((rows, 0, []), 2000, "gps") == StateDelta(2000, "gps", 2, 4, tuple(rows))
+    assert sender.delta((rows[1:], 1, []), 2000, "gps") == StateDelta(2000, "gps", 3, 4, ())
 
 
-def test_a_mirror_reports_a_restart_keyframe_as_the_slide_its_rows_made():
-    """A keyframe of rows the mirror holds slides them, as the identity rule finds."""
+def test_a_mirror_reports_a_restart_keyframe_as_a_full_slide():
+    """A keyframe comes under fresh indices: every row returned before is gone
+    and every row of the keyframe is new, the rows the mirror had included."""
     sender, mirror = DeltaSender(Name.from_uri("/state/s/7/out")), Mirror(1)
     rows = [row_of((ts, 1.0), "gps") for ts in (1000, 2000, 3000)]
-    assert check_slide(mirror.apply(sender.delta(0, rows, 3000, "gps")), []) == rows
+    assert check_slide(mirror.apply(sender.delta((rows, 0, rows), 3000, "gps")), []) == rows
     sender.restart()
-    later = row_of((4000, 1.0), "gps")
-    got = mirror.apply(sender.delta(1, [later], 4000, "gps"))
-    assert (got[1], list(got[2])) == (1, [later])
-    assert check_slide(got, rows) == rows[1:] + [later]
+    later = rows[1:] + [row_of((4000, 1.0), "gps")]
+    got = mirror.apply(sender.delta((later, 1, later[-1:]), 4000, "gps"))
+    assert (got[1], list(got[2])) == (3, later)
+    assert check_slide(got, rows) == later
 
 
 def test_a_delta_row_narrower_than_the_mirror_raises_and_leaves_it_as_it_was():
@@ -921,6 +935,47 @@ def test_malformed_delta_is_rejected_without_touching_the_mirror(blob):
     assert mirror.apply(carried(delta())) is not None  # no gap
 
 
+def test_a_mirror_fed_by_a_new_sender_slides_out_every_row_it_returned():
+    """A child installed afresh ships from index 0 again: whatever indices the
+    rows the mirror returned had, they are gone."""
+    old, mirror = DeltaSender(Name.from_uri("/state/s/7/out")), Mirror(1)
+    a, b, c, d, e, f = (row_of((ts, 1.0), "gps") for ts in range(1000, 7000, 1000))
+    mirror.apply(old.delta(([a, b, c], 0, [a, b, c]), 3000, "gps"))
+    returned = check_slide(mirror.apply(old.delta(([c, d, e], 2, [d, e]), 5000, "gps")), [a, b, c])
+    new = DeltaSender(old.name)
+    got = mirror.apply(new.delta(([f], 0, [f]), 6000, "gps"))
+    assert (got[1], list(got[2])) == (3, [f])
+    assert check_slide(got, returned) == [f]
+
+
+# how the rows of a feed reach a mirror: the sender's next output (a pick
+# that keeps a row may hold one row object twice), whether the sender
+# restarts before it, and whether its delta is lost on the way
+FEED_STEP = st.tuples(SNAP_STEP, st.booleans(), st.booleans())
+
+
+@given(steps=st.lists(FEED_STEP, min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_each_mirror_slide_is_measured_from_the_rows_it_last_returned(steps):
+    """Through restarts and lost deltas, each slide a mirror returns is
+    rows == before[gone:] + new for the rows it returned before, and its rows
+    are the sender's output; a keyframe that arrives is always whole."""
+    sender, mirror = DeltaSender(Name.from_uri("/state/s/7/out")), Mirror(1)
+    last, returned = [], []
+    for wm, (step, restart, lost) in enumerate(steps):
+        if restart:
+            sender.restart()
+        rows, gone, new = next_output(step, last, "gps")
+        snap, last = sender.delta((rows, gone, new), wm, "gps"), rows
+        if lost:
+            continue
+        got = mirror.apply(snap)
+        assert got is not None or not restart
+        if got is not None:
+            returned = check_slide(got, returned)
+            assert len(returned) == len(rows) and all(map(operator.is_, returned, rows))
+
+
 # ---------------------------------------------------------------------------
 # /ce results
 
@@ -929,6 +984,52 @@ def ce_result(qhash, ts, schema, rows):
     """The Data a coordinator sends a consumer, rendered as `Engine._notify` renders it."""
     doc = {"hash": qhash, "ts": ts, "schema": schema, "rows": rows}
     return Data(Name(("ce", qhash, str(ts))), json.dumps(doc).encode("utf-8"), ts)
+
+
+@given(steps=st.lists(st.tuples(SNAP_STEP, st.booleans()), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_a_renderer_that_skips_results_still_renders_each_payload_whole(steps):
+    """The renderer takes every slide of the root's output and renders some of
+    them: each payload is `result_payload`'s, byte for byte."""
+    renderer, last = ResultRenderer(), []
+    for ts, (step, shown) in enumerate(steps):
+        rows, gone, new = next_output(step, last, "gps")
+        renderer.take((rows, gone, new))
+        last = rows
+        if shown and rows:  # the engine renders only results that have rows
+            want = result_payload("q", ts, "gps", [r.values for r in rows])
+            assert renderer.payload("q", ts, rows) == want
+
+
+_SURROGATES = st.sampled_from(["\ud800", "\udfff", "a\udc00\u00e9", "\udc00\ud800"])
+# what JSON can hold, and what it writes specially: ints past 2**63, nan,
+# +-inf and -0.0, non-ASCII text and text with lone surrogates
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63 - 1, max_value=2**80),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324]),
+    st.text(),
+    st.tuples(st.text(max_size=3), _SURROGATES).map("".join),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), _SURROGATES), inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@given(value=JSON_VALUES)
+@settings(max_examples=500)
+def test_the_prebuilt_encoders_write_what_json_writes(value):
+    assert _encode_result(value) == json.JSONEncoder().encode(value)
+    assert encode_sorted(value) == json.JSONEncoder(sort_keys=True).encode(value)
 
 
 _CE_HASH = b"\x0d\x78\xd5\x8e\x0e\xa0\x8a"  # 78d58e0ea08a as a hash field
