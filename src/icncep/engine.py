@@ -74,18 +74,23 @@ One feed table, `_feeds`, maps the name a DataStream carries (its
 components) to the instances it feeds: a producer stream's WINDOWs in
 install order, or for /state/<qhash>/<idx>/out the parent of operator <idx>.
 
-Each engine parses each query text once per run, as NFN resolves a name
-once. `_parse` keeps every text that parsed, whether it came in an Add, a
-Remove or as a deploy order's canonical key, with its operator tree,
-canonical key and real parse time; a poll's Remove+Add pair and every later
-deploy of the same query are lookups. A text that fails to parse is parsed
-again each time and nacked each time. All texts of one canonical key share
-one tree, and the key's own entry is made by the first of them to parse.
-Memoized trees are shared with `_deployed`, pending plans and operator
-instances, so nothing changes a tree after `create_operator_graph` returns.
-`graph_real_ms` is the time of the parse that built the entry, on a hit too.
-The memo holds one entry per distinct text and canonical key and lives as
-long as the run: `Simulator.detach` clears it.
+The engines of a run parse each query text once, as NFN resolves a name
+once: they share one query memo, `NodeConfig.memo`, which `_parse` fills
+lazily with every text that parsed, whether it came in an Add, a Remove or
+as a deploy order's canonical key. Its entry (`ParsedQuery`) holds the
+operator tree, the canonical key, the real parse time, the /ce hash and the
+names of the streams the tree reads; a poll's Remove+Add pair and every
+later deploy of the same query, on any engine of the run, are lookups. A
+text that fails to parse is parsed again each time and nacked each time.
+All texts of one canonical key share one tree, and the key's own entry is
+made by the first of them to parse. Memoized trees are shared with every
+engine's `_deployed`, pending plans and operator instances, so nothing
+changes a tree after `create_operator_graph` returns. `graph_real_ms` is the
+time of the run's one parse of the text, usually by the consumer's engine,
+on a hit too. The memo is good for one stream table only: the simulator
+hands every engine the same table and the same memo, a `NodeConfig` built
+alone gets a memo of its own, and `Simulator.detach` clears the memo when
+the run ends.
 
 Operators hand their outputs on as slides (`packet.Slide`): the rows that
 left the front of the output emitted before, and the rows appended. An
@@ -138,7 +143,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Optional, Protocol
+from typing import Callable, NamedTuple, Optional, Protocol
 
 # join_eval is unused here: bench/test_bench.py checks that the benchmark's
 # tracer, which wraps each module's reference to it, restores engine.join_eval
@@ -174,6 +179,7 @@ __all__ = [
     "APP_FACE",
     "FaceDef",
     "NodeConfig",
+    "ParsedQuery",
     "Services",
     "Engine",
     "PROBE_TIMEOUT_MS",
@@ -208,6 +214,16 @@ class FaceDef:
     peer: str
 
 
+class ParsedQuery(NamedTuple):
+    """What a query text gives every engine of a run, worked out at its one parse."""
+
+    tree: OperatorNode
+    key: str  # the canonical text
+    parse_ms: float  # real time of the parse that made the entry
+    unsalted: str  # query_hash(key): the hash its /ce names carry
+    streams: tuple  # the names (components) of the streams its tree reads
+
+
 @dataclass
 class NodeConfig:
     node_id: str
@@ -215,6 +231,9 @@ class NodeConfig:
     # the engine parses queries against this table only
     streams: dict[str, StreamBinding] = field(default_factory=dict)
     mode: str = "centralized"
+    # query text or canonical key -> its ParsedQuery; engines that share it
+    # share `streams` too (see _parse)
+    memo: dict[str, ParsedQuery] = field(default_factory=dict)
 
 
 class Services(Protocol):
@@ -305,8 +324,6 @@ class Engine:
         }
         # name a packet carries -> the instances it feeds; see _index_feeds
         self._feeds: dict[tuple[str, ...], list[tuple[str, int]]] = {}
-        # query text -> (tree, canonical key, real parse ms); see _parse
-        self._parsed: dict[str, tuple[OperatorNode, str, float]] = {}
         self.high_water: dict[tuple[str, ...], int] = {}  # stream name -> newest tuple ts
         self._deployed: dict[str, tuple[OperatorNode, int]] = {}  # salted -> (tree, deploy time)
         self._fences: dict[tuple[str, int], int] = {}  # /state feed sent or forwarded -> fence wm
@@ -372,23 +389,30 @@ class Engine:
             return [up]
         return sorted(f for f in self.faces if f not in (APP_FACE, in_face))
 
-    def _parse(self, text: str) -> tuple[OperatorNode, str, float]:
-        """`text`'s operator tree, canonical key and real parse ms, parsed once.
+    def _parse(self, text: str) -> ParsedQuery:
+        """`text`'s entry in the run's query memo, parsed once per run.
 
-        Every text with the same canonical key shares one tree, which must not
-        change; the entry is kept under the key too, so the key's deploy
-        orders are lookups. A text that does not parse raises QueryError each
-        time and is not kept.
+        Every text with the same canonical key shares one tree, hash and
+        stream list, which must not change; the entry is kept under the key
+        too, so the key's deploy orders are lookups. A text that does not
+        parse raises QueryError each time and is not kept.
         """
-        parsed = self._parsed.get(text)
+        memo = self.config.memo
+        parsed = memo.get(text)
         if parsed is None:
+            streams = self.config.streams
             started = time.perf_counter()
-            tree = create_operator_graph(text, self.config.streams)
+            tree = create_operator_graph(text, streams)
             parse_ms = (time.perf_counter() - started) * 1000.0
             key = canonical_text(tree)
-            tree = self._parsed.get(key, (tree,))[0]
-            parsed = self._parsed[text] = (tree, key, parse_ms)
-            self._parsed.setdefault(key, parsed)
+            known = memo.get(key)
+            if known is None:
+                names = tuple(sorted({streams[a].name.components for a in tree.stream_aliases()}))
+                parsed = ParsedQuery(tree, key, parse_ms, query_hash(key), names)
+            else:
+                parsed = known._replace(parse_ms=parse_ms)
+            memo[text] = parsed
+            memo.setdefault(key, parsed)
         return parsed
 
     # -- dispatch -----------------------------------------------------------
@@ -414,19 +438,14 @@ class Engine:
 
     def handle_add_query_interest(self, p: AddQueryInterest, in_face: int) -> str:
         try:
-            tree, key, graph_real_ms = self._parse(p.query)
+            tree, key, graph_real_ms, unsalted, streams = self._parse(p.query)
         except QueryError as err:
             self.counters["nacks"] += 1
             self._nack([in_face], str(err), p.nonce)
             return "consumed"
-        unsalted = query_hash(key)
 
         # (a) fresh content store hit answers immediately, no state change
-        min_ts = 0
-        for alias in tree.stream_aliases():
-            binding = self.config.streams.get(alias)
-            if binding is not None:
-                min_ts = max(min_ts, self.high_water.get(binding.name.components, 0))
+        min_ts = max([self.high_water.get(name, 0) for name in streams], default=0)
         hit = self.cs.lookup(unsalted, min_ts=min_ts)
         if hit is not None:
             reply = Data(
@@ -455,7 +474,7 @@ class Engine:
 
     def handle_remove_query_interest(self, p: RemoveQueryInterest, in_face: int) -> str:
         try:
-            unsalted = query_hash(self._parse(p.query)[1])
+            unsalted = self._parse(p.query).unsalted
         except QueryError:
             return "dropped"
         if self.pit.lookup(unsalted) is None:
@@ -665,7 +684,7 @@ class Engine:
             if not all(isinstance(s, str) for s in (salted, unsalted, key)):
                 raise TypeError("query names must be strings")
             held = self._deployed.get(salted)
-            tree = self._parse(key)[0] if held is None else held[0]
+            tree = self._parse(key).tree if held is None else held[0]
         except (KeyError, TypeError, AttributeError, RecursionError) as err:
             raise ValueError("malformed deploy order: %r" % (err,)) from err
         if set(assignments) != {node.index for node in tree.walk()}:  # None: a misspelt index
@@ -756,10 +775,9 @@ class Engine:
                 else:
                     self._feed(inst, feed[1], slide, p.tuple.ts)
                 continue
-            entry = self.pit.lookup(inst.unsalted)
-            if entry is not None and p.tuple.ts <= entry.last_result_ts:
+            if p.tuple.ts <= inst.op.last_emit:
                 self.counters["out_of_order"] += 1
-                continue  # already folded into a delivered result
+                continue  # already folded into the window's last output
             one = (p.tuple,)
             self._feed(inst, None, (one, 0, one), p.tuple.ts)
 

@@ -66,19 +66,23 @@ Tags 6 and 7 write their rows with typed values:
     3 any other value (a bool, an int beyond kind 0, nan and +-inf; in a
       result also null, a list or an object; a str with a lone surrogate),
       n = the byte length of its compact JSON text (separators "," and
-      ":"), then that text
+      ":"), then that text, which nests at most 100 lists and objects
   zigzag(v): 2v for v >= 0, else -2v - 1
 Each value has one encoding: decode_packet re-encodes every float and JSON
 value it reads and rejects bytes that differ, such as a mantissa with a
 trailing 0 digit, a zero with an exponent, a kind-1 value that reads as
 another float or as inf, kind 3 for a value that kinds 0-2 write, or JSON
 that is not compact. An int and a str read back in their one encoding by
-construction.
+construction. The nesting bound of kind 3 is the codec's own, so every
+CPython gives the same verdict, whatever depth its json module accepts:
+encode_packet refuses a deeper value, so a result that holds one goes as
+tag 2, and decode_packet rejects one before it parses the JSON.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from collections import deque
 from collections.abc import Callable, Sequence
@@ -275,6 +279,8 @@ _KIND_FLOAT = 1
 _KIND_TEXT = 2
 _KIND_JSON = 3
 _INT_BOUND = 1 << 61  # kind 0 holds -2**61 .. 2**61-1, whose headers stay below 2**64
+_JSON_DEPTH = 100  # kind 3 nests at most this many lists and objects
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 # json.dumps(..., separators=(",", ":")), without its per-call set-up
 _compact = json.JSONEncoder(separators=(",", ":")).encode
@@ -381,8 +387,22 @@ def _value(v) -> bytes:
             return _varint(len(raw) << 2 | _KIND_TEXT) + raw
         except UnicodeEncodeError:
             pass  # a lone surrogate, which JSON text escapes
-    raw = _compact(v).encode("utf-8")
+    raw = _shallow(_compact(v)).encode("utf-8")
     return _varint(len(raw) << 2 | _KIND_JSON) + raw
+
+
+def _shallow(text: str) -> str:
+    """The JSON `text` of a kind-3 value; ValueError if more than _JSON_DEPTH
+    lists and objects are open at once in it, outside its strings."""
+    depth = 0
+    for c in _JSON_STRING.sub("", text):
+        if c == "[" or c == "{":
+            depth += 1
+            if depth > _JSON_DEPTH:
+                raise ValueError("a JSON row value nests more than %d deep" % _JSON_DEPTH)
+        elif c == "]" or c == "}":
+            depth -= 1
+    return text
 
 
 def _rows(rows) -> bytes:
@@ -675,7 +695,7 @@ def _read_value(buf: bytes, at: int) -> tuple[object, int]:
         raw, at = _read_bytes(buf, at, n)
         if kind == _KIND_TEXT:
             return raw.decode("utf-8"), at
-        v = json.loads(raw.decode("utf-8"))
+        v = json.loads(_shallow(raw.decode("utf-8")))
     if _value(v) != buf[start:at]:
         raise MalformedPacket("row value not in its one encoding")
     return v, at

@@ -275,7 +275,7 @@ def test_malformed_query_nacked(text):
     assert out[0].name.components[0] == "nack"
     assert out[0].name.components[1] == "n9"
     assert out[0].payload  # carries the parser diagnostic
-    assert eng.instances == {} and eng._parsed == {}
+    assert eng.instances == {} and eng.config.memo == {}
     # the consumer the Add came from hands the nack to its application
     c1_svc = FakeServices()
     c1 = Engine(NodeConfig("c1", eng.config.topology, default_streams()), c1_svc)
@@ -320,7 +320,7 @@ def test_malformed_queries_are_nacked_every_time_and_never_memoized():
     nacks = [p.name.components for p in sent_to(svc, 1, Data)]
     assert nacks == [("nack", "%s%d" % (n, k)) for n in "ab" for k in range(20)]
     assert parse.call_count == 40
-    assert eng._parsed == {}
+    assert eng.config.memo == {}
 
 
 def test_a_re_add_reports_the_parse_that_built_its_memo_entry():
@@ -339,8 +339,8 @@ def test_a_re_add_reports_the_parse_that_built_its_memo_entry():
     assert parse.call_count == 1 and len(accepted) == 3
     assert accepted[0] >= 10.0 and accepted == [accepted[0]] * 3
     key = canonical_text(create_operator_graph(Q2, default_streams()))
-    assert list(eng._parsed) == [Q2, key]  # the key's entry is the text's
-    assert eng._parsed[key] is eng._parsed[Q2]
+    assert list(eng.config.memo) == [Q2, key]  # the key's entry is the text's
+    assert eng.config.memo[key] is eng.config.memo[Q2]
 
 
 def test_evaluation_charges_compute_cost():
@@ -503,6 +503,31 @@ def test_a_result_not_sent_still_slides_the_root_renderer():
         (5000, [2000, 3000, 4000, 5000]),
         (6000, [3000, 4000, 5000, 6000]),
     ]
+
+
+def test_a_forwarded_result_does_not_make_a_window_skip_rows():
+    """A /ce result forwarded from elsewhere raises the PIT entry's last
+    result ts, but the window still takes every newer tuple of its stream;
+    only a tuple at or below its own last output is skipped, uncharged."""
+    eng, svc = single_broker()
+    eng.handle_packet(AddQueryInterest(query=Q1, nonce="n1"), in_face=1)
+    eng.handle_packet(gps_packet(1000), in_face=2)
+    unsalted = query_hash(canonical_text(create_operator_graph(Q1, default_streams())))
+    forwarded = Data(name=Name(("ce", unsalted, "3000")), payload=b"{}", ts=3000)
+    assert eng.handle_data(forwarded, in_face=2) == "forwarded"
+    assert eng.pit.lookup(unsalted).last_result_ts == 3000
+    for ts in (2000, 3000, 4000, 5000):
+        eng.handle_packet(gps_packet(ts), in_face=2)
+    got = [json.loads(p.payload) for p in notifications(svc, 1) if p is not forwarded]
+    assert [(n["ts"], [r[0] for r in n["rows"]]) for n in got] == [
+        (1000, [1000]),
+        (4000, [1000, 2000, 3000, 4000]),
+        (5000, [2000, 3000, 4000, 5000]),
+    ]
+    charges = len(svc.charges)
+    for ts in (4500, 5000):
+        eng.handle_packet(gps_packet(ts), in_face=2)
+    assert eng.counters["out_of_order"] == 2 and len(svc.charges) == charges
 
 
 @pytest.mark.parametrize("bad", [[2000, [1]], [2000, {"a": 1}], [2000, None]])
@@ -854,10 +879,13 @@ def test_a_query_text_and_its_canonical_key_share_one_tree(deploy_first):
     packets = [AddQueryInterest(query=Q2, nonce="n1"), deploy_order(order, "b1")]
     for p in packets[::-1] if deploy_first else packets:
         eng.handle_packet(p, in_face=1)
-    assert set(eng._parsed) == {Q2, key} and len(eng._deployed) == 2
-    trees = [tree for tree, _, _ in eng._parsed.values()]
+    memo = eng.config.memo
+    assert set(memo) == {Q2, key} and len(eng._deployed) == 2
+    trees = [entry.tree for entry in memo.values()]
     trees += [tree for tree, _ in eng._deployed.values()]
     assert all(tree is trees[0] for tree in trees)
+    # the text's entry differs from the key's in its parse time at most
+    assert memo[Q2]._replace(parse_ms=0.0) == memo[key]._replace(parse_ms=0.0)
 
 
 JOIN_HOST_QUERY = (

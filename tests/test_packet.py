@@ -1196,6 +1196,30 @@ def test_a_tag_6_packet_must_hold_one_result(blob):
     assert decode_packet(_result_blob()) == _AVG_RESULT
 
 
+def _nested(depth):
+    """`depth` objects and lists nested in turn around a text of brackets."""
+    value = "[{]}"
+    for k in range(depth):
+        value = [value] if k % 2 else {"k": value}
+    return value
+
+
+@pytest.mark.parametrize("depth", [1, 100, 101, 300])
+def test_a_json_row_value_nests_at_most_100_deep_on_every_python(depth):
+    """The bound is the codec's own, whatever depth the json module parses."""
+    value = _nested(depth)
+    blob = _result_row(json_field(json.dumps(value, separators=(",", ":")).encode()))
+    pkt = ce_result("78d58e0ea08a", 10000, "agg", [[10000, value]])
+    raw = encode_packet(pkt)
+    assert decode_packet(raw) == pkt
+    if depth <= 100:
+        assert raw == blob and decode_packet(blob) == pkt
+    else:
+        assert raw[0] == 2  # the writer falls back to the general layout
+        with pytest.raises(MalformedPacket, match="nests more than 100"):
+            decode_packet(blob)
+
+
 # ---------------------------------------------------------------------------
 # row values of /state deltas and /ce results
 

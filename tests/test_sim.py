@@ -29,7 +29,13 @@ from icncep.packet import (
     Tuple,
 )
 from icncep.placement import NoPath, corridor
-from icncep.query import STREAM_SCHEMAS, StreamBinding, create_operator_graph
+from icncep.query import (
+    STREAM_SCHEMAS,
+    StreamBinding,
+    canonical_text,
+    create_operator_graph,
+    query_hash,
+)
 from icncep.sim import (
     ConfigError,
     Metrics,
@@ -787,6 +793,39 @@ def test_query_metrics_come_from_the_exact_query_id(tmp_path):
         assert (q.placement_sim_ms, q.plan_real_ms) == (dep["placement_sim_ms"], dep["plan_real_ms"])
         assert q.graph_ms == accepted[qid + ":1"]["graph_real_ms"]
     assert m.queries["a"].deployed_t > 5000
+
+
+def test_notifications_are_what_a_scan_of_the_consumer_per_query_finds(tmp_path):
+    """Two texts of one hash on one consumer, a query of another hash, and one
+    that never has a result: each counts the deliveries of its /ce hash."""
+    csv = tmp_path / "gps.csv"
+    generate_gps_csv(str(csv), rows=20)
+    texts = {
+        "a": "WINDOW(GPS_S1, 4s)",
+        "b": "WINDOW(GPS_S1,4s)",
+        "c": "FILTER(WINDOW(GPS_S1, 4s), 'latitude' < 50)",
+        "none": "FILTER(WINDOW(GPS_S1, 4s), 'latitude' < 0)",
+    }
+    spec = ScenarioSpec(
+        topology=load_topology("distributed"),
+        streams=[StreamDef("GPS_S1", "/node/p1/gps", "gps", str(csv), 1.0)],
+        queries=[
+            QueryDef(qid, "c1", 50 + 3000 * k, 25000, "distributed", text, 4000 if k else None)
+            for k, (qid, text) in enumerate(texts.items())
+        ],
+    )
+    m = run_scenario(spec, collect_trace=False)
+    for q in spec.queries:
+        unsalted = query_hash(canonical_text(create_operator_graph(q.text, spec.bindings())))
+        times = [
+            at
+            for at, p in m.app_deliveries[q.consumer]
+            if isinstance(p, Data) and p.name.components[:2] == ("ce", unsalted)
+        ]
+        qm = m.queries[q.query_id]
+        assert (qm.notifications, qm.first_result_t) == (len(times), times[0] if times else None)
+    counts = {qid: qm.notifications for qid, qm in m.queries.items()}
+    assert counts["a"] == counts["b"] > counts["c"] > counts["none"] == 0
 
 
 def test_untraced_run_matches_the_traced_one_without_a_trace():
